@@ -1,7 +1,9 @@
 """Command-line front end: every analysis as a subcommand with reproducible seeds.
 
 Exit codes: 0 success (for ``test``: local hidden variables rejected),
-1 retained (``test`` only), 2 usage error. With ``--format json`` each
+1 retained (``test`` only), 2 usage error or invalid input, 3 internal error
+(an unexpected exception; its traceback goes to stderr). A crash never exits
+0 or 1, so it cannot read as a verdict. With ``--format json`` each
 subcommand writes a single JSON document to stdout; all diagnostics,
 including the echoed resolved configuration, go to stderr.
 """
@@ -12,6 +14,7 @@ import argparse
 import json
 import secrets
 import sys
+import traceback
 
 from . import loophole as loophole_mod
 from .counterfactuals import (
@@ -190,9 +193,7 @@ def cmd_simulate(args) -> int:
     if args.format == "json":
         doc = {
             "config": config_to_dict(config),
-            "records": [
-                [r.index, r.x1, r.x2, r.y1, r.y2, r.d1, r.d2] for r in records
-            ],
+            "records": [list(row) for row in records.rows()],
         }
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -312,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of trials")
     p.add_argument("--seed", type=int, help="64-bit seed; generated and echoed if omitted")
     p.add_argument("--setting-distribution", choices=(UNIFORM_9, UNIFORM_4), default=UNIFORM_9)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="split the trials into this many consecutive blocks; same output")
     p.add_argument("--out", help="dataset file (default stdout)")
     p.add_argument("--meta", help="metadata sidecar file (default <out>.meta.json)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -354,6 +356,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        print("internal error: exit 3", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

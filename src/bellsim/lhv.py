@@ -154,6 +154,11 @@ def draw_mixture_index(weights: tuple[float, ...], u: float) -> int:
     return bisect_right(_cumulative(weights), u)
 
 
+def draw_mixture_indices(weights: tuple[float, ...], u: np.ndarray) -> np.ndarray:
+    """:func:`draw_mixture_index` for an array of uniforms."""
+    return np.searchsorted(_cumulative(weights), u, side="right")
+
+
 def sample_from_lhv(model: LocalModel, pair: tuple[int, int], rng) -> tuple[int, int]:
     """Draw one outcome pair (y1, y2) from a local model at the given settings.
 
@@ -169,6 +174,28 @@ def sample_from_lhv(model: LocalModel, pair: tuple[int, int], rng) -> tuple[int,
     if isinstance(model, StochasticLocalModel):
         y1 = 1 if rng.random() < model.p1[x1] else -1
         y2 = 1 if rng.random() < model.p2[x2] else -1
+        return y1, y2
+    raise TypeError(f"not a local model: {model!r}")
+
+
+def sample_from_lhv_lanes(
+    model: LocalModel, x1: np.ndarray, x2: np.ndarray, lanes
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sample_from_lhv` for a block of trials at once.
+
+    ``x1``/``x2`` hold each trial's settings and ``lanes`` is a
+    :class:`~bellsim.rng.SplitMix64Lanes` over the same trials; returns int8
+    spin arrays equal, trial by trial, to the scalar draws.
+    """
+    if isinstance(model, DeterministicLhv):
+        k = draw_mixture_indices(model.mixture.weights, lanes.random())
+        units = model.mixture.units
+        y1 = np.array([u.y1 for u in units], dtype=np.int8)
+        y2 = np.array([u.y2 for u in units], dtype=np.int8)
+        return y1[k, x1], y2[k, x2]
+    if isinstance(model, StochasticLocalModel):
+        y1 = np.where(lanes.random() < np.array(model.p1)[x1], np.int8(1), np.int8(-1))
+        y2 = np.where(lanes.random() < np.array(model.p2)[x2], np.int8(1), np.int8(-1))
         return y1, y2
     raise TypeError(f"not a local model: {model!r}")
 

@@ -15,6 +15,7 @@ efficiency an experiment must beat to close it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -23,11 +24,12 @@ import numpy as np
 
 from . import simplex
 from .counterfactuals import CounterfactualTable
-from .lhv import draw_mixture_index
+from .lhv import draw_mixture_index, draw_mixture_indices
 from .quantum import MatchProbabilityTable
 
 SETTINGS = (0, 1, 2)
 N_STRATEGIES = 4096
+SOLUTION_STATUSES = ("feasible", "infeasible", "unbounded-error")
 
 #: Default margin by which the demonstration model keeps the all-pairs
 #: (unconditional) Bell statistic below the local bound; see
@@ -256,10 +258,45 @@ class LpSolution:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LpSolution":
+        """Parse a solution document, as :meth:`to_dict` writes it.
+
+        The status must be one of :data:`SOLUTION_STATUSES`. Strategy
+        indices must be distinct integers in [0, 4096) and weights finite
+        and non-negative; a feasible solution's weights sum to 1 within
+        1e-9, any other carries none. Anything else raises ``ValueError``.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError("a solution document must be a JSON object")
+        status = doc.get("status")
+        if status not in SOLUTION_STATUSES:
+            raise ValueError(f"unknown solution status {status!r}")
+        raw = doc.get("weights")
+        if not isinstance(raw, dict):
+            raise ValueError("solution weights must map strategy indices to weights")
+        weights: dict[int, float] = {}
+        for key, value in raw.items():
+            try:
+                index = int(key)
+                weight = float(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"bad solution entry {key!r}: {value!r}") from None
+            if not 0 <= index < N_STRATEGIES or index in weights:
+                raise ValueError(
+                    f"strategy index {key!r} outside [0, {N_STRATEGIES}) or repeated"
+                )
+            if not (math.isfinite(weight) and weight >= 0.0):
+                raise ValueError(f"weight {value!r} of strategy {index} is not a finite w >= 0")
+            weights[index] = weight
+        if status == "feasible":
+            total = math.fsum(weights.values())
+            if abs(total - 1.0) > 1e-9:
+                raise ValueError(f"feasible solution weights sum to {total!r}, not 1")
+        elif weights:
+            raise ValueError(f"a {status} solution carries no weights")
         rates = doc.get("coincidence_rates")
         return cls(
-            status=doc["status"],
-            weights={int(k): float(v) for k, v in doc["weights"].items()},
+            status=status,
+            weights=weights,
             coincidence_rates=tuple(tuple(float(v) for v in r) for r in rates)
             if rates is not None
             else None,
@@ -396,4 +433,26 @@ def sample_loophole_model(
     d2 = strat.d2[x2]
     y1 = strat.table.y1[x1] if d1 else None
     y2 = strat.table.y2[x2] if d2 else None
+    return y1, y2, d1, d2
+
+
+def sample_loophole_model_lanes(
+    solution: LpSolution, x1: np.ndarray, x2: np.ndarray, lanes
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`sample_loophole_model` for a block of trials at once.
+
+    ``x1``/``x2`` hold each trial's settings and ``lanes`` is a
+    :class:`~bellsim.rng.SplitMix64Lanes` over the same trials. Returns
+    (y1, y2, d1, d2) as integer arrays, with spin 0 where a particle is not
+    detected. Spins and flags are read off the 12-bit strategy index in its
+    documented bit order.
+    """
+    if solution.status != "feasible":
+        raise ValueError(f"cannot sample from a {solution.status} solution")
+    indices, weights = solution._sampling_arrays
+    s = np.array(indices)[draw_mixture_indices(weights, lanes.random())]
+    d1 = (s >> (5 - x1)) & 1
+    d2 = (s >> (2 - x2)) & 1
+    y1 = (((s >> (11 - x1)) & 1) * 2 - 1) * d1
+    y2 = (((s >> (8 - x2)) & 1) * 2 - 1) * d2
     return y1, y2, d1, d2

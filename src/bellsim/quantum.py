@@ -244,3 +244,18 @@ def sample_outcome_pair(
     y1 = 1 if rng.random() < 0.5 else -1
     y2 = y1 if rng.random() < p_match else -y1
     return y1, y2
+
+
+def sample_outcome_pair_lanes(
+    x1: np.ndarray, x2: np.ndarray, table: MatchProbabilityTable, lanes
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sample_outcome_pair` for a block of trials at once.
+
+    ``x1``/``x2`` hold each trial's settings and ``lanes`` is a
+    :class:`~bellsim.rng.SplitMix64Lanes` over the same trials; returns int8
+    spin arrays equal, trial by trial, to the scalar draws.
+    """
+    p_match = table.as_array()[x1, x2]
+    y1 = np.where(lanes.random() < 0.5, np.int8(1), np.int8(-1))
+    y2 = np.where(lanes.random() < p_match, y1, -y1)
+    return y1, y2

@@ -166,6 +166,48 @@ class TestSimulateAndTest:
         assert out1 == out2
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("x1", ("-1", "7"))
+    def test_setting_outside_range_is_invalid_input(self, x1, tmp_path, capsys):
+        data_file = tmp_path / "bad.csv"
+        rows = [f"{i},{x1 if i == 5 else i % 3},{(i // 3) % 3},1,-1,1,1" for i in range(40)]
+        data_file.write_text("index,x1,x2,y1,y2,d1,d2\n" + "\n".join(rows) + "\n")
+        code, _, err = run_cli(capsys, "test", "--in", str(data_file))
+        assert code == 2
+        assert "x1 must be 0, 1 or 2" in err
+
+    def test_unexpected_exception_exits_3(self, tmp_path, capsys, monkeypatch):
+        import bellsim.cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        data_file = tmp_path / "data.csv"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--source", "quantum", "--angles", "60,0,120",
+            "--n", "900", "--seed", "1", "--out", str(data_file),
+        )
+        assert code == 0
+        monkeypatch.setattr(bellsim.cli, "estimate", broken)
+        code, out, err = run_cli(capsys, "test", "--in", str(data_file))
+        assert code == 3
+        assert "RuntimeError: boom" in err and "decision" not in out
+
+    @pytest.mark.parametrize(
+        "weights",
+        ({"-1": 1.0}, {"5000": 1.0}, {"7": 1.5, "8": -0.5}, {"7": 0.5}, {"1.5": 1.0}),
+    )
+    def test_invalid_solution_file_is_invalid_input(self, weights, tmp_path, capsys):
+        solution_file = tmp_path / "solution.json"
+        solution_file.write_text(json.dumps({"status": "feasible", "weights": weights}))
+        code, _, err = run_cli(
+            capsys, "simulate", "--source", "loophole", "--solution", str(solution_file),
+            "--n", "10", "--seed", "1",
+        )
+        assert code == 2
+        assert err.startswith("error:")
+
+
 class TestLoopholeCommand:
     def test_max_efficiency_frozen_value(self, capsys):
         code, out, _ = run_cli(
@@ -199,6 +241,11 @@ class TestLoopholeCommand:
             "--save", str(solution_file), "--format", "json",
         )
         assert code == 0 and solution_file.exists()
+        from bellsim.loophole import demonstration_solution, load_solution
+        from bellsim.quantum import AngleTriple, match_table
+
+        demo = demonstration_solution(match_table(AngleTriple.from_degrees(60, 0, 120)))
+        assert load_solution(solution_file) == demo
         data_file = tmp_path / "fake.csv"
         code, _, _ = run_cli(
             capsys,

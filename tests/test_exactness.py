@@ -1,0 +1,222 @@
+"""Exactness of generated datasets: the bytes and records a seed produces are fixed.
+
+Three independent checks:
+
+* golden SHA-256 digests of ``bellsim simulate`` stdout for every source and
+  setting distribution, recorded from the original per-trial generator;
+* ``run_experiment`` against a per-trial reference assembled here from the
+  public scalar functions (``SplitMix64``, ``derive_seed`` and the three
+  samplers), on several seeds and partitions;
+* seeds built by inverting ``mix64`` so that one trial's ``randbelow(3)``
+  draws the single rejected value ``2**64 - 1``.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from bellsim.cli import main
+from bellsim.counterfactuals import BELL_PAIRS, CounterfactualTable, Population
+from bellsim.experiment import (
+    SOURCE_DETERMINISTIC_LHV,
+    SOURCE_LOOPHOLE,
+    SOURCE_QUANTUM,
+    SOURCE_STOCHASTIC_LHV,
+    UNIFORM_4,
+    UNIFORM_9,
+    ExperimentConfig,
+    TrialRecord,
+    run_experiment,
+)
+from bellsim.lhv import DeterministicLhv, StochasticLocalModel, sample_from_lhv, save_model
+from bellsim.loophole import LpSolution, sample_loophole_model
+from bellsim.quantum import AngleTriple, match_table, sample_outcome_pair
+from bellsim.rng import SplitMix64, derive_seed, mix64
+
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+CANONICAL = AngleTriple.from_degrees(60, 0, 120)
+# Cumulative weights 0.1, 0.30000000000000004, 0.6000000000000001, 1.0.
+MIXTURE = DeterministicLhv(
+    Population(
+        units=(
+            CounterfactualTable((1, 1, 1), (-1, 1, 1)),
+            CounterfactualTable((-1, 1, -1), (1, 1, -1)),
+            CounterfactualTable((1, -1, 1), (-1, -1, 1)),
+            CounterfactualTable((-1, -1, -1), (1, -1, 1)),
+        ),
+        weights=(0.1, 0.2, 0.3, 0.4),
+    )
+)
+STOCHASTIC = StochasticLocalModel((0.2, 0.5, 0.9), (0.7, 0.1, 0.5))
+# A hand-written faking model (not an LP output, so solver changes cannot
+# move it); its weights sum to 1 only within rounding.
+FAKING = {
+    "status": "feasible",
+    "weights": {
+        "4095": 0.25, "2730": 0.2, "1365": 0.15, "63": 0.1,
+        "3000": 0.1, "7": 0.1, "4032": 0.1,
+    },
+    "coincidence_rates": None,
+    "min_coincidence_rate": None,
+}
+
+# SHA-256 of ``simulate --n 2000 --seed 2024`` stdout, recorded from the
+# per-trial generator.
+GOLDEN_SHA256 = {
+    (SOURCE_QUANTUM, UNIFORM_9, "csv"):
+        "898a36700aac0c7d66ab82b1dacfd80628b63910bb2f960132317c709c6e8e1d",
+    (SOURCE_QUANTUM, UNIFORM_4, "csv"):
+        "1f2f2a416cf8d9ee1ab694f0879f7e242c3d821fe60524a2b49c29d853564d2d",
+    (SOURCE_DETERMINISTIC_LHV, UNIFORM_9, "csv"):
+        "feb7ac6f4c3e57612a3d3c020edc7e3368effa71bbfdbd01eb469138d2db6a93",
+    (SOURCE_DETERMINISTIC_LHV, UNIFORM_4, "csv"):
+        "109d96b19f6dc310ba9fa7661a2ce17a0503237ffbbb34b93c630045b08575c2",
+    (SOURCE_STOCHASTIC_LHV, UNIFORM_9, "csv"):
+        "eb669df0d15a9251c673f211442de9bb669f34cb4d3bf30a5d45520cde490328",
+    (SOURCE_STOCHASTIC_LHV, UNIFORM_4, "csv"):
+        "6a8dde24ab75b8a2381d84cd16458a82217a7e7010be7e44a2e576ac2d71d934",
+    (SOURCE_LOOPHOLE, UNIFORM_9, "csv"):
+        "d9eae3316d36aa2f95f3f2833a97626d3164230d0fb10f68619be0264674d47f",
+    (SOURCE_LOOPHOLE, UNIFORM_4, "csv"):
+        "68726f98c7027642d13a4e11b6578e5c5c99caa7bca4c520eecf71b01457a4c1",
+    (SOURCE_QUANTUM, UNIFORM_9, "json"):
+        "44abfd85a1a6b33dabf2d1a2f606311ccefe36cfc20fea68df81192d53bda900",
+}
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    save_model(MIXTURE, root / "mixture.json")
+    save_model(STOCHASTIC, root / "stochastic.json")
+    (root / "faking.json").write_text(json.dumps(FAKING), encoding="utf-8")
+    return root
+
+
+def source_args(source, root):
+    if source == SOURCE_QUANTUM:
+        return ["--angles", "60,0,120"]
+    if source == SOURCE_DETERMINISTIC_LHV:
+        return ["--model", str(root / "mixture.json")]
+    if source == SOURCE_STOCHASTIC_LHV:
+        return ["--model", str(root / "stochastic.json")]
+    return ["--solution", str(root / "faking.json")]
+
+
+@pytest.mark.parametrize("source, distribution, fmt", sorted(GOLDEN_SHA256))
+def test_simulate_stdout_matches_golden_digest(source, distribution, fmt, input_files, capsys):
+    code = main(
+        ["simulate", "--source", source, *source_args(source, input_files),
+         "--n", "2000", "--seed", "2024", "--setting-distribution", distribution,
+         "--format", fmt]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SHA256[
+        (source, distribution, fmt)
+    ]
+
+
+def test_out_file_holds_the_stdout_bytes(input_files, tmp_path, capsys):
+    argv = ["simulate", "--source", SOURCE_LOOPHOLE, *source_args(SOURCE_LOOPHOLE, input_files),
+            "--n", "500", "--seed", "3"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert main([*argv, "--out", str(tmp_path / "d.csv")]) == 0
+    assert (tmp_path / "d.csv").read_bytes() == out.encode("utf-8")
+    assert out.startswith("index,x1,x2,y1,y2,d1,d2\r\n")
+
+
+def reference_dataset(config):
+    """The per-trial generator, written out from the public scalar functions."""
+    table = match_table(config.angles) if config.angles is not None else None
+    records = []
+    for i in range(config.n_trials):
+        rng = SplitMix64(derive_seed(config.seed, i))
+        if config.setting_distribution == UNIFORM_9:
+            x1 = rng.randbelow(3)
+            x2 = rng.randbelow(3)
+        else:
+            x1, x2 = BELL_PAIRS[rng.randbelow(4)]
+        d1 = d2 = 1
+        if config.source == SOURCE_QUANTUM:
+            y1, y2 = sample_outcome_pair((x1, x2), table, rng)
+        elif config.source == SOURCE_LOOPHOLE:
+            y1, y2, d1, d2 = sample_loophole_model(config.solution, (x1, x2), rng)
+        else:
+            y1, y2 = sample_from_lhv(config.model, (x1, x2), rng)
+        records.append(TrialRecord(index=i, x1=x1, x2=x2, y1=y1, y2=y2, d1=d1, d2=d2))
+    return records
+
+
+def make_config(source, n, seed, distribution=UNIFORM_9):
+    extra = {
+        SOURCE_QUANTUM: {"angles": CANONICAL},
+        SOURCE_DETERMINISTIC_LHV: {"model": MIXTURE},
+        SOURCE_STOCHASTIC_LHV: {"model": STOCHASTIC},
+        SOURCE_LOOPHOLE: {"solution": LpSolution.from_dict(FAKING)},
+    }[source]
+    return ExperimentConfig(
+        n_trials=n, seed=seed, source=source, setting_distribution=distribution, **extra
+    )
+
+
+ALL_SOURCES = (SOURCE_QUANTUM, SOURCE_DETERMINISTIC_LHV, SOURCE_STOCHASTIC_LHV, SOURCE_LOOPHOLE)
+
+
+@pytest.mark.parametrize("source", ALL_SOURCES)
+@pytest.mark.parametrize("distribution", (UNIFORM_9, UNIFORM_4))
+def test_run_experiment_matches_per_trial_reference(source, distribution):
+    for seed in (0, 1, 12345, MASK64, -5):
+        config = make_config(source, 300, seed, distribution)
+        reference = reference_dataset(config)
+        assert run_experiment(config) == reference
+        assert run_experiment(config, workers=3) == reference
+
+
+def unmix64(z):
+    """Inverse of the splitmix64 finalizer ``mix64``."""
+
+    def unxorshift(v, k):
+        out = v
+        for _ in range(64 // k):
+            out = v ^ (out >> k)
+        return out
+
+    z = unxorshift(z, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK64
+    z = unxorshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK64
+    return unxorshift(z, 30)
+
+
+def rejecting_seed(trial, draw):
+    """A master seed under which draw ``draw`` (1-based) of trial ``trial`` is
+    ``2**64 - 1``, the one value ``randbelow(3)`` rejects."""
+    state = (unmix64(MASK64) - draw * GOLDEN) & MASK64
+    return unmix64(state) ^ mix64((trial + 1) * GOLDEN & MASK64)
+
+
+def test_unmix64_inverts_mix64():
+    for z in (0, 1, GOLDEN, MASK64, 0x0123456789ABCDEF):
+        assert mix64(unmix64(z)) == z and unmix64(mix64(z)) == z
+
+
+def test_rejecting_seed_forces_the_rejection():
+    assert rejecting_seed(17, 1) == 9069661590397731002
+    for trial, draw in ((17, 1), (4, 2)):
+        rng = SplitMix64(derive_seed(rejecting_seed(trial, draw), trial))
+        draws = [rng.next_uint64() for _ in range(draw)]
+        assert draws[-1] == MASK64
+
+
+@pytest.mark.parametrize("source", ALL_SOURCES)
+@pytest.mark.parametrize("trial, draw", ((17, 1), (4, 2)))
+def test_rejected_setting_draw_matches_reference(source, trial, draw):
+    config = make_config(source, 40, rejecting_seed(trial, draw))
+    reference = reference_dataset(config)
+    assert run_experiment(config) == reference
+    assert run_experiment(config, workers=3) == reference

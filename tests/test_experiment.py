@@ -1,8 +1,10 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
+from bellsim import experiment
 from bellsim.counterfactuals import CounterfactualTable, Population
 from bellsim.experiment import (
     CONDITION_ALL_PAIRS,
@@ -16,6 +18,7 @@ from bellsim.experiment import (
     ConfigError,
     EstimationError,
     ExperimentConfig,
+    TrialDataset,
     TrialRecord,
     config_from_dict,
     config_to_dict,
@@ -86,6 +89,11 @@ class TestTrialRecord:
         with pytest.raises(ValueError):
             TrialRecord(index=0, x1=0, x2=0, y1=2, y2=1, d1=1, d2=1)
 
+    @pytest.mark.parametrize("x1, x2", ((-1, 0), (7, 0), (0, 3)))
+    def test_settings_validated(self, x1, x2):
+        with pytest.raises(ValueError, match="must be 0, 1 or 2"):
+            TrialRecord(index=0, x1=x1, x2=x2, y1=1, y2=1, d1=1, d2=1)
+
 
 class TestRunExperiment:
     def test_same_config_and_seed_reproduces_records(self):
@@ -132,6 +140,25 @@ class TestRunExperiment:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
             run_experiment(quantum_config(), workers=0)
+
+    def test_block_size_does_not_change_records(self, monkeypatch):
+        cfg = quantum_config(n=100, setting_distribution=UNIFORM_4)
+        whole = run_experiment(cfg)
+        monkeypatch.setattr(experiment, "BLOCK_TRIALS", 7)
+        assert run_experiment(cfg) == whole
+        assert run_experiment(cfg, workers=3) == whole
+        assert run_experiment(cfg, workers=500) == whole
+
+    def test_dataset_is_columnar_and_iterates_as_records(self):
+        data = run_experiment(quantum_config(n=30))
+        assert len(data) == 30
+        assert data.index.dtype == np.int64 and data.x1.dtype == np.int8
+        records = list(data)
+        assert all(isinstance(r, TrialRecord) for r in records)
+        assert data == records and records == data
+        assert TrialDataset.from_records(records) == data
+        assert data != records[:-1]
+        assert data != records[:-1] + [TrialRecord(29, 0, 0, None, None, 0, 0)]
 
 
 def _hand_dataset():
@@ -290,6 +317,63 @@ class TestSerialization:
     def test_reader_rejects_bad_header(self):
         with pytest.raises(ValueError):
             read_dataset_csv(io.StringIO("a,b,c\n"))
+        with pytest.raises(ValueError):
+            read_dataset_csv(io.StringIO(""))
+
+    def test_reader_returns_empty_dataset_for_header_only(self):
+        data = read_dataset_csv(io.StringIO("index,x1,x2,y1,y2,d1,d2\r\n\r\n"))
+        assert len(data) == 0 and data == []
+
+    @pytest.mark.parametrize(
+        "row",
+        (
+            "9,-1,0,1,1,1,1",  # setting outside {0, 1, 2}
+            "9,7,0,1,1,1,1",
+            "9,0,3,1,1,1,1",
+            "9,0,0,1,1,1,1,1",  # eight fields
+            "9,0,0,1,1,1",  # six fields
+            "9,0,0,0,1,1,1",  # explicit 0 spin
+            "9,0,0,2,1,1,1",
+            "9,0,0,1,1,0,1",  # spin where undetected
+            "9,0,0,,1,1,1",  # no spin where detected
+            "9,0,0,1,1,2,1",  # detection flag outside {0, 1}
+            "9,0,0,1.0,1,1,1",
+            "x,0,0,1,1,1,1",
+        ),
+    )
+    def test_reader_rejects_malformed_rows(self, row):
+        text = f"index,x1,x2,y1,y2,d1,d2\r\n5,1,2,1,-1,1,1\r\n{row}\r\n"
+        with pytest.raises(ValueError):
+            read_dataset_csv(io.StringIO(text))
+
+    def test_reader_streams_in_blocks(self, monkeypatch):
+        records = run_experiment(quantum_config(n=50, seed=4))
+        buf = io.StringIO()
+        write_dataset_csv(records, buf)
+        monkeypatch.setattr(experiment, "BLOCK_TRIALS", 7)
+        assert read_dataset_csv(io.StringIO(buf.getvalue())) == records
+        buf2 = io.StringIO()
+        write_dataset_csv(records, buf2)
+        assert buf2.getvalue() == buf.getvalue()
+        lines = buf.getvalue().splitlines(keepends=True)
+        lines[8] = lines[8].replace("7,", "6,", 1)  # repeats index 6 across a block boundary
+        with pytest.raises(ValueError, match="not strictly increasing at 6"):
+            read_dataset_csv(iter(lines))
+
+    def test_writer_accepts_any_order_and_matches_csv_module(self):
+        import csv
+
+        records = [
+            TrialRecord(index=9, x1=2, x2=1, y1=None, y2=-1, d1=0, d2=1),
+            TrialRecord(index=3, x1=0, x2=0, y1=1, y2=None, d1=1, d2=0),
+        ]
+        buf = io.StringIO()
+        write_dataset_csv(iter(records), buf)
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(("index", "x1", "x2", "y1", "y2", "d1", "d2"))
+        writer.writerows([(9, 2, 1, "", -1, 0, 1), (3, 0, 0, 1, "", 1, 0)])
+        assert buf.getvalue() == expected.getvalue()
 
     def test_reader_rejects_non_increasing_indices(self):
         buf = io.StringIO()

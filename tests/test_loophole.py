@@ -206,6 +206,44 @@ class TestDemonstrationSolution:
             demonstration_solution(CANONICAL_TARGETS, stealth_margin=-0.1)
 
 
+class TestSolutionDocument:
+    def test_demo_solution_round_trips(self, demo_solution):
+        doc = json.loads(json.dumps(demo_solution.to_dict()))
+        assert LpSolution.from_dict(doc) == demo_solution
+
+    def test_infeasible_solution_round_trips(self):
+        bad = LpSolution(
+            status="infeasible", weights={}, coincidence_rates=None, min_coincidence_rate=None
+        )
+        assert LpSolution.from_dict(bad.to_dict()) == bad
+
+    @pytest.mark.parametrize(
+        "status, weights",
+        (
+            ("optimal", {"7": 1.0}),  # unknown status
+            ("feasible", {"-1": 1.0}),  # index below range
+            ("feasible", {"4096": 1.0}),
+            ("feasible", {"5000": 1.0}),
+            ("feasible", {"1.5": 1.0}),  # non-integer index
+            ("feasible", {"7": 1.0, "07": 0.0}),  # repeated index
+            ("feasible", {"7": 1.5, "8": -0.5}),  # negative weight
+            ("feasible", {"7": float("nan")}),
+            ("feasible", {"7": float("inf")}),
+            ("feasible", {"7": 0.5, "8": 0.4}),  # sums to 0.9
+            ("feasible", {"7": "heavy"}),
+            ("feasible", []),
+            ("infeasible", {"7": 1.0}),
+        ),
+    )
+    def test_from_dict_rejects_invalid_documents(self, status, weights):
+        with pytest.raises(ValueError):
+            LpSolution.from_dict({"status": status, "weights": weights})
+
+    def test_from_dict_accepts_rounding_in_the_weight_sum(self):
+        doc = {"status": "feasible", "weights": {"7": 0.5, "8": 0.5 + 5e-10}}
+        assert LpSolution.from_dict(doc).weights == {7: 0.5, 8: 0.5 + 5e-10}
+
+
 class TestSampling:
     def test_infeasible_solution_cannot_be_sampled(self):
         bad = LpSolution(

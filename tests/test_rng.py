@@ -1,6 +1,6 @@
 import pytest
 
-from bellsim.rng import SplitMix64, derive_seed, mix64
+from bellsim.rng import SplitMix64, SplitMix64Lanes, derive_seed, mix64
 
 
 def test_stream_is_deterministic():
@@ -61,3 +61,14 @@ def test_derived_streams_decorrelate_adjacent_indices():
         (a - mean) * (b - mean) for a, b in zip(firsts, firsts[1:])
     ) / (len(firsts) - 1)
     assert abs(lag1) < 0.01
+
+
+def test_lanes_draw_what_each_trial_stream_draws():
+    for seed in (0, 42, -7, 2**64 - 1, 2**70 + 3):
+        lanes = SplitMix64Lanes(seed, 1000, 1010)
+        draws = [lanes.next_uint64() for _ in range(3)]
+        uniforms = lanes.random()
+        for j in range(10):
+            rng = SplitMix64(derive_seed(seed, 1000 + j))
+            assert [int(d[j]) for d in draws] == [rng.next_uint64() for _ in range(3)]
+            assert uniforms[j] == rng.random()
