@@ -27,7 +27,6 @@ from .counterfactuals import CounterfactualTable
 from .lhv import draw_mixture_index, draw_mixture_indices
 from .quantum import MatchProbabilityTable
 
-SETTINGS = (0, 1, 2)
 N_STRATEGIES = 4096
 SOLUTION_STATUSES = ("feasible", "infeasible", "unbounded-error")
 
@@ -90,18 +89,16 @@ def _strategy_matrices() -> tuple[np.ndarray, np.ndarray]:
     """Per-strategy cell data: detect[s, i, j] and detect_match[s, i, j].
 
     detect is 1 when both particles are detected at settings (i, j);
-    detect_match additionally requires the spins to agree there.
+    detect_match additionally requires the spins to agree there. Both are
+    read off the 12-bit index in its documented bit order: y1[i] is bit
+    11 - i, y2[j] bit 8 - j, d1[i] bit 5 - i and d2[j] bit 2 - j.
     """
-    detect = np.zeros((N_STRATEGIES, 3, 3))
-    detect_match = np.zeros((N_STRATEGIES, 3, 3))
-    for s, strat in enumerate(enumerate_augmented_strategies()):
-        for i in SETTINGS:
-            for j in SETTINGS:
-                d = strat.d1[i] * strat.d2[j]
-                detect[s, i, j] = d
-                if d and strat.table.y1[i] == strat.table.y2[j]:
-                    detect_match[s, i, j] = 1.0
-    return detect, detect_match
+    s = np.arange(N_STRATEGIES)[:, None, None]
+    i = np.arange(3)[:, None]
+    j = np.arange(3)
+    detect = (s >> (5 - i)) & (s >> (2 - j)) & 1
+    agree = ~((s >> (11 - i)) ^ (s >> (8 - j))) & 1
+    return detect.astype(float), (detect & agree).astype(float)
 
 
 @dataclass(frozen=True)
@@ -111,15 +108,12 @@ class FakingProblem:
 
     targets: MatchProbabilityTable
     efficiency_floor: float = 0.0
-    constraint_mode: str = "per-pair-equality"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.efficiency_floor <= 1.0:
             raise ValueError(
                 f"efficiency_floor {self.efficiency_floor!r} outside [0, 1]"
             )
-        if self.constraint_mode != "per-pair-equality":
-            raise ValueError(f"unknown constraint mode {self.constraint_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -163,68 +157,57 @@ def _assemble_lp(
     floor: float,
     stealth_margin: float | None = None,
 ) -> simplex.LinearProgram:
-    """Build the faking LP for arbitrary scenario size (tests use 2 settings)."""
-    n_strat, n_set, _ = detect.shape
-    n_vars = n_strat + 1  # strategy weights + epigraph variable z
-    z = n_strat
+    """Build the faking LP for arbitrary scenario size (tests use 2 settings).
 
-    eq_rows = [np.concatenate([np.ones(n_strat), [0.0]])]
-    eq_rhs = [1.0]
-    for i in range(n_set):
-        for j in range(n_set):
-            row = np.zeros(n_vars)
-            row[:n_strat] = detect_match[:, i, j] - targets[i, j] * detect[:, i, j]
-            eq_rows.append(row)
-            eq_rhs.append(0.0)
-
-    ub_rows = []
-    ub_rhs = []
-    for i in range(n_set):
-        for j in range(n_set):
-            floor_row = np.zeros(n_vars)
-            floor_row[:n_strat] = -detect[:, i, j]
-            ub_rows.append(floor_row)  # coincidence rate >= floor
-            ub_rhs.append(-floor)
-            epi_row = np.zeros(n_vars)
-            epi_row[:n_strat] = -detect[:, i, j]
-            epi_row[z] = 1.0  # z <= coincidence rate
-            ub_rows.append(epi_row)
-            ub_rhs.append(0.0)
+    Setting pairs (i, j) take rows in row-major order; the last variable is z.
+    """
+    n_strat = detect.shape[0]
+    z = n_strat  # the epigraph variable's column
+    d = detect.reshape(n_strat, -1).T  # one row per setting pair
+    cells = d.shape[0]
+    eq_matrix = np.zeros((1 + cells, n_strat + 1))
+    eq_matrix[0, :z] = 1.0  # weights sum to 1
+    eq_matrix[1:, :z] = detect_match.reshape(n_strat, -1).T - targets.reshape(-1, 1) * d
+    ub_matrix = np.zeros((2 * cells, n_strat + 1))
+    ub_matrix[0::2, :z] = -d  # coincidence rate >= floor
+    ub_matrix[1::2, :z] = -d
+    ub_matrix[1::2, z] = 1.0  # z <= coincidence rate
+    ub_rhs = np.tile([-floor, 0.0], cells)
     if stealth_margin is not None:
         # Unconditional Bell statistic of the mixture stays below -margin.
-        row = np.zeros(n_vars)
-        row[:n_strat] = (
-            detect_match[:, 1, 2]
-            - detect_match[:, 0, 2]
-            - detect_match[:, 1, 0]
-            - detect_match[:, 0, 0]
-        )
-        ub_rows.append(row)
-        ub_rhs.append(-stealth_margin)
-
-    objective = np.zeros(n_vars)
+        bell = (detect_match[:, 1, 2] - detect_match[:, 0, 2]
+                - detect_match[:, 1, 0] - detect_match[:, 0, 0])
+        ub_matrix = np.vstack([ub_matrix, np.append(bell, 0.0)])
+        ub_rhs = np.append(ub_rhs, -stealth_margin)
+    objective = np.zeros(n_strat + 1)
     objective[z] = 1.0
     return simplex.LinearProgram(
         objective=objective,
-        eq_matrix=np.array(eq_rows),
-        eq_rhs=np.array(eq_rhs),
-        ub_matrix=np.array(ub_rows),
-        ub_rhs=np.array(ub_rhs),
+        eq_matrix=eq_matrix,
+        eq_rhs=np.append(1.0, np.zeros(cells)),
+        ub_matrix=ub_matrix,
+        ub_rhs=ub_rhs,
+    )
+
+
+def _faking_lp(
+    targets: MatchProbabilityTable, floor: float, stealth_margin: float | None = None
+) -> FakingLp:
+    detect, detect_match = _strategy_matrices()
+    arr = targets.as_array()
+    return FakingLp(
+        program=_assemble_lp(detect, detect_match, arr, floor, stealth_margin),
+        detect=detect,
+        detect_match=detect_match,
+        targets=arr,
+        efficiency_floor=floor,
+        stealth_margin=stealth_margin,
     )
 
 
 def build_faking_lp(problem: FakingProblem) -> FakingLp:
     """Assemble the 4097-variable program for the 3-setting scenario."""
-    detect, detect_match = _strategy_matrices()
-    targets = problem.targets.as_array()
-    program = _assemble_lp(detect, detect_match, targets, problem.efficiency_floor)
-    return FakingLp(
-        program=program,
-        detect=detect,
-        detect_match=detect_match,
-        targets=targets,
-        efficiency_floor=problem.efficiency_floor,
-    )
+    return _faking_lp(problem.targets, problem.efficiency_floor)
 
 
 @dataclass(frozen=True)
@@ -262,8 +245,10 @@ class LpSolution:
 
         The status must be one of :data:`SOLUTION_STATUSES`. Strategy
         indices must be distinct integers in [0, 4096) and weights finite
-        and non-negative; a feasible solution's weights sum to 1 within
-        1e-9, any other carries none. Anything else raises ``ValueError``.
+        non-negative numbers; a feasible solution's weights sum to 1 within
+        1e-9, any other carries none. ``coincidence_rates`` is null or a
+        3x3 table of finite numbers, ``min_coincidence_rate`` null or a
+        finite number. Anything else raises ``ValueError``.
         """
         if not isinstance(doc, dict):
             raise ValueError("a solution document must be a JSON object")
@@ -277,15 +262,15 @@ class LpSolution:
         for key, value in raw.items():
             try:
                 index = int(key)
-                weight = float(value)
             except (TypeError, ValueError):
-                raise ValueError(f"bad solution entry {key!r}: {value!r}") from None
+                raise ValueError(f"bad strategy index {key!r}") from None
             if not 0 <= index < N_STRATEGIES or index in weights:
                 raise ValueError(
                     f"strategy index {key!r} outside [0, {N_STRATEGIES}) or repeated"
                 )
-            if not (math.isfinite(weight) and weight >= 0.0):
-                raise ValueError(f"weight {value!r} of strategy {index} is not a finite w >= 0")
+            weight = _finite_number(value, f"weight of strategy {index}")
+            if weight < 0.0:
+                raise ValueError(f"weight {value!r} of strategy {index} is negative")
             weights[index] = weight
         if status == "feasible":
             total = math.fsum(weights.values())
@@ -294,14 +279,31 @@ class LpSolution:
         elif weights:
             raise ValueError(f"a {status} solution carries no weights")
         rates = doc.get("coincidence_rates")
+        if rates is not None:
+            if not (isinstance(rates, (list, tuple)) and len(rates) == 3
+                    and all(isinstance(r, (list, tuple)) and len(r) == 3 for r in rates)):
+                raise ValueError(f"coincidence_rates {rates!r} is not a 3x3 table")
+            rates = tuple(tuple(_finite_number(v, "coincidence rate") for v in r) for r in rates)
+        min_rate = doc.get("min_coincidence_rate")
+        if min_rate is not None:
+            min_rate = _finite_number(min_rate, "min_coincidence_rate")
         return cls(
             status=status,
             weights=weights,
-            coincidence_rates=tuple(tuple(float(v) for v in r) for r in rates)
-            if rates is not None
-            else None,
-            min_coincidence_rate=doc.get("min_coincidence_rate"),
+            coincidence_rates=rates,
+            min_coincidence_rate=min_rate,
         )
+
+
+def _finite_number(value, name: str) -> float:
+    """``value`` as a float when it is a finite JSON number, else ValueError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(number := float(value)):
+                return number
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ValueError(f"{name} {value!r} is not a finite number")
 
 
 def load_solution(path: str | Path) -> LpSolution:
@@ -316,15 +318,10 @@ def save_solution(solution: LpSolution, path: str | Path) -> None:
 
 
 def _package_solution(lp: FakingLp, result: simplex.SimplexResult) -> LpSolution:
-    if result.status == "infeasible":
-        return LpSolution(
-            status="infeasible", weights={}, coincidence_rates=None,
-            min_coincidence_rate=None,
-        )
     if result.status != "optimal":
+        status = "infeasible" if result.status == "infeasible" else "unbounded-error"
         return LpSolution(
-            status="unbounded-error", weights={}, coincidence_rates=None,
-            min_coincidence_rate=None,
+            status=status, weights={}, coincidence_rates=None, min_coincidence_rate=None
         )
     n = lp.n_strategies
     w = result.x[:n]
@@ -355,32 +352,24 @@ def rescore_solution(solution: LpSolution) -> tuple[np.ndarray, np.ndarray, floa
     return rates, match_rates, float(w.sum())
 
 
-def max_faking_efficiency(targets: MatchProbabilityTable, tolerance: float = 1e-4) -> float:
-    """Largest efficiency floor at which faking stays feasible, by bisection.
+def max_faking_efficiency(targets: MatchProbabilityTable) -> float:
+    """Largest efficiency floor at which faking stays feasible.
 
-    Feasibility of each probe is decided by the solver's phase 1 alone. The
-    returned value matches the direct epigraph optimum of the floor-0
-    program; the two routes are cross-checked in the test suite.
+    Floor f is feasible exactly when the largest achievable minimum
+    coincidence rate is at least f, so the answer is the epigraph optimum of
+    the floor-0 program, from one solve. An optimum within the phase-1
+    threshold of 1 is confirmed by a feasibility test at floor 1 and then
+    reported as exactly 1.0. The test suite cross-checks the value against
+    a bisection on the feasibility of floor programs.
     """
-    if not 0.0 < tolerance < 1.0:
-        raise ValueError(f"tolerance {tolerance!r} outside (0, 1)")
-
-    def is_feasible(floor: float) -> bool:
-        lp = build_faking_lp(FakingProblem(targets=targets, efficiency_floor=floor))
-        return simplex.feasible(lp.program)
-
-    lo, hi = 0.0, 1.0
-    if is_feasible(1.0):
-        return 1.0
-    if not is_feasible(0.0):  # cannot happen: zero detection satisfies everything
-        raise AssertionError("floor-0 faking program reported infeasible")
-    while hi - lo > tolerance:
-        mid = (lo + hi) / 2.0
-        if is_feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    result = simplex.solve(build_faking_lp(FakingProblem(targets=targets)).program)
+    if result.status != "optimal":  # cannot happen: zero detection satisfies everything
+        raise AssertionError(f"floor-0 faking program reported {result.status}")
+    if result.objective > 1.0 - simplex.ARTIFICIAL_MASS_TOL:
+        full = build_faking_lp(FakingProblem(targets=targets, efficiency_floor=1.0))
+        if simplex.feasible(full.program):
+            return 1.0
+    return result.objective
 
 
 def demonstration_solution(
@@ -399,20 +388,7 @@ def demonstration_solution(
     """
     if stealth_margin < 0.0:
         raise ValueError(f"stealth_margin must be nonnegative, got {stealth_margin!r}")
-    detect, detect_match = _strategy_matrices()
-    targets_arr = targets.as_array()
-    program = _assemble_lp(
-        detect, detect_match, targets_arr, efficiency_floor, stealth_margin=stealth_margin
-    )
-    lp = FakingLp(
-        program=program,
-        detect=detect,
-        detect_match=detect_match,
-        targets=targets_arr,
-        efficiency_floor=efficiency_floor,
-        stealth_margin=stealth_margin,
-    )
-    return solve_lp(lp)
+    return solve_lp(_faking_lp(targets, efficiency_floor, stealth_margin))
 
 
 def sample_loophole_model(

@@ -8,6 +8,13 @@ and fast enough. Bland's rule (always pick the lowest-index eligible
 entering column; break ratio-test ties by lowest basic-variable index)
 guarantees termination on the degenerate programs the loophole analysis
 produces.
+
+Columns of ``[objective; A_eq; A_ub]`` byte-identical to a lower-index
+column are dropped before phase 1 and reported at 0 (the faking LP's 4096
+strategy columns hold 339 distinct ones). This is exact: twins have equal
+reduced costs, so Bland's rule never enters the higher-index one; keeping
+the rest in order keeps every entering choice and ratio-test tie-break; and
+row operations are elementwise, so the vertex is bit-identical.
 """
 
 from __future__ import annotations
@@ -15,6 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+#: Phase 1 calls a program infeasible when its artificial mass exceeds this.
+ARTIFICIAL_MASS_TOL = 1e-7
 
 
 class SimplexError(RuntimeError):
@@ -201,7 +211,7 @@ def _phase_one(lp: LinearProgram, tol: float, max_iterations: int) -> tuple[_Tab
     if status != "optimal":  # phase-1 objective is bounded below by 0
         raise SimplexError("phase 1 reported unbounded; artificial costs are nonnegative")
     artificial_mass = -tab.cost_value  # cost_value tracks the negated objective
-    if artificial_mass > 1e-7:
+    if artificial_mass > ARTIFICIAL_MASS_TOL:
         return None
 
     # Drive any artificial still basic out of the basis; a row with no real
@@ -220,9 +230,20 @@ def _phase_one(lp: LinearProgram, tol: float, max_iterations: int) -> tuple[_Tab
     return trimmed, n_real
 
 
+def _without_twins(lp: LinearProgram) -> tuple[LinearProgram, np.ndarray]:
+    """The program on the first column of each group of byte-identical
+    columns, and those columns' indices in ascending order."""
+    cols = np.ascontiguousarray(np.vstack([lp.objective, lp.eq_matrix, lp.ub_matrix]).T)
+    _, first = np.unique(cols.view(np.dtype((np.void, cols.strides[0]))), return_index=True)
+    keep = np.sort(first)
+    return LinearProgram(lp.objective[keep], lp.eq_matrix[:, keep], lp.eq_rhs,
+                         lp.ub_matrix[:, keep], lp.ub_rhs), keep
+
+
 def solve(lp: LinearProgram, tol: float = 1e-9, max_iterations: int = 50_000) -> SimplexResult:
     """Two-phase simplex. Statuses: optimal, infeasible, unbounded."""
-    phase1 = _phase_one(lp, tol, max_iterations)
+    small, columns = _without_twins(lp)
+    phase1 = _phase_one(small, tol, max_iterations)
     if phase1 is None:
         return SimplexResult(status="infeasible", x=None, objective=None)
     tab, n_real = phase1
@@ -236,19 +257,20 @@ def solve(lp: LinearProgram, tol: float = 1e-9, max_iterations: int = 50_000) ->
         tab.basis = [tab.basis[r] for r in keep]
 
     cost = np.zeros(n_real)
-    cost[: lp.n_vars] = -lp.objective  # maximize via minimizing the negation
+    cost[: small.n_vars] = -small.objective  # maximize via minimizing the negation
     tab.install_cost(cost)
     status = tab.run(max_iterations)
     if status == "unbounded":
         return SimplexResult(status="unbounded", x=None, objective=None)
 
-    x = np.zeros(n_real)
-    x[np.asarray(tab.basis, dtype=int)] = tab.rhs
-    x = x[: lp.n_vars]
-    np.clip(x, 0.0, None, out=x)  # snap -1e-15 round-off on basic zeros
+    basic = np.zeros(n_real)
+    basic[np.asarray(tab.basis, dtype=int)] = tab.rhs
+    np.clip(basic, 0.0, None, out=basic)  # snap -1e-15 round-off on basic zeros
+    x = np.zeros(lp.n_vars)
+    x[columns] = basic[: small.n_vars]
     return SimplexResult(status="optimal", x=x, objective=float(lp.objective @ x))
 
 
 def feasible(lp: LinearProgram, tol: float = 1e-9, max_iterations: int = 50_000) -> bool:
     """Phase-1 feasibility test without optimizing the objective."""
-    return _phase_one(lp, tol, max_iterations) is not None
+    return _phase_one(_without_twins(lp)[0], tol, max_iterations) is not None

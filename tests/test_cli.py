@@ -208,6 +208,19 @@ class TestExitCodes:
         assert err.startswith("error:")
 
 
+    def test_malformed_rates_in_solution_file_is_invalid_input(self, tmp_path, capsys):
+        solution_file = tmp_path / "solution.json"
+        solution_file.write_text(
+            json.dumps({"status": "feasible", "weights": {"7": 1.0}, "coincidence_rates": 5})
+        )
+        code, _, err = run_cli(
+            capsys, "simulate", "--source", "loophole", "--solution", str(solution_file),
+            "--n", "10", "--seed", "1",
+        )
+        assert code == 2
+        assert err.startswith("error:")
+
+
 class TestLoopholeCommand:
     def test_max_efficiency_frozen_value(self, capsys):
         code, out, _ = run_cli(
@@ -215,7 +228,12 @@ class TestLoopholeCommand:
             "loophole", "--angles", "60,0,120", "--max-efficiency", "--format", "json",
         )
         assert code == 0
-        assert json.loads(out)["max_faking_efficiency"] == pytest.approx(2 / 3, abs=2e-4)
+        assert json.loads(out)["max_faking_efficiency"] == pytest.approx(2 / 3, abs=1e-9)
+
+    def test_max_efficiency_text_prints_exact_two_thirds(self, capsys):
+        code, out, _ = run_cli(capsys, "loophole", "--angles", "60,0,120", "--max-efficiency")
+        assert code == 0
+        assert out == "maximum faking efficiency: 0.6667\n"
 
     def test_floor_solve_reports_rates(self, capsys):
         code, out, _ = run_cli(

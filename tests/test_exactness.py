@@ -1,6 +1,7 @@
-"""Exactness of generated datasets: the bytes and records a seed produces are fixed.
+"""Exactness of generated datasets and faking-LP solutions: the bytes and
+records a seed or a program produces are fixed.
 
-Three independent checks:
+Four independent checks:
 
 * golden SHA-256 digests of ``bellsim simulate`` stdout for every source and
   setting distribution, recorded from the original per-trial generator;
@@ -8,7 +9,9 @@ Three independent checks:
   public scalar functions (``SplitMix64``, ``derive_seed`` and the three
   samplers), on several seeds and partitions;
 * seeds built by inverting ``mix64`` so that one trial's ``randbelow(3)``
-  draws the single rejected value ``2**64 - 1``.
+  draws the single rejected value ``2**64 - 1``;
+* golden SHA-256 digests of the solution documents of four faking LPs,
+  recorded from the solver that ran on all 4096 strategy columns.
 """
 
 import hashlib
@@ -30,7 +33,14 @@ from bellsim.experiment import (
     run_experiment,
 )
 from bellsim.lhv import DeterministicLhv, StochasticLocalModel, sample_from_lhv, save_model
-from bellsim.loophole import LpSolution, sample_loophole_model
+from bellsim.loophole import (
+    FakingProblem,
+    LpSolution,
+    build_faking_lp,
+    demonstration_solution,
+    sample_loophole_model,
+    solve_lp,
+)
 from bellsim.quantum import AngleTriple, match_table, sample_outcome_pair
 from bellsim.rng import SplitMix64, derive_seed, mix64
 
@@ -84,6 +94,19 @@ GOLDEN_SHA256 = {
         "68726f98c7027642d13a4e11b6578e5c5c99caa7bca4c520eecf71b01457a4c1",
     (SOURCE_QUANTUM, UNIFORM_9, "json"):
         "44abfd85a1a6b33dabf2d1a2f606311ccefe36cfc20fea68df81192d53bda900",
+}
+
+# SHA-256 of ``json.dumps(solution.to_dict())``, recorded from the simplex
+# run on the full 4097-variable program (no column presolve).
+GOLDEN_SOLUTION_SHA256 = {
+    ("floor0", "60,0,120"):
+        "abd993cd5957efc73d5d832e54c4c1109f08b7ccc733e82007632d96156c45d8",
+    ("floor1", "60,0,120"):
+        "0a2c82a4f716955892557acd7c2f5b00d2278a9f5f6d3ff0a22793f4c3761076",
+    ("demo", "60,0,120"):
+        "3082206230de84092aa5797825f1a547f9cb903998c7f93ac97a7a044beb2cf5",
+    ("floor0", "45,0,90"):
+        "3c3802799dc22a9caa7388cb9ff5d1e9d8c08684f71b4c2257699a74aa61f9bf",
 }
 
 
@@ -220,3 +243,15 @@ def test_rejected_setting_draw_matches_reference(source, trial, draw):
     reference = reference_dataset(config)
     assert run_experiment(config) == reference
     assert run_experiment(config, workers=3) == reference
+
+
+@pytest.mark.parametrize("kind, angles", sorted(GOLDEN_SOLUTION_SHA256))
+def test_faking_solution_matches_golden_digest(kind, angles):
+    targets = match_table(AngleTriple.from_degrees(*map(float, angles.split(","))))
+    if kind == "demo":
+        solution = demonstration_solution(targets)
+    else:
+        floor = 0.0 if kind == "floor0" else 1.0
+        solution = solve_lp(build_faking_lp(FakingProblem(targets=targets, efficiency_floor=floor)))
+    digest = hashlib.sha256(json.dumps(solution.to_dict()).encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_SOLUTION_SHA256[(kind, angles)]

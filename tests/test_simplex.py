@@ -124,3 +124,92 @@ class TestRandomFeasiblePrograms:
             if m_eq:
                 assert np.max(np.abs(a_eq @ res.x - b_eq)) <= 1e-8
             assert np.max(a_ub @ res.x - b_ub) <= 1e-8
+
+
+def random_feasible_program(rng, n):
+    m_eq = int(rng.integers(1, 3))
+    m_ub = int(rng.integers(1, 4))
+    x_star = rng.uniform(0.0, 2.0, n)
+    a_eq = rng.normal(size=(m_eq, n))
+    a_ub = np.vstack([rng.normal(size=(m_ub, n)), np.ones(n)])
+    b_ub = a_ub @ x_star + np.append(rng.uniform(0.0, 1.0, m_ub), 5.0)
+    return lp(rng.normal(size=n), a_eq=a_eq, b_eq=a_eq @ x_star, a_ub=a_ub, b_ub=b_ub)
+
+
+def with_columns(program, order):
+    """``program`` with its columns rearranged (and repeated) as ``order``."""
+    return LinearProgram(
+        objective=program.objective[order],
+        eq_matrix=program.eq_matrix[:, order],
+        eq_rhs=program.eq_rhs,
+        ub_matrix=program.ub_matrix[:, order],
+        ub_rhs=program.ub_rhs,
+    )
+
+
+class TestDuplicateColumns:
+    # Each order lists every original column once, first occurrences in
+    # ascending order, with twins inserted before, between and after.
+    ORDERS = (
+        [0, 0, 1, 2, 3],
+        [0, 1, 2, 3, 3, 3],
+        [0, 1, 0, 2, 1, 3, 0],
+        [0, 1, 1, 1, 2, 2, 3, 0, 3],
+    )
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_twins_leave_the_vertex_bit_identical(self, order):
+        rng = np.random.default_rng(len(order))
+        for _ in range(10):
+            program = random_feasible_program(rng, 4)
+            plain = solve(program)
+            twinned = solve(with_columns(program, order))
+            assert plain.status == twinned.status == "optimal"
+            first = [order.index(k) for k in range(4)]
+            later = [p for p in range(len(order)) if p not in first]
+            assert np.array_equal(twinned.x[first], plain.x)
+            assert np.all(twinned.x[later] == 0.0)
+            assert twinned.objective == pytest.approx(plain.objective, abs=1e-12)
+
+    def test_columns_differing_only_in_cost_are_kept(self):
+        # Same constraint column, different objective: the dearer one wins.
+        res = solve(lp([1, 2, 1], a_eq=[[1, 1, 1]], b_eq=[1]))
+        assert res.status == "optimal"
+        assert res.x.tolist() == [0.0, 1.0, 0.0]
+        assert res.objective == 2.0
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_feasible_agrees_with_solve(self, order):
+        # Random right-hand sides make about half of these programs infeasible.
+        rng = np.random.default_rng(100 + len(order))
+        statuses = set()
+        for _ in range(20):
+            program = random_feasible_program(rng, 4)
+            program = lp(
+                program.objective,
+                a_eq=program.eq_matrix,
+                b_eq=rng.normal(size=program.eq_rhs.shape),
+                a_ub=program.ub_matrix,
+                b_ub=program.ub_rhs,
+            )
+            twinned = with_columns(program, order)
+            status = solve(twinned).status
+            statuses.add(status)
+            assert status == solve(program).status
+            assert feasible(twinned) == (status == "optimal")
+        assert statuses == {"optimal", "infeasible"}
+
+    def test_infeasible_program_with_twins_stays_infeasible(self):
+        # x0 + x1 = 1 and x0 + x1 = 2 with both columns repeated.
+        program = lp(
+            [1, 1, 1, 1],
+            a_eq=[[1, 1, 1, 1], [1, 1, 1, 1]],
+            b_eq=[1, 2],
+        )
+        assert solve(program).status == "infeasible"
+        assert not feasible(program)
+        twinned = with_columns(
+            lp([1, 0], a_ub=[[1, 1], [-1, -1]], b_ub=[1, -2]), [0, 1, 0, 1, 1]
+        )
+        assert solve(twinned).status == "infeasible"
+        assert not feasible(twinned)
