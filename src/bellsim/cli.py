@@ -214,12 +214,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_test(args) -> int:
-    source = open(args.infile, "r", encoding="utf-8", newline="") if args.infile else sys.stdin
-    try:
-        dataset = read_dataset_csv(source)
-    finally:
-        if args.infile:
-            source.close()
+    dataset = read_dataset_csv(args.infile or sys.stdin.buffer)
     _echo_config(
         {
             "subcommand": "test",

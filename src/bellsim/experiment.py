@@ -16,16 +16,15 @@ columns (:class:`TrialDataset`), not as one object per trial.
 
 from __future__ import annotations
 
-import csv
+import io
 import itertools
 import json
 import math
-import warnings
+import re
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from statistics import NormalDist
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -343,6 +342,12 @@ class Decision:
         return {"reject_lhv": self.reject_lhv, "margin": self.margin, "alpha": self.alpha}
 
 
+#: Rows: a trial's outcome code ``y1 * y2 + 1``, which is 0 for a coincident
+#: mismatch, 1 for an undetected spin and 2 for a coincident match.
+#: Columns: whether the trial counts as a trial, a coincidence, a match.
+_OUTCOME_COUNTS = np.array([[1, 1, 0], [1, 0, 0], [1, 1, 1]], dtype=np.int64)
+
+
 def estimate(
     dataset: Iterable[TrialRecord],
     conditioning: str = CONDITION_COINCIDENCES,
@@ -365,13 +370,14 @@ def estimate(
         raise ValueError(f"confidence {confidence!r} outside (0, 1)")
 
     data = _as_dataset(dataset)
-    cell = data.x1.astype(np.intp) * 3 + data.x2
-    coincident = (data.d1 & data.d2).astype(bool)
-    matching = coincident & (data.y1 == data.y2)
-    trials, coinc, matches = (
-        np.bincount(cell[mask], minlength=9).reshape(3, 3).tolist()
-        for mask in (slice(None), coincident, matching)
-    )
+    # Trials counted per cell and outcome a block at a time, so the
+    # temporaries stay small; see _OUTCOME_COUNTS for the outcome code.
+    counts = np.zeros(27, dtype=np.int64)
+    for start in range(0, len(data), BLOCK_TRIALS):
+        part = slice(start, start + BLOCK_TRIALS)
+        outcome = data.y1[part] * data.y2[part] + 1
+        counts += np.bincount(data.x1[part] * 9 + data.x2[part] * 3 + outcome, minlength=27)
+    trials, coinc, matches = (counts.reshape(9, 3) @ _OUTCOME_COUNTS).T.reshape(3, 3, 3).tolist()
 
     rates = []
     variance = 0.0
@@ -409,116 +415,283 @@ def decide(est: BellEstimate, alpha: float = 0.01) -> Decision:
     return Decision(reject_lhv=margin > 0.0, margin=margin, alpha=alpha)
 
 
-@lru_cache(maxsize=1)
-def _csv_row_tails() -> np.ndarray:
-    """Text after the index of every possible row, at :func:`_csv_tail_keys`.
+_HEADER = ",".join(CSV_HEADER).encode()
 
-    Byte for byte what ``csv.writer`` writes for the row, ``\\r\\n`` included.
+#: The fields of every valid row after its index, at key
+#: ``((x1 * 3 + x2) * 3 + y1 + 1) * 3 + y2 + 1``; spin 0 means undetected.
+_ROW_FIELDS = np.array(
+    [
+        (x1, x2, y1, y2, y1 != 0, y2 != 0)
+        for x1, x2, y1, y2 in itertools.product((0, 1, 2), (0, 1, 2), (-1, 0, 1), (-1, 0, 1))
+    ],
+    dtype=np.int8,
+)
+#: The 81 valid row tails ``,x1,x2,y1,y2,d1,d2`` as ``csv.writer`` writes
+#: them, without the line end: a spin is empty exactly when its flag is 0.
+#: The writer and the reader both use this table, so it defines the format.
+_ROW_TAILS = tuple(
+    f",{x1},{x2},{y1 or ''},{y2 or ''},{d1},{d2}".encode()
+    for x1, x2, y1, y2, d1, d2 in _ROW_FIELDS.tolist()
+)
+_TAIL_BYTES = 16  # longest tail plus "\r\n"
+# Writer: each tail with its "\r\n", zero-padded, and which bytes it uses.
+_WRITE_TAILS = np.array([t + b"\r\n" for t in _ROW_TAILS], f"S{_TAIL_BYTES}").view(np.uint8)
+_WRITE_TAILS = _WRITE_TAILS.reshape(len(_ROW_TAILS), _TAIL_BYTES)
+_WRITE_USED = np.arange(_TAIL_BYTES) < np.array([[len(t) + 2] for t in _ROW_TAILS])
+# Reader: each tail as two little-endian words of its zero-padded bytes, its
+# length, and a table from a multiplicative hash of the words' XOR to the
+# key: the 81 tails fill 81 distinct slots of 2048.
+_TAIL_W0, _TAIL_W1 = np.array(_ROW_TAILS, f"S{_TAIL_BYTES}").view("<u8").reshape(-1, 2).T
+_TAIL_LENGTHS = np.array([len(t) for t in _ROW_TAILS])
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+_HASH_SHIFT = np.uint64(64 - 11)
+_TAIL_KEYS = np.zeros(1 << 11, dtype=np.intp)
+_TAIL_KEYS[((_TAIL_W0 ^ _TAIL_W1) * _HASH_MULTIPLIER) >> _HASH_SHIFT] = np.arange(len(_ROW_TAILS))
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+_POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
+_MAX_DIGITS = 19  # of an int64
+_MIN_ROW_BYTES = 1 + min(len(t) for t in _ROW_TAILS) + 1  # "0,0,0,,,0,0\n"
+_CANONICAL_INT = re.compile(rb"-?[1-9][0-9]*|0")
+
+
+def _row_keys(data: TrialDataset, part: slice) -> np.ndarray:
+    """The key in :data:`_ROW_TAILS` of each trial in ``part``."""
+    x1, x2, y1, y2 = (c[part].astype(np.intp) for c in (data.x1, data.x2, data.y1, data.y2))
+    return ((x1 * 3 + x2) * 3 + y1 + 1) * 3 + y2 + 1
+
+
+def _encode_rows(index: np.ndarray, keys: np.ndarray) -> bytes:
+    """Rows as ``csv.writer`` writes them: each index in decimal, then the
+    tail at its key and ``\\r\\n``.
+
+    Row ``r`` is laid out in a byte grid with its index right-aligned in the
+    first ``width`` columns and its tail from column ``width``; the used
+    bytes of the grid, in row-major order, are the text.
     """
-    tails = [
-        f",{x1},{x2},{y1 or ''},{y2 or ''},{d1},{d2}\r\n"
-        for x1, x2, y1, y2, d1, d2 in itertools.product(
-            (0, 1, 2), (0, 1, 2), (-1, 0, 1), (-1, 0, 1), (0, 1), (0, 1)
-        )
-    ]
-    return np.array(tails, dtype=object)
-
-
-def _csv_tail_keys(data: TrialDataset, part: slice) -> np.ndarray:
-    x1, x2, y1, y2, d1, d2 = (c[part].astype(np.intp) for c in data.columns()[1:])
-    return ((((x1 * 3 + x2) * 3 + y1 + 1) * 3 + y2 + 1) * 2 + d1) * 2 + d2
+    negative = index < 0
+    magnitude = np.where(negative, -index.view(np.uint64), index.view(np.uint64))
+    field = np.searchsorted(_POW10[1:], magnitude, side="right") + 1 + negative
+    width = int(field.max(initial=1))
+    grid = np.empty((len(index), width + _TAIL_BYTES), np.uint8)
+    rest = magnitude
+    for column in range(width - 1, -1, -1):  # beyond a row's digits this writes 0s
+        rest, digit = np.divmod(rest, 10)
+        grid[:, column] = digit + ord("0")
+    rows = np.flatnonzero(negative)
+    grid[rows, width - field[rows]] = ord("-")
+    grid[:, width:] = _WRITE_TAILS[keys]
+    used = np.empty(grid.shape, dtype=bool)
+    used[:, :width] = (np.arange(width) >= width - np.arange(width + 1)[:, None])[field]
+    used[:, width:] = _WRITE_USED[keys]
+    return grid[used].tobytes()
 
 
 def write_dataset_csv(records: Iterable[TrialRecord], target) -> None:
-    """Write records as CSV; missing outcomes serialize as empty fields.
+    """Write records as CSV, byte for byte what ``csv.writer`` writes: the
+    header, then one row per trial, each ending in ``\\r\\n``, with an empty
+    field for an undetected spin.
 
     ``records`` is a :class:`TrialDataset` or any iterable of
-    :class:`TrialRecord`; ``target`` is a path or a text file object.
+    :class:`TrialRecord`; ``target`` is a path, a binary file object or a
+    text file object.
     """
     if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
+        with open(target, "wb") as fh:
             write_dataset_csv(records, fh)
         return
     data = _as_dataset(records)
-    tails = _csv_row_tails()
-    target.write(",".join(CSV_HEADER) + "\r\n")
+    if isinstance(target, io.TextIOBase):
+        def write(chunk: bytes) -> None:
+            target.write(chunk.decode("ascii"))
+    else:
+        write = target.write
+    write(_HEADER + b"\r\n")
     for start in range(0, len(data), BLOCK_TRIALS):
         part = slice(start, start + BLOCK_TRIALS)
-        index = map(str, data.index[part].tolist())
-        target.write("".join(map(str.__add__, index, tails[_csv_tail_keys(data, part)])))
+        write(_encode_rows(data.index[part], _row_keys(data, part)))
 
 
-class _OutcomeField(dict):
-    """Outcome column parser: an empty field is an undetected spin (0). An
-    explicit 0 maps to 2, which the spin check rejects."""
+def _chunks(source) -> Iterator[bytes | str]:
+    read = getattr(source, "read", None)
+    if read is not None:
+        while chunk := read(BLOCK_TRIALS * 16):
+            yield chunk
+    else:
+        lines = iter(source)
+        while chunk := "".join(itertools.islice(lines, BLOCK_TRIALS)):
+            yield chunk
 
-    def __missing__(self, text: str) -> int:
-        return int(text) or 2
+
+def _line_blocks(source) -> Iterator[bytes]:
+    """The bytes of ``source`` in blocks of whole lines, each ending in
+    ``\\n`` (supplied if the last line lacks it).
+
+    ``source`` is a binary or text file object, read a mebibyte at a time,
+    or an iterable of text lines, taken :data:`BLOCK_TRIALS` at a time.
+    """
+    pending = []  # the chunks of a line not yet ended
+    for chunk in _chunks(source):
+        if isinstance(chunk, str):
+            chunk = chunk.encode()
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*pending, chunk[:cut]])
+            pending = [chunk[cut:]]
+        else:
+            pending.append(chunk)
+    if any(pending):
+        yield b"".join([*pending, b"\n"])
 
 
-_OUTCOME_FIELD = _OutcomeField({"": 0, "1": 1, "-1": -1})
+def _row_capacity(source) -> int | None:
+    """Most rows the rest of a seekable binary file can hold, or None for any
+    other source: a row takes at least :data:`_MIN_ROW_BYTES` bytes."""
+    if not isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or not source.seekable():
+        return None
+    start = source.tell()
+    size = source.seek(0, io.SEEK_END) - start
+    source.seek(start)
+    return size // _MIN_ROW_BYTES + 1
 
 
-def _check_rows(table: np.ndarray) -> None:
-    """Reject a block of parsed rows that are not valid :class:`TrialRecord` s,
-    checked in the order ``TrialRecord`` checks them."""
-    x1, x2, y1, y2, d1, d2 = table[:, 1:].T
-    checks = (
-        ((x1 < 0) | (x1 > 2), "x1 must be 0, 1 or 2"),
-        ((x2 < 0) | (x2 > 2), "x2 must be 0, 1 or 2"),
-        ((d1 != 0) & (d1 != 1), "d1 must be 0 or 1"),
-        ((y1 == 0) == (d1 == 1), "y1 must be present exactly when d1 is 1"),
-        ((y1 != 0) & (y1 != 1) & (y1 != -1), "y1 must be -1 or +1"),
-        ((d2 != 0) & (d2 != 1), "d2 must be 0 or 1"),
-        ((y2 == 0) == (d2 == 1), "y2 must be present exactly when d2 is 1"),
-        ((y2 != 0) & (y2 != 1) & (y2 != -1), "y2 must be -1 or +1"),
-    )
-    for bad, message in checks:
-        if bad.any():
-            raise ValueError(f"trial {table[np.flatnonzero(bad)[0], 0]}: {message}")
+def _shown(text: bytes) -> str:
+    """``text`` decoded for an error message, cut to 60 bytes."""
+    return text[:60].decode("utf-8", "replace") + ("..." if len(text) > 60 else "")
+
+
+def _row_error(line: bytes, number: int) -> ValueError:
+    """Why line ``number``, which is not in the row table, is not a valid
+    row; settings, spins and flags are judged by :class:`TrialRecord`."""
+    fields = line.split(b",")
+    if len(fields) != len(CSV_HEADER):
+        return ValueError(
+            f"line {number}: dataset rows need {len(CSV_HEADER)} fields, got {len(fields)}"
+        )
+    for name, field in zip(CSV_HEADER, fields):
+        if not (_CANONICAL_INT.fullmatch(field) or (field == b"" and name in ("y1", "y2"))):
+            return ValueError(
+                f"line {number}: {name} {_shown(field)!r} is not a canonical integer"
+            )
+    index, *values = (int(field) if field else None for field in fields)
+    if not -(2**63) <= index < 2**63:
+        return ValueError(f"line {number}: index {index} outside the int64 range")
+    try:
+        TrialRecord(index, *values)
+    except ValueError as exc:
+        return ValueError(f"trial {index}: {exc}")
+    return ValueError(f"line {number}: malformed row {_shown(line)!r}")
+
+
+def _decode_rows(block: bytes, first_line: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The index and row-table key of every row in ``block``, and its number
+    of lines, which are whole and numbered from ``first_line``.
+
+    Blank lines are skipped; any other line that is not an int64 index in
+    canonical decimal followed by a tail of :data:`_ROW_TAILS` raises
+    ``ValueError``.
+    """
+    buf = block + bytes(_TAIL_BYTES)  # room for the two words read after a comma
+    a = np.frombuffer(buf, np.uint8)
+    ends = np.flatnonzero(a == ord("\n"))
+    starts = np.concatenate(([0], ends + 1))[:-1]
+    stops = ends - (a[ends - 1] == ord("\r"))  # a[-1] is padding
+    lines = np.flatnonzero(stops > starts)
+    starts, stops = starts[lines], stops[lines]
+    # A tail is 10 to 14 bytes long, so the first comma of a valid row is
+    # the leftmost comma of the line among the 10th to 14th bytes from its
+    # end; any other line fails a check below whichever comma is found.
+    comma = stops.copy()  # no comma: a tail of length 0
+    for length in range(_TAIL_LENGTHS.min(), _TAIL_LENGTHS.max() + 1):
+        at = stops - length
+        comma = np.where((at >= starts) & (a.take(at, mode="clip") == ord(",")), at, comma)
+
+    # The tail: two unaligned words from the first comma, the second cut to
+    # the line, looked up by hash and compared in full.
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
+    length = stops - comma
+    w0 = words[comma]
+    w1 = words[comma + 8] & _LOW_BYTES[np.clip(length - 8, 0, 8)]
+    keys = _TAIL_KEYS[((w0 ^ w1) * _HASH_MULTIPLIER) >> _HASH_SHIFT]
+    valid = (_TAIL_W0[keys] == w0) & (_TAIL_W1[keys] == w1) & (_TAIL_LENGTHS[keys] == length)
+
+    # The index, one decimal place at a time from the right.
+    negative = a[starts] == ord("-")
+    digits = comma - starts - negative
+    leading = a[starts + negative]
+    valid &= (digits >= 1) & (digits <= _MAX_DIGITS)
+    valid &= (leading != ord("0")) | (digits == 1) & ~negative
+    magnitude = np.zeros(len(starts), np.uint64)
+    for place in range(min(int(digits.max(initial=1)), _MAX_DIGITS)):
+        digit = a.take(comma - 1 - place, mode="clip") - np.uint8(ord("0"))
+        inside = place < digits
+        valid &= (digit <= 9) | ~inside
+        magnitude += np.where(inside, digit, np.uint8(0)) * _POW10[place]
+    valid &= magnitude <= np.uint64(2**63 - 1) + negative
+    if not valid.all():
+        bad = int(np.flatnonzero(~valid)[0])
+        raise _row_error(block[starts[bad]:stops[bad]], first_line + int(lines[bad]))
+    return np.where(negative, -magnitude, magnitude).view(np.int64), keys, len(ends)
+
+
+def _resized(data: TrialDataset, n: int, capacity: int) -> TrialDataset:
+    """The first ``n`` trials of ``data`` in columns with room for ``capacity``."""
+    columns = []
+    for column in data.columns():
+        grown = np.empty(capacity, column.dtype)
+        grown[:n] = column[:n]
+        columns.append(grown)
+    return TrialDataset(*columns)
 
 
 def read_dataset_csv(source) -> TrialDataset:
     """Read a dataset written by :func:`write_dataset_csv`.
 
-    ``source`` is a path or an iterable of lines (a text file object); it
-    is parsed :data:`BLOCK_TRIALS` lines at a time. Every row must have the
-    seven fields of a valid :class:`TrialRecord`, and indices must be
-    strictly increasing, as generation produces them; anything else raises
+    ``source`` is a path, a binary or text file object, or an iterable of
+    text lines. The first line is the header ``index,x1,x2,y1,y2,d1,d2``.
+    Every other line is blank, and skipped, or a row in exactly the form
+    the writer writes: seven comma-separated fields with no whitespace,
+    integers in canonical decimal (no sign but a leading ``-``, no leading
+    zero, no ``-0``), the index within int64, and the fields of a valid
+    :class:`TrialRecord`, whose undetected spins are empty. Lines end in
+    ``\\r\\n`` or ``\\n``; the last may lack its end. Indices must be
+    strictly increasing, as generation produces them. Anything else raises
     ``ValueError``.
+
+    Lines are decoded a block at a time with numpy and written straight
+    into the dataset's columns. For a seekable binary file the columns are
+    allocated once, for as many rows as its length allows (memory never
+    written takes no pages); for any other source they grow by doubling.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "rb") as fh:
             return read_dataset_csv(fh)
-    lines = iter(source)
-    header = next(csv.reader([next(lines, "")]), None)
-    if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
-        raise ValueError(f"unexpected dataset header {header!r}")
-    blocks = []
-    previous = None
-    for first in lines:
-        block = itertools.chain([first], itertools.islice(lines, BLOCK_TRIALS - 1))
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(
-                block, delimiter=",", dtype=np.int64, ndmin=2, comments=None,
-                converters={3: _OUTCOME_FIELD.__getitem__, 4: _OUTCOME_FIELD.__getitem__},
-            )
-        if not table.size:  # blank lines only
+    blocks = _line_blocks(source)
+    header, _, first = next(blocks, b"").partition(b"\n")
+    header = header.removesuffix(b"\r")
+    if header != _HEADER:
+        raise ValueError(f"unexpected dataset header {_shown(header)!r}")
+    capacity = _row_capacity(source) or BLOCK_TRIALS
+    data = TrialDataset(np.empty(capacity, np.int64), *np.empty((6, capacity), np.int8))
+    n = 0
+    line = 2
+    for block in itertools.chain([first], blocks):
+        index, keys, lines = _decode_rows(block, line)
+        line += lines
+        if not len(index):
             continue
-        if table.shape[1] != len(CSV_HEADER):
-            raise ValueError(f"dataset rows need {len(CSV_HEADER)} fields, got {table.shape[1]}")
-        _check_rows(table)
-        index = table[:, 0]
-        steps = np.diff(index if previous is None else np.concatenate([[previous], index]))
-        if (steps <= 0).any():
-            at = int(np.flatnonzero(steps <= 0)[0]) + (previous is None)
-            raise ValueError(f"trial indices not strictly increasing at {index[at]}")
-        previous = index[-1]
-        blocks.append(TrialDataset(index.copy(), *table[:, 1:].T))  # copy: drop the int64 table
-    if not blocks:
-        return TrialDataset(*np.zeros((7, 0), dtype=np.int64))
-    return TrialDataset(*(np.concatenate(c) for c in zip(*(b.columns() for b in blocks))))
+        ordered = index if n == 0 else np.concatenate((data.index[n - 1:n], index))
+        backward = np.flatnonzero(ordered[1:] <= ordered[:-1])
+        if len(backward):
+            raise ValueError(f"trial indices not strictly increasing at {ordered[backward[0] + 1]}")
+        if n + len(index) > len(data):
+            data = _resized(data, n, max(2 * len(data), n + len(index)))
+        stop = n + len(index)
+        data.index[n:stop] = index
+        for column, values in zip(data.columns()[1:], _ROW_FIELDS.T):
+            values.take(keys, out=column[n:stop])
+        n = stop
+    return TrialDataset(*(column[:n] for column in data.columns()))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

@@ -398,17 +398,18 @@ def sample_loophole_model(
 
     A strategy is drawn by cumulative-weight inversion; each particle's spin
     is reported only when its detection flag for the requested setting is up.
+    Spins and flags are read off the 12-bit strategy index in its documented
+    bit order, as :meth:`AugmentedStrategy.from_index` decodes it.
     """
     if solution.status != "feasible":
         raise ValueError(f"cannot sample from a {solution.status} solution")
     x1, x2 = pair
     indices, weights = solution._sampling_arrays
-    strategies = enumerate_augmented_strategies()
-    strat = strategies[indices[draw_mixture_index(weights, rng.random())]]
-    d1 = strat.d1[x1]
-    d2 = strat.d2[x2]
-    y1 = strat.table.y1[x1] if d1 else None
-    y2 = strat.table.y2[x2] if d2 else None
+    s = indices[draw_mixture_index(weights, rng.random())]
+    d1 = (s >> (5 - x1)) & 1
+    d2 = (s >> (2 - x2)) & 1
+    y1 = ((s >> (11 - x1)) & 1) * 2 - 1 if d1 else None
+    y2 = ((s >> (8 - x2)) & 1) * 2 - 1 if d2 else None
     return y1, y2, d1, d2
 
 

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from bellsim.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +182,15 @@ class TestExitCodes:
         assert code == 2
         assert "x1 must be 0, 1 or 2" in err
 
+    @pytest.mark.parametrize("row", (" 9,0,0,1,1,1,1", "9,01,0,1,1,1,1", "-0,0,0,1,1,1,1", "  "))
+    def test_formerly_tolerated_spelling_is_invalid_input(self, row, tmp_path, capsys):
+        data_file = tmp_path / "spelled.csv"
+        rows = [f"{i},{i % 3},{(i // 3) % 3},1,-1,1,1" for i in range(-20, 0)]
+        data_file.write_text("index,x1,x2,y1,y2,d1,d2\n" + "\n".join([*rows, row]) + "\n")
+        code, out, err = run_cli(capsys, "test", "--in", str(data_file))
+        assert code == 2
+        assert err.startswith("error: line 22: ") and "decision" not in out
+
     def test_unexpected_exception_exits_3(self, tmp_path, capsys, monkeypatch):
         import bellsim.cli
 
@@ -281,3 +296,45 @@ class TestLoopholeCommand:
             capsys, "test", "--in", str(data_file), "--conditioning", "all-pairs"
         )
         assert code == 1  # all-pairs accounting is not
+
+
+class TestPipe:
+    """``simulate | test`` through real OS pipes, in separate processes."""
+
+    @staticmethod
+    def bellsim(*argv, **kwargs):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        return subprocess.Popen(
+            [sys.executable, "-m", "bellsim.cli", *argv],
+            env=env, stderr=subprocess.PIPE, **kwargs,
+        )
+
+    def test_simulate_pipes_into_test(self, tmp_path, capsys):
+        simulate = self.bellsim(
+            "simulate", "--source", "quantum", "--angles", "60,0,120",
+            "--n", "3000", "--seed", "5", stdout=subprocess.PIPE,
+        )
+        test = self.bellsim("test", "--format", "json", stdin=simulate.stdout,
+                            stdout=subprocess.PIPE)
+        simulate.stdout.close()  # the test process holds the only read end
+        out, err = test.communicate(timeout=120)
+        simulate_err = simulate.communicate(timeout=120)[1]
+        assert simulate.returncode == 0, simulate_err
+        assert test.returncode == 0, err
+        assert b'"n_records": 3000' in err
+
+        data_file = tmp_path / "data.csv"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--source", "quantum", "--angles", "60,0,120",
+            "--n", "3000", "--seed", "5", "--out", str(data_file),
+        )
+        assert code == 0
+        code, in_process, _ = run_cli(capsys, "test", "--in", str(data_file), "--format", "json")
+        assert code == 0
+        assert json.loads(out) == json.loads(in_process)
+
+    def test_malformed_input_on_a_pipe_exits_2(self):
+        test = self.bellsim("test", stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        out, err = test.communicate(b"index,x1,x2,y1,y2,d1,d2\n05,1,2,1,-1,1,1\n", timeout=120)
+        assert test.returncode == 2
+        assert err.startswith(b"error: line 2: ") and out == b""

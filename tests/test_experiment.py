@@ -1,8 +1,12 @@
+import csv
 import io
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellsim import experiment
 from bellsim.counterfactuals import CounterfactualTable, Population
@@ -297,6 +301,56 @@ class TestLoopholeSourceDecisions:
         assert any(r.d1 == 0 or r.d2 == 0 for r in demo_dataset)
 
 
+def csv_module_bytes(records) -> bytes:
+    """What ``csv.writer`` writes for ``records``, header included."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(("index", "x1", "x2", "y1", "y2", "d1", "d2"))
+    writer.writerows(
+        (r.index, r.x1, r.x2, "" if r.y1 is None else r.y1, "" if r.y2 is None else r.y2,
+         r.d1, r.d2)
+        for r in records
+    )
+    return out.getvalue().encode("ascii")
+
+
+@st.composite
+def valid_records(draw):
+    """Valid records with strictly increasing int64 indices, always including
+    a negative index, 0 and a 19-digit index."""
+    int64 = st.integers(-(2**63), 2**63 - 1)
+    indices = draw(st.sets(int64 | st.integers(-30, 30), max_size=30))
+    indices |= {0, draw(st.integers(-(2**63), -1)), draw(st.integers(10**18, 2**63 - 1))}
+    setting = st.integers(0, 2)
+    spin = st.sampled_from((-1, None, 1))
+    records = []
+    for i in sorted(indices):
+        y1, y2 = draw(spin), draw(spin)
+        records.append(TrialRecord(index=i, x1=draw(setting), x2=draw(setting), y1=y1, y2=y2,
+                                   d1=int(y1 is not None), d2=int(y2 is not None)))
+    return records
+
+
+@pytest.mark.parametrize("block_trials", (experiment.BLOCK_TRIALS, 3))
+@settings(max_examples=60, deadline=None)
+@given(records=valid_records())
+def test_csv_round_trip_property(block_trials, records):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "BLOCK_TRIALS", block_trials)
+        expected = csv_module_bytes(records)
+        written = io.BytesIO()
+        write_dataset_csv(records, written)
+        assert written.getvalue() == expected
+        text = io.StringIO()
+        write_dataset_csv(TrialDataset.from_records(records), text)
+        assert text.getvalue().encode("ascii") == expected
+        for data in (expected, expected.replace(b"\r\n", b"\n")):
+            assert read_dataset_csv(io.BytesIO(data)) == records
+            assert read_dataset_csv(io.StringIO(data.decode("ascii"))) == records
+            lines = data.decode("ascii").splitlines(keepends=True)
+            assert read_dataset_csv(iter(lines)) == records
+
+
 class TestSerialization:
     def test_csv_round_trip_with_missing_outcomes(self):
         records = [
@@ -320,6 +374,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             read_dataset_csv(io.StringIO(""))
 
+    def test_reader_rejects_lone_carriage_return_line_ends(self):
+        text = "index,x1,x2,y1,y2,d1,d2\r" + "".join(f"{i},0,0,,,0,0\r" for i in range(500))
+        with pytest.raises(ValueError, match="unexpected dataset header") as exc:
+            read_dataset_csv(io.BytesIO(text.encode()))
+        assert len(str(exc.value)) < 120  # the one long "line" is cut in the message
+
     def test_reader_returns_empty_dataset_for_header_only(self):
         data = read_dataset_csv(io.StringIO("index,x1,x2,y1,y2,d1,d2\r\n\r\n"))
         assert len(data) == 0 and data == []
@@ -339,12 +399,50 @@ class TestSerialization:
             "9,0,0,1,1,2,1",  # detection flag outside {0, 1}
             "9,0,0,1.0,1,1,1",
             "x,0,0,1,1,1,1",
+            # Spellings of valid values that only the exact grammar rejects.
+            " 9,0,0,1,1,1,1",
+            "09,0,0,1,1,1,1",
+            "9,0,0,+1,1,1,1",
+            "9,01,0,1,1,1,1",
+            "9,0,0,1,1,1,1 ",
+            "9,0,0,\uff11,1,1,1",  # full-width digit one
+            "-0,0,0,1,1,1,1",
+            "10000000000000000000,0,0,1,1,1,1",  # 20 digits
+            "9223372036854775808,0,0,1,1,1,1",  # 2**63
+            "-9223372036854775809,0,0,1,1,1,1",
+            "9,0,0,,,0,0\0\0",  # a valid tail, then NUL bytes
+            "   ",  # whitespace only
         ),
     )
     def test_reader_rejects_malformed_rows(self, row):
-        text = f"index,x1,x2,y1,y2,d1,d2\r\n5,1,2,1,-1,1,1\r\n{row}\r\n"
-        with pytest.raises(ValueError):
+        text = f"index,x1,x2,y1,y2,d1,d2\r\n-5,1,2,1,-1,1,1\r\n{row}\r\n"
+        with pytest.raises(ValueError, match=r"^(line 3|trial -?\d+): "):
             read_dataset_csv(io.StringIO(text))
+        with pytest.raises(ValueError, match=r"^(line 3|trial -?\d+): "):
+            read_dataset_csv(io.BytesIO(text.encode()))
+
+    def test_reader_accepts_lf_blank_lines_and_a_missing_last_line_end(self):
+        text = "index,x1,x2,y1,y2,d1,d2\n\n-7,1,2,1,-1,1,1\r\n\r\n0,0,0,,,0,0\n12,2,1,,-1,0,1"
+        expected = [
+            TrialRecord(index=-7, x1=1, x2=2, y1=1, y2=-1, d1=1, d2=1),
+            TrialRecord(index=0, x1=0, x2=0, y1=None, y2=None, d1=0, d2=0),
+            TrialRecord(index=12, x1=2, x2=1, y1=None, y2=-1, d1=0, d2=1),
+        ]
+        assert read_dataset_csv(io.StringIO(text)) == expected
+        assert read_dataset_csv(io.BytesIO(text.encode())) == expected
+
+    def test_every_valid_row_round_trips(self, tmp_path):
+        rows = list(itertools.product(range(3), range(3), (-1, 0, 1), (-1, 0, 1)))
+        indices = [-(2**63), *range(-39, 40), 2**63 - 1]  # the int64 extremes at the ends
+        records = [
+            TrialRecord(index=i, x1=x1, x2=x2, y1=y1 or None, y2=y2 or None,
+                        d1=int(y1 != 0), d2=int(y2 != 0))
+            for i, (x1, x2, y1, y2) in zip(indices, rows, strict=True)
+        ]
+        path = tmp_path / "all.csv"
+        write_dataset_csv(records, path)
+        assert path.read_bytes() == csv_module_bytes(records)
+        assert read_dataset_csv(path) == records
 
     def test_reader_streams_in_blocks(self, monkeypatch):
         records = run_experiment(quantum_config(n=50, seed=4))
@@ -356,13 +454,26 @@ class TestSerialization:
         write_dataset_csv(records, buf2)
         assert buf2.getvalue() == buf.getvalue()
         lines = buf.getvalue().splitlines(keepends=True)
-        lines[8] = lines[8].replace("7,", "6,", 1)  # repeats index 6 across a block boundary
+        lines[8] = lines[8].replace("7,", "6,", 1)  # repeats index 6 (see also the next test)
         with pytest.raises(ValueError, match="not strictly increasing at 6"):
             read_dataset_csv(iter(lines))
 
-    def test_writer_accepts_any_order_and_matches_csv_module(self):
-        import csv
+    @pytest.mark.parametrize("repeat", (1, 2, 5))
+    def test_reader_checks_order_across_every_block_boundary(self, repeat, monkeypatch):
+        # With one line per block (or 16 bytes per read) every pair of
+        # consecutive rows straddles a block boundary.
+        records = run_experiment(quantum_config(n=8, seed=4))
+        buf = io.StringIO()
+        write_dataset_csv(records, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        lines[repeat + 1] = lines[repeat + 1].replace(f"{repeat},", f"{repeat - 1},", 1)
+        monkeypatch.setattr(experiment, "BLOCK_TRIALS", 1)
+        with pytest.raises(ValueError, match=f"not strictly increasing at {repeat - 1}$"):
+            read_dataset_csv(iter(lines))
+        with pytest.raises(ValueError, match=f"not strictly increasing at {repeat - 1}$"):
+            read_dataset_csv(io.BytesIO("".join(lines).encode()))
 
+    def test_writer_accepts_any_order_and_matches_csv_module(self):
         records = [
             TrialRecord(index=9, x1=2, x2=1, y1=None, y2=-1, d1=0, d2=1),
             TrialRecord(index=3, x1=0, x2=0, y1=1, y2=None, d1=1, d2=0),

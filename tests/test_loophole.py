@@ -326,6 +326,26 @@ class TestSampling:
             assert d1 == 1 and d2 == 1
             assert y1 == 1 and y2 == -1
 
+    def test_every_strategy_samples_its_own_flags_and_spins(self):
+        # A point mass on each strategy makes the draw deterministic, so the
+        # bit arithmetic must reproduce the dataclass enumeration exactly.
+        rng = SplitMix64(0)
+        for strategy in enumerate_augmented_strategies():
+            solution = LpSolution(
+                status="feasible",
+                weights={strategy.index: 1.0},
+                coincidence_rates=None,
+                min_coincidence_rate=None,
+            )
+            for x1, x2 in itertools.product(range(3), repeat=2):
+                expected = (
+                    strategy.table.y1[x1] if strategy.d1[x1] else None,
+                    strategy.table.y2[x2] if strategy.d2[x2] else None,
+                    strategy.d1[x1],
+                    strategy.d2[x2],
+                )
+                assert sample_loophole_model(solution, (x1, x2), rng) == expected
+
     def test_detection_flags_gate_outcomes(self, demo_solution):
         rng = SplitMix64(2)
         seen_missing = False
