@@ -15,6 +15,7 @@ import json
 import secrets
 import sys
 import traceback
+from functools import lru_cache
 
 from . import loophole as loophole_mod
 from .counterfactuals import (
@@ -340,9 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on first use: parsing leaves it
+    unchanged, so one instance serves every call in the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit2 as exc:

@@ -10,8 +10,9 @@ hidden variables when the one-sided lower confidence bound clears 0.
 Every trial's randomness is keyed by (seed, trial index) through the
 counter-based generator, so datasets are reproducible and independent of
 how generation is partitioned. Generation runs a block of consecutive
-trials at a time as numpy ``uint64`` lanes, and a dataset is held as
-columns (:class:`TrialDataset`), not as one object per trial.
+trials at a time as numpy ``uint64`` lanes, all of a block's draws in one
+matrix, and a dataset is held as columns (:class:`TrialDataset`), not as
+one object per trial.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ import io
 import itertools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from statistics import NormalDist
 from typing import Callable, Iterable, Iterator
@@ -73,6 +76,17 @@ class EstimationError(ValueError):
     """Dataset cannot support the requested estimate."""
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int; it must be an int or a numpy integer, and
+    not a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce one simulated experiment."""
@@ -86,6 +100,8 @@ class ExperimentConfig:
     setting_distribution: str = UNIFORM_9
 
     def __post_init__(self) -> None:
+        for name in ("n_trials", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n_trials < 1:
             raise ConfigError(f"n_trials must be at least 1, got {self.n_trials!r}")
         if self.setting_distribution not in (UNIFORM_9, UNIFORM_4):
@@ -159,7 +175,7 @@ class TrialDataset:
         return cls(*np.array(rows, dtype=np.int64).reshape(-1, 7).T)
 
     def columns(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, name) for name in CSV_HEADER)
+        return self.index, self.x1, self.x2, self.y1, self.y2, self.d1, self.d2
 
     def __len__(self) -> int:
         return len(self.index)
@@ -192,20 +208,29 @@ def _as_dataset(dataset: Iterable[TrialRecord]) -> TrialDataset:
 
 
 Sampler = Callable[[int, int, SplitMix64], tuple[int | None, int | None, int, int]]
-LanesSampler = Callable[[np.ndarray, np.ndarray, SplitMix64Lanes], tuple]
+LanesSampler = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
+
+#: Draws per trial: of each setting distribution, then of each source's sampler.
+_SETTING_DRAWS = {UNIFORM_9: 2, UNIFORM_4: 1}
+_SAMPLER_DRAWS = {
+    SOURCE_QUANTUM: 2,
+    SOURCE_DETERMINISTIC_LHV: 1,
+    SOURCE_STOCHASTIC_LHV: 2,
+    SOURCE_LOOPHOLE: 1,
+}
 
 
 def _make_samplers(config: ExperimentConfig) -> tuple[Sampler, LanesSampler]:
     """The source's per-trial sampler and its block form, which draws the
-    same values for every trial."""
+    same values for every trial from a matrix of its draws."""
     if config.source == SOURCE_QUANTUM:
         table = match_table(config.angles)
 
         def one(x1, x2, rng):
             return (*sample_outcome_pair((x1, x2), table, rng), 1, 1)
 
-        def block(x1, x2, lanes):
-            return (*sample_outcome_pair_lanes(x1, x2, table, lanes), 1, 1)
+        def block(x1, x2, words):
+            return (*sample_outcome_pair_lanes(x1, x2, table, words), 1, 1)
 
     elif config.source in (SOURCE_DETERMINISTIC_LHV, SOURCE_STOCHASTIC_LHV):
         model = config.model
@@ -213,8 +238,8 @@ def _make_samplers(config: ExperimentConfig) -> tuple[Sampler, LanesSampler]:
         def one(x1, x2, rng):
             return (*sample_from_lhv(model, (x1, x2), rng), 1, 1)
 
-        def block(x1, x2, lanes):
-            return (*sample_from_lhv_lanes(model, x1, x2, lanes), 1, 1)
+        def block(x1, x2, words):
+            return (*sample_from_lhv_lanes(model, x1, x2, words), 1, 1)
 
     else:
         solution = config.solution
@@ -222,8 +247,8 @@ def _make_samplers(config: ExperimentConfig) -> tuple[Sampler, LanesSampler]:
         def one(x1, x2, rng):
             return loophole_mod.sample_loophole_model(solution, (x1, x2), rng)
 
-        def block(x1, x2, lanes):
-            return loophole_mod.sample_loophole_model_lanes(solution, x1, x2, lanes)
+        def block(x1, x2, words):
+            return loophole_mod.sample_loophole_model_lanes(solution, x1, x2, words)
 
     return one, block
 
@@ -234,18 +259,22 @@ def _draw_settings(distribution: str, rng: SplitMix64) -> tuple[int, int]:
     return BELL_PAIRS[rng.randbelow(4)]
 
 
-def _draw_settings_lanes(distribution: str, lanes: SplitMix64Lanes):
-    """Settings of every lane, plus a mask of the lanes whose draws
-    ``randbelow`` would have rejected (None when none can be)."""
+_THREE = np.uint64(3)
+_REJECTED = np.uint64(2**64 - 1)  # the one draw randbelow(3) rejects
+_BELL_PAIR_SETTINGS = np.array(BELL_PAIRS).T  # column k holds BELL_PAIRS[k]
+
+
+def _draw_settings_lanes(distribution: str, words: np.ndarray):
+    """Settings of every lane from its setting draws (the rows of
+    ``words``), plus the sorted lanes one of whose draws ``randbelow`` would
+    have rejected."""
     if distribution == UNIFORM_9:
-        u1 = lanes.next_uint64()
-        u2 = lanes.next_uint64()
-        # randbelow(3) rejects the draw 2**64 - 1 and only that one.
-        rejected = (u1 == np.uint64(2**64 - 1)) | (u2 == np.uint64(2**64 - 1))
-        return (u1 % np.uint64(3)).astype(np.intp), (u2 % np.uint64(3)).astype(np.intp), rejected
+        x1, x2 = (words % _THREE).astype(np.intp)
+        hits = np.flatnonzero(words == _REJECTED).tolist()
+        return x1, x2, sorted({hit % words.shape[1] for hit in hits})
     # randbelow(4) never rejects: 4 divides 2**64.
-    pairs = np.array(BELL_PAIRS)[(lanes.next_uint64() & np.uint64(3)).astype(np.intp)]
-    return pairs[:, 0], pairs[:, 1], None
+    x1, x2 = _BELL_PAIR_SETTINGS[:, words[0] & _THREE]
+    return x1, x2, []
 
 
 def _scalar_trial(config: ExperimentConfig, sampler: Sampler, i: int) -> tuple[int, ...]:
@@ -264,27 +293,35 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> TrialDataset:
     ``workers`` splits the index range into that many consecutive parts,
     generated one after another in blocks of :data:`BLOCK_TRIALS` trials.
     Trial randomness is keyed by (seed, trial index), so no partition can
-    change what any trial draws.
+    change what any trial draws. A block takes every draw its trials make as
+    one ``(draws, trials)`` matrix from
+    :meth:`~bellsim.rng.SplitMix64Lanes.draws`: the settings' rows first,
+    then the source's.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
     n = config.n_trials
-    data = TrialDataset(np.arange(n), *(np.empty(n, dtype=np.int8) for _ in range(6)))
+    data = TrialDataset(np.arange(n), *np.empty((6, n), dtype=np.int8))
     columns = data.columns()[1:]
     sample_one, sample_block = _make_samplers(config)
+    setting_draws = _SETTING_DRAWS[config.setting_distribution]
+    draws = setting_draws + _SAMPLER_DRAWS[config.source]
     parts = min(workers, n)
     bounds = [round(k * n / parts) for k in range(parts + 1)]
     for low, high in zip(bounds[:-1], bounds[1:]):
         for start in range(low, high, BLOCK_TRIALS):
             stop = min(start + BLOCK_TRIALS, high)
-            lanes = SplitMix64Lanes(config.seed, start, stop)
-            x1, x2, rejected = _draw_settings_lanes(config.setting_distribution, lanes)
-            for column, value in zip(columns, (x1, x2, *sample_block(x1, x2, lanes))):
+            words = SplitMix64Lanes(config.seed, start, stop).draws(draws)
+            x1, x2, rejected = _draw_settings_lanes(
+                config.setting_distribution, words[:setting_draws]
+            )
+            outcomes = sample_block(x1, x2, words[setting_draws:])
+            for column, value in zip(columns, (x1, x2, *outcomes)):
                 column[start:stop] = value
-            if rejected is not None:
-                for i in (start + np.flatnonzero(rejected)).tolist():
-                    for column, value in zip(columns, _scalar_trial(config, sample_one, i)):
-                        column[i] = value
+            for lane in rejected:
+                i = start + lane
+                for column, value in zip(columns, _scalar_trial(config, sample_one, i)):
+                    column[i] = value
     return data
 
 
@@ -342,10 +379,18 @@ class Decision:
         return {"reject_lhv": self.reject_lhv, "margin": self.margin, "alpha": self.alpha}
 
 
-#: Rows: a trial's outcome code ``y1 * y2 + 1``, which is 0 for a coincident
-#: mismatch, 1 for an undetected spin and 2 for a coincident match.
-#: Columns: whether the trial counts as a trial, a coincidence, a match.
-_OUTCOME_COUNTS = np.array([[1, 1, 0], [1, 0, 0], [1, 1, 1]], dtype=np.int64)
+#: Cells of the Bell statistic, as ``x1 * 3 + x2``, in :data:`BELL_PAIRS` order.
+_BELL_CELLS = tuple(i * 3 + j for i, j in BELL_PAIRS)
+
+
+@lru_cache(maxsize=64)
+def _normal_quantile(p: float) -> float:
+    return NormalDist().inv_cdf(p)
+
+
+def _grid(values: list) -> tuple[tuple[int, int, int], ...]:
+    """Nine per-cell values, ``x1 * 3 + x2``, as three rows of three."""
+    return tuple(values[0:3]), tuple(values[3:6]), tuple(values[6:9])
 
 
 def estimate(
@@ -371,31 +416,38 @@ def estimate(
 
     data = _as_dataset(dataset)
     # Trials counted per cell and outcome a block at a time, so the
-    # temporaries stay small; see _OUTCOME_COUNTS for the outcome code.
+    # temporaries stay small. The outcome code y1 * y2 + 1 is 0 for a
+    # coincident mismatch, 1 for an undetected spin and 2 for a coincident
+    # match, so counts[cell * 3 + code] counts a cell's trials by outcome.
     counts = np.zeros(27, dtype=np.int64)
     for start in range(0, len(data), BLOCK_TRIALS):
         part = slice(start, start + BLOCK_TRIALS)
         outcome = data.y1[part] * data.y2[part] + 1
         counts += np.bincount(data.x1[part] * 9 + data.x2[part] * 3 + outcome, minlength=27)
-    trials, coinc, matches = (counts.reshape(9, 3) @ _OUTCOME_COUNTS).T.reshape(3, 3, 3).tolist()
+    counts = counts.tolist()
+    matches = counts[2::3]
+    coinc = [mismatches + m for mismatches, m in zip(counts[0::3], matches)]
+    trials = [c + undetected for c, undetected in zip(coinc, counts[1::3])]
+    denoms = coinc if conditioning == CONDITION_COINCIDENCES else trials
 
     rates = []
     variance = 0.0
-    for i, j in BELL_PAIRS:
-        if coinc[i][j] == 0:
+    for cell in _BELL_CELLS:
+        if coinc[cell] == 0:
+            i, j = divmod(cell, 3)
             raise EstimationError(f"no coincident trials in cell ({i},{j})")
-        denom = coinc[i][j] if conditioning == CONDITION_COINCIDENCES else trials[i][j]
-        rate = matches[i][j] / denom
+        denom = denoms[cell]
+        rate = matches[cell] / denom
         rates.append(rate)
         variance += rate * (1.0 - rate) / denom
 
     statistic = rates[0] - rates[1] - rates[2] - rates[3]
     std_error = math.sqrt(variance)
-    z = NormalDist().inv_cdf((1.0 + confidence) / 2.0)
+    z = _normal_quantile((1.0 + confidence) / 2.0)
     return BellEstimate(
-        trials=tuple(tuple(r) for r in trials),
-        coincidences=tuple(tuple(r) for r in coinc),
-        matches=tuple(tuple(r) for r in matches),
+        trials=_grid(trials),
+        coincidences=_grid(coinc),
+        matches=_grid(matches),
         statistic=statistic,
         std_error=std_error,
         ci_low=statistic - z * std_error,
@@ -410,7 +462,7 @@ def decide(est: BellEstimate, alpha: float = 0.01) -> Decision:
     on the Bell statistic at level ``alpha`` exceeds 0."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha {alpha!r} outside (0, 1)")
-    z = NormalDist().inv_cdf(1.0 - alpha)
+    z = _normal_quantile(1.0 - alpha)
     margin = est.statistic - z * est.std_error
     return Decision(reject_lhv=margin > 0.0, margin=margin, alpha=alpha)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Union
 
@@ -22,6 +22,7 @@ import numpy as np
 
 from .counterfactuals import CounterfactualTable, Population
 from .quantum import MatchProbabilityTable
+from .rng import uniform_lanes
 
 SETTINGS = (0, 1, 2)
 
@@ -40,6 +41,17 @@ class DeterministicLhv:
     def single(cls, table: CounterfactualTable) -> "DeterministicLhv":
         return cls(Population(units=(table,)))
 
+    @cached_property
+    def _sampling_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cumulative weights and every unit's ``y1`` and ``y2`` spins, for
+        :func:`sample_from_lhv_lanes`."""
+        units = self.mixture.units
+        return (
+            cumulative_weights(self.mixture.weights),
+            np.array([u.y1 for u in units], dtype=np.int8),
+            np.array([u.y2 for u in units], dtype=np.int8),
+        )
+
 
 @dataclass(frozen=True)
 class StochasticLocalModel:
@@ -54,6 +66,11 @@ class StochasticLocalModel:
             if len(probs) != 3 or any(not 0.0 <= v <= 1.0 for v in probs):
                 raise ValueError(f"{name} must be three probabilities in [0, 1]")
             object.__setattr__(self, name, probs)
+
+    @cached_property
+    def _sampling_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``p1`` and ``p2`` as arrays, for :func:`sample_from_lhv_lanes`."""
+        return np.array(self.p1), np.array(self.p2)
 
 
 LocalModel = Union[DeterministicLhv, StochasticLocalModel]
@@ -154,9 +171,16 @@ def draw_mixture_index(weights: tuple[float, ...], u: float) -> int:
     return bisect_right(_cumulative(weights), u)
 
 
-def draw_mixture_indices(weights: tuple[float, ...], u: np.ndarray) -> np.ndarray:
-    """:func:`draw_mixture_index` for an array of uniforms."""
-    return np.searchsorted(_cumulative(weights), u, side="right")
+def cumulative_weights(weights: tuple[float, ...]) -> np.ndarray:
+    """The cumulative weights :func:`draw_mixture_index` inverts, as an
+    array for :func:`draw_mixture_indices`."""
+    return np.array(_cumulative(weights))
+
+
+def draw_mixture_indices(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`draw_mixture_index` for an array of uniforms, given the
+    mixture's :func:`cumulative_weights`."""
+    return np.searchsorted(cumulative, u, side="right")
 
 
 def sample_from_lhv(model: LocalModel, pair: tuple[int, int], rng) -> tuple[int, int]:
@@ -179,23 +203,25 @@ def sample_from_lhv(model: LocalModel, pair: tuple[int, int], rng) -> tuple[int,
 
 
 def sample_from_lhv_lanes(
-    model: LocalModel, x1: np.ndarray, x2: np.ndarray, lanes
+    model: LocalModel, x1: np.ndarray, x2: np.ndarray, words: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`sample_from_lhv` for a block of trials at once.
 
-    ``x1``/``x2`` hold each trial's settings and ``lanes`` is a
-    :class:`~bellsim.rng.SplitMix64Lanes` over the same trials; returns int8
-    spin arrays equal, trial by trial, to the scalar draws.
+    ``x1``/``x2`` hold each trial's settings and ``words`` is a ``uint64``
+    matrix whose column holds the trial's draws, as
+    :meth:`~bellsim.rng.SplitMix64Lanes.draws` returns them: one row for a
+    deterministic mixture, two for a stochastic model. Returns int8 spin
+    arrays equal, trial by trial, to the scalar draws.
     """
     if isinstance(model, DeterministicLhv):
-        k = draw_mixture_indices(model.mixture.weights, lanes.random())
-        units = model.mixture.units
-        y1 = np.array([u.y1 for u in units], dtype=np.int8)
-        y2 = np.array([u.y2 for u in units], dtype=np.int8)
+        cumulative, y1, y2 = model._sampling_arrays
+        k = draw_mixture_indices(cumulative, uniform_lanes(words[0]))
         return y1[k, x1], y2[k, x2]
     if isinstance(model, StochasticLocalModel):
-        y1 = np.where(lanes.random() < np.array(model.p1)[x1], np.int8(1), np.int8(-1))
-        y2 = np.where(lanes.random() < np.array(model.p2)[x2], np.int8(1), np.int8(-1))
+        p1, p2 = model._sampling_arrays
+        u = uniform_lanes(words)
+        y1 = np.where(u[0] < p1[x1], np.int8(1), np.int8(-1))
+        y2 = np.where(u[1] < p2[x2], np.int8(1), np.int8(-1))
         return y1, y2
     raise TypeError(f"not a local model: {model!r}")
 

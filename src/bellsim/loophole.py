@@ -24,8 +24,9 @@ import numpy as np
 
 from . import simplex
 from .counterfactuals import CounterfactualTable
-from .lhv import draw_mixture_index, draw_mixture_indices
+from .lhv import cumulative_weights, draw_mixture_index, draw_mixture_indices
 from .quantum import MatchProbabilityTable
+from .rng import uniform_lanes
 
 N_STRATEGIES = 4096
 SOLUTION_STATUSES = ("feasible", "infeasible", "unbounded-error")
@@ -224,6 +225,13 @@ class LpSolution:
         indices = tuple(sorted(self.weights))
         return indices, tuple(self.weights[i] for i in indices)
 
+    @cached_property
+    def _lanes_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """:attr:`_sampling_arrays` as the strategy-index array and the
+        cumulative weights, for :func:`sample_loophole_model_lanes`."""
+        indices, weights = self._sampling_arrays
+        return np.array(indices), cumulative_weights(weights)
+
     def coincidence_rate(self, i: int, j: int) -> float:
         if self.coincidence_rates is None:
             raise ValueError(f"no rates on a {self.status} solution")
@@ -414,20 +422,21 @@ def sample_loophole_model(
 
 
 def sample_loophole_model_lanes(
-    solution: LpSolution, x1: np.ndarray, x2: np.ndarray, lanes
+    solution: LpSolution, x1: np.ndarray, x2: np.ndarray, words: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`sample_loophole_model` for a block of trials at once.
 
-    ``x1``/``x2`` hold each trial's settings and ``lanes`` is a
-    :class:`~bellsim.rng.SplitMix64Lanes` over the same trials. Returns
+    ``x1``/``x2`` hold each trial's settings and ``words`` is a
+    ``(1, trials)`` ``uint64`` matrix holding each trial's draw, as
+    :meth:`~bellsim.rng.SplitMix64Lanes.draws` returns it. Returns
     (y1, y2, d1, d2) as integer arrays, with spin 0 where a particle is not
     detected. Spins and flags are read off the 12-bit strategy index in its
     documented bit order.
     """
     if solution.status != "feasible":
         raise ValueError(f"cannot sample from a {solution.status} solution")
-    indices, weights = solution._sampling_arrays
-    s = np.array(indices)[draw_mixture_indices(weights, lanes.random())]
+    indices, cumulative = solution._lanes_arrays
+    s = indices[draw_mixture_indices(cumulative, uniform_lanes(words[0]))]
     d1 = (s >> (5 - x1)) & 1
     d2 = (s >> (2 - x2)) & 1
     y1 = (((s >> (11 - x1)) & 1) * 2 - 1) * d1

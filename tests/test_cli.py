@@ -137,6 +137,26 @@ class TestSimulateAndTest:
         code, _, _ = run_cli(capsys, "test", "--in", str(data_file))
         assert code == 1  # retain
 
+    def test_successive_calls_do_not_share_flags(self, tmp_path, capsys):
+        # main keeps one parser for the process; each call's flags must
+        # still start from the defaults.
+        data_file = tmp_path / "data.csv"
+        run_cli(capsys, "simulate", "--source", "quantum", "--angles", "60,0,120",
+                "--n", "900", "--seed", "7", "--out", str(data_file))
+        _, out, _ = run_cli(capsys, "test", "--in", str(data_file), "--alpha", "0.05",
+                            "--conditioning", "all-pairs", "--format", "json")
+        doc = json.loads(out)
+        assert doc["decision"]["alpha"] == 0.05
+        assert doc["estimate"]["conditioning"] == "all-pairs"
+        _, out, err = run_cli(capsys, "test", "--in", str(data_file))
+        assert "one-sided lower bound at alpha=0.01:" in out
+        echoed = json.loads(err.split("config: ", 1)[1])
+        assert (echoed["alpha"], echoed["conditioning"]) == (0.01, "coincidences-only")
+        with pytest.raises(SystemExit):
+            main(["test", "--in", str(data_file), "--alpha", "0.2", "--format", "csv"])
+        _, out, _ = run_cli(capsys, "test", "--in", str(data_file), "--format", "json")
+        assert json.loads(out)["decision"]["alpha"] == 0.01
+
     def test_missing_model_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--source", "deterministic-lhv", "--n", "10", "--seed", "1"

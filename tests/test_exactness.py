@@ -1,13 +1,16 @@
 """Exactness of generated datasets and faking-LP solutions: the bytes and
 records a seed or a program produces are fixed.
 
-Four independent checks:
+Five independent checks:
 
 * golden SHA-256 digests of ``bellsim simulate`` stdout for every source and
   setting distribution, recorded from the original per-trial generator;
 * ``run_experiment`` against a per-trial reference assembled here from the
   public scalar functions (``SplitMix64``, ``derive_seed`` and the three
-  samplers), on several seeds and partitions;
+  samplers), on several seeds, sizes, block sizes and partitions, in an
+  order that hits, misses and evicts the cache of lane keys;
+* ``estimate`` against a reference that counts record by record and does
+  the same float arithmetic, field for field;
 * seeds built by inverting ``mix64`` so that one trial's ``randbelow(3)``
   draws the single rejected value ``2**64 - 1``;
 * golden SHA-256 digests of the solution documents of four faking LPs,
@@ -16,9 +19,12 @@ Four independent checks:
 
 import hashlib
 import json
+import math
+from statistics import NormalDist
 
 import pytest
 
+from bellsim import experiment, rng
 from bellsim.cli import main
 from bellsim.counterfactuals import BELL_PAIRS, CounterfactualTable, Population
 from bellsim.experiment import (
@@ -28,8 +34,10 @@ from bellsim.experiment import (
     SOURCE_STOCHASTIC_LHV,
     UNIFORM_4,
     UNIFORM_9,
+    BellEstimate,
     ExperimentConfig,
     TrialRecord,
+    estimate,
     run_experiment,
 )
 from bellsim.lhv import DeterministicLhv, StochasticLocalModel, sample_from_lhv, save_model
@@ -200,6 +208,105 @@ def test_run_experiment_matches_per_trial_reference(source, distribution):
         assert run_experiment(config, workers=3) == reference
 
 
+@pytest.mark.parametrize("source", ALL_SOURCES)
+@pytest.mark.parametrize("distribution", (UNIFORM_9, UNIFORM_4))
+def test_small_runs_match_per_trial_reference(source, distribution):
+    for n in (1, 2, 90):
+        for seed in (3, 2**63 + 11):
+            config = make_config(source, n, seed, distribution)
+            assert run_experiment(config) == reference_dataset(config)
+
+
+def test_lane_key_cache_hits_misses_and_evicts(monkeypatch):
+    # Seeds and trial ranges interleaved: the keys of a range are shared by
+    # every seed, survive other ranges while the cache has room, and are
+    # rebuilt after eviction; every run must match the reference throughout.
+    rng.lane_keys.cache_clear()
+    configs = [make_config(source, n, seed)
+               for n, seed, source in ((90, 1, SOURCE_DETERMINISTIC_LHV), (2, 1, SOURCE_QUANTUM),
+                                       (90, 2, SOURCE_LOOPHOLE), (2, 5, SOURCE_STOCHASTIC_LHV))]
+    for config in configs:
+        assert run_experiment(config) == reference_dataset(config)
+    info = rng.lane_keys.cache_info()
+    assert (info.hits, info.misses) == (2, 2)
+
+    # 13 blocks of 7 trials: more ranges than the cache holds.
+    monkeypatch.setattr(experiment, "BLOCK_TRIALS", 7)
+    for config in configs[:2]:
+        assert run_experiment(config) == reference_dataset(config)
+    monkeypatch.undo()
+    info = rng.lane_keys.cache_info()
+    assert info.currsize == info.maxsize < 13
+    for config in configs:
+        assert run_experiment(config) == reference_dataset(config)
+    assert rng.lane_keys.cache_info().misses > info.misses
+
+
+def test_cached_lane_keys_are_read_only():
+    keys = rng.lane_keys(0, 90)
+    assert not keys.flags.writeable
+    with pytest.raises(ValueError):
+        keys[0] = 0
+    assert keys is rng.lane_keys(0, 90)
+    assert keys.tolist() == [mix64((i + 1) * GOLDEN & MASK64) for i in range(90)]
+    run_experiment(make_config(SOURCE_QUANTUM, 90, 4))
+    assert keys.tolist() == [mix64((i + 1) * GOLDEN & MASK64) for i in range(90)]
+
+
+@pytest.mark.parametrize("source", ALL_SOURCES)
+def test_small_blocks_and_workers_match_reference(source, monkeypatch):
+    monkeypatch.setattr(experiment, "BLOCK_TRIALS", 7)
+    for distribution in (UNIFORM_9, UNIFORM_4):
+        config = make_config(source, 90, 77, distribution)
+        reference = reference_dataset(config)
+        assert run_experiment(config, workers=3) == reference
+        assert run_experiment(config) == reference
+
+
+def reference_estimate(records, conditioning, confidence):
+    """:func:`estimate` written out record by record, with its float
+    arithmetic in the same order."""
+    trials = [[0] * 3 for _ in range(3)]
+    coinc = [[0] * 3 for _ in range(3)]
+    matches = [[0] * 3 for _ in range(3)]
+    for r in records:
+        trials[r.x1][r.x2] += 1
+        if r.d1 and r.d2:
+            coinc[r.x1][r.x2] += 1
+            matches[r.x1][r.x2] += r.y1 == r.y2
+    rates = []
+    variance = 0.0
+    for i, j in BELL_PAIRS:
+        denom = coinc[i][j] if conditioning == "coincidences-only" else trials[i][j]
+        rate = matches[i][j] / denom
+        rates.append(rate)
+        variance += rate * (1.0 - rate) / denom
+    statistic = rates[0] - rates[1] - rates[2] - rates[3]
+    std_error = math.sqrt(variance)
+    z = NormalDist().inv_cdf((1.0 + confidence) / 2.0)
+    return BellEstimate(
+        trials=tuple(map(tuple, trials)),
+        coincidences=tuple(map(tuple, coinc)),
+        matches=tuple(map(tuple, matches)),
+        statistic=statistic,
+        std_error=std_error,
+        ci_low=statistic - z * std_error,
+        ci_high=statistic + z * std_error,
+        confidence=confidence,
+        conditioning=conditioning,
+    )
+
+
+@pytest.mark.parametrize("source", ALL_SOURCES)
+def test_estimate_matches_record_by_record_reference(source):
+    for n, seed in ((90, 8), (3000, 9)):
+        records = list(run_experiment(make_config(source, n, seed)))
+        for conditioning in ("coincidences-only", "all-pairs"):
+            for confidence in (0.99, 0.9):
+                expected = reference_estimate(records, conditioning, confidence)
+                assert estimate(records, conditioning, confidence) == expected
+
+
 def unmix64(z):
     """Inverse of the splitmix64 finalizer ``mix64``."""
 
@@ -243,6 +350,13 @@ def test_rejected_setting_draw_matches_reference(source, trial, draw):
     reference = reference_dataset(config)
     assert run_experiment(config) == reference
     assert run_experiment(config, workers=3) == reference
+
+
+@pytest.mark.parametrize("source", ALL_SOURCES)
+def test_rejected_draws_in_a_small_run_match_reference(source):
+    for trial, draw in ((17, 1), (4, 2), (89, 2)):
+        config = make_config(source, 90, rejecting_seed(trial, draw))
+        assert run_experiment(config) == reference_dataset(config)
 
 
 @pytest.mark.parametrize("kind, angles", sorted(GOLDEN_SOLUTION_SHA256))

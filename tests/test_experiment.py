@@ -1,6 +1,7 @@
 import csv
 import io
 import itertools
+import json
 import math
 
 import numpy as np
@@ -80,6 +81,29 @@ class TestConfigValidation:
             ExperimentConfig(n_trials=10, seed=1, source="telepathy")
         with pytest.raises(ConfigError):
             quantum_config(n=0)
+
+    @pytest.mark.parametrize("field", ("n", "seed"))
+    @pytest.mark.parametrize("value", (2.5, 3.0, True, False, "7", None, np.float64(4.0)))
+    def test_sizes_and_seeds_must_be_integers(self, field, value):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            quantum_config(**{field: value})
+
+    def test_numpy_integers_become_python_ints(self):
+        cfg = quantum_config(n=np.int64(12), seed=np.uint64(2**64 - 1))
+        assert (cfg.n_trials, cfg.seed) == (12, 2**64 - 1)
+        assert type(cfg.n_trials) is int and type(cfg.seed) is int
+        assert run_experiment(cfg) == run_experiment(quantum_config(n=12, seed=2**64 - 1))
+        assert json.loads(json.dumps(config_to_dict(cfg)))["seed"] == 2**64 - 1
+
+    @pytest.mark.parametrize("field, value", (
+        ("n_trials", 2.5), ("n_trials", True), ("n_trials", "90"),
+        ("seed", 1.5), ("seed", "7"), ("seed", False), ("seed", None),
+    ))
+    def test_sidecar_fields_must_be_integers(self, field, value):
+        doc = json.loads(json.dumps(config_to_dict(quantum_config())))
+        doc[field] = value
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            config_from_dict(doc)
 
 
 class TestTrialRecord:

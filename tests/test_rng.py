@@ -1,6 +1,15 @@
+import numpy as np
 import pytest
 
-from bellsim.rng import SplitMix64, SplitMix64Lanes, derive_seed, mix64
+from bellsim import rng
+from bellsim.rng import (
+    SplitMix64,
+    SplitMix64Lanes,
+    derive_seed,
+    mix64,
+    mix64_lanes,
+    uniform_lanes,
+)
 
 
 def test_stream_is_deterministic():
@@ -72,3 +81,54 @@ def test_lanes_draw_what_each_trial_stream_draws():
             rng = SplitMix64(derive_seed(seed, 1000 + j))
             assert [int(d[j]) for d in draws] == [rng.next_uint64() for _ in range(3)]
             assert uniforms[j] == rng.random()
+
+
+def test_draw_matrix_rows_are_successive_draws():
+    for seed in (0, 9, 2**64 - 1):
+        for k in (1, 2, 3, 5):
+            words = SplitMix64Lanes(seed, 40, 47).draws(k)
+            assert words.shape == (k, 7) and words.dtype == np.uint64
+            stepped = SplitMix64Lanes(seed, 40, 47)
+            assert np.array_equal(words, np.stack([stepped.next_uint64() for _ in range(k)]))
+            for j in range(7):
+                stream = SplitMix64(derive_seed(seed, 40 + j))
+                assert words[:, j].tolist() == [stream.next_uint64() for _ in range(k)]
+
+
+def test_draws_continue_the_stream():
+    lanes = SplitMix64Lanes(31, 0, 4)
+    first, rest = lanes.draws(2), lanes.draws(3)
+    assert np.array_equal(np.vstack([first, rest]), SplitMix64Lanes(31, 0, 4).draws(5))
+    stream = SplitMix64(derive_seed(31, 2))
+    assert [stream.next_uint64() for _ in range(6)][5] == int(lanes.next_uint64()[2])
+
+
+def test_uniform_lanes_match_scalar_random():
+    words = SplitMix64Lanes(12, 0, 50).draws(2)
+    for j in range(50):
+        stream = SplitMix64(derive_seed(12, j))
+        assert uniform_lanes(words[:, j]).tolist() == [stream.random(), stream.random()]
+
+
+def test_mix64_lanes_leaves_its_input_unchanged():
+    z = np.array([0, 1, 2**63, 2**64 - 1, 0x0123456789ABCDEF], dtype=np.uint64)
+    before = z.copy()
+    mixed = mix64_lanes(z)
+    assert np.array_equal(z, before)
+    assert mixed.tolist() == [mix64(v) for v in before.tolist()]
+    assert mix64_lanes(z[::2]).tolist() == [mix64(v) for v in before[::2].tolist()]
+    grid = np.arange(12, dtype=np.uint64).reshape(3, 4)
+    for view in (grid.T, np.asfortranarray(grid)):
+        assert mix64_lanes(view).tolist() == [[mix64(v) for v in row] for row in view.tolist()]
+    assert np.array_equal(grid, np.arange(12, dtype=np.uint64).reshape(3, 4))
+
+
+def test_mixing_in_chunks_matches_scalar_mix(monkeypatch):
+    monkeypatch.setattr(rng, "_MIX_CHUNK", 5)
+    rng.lane_keys.cache_clear()
+    z = np.arange(23, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    assert mix64_lanes(z).tolist() == [mix64(v) for v in z.tolist()]
+    words = SplitMix64Lanes(3, 10, 17).draws(3)
+    for j in range(7):
+        stream = SplitMix64(derive_seed(3, 10 + j))
+        assert words[:, j].tolist() == [stream.next_uint64() for _ in range(3)]
