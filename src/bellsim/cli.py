@@ -190,7 +190,7 @@ def _build_config(args) -> ExperimentConfig:
 def cmd_simulate(args) -> int:
     config = _build_config(args)
     _echo_config({"subcommand": "simulate", **config_to_dict(config)})
-    records = run_experiment(config, workers=args.workers)
+    records = run_experiment(config)
     if args.format == "json":
         doc = {
             "config": config_to_dict(config),
@@ -309,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of trials")
     p.add_argument("--seed", type=int, help="64-bit seed; generated and echoed if omitted")
     p.add_argument("--setting-distribution", choices=(UNIFORM_9, UNIFORM_4), default=UNIFORM_9)
-    p.add_argument("--workers", type=int, default=1,
-                   help="split the trials into this many consecutive blocks; same output")
     p.add_argument("--out", help="dataset file (default stdout)")
     p.add_argument("--meta", help="metadata sidecar file (default <out>.meta.json)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -352,10 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (SystemExit2, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

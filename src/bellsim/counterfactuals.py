@@ -20,19 +20,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .quantum import AngleTriple, match_table
-
-SETTINGS = (0, 1, 2)
+from .quantum import SETTINGS, AngleTriple, _check_setting, match_table
 
 #: Setting pairs entering the Bell statistic, in the order its terms appear:
 #: + (1,2), - (0,2), - (1,0), - (0,0).
 BELL_PAIRS = ((1, 2), (0, 2), (1, 0), (0, 0))
-
-
-def _check_setting(x: int, name: str = "setting") -> int:
-    if x not in (0, 1, 2):
-        raise ValueError(f"{name} must be 0, 1 or 2, got {x!r}")
-    return x
 
 
 def _check_spins(values: Sequence[int], name: str) -> tuple[int, int, int]:

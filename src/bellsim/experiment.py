@@ -9,10 +9,9 @@ hidden variables when the one-sided lower confidence bound clears 0.
 
 Every trial's randomness is keyed by (seed, trial index) through the
 counter-based generator, so datasets are reproducible and independent of
-how generation is partitioned. Generation runs a block of consecutive
-trials at a time as numpy ``uint64`` lanes, all of a block's draws in one
-matrix, and a dataset is held as columns (:class:`TrialDataset`), not as
-one object per trial.
+the block size. Generation runs a block of consecutive trials at a time as
+numpy ``uint64`` lanes, all of a block's draws in one matrix, and a dataset
+is held as columns (:class:`TrialDataset`), not as one object per trial.
 """
 
 from __future__ import annotations
@@ -27,12 +26,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from statistics import NormalDist
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import loophole as loophole_mod
 from .counterfactuals import BELL_PAIRS
+# Unused here; perfbench/tracing.py patches SplitMix64, derive_seed and the scalar samplers.
 from .lhv import (
     DeterministicLhv,
     LocalModel,
@@ -43,7 +43,7 @@ from .lhv import (
     sample_from_lhv_lanes,
 )
 from .quantum import AngleTriple, match_table, sample_outcome_pair, sample_outcome_pair_lanes
-from .rng import SplitMix64, SplitMix64Lanes, derive_seed
+from .rng import SplitMix64, SplitMix64Lanes, derive_seed, uniform_lanes
 
 SOURCE_QUANTUM = "quantum"
 SOURCE_DETERMINISTIC_LHV = "deterministic-lhv"
@@ -207,9 +207,6 @@ def _as_dataset(dataset: Iterable[TrialRecord]) -> TrialDataset:
     return TrialDataset.from_records(dataset)
 
 
-Sampler = Callable[[int, int, SplitMix64], tuple[int | None, int | None, int, int]]
-LanesSampler = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
-
 #: Draws per trial: of each setting distribution, then of each source's sampler.
 _SETTING_DRAWS = {UNIFORM_9: 2, UNIFORM_4: 1}
 _SAMPLER_DRAWS = {
@@ -219,109 +216,70 @@ _SAMPLER_DRAWS = {
     SOURCE_LOOPHOLE: 1,
 }
 
-
-def _make_samplers(config: ExperimentConfig) -> tuple[Sampler, LanesSampler]:
-    """The source's per-trial sampler and its block form, which draws the
-    same values for every trial from a matrix of its draws."""
-    if config.source == SOURCE_QUANTUM:
-        table = match_table(config.angles)
-
-        def one(x1, x2, rng):
-            return (*sample_outcome_pair((x1, x2), table, rng), 1, 1)
-
-        def block(x1, x2, words):
-            return (*sample_outcome_pair_lanes(x1, x2, table, words), 1, 1)
-
-    elif config.source in (SOURCE_DETERMINISTIC_LHV, SOURCE_STOCHASTIC_LHV):
-        model = config.model
-
-        def one(x1, x2, rng):
-            return (*sample_from_lhv(model, (x1, x2), rng), 1, 1)
-
-        def block(x1, x2, words):
-            return (*sample_from_lhv_lanes(model, x1, x2, words), 1, 1)
-
-    else:
-        solution = config.solution
-
-        def one(x1, x2, rng):
-            return loophole_mod.sample_loophole_model(solution, (x1, x2), rng)
-
-        def block(x1, x2, words):
-            return loophole_mod.sample_loophole_model_lanes(solution, x1, x2, words)
-
-    return one, block
-
-
-def _draw_settings(distribution: str, rng: SplitMix64) -> tuple[int, int]:
-    if distribution == UNIFORM_9:
-        return rng.randbelow(3), rng.randbelow(3)
-    return BELL_PAIRS[rng.randbelow(4)]
-
-
 _THREE = np.uint64(3)
 _REJECTED = np.uint64(2**64 - 1)  # the one draw randbelow(3) rejects
 _BELL_PAIR_SETTINGS = np.array(BELL_PAIRS).T  # column k holds BELL_PAIRS[k]
 
 
-def _draw_settings_lanes(distribution: str, words: np.ndarray):
-    """Settings of every lane from its setting draws (the rows of
-    ``words``), plus the sorted lanes one of whose draws ``randbelow`` would
-    have rejected."""
-    if distribution == UNIFORM_9:
-        x1, x2 = (words % _THREE).astype(np.intp)
-        hits = np.flatnonzero(words == _REJECTED).tolist()
-        return x1, x2, sorted({hit % words.shape[1] for hit in hits})
-    # randbelow(4) never rejects: 4 divides 2**64.
-    x1, x2 = _BELL_PAIR_SETTINGS[:, words[0] & _THREE]
-    return x1, x2, []
+def _splice_rejected(words: np.ndarray, seed: int, start: int) -> None:
+    """Give every lane whose ``uniform-9`` setting draw is the word
+    ``randbelow(3)`` rejects the draws its trial makes one at a time.
 
-
-def _scalar_trial(config: ExperimentConfig, sampler: Sampler, i: int) -> tuple[int, ...]:
-    """Trial ``i`` drawn one value at a time: (x1, x2, y1, y2, d1, d2), spin 0
-    where undetected."""
-    rng = SplitMix64(derive_seed(config.seed, i))
-    x1, x2 = _draw_settings(config.setting_distribution, rng)
-    y1, y2, d1, d2 = sampler(x1, x2, rng)
-    return x1, x2, y1 or 0, y2 or 0, d1, d2
-
-
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> TrialDataset:
-    """Generate the dataset for ``config``; identical config and seed give an
-    identical dataset, regardless of ``workers``.
-
-    ``workers`` splits the index range into that many consecutive parts,
-    generated one after another in blocks of :data:`BLOCK_TRIALS` trials.
-    Trial randomness is keyed by (seed, trial index), so no partition can
-    change what any trial draws. A block takes every draw its trials make as
-    one ``(draws, trials)`` matrix from
-    :meth:`~bellsim.rng.SplitMix64Lanes.draws`: the settings' rows first,
-    then the source's.
+    ``mix64`` is a bijection and a stream's counters are distinct, so the
+    word occurs at most once in a trial's stream: the trial's draws are the
+    first ``len(words) + 1`` of its stream with that word deleted.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers!r}")
+    for hit in np.flatnonzero(words[:_SETTING_DRAWS[UNIFORM_9]] == _REJECTED).tolist():
+        row, lane = divmod(hit, words.shape[1])
+        i = start + lane
+        stream = SplitMix64Lanes(seed, i, i + 1).draws(len(words) + 1)[:, 0]
+        words[:, lane] = np.delete(stream, row)
+
+
+def _draw_settings_lanes(distribution: str, words: np.ndarray):
+    """The ``(2, trials)`` array of x1 and x2 from the setting draws, the
+    rows of ``words``."""
+    if distribution == UNIFORM_9:
+        return (words % _THREE).astype(np.intp)
+    # randbelow(4) never rejects: 4 divides 2**64.
+    return _BELL_PAIR_SETTINGS[:, words[0] & _THREE]
+
+
+def _sample(config: ExperimentConfig, x1: np.ndarray, x2: np.ndarray, u: np.ndarray) -> tuple:
+    """The source's (y1, y2, d1, d2) for a block of trials from their
+    settings and the ``(draws, trials)`` matrix of their uniforms."""
+    if config.source == SOURCE_QUANTUM:
+        return (*sample_outcome_pair_lanes(x1, x2, match_table(config.angles), u), 1, 1)
+    if config.source == SOURCE_LOOPHOLE:
+        return loophole_mod.sample_loophole_model_lanes(config.solution, x1, x2, u)
+    return (*sample_from_lhv_lanes(config.model, x1, x2, u), 1, 1)
+
+
+def run_experiment(config: ExperimentConfig) -> TrialDataset:
+    """Generate the dataset for ``config``; identical config and seed give an
+    identical dataset.
+
+    Trials are generated in blocks of :data:`BLOCK_TRIALS`. A block takes
+    every draw its trials make as one ``(draws, trials)`` matrix from
+    :meth:`~bellsim.rng.SplitMix64Lanes.draws`: the settings' rows first,
+    then the source's, which its sampler receives as uniforms. Trial
+    randomness is keyed by (seed, trial index), so the block size cannot
+    change what any trial draws.
+    """
     n = config.n_trials
     data = TrialDataset(np.arange(n), *np.empty((6, n), dtype=np.int8))
     columns = data.columns()[1:]
-    sample_one, sample_block = _make_samplers(config)
     setting_draws = _SETTING_DRAWS[config.setting_distribution]
     draws = setting_draws + _SAMPLER_DRAWS[config.source]
-    parts = min(workers, n)
-    bounds = [round(k * n / parts) for k in range(parts + 1)]
-    for low, high in zip(bounds[:-1], bounds[1:]):
-        for start in range(low, high, BLOCK_TRIALS):
-            stop = min(start + BLOCK_TRIALS, high)
-            words = SplitMix64Lanes(config.seed, start, stop).draws(draws)
-            x1, x2, rejected = _draw_settings_lanes(
-                config.setting_distribution, words[:setting_draws]
-            )
-            outcomes = sample_block(x1, x2, words[setting_draws:])
-            for column, value in zip(columns, (x1, x2, *outcomes)):
-                column[start:stop] = value
-            for lane in rejected:
-                i = start + lane
-                for column, value in zip(columns, _scalar_trial(config, sample_one, i)):
-                    column[i] = value
+    for start in range(0, n, BLOCK_TRIALS):
+        stop = min(start + BLOCK_TRIALS, n)
+        words = SplitMix64Lanes(config.seed, start, stop).draws(draws)
+        if config.setting_distribution == UNIFORM_9:
+            _splice_rejected(words, config.seed, start)
+        x1, x2 = _draw_settings_lanes(config.setting_distribution, words[:setting_draws])
+        outcomes = _sample(config, x1, x2, uniform_lanes(words[setting_draws:]))
+        for column, value in zip(columns, (x1, x2, *outcomes)):
+            column[start:stop] = value
     return data
 
 
@@ -759,17 +717,33 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
+def _parsed(doc: dict, key: str, parse):
+    """``parse`` of the sidecar's ``key`` entry, or None where it is absent
+    or empty; an entry that does not parse raises :class:`ConfigError`."""
+    value = doc.get(key)
+    if not value:
+        return None
+    try:
+        return parse(value)
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise ConfigError(f"sidecar {key} does not parse: {exc!r}") from exc
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    angles = doc.get("angles_degrees")
-    model = doc.get("model")
-    solution = doc.get("solution")
+    """The configuration a sidecar written by :func:`config_to_dict`
+    describes; a malformed sidecar raises :class:`ConfigError`."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a sidecar must be a JSON object, got {type(doc).__name__}")
+    missing = [key for key in ("n_trials", "seed", "source") if key not in doc]
+    if missing:
+        raise ConfigError(f"sidecar lacks {', '.join(map(repr, missing))}")
     return ExperimentConfig(
         n_trials=doc["n_trials"],
         seed=doc["seed"],
         source=doc["source"],
-        angles=AngleTriple.from_degrees(*angles) if angles else None,
-        model=model_from_dict(model) if model else None,
-        solution=loophole_mod.LpSolution.from_dict(solution) if solution else None,
+        angles=_parsed(doc, "angles_degrees", lambda degrees: AngleTriple.from_degrees(*degrees)),
+        model=_parsed(doc, "model", model_from_dict),
+        solution=_parsed(doc, "solution", loophole_mod.LpSolution.from_dict),
         setting_distribution=doc.get("setting_distribution", UNIFORM_9),
     )
 

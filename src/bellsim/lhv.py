@@ -14,17 +14,14 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
 from .counterfactuals import CounterfactualTable, Population
-from .quantum import MatchProbabilityTable
-from .rng import uniform_lanes
-
-SETTINGS = (0, 1, 2)
+from .quantum import SETTINGS, MatchProbabilityTable
 
 
 @dataclass(frozen=True)
@@ -44,7 +41,7 @@ class DeterministicLhv:
     @cached_property
     def _sampling_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cumulative weights and every unit's ``y1`` and ``y2`` spins, for
-        :func:`sample_from_lhv_lanes`."""
+        :func:`sample_from_lhv` and :func:`sample_from_lhv_lanes`."""
         units = self.mixture.units
         return (
             cumulative_weights(self.mixture.weights),
@@ -155,32 +152,13 @@ def stochastic_bell_supremum(grid_steps: int) -> float:
     return stochastic_bell_search(grid_steps).value
 
 
-@lru_cache(maxsize=128)
-def _cumulative(weights: tuple[float, ...]) -> tuple[float, ...]:
-    acc = 0.0
-    out = []
-    for w in weights:
-        acc += w
-        out.append(acc)
-    out[-1] = max(out[-1], 1.0)  # guard the inversion against rounding shortfall
-    return tuple(out)
-
-
-def draw_mixture_index(weights: tuple[float, ...], u: float) -> int:
-    """Cumulative-weight inversion: index of the component containing ``u``."""
-    return bisect_right(_cumulative(weights), u)
-
-
 def cumulative_weights(weights: tuple[float, ...]) -> np.ndarray:
-    """The cumulative weights :func:`draw_mixture_index` inverts, as an
-    array for :func:`draw_mixture_indices`."""
-    return np.array(_cumulative(weights))
-
-
-def draw_mixture_indices(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """:func:`draw_mixture_index` for an array of uniforms, given the
-    mixture's :func:`cumulative_weights`."""
-    return np.searchsorted(cumulative, u, side="right")
+    """Running sums of ``weights``, added left to right, that a mixture's
+    samplers invert: the component drawn by uniform ``u`` is the number of
+    sums at most ``u``."""
+    out = np.cumsum(weights, dtype=float)
+    out[-1] = max(out[-1], 1.0)  # guard the inversion against rounding shortfall
+    return out
 
 
 def sample_from_lhv(model: LocalModel, pair: tuple[int, int], rng) -> tuple[int, int]:
@@ -192,7 +170,7 @@ def sample_from_lhv(model: LocalModel, pair: tuple[int, int], rng) -> tuple[int,
     """
     x1, x2 = pair
     if isinstance(model, DeterministicLhv):
-        k = draw_mixture_index(model.mixture.weights, rng.random())
+        k = bisect_right(model._sampling_arrays[0], rng.random())
         unit = model.mixture.units[k]
         return unit.y1[x1], unit.y2[x2]
     if isinstance(model, StochasticLocalModel):
@@ -203,23 +181,22 @@ def sample_from_lhv(model: LocalModel, pair: tuple[int, int], rng) -> tuple[int,
 
 
 def sample_from_lhv_lanes(
-    model: LocalModel, x1: np.ndarray, x2: np.ndarray, words: np.ndarray
+    model: LocalModel, x1: np.ndarray, x2: np.ndarray, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`sample_from_lhv` for a block of trials at once.
 
-    ``x1``/``x2`` hold each trial's settings and ``words`` is a ``uint64``
-    matrix whose column holds the trial's draws, as
-    :meth:`~bellsim.rng.SplitMix64Lanes.draws` returns them: one row for a
-    deterministic mixture, two for a stochastic model. Returns int8 spin
-    arrays equal, trial by trial, to the scalar draws.
+    ``x1``/``x2`` hold each trial's settings and ``u`` is a matrix whose
+    column holds the trial's uniforms in [0, 1), in the order ``random()``
+    would return them: one row for a deterministic mixture, two for a
+    stochastic model. Returns int8 spin arrays equal, trial by trial, to the
+    scalar draws.
     """
     if isinstance(model, DeterministicLhv):
         cumulative, y1, y2 = model._sampling_arrays
-        k = draw_mixture_indices(cumulative, uniform_lanes(words[0]))
+        k = np.searchsorted(cumulative, u[0], side="right")
         return y1[k, x1], y2[k, x2]
     if isinstance(model, StochasticLocalModel):
         p1, p2 = model._sampling_arrays
-        u = uniform_lanes(words)
         y1 = np.where(u[0] < p1[x1], np.int8(1), np.int8(-1))
         y2 = np.where(u[1] < p2[x2], np.int8(1), np.int8(-1))
         return y1, y2

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -24,9 +25,8 @@ import numpy as np
 
 from . import simplex
 from .counterfactuals import CounterfactualTable
-from .lhv import cumulative_weights, draw_mixture_index, draw_mixture_indices
+from .lhv import cumulative_weights
 from .quantum import MatchProbabilityTable
-from .rng import uniform_lanes
 
 N_STRATEGIES = 4096
 SOLUTION_STATUSES = ("feasible", "infeasible", "unbounded-error")
@@ -221,16 +221,11 @@ class LpSolution:
     min_coincidence_rate: float | None
 
     @cached_property
-    def _sampling_arrays(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        indices = tuple(sorted(self.weights))
-        return indices, tuple(self.weights[i] for i in indices)
-
-    @cached_property
-    def _lanes_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """:attr:`_sampling_arrays` as the strategy-index array and the
-        cumulative weights, for :func:`sample_loophole_model_lanes`."""
-        indices, weights = self._sampling_arrays
-        return np.array(indices), cumulative_weights(weights)
+    def _sampling_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Strategy indices in increasing order and their cumulative weights,
+        for :func:`sample_loophole_model` and its block form."""
+        indices = sorted(self.weights)
+        return np.array(indices), cumulative_weights([self.weights[i] for i in indices])
 
     def coincidence_rate(self, i: int, j: int) -> float:
         if self.coincidence_rates is None:
@@ -412,8 +407,8 @@ def sample_loophole_model(
     if solution.status != "feasible":
         raise ValueError(f"cannot sample from a {solution.status} solution")
     x1, x2 = pair
-    indices, weights = solution._sampling_arrays
-    s = indices[draw_mixture_index(weights, rng.random())]
+    indices, cumulative = solution._sampling_arrays
+    s = int(indices[bisect_right(cumulative, rng.random())])
     d1 = (s >> (5 - x1)) & 1
     d2 = (s >> (2 - x2)) & 1
     y1 = ((s >> (11 - x1)) & 1) * 2 - 1 if d1 else None
@@ -422,21 +417,20 @@ def sample_loophole_model(
 
 
 def sample_loophole_model_lanes(
-    solution: LpSolution, x1: np.ndarray, x2: np.ndarray, words: np.ndarray
+    solution: LpSolution, x1: np.ndarray, x2: np.ndarray, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`sample_loophole_model` for a block of trials at once.
 
-    ``x1``/``x2`` hold each trial's settings and ``words`` is a
-    ``(1, trials)`` ``uint64`` matrix holding each trial's draw, as
-    :meth:`~bellsim.rng.SplitMix64Lanes.draws` returns it. Returns
+    ``x1``/``x2`` hold each trial's settings and ``u`` is a ``(1, trials)``
+    matrix holding each trial's uniform in [0, 1). Returns
     (y1, y2, d1, d2) as integer arrays, with spin 0 where a particle is not
     detected. Spins and flags are read off the 12-bit strategy index in its
     documented bit order.
     """
     if solution.status != "feasible":
         raise ValueError(f"cannot sample from a {solution.status} solution")
-    indices, cumulative = solution._lanes_arrays
-    s = indices[draw_mixture_indices(cumulative, uniform_lanes(words[0]))]
+    indices, cumulative = solution._sampling_arrays
+    s = indices[np.searchsorted(cumulative, u[0], side="right")]
     d1 = (s >> (5 - x1)) & 1
     d2 = (s >> (2 - x2)) & 1
     y1 = (((s >> (11 - x1)) & 1) * 2 - 1) * d1

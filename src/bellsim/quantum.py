@@ -17,8 +17,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .rng import uniform_lanes
-
 TAU = 2.0 * math.pi
 
 #: Circular tolerance used by Angle equality.
@@ -249,16 +247,15 @@ def sample_outcome_pair(
 
 
 def sample_outcome_pair_lanes(
-    x1: np.ndarray, x2: np.ndarray, table: MatchProbabilityTable, words: np.ndarray
+    x1: np.ndarray, x2: np.ndarray, table: MatchProbabilityTable, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`sample_outcome_pair` for a block of trials at once.
 
-    ``x1``/``x2`` hold each trial's settings and ``words`` is a ``(2, trials)``
-    ``uint64`` matrix whose column holds the trial's two draws, as
-    :meth:`~bellsim.rng.SplitMix64Lanes.draws` returns them; returns int8
-    spin arrays equal, trial by trial, to the scalar draws.
+    ``x1``/``x2`` hold each trial's settings and ``u`` is a ``(2, trials)``
+    matrix whose column holds the trial's two uniforms in [0, 1), in the
+    order ``random()`` would return them; returns int8 spin arrays equal,
+    trial by trial, to the scalar draws.
     """
-    u = uniform_lanes(words)
     p_match = table.as_array()[x1, x2]
     y1 = np.where(u[0] < 0.5, np.int8(1), np.int8(-1))
     y2 = np.where(u[1] < p_match, y1, -y1)

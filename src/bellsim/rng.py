@@ -5,8 +5,8 @@ splitmix64 hash of ``s + (i + 1) * GOLDEN`` (64-bit wrapping arithmetic).
 Each draw is a pure function of (seed, counter), so streams can be split by
 trial index and regenerated in any order or partitioning without changing
 the values drawn. ``derive_seed`` folds an index path into a fresh seed for
-per-trial or per-worker substreams. The full recipe is documented in the
-README so runs can be reproduced outside this package.
+per-trial substreams. The full recipe is documented in the README so runs
+can be reproduced outside this package.
 
 ``SplitMix64Lanes`` runs the per-trial streams of a block of consecutive
 trials side by side as ``uint64`` arrays (numpy arithmetic wraps modulo
@@ -142,16 +142,9 @@ class SplitMix64Lanes:
 
     def draws(self, k: int) -> np.ndarray:
         """The next ``k`` draws of every lane as a ``(k, lanes)`` matrix: row
-        ``r`` is what the ``r + 1``-th following :meth:`next_uint64` would
-        return. One splitmix64 pass computes the whole matrix."""
+        ``r`` holds each lane's ``r + 1``-th following draw. One splitmix64
+        pass computes the whole matrix."""
         counters = np.arange(self._drawn + 1, self._drawn + k + 1, dtype=np.uint64)
         counters *= _GOLDEN_LANE
         self._drawn += k
         return _mix64_in_place(self._state + counters[:, None])
-
-    def next_uint64(self) -> np.ndarray:
-        return self.draws(1)[0]
-
-    def random(self) -> np.ndarray:
-        """One uniform float in [0, 1) per lane, as :meth:`SplitMix64.random`."""
-        return uniform_lanes(self.next_uint64())

@@ -182,14 +182,12 @@ class TestSimulateAndTest:
         doc = json.loads(out1)
         assert len(doc["records"]) == 200
 
-    def test_workers_flag_does_not_change_output(self, tmp_path, capsys):
-        base = (
-            "simulate", "--source", "quantum", "--angles", "60,0,120",
-            "--n", "1000", "--seed", "5",
-        )
-        _, out1, _ = run_cli(capsys, *base)
-        _, out2, _ = run_cli(capsys, *base, "--workers", "4")
-        assert out1 == out2
+    def test_workers_flag_is_unknown(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--source", "quantum", "--angles", "60,0,120",
+                  "--n", "1000", "--seed", "5", "--workers", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 4" in capsys.readouterr().err
 
 
 class TestExitCodes:

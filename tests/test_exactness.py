@@ -7,12 +7,14 @@ Five independent checks:
   setting distribution, recorded from the original per-trial generator;
 * ``run_experiment`` against a per-trial reference assembled here from the
   public scalar functions (``SplitMix64``, ``derive_seed`` and the three
-  samplers), on several seeds, sizes, block sizes and partitions, in an
-  order that hits, misses and evicts the cache of lane keys;
+  samplers), on several seeds, sizes and block sizes, in an order that
+  hits, misses and evicts the cache of lane keys;
 * ``estimate`` against a reference that counts record by record and does
   the same float arithmetic, field for field;
 * seeds built by inverting ``mix64`` so that one trial's ``randbelow(3)``
-  draws the single rejected value ``2**64 - 1``;
+  draws the single rejected value ``2**64 - 1``, at either end of a block,
+  or so that a draw that may take that value (``randbelow(4)``, a
+  sampler's ``random()``) does;
 * golden SHA-256 digests of the solution documents of four faking LPs,
   recorded from the solver that ran on all 4096 strategy columns.
 """
@@ -205,7 +207,6 @@ def test_run_experiment_matches_per_trial_reference(source, distribution):
         config = make_config(source, 300, seed, distribution)
         reference = reference_dataset(config)
         assert run_experiment(config) == reference
-        assert run_experiment(config, workers=3) == reference
 
 
 @pytest.mark.parametrize("source", ALL_SOURCES)
@@ -254,13 +255,11 @@ def test_cached_lane_keys_are_read_only():
 
 
 @pytest.mark.parametrize("source", ALL_SOURCES)
-def test_small_blocks_and_workers_match_reference(source, monkeypatch):
+def test_small_blocks_match_reference(source, monkeypatch):
     monkeypatch.setattr(experiment, "BLOCK_TRIALS", 7)
     for distribution in (UNIFORM_9, UNIFORM_4):
         config = make_config(source, 90, 77, distribution)
-        reference = reference_dataset(config)
-        assert run_experiment(config, workers=3) == reference
-        assert run_experiment(config) == reference
+        assert run_experiment(config) == reference_dataset(config)
 
 
 def reference_estimate(records, conditioning, confidence):
@@ -347,9 +346,7 @@ def test_rejecting_seed_forces_the_rejection():
 @pytest.mark.parametrize("trial, draw", ((17, 1), (4, 2)))
 def test_rejected_setting_draw_matches_reference(source, trial, draw):
     config = make_config(source, 40, rejecting_seed(trial, draw))
-    reference = reference_dataset(config)
-    assert run_experiment(config) == reference
-    assert run_experiment(config, workers=3) == reference
+    assert run_experiment(config) == reference_dataset(config)
 
 
 @pytest.mark.parametrize("source", ALL_SOURCES)
@@ -357,6 +354,37 @@ def test_rejected_draws_in_a_small_run_match_reference(source):
     for trial, draw in ((17, 1), (4, 2), (89, 2)):
         config = make_config(source, 90, rejecting_seed(trial, draw))
         assert run_experiment(config) == reference_dataset(config)
+
+
+@pytest.mark.parametrize("source", ALL_SOURCES)
+@pytest.mark.parametrize("trial, draw", ((14, 1), (20, 2)))
+def test_rejected_lane_at_a_block_edge_matches_reference(source, trial, draw, monkeypatch):
+    # With blocks of 7 trials, trial 14 is the first lane of its block and
+    # trial 20 the last.
+    monkeypatch.setattr(experiment, "BLOCK_TRIALS", 7)
+    config = make_config(source, 30, rejecting_seed(trial, draw))
+    assert run_experiment(config) == reference_dataset(config)
+
+
+@pytest.mark.parametrize("source", ALL_SOURCES)
+@pytest.mark.parametrize("distribution, draw", ((UNIFORM_4, 1), (UNIFORM_9, 3)))
+def test_accepted_max_word_is_not_spliced(source, distribution, draw):
+    # randbelow(4) and the samplers' random() accept 2**64 - 1: the first
+    # draw of uniform-4 and the sampler's first draw of uniform-9 keep it.
+    config = make_config(source, 40, rejecting_seed(17, draw), distribution)
+    assert run_experiment(config) == reference_dataset(config)
+
+
+def test_sampler_word_is_kept_where_its_splice_would_show():
+    # A rejecting seed fixes every draw of its trial: the settings are
+    # (0, 1) and the uniforms after 2**64 - 1 are 0.752 and 0.805. At a
+    # 124-degree separation the match probability, 0.780, lies between them,
+    # so y2 differs if the sampler's first word, 2**64 - 1, is spliced out.
+    config = ExperimentConfig(n_trials=40, seed=rejecting_seed(17, 3), source=SOURCE_QUANTUM,
+                              angles=AngleTriple.from_degrees(0, 124, 0))
+    reference = reference_dataset(config)
+    assert (reference[17].x1, reference[17].x2, reference[17].y2) == (0, 1, -1)
+    assert run_experiment(config) == reference
 
 
 @pytest.mark.parametrize("kind, angles", sorted(GOLDEN_SOLUTION_SHA256))

@@ -75,11 +75,11 @@ def test_derived_streams_decorrelate_adjacent_indices():
 def test_lanes_draw_what_each_trial_stream_draws():
     for seed in (0, 42, -7, 2**64 - 1, 2**70 + 3):
         lanes = SplitMix64Lanes(seed, 1000, 1010)
-        draws = [lanes.next_uint64() for _ in range(3)]
-        uniforms = lanes.random()
+        words = lanes.draws(3)
+        uniforms = uniform_lanes(lanes.draws(1)[0])
         for j in range(10):
             rng = SplitMix64(derive_seed(seed, 1000 + j))
-            assert [int(d[j]) for d in draws] == [rng.next_uint64() for _ in range(3)]
+            assert words[:, j].tolist() == [rng.next_uint64() for _ in range(3)]
             assert uniforms[j] == rng.random()
 
 
@@ -89,7 +89,7 @@ def test_draw_matrix_rows_are_successive_draws():
             words = SplitMix64Lanes(seed, 40, 47).draws(k)
             assert words.shape == (k, 7) and words.dtype == np.uint64
             stepped = SplitMix64Lanes(seed, 40, 47)
-            assert np.array_equal(words, np.stack([stepped.next_uint64() for _ in range(k)]))
+            assert np.array_equal(words, np.vstack([stepped.draws(1) for _ in range(k)]))
             for j in range(7):
                 stream = SplitMix64(derive_seed(seed, 40 + j))
                 assert words[:, j].tolist() == [stream.next_uint64() for _ in range(k)]
@@ -100,7 +100,7 @@ def test_draws_continue_the_stream():
     first, rest = lanes.draws(2), lanes.draws(3)
     assert np.array_equal(np.vstack([first, rest]), SplitMix64Lanes(31, 0, 4).draws(5))
     stream = SplitMix64(derive_seed(31, 2))
-    assert [stream.next_uint64() for _ in range(6)][5] == int(lanes.next_uint64()[2])
+    assert [stream.next_uint64() for _ in range(6)][5] == int(lanes.draws(1)[0, 2])
 
 
 def test_uniform_lanes_match_scalar_random():
