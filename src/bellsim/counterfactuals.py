@@ -16,6 +16,7 @@ explanation of the quantum predictions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence, Union
@@ -28,10 +29,10 @@ BELL_PAIRS = ((1, 2), (0, 2), (1, 0), (0, 0))
 
 
 def _check_spins(values: Sequence[int], name: str) -> tuple[int, int, int]:
-    vals = tuple(int(v) for v in values)
+    vals = tuple(values)
     if len(vals) != 3 or any(v not in (-1, 1) for v in vals):
         raise ValueError(f"{name} must be three spins in {{-1, +1}}, got {values!r}")
-    return vals
+    return tuple(int(v) for v in vals)
 
 
 @dataclass(frozen=True)
@@ -139,6 +140,8 @@ class Population:
             raise ValueError(
                 f"{len(weights)} weights for {len(units)} units"
             )
+        if not all(math.isfinite(w) for w in weights):
+            raise ValueError(f"weights must be finite, got {weights!r}")
         if any(w < 0.0 for w in weights):
             raise ValueError("weights must be nonnegative")
         total = sum(weights)

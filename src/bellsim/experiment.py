@@ -11,7 +11,8 @@ Every trial's randomness is keyed by (seed, trial index) through the
 counter-based generator, so datasets are reproducible and independent of
 the block size. Generation runs a block of consecutive trials at a time as
 numpy ``uint64`` lanes, all of a block's draws in one matrix, and a dataset
-is held as columns (:class:`TrialDataset`), not as one object per trial.
+is held as two arrays, each trial's index and row code (:class:`TrialDataset`),
+not as one object per trial.
 """
 
 from __future__ import annotations
@@ -151,28 +152,58 @@ class TrialRecord:
                 raise ValueError(f"y{name} must be -1 or +1, got {outcome!r}")
 
 
+def _row_code(x1, x2, y1, y2):
+    """A trial's row code, 0 to 80, from its settings and spins (0 undetected)."""
+    return ((x1 * 3 + x2) * 3 + y1 + 1) * 3 + y2 + 1
+
+
+#: The fields ``x1, x2, y1, y2, d1, d2`` of every valid row at its code;
+#: spin 0 means undetected.
+_ROW_FIELDS = np.array(
+    [
+        (x1, x2, y1, y2, y1 != 0, y2 != 0)
+        for x1, x2, y1, y2 in itertools.product((0, 1, 2), (0, 1, 2), (-1, 0, 1), (-1, 0, 1))
+    ],
+    dtype=np.int8,
+)
+
+
+def _row_field(k: int) -> property:
+    """Field ``k`` of :data:`_ROW_FIELDS` at each trial's code, read-only."""
+
+    def get(self) -> np.ndarray:
+        column = _ROW_FIELDS[:, k].take(self.code)
+        column.flags.writeable = False
+        return column
+
+    return property(get)
+
+
 class TrialDataset:
-    """A dataset as columns: ``index`` (int64) and ``x1, x2, y1, y2, d1, d2``
-    (int8), with spin 0 where a particle was not detected.
+    """A dataset as two arrays: ``index`` (int64) and ``code`` (uint8), each
+    trial's row code. ``x1, x2, y1, y2, d1, d2`` are read-only int8 columns
+    read off the codes through :data:`_ROW_FIELDS`, with spin 0 where a
+    particle was not detected.
 
     Iterating yields one :class:`TrialRecord` per trial, and a dataset
-    compares equal to a list of equal records. The columns are trusted to
-    hold valid records: :func:`run_experiment`, :func:`read_dataset_csv` and
+    compares equal to a list of equal records. The codes are trusted to be
+    valid: :func:`run_experiment`, :func:`read_dataset_csv` and
     :meth:`from_records` only build valid ones.
     """
 
-    __slots__ = CSV_HEADER
+    __slots__ = ("index", "code")
     __hash__ = None
 
-    def __init__(self, index, x1, x2, y1, y2, d1, d2) -> None:
+    x1, x2, y1, y2, d1, d2 = (_row_field(k) for k in range(6))
+
+    def __init__(self, index, code) -> None:
         self.index = np.asarray(index, dtype=np.int64)
-        for name, column in zip(CSV_HEADER[1:], (x1, x2, y1, y2, d1, d2)):
-            setattr(self, name, np.asarray(column, dtype=np.int8))
+        self.code = np.asarray(code, dtype=np.uint8)
 
     @classmethod
     def from_records(cls, records: Iterable[TrialRecord]) -> "TrialDataset":
-        rows = [(r.index, r.x1, r.x2, r.y1 or 0, r.y2 or 0, r.d1, r.d2) for r in records]
-        return cls(*np.array(rows, dtype=np.int64).reshape(-1, 7).T)
+        rows = [(r.index, _row_code(r.x1, r.x2, r.y1 or 0, r.y2 or 0)) for r in records]
+        return cls(*np.array(rows, dtype=np.int64).reshape(-1, 2).T)
 
     def columns(self) -> tuple[np.ndarray, ...]:
         return self.index, self.x1, self.x2, self.y1, self.y2, self.d1, self.d2
@@ -195,7 +226,7 @@ class TrialDataset:
             other = TrialDataset.from_records(other)
         if not isinstance(other, TrialDataset):
             return NotImplemented
-        return all(np.array_equal(a, b) for a, b in zip(self.columns(), other.columns()))
+        return np.array_equal(self.index, other.index) and np.array_equal(self.code, other.code)
 
     def __repr__(self) -> str:
         return f"TrialDataset(<{len(self)} trials>)"
@@ -246,13 +277,13 @@ def _draw_settings_lanes(distribution: str, words: np.ndarray):
 
 
 def _sample(config: ExperimentConfig, x1: np.ndarray, x2: np.ndarray, u: np.ndarray) -> tuple:
-    """The source's (y1, y2, d1, d2) for a block of trials from their
-    settings and the ``(draws, trials)`` matrix of their uniforms."""
+    """The source's spins (y1, y2), 0 where undetected, for a block of trials
+    from their settings and the ``(draws, trials)`` matrix of their uniforms."""
     if config.source == SOURCE_QUANTUM:
-        return (*sample_outcome_pair_lanes(x1, x2, match_table(config.angles), u), 1, 1)
+        return sample_outcome_pair_lanes(x1, x2, match_table(config.angles), u)
     if config.source == SOURCE_LOOPHOLE:
         return loophole_mod.sample_loophole_model_lanes(config.solution, x1, x2, u)
-    return (*sample_from_lhv_lanes(config.model, x1, x2, u), 1, 1)
+    return sample_from_lhv_lanes(config.model, x1, x2, u)
 
 
 def run_experiment(config: ExperimentConfig) -> TrialDataset:
@@ -267,8 +298,7 @@ def run_experiment(config: ExperimentConfig) -> TrialDataset:
     change what any trial draws.
     """
     n = config.n_trials
-    data = TrialDataset(np.arange(n), *np.empty((6, n), dtype=np.int8))
-    columns = data.columns()[1:]
+    data = TrialDataset(np.arange(n), np.empty(n, dtype=np.uint8))
     setting_draws = _SETTING_DRAWS[config.setting_distribution]
     draws = setting_draws + _SAMPLER_DRAWS[config.source]
     for start in range(0, n, BLOCK_TRIALS):
@@ -277,9 +307,8 @@ def run_experiment(config: ExperimentConfig) -> TrialDataset:
         if config.setting_distribution == UNIFORM_9:
             _splice_rejected(words, config.seed, start)
         x1, x2 = _draw_settings_lanes(config.setting_distribution, words[:setting_draws])
-        outcomes = _sample(config, x1, x2, uniform_lanes(words[setting_draws:]))
-        for column, value in zip(columns, (x1, x2, *outcomes)):
-            column[start:stop] = value
+        y1, y2 = _sample(config, x1, x2, uniform_lanes(words[setting_draws:]))
+        data.code[start:stop] = _row_code(x1, x2, y1, y2)
     return data
 
 
@@ -337,18 +366,21 @@ class Decision:
         return {"reject_lhv": self.reject_lhv, "margin": self.margin, "alpha": self.alpha}
 
 
-#: Cells of the Bell statistic, as ``x1 * 3 + x2``, in :data:`BELL_PAIRS` order.
-_BELL_CELLS = tuple(i * 3 + j for i, j in BELL_PAIRS)
+def _cell_fold() -> np.ndarray:
+    """The ``(3, 3, 3, 81)`` 0/1 matrix that sends the count of each row code
+    to the trials, the coincidences and the matches of its setting pair."""
+    fold = np.zeros((3, 3, 3, len(_ROW_FIELDS)), dtype=np.int64)
+    for code, (x1, x2, y1, y2, d1, d2) in enumerate(_ROW_FIELDS.tolist()):
+        fold[:, x1, x2, code] = 1, d1 & d2, y1 * y2 == 1
+    return fold
+
+
+_CELL_FOLD = _cell_fold()
 
 
 @lru_cache(maxsize=64)
 def _normal_quantile(p: float) -> float:
     return NormalDist().inv_cdf(p)
-
-
-def _grid(values: list) -> tuple[tuple[int, int, int], ...]:
-    """Nine per-cell values, ``x1 * 3 + x2``, as three rows of three."""
-    return tuple(values[0:3]), tuple(values[3:6]), tuple(values[6:9])
 
 
 def estimate(
@@ -365,7 +397,7 @@ def estimate(
     the two-sided normal one at ``confidence``. Each of the four statistic
     cells must contain at least one coincident trial. ``dataset`` is a
     :class:`TrialDataset` or any iterable of :class:`TrialRecord`, which is
-    converted to one first.
+    converted to one first. Its 81 row-code counts fold into the cell counts.
     """
     if conditioning not in (CONDITION_COINCIDENCES, CONDITION_ALL_PAIRS):
         raise ValueError(f"unknown conditioning {conditioning!r}")
@@ -373,29 +405,20 @@ def estimate(
         raise ValueError(f"confidence {confidence!r} outside (0, 1)")
 
     data = _as_dataset(dataset)
-    # Trials counted per cell and outcome a block at a time, so the
-    # temporaries stay small. The outcome code y1 * y2 + 1 is 0 for a
-    # coincident mismatch, 1 for an undetected spin and 2 for a coincident
-    # match, so counts[cell * 3 + code] counts a cell's trials by outcome.
-    counts = np.zeros(27, dtype=np.int64)
+    # Counted a block at a time, so the temporaries stay small.
+    counts = np.zeros(len(_ROW_FIELDS), dtype=np.int64)
     for start in range(0, len(data), BLOCK_TRIALS):
-        part = slice(start, start + BLOCK_TRIALS)
-        outcome = data.y1[part] * data.y2[part] + 1
-        counts += np.bincount(data.x1[part] * 9 + data.x2[part] * 3 + outcome, minlength=27)
-    counts = counts.tolist()
-    matches = counts[2::3]
-    coinc = [mismatches + m for mismatches, m in zip(counts[0::3], matches)]
-    trials = [c + undetected for c, undetected in zip(coinc, counts[1::3])]
+        counts += np.bincount(data.code[start:start + BLOCK_TRIALS], minlength=len(_ROW_FIELDS))
+    trials, coinc, matches = (tuple(map(tuple, grid)) for grid in (_CELL_FOLD @ counts).tolist())
     denoms = coinc if conditioning == CONDITION_COINCIDENCES else trials
 
     rates = []
     variance = 0.0
-    for cell in _BELL_CELLS:
-        if coinc[cell] == 0:
-            i, j = divmod(cell, 3)
+    for i, j in BELL_PAIRS:
+        if coinc[i][j] == 0:
             raise EstimationError(f"no coincident trials in cell ({i},{j})")
-        denom = denoms[cell]
-        rate = matches[cell] / denom
+        denom = denoms[i][j]
+        rate = matches[i][j] / denom
         rates.append(rate)
         variance += rate * (1.0 - rate) / denom
 
@@ -403,9 +426,9 @@ def estimate(
     std_error = math.sqrt(variance)
     z = _normal_quantile((1.0 + confidence) / 2.0)
     return BellEstimate(
-        trials=_grid(trials),
-        coincidences=_grid(coinc),
-        matches=_grid(matches),
+        trials=trials,
+        coincidences=coinc,
+        matches=matches,
         statistic=statistic,
         std_error=std_error,
         ci_low=statistic - z * std_error,
@@ -427,15 +450,6 @@ def decide(est: BellEstimate, alpha: float = 0.01) -> Decision:
 
 _HEADER = ",".join(CSV_HEADER).encode()
 
-#: The fields of every valid row after its index, at key
-#: ``((x1 * 3 + x2) * 3 + y1 + 1) * 3 + y2 + 1``; spin 0 means undetected.
-_ROW_FIELDS = np.array(
-    [
-        (x1, x2, y1, y2, y1 != 0, y2 != 0)
-        for x1, x2, y1, y2 in itertools.product((0, 1, 2), (0, 1, 2), (-1, 0, 1), (-1, 0, 1))
-    ],
-    dtype=np.int8,
-)
 #: The 81 valid row tails ``,x1,x2,y1,y2,d1,d2`` as ``csv.writer`` writes
 #: them, without the line end: a spin is empty exactly when its flag is 0.
 #: The writer and the reader both use this table, so it defines the format.
@@ -450,13 +464,13 @@ _WRITE_TAILS = _WRITE_TAILS.reshape(len(_ROW_TAILS), _TAIL_BYTES)
 _WRITE_USED = np.arange(_TAIL_BYTES) < np.array([[len(t) + 2] for t in _ROW_TAILS])
 # Reader: each tail as two little-endian words of its zero-padded bytes, its
 # length, and a table from a multiplicative hash of the words' XOR to the
-# key: the 81 tails fill 81 distinct slots of 2048.
+# row code: the 81 tails fill 81 distinct slots of 2048.
 _TAIL_W0, _TAIL_W1 = np.array(_ROW_TAILS, f"S{_TAIL_BYTES}").view("<u8").reshape(-1, 2).T
 _TAIL_LENGTHS = np.array([len(t) for t in _ROW_TAILS])
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 _HASH_SHIFT = np.uint64(64 - 11)
-_TAIL_KEYS = np.zeros(1 << 11, dtype=np.intp)
-_TAIL_KEYS[((_TAIL_W0 ^ _TAIL_W1) * _HASH_MULTIPLIER) >> _HASH_SHIFT] = np.arange(len(_ROW_TAILS))
+_TAIL_CODES = np.zeros(1 << 11, dtype=np.uint8)
+_TAIL_CODES[((_TAIL_W0 ^ _TAIL_W1) * _HASH_MULTIPLIER) >> _HASH_SHIFT] = np.arange(len(_ROW_TAILS))
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 _POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
@@ -465,15 +479,9 @@ _MIN_ROW_BYTES = 1 + min(len(t) for t in _ROW_TAILS) + 1  # "0,0,0,,,0,0\n"
 _CANONICAL_INT = re.compile(rb"-?[1-9][0-9]*|0")
 
 
-def _row_keys(data: TrialDataset, part: slice) -> np.ndarray:
-    """The key in :data:`_ROW_TAILS` of each trial in ``part``."""
-    x1, x2, y1, y2 = (c[part].astype(np.intp) for c in (data.x1, data.x2, data.y1, data.y2))
-    return ((x1 * 3 + x2) * 3 + y1 + 1) * 3 + y2 + 1
-
-
-def _encode_rows(index: np.ndarray, keys: np.ndarray) -> bytes:
+def _encode_rows(index: np.ndarray, codes: np.ndarray) -> bytes:
     """Rows as ``csv.writer`` writes them: each index in decimal, then the
-    tail at its key and ``\\r\\n``.
+    tail at its row code and ``\\r\\n``.
 
     Row ``r`` is laid out in a byte grid with its index right-aligned in the
     first ``width`` columns and its tail from column ``width``; the used
@@ -490,10 +498,10 @@ def _encode_rows(index: np.ndarray, keys: np.ndarray) -> bytes:
         grid[:, column] = digit + ord("0")
     rows = np.flatnonzero(negative)
     grid[rows, width - field[rows]] = ord("-")
-    grid[:, width:] = _WRITE_TAILS[keys]
+    grid[:, width:] = _WRITE_TAILS[codes]
     used = np.empty(grid.shape, dtype=bool)
     used[:, :width] = (np.arange(width) >= width - np.arange(width + 1)[:, None])[field]
-    used[:, width:] = _WRITE_USED[keys]
+    used[:, width:] = _WRITE_USED[codes]
     return grid[used].tobytes()
 
 
@@ -519,7 +527,7 @@ def write_dataset_csv(records: Iterable[TrialRecord], target) -> None:
     write(_HEADER + b"\r\n")
     for start in range(0, len(data), BLOCK_TRIALS):
         part = slice(start, start + BLOCK_TRIALS)
-        write(_encode_rows(data.index[part], _row_keys(data, part)))
+        write(_encode_rows(data.index[part], data.code[part]))
 
 
 def _chunks(source) -> Iterator[bytes | str]:
@@ -594,7 +602,7 @@ def _row_error(line: bytes, number: int) -> ValueError:
 
 
 def _decode_rows(block: bytes, first_line: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The index and row-table key of every row in ``block``, and its number
+    """The index and row code of every row in ``block``, and its number
     of lines, which are whole and numbered from ``first_line``.
 
     Blank lines are skipped; any other line that is not an int64 index in
@@ -622,8 +630,8 @@ def _decode_rows(block: bytes, first_line: int) -> tuple[np.ndarray, np.ndarray,
     length = stops - comma
     w0 = words[comma]
     w1 = words[comma + 8] & _LOW_BYTES[np.clip(length - 8, 0, 8)]
-    keys = _TAIL_KEYS[((w0 ^ w1) * _HASH_MULTIPLIER) >> _HASH_SHIFT]
-    valid = (_TAIL_W0[keys] == w0) & (_TAIL_W1[keys] == w1) & (_TAIL_LENGTHS[keys] == length)
+    codes = _TAIL_CODES[((w0 ^ w1) * _HASH_MULTIPLIER) >> _HASH_SHIFT]
+    valid = (_TAIL_W0[codes] == w0) & (_TAIL_W1[codes] == w1) & (_TAIL_LENGTHS[codes] == length)
 
     # The index, one decimal place at a time from the right.
     negative = a[starts] == ord("-")
@@ -641,17 +649,15 @@ def _decode_rows(block: bytes, first_line: int) -> tuple[np.ndarray, np.ndarray,
     if not valid.all():
         bad = int(np.flatnonzero(~valid)[0])
         raise _row_error(block[starts[bad]:stops[bad]], first_line + int(lines[bad]))
-    return np.where(negative, -magnitude, magnitude).view(np.int64), keys, len(ends)
+    return np.where(negative, -magnitude, magnitude).view(np.int64), codes, len(ends)
 
 
 def _resized(data: TrialDataset, n: int, capacity: int) -> TrialDataset:
-    """The first ``n`` trials of ``data`` in columns with room for ``capacity``."""
-    columns = []
-    for column in data.columns():
-        grown = np.empty(capacity, column.dtype)
-        grown[:n] = column[:n]
-        columns.append(grown)
-    return TrialDataset(*columns)
+    """The first ``n`` trials of ``data`` in arrays with room for ``capacity``."""
+    grown = TrialDataset(np.empty(capacity, np.int64), np.empty(capacity, np.uint8))
+    grown.index[:n] = data.index[:n]
+    grown.code[:n] = data.code[:n]
+    return grown
 
 
 def read_dataset_csv(source) -> TrialDataset:
@@ -668,10 +674,11 @@ def read_dataset_csv(source) -> TrialDataset:
     strictly increasing, as generation produces them. Anything else raises
     ``ValueError``.
 
-    Lines are decoded a block at a time with numpy and written straight
-    into the dataset's columns. For a seekable binary file the columns are
-    allocated once, for as many rows as its length allows (memory never
-    written takes no pages); for any other source they grow by doubling.
+    Lines are decoded a block at a time with numpy, each row's tail to its
+    row code, and written straight into the dataset's two arrays. For a
+    seekable binary file the arrays are allocated once, for as many rows as
+    its length allows (memory never written takes no pages); for any other
+    source they grow by doubling.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
@@ -682,11 +689,11 @@ def read_dataset_csv(source) -> TrialDataset:
     if header != _HEADER:
         raise ValueError(f"unexpected dataset header {_shown(header)!r}")
     capacity = _row_capacity(source) or BLOCK_TRIALS
-    data = TrialDataset(np.empty(capacity, np.int64), *np.empty((6, capacity), np.int8))
+    data = TrialDataset(np.empty(capacity, np.int64), np.empty(capacity, np.uint8))
     n = 0
     line = 2
     for block in itertools.chain([first], blocks):
-        index, keys, lines = _decode_rows(block, line)
+        index, codes, lines = _decode_rows(block, line)
         line += lines
         if not len(index):
             continue
@@ -698,10 +705,9 @@ def read_dataset_csv(source) -> TrialDataset:
             data = _resized(data, n, max(2 * len(data), n + len(index)))
         stop = n + len(index)
         data.index[n:stop] = index
-        for column, values in zip(data.columns()[1:], _ROW_FIELDS.T):
-            values.take(keys, out=column[n:stop])
+        data.code[n:stop] = codes
         n = stop
-    return TrialDataset(*(column[:n] for column in data.columns()))
+    return TrialDataset(data.index[:n], data.code[:n])
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

@@ -12,6 +12,7 @@ deterministic table already bounded by the enumeration result.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -110,39 +111,38 @@ class GridSearchResult:
 def stochastic_bell_search(grid_steps: int) -> GridSearchResult:
     """Maximize the Bell statistic over stochastic models on a probability grid.
 
-    The grid is {0, 1/(g-1), ..., 1} in each of the six probabilities
-    (p1[0..2], p2[0..2]). Ties resolve to the lexicographically lowest grid
-    point. Any grid containing the endpoints has maximum 0, attained at a
-    box vertex: the statistic is multilinear, so no interior point beats the
-    best vertex, and vertices are deterministic tables with maximum 0.
+    The grid is {0, 1/m, ..., 1}, m = g - 1, in each of the six
+    probabilities (p1[0..2], p2[0..2]); ties resolve to the lexicographically
+    lowest grid point. The statistic is computed in integers: at a = i/m and
+    b = j/m, m² times the agreement probability ab + (1-a)(1-b) is
+    ij + (m-i)(m-j). It is multilinear, so no interior point beats the best
+    vertex, and vertices are deterministic tables with maximum 0: every grid
+    reports exactly 0, at the vertex (0, 0, 0, 1, 0, 0).
     """
     if grid_steps < 2:
         raise ValueError(f"grid_steps must be at least 2, got {grid_steps!r}")
-    g = np.linspace(0.0, 1.0, grid_steps)
+    m = grid_steps - 1
+    k = np.arange(grid_steps, dtype=np.int64)
 
-    # Agreement probability s(a, b) = ab + (1-a)(1-b) for each pair in the
-    # statistic; only p1[0], p1[1], p2[0], p2[2] enter, the other two axes
-    # are flat directions.
-    a0 = g[:, None, None, None]
-    a1 = g[None, :, None, None]
-    b0 = g[None, None, :, None]
-    b2 = g[None, None, None, :]
+    # m² times the agreement probability of each pair in the statistic; only
+    # p1[0], p1[1], p2[0], p2[2] enter, so p1[2] and p2[1] are flat axes, and
+    # the first maximum in C order of the 6-D grid has both at index 0.
+    a0 = k[:, None, None, None]
+    a1 = k[None, :, None, None]
+    b0 = k[None, None, :, None]
+    b2 = k[None, None, None, :]
 
     def agree(a, b):
-        return a * b + (1.0 - a) * (1.0 - b)
+        return a * b + (m - a) * (m - b)
 
     stat4 = agree(a1, b2) - agree(a0, b2) - agree(a1, b0) - agree(a0, b0)
-    n = grid_steps
-    full = np.broadcast_to(
-        stat4[:, :, None, :, None, :], (n, n, n, n, n, n)
-    )
-    flat_index = int(np.argmax(full))  # first maximum in C order = lowest lex point
-    idx = np.unravel_index(flat_index, full.shape)
-    argmax = tuple(float(g[k]) for k in idx)
-    value = float(full[idx])
-    is_vertex = all(v in (0.0, 1.0) for v in argmax)
+    i0, i1, j0, j2 = np.unravel_index(int(np.argmax(stat4)), stat4.shape)
+    argmax = tuple(int(i) / m for i in (i0, i1, 0, j0, 0, j2))
     return GridSearchResult(
-        value=value, argmax=argmax, argmax_is_vertex=is_vertex, evaluations=n**6
+        value=int(stat4[i0, i1, j0, j2]) / m**2,
+        argmax=argmax,
+        argmax_is_vertex=all(v in (0.0, 1.0) for v in argmax),
+        evaluations=grid_steps**6,
     )
 
 
@@ -217,16 +217,43 @@ def model_to_dict(model: LocalModel) -> dict:
     raise TypeError(f"not a local model: {model!r}")
 
 
+def _numbers(value, name: str) -> tuple:
+    """``value`` as a tuple when it is a JSON list of finite numbers, else
+    ``ValueError`` naming the entry ``name``."""
+    if isinstance(value, list):
+        try:
+            if all(not isinstance(v, bool) and math.isfinite(v) for v in value):
+                return tuple(value)
+        except (TypeError, OverflowError):  # not a number, or an int beyond the float range
+            pass
+    raise ValueError(f"{name} must be a list of finite numbers, got {value!r}")
+
+
 def model_from_dict(doc: dict) -> LocalModel:
-    """Parse a model document holding either tables+weights or p1+p2."""
+    """Parse a model document: a JSON object holding either ``p1`` and
+    ``p2``, three probabilities each, or ``tables``, a list of objects with
+    three spins ``y1`` and three spins ``y2``, and optionally ``weights``, a
+    list of numbers. Anything else raises ``ValueError`` naming the bad
+    entry."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a model document must be a JSON object, got {type(doc).__name__}")
     if "tables" in doc:
-        units = tuple(
-            CounterfactualTable(tuple(t["y1"]), tuple(t["y2"])) for t in doc["tables"]
-        )
-        weights = tuple(doc.get("weights") or ())
-        return DeterministicLhv(Population(units=units, weights=weights))
+        if not isinstance(doc["tables"], list):
+            raise ValueError(f"model tables must be a list, got {doc['tables']!r}")
+        units = []
+        for k, table in enumerate(doc["tables"]):
+            if not isinstance(table, dict) or not {"y1", "y2"} <= table.keys():
+                raise ValueError(f"model tables[{k}] must be an object with 'y1' and 'y2' entries")
+            try:
+                y1, y2 = (_numbers(table[name], name) for name in ("y1", "y2"))
+                units.append(CounterfactualTable(y1, y2))
+            except ValueError as exc:
+                raise ValueError(f"model tables[{k}]: {exc}") from None
+        weights = doc.get("weights")
+        weights = () if weights is None else _numbers(weights, "model weights")
+        return DeterministicLhv(Population(units=tuple(units), weights=weights))
     if "p1" in doc and "p2" in doc:
-        return StochasticLocalModel(tuple(doc["p1"]), tuple(doc["p2"]))
+        return StochasticLocalModel(_numbers(doc["p1"], "model p1"), _numbers(doc["p2"], "model p2"))
     raise ValueError("model document needs either 'tables' or 'p1'/'p2' entries")
 
 

@@ -418,21 +418,19 @@ def sample_loophole_model(
 
 def sample_loophole_model_lanes(
     solution: LpSolution, x1: np.ndarray, x2: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """:func:`sample_loophole_model` for a block of trials at once.
 
     ``x1``/``x2`` hold each trial's settings and ``u`` is a ``(1, trials)``
-    matrix holding each trial's uniform in [0, 1). Returns
-    (y1, y2, d1, d2) as integer arrays, with spin 0 where a particle is not
-    detected. Spins and flags are read off the 12-bit strategy index in its
-    documented bit order.
+    matrix holding each trial's uniform in [0, 1). Returns the spins
+    (y1, y2) as integer arrays, with 0 where a particle is not detected, so
+    a detection flag is a spin's being nonzero. Spins and flags are read off
+    the 12-bit strategy index in its documented bit order.
     """
     if solution.status != "feasible":
         raise ValueError(f"cannot sample from a {solution.status} solution")
     indices, cumulative = solution._sampling_arrays
     s = indices[np.searchsorted(cumulative, u[0], side="right")]
-    d1 = (s >> (5 - x1)) & 1
-    d2 = (s >> (2 - x2)) & 1
-    y1 = (((s >> (11 - x1)) & 1) * 2 - 1) * d1
-    y2 = (((s >> (8 - x2)) & 1) * 2 - 1) * d2
-    return y1, y2, d1, d2
+    y1 = (((s >> (11 - x1)) & 1) * 2 - 1) * ((s >> (5 - x1)) & 1)
+    y2 = (((s >> (8 - x2)) & 1) * 2 - 1) * ((s >> (2 - x2)) & 1)
+    return y1, y2

@@ -104,11 +104,6 @@ def _mix64_in_place(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def mix64_lanes(z: np.ndarray) -> np.ndarray:
-    """:func:`mix64` of every element of a ``uint64`` array (input left intact)."""
-    return _mix64_in_place(np.array(z, dtype=np.uint64, order="C"))
-
-
 def uniform_lanes(words: np.ndarray) -> np.ndarray:
     """Uniform floats in [0, 1) from ``uint64`` draws, as :meth:`SplitMix64.random`
     builds one from each draw."""

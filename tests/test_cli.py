@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -252,6 +253,30 @@ class TestExitCodes:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "model",
+        (
+            [{"y1": [1, 1, 1], "y2": [1, 1, 1]}],
+            {"tables": 5},
+            {"tables": [{"y1": [1, 1, 1]}]},
+            {"tables": [{"y1": [1, 1, 1], "y2": [1, 1, 1]}], "weights": [None]},
+            {"tables": [{"y1": [1, 1, 1], "y2": [1, 1, 1]}] * 2, "weights": [math.nan, 1.0]},
+            {"tables": [{"y1": [1.5, 1, 1], "y2": [1, 1, 1]}]},
+            {"p1": [10**400, 0, 0], "p2": [0, 0, 0]},
+        ),
+        ids=("a list", "tables not a list", "table without y2", "null weight", "NaN weight",
+             "spin 1.5", "int beyond float"),
+    )
+    def test_malformed_model_file_is_invalid_input(self, model, tmp_path, capsys):
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps(model))
+        code, out, err = run_cli(
+            capsys, "simulate", "--source", "deterministic-lhv", "--model", str(model_file),
+            "--n", "10", "--seed", "1",
+        )
+        assert code == 2
+        assert err.startswith("error:") and "model" in err and out == ""
 
 
 class TestLoopholeCommand:

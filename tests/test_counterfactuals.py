@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -327,6 +328,8 @@ class TestPopulation:
             Population(units=(unit, unit), weights=(1.5, -0.5))
         with pytest.raises(ValueError):
             Population(units=(unit,), weights=(0.5, 0.5))
+        with pytest.raises(ValueError, match="finite"):
+            Population(units=(unit, unit), weights=(math.nan, 1.0))
 
     def test_uniform_default(self):
         pop = Population(units=all_tables()[:4])

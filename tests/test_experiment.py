@@ -119,7 +119,7 @@ class TestConfigValidation:
                            "angles_degrees does not parse: TypeError"),
             "angles as text": ({**doc, "angles_degrees": "abc"},
                                "angles_degrees does not parse: TypeError"),
-            "table without y2": (lhv, "model does not parse: KeyError\\('y2'\\)"),
+            "table without y2": (lhv, "model does not parse: ValueError.*tables\\[0\\].*'y2'"),
             "a list": ([doc], "must be a JSON object"),
         }[case]
         with pytest.raises(ConfigError, match=match):
@@ -333,6 +333,23 @@ class TestLoopholeSourceDecisions:
 
     def test_loophole_records_have_missing_outcomes(self, demo_dataset):
         assert any(r.d1 == 0 or r.d2 == 0 for r in demo_dataset)
+
+
+def test_one_row_table_defines_codes_tails_and_columns(demo_dataset):
+    fields = experiment._ROW_FIELDS.tolist()
+    for code, (x1, x2, y1, y2, d1, d2) in enumerate(fields):
+        assert experiment._row_code(x1, x2, y1, y2) == code
+        assert (d1, d2) == (int(y1 != 0), int(y2 != 0))
+        tail = experiment._ROW_TAILS[code].split(b",")
+        assert tail[0] == b"" and [int(f or 0) for f in tail[1:]] == fields[code]
+    buf = io.BytesIO()
+    write_dataset_csv(demo_dataset, buf)
+    buf.seek(0)
+    for data in (demo_dataset, read_dataset_csv(buf)):
+        assert data.code.dtype == np.uint8 and data.x1.dtype == np.int8
+        assert not data.x1.flags.writeable
+        expected = TrialDataset.from_records(list(data)).columns()
+        assert all(np.array_equal(a, b) for a, b in zip(data.columns(), expected, strict=True))
 
 
 def csv_module_bytes(records) -> bytes:

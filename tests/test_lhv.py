@@ -130,10 +130,11 @@ class TestStochasticExpectedMatch:
 
 
 class TestStochasticSupremum:
-    @pytest.mark.parametrize("grid_steps", [2, 5, 11])
+    @pytest.mark.parametrize("grid_steps", [2, 5, 8, 11, 21])
     def test_supremum_is_zero_with_vertex_argmax(self, grid_steps):
         result = stochastic_bell_search(grid_steps)
-        assert abs(result.value) <= 1e-12
+        assert result.value == 0.0
+        assert result.argmax == (0, 0, 0, 1, 0, 0)
         assert result.argmax_is_vertex
         assert result.evaluations == grid_steps**6
 
