@@ -37,12 +37,15 @@ from .experiment import (
     config_to_dict,
     decide,
     estimate,
-    read_dataset_csv,
+    read_dataset_csv,  # unused here; perfbench/tracing.py patches it
+    read_row_counts,
     run_experiment,
     write_dataset_csv,
     write_metadata,
 )
-from .lhv import DeterministicLhv, StochasticLocalModel, load_model, stochastic_bell_search
+from .lhv import (
+    MAX_GRID_STEPS, DeterministicLhv, StochasticLocalModel, load_model, stochastic_bell_search,
+)
 from .quantum import AngleTriple, match_table
 
 
@@ -203,10 +206,7 @@ def cmd_simulate(args) -> int:
         else:
             print(json.dumps(doc))
     else:
-        if args.out:
-            write_dataset_csv(records, args.out)
-        else:
-            write_dataset_csv(records, sys.stdout)
+        write_dataset_csv(records, args.out or sys.stdout)
     if args.meta:
         write_metadata(config, args.meta)
     elif args.out:
@@ -215,17 +215,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_test(args) -> int:
-    dataset = read_dataset_csv(args.infile or sys.stdin.buffer)
+    counts = read_row_counts(args.infile or sys.stdin.buffer)
     _echo_config(
         {
             "subcommand": "test",
             "alpha": args.alpha,
             "confidence": args.confidence,
             "conditioning": args.conditioning,
-            "n_records": len(dataset),
+            "n_records": int(counts.sum()),
         }
     )
-    est = estimate(dataset, conditioning=args.conditioning, confidence=args.confidence)
+    est = estimate(counts, conditioning=args.conditioning, confidence=args.confidence)
     decision = decide(est, alpha=args.alpha)
     doc = {"estimate": est.to_dict(), "decision": decision.to_dict()}
     verdict = "reject" if decision.reject_lhv else "retain"
@@ -297,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lhv_max)
 
     p = sub.add_parser("stochastic-sup", help="grid supremum over stochastic local models")
-    p.add_argument("--grid-steps", type=int, default=11)
+    p.add_argument("--grid-steps", type=int, default=11,
+                   help=f"grid points per probability, 2 to {MAX_GRID_STEPS} (default 11)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_stochastic_sup)
 

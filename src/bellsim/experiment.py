@@ -341,17 +341,8 @@ class BellEstimate:
         return self.matches[i][j] / denom if denom else math.nan
 
     def to_dict(self) -> dict:
-        return {
-            "trials": [list(r) for r in self.trials],
-            "coincidences": [list(r) for r in self.coincidences],
-            "matches": [list(r) for r in self.matches],
-            "statistic": self.statistic,
-            "std_error": self.std_error,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "confidence": self.confidence,
-            "conditioning": self.conditioning,
-        }
+        grids = ("trials", "coincidences", "matches")
+        return {**vars(self), **{key: [list(r) for r in getattr(self, key)] for key in grids}}
 
 
 @dataclass(frozen=True)
@@ -383,12 +374,35 @@ def _normal_quantile(p: float) -> float:
     return NormalDist().inv_cdf(p)
 
 
+def _counted(code_blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """How often each of the 81 row codes occurs in ``code_blocks``, as int64."""
+    counts = np.zeros(len(_ROW_FIELDS), dtype=np.int64)
+    for codes in code_blocks:
+        counts += np.bincount(codes, minlength=len(_ROW_FIELDS))
+    return counts
+
+
+def _row_counts(dataset) -> np.ndarray:
+    """The 81 row-code counts of ``dataset``; an array of them is checked and cast to int64."""
+    if not isinstance(dataset, np.ndarray):
+        code = _as_dataset(dataset).code
+        return _counted(code[i:i + BLOCK_TRIALS] for i in range(0, len(code), BLOCK_TRIALS))
+    if dataset.shape != (len(_ROW_FIELDS),) or dataset.dtype.kind not in "iu":
+        raise ValueError(f"row counts need shape (81,) and an integer dtype, "
+                         f"got shape {dataset.shape} and dtype {dataset.dtype}")
+    counts = dataset.astype(np.int64)  # a uint64 count from 2**63 wraps negative
+    if (counts < 0).any() or sum(counts.tolist()) >= 2**63:
+        raise ValueError(f"row counts must be non-negative and total below 2**63, "
+                         f"got least {dataset.min()} and total {sum(dataset.tolist())}")
+    return counts
+
+
 def estimate(
-    dataset: Iterable[TrialRecord],
+    dataset: Iterable[TrialRecord] | np.ndarray,
     conditioning: str = CONDITION_COINCIDENCES,
     confidence: float = 0.99,
 ) -> BellEstimate:
-    """Estimate the Bell statistic from a dataset.
+    """Estimate the Bell statistic from a dataset or its row counts.
 
     Per cell, the match rate is matches over coincidences
     ("coincidences-only") or matches over all trials of that cell
@@ -396,19 +410,16 @@ def estimate(
     error treats the four cells as independent binomials and the interval is
     the two-sided normal one at ``confidence``. Each of the four statistic
     cells must contain at least one coincident trial. ``dataset`` is a
-    :class:`TrialDataset` or any iterable of :class:`TrialRecord`, which is
-    converted to one first. Its 81 row-code counts fold into the cell counts.
+    :class:`TrialDataset`, any iterable of :class:`TrialRecord`, or a numpy
+    array of its 81 row-code counts, non-negative integers, as
+    :func:`read_row_counts` returns. The counts fold into the cell counts.
     """
     if conditioning not in (CONDITION_COINCIDENCES, CONDITION_ALL_PAIRS):
         raise ValueError(f"unknown conditioning {conditioning!r}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence {confidence!r} outside (0, 1)")
 
-    data = _as_dataset(dataset)
-    # Counted a block at a time, so the temporaries stay small.
-    counts = np.zeros(len(_ROW_FIELDS), dtype=np.int64)
-    for start in range(0, len(data), BLOCK_TRIALS):
-        counts += np.bincount(data.code[start:start + BLOCK_TRIALS], minlength=len(_ROW_FIELDS))
+    counts = _row_counts(dataset)
     trials, coinc, matches = (tuple(map(tuple, grid)) for grid in (_CELL_FOLD @ counts).tolist())
     denoms = coinc if conditioning == CONDITION_COINCIDENCES else trials
 
@@ -475,7 +486,6 @@ _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 _POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
 _MAX_DIGITS = 19  # of an int64
-_MIN_ROW_BYTES = 1 + min(len(t) for t in _ROW_TAILS) + 1  # "0,0,0,,,0,0\n"
 _CANONICAL_INT = re.compile(rb"-?[1-9][0-9]*|0")
 
 
@@ -530,17 +540,6 @@ def write_dataset_csv(records: Iterable[TrialRecord], target) -> None:
         write(_encode_rows(data.index[part], data.code[part]))
 
 
-def _chunks(source) -> Iterator[bytes | str]:
-    read = getattr(source, "read", None)
-    if read is not None:
-        while chunk := read(BLOCK_TRIALS * 16):
-            yield chunk
-    else:
-        lines = iter(source)
-        while chunk := "".join(itertools.islice(lines, BLOCK_TRIALS)):
-            yield chunk
-
-
 def _line_blocks(source) -> Iterator[bytes]:
     """The bytes of ``source`` in blocks of whole lines, each ending in
     ``\\n`` (supplied if the last line lacks it).
@@ -548,8 +547,13 @@ def _line_blocks(source) -> Iterator[bytes]:
     ``source`` is a binary or text file object, read a mebibyte at a time,
     or an iterable of text lines, taken :data:`BLOCK_TRIALS` at a time.
     """
+    if hasattr(source, "read"):
+        chunks = iter(lambda: source.read(BLOCK_TRIALS * 16), source.read(0))  # b"" or ""
+    else:
+        lines = iter(source)
+        chunks = iter(lambda: "".join(itertools.islice(lines, BLOCK_TRIALS)), "")
     pending = []  # the chunks of a line not yet ended
-    for chunk in _chunks(source):
+    for chunk in chunks:
         if isinstance(chunk, str):
             chunk = chunk.encode()
         cut = chunk.rfind(b"\n") + 1
@@ -560,17 +564,6 @@ def _line_blocks(source) -> Iterator[bytes]:
             pending.append(chunk)
     if any(pending):
         yield b"".join([*pending, b"\n"])
-
-
-def _row_capacity(source) -> int | None:
-    """Most rows the rest of a seekable binary file can hold, or None for any
-    other source: a row takes at least :data:`_MIN_ROW_BYTES` bytes."""
-    if not isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or not source.seekable():
-        return None
-    start = source.tell()
-    size = source.seek(0, io.SEEK_END) - start
-    source.seek(start)
-    return size // _MIN_ROW_BYTES + 1
 
 
 def _shown(text: bytes) -> str:
@@ -652,12 +645,29 @@ def _decode_rows(block: bytes, first_line: int) -> tuple[np.ndarray, np.ndarray,
     return np.where(negative, -magnitude, magnitude).view(np.int64), codes, len(ends)
 
 
-def _resized(data: TrialDataset, n: int, capacity: int) -> TrialDataset:
-    """The first ``n`` trials of ``data`` in arrays with room for ``capacity``."""
-    grown = TrialDataset(np.empty(capacity, np.int64), np.empty(capacity, np.uint8))
-    grown.index[:n] = data.index[:n]
-    grown.code[:n] = data.code[:n]
-    return grown
+def _dataset_blocks(source) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The index and row code of each row of the dataset CSV ``source``, a block at
+    a time; only the last index read is kept across blocks, to check the order."""
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            yield from _dataset_blocks(fh)
+        return
+    blocks = _line_blocks(source)
+    header, _, first = next(blocks, b"").partition(b"\n")
+    header = header.removesuffix(b"\r")
+    if header != _HEADER:
+        raise ValueError(f"unexpected dataset header {_shown(header)!r}")
+    last = np.empty(0, np.int64)
+    line = 2
+    for block in itertools.chain([first], blocks):
+        index, codes, lines = _decode_rows(block, line)
+        line += lines
+        ordered = np.concatenate((last, index))
+        backward = np.flatnonzero(ordered[1:] <= ordered[:-1])
+        if len(backward):
+            raise ValueError(f"trial indices not strictly increasing at {ordered[backward[0] + 1]}")
+        last = ordered[-1:]
+        yield index, codes
 
 
 def read_dataset_csv(source) -> TrialDataset:
@@ -674,40 +684,21 @@ def read_dataset_csv(source) -> TrialDataset:
     strictly increasing, as generation produces them. Anything else raises
     ``ValueError``.
 
-    Lines are decoded a block at a time with numpy, each row's tail to its
-    row code, and written straight into the dataset's two arrays. For a
-    seekable binary file the arrays are allocated once, for as many rows as
-    its length allows (memory never written takes no pages); for any other
-    source they grow by doubling.
+    Lines are decoded a block at a time with numpy, each row's tail to its row
+    code, and the blocks are joined; :func:`read_row_counts` needs no join.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            return read_dataset_csv(fh)
-    blocks = _line_blocks(source)
-    header, _, first = next(blocks, b"").partition(b"\n")
-    header = header.removesuffix(b"\r")
-    if header != _HEADER:
-        raise ValueError(f"unexpected dataset header {_shown(header)!r}")
-    capacity = _row_capacity(source) or BLOCK_TRIALS
-    data = TrialDataset(np.empty(capacity, np.int64), np.empty(capacity, np.uint8))
-    n = 0
-    line = 2
-    for block in itertools.chain([first], blocks):
-        index, codes, lines = _decode_rows(block, line)
-        line += lines
-        if not len(index):
-            continue
-        ordered = index if n == 0 else np.concatenate((data.index[n - 1:n], index))
-        backward = np.flatnonzero(ordered[1:] <= ordered[:-1])
-        if len(backward):
-            raise ValueError(f"trial indices not strictly increasing at {ordered[backward[0] + 1]}")
-        if n + len(index) > len(data):
-            data = _resized(data, n, max(2 * len(data), n + len(index)))
-        stop = n + len(index)
-        data.index[n:stop] = index
-        data.code[n:stop] = codes
-        n = stop
-    return TrialDataset(data.index[:n], data.code[:n])
+    index, code = [np.empty(0, np.int64)], [np.empty(0, np.uint8)]
+    for block_index, block_code in _dataset_blocks(source):
+        index.append(block_index)
+        code.append(block_code)
+    return TrialDataset(np.concatenate(index), np.concatenate(code))
+
+
+def read_row_counts(source) -> np.ndarray:
+    """The 81 row-code counts of the dataset CSV ``source``, read and checked
+    as :func:`read_dataset_csv` does, but in constant memory: each block is
+    counted and dropped."""
+    return _counted(codes for _, codes in _dataset_blocks(source))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

@@ -98,6 +98,10 @@ def stochastic_expected_match(model: StochasticLocalModel, x1: int, x2: int) -> 
     return a * b + (1.0 - a) * (1.0 - b)
 
 
+#: Largest grid :func:`stochastic_bell_search` takes: its n**4 int64 arrays peak near 103 MiB.
+MAX_GRID_STEPS = 51
+
+
 @dataclass(frozen=True)
 class GridSearchResult:
     """Outcome of the exhaustive grid search over stochastic models."""
@@ -117,10 +121,11 @@ def stochastic_bell_search(grid_steps: int) -> GridSearchResult:
     b = j/m, m² times the agreement probability ab + (1-a)(1-b) is
     ij + (m-i)(m-j). It is multilinear, so no interior point beats the best
     vertex, and vertices are deterministic tables with maximum 0: every grid
-    reports exactly 0, at the vertex (0, 0, 0, 1, 0, 0).
+    reports exactly 0, at the vertex (0, 0, 0, 1, 0, 0). A grid outside 2
+    to :data:`MAX_GRID_STEPS` raises ``ValueError`` before any allocation.
     """
-    if grid_steps < 2:
-        raise ValueError(f"grid_steps must be at least 2, got {grid_steps!r}")
+    if not 2 <= grid_steps <= MAX_GRID_STEPS:
+        raise ValueError(f"grid_steps must be 2 to {MAX_GRID_STEPS}, got {grid_steps!r}")
     m = grid_steps - 1
     k = np.arange(grid_steps, dtype=np.int64)
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from bellsim.cli import main
+from bellsim.lhv import MAX_GRID_STEPS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -83,6 +84,14 @@ class TestSmallAnalyses:
         assert abs(doc["supremum"]) <= 1e-12
         assert doc["argmax_is_vertex"] is True
         assert doc["evaluations"] == 5**6
+
+    def test_grid_beyond_the_bound_is_invalid_input(self, capsys):
+        code, out, err = run_cli(capsys, "stochastic-sup", "--grid-steps", "100000")
+        assert code == 2 and out == ""
+        assert err == f"error: grid_steps must be 2 to {MAX_GRID_STEPS}, got 100000\n"
+        with pytest.raises(SystemExit):
+            main(["stochastic-sup", "--help"])
+        assert f"2 to {MAX_GRID_STEPS}" in capsys.readouterr().out
 
 
 class TestSimulateAndTest:

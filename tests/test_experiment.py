@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from bellsim.experiment import (
     decide,
     estimate,
     read_dataset_csv,
+    read_row_counts,
     run_experiment,
     write_dataset_csv,
 )
@@ -270,6 +272,29 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate(_hand_dataset(), conditioning="sometimes")
 
+    @pytest.mark.parametrize("dtype", (np.int64, np.int32, np.uint64))
+    def test_row_counts_estimate_as_their_dataset(self, dtype, demo_dataset):
+        counts = np.bincount(demo_dataset.code, minlength=81).astype(dtype)
+        for conditioning in (CONDITION_COINCIDENCES, CONDITION_ALL_PAIRS):
+            assert estimate(counts, conditioning) == estimate(demo_dataset, conditioning)
+
+    @pytest.mark.parametrize(
+        ("counts", "match"),
+        (
+            (np.ones(80, np.int64), r"shape \(81,\) .* got shape \(80,\)"),
+            (np.ones((9, 9), np.int64), r"got shape \(9, 9\)"),
+            (np.ones(81), "dtype float64"),
+            (np.ones(81, bool), "dtype bool"),
+            (np.ones(81, object), "dtype object"),
+            (np.array([1] * 80 + [-3]), "non-negative .* got least -3"),
+            (np.array([1] * 80 + [2**63], np.uint64), "non-negative .* got least 1 "),
+            (np.full(81, 2**62, np.int64), f"total below 2\\*\\*63, .* total {81 * 2**62}"),
+        ),
+    )
+    def test_rejects_malformed_row_counts(self, counts, match):
+        with pytest.raises(ValueError, match=f"^row counts .*{match}"):
+            estimate(counts)
+
 
 class TestDecide:
     def test_quantum_run_rejects(self):
@@ -365,6 +390,33 @@ def csv_module_bytes(records) -> bytes:
     return out.getvalue().encode("ascii")
 
 
+#: Both readers of the dataset CSV: every input either reads or fails the same way.
+READERS = (read_dataset_csv, read_row_counts)
+
+
+def assert_reads(read, source, records):
+    """``read`` of ``source`` gives ``records``, or their 81 row-code counts
+    for :func:`read_row_counts`."""
+    got = read(source)
+    if read is read_row_counts:
+        code = experiment._as_dataset(records).code
+        assert got.dtype == np.int64 and np.array_equal(got, np.bincount(code, minlength=81))
+    else:
+        assert got == records
+
+
+def reader_error(source, match=None):
+    """The ``ValueError`` message both readers give for the CSV text
+    ``source``, from a text and a binary stream; all four must agree."""
+    messages = set()
+    for read, stream in itertools.product(READERS, (io.StringIO, io.BytesIO)):
+        with pytest.raises(ValueError, match=match) as exc:
+            read(stream(source if stream is io.StringIO else source.encode()))
+        messages.add(str(exc.value))
+    assert len(messages) == 1, messages
+    return messages.pop()
+
+
 @st.composite
 def valid_records(draw):
     """Valid records with strictly increasing int64 indices, always including
@@ -395,11 +447,11 @@ def test_csv_round_trip_property(block_trials, records):
         text = io.StringIO()
         write_dataset_csv(TrialDataset.from_records(records), text)
         assert text.getvalue().encode("ascii") == expected
-        for data in (expected, expected.replace(b"\r\n", b"\n")):
-            assert read_dataset_csv(io.BytesIO(data)) == records
-            assert read_dataset_csv(io.StringIO(data.decode("ascii"))) == records
+        for data, read in itertools.product((expected, expected.replace(b"\r\n", b"\n")), READERS):
+            assert_reads(read, io.BytesIO(data), records)
+            assert_reads(read, io.StringIO(data.decode("ascii")), records)
             lines = data.decode("ascii").splitlines(keepends=True)
-            assert read_dataset_csv(iter(lines)) == records
+            assert_reads(read, iter(lines), records)
 
 
 class TestSerialization:
@@ -411,29 +463,30 @@ class TestSerialization:
         ]
         buf = io.StringIO()
         write_dataset_csv(records, buf)
-        assert read_dataset_csv(io.StringIO(buf.getvalue())) == records
+        for read in READERS:
+            assert_reads(read, io.StringIO(buf.getvalue()), records)
 
     def test_csv_file_round_trip(self, tmp_path):
         path = tmp_path / "data.csv"
         records = run_experiment(quantum_config(n=50))
         write_dataset_csv(records, path)
-        assert read_dataset_csv(path) == records
+        for read in READERS:
+            assert_reads(read, path, records)
+            assert_reads(read, str(path), records)
 
     def test_reader_rejects_bad_header(self):
-        with pytest.raises(ValueError):
-            read_dataset_csv(io.StringIO("a,b,c\n"))
-        with pytest.raises(ValueError):
-            read_dataset_csv(io.StringIO(""))
+        reader_error("a,b,c\n", match="unexpected dataset header")
+        reader_error("", match="unexpected dataset header")
 
     def test_reader_rejects_lone_carriage_return_line_ends(self):
         text = "index,x1,x2,y1,y2,d1,d2\r" + "".join(f"{i},0,0,,,0,0\r" for i in range(500))
-        with pytest.raises(ValueError, match="unexpected dataset header") as exc:
-            read_dataset_csv(io.BytesIO(text.encode()))
-        assert len(str(exc.value)) < 120  # the one long "line" is cut in the message
+        message = reader_error(text, match="unexpected dataset header")
+        assert len(message) < 120  # the one long "line" is cut in the message
 
     def test_reader_returns_empty_dataset_for_header_only(self):
         data = read_dataset_csv(io.StringIO("index,x1,x2,y1,y2,d1,d2\r\n\r\n"))
         assert len(data) == 0 and data == []
+        assert_reads(read_row_counts, io.StringIO("index,x1,x2,y1,y2,d1,d2\r\n\r\n"), [])
 
     @pytest.mark.parametrize(
         "row",
@@ -467,10 +520,7 @@ class TestSerialization:
     )
     def test_reader_rejects_malformed_rows(self, row):
         text = f"index,x1,x2,y1,y2,d1,d2\r\n-5,1,2,1,-1,1,1\r\n{row}\r\n"
-        with pytest.raises(ValueError, match=r"^(line 3|trial -?\d+): "):
-            read_dataset_csv(io.StringIO(text))
-        with pytest.raises(ValueError, match=r"^(line 3|trial -?\d+): "):
-            read_dataset_csv(io.BytesIO(text.encode()))
+        reader_error(text, match=r"^(line 3|trial -?\d+): ")
 
     def test_reader_accepts_lf_blank_lines_and_a_missing_last_line_end(self):
         text = "index,x1,x2,y1,y2,d1,d2\n\n-7,1,2,1,-1,1,1\r\n\r\n0,0,0,,,0,0\n12,2,1,,-1,0,1"
@@ -479,8 +529,9 @@ class TestSerialization:
             TrialRecord(index=0, x1=0, x2=0, y1=None, y2=None, d1=0, d2=0),
             TrialRecord(index=12, x1=2, x2=1, y1=None, y2=-1, d1=0, d2=1),
         ]
-        assert read_dataset_csv(io.StringIO(text)) == expected
-        assert read_dataset_csv(io.BytesIO(text.encode())) == expected
+        for read in READERS:
+            assert_reads(read, io.StringIO(text), expected)
+            assert_reads(read, io.BytesIO(text.encode()), expected)
 
     def test_every_valid_row_round_trips(self, tmp_path):
         rows = list(itertools.product(range(3), range(3), (-1, 0, 1), (-1, 0, 1)))
@@ -493,21 +544,24 @@ class TestSerialization:
         path = tmp_path / "all.csv"
         write_dataset_csv(records, path)
         assert path.read_bytes() == csv_module_bytes(records)
-        assert read_dataset_csv(path) == records
+        for read in READERS:
+            assert_reads(read, path, records)
 
     def test_reader_streams_in_blocks(self, monkeypatch):
         records = run_experiment(quantum_config(n=50, seed=4))
         buf = io.StringIO()
         write_dataset_csv(records, buf)
         monkeypatch.setattr(experiment, "BLOCK_TRIALS", 7)
-        assert read_dataset_csv(io.StringIO(buf.getvalue())) == records
+        for read in READERS:
+            assert_reads(read, io.StringIO(buf.getvalue()), records)
         buf2 = io.StringIO()
         write_dataset_csv(records, buf2)
         assert buf2.getvalue() == buf.getvalue()
         lines = buf.getvalue().splitlines(keepends=True)
         lines[8] = lines[8].replace("7,", "6,", 1)  # repeats index 6 (see also the next test)
-        with pytest.raises(ValueError, match="not strictly increasing at 6"):
-            read_dataset_csv(iter(lines))
+        for read in READERS:
+            with pytest.raises(ValueError, match="not strictly increasing at 6"):
+                read(iter(lines))
 
     @pytest.mark.parametrize("repeat", (1, 2, 5))
     def test_reader_checks_order_across_every_block_boundary(self, repeat, monkeypatch):
@@ -519,10 +573,27 @@ class TestSerialization:
         lines = buf.getvalue().splitlines(keepends=True)
         lines[repeat + 1] = lines[repeat + 1].replace(f"{repeat},", f"{repeat - 1},", 1)
         monkeypatch.setattr(experiment, "BLOCK_TRIALS", 1)
-        with pytest.raises(ValueError, match=f"not strictly increasing at {repeat - 1}$"):
-            read_dataset_csv(iter(lines))
-        with pytest.raises(ValueError, match=f"not strictly increasing at {repeat - 1}$"):
-            read_dataset_csv(io.BytesIO("".join(lines).encode()))
+        for read in READERS:
+            with pytest.raises(ValueError, match=f"not strictly increasing at {repeat - 1}$"):
+                read(iter(lines))
+        message = f"trial indices not strictly increasing at {repeat - 1}"
+        assert reader_error("".join(lines)) == message
+
+    def test_counting_does_not_hold_the_rows(self, tmp_path):
+        # read_row_counts keeps one block at a time, so ten times the rows
+        # must not raise its traced peak; read_dataset_csv's grows by 8 MiB.
+        peaks = []
+        for n in (10**5, 10**6):
+            path = tmp_path / f"{n}.csv"
+            write_dataset_csv(run_experiment(quantum_config(n=n)), path)
+            tracemalloc.start()
+            try:
+                counts = read_row_counts(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert counts.sum() == n
+        assert peaks[1] - peaks[0] <= 2 * 2**20, peaks
 
     def test_writer_accepts_any_order_and_matches_csv_module(self):
         records = [
@@ -546,8 +617,7 @@ class TestSerialization:
             ],
             buf,
         )
-        with pytest.raises(ValueError):
-            read_dataset_csv(io.StringIO(buf.getvalue()))
+        reader_error(buf.getvalue(), match="not strictly increasing at 5")
 
     def test_config_metadata_round_trip(self):
         for cfg in (quantum_config(), single_table_config()):

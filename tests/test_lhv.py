@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from bellsim.counterfactuals import (
     bell_statistic,
 )
 from bellsim.lhv import (
+    MAX_GRID_STEPS,
     DeterministicLhv,
     StochasticLocalModel,
     lhv_match_table,
@@ -158,6 +160,16 @@ class TestStochasticSupremum:
     def test_rejects_degenerate_grid(self):
         with pytest.raises(ValueError):
             stochastic_bell_supremum(1)
+
+    def test_rejects_grid_beyond_the_bound_before_allocating(self):
+        tracemalloc.start()
+        try:
+            too_large = MAX_GRID_STEPS + 1
+            with pytest.raises(ValueError, match=f"2 to {MAX_GRID_STEPS}, got {too_large}"):
+                stochastic_bell_search(too_large)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
 
     def test_argmax_is_lexicographically_lowest(self):
         result = stochastic_bell_search(3)
