@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .quantum import SETTINGS, AngleTriple, _check_setting, match_table
+from .quantum import AngleTriple, _check_setting, match_table
 
 #: Setting pairs entering the Bell statistic, in the order its terms appear:
 #: + (1,2), - (0,2), - (1,0), - (0,0).
@@ -293,20 +293,13 @@ def theorem1_contradiction_trace(branch: str) -> DerivationTrace:
     return DerivationTrace(branch=branch, steps=tuple(steps))
 
 
-def exists_local_table_with_pattern(
-    pattern: MPattern, require_anticorrelated_diagonal: bool = False
-) -> CounterfactualTable | None:
+def exists_local_table_with_pattern(pattern: MPattern) -> CounterfactualTable | None:
     """First local unit realizing ``pattern`` at the four Bell pairs, if any.
 
-    Scans all 64 units in documented index order; with the diagonal flag only
-    the 8 units with y1[i] = -y2[i] for every i are candidates. Returns None
-    when no unit realizes the pattern, as happens for the witness pattern.
+    Scans all 64 units in documented index order. Returns None when no unit
+    realizes the pattern, as happens for the witness pattern.
     """
     for table in all_tables():
-        if require_anticorrelated_diagonal and any(
-            table.y1[i] != -table.y2[i] for i in SETTINGS
-        ):
-            continue
         if MPattern.from_table(table) == pattern:
             return table
     return None

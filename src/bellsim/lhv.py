@@ -238,8 +238,8 @@ def model_from_dict(doc: dict) -> LocalModel:
     """Parse a model document: a JSON object holding either ``p1`` and
     ``p2``, three probabilities each, or ``tables``, a list of objects with
     three spins ``y1`` and three spins ``y2``, and optionally ``weights``, a
-    list of numbers. Anything else raises ``ValueError`` naming the bad
-    entry."""
+    list of numbers, one per table. Anything else raises ``ValueError``
+    naming the bad entry."""
     if not isinstance(doc, dict):
         raise ValueError(f"a model document must be a JSON object, got {type(doc).__name__}")
     if "tables" in doc:
@@ -254,8 +254,14 @@ def model_from_dict(doc: dict) -> LocalModel:
                 units.append(CounterfactualTable(y1, y2))
             except ValueError as exc:
                 raise ValueError(f"model tables[{k}]: {exc}") from None
-        weights = doc.get("weights")
-        weights = () if weights is None else _numbers(weights, "model weights")
+        weights = ()
+        if doc.get("weights") is not None:
+            weights = _numbers(doc["weights"], "model weights")
+            if len(weights) != len(units):
+                raise ValueError(
+                    f"model weights must hold one weight per table, got {len(weights)} "
+                    f"for {len(units)} tables"
+                )
         return DeterministicLhv(Population(units=tuple(units), weights=weights))
     if "p1" in doc and "p2" in doc:
         return StochasticLocalModel(_numbers(doc["p1"], "model p1"), _numbers(doc["p2"], "model p2"))

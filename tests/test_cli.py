@@ -271,11 +271,12 @@ class TestExitCodes:
             {"tables": [{"y1": [1, 1, 1]}]},
             {"tables": [{"y1": [1, 1, 1], "y2": [1, 1, 1]}], "weights": [None]},
             {"tables": [{"y1": [1, 1, 1], "y2": [1, 1, 1]}] * 2, "weights": [math.nan, 1.0]},
+            {"tables": [{"y1": [1, 1, 1], "y2": [1, 1, 1]}] * 3, "weights": []},
             {"tables": [{"y1": [1.5, 1, 1], "y2": [1, 1, 1]}]},
             {"p1": [10**400, 0, 0], "p2": [0, 0, 0]},
         ),
         ids=("a list", "tables not a list", "table without y2", "null weight", "NaN weight",
-             "spin 1.5", "int beyond float"),
+             "empty weights", "spin 1.5", "int beyond float"),
     )
     def test_malformed_model_file_is_invalid_input(self, model, tmp_path, capsys):
         model_file = tmp_path / "model.json"

@@ -135,7 +135,6 @@ class TestContradictionTrace:
 class TestExistsLocalTable:
     def test_witness_pattern_is_unrealizable(self):
         assert exists_local_table_with_pattern(WITNESS_PATTERN) is None
-        assert exists_local_table_with_pattern(WITNESS_PATTERN, True) is None
 
     def test_all_match_pattern(self):
         found = exists_local_table_with_pattern(MPattern(m00=1, m12=1, m02=1, m10=1))
@@ -156,18 +155,6 @@ class TestExistsLocalTable:
                 assert found is not None and brute_force_pattern(found) == bits
             else:
                 assert found is None
-
-    def test_diagonal_restriction_scans_eight_tables(self):
-        anti = [
-            t
-            for t in brute_force_tables()
-            if all(t.y1[i] == -t.y2[i] for i in range(3))
-        ]
-        assert len(anti) == 8
-        realizable = {brute_force_pattern(t) for t in anti}
-        for bits in itertools.product((0, 1), repeat=4):
-            found = exists_local_table_with_pattern(MPattern(*bits), True)
-            assert (found is not None) == (bits in realizable)
 
 
 class TestBellStatistic:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bellsim import simplex
 from bellsim.simplex import LinearProgram, SimplexError, feasible, solve
 
 
@@ -94,10 +95,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             lp([np.nan])
 
-    def test_iteration_guard_raises_solver_error(self):
+    def test_iteration_guard_raises_solver_error(self, monkeypatch):
         program = lp([1, 1], a_ub=[[1, 1]], b_ub=[1])
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
         with pytest.raises(SimplexError):
-            solve(program, max_iterations=0)
+            solve(program)
 
 
 class TestRandomFeasiblePrograms:
