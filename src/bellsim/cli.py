@@ -29,7 +29,6 @@ from .experiment import (
     SOURCES,
     SOURCE_DETERMINISTIC_LHV,
     SOURCE_LOOPHOLE,
-    SOURCE_QUANTUM,
     SOURCE_STOCHASTIC_LHV,
     UNIFORM_4,
     UNIFORM_9,
@@ -43,9 +42,7 @@ from .experiment import (
     write_dataset_csv,
     write_metadata,
 )
-from .lhv import (
-    MAX_GRID_STEPS, DeterministicLhv, StochasticLocalModel, load_model, stochastic_bell_search,
-)
+from .lhv import MAX_GRID_STEPS, load_model, stochastic_bell_search
 from .quantum import AngleTriple, match_table
 
 
@@ -153,32 +150,17 @@ def cmd_stochastic_sup(args) -> int:
     return 0
 
 
-class SystemExit2(Exception):
-    """Usage error discovered after argparse; converted to exit code 2."""
-
-
 def _build_config(args) -> ExperimentConfig:
+    """The experiment the flags describe; :class:`ExperimentConfig` judges it."""
     seed = _resolve_seed(args.seed)
-    model = None
-    solution = None
-    if args.source in (SOURCE_DETERMINISTIC_LHV, SOURCE_STOCHASTIC_LHV):
-        if not args.model:
-            raise SystemExit2(f"source {args.source} needs --model FILE")
-        model = load_model(args.model)
-        expected = (
-            DeterministicLhv if args.source == SOURCE_DETERMINISTIC_LHV else StochasticLocalModel
-        )
-        if not isinstance(model, expected):
-            raise SystemExit2(f"model file holds a {type(model).__name__}, not {expected.__name__}")
-    elif args.source == SOURCE_LOOPHOLE:
-        if args.solution:
-            solution = loophole_mod.load_solution(args.solution)
-        elif args.angles is not None:
-            solution = loophole_mod.demonstration_solution(match_table(args.angles))
-        else:
-            raise SystemExit2("loophole source needs --solution FILE or --angles")
-    if args.source == SOURCE_QUANTUM and args.angles is None:
-        raise SystemExit2("quantum source needs --angles")
+    model = load_model(args.model) if args.model else None
+    solution = loophole_mod.load_solution(args.solution) if args.solution else None
+    if args.source in (SOURCE_DETERMINISTIC_LHV, SOURCE_STOCHASTIC_LHV) and model is None:
+        raise ValueError(f"source {args.source} needs --model FILE")
+    if args.source == SOURCE_LOOPHOLE and solution is None:
+        if args.angles is None:
+            raise ValueError("loophole source needs --solution FILE or --angles")
+        solution = loophole_mod.demonstration_solution(match_table(args.angles))
     return ExperimentConfig(
         n_trials=args.n,
         seed=seed,
@@ -240,6 +222,8 @@ def cmd_test(args) -> int:
 
 
 def cmd_loophole(args) -> int:
+    if args.max_efficiency and args.save:
+        raise ValueError("--save needs a solution, and --max-efficiency computes none")
     targets = match_table(args.angles)
     _echo_config(
         {
@@ -329,10 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("loophole", help="faking LP at an efficiency floor, or the max efficiency")
     p.add_argument("--angles", type=_parse_angles, required=True)
-    p.add_argument("--floor", type=float, default=0.0)
-    p.add_argument("--max-efficiency", action="store_true")
-    p.add_argument("--demo", action="store_true",
-                   help="solve the stealth demonstration variant instead")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--floor", type=float, default=0.0)
+    mode.add_argument("--max-efficiency", action="store_true")
+    mode.add_argument("--demo", action="store_true",
+                      help="solve the stealth demonstration variant instead")
     p.add_argument("--save", help="write a feasible solution to this JSON file")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_loophole)
@@ -351,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SystemExit2, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

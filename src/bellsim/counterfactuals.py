@@ -314,11 +314,9 @@ def find_interaction_unit(pop: Population) -> int | None:
     returned. Populations of CounterfactualTables always return None, since
     no local unit realizes the witness pattern.
     """
-    patterns = pop.patterns()
-    statistic = sum(w * p.bell_value() for w, p in zip(pop.weights, patterns))
-    if statistic <= 0.0:
+    if pop.bell_statistic() <= 0.0:
         return None
-    for idx, p in enumerate(patterns):
+    for idx, p in enumerate(pop.patterns()):
         if p == WITNESS_PATTERN:
             return idx
     raise AssertionError("positive Bell statistic without a witness unit")

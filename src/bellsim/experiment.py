@@ -43,19 +43,24 @@ from .lhv import (
     sample_from_lhv,
     sample_from_lhv_lanes,
 )
-from .quantum import AngleTriple, match_table, sample_outcome_pair, sample_outcome_pair_lanes
-from .rng import SplitMix64, SplitMix64Lanes, derive_seed, uniform_lanes
+from .quantum import (
+    AngleTriple, _check_setting, match_table, sample_outcome_pair, sample_outcome_pair_lanes,
+)
+from .rng import SplitMix64, derive_seed, lane_draws, uniform_lanes
 
 SOURCE_QUANTUM = "quantum"
 SOURCE_DETERMINISTIC_LHV = "deterministic-lhv"
 SOURCE_STOCHASTIC_LHV = "stochastic-lhv"
 SOURCE_LOOPHOLE = "loophole"
-SOURCES = (
-    SOURCE_QUANTUM,
-    SOURCE_DETERMINISTIC_LHV,
-    SOURCE_STOCHASTIC_LHV,
-    SOURCE_LOOPHOLE,
-)
+#: Each source and the payloads of :class:`ExperimentConfig` it uses. A
+#: loophole run keeps the angles its demonstration solution was built for.
+_PAYLOADS = {
+    SOURCE_QUANTUM: ("angles",),
+    SOURCE_DETERMINISTIC_LHV: ("model",),
+    SOURCE_STOCHASTIC_LHV: ("model",),
+    SOURCE_LOOPHOLE: ("angles", "solution"),
+}
+SOURCES = tuple(_PAYLOADS)
 
 UNIFORM_9 = "uniform-9"
 UNIFORM_4 = "uniform-4"
@@ -90,7 +95,8 @@ def _integer(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one simulated experiment."""
+    """Everything needed to reproduce one simulated experiment; a payload
+    (:data:`_PAYLOADS`) its source does not use raises :class:`ConfigError`."""
 
     n_trials: int
     seed: int
@@ -109,6 +115,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown setting distribution {self.setting_distribution!r}"
             )
+        if self.source not in SOURCES:
+            raise ConfigError(f"unknown source {self.source!r}")
+        for name in ("angles", "model", "solution"):
+            if getattr(self, name) is not None and name not in _PAYLOADS[self.source]:
+                raise ConfigError(f"{self.source} source does not use {name}")
         if self.source == SOURCE_QUANTUM:
             if self.angles is None:
                 raise ConfigError("quantum source needs angles")
@@ -118,11 +129,8 @@ class ExperimentConfig:
         elif self.source == SOURCE_STOCHASTIC_LHV:
             if not isinstance(self.model, StochasticLocalModel):
                 raise ConfigError("stochastic-lhv source needs a StochasticLocalModel")
-        elif self.source == SOURCE_LOOPHOLE:
-            if self.solution is None or self.solution.status != "feasible":
-                raise ConfigError("loophole source needs a feasible LpSolution")
-        else:
-            raise ConfigError(f"unknown source {self.source!r}")
+        elif self.solution is None or self.solution.status != "feasible":  # loophole
+            raise ConfigError("loophole source needs a feasible LpSolution")
 
 
 @dataclass(frozen=True)
@@ -138,9 +146,8 @@ class TrialRecord:
     d2: int
 
     def __post_init__(self) -> None:
-        for setting, name in ((self.x1, "x1"), (self.x2, "x2")):
-            if setting not in (0, 1, 2):
-                raise ValueError(f"{name} must be 0, 1 or 2, got {setting!r}")
+        _check_setting(self.x1, "x1")
+        _check_setting(self.x2, "x2")
         for flag, outcome, name in ((self.d1, self.y1, "1"), (self.d2, self.y2, "2")):
             if flag not in (0, 1):
                 raise ValueError(f"d{name} must be 0 or 1, got {flag!r}")
@@ -263,7 +270,7 @@ def _splice_rejected(words: np.ndarray, seed: int, start: int) -> None:
     for hit in np.flatnonzero(words[:_SETTING_DRAWS[UNIFORM_9]] == _REJECTED).tolist():
         row, lane = divmod(hit, words.shape[1])
         i = start + lane
-        stream = SplitMix64Lanes(seed, i, i + 1).draws(len(words) + 1)[:, 0]
+        stream = lane_draws(seed, i, i + 1, len(words) + 1)[:, 0]
         words[:, lane] = np.delete(stream, row)
 
 
@@ -292,7 +299,7 @@ def run_experiment(config: ExperimentConfig) -> TrialDataset:
 
     Trials are generated in blocks of :data:`BLOCK_TRIALS`. A block takes
     every draw its trials make as one ``(draws, trials)`` matrix from
-    :meth:`~bellsim.rng.SplitMix64Lanes.draws`: the settings' rows first,
+    :func:`~bellsim.rng.lane_draws`: the settings' rows first,
     then the source's, which its sampler receives as uniforms. Trial
     randomness is keyed by (seed, trial index), so the block size cannot
     change what any trial draws.
@@ -303,7 +310,7 @@ def run_experiment(config: ExperimentConfig) -> TrialDataset:
     draws = setting_draws + _SAMPLER_DRAWS[config.source]
     for start in range(0, n, BLOCK_TRIALS):
         stop = min(start + BLOCK_TRIALS, n)
-        words = SplitMix64Lanes(config.seed, start, stop).draws(draws)
+        words = lane_draws(config.seed, start, stop, draws)
         if config.setting_distribution == UNIFORM_9:
             _splice_rejected(words, config.seed, start)
         x1, x2 = _draw_settings_lanes(config.setting_distribution, words[:setting_draws])

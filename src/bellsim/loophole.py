@@ -119,7 +119,7 @@ class FakingProblem:
 
 @dataclass(frozen=True)
 class FakingLp:
-    """Assembled program plus the strategy data needed to score solutions.
+    """Assembled program plus the data that defines it.
 
     Variables are the 4096 strategy weights followed by one epigraph
     variable z (the minimum pairwise coincidence rate, which the objective
@@ -130,15 +130,9 @@ class FakingLp:
     """
 
     program: simplex.LinearProgram
-    detect: np.ndarray
-    detect_match: np.ndarray
     targets: np.ndarray
     efficiency_floor: float
     stealth_margin: float | None = None
-
-    @property
-    def n_strategies(self) -> int:
-        return self.detect.shape[0]
 
     def to_dict(self) -> dict:
         """JSON-ready dump: the assembled program plus its defining data."""
@@ -146,7 +140,7 @@ class FakingLp:
             "targets": self.targets.tolist(),
             "efficiency_floor": self.efficiency_floor,
             "stealth_margin": self.stealth_margin,
-            "n_strategies": self.n_strategies,
+            "n_strategies": N_STRATEGIES,
             "program": self.program.to_dict(),
         }
 
@@ -194,12 +188,9 @@ def _assemble_lp(
 def _faking_lp(
     targets: MatchProbabilityTable, floor: float, stealth_margin: float | None = None
 ) -> FakingLp:
-    detect, detect_match = _strategy_matrices()
     arr = targets.as_array()
     return FakingLp(
-        program=_assemble_lp(detect, detect_match, arr, floor, stealth_margin),
-        detect=detect,
-        detect_match=detect_match,
+        program=_assemble_lp(*_strategy_matrices(), arr, floor, stealth_margin),
         targets=arr,
         efficiency_floor=floor,
         stealth_margin=stealth_margin,
@@ -320,39 +311,42 @@ def save_solution(solution: LpSolution, path: str | Path) -> None:
         fh.write("\n")
 
 
-def _package_solution(lp: FakingLp, result: simplex.SimplexResult) -> LpSolution:
+def _scored(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coincidence rates and unconditional match rates, per setting
+    pair, of the strategy weights ``w``."""
+    detect, detect_match = _strategy_matrices()
+    return np.einsum("s,sij->ij", w, detect), np.einsum("s,sij->ij", w, detect_match)
+
+
+def _package_solution(result: simplex.SimplexResult) -> LpSolution:
     if result.status != "optimal":
         status = "infeasible" if result.status == "infeasible" else "unbounded-error"
         return LpSolution(
             status=status, weights={}, coincidence_rates=None, min_coincidence_rate=None
         )
-    n = lp.n_strategies
-    w = result.x[:n]
+    w = result.x[:N_STRATEGIES]
     weights = {int(i): float(w[i]) for i in np.flatnonzero(w > 0.0)}
-    rates = np.einsum("s,sij->ij", w, lp.detect)
+    rates, _ = _scored(w)
     return LpSolution(
         status="feasible",
         weights=weights,
         coincidence_rates=tuple(tuple(float(v) for v in row) for row in rates),
-        min_coincidence_rate=float(result.x[n]),
+        min_coincidence_rate=float(result.x[N_STRATEGIES]),
     )
 
 
 def solve_lp(lp: FakingLp) -> LpSolution:
     """Solve the assembled program with the in-package simplex."""
-    return _package_solution(lp, simplex.solve(lp.program))
+    return _package_solution(simplex.solve(lp.program))
 
 
 def rescore_solution(solution: LpSolution) -> tuple[np.ndarray, np.ndarray, float]:
     """Recompute (coincidence rates, unconditional match rates, weight sum)
     from the weights alone; used to validate reported solutions."""
-    detect, detect_match = _strategy_matrices()
     w = np.zeros(N_STRATEGIES)
     for idx, weight in solution.weights.items():
         w[idx] = weight
-    rates = np.einsum("s,sij->ij", w, detect)
-    match_rates = np.einsum("s,sij->ij", w, detect_match)
-    return rates, match_rates, float(w.sum())
+    return (*_scored(w), float(w.sum()))
 
 
 def max_faking_efficiency(targets: MatchProbabilityTable) -> float:

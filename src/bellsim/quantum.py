@@ -123,14 +123,6 @@ class MatchProbabilityTable:
                     raise ValueError(f"match probability {v!r} outside [0, 1]")
         object.__setattr__(self, "rows", rows)
 
-    @classmethod
-    def from_angles(cls, angles: AngleTriple) -> "MatchProbabilityTable":
-        rows = tuple(
-            tuple(match_probability(angles.separation(i, j)) for j in SETTINGS)
-            for i in SETTINGS
-        )
-        return cls(rows)
-
     def __getitem__(self, key: tuple[int, int]) -> float:
         i, j = key
         return self.rows[_check_setting(i, "x1")][_check_setting(j, "x2")]
@@ -179,7 +171,11 @@ def match_probability(delta: float) -> float:
 
 def match_table(angles: AngleTriple) -> MatchProbabilityTable:
     """Match probabilities for all nine setting pairs at the given axes."""
-    return MatchProbabilityTable.from_angles(angles)
+    rows = tuple(
+        tuple(match_probability(angles.separation(i, j)) for j in SETTINGS)
+        for i in SETTINGS
+    )
+    return MatchProbabilityTable(rows)
 
 
 def _spin_projectors(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

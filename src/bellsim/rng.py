@@ -8,12 +8,12 @@ the values drawn. ``derive_seed`` folds an index path into a fresh seed for
 per-trial substreams. The full recipe is documented in the README so runs
 can be reproduced outside this package.
 
-``SplitMix64Lanes`` runs the per-trial streams of a block of consecutive
-trials side by side as ``uint64`` arrays (numpy arithmetic wraps modulo
-2**64 like the masked integer arithmetic here), so lane ``j`` draws exactly
-what ``SplitMix64(derive_seed(seed, start + j))`` draws. Its
-:meth:`~SplitMix64Lanes.draws` returns every word a block needs as one
-``(draws, trials)`` matrix computed in a single splitmix64 pass.
+``lane_draws`` runs the per-trial streams of a block of consecutive trials
+side by side as ``uint64`` arrays (numpy arithmetic wraps modulo 2**64 like
+the masked integer arithmetic here), so lane ``j`` draws exactly what
+``SplitMix64(derive_seed(seed, start + j))`` draws. It returns every word a
+block needs as one ``(draws, trials)`` matrix computed in a single
+splitmix64 pass.
 """
 
 from __future__ import annotations
@@ -125,21 +125,13 @@ def lane_keys(start: int, stop: int) -> np.ndarray:
     return keys
 
 
-class SplitMix64Lanes:
-    """The trial streams ``derive_seed(seed, i)`` for ``start <= i < stop``,
-    advanced in step: each draw returns one ``uint64`` per trial."""
-
-    __slots__ = ("_state", "_drawn")
-
-    def __init__(self, seed: int, start: int, stop: int) -> None:
-        self._state = _mix64_in_place(lane_keys(start, stop) ^ np.uint64(seed & _MASK64))
-        self._drawn = 0
-
-    def draws(self, k: int) -> np.ndarray:
-        """The next ``k`` draws of every lane as a ``(k, lanes)`` matrix: row
-        ``r`` holds each lane's ``r + 1``-th following draw. One splitmix64
-        pass computes the whole matrix."""
-        counters = np.arange(self._drawn + 1, self._drawn + k + 1, dtype=np.uint64)
-        counters *= _GOLDEN_LANE
-        self._drawn += k
-        return _mix64_in_place(self._state + counters[:, None])
+def lane_draws(seed: int, start: int, stop: int, k: int) -> np.ndarray:
+    """The first ``k`` draws of the trial streams ``derive_seed(seed, i)`` for
+    ``start <= i < stop``, as a ``(k, stop - start)`` matrix: entry ``(r, j)``
+    is draw ``r`` of trial ``start + j``, that is
+    ``mix64(derive_seed(seed, start + j) + (r + 1) * GOLDEN)``. One
+    splitmix64 pass computes the whole matrix."""
+    state = _mix64_in_place(lane_keys(start, stop) ^ np.uint64(seed & _MASK64))
+    counters = np.arange(1, k + 1, dtype=np.uint64)
+    counters *= _GOLDEN_LANE
+    return _mix64_in_place(state + counters[:, None])

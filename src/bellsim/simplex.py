@@ -213,7 +213,8 @@ def _without_twins(lp: LinearProgram) -> tuple[LinearProgram, np.ndarray]:
     """The program on the first column of each group of byte-identical
     columns, and those columns' indices in ascending order."""
     cols = np.ascontiguousarray(np.vstack([lp.objective, lp.eq_matrix, lp.ub_matrix]).T)
-    _, first = np.unique(cols.view(np.dtype((np.void, cols.strides[0]))), return_index=True)
+    column = np.dtype((np.void, cols.itemsize * cols.shape[1]))  # one column, not strides[0]
+    _, first = np.unique(cols.view(column), return_index=True)
     keep = np.sort(first)
     return LinearProgram(lp.objective[keep], lp.eq_matrix[:, keep], lp.eq_rhs,
                          lp.ub_matrix[:, keep], lp.ub_rhs), keep

@@ -174,6 +174,33 @@ class TestSimulateAndTest:
         assert code == 2
         assert "needs --model" in err
 
+    @pytest.mark.parametrize("source, flags", (
+        ("quantum", ("--angles", "60,0,120", "--model", "MODEL")),
+        ("quantum", ("--angles", "60,0,120", "--solution", "SOLUTION")),
+        ("deterministic-lhv", ("--model", "MODEL", "--angles", "60,0,120")),
+        ("stochastic-lhv", ("--model", "STOCHASTIC", "--angles", "60,0,120")),
+    ))
+    def test_flag_the_source_does_not_use_is_usage_error(self, source, flags, tmp_path, capsys):
+        files = {"MODEL": {"tables": [{"y1": [1, 1, 1], "y2": [-1, -1, -1]}]},
+                 "STOCHASTIC": {"p1": [0.5] * 3, "p2": [0.5] * 3},
+                 "SOLUTION": {"status": "feasible", "weights": {"7": 1.0}}}
+        for name, doc in files.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        flags = [str(tmp_path / f) if f in files else f for f in flags]
+        code, out, err = run_cli(
+            capsys, "simulate", "--source", source, *flags, "--n", "10", "--seed", "1"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {source} source does not use ")
+
+    def test_missing_solution_file_is_invalid_input(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--source", "quantum", "--angles", "60,0,120",
+            "--solution", str(tmp_path / "missing.json"), "--n", "10", "--seed", "1",
+        )
+        assert code == 2 and out == ""
+        assert "missing.json" in err
+
     def test_seed_is_generated_and_echoed_when_absent(self, capsys):
         code, out, err = run_cli(
             capsys, "simulate", "--source", "quantum", "--angles", "0,0,0", "--n", "5"
@@ -349,6 +376,73 @@ class TestLoopholeCommand:
             capsys, "test", "--in", str(data_file), "--conditioning", "all-pairs"
         )
         assert code == 1  # all-pairs accounting is not
+
+    @pytest.mark.parametrize("flags", (
+        ("--demo", "--floor", "0.9"),
+        ("--floor", "0", "--demo"),
+        ("--max-efficiency", "--demo"),
+        ("--max-efficiency", "--floor", "0.5"),
+    ))
+    def test_modes_are_exclusive(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["loophole", "--angles", "60,0,120", *flags])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_save_with_max_efficiency_is_usage_error(self, tmp_path, capsys):
+        solution_file = tmp_path / "solution.json"
+        code, out, err = run_cli(
+            capsys, "loophole", "--angles", "60,0,120", "--max-efficiency",
+            "--save", str(solution_file),
+        )
+        assert code == 2 and out == "" and not solution_file.exists()
+        assert err.startswith("error: --save")
+
+
+class TestSidecar:
+    """A dataset's sidecar reproduces it through the library."""
+
+    @pytest.mark.parametrize("case", (
+        "quantum", "deterministic-lhv", "stochastic-lhv", "loophole --solution",
+        "loophole --angles", "--meta",
+    ))
+    def test_sidecar_reproduces_the_dataset(self, case, tmp_path, capsys):
+        from bellsim.experiment import config_from_dict, run_experiment, write_dataset_csv
+
+        (tmp_path / "model.json").write_text(
+            json.dumps({"tables": [{"y1": [1, -1, 1], "y2": [-1, 1, 1]}] * 2,
+                        "weights": [0.25, 0.75]})
+        )
+        (tmp_path / "stochastic.json").write_text(
+            json.dumps({"p1": [0.1, 0.5, 0.9], "p2": [0.3, 0.6, 1.0]})
+        )
+        solution = tmp_path / "solution.json"
+        if case == "loophole --solution":
+            assert run_cli(capsys, "loophole", "--angles", "45,0,90", "--floor", "0.5",
+                           "--save", str(solution))[0] == 0
+        quantum = ("--source", "quantum", "--angles", "60,0,120")
+        flags = {
+            "quantum": quantum,
+            "deterministic-lhv": ("--source", "deterministic-lhv",
+                                  "--model", str(tmp_path / "model.json")),
+            "stochastic-lhv": ("--source", "stochastic-lhv",
+                               "--model", str(tmp_path / "stochastic.json"),
+                               "--setting-distribution", "uniform-4"),
+            "loophole --solution": ("--source", "loophole", "--solution", str(solution)),
+            "loophole --angles": ("--source", "loophole", "--angles", "60,0,120"),
+            "--meta": (*quantum, "--meta", str(tmp_path / "side.json")),
+        }[case]
+        data = tmp_path / "d.csv"
+        code, _, _ = run_cli(capsys, "simulate", *flags, "--n", "3000", "--seed", "17",
+                             "--out", str(data))
+        assert code == 0
+        default = tmp_path / "d.csv.meta.json"
+        meta = tmp_path / "side.json" if case == "--meta" else default
+        assert default.exists() == (case != "--meta")  # --meta replaces the default sidecar
+        config = config_from_dict(json.loads(meta.read_text()))
+        again = tmp_path / "again.csv"
+        write_dataset_csv(run_experiment(config), again)
+        assert again.read_bytes() == data.read_bytes()
 
 
 class TestPipe:

@@ -78,6 +78,31 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(n_trials=10, seed=1, source=SOURCE_LOOPHOLE, solution=bad)
 
+    @pytest.mark.parametrize("source, payload", (
+        (SOURCE_QUANTUM, "model"),
+        (SOURCE_QUANTUM, "solution"),
+        (SOURCE_DETERMINISTIC_LHV, "angles"),
+        (SOURCE_DETERMINISTIC_LHV, "solution"),
+        (SOURCE_STOCHASTIC_LHV, "angles"),
+        (SOURCE_LOOPHOLE, "model"),
+    ))
+    def test_payload_the_source_does_not_use_is_rejected(self, source, payload):
+        from bellsim.loophole import LpSolution
+
+        solution = LpSolution(status="feasible", weights={7: 1.0},
+                              coincidence_rates=None, min_coincidence_rate=None)
+        stochastic = StochasticLocalModel(p1=(0.5,) * 3, p2=(0.5,) * 3)
+        valid = {
+            SOURCE_QUANTUM: {"angles": CANONICAL},
+            SOURCE_DETERMINISTIC_LHV: {"model": single_table_config().model},
+            SOURCE_STOCHASTIC_LHV: {"model": stochastic},
+            SOURCE_LOOPHOLE: {"solution": solution, "angles": CANONICAL},
+        }[source]
+        ExperimentConfig(n_trials=10, seed=1, source=source, **valid)
+        extra = {"angles": CANONICAL, "model": stochastic, "solution": solution}[payload]
+        with pytest.raises(ConfigError, match=f"^{source} source does not use {payload}$"):
+            ExperimentConfig(n_trials=10, seed=1, source=source, **valid, **{payload: extra})
+
     def test_unknown_source_and_bad_sizes(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(n_trials=10, seed=1, source="telepathy")

@@ -4,8 +4,8 @@ import pytest
 from bellsim import rng
 from bellsim.rng import (
     SplitMix64,
-    SplitMix64Lanes,
     derive_seed,
+    lane_draws,
     mix64,
     uniform_lanes,
 )
@@ -73,37 +73,26 @@ def test_derived_streams_decorrelate_adjacent_indices():
 
 def test_lanes_draw_what_each_trial_stream_draws():
     for seed in (0, 42, -7, 2**64 - 1, 2**70 + 3):
-        lanes = SplitMix64Lanes(seed, 1000, 1010)
-        words = lanes.draws(3)
-        uniforms = uniform_lanes(lanes.draws(1)[0])
+        words = lane_draws(seed, 1000, 1010, 4)
+        uniforms = uniform_lanes(words[3])
         for j in range(10):
             rng = SplitMix64(derive_seed(seed, 1000 + j))
-            assert words[:, j].tolist() == [rng.next_uint64() for _ in range(3)]
+            assert words[:3, j].tolist() == [rng.next_uint64() for _ in range(3)]
             assert uniforms[j] == rng.random()
 
 
 def test_draw_matrix_rows_are_successive_draws():
     for seed in (0, 9, 2**64 - 1):
-        for k in (1, 2, 3, 5):
-            words = SplitMix64Lanes(seed, 40, 47).draws(k)
+        for k in (1, 2, 3, 5, 6):
+            words = lane_draws(seed, 40, 47, k)
             assert words.shape == (k, 7) and words.dtype == np.uint64
-            stepped = SplitMix64Lanes(seed, 40, 47)
-            assert np.array_equal(words, np.vstack([stepped.draws(1) for _ in range(k)]))
             for j in range(7):
                 stream = SplitMix64(derive_seed(seed, 40 + j))
                 assert words[:, j].tolist() == [stream.next_uint64() for _ in range(k)]
 
 
-def test_draws_continue_the_stream():
-    lanes = SplitMix64Lanes(31, 0, 4)
-    first, rest = lanes.draws(2), lanes.draws(3)
-    assert np.array_equal(np.vstack([first, rest]), SplitMix64Lanes(31, 0, 4).draws(5))
-    stream = SplitMix64(derive_seed(31, 2))
-    assert [stream.next_uint64() for _ in range(6)][5] == int(lanes.draws(1)[0, 2])
-
-
 def test_uniform_lanes_match_scalar_random():
-    words = SplitMix64Lanes(12, 0, 50).draws(2)
+    words = lane_draws(12, 0, 50, 2)
     for j in range(50):
         stream = SplitMix64(derive_seed(12, j))
         assert uniform_lanes(words[:, j]).tolist() == [stream.random(), stream.random()]
@@ -114,7 +103,7 @@ def test_mixing_in_chunks_matches_scalar_mix(monkeypatch):
     rng.lane_keys.cache_clear()
     z = np.arange(23, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     assert rng._mix64_in_place(z.copy()).tolist() == [mix64(v) for v in z.tolist()]
-    words = SplitMix64Lanes(3, 10, 17).draws(3)
+    words = lane_draws(3, 10, 17, 3)
     for j in range(7):
         stream = SplitMix64(derive_seed(3, 10 + j))
         assert words[:, j].tolist() == [stream.next_uint64() for _ in range(3)]

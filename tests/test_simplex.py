@@ -215,3 +215,11 @@ class TestDuplicateColumns:
         )
         assert solve(twinned).status == "infeasible"
         assert not feasible(twinned)
+
+    def test_one_variable_program(self):
+        # max x subject to 2x <= 1: the columns matrix is (1, k), whose first
+        # stride NumPy need not set to a whole row.
+        res = solve(LinearProgram([1.0], np.zeros((0, 1)), np.zeros(0), [[2.0]], [1.0]))
+        assert res.status == "optimal"
+        assert res.x.tolist() == [0.5] and res.objective == 0.5
+        assert feasible(lp([1.0], a_ub=[[2.0]], b_ub=[1.0]))

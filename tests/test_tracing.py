@@ -2,6 +2,7 @@
 by attribute name, so every name it patches must stay importable, and
 undoing the patches must put the originals back."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -11,6 +12,12 @@ from bellsim.experiment import SOURCE_QUANTUM, ExperimentConfig
 from bellsim.quantum import AngleTriple
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+#: Names a module imports only so that the tracer can patch them there.
+TRACER_ONLY_IMPORTS = {
+    "experiment": {"SplitMix64", "derive_seed", "sample_outcome_pair", "sample_from_lhv"},
+    "cli": {"read_dataset_csv"},
+}
 
 
 def load_tracing():
@@ -35,3 +42,24 @@ def test_tracer_installs_and_undoes():
     finally:
         undo()
     assert [dict(vars(module)) for module in modules] == before
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # No linter runs in the suite, so this is its unused-import check.
+    package = Path(bellsim.__file__).parent
+    unused = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in imports if getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names = imported - used - TRACER_ONLY_IMPORTS.get(path.stem, set())
+        if names:
+            unused[path.stem] = sorted(names)
+    assert unused == {}
