@@ -152,6 +152,11 @@ def cmd_stochastic_sup(args) -> int:
 
 def _build_config(args) -> ExperimentConfig:
     """The experiment the flags describe; :class:`ExperimentConfig` judges it."""
+    if args.source == SOURCE_LOOPHOLE and args.solution and args.angles is not None:
+        raise ValueError(
+            "loophole source takes --solution or --angles, not both: "
+            "--angles only builds the demonstration solution"
+        )
     seed = _resolve_seed(args.seed)
     model = load_model(args.model) if args.model else None
     solution = loophole_mod.load_solution(args.solution) if args.solution else None

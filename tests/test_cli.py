@@ -201,6 +201,25 @@ class TestSimulateAndTest:
         assert code == 2 and out == ""
         assert "missing.json" in err
 
+    def test_loophole_solution_with_angles_is_usage_error(self, tmp_path, capsys):
+        # --angles would only build the demonstration solution that --solution
+        # replaces, so a sidecar recording them would name unused angles.
+        solution_file = tmp_path / "s.json"
+        code, _, _ = run_cli(
+            capsys, "loophole", "--angles", "45,0,90", "--floor", "0.3",
+            "--save", str(solution_file),
+        )
+        assert code == 0
+        data_file = tmp_path / "d.csv"
+        code, out, err = run_cli(
+            capsys, "simulate", "--source", "loophole", "--solution", str(solution_file),
+            "--angles", "60,0,120", "--n", "10", "--seed", "1", "--out", str(data_file),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--solution" in err and "--angles" in err
+        assert not data_file.exists()
+        assert not (tmp_path / "d.csv.meta.json").exists()
+
     def test_seed_is_generated_and_echoed_when_absent(self, capsys):
         code, out, err = run_cli(
             capsys, "simulate", "--source", "quantum", "--angles", "0,0,0", "--n", "5"

@@ -1,7 +1,7 @@
 """Exactness of generated datasets and faking-LP solutions: the bytes and
 records a seed or a program produces are fixed.
 
-Five independent checks:
+Six independent checks:
 
 * golden SHA-256 digests of ``bellsim simulate`` stdout for every source and
   setting distribution, recorded from the original per-trial generator;
@@ -16,7 +16,9 @@ Five independent checks:
   or so that a draw that may take that value (``randbelow(4)``, a
   sampler's ``random()``) does;
 * golden SHA-256 digests of the solution documents of four faking LPs,
-  recorded from the solver that ran on all 4096 strategy columns.
+  recorded from the solver that ran on all 4096 strategy columns;
+* a golden SHA-256 digest of the simplex's status, vertex bytes, objective
+  and feasibility verdict on 1,000 seeded random small programs.
 """
 
 import hashlib
@@ -24,9 +26,10 @@ import json
 import math
 from statistics import NormalDist
 
+import numpy as np
 import pytest
 
-from bellsim import experiment, rng
+from bellsim import experiment, rng, simplex
 from bellsim.cli import main
 from bellsim.counterfactuals import BELL_PAIRS, CounterfactualTable, Population
 from bellsim.experiment import (
@@ -53,6 +56,7 @@ from bellsim.loophole import (
 )
 from bellsim.quantum import AngleTriple, match_table, sample_outcome_pair
 from bellsim.rng import SplitMix64, derive_seed, mix64
+from bellsim.simplex import LinearProgram
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -397,3 +401,60 @@ def test_faking_solution_matches_golden_digest(kind, angles):
         solution = solve_lp(build_faking_lp(FakingProblem(targets=targets, efficiency_floor=floor)))
     digest = hashlib.sha256(json.dumps(solution.to_dict()).encode("utf-8")).hexdigest()
     assert digest == GOLDEN_SOLUTION_SHA256[(kind, angles)]
+
+
+def random_small_program(generator):
+    """A program of at most 5 distinct columns, often degenerate, redundant,
+    infeasible or unbounded: small-integer or two-decimal entries, right-hand
+    sides of either sign, an equality row repeated (consistently or not),
+    an inequality row repeated, and columns repeated in a shuffled order."""
+    n = int(generator.integers(1, 6))
+    m_eq = int(generator.integers(0, 3))
+    m_ub = int(generator.integers(0, 4))
+
+    def entries(*shape):
+        if generator.random() < 0.5:
+            return generator.integers(-3, 4, size=shape).astype(float)
+        return np.round(generator.normal(size=shape), 2)
+
+    a_eq, b_eq = entries(m_eq, n), entries(m_eq)
+    a_ub, b_ub = entries(m_ub, n), entries(m_ub)
+    if m_eq and generator.random() < 0.4:
+        r = int(generator.integers(m_eq))
+        scale = float(generator.integers(1, 3))
+        a_eq = np.vstack([a_eq, scale * a_eq[r]])
+        b_eq = np.append(b_eq, scale * b_eq[r] + float(generator.random() < 0.5))
+    if m_ub and generator.random() < 0.4:
+        r = int(generator.integers(m_ub))
+        a_ub = np.vstack([a_ub, a_ub[r]])
+        b_ub = np.append(b_ub, b_ub[r])
+    if generator.random() < 0.5:  # a cap, so that more programs have an optimum
+        a_ub = np.vstack([a_ub, np.ones(n)])
+        b_ub = np.append(b_ub, float(generator.integers(1, 4)))
+    order = np.concatenate([np.arange(n), generator.integers(0, n, size=int(generator.integers(0, 4)))])
+    generator.shuffle(order)
+    return LinearProgram(entries(n)[order], a_eq[:, order], b_eq, a_ub[:, order], b_ub)
+
+
+# SHA-256 over 1,000 programs from ``random_small_program`` seeded with
+# ``default_rng(2014)``: status, ``x`` bytes, ``repr`` of the objective and
+# ``feasible``, recorded from the solver that updated its right-hand side
+# apart from its rows and found twin columns with ``np.unique``.
+GOLDEN_RANDOM_PROGRAMS_SHA256 = (
+    "ce8594d57ad5410f5d96fb630efc2b891278c247a199e6c6ed8787f64bb2fe6a"
+)
+
+
+def test_random_programs_match_golden_digest():
+    generator = np.random.default_rng(2014)
+    digest = hashlib.sha256()
+    statuses = set()
+    for _ in range(1000):
+        program = random_small_program(generator)
+        result = simplex.solve(program)
+        statuses.add(result.status)
+        x = b"" if result.x is None else result.x.tobytes()
+        digest.update(f"{result.status}|{result.objective!r}|{simplex.feasible(program)}|".encode())
+        digest.update(x + b"\n")
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+    assert digest.hexdigest() == GOLDEN_RANDOM_PROGRAMS_SHA256

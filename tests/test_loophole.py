@@ -173,6 +173,23 @@ class TestMaxFakingEfficiency:
             eta = max_faking_efficiency(targets)
             assert abs(bisect_max_efficiency(targets) - eta) <= BISECTION_TOLERANCE
 
+    def test_highs_agrees_on_random_angles(self):
+        # Independent solver: scipy's HiGHS (installed, not a declared
+        # dependency) on the same floor-0 program, over all 4097 columns.
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(2012)
+        for degrees in rng.uniform(0.0, 360.0, size=(20, 3)):
+            targets = match_table(AngleTriple.from_degrees(*degrees))
+            program = build_faking_lp(FakingProblem(targets=targets)).program
+            highs = optimize.linprog(
+                -program.objective,
+                A_ub=program.ub_matrix, b_ub=program.ub_rhs,
+                A_eq=program.eq_matrix, b_eq=program.eq_rhs,
+                bounds=(0.0, None), method="highs",
+            )
+            assert highs.status == 0, (degrees, highs.message)
+            assert max_faking_efficiency(targets) == pytest.approx(-highs.fun, abs=1e-9), degrees
+
     def test_one_solve_matches_floor0_optimum(self, floor0_solution):
         assert max_faking_efficiency(CANONICAL_TARGETS) == floor0_solution.min_coincidence_rate
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from bellsim import simplex
+from bellsim.loophole import DEMO_STEALTH_MARGIN, FakingProblem, _faking_lp, build_faking_lp
+from bellsim.quantum import AngleTriple, match_table
 from bellsim.simplex import LinearProgram, SimplexError, feasible, solve
 
 
@@ -223,3 +225,31 @@ class TestDuplicateColumns:
         assert res.status == "optimal"
         assert res.x.tolist() == [0.5] and res.objective == 0.5
         assert feasible(lp([1.0], a_ub=[[2.0]], b_ub=[1.0]))
+
+
+class TestPivotCounts:
+    # Pivots inside each phase's run, counted on the faking LPs before the
+    # right-hand side moved into the tableau: the same pivot path gives the
+    # same counts. Phase 1's drive-out of leftover artificials is not counted.
+    @pytest.mark.parametrize("angles, kind, status, pivots", (
+        ((60, 0, 120), "floor0", "optimal", (10, 319)),
+        ((45, 0, 90), "floor0", "optimal", (10, 184)),
+        ((60, 0, 120), "demo", "optimal", (11, 252)),
+        ((60, 0, 120), "floor1", "infeasible", (357, 0)),
+    ))
+    def test_faking_programs(self, angles, kind, status, pivots):
+        targets = match_table(AngleTriple.from_degrees(*angles))
+        if kind == "demo":
+            program = _faking_lp(targets, 0.0, DEMO_STEALTH_MARGIN).program
+        else:
+            floor = 1.0 if kind == "floor1" else 0.0
+            program = build_faking_lp(FakingProblem(targets, efficiency_floor=floor)).program
+        res = solve(program)
+        assert (res.status, res.pivots) == (status, pivots)
+
+    def test_small_programs(self):
+        # max 3x + 4y s.t. x + 2y <= 14, 3x - y <= 0, x - y <= 2: every row
+        # starts on its slack, so phase 1 has nothing to do.
+        res = solve(lp([3, 4], a_ub=[[1, 2], [3, -1], [1, -1]], b_ub=[14, 0, 2]))
+        assert res.status == "optimal" and res.pivots[0] == 0 and res.pivots[1] > 0
+        assert solve(lp([1, 0], a_ub=[[0, 1]], b_ub=[1])).pivots == (0, 0)  # unbounded at once
