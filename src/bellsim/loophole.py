@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
 
@@ -102,6 +102,26 @@ def _strategy_matrices() -> tuple[np.ndarray, np.ndarray]:
     return detect.astype(float), (detect & agree).astype(float)
 
 
+@lru_cache(maxsize=1)
+def _distinct_strategies() -> np.ndarray:
+    """The lowest index of each group of strategies with equal detect and
+    detect_match, in ascending order: 339 of the 4096.
+
+    Strategies in one group give bit-identical faking-program columns for
+    any targets. Strategies in different groups differ in a ``-detect`` row,
+    or, where detect is equal, in a ``detect_match - target * detect`` entry
+    for every target in [0, 1]. So with z these are exactly the columns
+    ``simplex._without_twins`` keeps of the full program, in its order.
+    """
+    detect, detect_match = _strategy_matrices()
+    cells = np.hstack([detect.reshape(N_STRATEGIES, -1),
+                       detect_match.reshape(N_STRATEGIES, -1)])
+    _, first = np.unique(cells, axis=0, return_index=True)
+    keep = np.sort(first)
+    keep.flags.writeable = False
+    return keep
+
+
 @dataclass(frozen=True)
 class FakingProblem:
     """Can local strategies reproduce ``targets`` among coincidences, with
@@ -126,7 +146,9 @@ class FakingLp:
     maximizes). Constraints: weights sum to 1; for each of the nine setting
     pairs, the conditional match equality written in linearized form
     (match mass equals target times coincidence mass) and the floor and
-    epigraph inequalities on the coincidence rate.
+    epigraph inequalities on the coincidence rate. ``program`` is the full
+    program, for inspection and archiving; :func:`solve_lp` works from the
+    defining data, on the distinct strategy columns.
     """
 
     program: simplex.LinearProgram
@@ -318,12 +340,13 @@ def _scored(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("s,sij->ij", w, detect), np.einsum("s,sij->ij", w, detect_match)
 
 
+def _no_solution(status: str) -> LpSolution:
+    return LpSolution(status=status, weights={}, coincidence_rates=None, min_coincidence_rate=None)
+
+
 def _package_solution(result: simplex.SimplexResult) -> LpSolution:
     if result.status != "optimal":
-        status = "infeasible" if result.status == "infeasible" else "unbounded-error"
-        return LpSolution(
-            status=status, weights={}, coincidence_rates=None, min_coincidence_rate=None
-        )
+        return _no_solution("infeasible" if result.status == "infeasible" else "unbounded-error")
     w = result.x[:N_STRATEGIES]
     weights = {int(i): float(w[i]) for i in np.flatnonzero(w > 0.0)}
     rates, _ = _scored(w)
@@ -335,9 +358,69 @@ def _package_solution(result: simplex.SimplexResult) -> LpSolution:
     )
 
 
+def _distinct_program(lp: FakingLp, floor: float) -> simplex.LinearProgram:
+    """``lp``'s program at ``floor`` on the distinct strategy columns plus z."""
+    detect, detect_match = _strategy_matrices()
+    keep = _distinct_strategies()
+    return _assemble_lp(detect[keep], detect_match[keep], lp.targets, floor, lp.stealth_margin)
+
+
+def _solve_distinct(lp: FakingLp, floor: float) -> simplex.SimplexResult:
+    """``simplex.solve`` of ``lp``'s program at ``floor``, run on the
+    distinct strategy columns, with x expanded back to all 4097 variables.
+
+    The tableau is the one ``simplex.solve`` builds from the full program
+    once it drops twin columns, so x, the objective and the pivots are the
+    same, bit for bit.
+    """
+    result = simplex.solve(_distinct_program(lp, floor))
+    if result.x is None:
+        return result
+    x = np.zeros(N_STRATEGIES + 1)
+    x[_distinct_strategies()] = result.x[:-1]
+    x[N_STRATEGIES] = result.x[-1]
+    return replace(result, x=x)
+
+
+def _floor_zero_solve(lp: FakingLp) -> tuple[simplex.SimplexResult, float | None]:
+    """The solve of ``lp``'s program at floor 0 and the largest efficiency
+    floor at which the program is feasible (None when floor 0 is not).
+
+    The floor-f program maximizes the same minimum coincidence rate z as the
+    floor-0 program and only adds the rows "coincidence rate >= f". So it is
+    feasible exactly when the floor-0 optimum z* is at least f, and z* is
+    then optimal for it too. The largest floor is exactly 1.0 when z* is at
+    least 1, or when z* is within the phase-1 threshold below 1 and a
+    feasibility test at floor 1 confirms it.
+    """
+    result = _solve_distinct(lp, 0.0)
+    if result.status != "optimal":
+        return result, None
+    z = result.objective
+    if z >= 1.0 or (z > 1.0 - simplex.ARTIFICIAL_MASS_TOL
+                    and simplex.feasible(_distinct_program(lp, 1.0))):
+        return result, 1.0
+    return result, z
+
+
 def solve_lp(lp: FakingLp) -> LpSolution:
-    """Solve the assembled program with the in-package simplex."""
-    return _package_solution(simplex.solve(lp.program))
+    """Solve ``lp``'s program with the in-package simplex, on the distinct
+    strategy columns.
+
+    Every floor is answered from the floor-0 solve: floor f is feasible
+    exactly when f is at most :func:`max_faking_efficiency`, and the
+    floor-0 optimum, optimal at floor f too, is what a feasible floor
+    returns. Only a floor above that optimum (one within the phase-1
+    threshold below 1 that floor 1 confirmed) is solved at floor f itself,
+    so that the returned rates meet the floor.
+    """
+    floor = lp.efficiency_floor
+    result, largest_floor = _floor_zero_solve(lp)
+    if largest_floor is not None and floor > result.objective:
+        if floor > largest_floor:
+            return _no_solution("infeasible")
+        result = _solve_distinct(lp, floor)
+    return _package_solution(result)
 
 
 def rescore_solution(solution: LpSolution) -> tuple[np.ndarray, np.ndarray, float]:
@@ -354,19 +437,16 @@ def max_faking_efficiency(targets: MatchProbabilityTable) -> float:
 
     Floor f is feasible exactly when the largest achievable minimum
     coincidence rate is at least f, so the answer is the epigraph optimum of
-    the floor-0 program, from one solve. An optimum within the phase-1
-    threshold of 1 is confirmed by a feasibility test at floor 1 and then
-    reported as exactly 1.0. The test suite cross-checks the value against
-    a bisection on the feasibility of floor programs.
+    the floor-0 program, from one solve. An optimum of 1 or more is reported
+    as exactly 1.0, and so is one within the phase-1 threshold below 1 that
+    a feasibility test at floor 1 confirms. :func:`solve_lp` decides every floor by this
+    same number. The test suite cross-checks the value against a bisection
+    on the feasibility of floor programs.
     """
-    result = simplex.solve(build_faking_lp(FakingProblem(targets=targets)).program)
-    if result.status != "optimal":  # cannot happen: zero detection satisfies everything
+    result, largest_floor = _floor_zero_solve(build_faking_lp(FakingProblem(targets=targets)))
+    if largest_floor is None:  # cannot happen: zero detection satisfies everything
         raise AssertionError(f"floor-0 faking program reported {result.status}")
-    if result.objective > 1.0 - simplex.ARTIFICIAL_MASS_TOL:
-        full = build_faking_lp(FakingProblem(targets=targets, efficiency_floor=1.0))
-        if simplex.feasible(full.program):
-            return 1.0
-    return result.objective
+    return largest_floor
 
 
 def demonstration_solution(

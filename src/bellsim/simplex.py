@@ -10,9 +10,11 @@ guarantees termination on the degenerate programs the loophole analysis
 produces.
 
 Columns of ``[objective; A_eq; A_ub]`` bit-identical to a lower-index
-column are dropped before phase 1 and reported at 0 (the faking LP's 4096
-strategy columns hold 339 distinct ones); ``np.lexsort`` over the columns'
-``uint64`` bit patterns finds them. This is exact: twins have equal reduced
+column are dropped before phase 1 and reported at 0; ``np.lexsort`` over
+the columns' ``uint64`` bit patterns finds them. (The faking LP's 4096
+strategy columns hold 339 distinct ones, which ``bellsim.loophole`` knows
+in advance: it assembles its programs on those columns alone, so there this
+presolve finds none.) This is exact: twins have equal reduced
 costs, so Bland's rule never enters the higher-index one; keeping the rest
 in order keeps every entering choice and ratio-test tie-break; and row
 operations are elementwise, so the vertex is bit-identical.

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bellsim.cli import main
@@ -364,6 +365,29 @@ class TestLoopholeCommand:
             "loophole", "--angles", "60,0,120", "--floor", "1.0", "--format", "json",
         )
         assert json.loads(out)["status"] == "infeasible"
+
+    def test_floor_boundary_is_the_max_efficiency(self, capsys):
+        # A floor is feasible exactly up to the number --max-efficiency
+        # prints, with no phase-1 tolerance between them.
+        _, out, _ = run_cli(
+            capsys, "loophole", "--angles", "60,0,120", "--max-efficiency", "--format", "json",
+        )
+        eta = json.loads(out)["max_faking_efficiency"]
+        for floor, status in ((eta, "feasible"), (float(np.nextafter(eta, 1.0)), "infeasible")):
+            code, out, _ = run_cli(
+                capsys, "loophole", "--angles", "60,0,120", "--floor", repr(floor),
+                "--format", "json",
+            )
+            doc = json.loads(out)
+            assert (code, doc["status"]) == (0, status), floor
+            if status == "feasible":
+                assert doc["min_coincidence_rate"] == eta
+
+    def test_floor_above_a_diverging_phase_one_is_infeasible(self, capsys):
+        # Phase 1 of this floor-1 program does not finish; the floor-0
+        # optimum, 0.985, decides it.
+        code, out, _ = run_cli(capsys, "loophole", "--angles", "212,177,0", "--floor", "1")
+        assert (code, out) == (0, "status: infeasible\n")
 
     def test_demo_solution_feeds_simulate(self, tmp_path, capsys):
         solution_file = tmp_path / "solution.json"

@@ -16,6 +16,9 @@ from bellsim.loophole import (
     FakingProblem,
     LpSolution,
     _assemble_lp,
+    _distinct_strategies,
+    _faking_lp,
+    _solve_distinct,
     build_faking_lp,
     demonstration_solution,
     enumerate_augmented_strategies,
@@ -190,6 +193,31 @@ class TestMaxFakingEfficiency:
             assert highs.status == 0, (degrees, highs.message)
             assert max_faking_efficiency(targets) == pytest.approx(-highs.fun, abs=1e-9), degrees
 
+    def test_highs_agrees_on_floor_programs(self):
+        # Independent solver on the full floor programs, whose phase 1 this
+        # package's simplex does not always finish; solve_lp decides them
+        # from the floor-0 solve and must neither raise nor disagree.
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(1)
+        for degrees in rng.integers(0, 360, size=(30, 3)):
+            targets = match_table(AngleTriple.from_degrees(*map(int, degrees)))
+            eta = max_faking_efficiency(targets)
+            for floor in (0.6, 1.0):
+                built = build_faking_lp(FakingProblem(targets=targets, efficiency_floor=floor))
+                program = built.program
+                highs = optimize.linprog(
+                    -program.objective,
+                    A_ub=program.ub_matrix, b_ub=program.ub_rhs,
+                    A_eq=program.eq_matrix, b_eq=program.eq_rhs,
+                    bounds=(0.0, None), method="highs",
+                )
+                assert highs.status in (0, 2), (degrees, floor, highs.message)
+                solution = solve_lp(built)
+                expected = "feasible" if highs.status == 0 else "infeasible"
+                assert solution.status == expected, (degrees, floor)
+                if expected == "feasible":
+                    assert solution.min_coincidence_rate == pytest.approx(eta, abs=1e-9)
+
     def test_one_solve_matches_floor0_optimum(self, floor0_solution):
         assert max_faking_efficiency(CANONICAL_TARGETS) == floor0_solution.min_coincidence_rate
 
@@ -219,15 +247,17 @@ class TestMaxFakingEfficiency:
         results = [is_feasible(f) for f in (0.0, 0.25, 0.5, 0.65, 0.68, 0.9)]
         assert results == [True, True, True, True, False, False]
 
-    # Known defect: on these programs phase 1 takes pivots as small as 1e-9,
-    # its right-hand side drifts to -1e12 or beyond, and it does not finish.
-    # HiGHS agrees with the expected statuses. A budget of 5,000 pivots keeps each
-    # case under a second; the default budget fails the same way.
-    @pytest.mark.xfail(strict=True, raises=simplex.SimplexError,
-                       reason="phase 1 diverges on some integer-angle programs")
+    # Phase 1 of these floor programs takes pivots as small as 1e-9, its
+    # right-hand side drifts to -1e12 or beyond, and it does not finish even
+    # within the default budget; the floor is decided from the floor-0 solve
+    # instead. At (207, 20, 200) that optimum is exactly 1, and a floor-1
+    # phase 1 to confirm it would not finish either. HiGHS agrees with the
+    # expected statuses. A budget of 5,000 pivots keeps each case under a
+    # second should the floor program be solved again.
     @pytest.mark.parametrize(
         "angles, floor",
-        (((212, 177, 0), 1.0), ((162, 15, 11), 1.0), ((8, 231, 7), 0.6)),
+        (((212, 177, 0), 1.0), ((162, 15, 11), 1.0), ((8, 231, 7), 0.6),
+         ((207, 20, 200), 1.0)),
     )
     def test_floor_program_agrees_with_max_efficiency(self, angles, floor, monkeypatch):
         targets = match_table(AngleTriple.from_degrees(*angles))
@@ -239,6 +269,43 @@ class TestMaxFakingEfficiency:
         else:
             assert solution.status == "feasible"
             assert solution.min_coincidence_rate == pytest.approx(eta, abs=1e-9)
+
+
+class TestDistinctStrategies:
+    # The faking program solved on one strategy per group of equal detect
+    # and detect_match must be the full program's solve, bit for bit.
+    @staticmethod
+    def targets():
+        rng = np.random.default_rng(2026)
+        triples = [(60, 0, 120), (45, 0, 90)]
+        triples += [tuple(t) for t in rng.uniform(0.0, 360.0, size=(4, 3))]
+        triples += [tuple(int(v) for v in t) for t in rng.integers(0, 360, size=(4, 3))]
+        return [ZERO_TARGETS] + [match_table(AngleTriple.from_degrees(*t)) for t in triples]
+
+    def test_kept_columns_are_the_simplex_presolve(self):
+        assert len(_distinct_strategies()) == 339
+        for targets in self.targets():
+            for margin in (None, DEMO_STEALTH_MARGIN):
+                program = _faking_lp(targets, 0.0, margin).program
+                _, kept = simplex._without_twins(program)
+                assert np.array_equal(kept[:-1], _distinct_strategies())
+                assert kept[-1] == N_STRATEGIES
+
+    def test_reduced_solve_is_the_full_solve(self):
+        statuses = set()
+        for targets in self.targets():
+            for margin in (None, DEMO_STEALTH_MARGIN):
+                lp = _faking_lp(targets, 0.0, margin)
+                full = simplex.solve(lp.program)
+                reduced = _solve_distinct(lp, 0.0)
+                statuses.add(full.status)
+                assert reduced.status == full.status
+                assert (reduced.x is None) == (full.x is None)
+                if full.x is not None:
+                    assert reduced.x.tobytes() == full.x.tobytes()
+                assert repr(reduced.objective) == repr(full.objective)
+                assert reduced.pivots == full.pivots
+        assert statuses == {"optimal", "infeasible"}  # the demo program is infeasible at zero targets
 
 
 class TestDemonstrationSolution:
