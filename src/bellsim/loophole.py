@@ -111,13 +111,12 @@ def _distinct_strategies() -> np.ndarray:
     any targets. Strategies in different groups differ in a ``-detect`` row,
     or, where detect is equal, in a ``detect_match - target * detect`` entry
     for every target in [0, 1]. So with z these are exactly the columns
-    ``simplex._without_twins`` keeps of the full program, in its order.
+    ``simplex._without_twins`` keeps of the full program, in its order; at
+    zero targets a column is its strategy's (detect, detect_match), and the
+    presolve is asked once.
     """
-    detect, detect_match = _strategy_matrices()
-    cells = np.hstack([detect.reshape(N_STRATEGIES, -1),
-                       detect_match.reshape(N_STRATEGIES, -1)])
-    _, first = np.unique(cells, axis=0, return_index=True)
-    keep = np.sort(first)
+    program = _assemble_lp(*_strategy_matrices(), np.zeros((3, 3)), 0.0)
+    keep = simplex._without_twins(program)[1][:-1]
     keep.flags.writeable = False
     return keep
 
@@ -358,13 +357,6 @@ def _package_solution(result: simplex.SimplexResult) -> LpSolution:
     )
 
 
-def _distinct_program(lp: FakingLp, floor: float) -> simplex.LinearProgram:
-    """``lp``'s program at ``floor`` on the distinct strategy columns plus z."""
-    detect, detect_match = _strategy_matrices()
-    keep = _distinct_strategies()
-    return _assemble_lp(detect[keep], detect_match[keep], lp.targets, floor, lp.stealth_margin)
-
-
 def _solve_distinct(lp: FakingLp, floor: float) -> simplex.SimplexResult:
     """``simplex.solve`` of ``lp``'s program at ``floor``, run on the
     distinct strategy columns, with x expanded back to all 4097 variables.
@@ -373,53 +365,55 @@ def _solve_distinct(lp: FakingLp, floor: float) -> simplex.SimplexResult:
     once it drops twin columns, so x, the objective and the pivots are the
     same, bit for bit.
     """
-    result = simplex.solve(_distinct_program(lp, floor))
+    detect, detect_match = _strategy_matrices()
+    keep = _distinct_strategies()
+    result = simplex.solve(
+        _assemble_lp(detect[keep], detect_match[keep], lp.targets, floor, lp.stealth_margin)
+    )
     if result.x is None:
         return result
     x = np.zeros(N_STRATEGIES + 1)
-    x[_distinct_strategies()] = result.x[:-1]
+    x[keep] = result.x[:-1]
     x[N_STRATEGIES] = result.x[-1]
     return replace(result, x=x)
 
 
-def _floor_zero_solve(lp: FakingLp) -> tuple[simplex.SimplexResult, float | None]:
-    """The solve of ``lp``'s program at floor 0 and the largest efficiency
-    floor at which the program is feasible (None when floor 0 is not).
+def _floor_one_solve(lp: FakingLp, z: float) -> simplex.SimplexResult | None:
+    """The optimum of ``lp``'s program at floor 1, when the floor-0 optimum
+    ``z`` lies within the phase-1 threshold below 1 and that program is
+    feasible; otherwise None.
 
-    The floor-f program maximizes the same minimum coincidence rate z as the
-    floor-0 program and only adds the rows "coincidence rate >= f". So it is
-    feasible exactly when the floor-0 optimum z* is at least f, and z* is
-    then optimal for it too. The largest floor is exactly 1.0 when z* is at
-    least 1, or when z* is within the phase-1 threshold below 1 and a
-    feasibility test at floor 1 confirms it.
+    Such a ``z`` may be 1 but for rounding, and only the floor-1 program
+    tells. Its optimum meets every floor up to 1, so it answers each floor
+    above ``z``.
     """
-    result = _solve_distinct(lp, 0.0)
-    if result.status != "optimal":
-        return result, None
-    z = result.objective
-    if z >= 1.0 or (z > 1.0 - simplex.ARTIFICIAL_MASS_TOL
-                    and simplex.feasible(_distinct_program(lp, 1.0))):
-        return result, 1.0
-    return result, z
+    if not 1.0 - simplex.ARTIFICIAL_MASS_TOL < z < 1.0:
+        return None
+    result = _solve_distinct(lp, 1.0)
+    return result if result.status == "optimal" else None
 
 
 def solve_lp(lp: FakingLp) -> LpSolution:
     """Solve ``lp``'s program with the in-package simplex, on the distinct
     strategy columns.
 
-    Every floor is answered from the floor-0 solve: floor f is feasible
-    exactly when f is at most :func:`max_faking_efficiency`, and the
-    floor-0 optimum, optimal at floor f too, is what a feasible floor
-    returns. Only a floor above that optimum (one within the phase-1
-    threshold below 1 that floor 1 confirmed) is solved at floor f itself,
-    so that the returned rates meet the floor.
+    Every floor is answered from the floor-0 solve. The floor-f program
+    maximizes the same minimum coincidence rate z and only adds the rows
+    "coincidence rate >= f", so it is feasible exactly when the floor-0
+    optimum z* is at least f, and that optimum, optimal at floor f too, is
+    what a feasible floor returns. A floor above z* is feasible only when
+    z* is within the phase-1 threshold below 1 and the floor-1 program has
+    an optimum, which is then returned. So floor f is feasible exactly when
+    f is at most :func:`max_faking_efficiency`. That comparison is with the
+    computed z*: a floor within rounding of the true optimum may be
+    misreported (at the canonical angles the optimum is 2/3, z* is one ulp
+    below the double nearest it, and that double reads infeasible).
     """
-    floor = lp.efficiency_floor
-    result, largest_floor = _floor_zero_solve(lp)
-    if largest_floor is not None and floor > result.objective:
-        if floor > largest_floor:
+    result = _solve_distinct(lp, 0.0)
+    if result.status == "optimal" and lp.efficiency_floor > result.objective:
+        result = _floor_one_solve(lp, result.objective)
+        if result is None:
             return _no_solution("infeasible")
-        result = _solve_distinct(lp, floor)
     return _package_solution(result)
 
 
@@ -438,15 +432,18 @@ def max_faking_efficiency(targets: MatchProbabilityTable) -> float:
     Floor f is feasible exactly when the largest achievable minimum
     coincidence rate is at least f, so the answer is the epigraph optimum of
     the floor-0 program, from one solve. An optimum of 1 or more is reported
-    as exactly 1.0, and so is one within the phase-1 threshold below 1 that
-    a feasibility test at floor 1 confirms. :func:`solve_lp` decides every floor by this
-    same number. The test suite cross-checks the value against a bisection
-    on the feasibility of floor programs.
+    as exactly 1.0, and so is one within the phase-1 threshold below 1 when
+    the floor-1 program has an optimum. :func:`solve_lp` decides every floor
+    by this same number. The test suite cross-checks the value against a
+    bisection on the feasibility of floor programs.
     """
-    result, largest_floor = _floor_zero_solve(build_faking_lp(FakingProblem(targets=targets)))
-    if largest_floor is None:  # cannot happen: zero detection satisfies everything
+    lp = build_faking_lp(FakingProblem(targets=targets))
+    result = _solve_distinct(lp, 0.0)
+    if result.status != "optimal":  # cannot happen: zero detection satisfies everything
         raise AssertionError(f"floor-0 faking program reported {result.status}")
-    return largest_floor
+    if result.objective >= 1.0 or _floor_one_solve(lp, result.objective) is not None:
+        return 1.0
+    return result.objective
 
 
 def demonstration_solution(

@@ -271,6 +271,67 @@ class TestMaxFakingEfficiency:
             assert solution.min_coincidence_rate == pytest.approx(eta, abs=1e-9)
 
 
+class TestOptimumJustBelowOne:
+    # Local targets reached with full detection have a true optimum of 1,
+    # but the floor-0 solve may return an optimum a few ulps below it; only
+    # the floor-1 program can tell such targets apart.
+    CONFIRMED = MatchProbabilityTable(((0.0, 1.0, 1.0),) * 3)
+    # A 1:99 mixture of two full-detection tables, whose floor-1 phase 1
+    # does not finish.
+    DIVERGING = MatchProbabilityTable(((0.99,) * 3, (0.01,) * 3, (1.0,) * 3))
+
+    @staticmethod
+    def floor_zero_optimum(targets):
+        z = _solve_distinct(_faking_lp(targets, 0.0), 0.0).objective
+        assert 1.0 - simplex.ARTIFICIAL_MASS_TOL < z < 1.0
+        return z
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        calls = []
+        solve = simplex.solve
+
+        def counted(lp):
+            calls.append(lp)
+            return solve(lp)
+
+        def refuse(lp):
+            raise AssertionError("a phase 1 at floor 1 was run")
+
+        monkeypatch.setattr(simplex, "solve", counted)
+        monkeypatch.setattr(simplex, "feasible", refuse)
+        return calls
+
+    def test_floor_one_optimum_answers_the_floors_above(self):
+        z = self.floor_zero_optimum(self.CONFIRMED)
+        assert max_faking_efficiency(self.CONFIRMED) == 1.0
+        for floor in (float(np.nextafter(z, 1.0)), 1.0):
+            built = build_faking_lp(FakingProblem(targets=self.CONFIRMED, efficiency_floor=floor))
+            solution = solve_lp(built)
+            assert solution.status == "feasible", floor
+            assert min(map(min, solution.coincidence_rates)) >= floor
+
+    def test_floor_at_most_the_optimum_is_one_solve(self, monkeypatch):
+        z = self.floor_zero_optimum(self.DIVERGING)
+        calls = self.count_solves(monkeypatch)
+        for floor in (0.0, 0.5, z):
+            built = build_faking_lp(FakingProblem(targets=self.DIVERGING, efficiency_floor=floor))
+            solution = solve_lp(built)
+            assert solution.status == "feasible", floor
+            assert solution.min_coincidence_rate == z
+        assert demonstration_solution(self.DIVERGING).status == "feasible"
+        assert len(calls) == 4
+
+    # Known defect: deciding floor 1 for these targets needs the floor-1
+    # program, and its phase 1 does not finish; HiGHS finds it feasible.
+    @pytest.mark.xfail(raises=simplex.SimplexError,
+                       reason="floor-1 phase 1 diverges on this local mixture")
+    def test_diverging_floor_one_reaches_full_efficiency(self, monkeypatch):
+        self.floor_zero_optimum(self.DIVERGING)
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 5_000)
+        assert max_faking_efficiency(self.DIVERGING) == 1.0
+
+
 class TestDistinctStrategies:
     # The faking program solved on one strategy per group of equal detect
     # and detect_match must be the full program's solve, bit for bit.
