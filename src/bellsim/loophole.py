@@ -110,13 +110,13 @@ def _distinct_strategies() -> np.ndarray:
     Strategies in one group give bit-identical faking-program columns for
     any targets. Strategies in different groups differ in a ``-detect`` row,
     or, where detect is equal, in a ``detect_match - target * detect`` entry
-    for every target in [0, 1]. So with z these are exactly the columns
-    ``simplex._without_twins`` keeps of the full program, in its order; at
-    zero targets a column is its strategy's (detect, detect_match), and the
-    presolve is asked once.
+    for every target in [0, 1]. So these columns hold each distinct column
+    of the full program once, and under Bland's rule the program on them
+    reaches the full program's vertex bit for bit: the higher-index twin of
+    a column never enters.
     """
-    program = _assemble_lp(*_strategy_matrices(), np.zeros((3, 3)), 0.0)
-    keep = simplex._without_twins(program)[1][:-1]
+    cells = np.hstack([m.reshape(N_STRATEGIES, -1) for m in _strategy_matrices()])
+    keep = np.sort(np.unique(cells, axis=0, return_index=True)[1])
     keep.flags.writeable = False
     return keep
 
@@ -145,15 +145,20 @@ class FakingLp:
     maximizes). Constraints: weights sum to 1; for each of the nine setting
     pairs, the conditional match equality written in linearized form
     (match mass equals target times coincidence mass) and the floor and
-    epigraph inequalities on the coincidence rate. ``program`` is the full
-    program, for inspection and archiving; :func:`solve_lp` works from the
-    defining data, on the distinct strategy columns.
+    epigraph inequalities on the coincidence rate. ``program`` assembles
+    the full program on first read, for inspection and archiving;
+    :func:`solve_lp` works from the defining data, on the distinct strategy
+    columns.
     """
 
-    program: simplex.LinearProgram
     targets: np.ndarray
     efficiency_floor: float
     stealth_margin: float | None = None
+
+    @cached_property
+    def program(self) -> simplex.LinearProgram:
+        return _assemble_lp(*_strategy_matrices(), self.targets,
+                            self.efficiency_floor, self.stealth_margin)
 
     def to_dict(self) -> dict:
         """JSON-ready dump: the assembled program plus its defining data."""
@@ -206,21 +211,9 @@ def _assemble_lp(
     )
 
 
-def _faking_lp(
-    targets: MatchProbabilityTable, floor: float, stealth_margin: float | None = None
-) -> FakingLp:
-    arr = targets.as_array()
-    return FakingLp(
-        program=_assemble_lp(*_strategy_matrices(), arr, floor, stealth_margin),
-        targets=arr,
-        efficiency_floor=floor,
-        stealth_margin=stealth_margin,
-    )
-
-
 def build_faking_lp(problem: FakingProblem) -> FakingLp:
-    """Assemble the 4097-variable program for the 3-setting scenario."""
-    return _faking_lp(problem.targets, problem.efficiency_floor)
+    """The 4097-variable faking LP of ``problem``, for the 3-setting scenario."""
+    return FakingLp(problem.targets.as_array(), problem.efficiency_floor)
 
 
 @dataclass(frozen=True)
@@ -357,23 +350,19 @@ def _package_solution(result: simplex.SimplexResult) -> LpSolution:
     )
 
 
-def _solve_distinct(lp: FakingLp, floor: float) -> simplex.SimplexResult:
-    """``simplex.solve`` of ``lp``'s program at ``floor``, run on the
-    distinct strategy columns, with x expanded back to all 4097 variables.
-
-    The tableau is the one ``simplex.solve`` builds from the full program
-    once it drops twin columns, so x, the objective and the pivots are the
-    same, bit for bit.
+def _solve_on(lp: FakingLp, columns: np.ndarray, floor: float) -> simplex.SimplexResult:
+    """``simplex.solve`` of ``lp``'s program at ``floor`` on the strategy
+    ``columns`` (ascending) and z, with x expanded back to all 4097 variables.
     """
     detect, detect_match = _strategy_matrices()
-    keep = _distinct_strategies()
     result = simplex.solve(
-        _assemble_lp(detect[keep], detect_match[keep], lp.targets, floor, lp.stealth_margin)
+        _assemble_lp(detect[columns], detect_match[columns], lp.targets, floor,
+                     lp.stealth_margin)
     )
     if result.x is None:
         return result
     x = np.zeros(N_STRATEGIES + 1)
-    x[keep] = result.x[:-1]
+    x[columns] = result.x[:-1]
     x[N_STRATEGIES] = result.x[-1]
     return replace(result, x=x)
 
@@ -385,11 +374,14 @@ def _floor_one_solve(lp: FakingLp, z: float) -> simplex.SimplexResult | None:
 
     Such a ``z`` may be 1 but for rounding, and only the floor-1 program
     tells. Its optimum meets every floor up to 1, so it answers each floor
-    above ``z``.
+    above ``z``. A floor-1 program weights only strategies that detect in
+    all nine cells, so it is solved on those alone: the 32 distinct
+    strategies whose six detection bits are all set.
     """
     if not 1.0 - simplex.ARTIFICIAL_MASS_TOL < z < 1.0:
         return None
-    result = _solve_distinct(lp, 1.0)
+    keep = _distinct_strategies()
+    result = _solve_on(lp, keep[(keep & 0x3F) == 0x3F], 1.0)
     return result if result.status == "optimal" else None
 
 
@@ -409,7 +401,7 @@ def solve_lp(lp: FakingLp) -> LpSolution:
     misreported (at the canonical angles the optimum is 2/3, z* is one ulp
     below the double nearest it, and that double reads infeasible).
     """
-    result = _solve_distinct(lp, 0.0)
+    result = _solve_on(lp, _distinct_strategies(), 0.0)
     if result.status == "optimal" and lp.efficiency_floor > result.objective:
         result = _floor_one_solve(lp, result.objective)
         if result is None:
@@ -435,12 +427,15 @@ def max_faking_efficiency(targets: MatchProbabilityTable) -> float:
     as exactly 1.0, and so is one within the phase-1 threshold below 1 when
     the floor-1 program has an optimum. :func:`solve_lp` decides every floor
     by this same number. The test suite cross-checks the value against a
-    bisection on the feasibility of floor programs.
+    bisection on the feasibility of floor programs. A floor-0 solve that
+    ends other than optimal raises ``simplex.SimplexError``.
     """
-    lp = build_faking_lp(FakingProblem(targets=targets))
-    result = _solve_distinct(lp, 0.0)
-    if result.status != "optimal":  # cannot happen: zero detection satisfies everything
-        raise AssertionError(f"floor-0 faking program reported {result.status}")
+    lp = FakingLp(targets.as_array(), 0.0)
+    result = _solve_on(lp, _distinct_strategies(), 0.0)
+    if result.status != "optimal":
+        # The program is feasible (zero detection satisfies every target) and
+        # bounded (z <= 1), so any other status is a numerical breakdown.
+        raise simplex.SimplexError(f"floor-0 faking program reported {result.status}")
     if result.objective >= 1.0 or _floor_one_solve(lp, result.objective) is not None:
         return 1.0
     return result.objective
@@ -462,7 +457,7 @@ def demonstration_solution(
     """
     if stealth_margin < 0.0:
         raise ValueError(f"stealth_margin must be nonnegative, got {stealth_margin!r}")
-    return solve_lp(_faking_lp(targets, 0.0, stealth_margin))
+    return solve_lp(FakingLp(targets.as_array(), 0.0, stealth_margin))
 
 
 def sample_loophole_model(

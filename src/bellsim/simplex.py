@@ -9,15 +9,12 @@ entering column; break ratio-test ties by lowest basic-variable index)
 guarantees termination on the degenerate programs the loophole analysis
 produces.
 
-Columns of ``[objective; A_eq; A_ub]`` bit-identical to a lower-index
-column are dropped before phase 1 and reported at 0; ``np.lexsort`` over
-the columns' ``uint64`` bit patterns finds them. (The faking LP's 4096
-strategy columns hold 339 distinct ones, which ``bellsim.loophole`` knows
-in advance: it assembles its programs on those columns alone, so there this
-presolve finds none.) This is exact: twins have equal reduced
-costs, so Bland's rule never enters the higher-index one; keeping the rest
-in order keeps every entering choice and ratio-test tie-break; and row
-operations are elementwise, so the vertex is bit-identical.
+Programs are solved as given, with no presolve. Under Bland's rule a column
+identical to a lower-index one never enters: twins have equal reduced costs,
+and the elementwise row operations keep them equal, so the lower-index twin
+is always picked first and the higher one stays at 0. A program with
+repeated columns thus reaches the vertex of the program without them, bit
+for bit.
 
 The tableau is one array: the constraint rows, then the cost row of reduced
 costs, with the right-hand side as the last column. That column holds the
@@ -222,34 +219,16 @@ def _phase_one(lp: LinearProgram) -> tuple[np.ndarray | None, list[int] | None, 
     return body, [tab.basis[r] for r in keep], tab.pivots
 
 
-def _without_twins(lp: LinearProgram) -> tuple[LinearProgram, np.ndarray]:
-    """The program on the first column of each group of bit-identical
-    columns, and those columns' indices in ascending order.
-
-    ``np.lexsort`` over the columns' ``uint64`` bit patterns brings twins
-    together; it is stable, so each run of twins starts with its lowest index.
-    """
-    bits = np.vstack([lp.objective, lp.eq_matrix, lp.ub_matrix]).view(np.uint64)
-    order = np.lexsort(bits)
-    ranked = bits[:, order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
-    keep = np.sort(order[first])
-    return LinearProgram(lp.objective[keep], lp.eq_matrix[:, keep], lp.eq_rhs,
-                         lp.ub_matrix[:, keep], lp.ub_rhs), keep
-
-
 def solve(lp: LinearProgram) -> SimplexResult:
     """Two-phase simplex for ``lp``. Statuses: optimal, infeasible, unbounded."""
-    small, columns = _without_twins(lp)
-    body, basis, phase1_pivots = _phase_one(small)
+    body, basis, phase1_pivots = _phase_one(lp)
     if body is None:
         return SimplexResult(status="infeasible", x=None, objective=None,
                              pivots=(phase1_pivots, 0))
     n_real = body.shape[1] - 1
 
     cost = np.zeros(n_real)
-    cost[: small.n_vars] = -small.objective  # maximize via minimizing the negation
+    cost[: lp.n_vars] = -lp.objective  # maximize via minimizing the negation
     tab = _Tableau(body, basis, cost)
     status = tab.run()
     pivots = (phase1_pivots, tab.pivots)
@@ -259,11 +238,10 @@ def solve(lp: LinearProgram) -> SimplexResult:
     basic = np.zeros(n_real)
     basic[np.asarray(tab.basis, dtype=int)] = tab.t[:-1, -1]
     np.clip(basic, 0.0, None, out=basic)  # snap -1e-15 round-off on basic zeros
-    x = np.zeros(lp.n_vars)
-    x[columns] = basic[: small.n_vars]
+    x = basic[: lp.n_vars]
     return SimplexResult(status="optimal", x=x, objective=float(lp.objective @ x), pivots=pivots)
 
 
 def feasible(lp: LinearProgram) -> bool:
     """Phase-1 feasibility test of ``lp``, without optimizing its objective."""
-    return _phase_one(_without_twins(lp)[0])[0] is not None
+    return _phase_one(lp)[0] is not None

@@ -13,12 +13,12 @@ from bellsim.loophole import (
     DEMO_STEALTH_MARGIN,
     N_STRATEGIES,
     AugmentedStrategy,
+    FakingLp,
     FakingProblem,
     LpSolution,
     _assemble_lp,
     _distinct_strategies,
-    _faking_lp,
-    _solve_distinct,
+    _solve_on,
     build_faking_lp,
     demonstration_solution,
     enumerate_augmented_strategies,
@@ -270,6 +270,20 @@ class TestMaxFakingEfficiency:
             assert solution.status == "feasible"
             assert solution.min_coincidence_rate == pytest.approx(eta, abs=1e-9)
 
+    # Known defect: a mixture of tables 13, 24 and 53 with weights 0.685,
+    # 0.315 and 6.3e-10. Its floor-0 phase 2 reports unbounded after 3,775
+    # pivots, although z <= 1 bounds the program; HiGHS finds the optimum 1.
+    BREAKDOWN = MatchProbabilityTable((
+        (0.31478760013516033, 0.9999999993735484, 0.31478760013516033),
+        (6.264515891236387e-10, 0.6852123998648397, 6.264515891236387e-10),
+        (0.6852123998648397, 6.264515891236387e-10, 0.6852123998648397),
+    ))
+
+    @pytest.mark.xfail(raises=simplex.SimplexError,
+                       reason="floor-0 phase 2 breaks down on this local mixture")
+    def test_floor_zero_breakdown_reaches_full_efficiency(self):
+        assert max_faking_efficiency(self.BREAKDOWN) == 1.0
+
 
 class TestOptimumJustBelowOne:
     # Local targets reached with full detection have a true optimum of 1,
@@ -277,12 +291,12 @@ class TestOptimumJustBelowOne:
     # the floor-1 program can tell such targets apart.
     CONFIRMED = MatchProbabilityTable(((0.0, 1.0, 1.0),) * 3)
     # A 1:99 mixture of two full-detection tables, whose floor-1 phase 1
-    # does not finish.
+    # on all the distinct strategies does not finish.
     DIVERGING = MatchProbabilityTable(((0.99,) * 3, (0.01,) * 3, (1.0,) * 3))
 
     @staticmethod
     def floor_zero_optimum(targets):
-        z = _solve_distinct(_faking_lp(targets, 0.0), 0.0).objective
+        z = _solve_on(FakingLp(targets.as_array(), 0.0), _distinct_strategies(), 0.0).objective
         assert 1.0 - simplex.ARTIFICIAL_MASS_TOL < z < 1.0
         return z
 
@@ -322,10 +336,8 @@ class TestOptimumJustBelowOne:
         assert demonstration_solution(self.DIVERGING).status == "feasible"
         assert len(calls) == 4
 
-    # Known defect: deciding floor 1 for these targets needs the floor-1
-    # program, and its phase 1 does not finish; HiGHS finds it feasible.
-    @pytest.mark.xfail(raises=simplex.SimplexError,
-                       reason="floor-1 phase 1 diverges on this local mixture")
+    # Deciding floor 1 for these targets needs the floor-1 program, solved
+    # on the always-detect strategies alone; HiGHS finds it feasible.
     def test_diverging_floor_one_reaches_full_efficiency(self, monkeypatch):
         self.floor_zero_optimum(self.DIVERGING)
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 5_000)
@@ -343,12 +355,13 @@ class TestDistinctStrategies:
         triples += [tuple(int(v) for v in t) for t in rng.integers(0, 360, size=(4, 3))]
         return [ZERO_TARGETS] + [match_table(AngleTriple.from_degrees(*t)) for t in triples]
 
-    def test_kept_columns_are_the_simplex_presolve(self):
+    def test_kept_columns_are_the_distinct_program_columns(self):
         assert len(_distinct_strategies()) == 339
         for targets in self.targets():
             for margin in (None, DEMO_STEALTH_MARGIN):
-                program = _faking_lp(targets, 0.0, margin).program
-                _, kept = simplex._without_twins(program)
+                program = FakingLp(targets.as_array(), 0.0, margin).program
+                columns = np.vstack([program.objective, program.eq_matrix, program.ub_matrix])
+                kept = np.sort(np.unique(columns.T, axis=0, return_index=True)[1])
                 assert np.array_equal(kept[:-1], _distinct_strategies())
                 assert kept[-1] == N_STRATEGIES
 
@@ -356,9 +369,9 @@ class TestDistinctStrategies:
         statuses = set()
         for targets in self.targets():
             for margin in (None, DEMO_STEALTH_MARGIN):
-                lp = _faking_lp(targets, 0.0, margin)
+                lp = FakingLp(targets.as_array(), 0.0, margin)
                 full = simplex.solve(lp.program)
-                reduced = _solve_distinct(lp, 0.0)
+                reduced = _solve_on(lp, _distinct_strategies(), 0.0)
                 statuses.add(full.status)
                 assert reduced.status == full.status
                 assert (reduced.x is None) == (full.x is None)
@@ -367,6 +380,30 @@ class TestDistinctStrategies:
                 assert repr(reduced.objective) == repr(full.objective)
                 assert reduced.pivots == full.pivots
         assert statuses == {"optimal", "infeasible"}  # the demo program is infeasible at zero targets
+
+    def test_loophole_sends_the_simplex_no_twin_columns(self, monkeypatch):
+        # The simplex has no twin presolve, so every program the analyses
+        # solve must hold each column once.
+        programs = []
+        solve = simplex.solve
+
+        def recorded(lp):
+            programs.append(lp)
+            return solve(lp)
+
+        monkeypatch.setattr(simplex, "solve", recorded)
+        for targets in (CANONICAL_TARGETS, match_table(AngleTriple.from_degrees(45, 0, 90)),
+                        ZERO_TARGETS, TestOptimumJustBelowOne.CONFIRMED,
+                        TestOptimumJustBelowOne.DIVERGING):
+            max_faking_efficiency(targets)
+            demonstration_solution(targets)
+            for floor in (0.0, 1.0):
+                solve_lp(build_faking_lp(FakingProblem(targets=targets, efficiency_floor=floor)))
+        floors = {float(-program.ub_rhs[0]) for program in programs}
+        assert floors == {0.0, 1.0}  # the floor-1 confirmation ran
+        for program in programs:
+            columns = np.vstack([program.objective, program.eq_matrix, program.ub_matrix])
+            assert len(np.unique(columns.T, axis=0)) == columns.shape[1]
 
 
 class TestDemonstrationSolution:

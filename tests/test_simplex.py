@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bellsim import simplex
-from bellsim.loophole import DEMO_STEALTH_MARGIN, FakingProblem, _faking_lp, build_faking_lp
+from bellsim.loophole import DEMO_STEALTH_MARGIN, FakingLp, FakingProblem, build_faking_lp
 from bellsim.quantum import AngleTriple, match_table
 from bellsim.simplex import LinearProgram, SimplexError, feasible, solve
 
@@ -219,8 +219,7 @@ class TestDuplicateColumns:
         assert not feasible(twinned)
 
     def test_one_variable_program(self):
-        # max x subject to 2x <= 1: the columns matrix is (1, k), whose first
-        # stride NumPy need not set to a whole row.
+        # max x subject to 2x <= 1: one column and no equality rows.
         res = solve(LinearProgram([1.0], np.zeros((0, 1)), np.zeros(0), [[2.0]], [1.0]))
         assert res.status == "optimal"
         assert res.x.tolist() == [0.5] and res.objective == 0.5
@@ -240,7 +239,7 @@ class TestPivotCounts:
     def test_faking_programs(self, angles, kind, status, pivots):
         targets = match_table(AngleTriple.from_degrees(*angles))
         if kind == "demo":
-            program = _faking_lp(targets, 0.0, DEMO_STEALTH_MARGIN).program
+            program = FakingLp(targets.as_array(), 0.0, DEMO_STEALTH_MARGIN).program
         else:
             floor = 1.0 if kind == "floor1" else 0.0
             program = build_faking_lp(FakingProblem(targets, efficiency_floor=floor)).program
