@@ -23,6 +23,7 @@ import json
 import math
 import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -43,24 +44,28 @@ from .lhv import (
     sample_from_lhv,
     sample_from_lhv_lanes,
 )
-from .quantum import (
-    AngleTriple, _check_setting, match_table, sample_outcome_pair, sample_outcome_pair_lanes,
-)
+from .quantum import AngleTriple, _check_setting, sample_outcome_pair, sample_outcome_pair_lanes
 from .rng import SplitMix64, derive_seed, lane_draws, uniform_lanes
 
 SOURCE_QUANTUM = "quantum"
 SOURCE_DETERMINISTIC_LHV = "deterministic-lhv"
 SOURCE_STOCHASTIC_LHV = "stochastic-lhv"
 SOURCE_LOOPHOLE = "loophole"
-#: Each source and the payloads of :class:`ExperimentConfig` it uses. A
-#: loophole run keeps the angles its demonstration solution was built for.
-_PAYLOADS = {
-    SOURCE_QUANTUM: ("angles",),
-    SOURCE_DETERMINISTIC_LHV: ("model",),
-    SOURCE_STOCHASTIC_LHV: ("model",),
-    SOURCE_LOOPHOLE: ("angles", "solution"),
+#: Every source, in the order of the ``--source`` choices: the payloads of
+#: :class:`ExperimentConfig` it uses, the last of them read by its sampler
+#: and of type ``kind``, the uniforms its sampler draws per trial, and the
+#: sampler, which maps ``(payload, x1, x2, u)`` to the spins (y1, y2), 0
+#: where undetected. A loophole run keeps the angles its demonstration
+#: solution was built for.
+_Source = namedtuple("_Source", "uses kind draws sample_lanes")
+_SOURCES = {
+    SOURCE_QUANTUM: _Source(("angles",), AngleTriple, 2, sample_outcome_pair_lanes),
+    SOURCE_DETERMINISTIC_LHV: _Source(("model",), DeterministicLhv, 1, sample_from_lhv_lanes),
+    SOURCE_STOCHASTIC_LHV: _Source(("model",), StochasticLocalModel, 2, sample_from_lhv_lanes),
+    SOURCE_LOOPHOLE: _Source(("angles", "solution"), loophole_mod.LpSolution, 1,
+                             loophole_mod.sample_loophole_model_lanes),
 }
-SOURCES = tuple(_PAYLOADS)
+SOURCES = tuple(_SOURCES)
 
 UNIFORM_9 = "uniform-9"
 UNIFORM_4 = "uniform-4"
@@ -96,7 +101,7 @@ def _integer(value, name: str) -> int:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce one simulated experiment; a payload
-    (:data:`_PAYLOADS`) its source does not use raises :class:`ConfigError`."""
+    its source (:data:`_SOURCES`) does not use raises :class:`ConfigError`."""
 
     n_trials: int
     seed: int
@@ -111,25 +116,19 @@ class ExperimentConfig:
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n_trials < 1:
             raise ConfigError(f"n_trials must be at least 1, got {self.n_trials!r}")
-        if self.setting_distribution not in (UNIFORM_9, UNIFORM_4):
-            raise ConfigError(
-                f"unknown setting distribution {self.setting_distribution!r}"
-            )
-        if self.source not in SOURCES:
+        if self.setting_distribution not in _SETTINGS:
+            raise ConfigError(f"unknown setting distribution {self.setting_distribution!r}")
+        source = _SOURCES.get(self.source)
+        if source is None:
             raise ConfigError(f"unknown source {self.source!r}")
         for name in ("angles", "model", "solution"):
-            if getattr(self, name) is not None and name not in _PAYLOADS[self.source]:
+            if getattr(self, name) is not None and name not in source.uses:
                 raise ConfigError(f"{self.source} source does not use {name}")
-        if self.source == SOURCE_QUANTUM:
-            if self.angles is None:
-                raise ConfigError("quantum source needs angles")
-        elif self.source == SOURCE_DETERMINISTIC_LHV:
-            if not isinstance(self.model, DeterministicLhv):
-                raise ConfigError("deterministic-lhv source needs a DeterministicLhv model")
-        elif self.source == SOURCE_STOCHASTIC_LHV:
-            if not isinstance(self.model, StochasticLocalModel):
-                raise ConfigError("stochastic-lhv source needs a StochasticLocalModel")
-        elif self.solution is None or self.solution.status != "feasible":  # loophole
+        payload = getattr(self, source.uses[-1])
+        if not isinstance(payload, source.kind):
+            raise ConfigError(f"{self.source} source needs {source.uses[-1]} of type "
+                              f"{source.kind.__name__}, got {type(payload).__name__}")
+        if self.source == SOURCE_LOOPHOLE and payload.status != "feasible":
             raise ConfigError("loophole source needs a feasible LpSolution")
 
 
@@ -245,52 +244,38 @@ def _as_dataset(dataset: Iterable[TrialRecord]) -> TrialDataset:
     return TrialDataset.from_records(dataset)
 
 
-#: Draws per trial: of each setting distribution, then of each source's sampler.
-_SETTING_DRAWS = {UNIFORM_9: 2, UNIFORM_4: 1}
-_SAMPLER_DRAWS = {
-    SOURCE_QUANTUM: 2,
-    SOURCE_DETERMINISTIC_LHV: 1,
-    SOURCE_STOCHASTIC_LHV: 2,
-    SOURCE_LOOPHOLE: 1,
-}
-
 _THREE = np.uint64(3)
 _REJECTED = np.uint64(2**64 - 1)  # the one draw randbelow(3) rejects
 _BELL_PAIR_SETTINGS = np.array(BELL_PAIRS).T  # column k holds BELL_PAIRS[k]
 
 
-def _splice_rejected(words: np.ndarray, seed: int, start: int) -> None:
-    """Give every lane whose ``uniform-9`` setting draw is the word
-    ``randbelow(3)`` rejects the draws its trial makes one at a time.
-
-    ``mix64`` is a bijection and a stream's counters are distinct, so the
-    word occurs at most once in a trial's stream: the trial's draws are the
-    first ``len(words) + 1`` of its stream with that word deleted.
-    """
-    for hit in np.flatnonzero(words[:_SETTING_DRAWS[UNIFORM_9]] == _REJECTED).tolist():
+def _uniform_9(words: np.ndarray, seed: int, start: int) -> np.ndarray:
+    """x1 and x2 as ``randbelow(3)`` of rows 0 and 1 of ``words``, after
+    giving, in place, every lane whose setting draw is the word it rejects
+    the draws its trial makes one at a time. ``mix64`` is a bijection and a
+    stream's counters are distinct, so the word occurs at most once in a
+    trial's stream: the trial's draws are the first ``len(words) + 1`` of its
+    stream with that word deleted."""
+    settings = words[:2]
+    for hit in np.flatnonzero(settings == _REJECTED).tolist():
         row, lane = divmod(hit, words.shape[1])
         i = start + lane
         stream = lane_draws(seed, i, i + 1, len(words) + 1)[:, 0]
         words[:, lane] = np.delete(stream, row)
+    return (settings % _THREE).astype(np.intp)
 
 
-def _draw_settings_lanes(distribution: str, words: np.ndarray):
-    """The ``(2, trials)`` array of x1 and x2 from the setting draws, the
-    rows of ``words``."""
-    if distribution == UNIFORM_9:
-        return (words % _THREE).astype(np.intp)
-    # randbelow(4) never rejects: 4 divides 2**64.
+def _uniform_4(words: np.ndarray, seed: int, start: int) -> np.ndarray:
+    """x1 and x2 as the statistic pair ``randbelow(4)`` of row 0 of ``words``
+    picks; ``randbelow(4)`` never rejects, since 4 divides 2**64."""
     return _BELL_PAIR_SETTINGS[:, words[0] & _THREE]
 
 
-def _sample(config: ExperimentConfig, x1: np.ndarray, x2: np.ndarray, u: np.ndarray) -> tuple:
-    """The source's spins (y1, y2), 0 where undetected, for a block of trials
-    from their settings and the ``(draws, trials)`` matrix of their uniforms."""
-    if config.source == SOURCE_QUANTUM:
-        return sample_outcome_pair_lanes(x1, x2, match_table(config.angles), u)
-    if config.source == SOURCE_LOOPHOLE:
-        return loophole_mod.sample_loophole_model_lanes(config.solution, x1, x2, u)
-    return sample_from_lhv_lanes(config.model, x1, x2, u)
+#: Each setting distribution: its draws per trial, and ``decode(words, seed,
+#: start)``, the ``(2, trials)`` array of x1 and x2 of the block of trials
+#: from ``start`` whose draws, the setting rows first, are ``words``.
+_Settings = namedtuple("_Settings", "draws decode")
+_SETTINGS = {UNIFORM_9: _Settings(2, _uniform_9), UNIFORM_4: _Settings(1, _uniform_4)}
 
 
 def run_experiment(config: ExperimentConfig) -> TrialDataset:
@@ -299,22 +284,22 @@ def run_experiment(config: ExperimentConfig) -> TrialDataset:
 
     Trials are generated in blocks of :data:`BLOCK_TRIALS`. A block takes
     every draw its trials make as one ``(draws, trials)`` matrix from
-    :func:`~bellsim.rng.lane_draws`: the settings' rows first,
-    then the source's, which its sampler receives as uniforms. Trial
-    randomness is keyed by (seed, trial index), so the block size cannot
-    change what any trial draws.
+    :func:`~bellsim.rng.lane_draws`: the settings' rows first, then the
+    source's, which its sampler receives as uniforms. Trial randomness is
+    keyed by (seed, trial index), so the block size cannot change what any
+    trial draws. The distribution and the source are looked up in
+    :data:`_SETTINGS` and :data:`_SOURCES` once per call.
     """
     n = config.n_trials
     data = TrialDataset(np.arange(n), np.empty(n, dtype=np.uint8))
-    setting_draws = _SETTING_DRAWS[config.setting_distribution]
-    draws = setting_draws + _SAMPLER_DRAWS[config.source]
+    settings = _SETTINGS[config.setting_distribution]
+    source = _SOURCES[config.source]
+    payload = getattr(config, source.uses[-1])
     for start in range(0, n, BLOCK_TRIALS):
         stop = min(start + BLOCK_TRIALS, n)
-        words = lane_draws(config.seed, start, stop, draws)
-        if config.setting_distribution == UNIFORM_9:
-            _splice_rejected(words, config.seed, start)
-        x1, x2 = _draw_settings_lanes(config.setting_distribution, words[:setting_draws])
-        y1, y2 = _sample(config, x1, x2, uniform_lanes(words[setting_draws:]))
+        words = lane_draws(config.seed, start, stop, settings.draws + source.draws)
+        x1, x2 = settings.decode(words, config.seed, start)
+        y1, y2 = source.sample_lanes(payload, x1, x2, uniform_lanes(words[settings.draws:]))
         data.code[start:stop] = _row_code(x1, x2, y1, y2)
     return data
 
@@ -324,9 +309,10 @@ class BellEstimate:
     """Estimated Bell statistic with per-cell counts and a normal interval.
 
     ``trials``/``coincidences``/``matches`` are 3x3 grids indexed by the
-    setting pair; the statistic recomputes from them exactly. The drop count
-    per cell (trials minus coincidences) makes the coincidence rate
-    reportable alongside either conditioning.
+    setting pair, ``matches`` as the conditioning counts them; the statistic
+    recomputes from them exactly. The drop count per cell (trials minus
+    coincidences) makes the coincidence rate reportable alongside either
+    conditioning.
     """
 
     trials: tuple[tuple[int, int, int], ...]
@@ -340,12 +326,8 @@ class BellEstimate:
     conditioning: str
 
     def cell_match_rate(self, i: int, j: int) -> float:
-        denom = (
-            self.coincidences[i][j]
-            if self.conditioning == CONDITION_COINCIDENCES
-            else self.trials[i][j]
-        )
-        return self.matches[i][j] / denom if denom else math.nan
+        denoms = self.coincidences if self.conditioning == CONDITION_COINCIDENCES else self.trials
+        return self.matches[i][j] / denoms[i][j] if denoms[i][j] else math.nan
 
     def to_dict(self) -> dict:
         grids = ("trials", "coincidences", "matches")
@@ -364,16 +346,22 @@ class Decision:
         return {"reject_lhv": self.reject_lhv, "margin": self.margin, "alpha": self.alpha}
 
 
-def _cell_fold() -> np.ndarray:
-    """The ``(3, 3, 3, 81)`` 0/1 matrix that sends the count of each row code
-    to the trials, the coincidences and the matches of its setting pair."""
-    fold = np.zeros((3, 3, 3, len(_ROW_FIELDS)), dtype=np.int64)
+#: The spins "all-pairs" scores for an undetected particle 1 and particle 2.
+_FILL = (1, -1)
+
+
+def _cell_folds() -> dict:
+    """Per conditioning, the ``(3, 3, 3, 81)`` 0/1 matrix that sends the
+    count of each row code to the trials, the coincidences and the matches
+    the conditioning counts, of its setting pair."""
+    fold = np.zeros((4, 3, 3, len(_ROW_FIELDS)), dtype=np.int64)
     for code, (x1, x2, y1, y2, d1, d2) in enumerate(_ROW_FIELDS.tolist()):
-        fold[:, x1, x2, code] = 1, d1 & d2, y1 * y2 == 1
-    return fold
+        filled = (y1 or _FILL[0]) * (y2 or _FILL[1]) == 1
+        fold[:, x1, x2, code] = 1, d1 & d2, y1 * y2 == 1, filled
+    return {CONDITION_COINCIDENCES: fold[[0, 1, 2]], CONDITION_ALL_PAIRS: fold[[0, 1, 3]]}
 
 
-_CELL_FOLD = _cell_fold()
+_CELL_FOLDS = _cell_folds()
 
 
 @lru_cache(maxsize=64)
@@ -412,14 +400,17 @@ def estimate(
     """Estimate the Bell statistic from a dataset or its row counts.
 
     Per cell, the match rate is matches over coincidences
-    ("coincidences-only") or matches over all trials of that cell
-    ("all-pairs", scoring an undetected pair as a non-match). The standard
-    error treats the four cells as independent binomials and the interval is
-    the two-sided normal one at ``confidence``. Each of the four statistic
-    cells must contain at least one coincident trial. ``dataset`` is a
-    :class:`TrialDataset`, any iterable of :class:`TrialRecord`, or a numpy
-    array of its 81 row-code counts, non-negative integers, as
-    :func:`read_row_counts` returns. The counts fold into the cell counts.
+    ("coincidences-only") or over all trials of that cell ("all-pairs").
+    "all-pairs" scores an undetected particle as the spin :data:`_FILL`
+    gives it, as Garg and Mermin, Phys. Rev. D 35, 3831 (1987), do, so
+    every local model scores at most 0; scored as a non-match, some would
+    score 1. The standard error treats the four cells as independent
+    binomials and the interval is the two-sided normal one at
+    ``confidence``. Each of the four statistic cells must contain at least
+    one coincident trial. ``dataset`` is a :class:`TrialDataset`, any
+    iterable of :class:`TrialRecord`, or a numpy array of its 81 row-code
+    counts, non-negative integers, as :func:`read_row_counts` returns. The
+    counts fold into the cell counts.
     """
     if conditioning not in (CONDITION_COINCIDENCES, CONDITION_ALL_PAIRS):
         raise ValueError(f"unknown conditioning {conditioning!r}")
@@ -427,7 +418,8 @@ def estimate(
         raise ValueError(f"confidence {confidence!r} outside (0, 1)")
 
     counts = _row_counts(dataset)
-    trials, coinc, matches = (tuple(map(tuple, grid)) for grid in (_CELL_FOLD @ counts).tolist())
+    grids = (_CELL_FOLDS[conditioning] @ counts).tolist()
+    trials, coinc, matches = (tuple(map(tuple, grid)) for grid in grids)
     denoms = coinc if conditioning == CONDITION_COINCIDENCES else trials
 
     rates = []

@@ -193,8 +193,9 @@ def sample_from_lhv_lanes(
     ``x1``/``x2`` hold each trial's settings and ``u`` is a matrix whose
     column holds the trial's uniforms in [0, 1), in the order ``random()``
     would return them: one row for a deterministic mixture, two for a
-    stochastic model. Returns int8 spin arrays equal, trial by trial, to the
-    scalar draws.
+    stochastic model. The arguments are those of every source's sampler, the
+    source's payload first. Returns int8 spin arrays equal, trial by trial,
+    to the scalar draws.
     """
     if isinstance(model, DeterministicLhv):
         cumulative, y1, y2 = model._sampling_arrays

@@ -31,9 +31,9 @@ from .quantum import MatchProbabilityTable
 N_STRATEGIES = 4096
 SOLUTION_STATUSES = ("feasible", "infeasible", "unbounded-error")
 
-#: Default margin by which the demonstration model keeps the all-pairs
-#: (unconditional) Bell statistic below the local bound; see
-#: :func:`demonstration_solution`.
+#: Default margin by which the demonstration model keeps the unconditional
+#: Bell statistic that scores an undetected pair as a non-match below 0;
+#: see :func:`demonstration_solution`.
 DEMO_STEALTH_MARGIN = 0.05
 
 
@@ -444,16 +444,16 @@ def max_faking_efficiency(targets: MatchProbabilityTable) -> float:
 def demonstration_solution(
     targets: MatchProbabilityTable, stealth_margin: float = DEMO_STEALTH_MARGIN
 ) -> LpSolution:
-    """A faking model built to defeat both analyses of a simulated experiment.
+    """A faking model whose sampled data fool coincidence conditioning.
 
-    Maximizing the minimum coincidence rate alone yields a model whose
-    unconditional (all-pairs) match rates violate the local bound, so simple
-    bookkeeping of undetected trials would expose it. This variant adds one
-    inequality pushing the unconditional Bell statistic to at most
-    ``-stealth_margin``: the sampled data then reproduce the quantum targets
-    among coincidences while the all-pairs accounting stays safely local.
-    The program has no efficiency floor; it maximizes the minimum
-    coincidence rate under the stealth inequality.
+    The data reproduce the quantum targets among coincidences. Being local,
+    the model scores at most 0 under all-pairs accounting, which fills in
+    undetected spins (-0.10 at (60,0,120), where the plain maximum-coincidence
+    model scores exactly 0). This variant adds one inequality pushing the
+    unconditional Bell statistic that scores an undetected pair as a
+    non-match, no locality test, to at most ``-stealth_margin``; it only
+    moves the model below the bound. The program has no efficiency floor;
+    it maximizes the minimum coincidence rate under the stealth inequality.
     """
     if stealth_margin < 0.0:
         raise ValueError(f"stealth_margin must be nonnegative, got {stealth_margin!r}")
@@ -488,7 +488,8 @@ def sample_loophole_model_lanes(
     """:func:`sample_loophole_model` for a block of trials at once.
 
     ``x1``/``x2`` hold each trial's settings and ``u`` is a ``(1, trials)``
-    matrix holding each trial's uniform in [0, 1). Returns the spins
+    matrix holding each trial's uniform in [0, 1); the arguments are those
+    of every source's sampler, the source's payload first. Returns the spins
     (y1, y2) as integer arrays, with 0 where a particle is not detected, so
     a detection flag is a spin's being nonzero. Spins and flags are read off
     the 12-bit strategy index in its documented bit order.

@@ -243,16 +243,18 @@ def sample_outcome_pair(
 
 
 def sample_outcome_pair_lanes(
-    x1: np.ndarray, x2: np.ndarray, table: MatchProbabilityTable, u: np.ndarray
+    angles: AngleTriple, x1: np.ndarray, x2: np.ndarray, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`sample_outcome_pair` for a block of trials at once.
+    """:func:`sample_outcome_pair` at ``match_table(angles)`` for a block of
+    trials at once.
 
     ``x1``/``x2`` hold each trial's settings and ``u`` is a ``(2, trials)``
     matrix whose column holds the trial's two uniforms in [0, 1), in the
-    order ``random()`` would return them; returns int8 spin arrays equal,
-    trial by trial, to the scalar draws.
+    order ``random()`` would return them. The arguments are those of every
+    source's sampler, the source's payload first. Returns int8 spin arrays
+    equal, trial by trial, to the scalar draws.
     """
-    p_match = table.as_array()[x1, x2]
+    p_match = match_table(angles).as_array()[x1, x2]
     y1 = np.where(u[0] < 0.5, np.int8(1), np.int8(-1))
     y2 = np.where(u[1] < p_match, y1, -y1)
     return y1, y2

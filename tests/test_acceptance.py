@@ -113,7 +113,7 @@ def test_criterion_5_stochastic_locality_supremum():
 
 def test_criterion_6_loophole_demonstration():
     with criterion(6, 60.0, "faking LP infeasible at floor 1, feasible at 0; sampled model "
-                            "fools coincidence analysis but not all-pairs accounting"):
+                            "fools coincidence analysis, and the all-pairs test retains it"):
         targets = match_table(CANONICAL)
         full = loophole_mod.solve_lp(
             loophole_mod.build_faking_lp(
@@ -137,6 +137,8 @@ def test_criterion_6_loophole_demonstration():
         assert abs(conditioned.statistic - 0.25) <= 0.02, (
             f"conditioned statistic {conditioned.statistic}"
         )
+        # The model is local, and all-pairs accounting, which scores an
+        # undetected particle as a fixed spin, is a locality test.
         all_pairs = estimate(dataset, conditioning=CONDITION_ALL_PAIRS)
         assert all_pairs.statistic <= 0.0, f"all-pairs statistic {all_pairs.statistic}"
         assert not decide(all_pairs, alpha=0.01).reject_lhv

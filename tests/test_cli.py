@@ -220,6 +220,24 @@ class TestSimulateAndTest:
         assert not data_file.exists()
         assert not (tmp_path / "d.csv.meta.json").exists()
 
+    def test_local_model_with_undetected_particles_retains_under_all_pairs(
+        self, tmp_path, capsys
+    ):
+        # Strategy 17 (every spin -1, particle 1 detected only at setting 1,
+        # particle 2 only at setting 2) and strategy 319 (detects every pair)
+        # form a local model. Scoring an undetected pair as a non-match read
+        # it as 0.499 and rejected local hidden variables.
+        solution = tmp_path / "local.json"
+        solution.write_text(json.dumps({"status": "feasible", "weights": {"17": 0.5, "319": 0.5}}))
+        data = tmp_path / "local.csv"
+        code, _, _ = run_cli(capsys, "simulate", "--source", "loophole", "--solution",
+                             str(solution), "--n", "90000", "--seed", "3", "--out", str(data))
+        assert code == 0
+        code, out, _ = run_cli(capsys, "test", "--in", str(data), "--conditioning", "all-pairs")
+        assert code == 1
+        assert out.startswith("Bell statistic: -0.005180 ")
+        assert "decision: retain local hidden variables" in out
+
     def test_seed_is_generated_and_echoed_when_absent(self, capsys):
         code, out, err = run_cli(
             capsys, "simulate", "--source", "quantum", "--angles", "0,0,0", "--n", "5"

@@ -1,7 +1,7 @@
 """Exactness of generated datasets and faking-LP solutions: the bytes and
 records a seed or a program produces are fixed.
 
-Six independent checks:
+Seven independent checks:
 
 * golden SHA-256 digests of ``bellsim simulate`` stdout for every source and
   setting distribution, recorded from the original per-trial generator;
@@ -11,6 +11,9 @@ Six independent checks:
   hits, misses and evicts the cache of lane keys;
 * ``estimate`` against a reference that counts record by record and does
   the same float arithmetic, field for field;
+* the draws per trial that ``experiment`` declares for each source and
+  setting distribution, against the calls the scalar samplers and the
+  scalar setting recipe make;
 * seeds built by inverting ``mix64`` so that one trial's ``randbelow(3)``
   draws the single rejected value ``2**64 - 1``, at either end of a block,
   or so that a draw that may take that value (``randbelow(4)``, a
@@ -22,8 +25,10 @@ Six independent checks:
 """
 
 import hashlib
+import itertools
 import json
 import math
+from collections import Counter
 from statistics import NormalDist
 
 import numpy as np
@@ -167,24 +172,29 @@ def test_out_file_holds_the_stdout_bytes(input_files, tmp_path, capsys):
     assert out.startswith("index,x1,x2,y1,y2,d1,d2\r\n")
 
 
+def reference_settings(distribution, rng):
+    """One trial's settings (x1, x2), drawn one at a time from ``rng``."""
+    if distribution == UNIFORM_9:
+        return rng.randbelow(3), rng.randbelow(3)
+    return BELL_PAIRS[rng.randbelow(4)]
+
+
+def reference_outcomes(config, pair, rng):
+    """One trial's (y1, y2, d1, d2) at ``pair`` from the source's scalar sampler."""
+    if config.source == SOURCE_QUANTUM:
+        return (*sample_outcome_pair(pair, match_table(config.angles), rng), 1, 1)
+    if config.source == SOURCE_LOOPHOLE:
+        return sample_loophole_model(config.solution, pair, rng)
+    return (*sample_from_lhv(config.model, pair, rng), 1, 1)
+
+
 def reference_dataset(config):
     """The per-trial generator, written out from the public scalar functions."""
-    table = match_table(config.angles) if config.angles is not None else None
     records = []
     for i in range(config.n_trials):
         rng = SplitMix64(derive_seed(config.seed, i))
-        if config.setting_distribution == UNIFORM_9:
-            x1 = rng.randbelow(3)
-            x2 = rng.randbelow(3)
-        else:
-            x1, x2 = BELL_PAIRS[rng.randbelow(4)]
-        d1 = d2 = 1
-        if config.source == SOURCE_QUANTUM:
-            y1, y2 = sample_outcome_pair((x1, x2), table, rng)
-        elif config.source == SOURCE_LOOPHOLE:
-            y1, y2, d1, d2 = sample_loophole_model(config.solution, (x1, x2), rng)
-        else:
-            y1, y2 = sample_from_lhv(config.model, (x1, x2), rng)
+        x1, x2 = reference_settings(config.setting_distribution, rng)
+        y1, y2, d1, d2 = reference_outcomes(config, (x1, x2), rng)
         records.append(TrialRecord(index=i, x1=x1, x2=x2, y1=y1, y2=y2, d1=d1, d2=d2))
     return records
 
@@ -220,6 +230,47 @@ def test_small_runs_match_per_trial_reference(source, distribution):
         for seed in (3, 2**63 + 11):
             config = make_config(source, n, seed, distribution)
             assert run_experiment(config) == reference_dataset(config)
+
+
+class CountingRng(SplitMix64):
+    """A :class:`SplitMix64` that counts its ``random`` and ``randbelow`` calls."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = Counter()
+
+    def random(self):
+        self.calls["random"] += 1
+        return super().random()
+
+    def randbelow(self, n):
+        self.calls["randbelow"] += 1
+        return super().randbelow(n)
+
+
+def test_source_table_keeps_the_source_order():
+    assert tuple(experiment._SOURCES) == experiment.SOURCES == ALL_SOURCES
+
+
+@pytest.mark.parametrize("source", ALL_SOURCES)
+def test_source_table_declares_what_the_scalar_sampler_draws(source):
+    # An over-declared count leaves every dataset as it is, since the extra
+    # row is drawn and never read; only counting the scalar draws shows it.
+    config = make_config(source, 1, 0)
+    for i, pair in enumerate(itertools.product(range(3), repeat=2)):
+        rng = CountingRng(derive_seed(6, i))
+        reference_outcomes(config, pair, rng)
+        assert rng.calls == {"random": experiment._SOURCES[source].draws}
+
+
+@pytest.mark.parametrize("distribution", (UNIFORM_9, UNIFORM_4))
+def test_settings_table_declares_what_the_scalar_recipe_draws(distribution):
+    for i in range(20):
+        rng = CountingRng(derive_seed(6, i))
+        reference_settings(distribution, rng)
+        assert rng.calls == {"randbelow": experiment._SETTINGS[distribution].draws}
 
 
 def test_lane_key_cache_hits_misses_and_evicts(monkeypatch):
@@ -268,14 +319,22 @@ def test_small_blocks_match_reference(source, monkeypatch):
 
 def reference_estimate(records, conditioning, confidence):
     """:func:`estimate` written out record by record, with its float
-    arithmetic in the same order."""
+    arithmetic in the same order. "coincidences-only" counts the matches of
+    coincident records; "all-pairs" counts the matches of every record, an
+    undetected particle 1 read as spin +1 and an undetected particle 2 as
+    spin -1."""
     trials = [[0] * 3 for _ in range(3)]
     coinc = [[0] * 3 for _ in range(3)]
     matches = [[0] * 3 for _ in range(3)]
     for r in records:
         trials[r.x1][r.x2] += 1
-        if r.d1 and r.d2:
-            coinc[r.x1][r.x2] += 1
+        coincident = r.d1 == r.d2 == 1
+        coinc[r.x1][r.x2] += coincident
+        if conditioning == "all-pairs":
+            y1 = r.y1 if r.d1 else 1
+            y2 = r.y2 if r.d2 else -1
+            matches[r.x1][r.x2] += y1 == y2
+        elif coincident:
             matches[r.x1][r.x2] += r.y1 == r.y2
     rates = []
     variance = 0.0

@@ -37,6 +37,7 @@ from bellsim.experiment import (
 )
 from bellsim.counterfactuals import violation_margin
 from bellsim.lhv import DeterministicLhv, StochasticLocalModel
+from bellsim.loophole import N_STRATEGIES
 from bellsim.quantum import AngleTriple
 
 CANONICAL = AngleTriple.from_degrees(60, 0, 120)
@@ -55,13 +56,14 @@ def single_table_config(n=1000, seed=3):
 
 class TestConfigValidation:
     def test_quantum_needs_angles(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^quantum source needs angles of type AngleTriple"):
             ExperimentConfig(n_trials=10, seed=1, source=SOURCE_QUANTUM)
 
     def test_lhv_sources_need_matching_model(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="needs model of type DeterministicLhv, got NoneType"):
             ExperimentConfig(n_trials=10, seed=1, source=SOURCE_DETERMINISTIC_LHV)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError,
+                           match="needs model of type StochasticLocalModel, got DeterministicLhv"):
             ExperimentConfig(
                 n_trials=10,
                 seed=1,
@@ -75,8 +77,10 @@ class TestConfigValidation:
         bad = LpSolution(
             status="infeasible", weights={}, coincidence_rates=None, min_coincidence_rate=None
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^loophole source needs a feasible LpSolution$"):
             ExperimentConfig(n_trials=10, seed=1, source=SOURCE_LOOPHOLE, solution=bad)
+        with pytest.raises(ConfigError, match="^loophole source needs solution of type LpSolution"):
+            ExperimentConfig(n_trials=10, seed=1, source=SOURCE_LOOPHOLE, angles=CANONICAL)
 
     @pytest.mark.parametrize("source, payload", (
         (SOURCE_QUANTUM, "model"),
@@ -319,6 +323,53 @@ class TestEstimate:
     def test_rejects_malformed_row_counts(self, counts, match):
         with pytest.raises(ValueError, match=f"^row counts .*{match}"):
             estimate(counts)
+
+
+def strategy_spins(s, fill):
+    """The spins augmented strategy ``s`` (12 bits: y1, y2, d1, d2, each by
+    setting, most significant first) shows at each setting, with ``fill``
+    for particle 1 and particle 2 where it does not detect."""
+    def spin(bit):
+        return ((s >> bit) & 1) * 2 - 1
+
+    y1 = [spin(11 - x) if (s >> (5 - x)) & 1 else fill[0] for x in range(3)]
+    y2 = [spin(8 - x) if (s >> (2 - x)) & 1 else fill[1] for x in range(3)]
+    return y1, y2
+
+
+def filled_matches(s, fill):
+    y1, y2 = strategy_spins(s, fill)
+    return [[int(a == b) for b in y2] for a in y1]
+
+
+def filled_score(s, fill):
+    m = filled_matches(s, fill)
+    return m[1][2] - m[0][2] - m[1][0] - m[0][0]
+
+
+class TestAllPairsFill:
+    # "all-pairs" scores an undetected particle as a fixed spin (Garg and
+    # Mermin, Phys. Rev. D 35, 3831, 1987): every augmented strategy then
+    # acts as a table of spins, so Theorem 2's local bound of 0 holds.
+    @pytest.mark.parametrize("fill", tuple(itertools.product((1, -1), repeat=2)))
+    def test_no_strategy_scores_above_zero_under_any_fill(self, fill):
+        assert max(filled_score(s, fill) for s in range(N_STRATEGIES)) == 0
+
+    def test_estimate_fills_plus_one_for_particle_1_and_minus_one_for_particle_2(self):
+        # One trial of strategy s and one of strategy 4095 (always detects,
+        # every spin +1, scores -2) in each cell: every cell has a
+        # coincidence and the statistic is (score of s - 2) / 2 exactly.
+        always = N_STRATEGIES - 1
+        for s in range(N_STRATEGIES):
+            counts = np.zeros(81, np.int64)
+            for t in (s, always):
+                y1, y2 = strategy_spins(t, (0, 0))
+                for x1, x2 in itertools.product(range(3), repeat=2):
+                    counts[experiment._row_code(x1, x2, y1[x1], y2[x2])] += 1
+            est = estimate(counts, CONDITION_ALL_PAIRS)
+            expected = [[m + 1 for m in row] for row in filled_matches(s, (1, -1))]
+            assert est.matches == tuple(map(tuple, expected))
+            assert est.statistic == (filled_score(s, (1, -1)) - 2) / 2
 
 
 class TestDecide:

@@ -284,6 +284,20 @@ class TestMaxFakingEfficiency:
     def test_floor_zero_breakdown_reaches_full_efficiency(self):
         assert max_faking_efficiency(self.BREAKDOWN) == 1.0
 
+    # Known defect: a mixture of tables 4 and 54 with weights 3.5e-10 and
+    # 1 - 3.5e-10. Its floor-0 solve stops as optimal after (5, 3233) pivots
+    # at 0.5587432611454236, silently; HiGHS finds the optimum 1.
+    WRONG_OPTIMUM = MatchProbabilityTable((
+        (0.9999999996517236, 1.0, 3.482764527360542e-10),
+        (0.9999999996517236, 1.0, 3.482764527360542e-10),
+        (0.0, 3.482764527360542e-10, 1.0),
+    ))
+
+    @pytest.mark.xfail(raises=AssertionError,
+                       reason="floor-0 solve returns a wrong optimum on this local mixture")
+    def test_floor_zero_wrong_optimum_reaches_full_efficiency(self):
+        assert max_faking_efficiency(self.WRONG_OPTIMUM) == 1.0
+
 
 class TestOptimumJustBelowOne:
     # Local targets reached with full detection have a true optimum of 1,
