@@ -193,7 +193,8 @@ def cmd_simulate(args) -> int:
         else:
             print(json.dumps(doc))
     else:
-        write_dataset_csv(records, args.out or sys.stdout)
+        sys.stdout.flush()  # the CSV goes below the text layer, after what it holds
+        write_dataset_csv(records, args.out or sys.stdout.buffer)
     if args.meta:
         write_metadata(config, args.meta)
     elif args.out:

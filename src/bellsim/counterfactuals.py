@@ -322,15 +322,9 @@ def find_interaction_unit(pop: Population) -> int | None:
     raise AssertionError("positive Bell statistic without a witness unit")
 
 
-def lhv_max_bell_statistic(tables: Sequence[CounterfactualTable] | None = None) -> int:
-    """Maximum Bell value over local deterministic units (0 over all 64).
-
-    ``tables`` restricts the enumeration; by default all 64 units are scanned.
-    """
-    candidates = all_tables() if tables is None else tuple(tables)
-    if not candidates:
-        raise ValueError("need at least one table")
-    return max(MPattern.from_table(t).bell_value() for t in candidates)
+def lhv_max_bell_statistic() -> int:
+    """Maximum Bell value over all 64 local deterministic units: exactly 0."""
+    return max(MPattern.from_table(t).bell_value() for t in all_tables())
 
 
 def violation_margin(angles: AngleTriple) -> float:

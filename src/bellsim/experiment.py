@@ -17,7 +17,6 @@ not as one object per trial.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from statistics import NormalDist
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -42,7 +41,8 @@ from .lhv import (
     model_from_dict,
     model_to_dict,
     sample_from_lhv,
-    sample_from_lhv_lanes,
+    sample_mixture_lanes,
+    sample_stochastic_lanes,
 )
 from .quantum import AngleTriple, _check_setting, sample_outcome_pair, sample_outcome_pair_lanes
 from .rng import SplitMix64, derive_seed, lane_draws, uniform_lanes
@@ -52,18 +52,18 @@ SOURCE_DETERMINISTIC_LHV = "deterministic-lhv"
 SOURCE_STOCHASTIC_LHV = "stochastic-lhv"
 SOURCE_LOOPHOLE = "loophole"
 #: Every source, in the order of the ``--source`` choices: the payloads of
-#: :class:`ExperimentConfig` it uses, the last of them read by its sampler
-#: and of type ``kind``, the uniforms its sampler draws per trial, and the
-#: sampler, which maps ``(payload, x1, x2, u)`` to the spins (y1, y2), 0
-#: where undetected. A loophole run keeps the angles its demonstration
-#: solution was built for.
-_Source = namedtuple("_Source", "uses kind draws sample_lanes")
+#: :class:`ExperimentConfig` it uses, each mapped to its type, the last
+#: required and read by its sampler; the uniforms its sampler draws per
+#: trial; and the sampler, which maps ``(payload, x1, x2, u)`` to the spins
+#: (y1, y2), 0 where undetected. A loophole run keeps the angles its
+#: demonstration solution was built for.
+_Source = namedtuple("_Source", "uses draws sample_lanes")
 _SOURCES = {
-    SOURCE_QUANTUM: _Source(("angles",), AngleTriple, 2, sample_outcome_pair_lanes),
-    SOURCE_DETERMINISTIC_LHV: _Source(("model",), DeterministicLhv, 1, sample_from_lhv_lanes),
-    SOURCE_STOCHASTIC_LHV: _Source(("model",), StochasticLocalModel, 2, sample_from_lhv_lanes),
-    SOURCE_LOOPHOLE: _Source(("angles", "solution"), loophole_mod.LpSolution, 1,
-                             loophole_mod.sample_loophole_model_lanes),
+    SOURCE_QUANTUM: _Source({"angles": AngleTriple}, 2, sample_outcome_pair_lanes),
+    SOURCE_DETERMINISTIC_LHV: _Source({"model": DeterministicLhv}, 1, sample_mixture_lanes),
+    SOURCE_STOCHASTIC_LHV: _Source({"model": StochasticLocalModel}, 2, sample_stochastic_lanes),
+    SOURCE_LOOPHOLE: _Source({"angles": AngleTriple, "solution": loophole_mod.LpSolution}, 1,
+                             sample_mixture_lanes),
 }
 SOURCES = tuple(_SOURCES)
 
@@ -101,7 +101,8 @@ def _integer(value, name: str) -> int:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce one simulated experiment; a payload
-    its source (:data:`_SOURCES`) does not use raises :class:`ConfigError`."""
+    its source (:data:`_SOURCES`) does not use, or of another type than it
+    takes, raises :class:`ConfigError`."""
 
     n_trials: int
     seed: int
@@ -124,11 +125,13 @@ class ExperimentConfig:
         for name in ("angles", "model", "solution"):
             if getattr(self, name) is not None and name not in source.uses:
                 raise ConfigError(f"{self.source} source does not use {name}")
-        payload = getattr(self, source.uses[-1])
-        if not isinstance(payload, source.kind):
-            raise ConfigError(f"{self.source} source needs {source.uses[-1]} of type "
-                              f"{source.kind.__name__}, got {type(payload).__name__}")
-        if self.source == SOURCE_LOOPHOLE and payload.status != "feasible":
+        *_, sampled = source.uses
+        for name, kind in source.uses.items():
+            payload = getattr(self, name)
+            if (payload is not None or name == sampled) and not isinstance(payload, kind):
+                raise ConfigError(f"{self.source} source needs {name} of type "
+                                  f"{kind.__name__}, got {type(payload).__name__}")
+        if self.source == SOURCE_LOOPHOLE and self.solution.status != "feasible":
             raise ConfigError("loophole source needs a feasible LpSolution")
 
 
@@ -238,12 +241,6 @@ class TrialDataset:
         return f"TrialDataset(<{len(self)} trials>)"
 
 
-def _as_dataset(dataset: Iterable[TrialRecord]) -> TrialDataset:
-    if isinstance(dataset, TrialDataset):
-        return dataset
-    return TrialDataset.from_records(dataset)
-
-
 _THREE = np.uint64(3)
 _REJECTED = np.uint64(2**64 - 1)  # the one draw randbelow(3) rejects
 _BELL_PAIR_SETTINGS = np.array(BELL_PAIRS).T  # column k holds BELL_PAIRS[k]
@@ -294,7 +291,8 @@ def run_experiment(config: ExperimentConfig) -> TrialDataset:
     data = TrialDataset(np.arange(n), np.empty(n, dtype=np.uint8))
     settings = _SETTINGS[config.setting_distribution]
     source = _SOURCES[config.source]
-    payload = getattr(config, source.uses[-1])
+    *_, sampled = source.uses
+    payload = getattr(config, sampled)
     for start in range(0, n, BLOCK_TRIALS):
         stop = min(start + BLOCK_TRIALS, n)
         words = lane_draws(config.seed, start, stop, settings.draws + source.draws)
@@ -377,11 +375,14 @@ def _counted(code_blocks: Iterable[np.ndarray]) -> np.ndarray:
     return counts
 
 
-def _row_counts(dataset) -> np.ndarray:
+def _row_counts(dataset: TrialDataset | np.ndarray) -> np.ndarray:
     """The 81 row-code counts of ``dataset``; an array of them is checked and cast to int64."""
-    if not isinstance(dataset, np.ndarray):
-        code = _as_dataset(dataset).code
+    if isinstance(dataset, TrialDataset):
+        code = dataset.code
         return _counted(code[i:i + BLOCK_TRIALS] for i in range(0, len(code), BLOCK_TRIALS))
+    if not isinstance(dataset, np.ndarray):
+        raise TypeError(f"estimate takes a TrialDataset or its row counts, "
+                        f"got {type(dataset).__name__}")
     if dataset.shape != (len(_ROW_FIELDS),) or dataset.dtype.kind not in "iu":
         raise ValueError(f"row counts need shape (81,) and an integer dtype, "
                          f"got shape {dataset.shape} and dtype {dataset.dtype}")
@@ -393,7 +394,7 @@ def _row_counts(dataset) -> np.ndarray:
 
 
 def estimate(
-    dataset: Iterable[TrialRecord] | np.ndarray,
+    dataset: TrialDataset | np.ndarray,
     conditioning: str = CONDITION_COINCIDENCES,
     confidence: float = 0.99,
 ) -> BellEstimate:
@@ -407,9 +408,9 @@ def estimate(
     score 1. The standard error treats the four cells as independent
     binomials and the interval is the two-sided normal one at
     ``confidence``. Each of the four statistic cells must contain at least
-    one coincident trial. ``dataset`` is a :class:`TrialDataset`, any
-    iterable of :class:`TrialRecord`, or a numpy array of its 81 row-code
-    counts, non-negative integers, as :func:`read_row_counts` returns. The
+    one coincident trial. ``dataset`` is a :class:`TrialDataset` or a numpy
+    array of its 81 row-code counts, non-negative integers, as
+    :func:`read_row_counts` returns; anything else raises ``TypeError``. The
     counts fold into the cell counts.
     """
     if conditioning not in (CONDITION_COINCIDENCES, CONDITION_ALL_PAIRS):
@@ -514,47 +515,30 @@ def _encode_rows(index: np.ndarray, codes: np.ndarray) -> bytes:
     return grid[used].tobytes()
 
 
-def write_dataset_csv(records: Iterable[TrialRecord], target) -> None:
-    """Write records as CSV, byte for byte what ``csv.writer`` writes: the
+def write_dataset_csv(data: TrialDataset, target: str | Path | BinaryIO) -> None:
+    """Write ``data`` as CSV, byte for byte what ``csv.writer`` writes: the
     header, then one row per trial, each ending in ``\\r\\n``, with an empty
     field for an undetected spin.
 
-    ``records`` is a :class:`TrialDataset` or any iterable of
-    :class:`TrialRecord`; ``target`` is a path, a binary file object or a
-    text file object.
+    ``target`` is a path or a binary file object; a text file object raises
+    ``TypeError`` at its first write.
     """
     if isinstance(target, (str, Path)):
         with open(target, "wb") as fh:
-            write_dataset_csv(records, fh)
+            write_dataset_csv(data, fh)
         return
-    data = _as_dataset(records)
-    if isinstance(target, io.TextIOBase):
-        def write(chunk: bytes) -> None:
-            target.write(chunk.decode("ascii"))
-    else:
-        write = target.write
-    write(_HEADER + b"\r\n")
+    target.write(_HEADER + b"\r\n")
     for start in range(0, len(data), BLOCK_TRIALS):
         part = slice(start, start + BLOCK_TRIALS)
-        write(_encode_rows(data.index[part], data.code[part]))
+        target.write(_encode_rows(data.index[part], data.code[part]))
 
 
-def _line_blocks(source) -> Iterator[bytes]:
-    """The bytes of ``source`` in blocks of whole lines, each ending in
-    ``\\n`` (supplied if the last line lacks it).
-
-    ``source`` is a binary or text file object, read a mebibyte at a time,
-    or an iterable of text lines, taken :data:`BLOCK_TRIALS` at a time.
-    """
-    if hasattr(source, "read"):
-        chunks = iter(lambda: source.read(BLOCK_TRIALS * 16), source.read(0))  # b"" or ""
-    else:
-        lines = iter(source)
-        chunks = iter(lambda: "".join(itertools.islice(lines, BLOCK_TRIALS)), "")
+def _line_blocks(source: BinaryIO) -> Iterator[bytes]:
+    """The bytes of the binary file ``source``, read a mebibyte at a time,
+    in blocks of whole lines, each ending in ``\\n`` (supplied if the last
+    line lacks it)."""
     pending = []  # the chunks of a line not yet ended
-    for chunk in chunks:
-        if isinstance(chunk, str):
-            chunk = chunk.encode()
+    for chunk in iter(lambda: source.read(BLOCK_TRIALS * 16), b""):
         cut = chunk.rfind(b"\n") + 1
         if cut:
             yield b"".join([*pending, chunk[:cut]])
@@ -644,13 +628,16 @@ def _decode_rows(block: bytes, first_line: int) -> tuple[np.ndarray, np.ndarray,
     return np.where(negative, -magnitude, magnitude).view(np.int64), codes, len(ends)
 
 
-def _dataset_blocks(source) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _dataset_blocks(source: str | Path | BinaryIO) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The index and row code of each row of the dataset CSV ``source``, a block at
     a time; only the last index read is kept across blocks, to check the order."""
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             yield from _dataset_blocks(fh)
         return
+    if not hasattr(source, "read") or not isinstance(source.read(0), bytes):
+        raise TypeError(f"a dataset CSV is read from a path or a binary file, "
+                        f"got {type(source).__name__}")
     blocks = _line_blocks(source)
     header, _, first = next(blocks, b"").partition(b"\n")
     header = header.removesuffix(b"\r")
@@ -669,19 +656,19 @@ def _dataset_blocks(source) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield index, codes
 
 
-def read_dataset_csv(source) -> TrialDataset:
+def read_dataset_csv(source: str | Path | BinaryIO) -> TrialDataset:
     """Read a dataset written by :func:`write_dataset_csv`.
 
-    ``source`` is a path, a binary or text file object, or an iterable of
-    text lines. The first line is the header ``index,x1,x2,y1,y2,d1,d2``.
-    Every other line is blank, and skipped, or a row in exactly the form
-    the writer writes: seven comma-separated fields with no whitespace,
-    integers in canonical decimal (no sign but a leading ``-``, no leading
-    zero, no ``-0``), the index within int64, and the fields of a valid
-    :class:`TrialRecord`, whose undetected spins are empty. Lines end in
-    ``\\r\\n`` or ``\\n``; the last may lack its end. Indices must be
-    strictly increasing, as generation produces them. Anything else raises
-    ``ValueError``.
+    ``source`` is a path or a binary file object; anything else raises
+    ``TypeError`` before a byte is read. The first line is the header
+    ``index,x1,x2,y1,y2,d1,d2``. Every other line is blank, and skipped, or
+    a row in exactly the form the writer writes: seven comma-separated
+    fields with no whitespace, integers in canonical decimal (no sign but a
+    leading ``-``, no leading zero, no ``-0``), the index within int64, and
+    the fields of a valid :class:`TrialRecord`, whose undetected spins are
+    empty. Lines end in ``\\r\\n`` or ``\\n``; the last may lack its end.
+    Indices must be strictly increasing, as generation produces them.
+    Anything else raises ``ValueError``.
 
     Lines are decoded a block at a time with numpy, each row's tail to its row
     code, and the blocks are joined; :func:`read_row_counts` needs no join.
@@ -693,7 +680,7 @@ def read_dataset_csv(source) -> TrialDataset:
     return TrialDataset(np.concatenate(index), np.concatenate(code))
 
 
-def read_row_counts(source) -> np.ndarray:
+def read_row_counts(source: str | Path | BinaryIO) -> np.ndarray:
     """The 81 row-code counts of the dataset CSV ``source``, read and checked
     as :func:`read_dataset_csv` does, but in constant memory: each block is
     counted and dropped."""

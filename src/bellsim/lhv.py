@@ -42,7 +42,7 @@ class DeterministicLhv:
     @cached_property
     def _sampling_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cumulative weights and every unit's ``y1`` and ``y2`` spins, for
-        :func:`sample_from_lhv` and :func:`sample_from_lhv_lanes`."""
+        :func:`sample_from_lhv` and :func:`sample_mixture_lanes`."""
         units = self.mixture.units
         return (
             cumulative_weights(self.mixture.weights),
@@ -67,7 +67,7 @@ class StochasticLocalModel:
 
     @cached_property
     def _sampling_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``p1`` and ``p2`` as arrays, for :func:`sample_from_lhv_lanes`."""
+        """``p1`` and ``p2`` as arrays, for :func:`sample_stochastic_lanes`."""
         return np.array(self.p1), np.array(self.p2)
 
 
@@ -185,28 +185,31 @@ def sample_from_lhv(model: LocalModel, pair: tuple[int, int], rng) -> tuple[int,
     raise TypeError(f"not a local model: {model!r}")
 
 
-def sample_from_lhv_lanes(
-    model: LocalModel, x1: np.ndarray, x2: np.ndarray, u: np.ndarray
+def sample_mixture_lanes(
+    mixture, x1: np.ndarray, x2: np.ndarray, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`sample_from_lhv` for a block of trials at once.
-
-    ``x1``/``x2`` hold each trial's settings and ``u`` is a matrix whose
-    column holds the trial's uniforms in [0, 1), in the order ``random()``
-    would return them: one row for a deterministic mixture, two for a
-    stochastic model. The arguments are those of every source's sampler, the
-    source's payload first. Returns int8 spin arrays equal, trial by trial,
-    to the scalar draws.
+    """A block of trials, one a column, from a :class:`DeterministicLhv` or
+    a feasible :class:`~bellsim.loophole.LpSolution`, whose ``_sampling_arrays``
+    are its units' cumulative weights and spins ``y1[k, x]`` and ``y2[k, x]``,
+    0 where unit ``k`` does not detect at setting ``x``. Row 0 of ``u`` picks
+    each trial's unit by cumulative-weight inversion, as the scalar samplers
+    do. Returns the int8 spins (y1, y2) at settings ``x1``/``x2``.
     """
-    if isinstance(model, DeterministicLhv):
-        cumulative, y1, y2 = model._sampling_arrays
-        k = np.searchsorted(cumulative, u[0], side="right")
-        return y1[k, x1], y2[k, x2]
-    if isinstance(model, StochasticLocalModel):
-        p1, p2 = model._sampling_arrays
-        y1 = np.where(u[0] < p1[x1], np.int8(1), np.int8(-1))
-        y2 = np.where(u[1] < p2[x2], np.int8(1), np.int8(-1))
-        return y1, y2
-    raise TypeError(f"not a local model: {model!r}")
+    cumulative, y1, y2 = mixture._sampling_arrays
+    k = np.searchsorted(cumulative, u[0], side="right")
+    return y1[k, x1], y2[k, x2]
+
+
+def sample_stochastic_lanes(
+    model: StochasticLocalModel, x1: np.ndarray, x2: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sample_from_lhv` of a stochastic model for a block of trials,
+    one trial a column: rows 0 and 1 of ``u`` hold the uniforms that draw
+    particle 1's and particle 2's spin. Returns int8 spin arrays."""
+    p1, p2 = model._sampling_arrays
+    y1 = np.where(u[0] < p1[x1], np.int8(1), np.int8(-1))
+    y2 = np.where(u[1] < p2[x2], np.int8(1), np.int8(-1))
+    return y1, y2
 
 
 def model_to_dict(model: LocalModel) -> dict:

@@ -31,7 +31,7 @@ from .quantum import MatchProbabilityTable
 N_STRATEGIES = 4096
 SOLUTION_STATUSES = ("feasible", "infeasible", "unbounded-error")
 
-#: Default margin by which the demonstration model keeps the unconditional
+#: Margin by which the demonstration model keeps the unconditional
 #: Bell statistic that scores an undetected pair as a non-match below 0;
 #: see :func:`demonstration_solution`.
 DEMO_STEALTH_MARGIN = 0.05
@@ -86,20 +86,28 @@ def enumerate_augmented_strategies() -> tuple[AugmentedStrategy, ...]:
 
 
 @lru_cache(maxsize=1)
+def _strategy_spins() -> tuple[np.ndarray, np.ndarray]:
+    """The int8 spins y1[s, x] and y2[s, x] strategy ``s`` shows at setting
+    ``x``, 0 where it does not detect, read off the 12-bit index in its
+    documented bit order: y1[x] is bit 11 - x, y2[x] bit 8 - x, d1[x] bit
+    5 - x and d2[x] bit 2 - x."""
+    s = np.arange(N_STRATEGIES)[:, None]
+    x = np.arange(3)
+    y1 = (((s >> (11 - x)) & 1) * 2 - 1) * ((s >> (5 - x)) & 1)
+    y2 = (((s >> (8 - x)) & 1) * 2 - 1) * ((s >> (2 - x)) & 1)
+    return y1.astype(np.int8), y2.astype(np.int8)
+
+
+@lru_cache(maxsize=1)
 def _strategy_matrices() -> tuple[np.ndarray, np.ndarray]:
     """Per-strategy cell data: detect[s, i, j] and detect_match[s, i, j].
 
     detect is 1 when both particles are detected at settings (i, j);
-    detect_match additionally requires the spins to agree there. Both are
-    read off the 12-bit index in its documented bit order: y1[i] is bit
-    11 - i, y2[j] bit 8 - j, d1[i] bit 5 - i and d2[j] bit 2 - j.
+    detect_match additionally requires the spins to agree there.
     """
-    s = np.arange(N_STRATEGIES)[:, None, None]
-    i = np.arange(3)[:, None]
-    j = np.arange(3)
-    detect = (s >> (5 - i)) & (s >> (2 - j)) & 1
-    agree = ~((s >> (11 - i)) ^ (s >> (8 - j))) & 1
-    return detect.astype(float), (detect & agree).astype(float)
+    y1, y2 = _strategy_spins()
+    products = y1[:, :, None] * y2[:, None, :]
+    return (products != 0).astype(float), (products == 1).astype(float)
 
 
 @lru_cache(maxsize=1)
@@ -146,7 +154,7 @@ class FakingLp:
     pairs, the conditional match equality written in linearized form
     (match mass equals target times coincidence mass) and the floor and
     epigraph inequalities on the coincidence rate. ``program`` assembles
-    the full program on first read, for inspection and archiving;
+    the full program on first read, for inspection;
     :func:`solve_lp` works from the defining data, on the distinct strategy
     columns.
     """
@@ -159,16 +167,6 @@ class FakingLp:
     def program(self) -> simplex.LinearProgram:
         return _assemble_lp(*_strategy_matrices(), self.targets,
                             self.efficiency_floor, self.stealth_margin)
-
-    def to_dict(self) -> dict:
-        """JSON-ready dump: the assembled program plus its defining data."""
-        return {
-            "targets": self.targets.tolist(),
-            "efficiency_floor": self.efficiency_floor,
-            "stealth_margin": self.stealth_margin,
-            "n_strategies": N_STRATEGIES,
-            "program": self.program.to_dict(),
-        }
 
 
 def _assemble_lp(
@@ -226,11 +224,13 @@ class LpSolution:
     min_coincidence_rate: float | None
 
     @cached_property
-    def _sampling_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Strategy indices in increasing order and their cumulative weights,
-        for :func:`sample_loophole_model` and its block form."""
+    def _sampling_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cumulative weights of the strategies in increasing index order,
+        and their rows of :func:`_strategy_spins`, for
+        :func:`sample_loophole_model` and :func:`~bellsim.lhv.sample_mixture_lanes`."""
         indices = sorted(self.weights)
-        return np.array(indices), cumulative_weights([self.weights[i] for i in indices])
+        y1, y2 = _strategy_spins()
+        return cumulative_weights([self.weights[i] for i in indices]), y1[indices], y2[indices]
 
     def coincidence_rate(self, i: int, j: int) -> float:
         if self.coincidence_rates is None:
@@ -441,9 +441,7 @@ def max_faking_efficiency(targets: MatchProbabilityTable) -> float:
     return result.objective
 
 
-def demonstration_solution(
-    targets: MatchProbabilityTable, stealth_margin: float = DEMO_STEALTH_MARGIN
-) -> LpSolution:
+def demonstration_solution(targets: MatchProbabilityTable) -> LpSolution:
     """A faking model whose sampled data fool coincidence conditioning.
 
     The data reproduce the quantum targets among coincidences. Being local,
@@ -451,13 +449,11 @@ def demonstration_solution(
     undetected spins (-0.10 at (60,0,120), where the plain maximum-coincidence
     model scores exactly 0). This variant adds one inequality pushing the
     unconditional Bell statistic that scores an undetected pair as a
-    non-match, no locality test, to at most ``-stealth_margin``; it only
-    moves the model below the bound. The program has no efficiency floor;
-    it maximizes the minimum coincidence rate under the stealth inequality.
+    non-match, no locality test, to at most -:data:`DEMO_STEALTH_MARGIN`;
+    it only moves the model below the bound. The program has no efficiency
+    floor; it maximizes the minimum coincidence rate under that inequality.
     """
-    if stealth_margin < 0.0:
-        raise ValueError(f"stealth_margin must be nonnegative, got {stealth_margin!r}")
-    return solve_lp(FakingLp(targets.as_array(), 0.0, stealth_margin))
+    return solve_lp(FakingLp(targets.as_array(), 0.0, DEMO_STEALTH_MARGIN))
 
 
 def sample_loophole_model(
@@ -473,31 +469,10 @@ def sample_loophole_model(
     if solution.status != "feasible":
         raise ValueError(f"cannot sample from a {solution.status} solution")
     x1, x2 = pair
-    indices, cumulative = solution._sampling_arrays
-    s = int(indices[bisect_right(cumulative, rng.random())])
+    s = sorted(solution.weights)[bisect_right(solution._sampling_arrays[0], rng.random())]
     d1 = (s >> (5 - x1)) & 1
     d2 = (s >> (2 - x2)) & 1
     y1 = ((s >> (11 - x1)) & 1) * 2 - 1 if d1 else None
     y2 = ((s >> (8 - x2)) & 1) * 2 - 1 if d2 else None
     return y1, y2, d1, d2
 
-
-def sample_loophole_model_lanes(
-    solution: LpSolution, x1: np.ndarray, x2: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`sample_loophole_model` for a block of trials at once.
-
-    ``x1``/``x2`` hold each trial's settings and ``u`` is a ``(1, trials)``
-    matrix holding each trial's uniform in [0, 1); the arguments are those
-    of every source's sampler, the source's payload first. Returns the spins
-    (y1, y2) as integer arrays, with 0 where a particle is not detected, so
-    a detection flag is a spin's being nonzero. Spins and flags are read off
-    the 12-bit strategy index in its documented bit order.
-    """
-    if solution.status != "feasible":
-        raise ValueError(f"cannot sample from a {solution.status} solution")
-    indices, cumulative = solution._sampling_arrays
-    s = indices[np.searchsorted(cumulative, u[0], side="right")]
-    y1 = (((s >> (11 - x1)) & 1) * 2 - 1) * ((s >> (5 - x1)) & 1)
-    y2 = (((s >> (8 - x2)) & 1) * 2 - 1) * ((s >> (2 - x2)) & 1)
-    return y1, y2

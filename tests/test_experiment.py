@@ -82,6 +82,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="^loophole source needs solution of type LpSolution"):
             ExperimentConfig(n_trials=10, seed=1, source=SOURCE_LOOPHOLE, angles=CANONICAL)
 
+    def test_loophole_angles_must_be_an_angle_triple(self):
+        # Unchecked, a tuple generated a dataset and then broke config_to_dict.
+        from bellsim.loophole import LpSolution
+
+        solution = LpSolution(status="feasible", weights={7: 1.0},
+                              coincidence_rates=None, min_coincidence_rate=None)
+        with pytest.raises(ConfigError,
+                           match="^loophole source needs angles of type AngleTriple, got tuple$"):
+            ExperimentConfig(n_trials=10, seed=1, source=SOURCE_LOOPHOLE,
+                             angles=(60, 0, 120), solution=solution)
+
     @pytest.mark.parametrize("source, payload", (
         (SOURCE_QUANTUM, "model"),
         (SOURCE_QUANTUM, "solution"),
@@ -245,7 +256,7 @@ def _hand_dataset():
                 )
             )
             idx += 1
-    return records
+    return TrialDataset.from_records(records)
 
 
 class TestEstimate:
@@ -267,12 +278,12 @@ class TestEstimate:
             TrialRecord(index=i, x1=x1, x2=x2, y1=1, y2=1, d1=1, d2=1)
             for i, (x1, x2) in enumerate(((1, 2), (0, 2), (1, 0), (0, 0)))
         ]
-        assert estimate(records).statistic == -2.0
+        assert estimate(TrialDataset.from_records(records)).statistic == -2.0
 
     def test_empty_cell_raises_naming_the_cell(self):
         records = [r for r in _hand_dataset() if (r.x1, r.x2) != (0, 2)]
         with pytest.raises(EstimationError, match=r"\(0,2\)"):
-            estimate(records)
+            estimate(TrialDataset.from_records(records))
 
     def test_conditioning_changes_denominator(self):
         # One coincident match plus one undetected trial per statistic cell.
@@ -283,9 +294,10 @@ class TestEstimate:
             idx += 1
             records.append(TrialRecord(index=idx, x1=x1, x2=x2, y1=1, y2=None, d1=1, d2=0))
             idx += 1
-        cond = estimate(records, conditioning=CONDITION_COINCIDENCES)
+        data = TrialDataset.from_records(records)
+        cond = estimate(data, conditioning=CONDITION_COINCIDENCES)
         assert cond.statistic == pytest.approx(-2.0)
-        allp = estimate(records, conditioning=CONDITION_ALL_PAIRS)
+        allp = estimate(data, conditioning=CONDITION_ALL_PAIRS)
         assert allp.statistic == pytest.approx(-1.0)
         assert allp.cell_match_rate(1, 2) == pytest.approx(0.5)
 
@@ -294,6 +306,10 @@ class TestEstimate:
         for n in (1_000, 10_000, 100_000):
             est = estimate(run_experiment(quantum_config(n=n, seed=11)))
             assert abs(est.statistic - truth) <= 5 / math.sqrt(n / 9)
+
+    def test_refuses_a_record_list(self):
+        with pytest.raises(TypeError, match="TrialDataset or its row counts, got list"):
+            estimate(list(_hand_dataset()))
 
     def test_rejects_bad_confidence_and_conditioning(self):
         with pytest.raises(ValueError):
@@ -383,7 +399,7 @@ class TestDecide:
             TrialRecord(index=i, x1=x1, x2=x2, y1=1, y2=-1, d1=1, d2=1)
             for i, (x1, x2) in enumerate(((1, 2), (0, 2), (1, 0), (0, 0)))
         ]
-        est = estimate(records)
+        est = estimate(TrialDataset.from_records(records))
         assert est.statistic == 0.0 and not decide(est).reject_lhv
 
     def test_lhv_run_retains(self):
@@ -470,24 +486,31 @@ def csv_module_bytes(records) -> bytes:
 READERS = (read_dataset_csv, read_row_counts)
 
 
+class LineReads(io.BytesIO):
+    """A binary stream whose every read returns one line."""
+
+    def read(self, size=-1):
+        return self.readline() if size else b""
+
+
 def assert_reads(read, source, records):
     """``read`` of ``source`` gives ``records``, or their 81 row-code counts
     for :func:`read_row_counts`."""
     got = read(source)
     if read is read_row_counts:
-        code = experiment._as_dataset(records).code
+        code = TrialDataset.from_records(records).code
         assert got.dtype == np.int64 and np.array_equal(got, np.bincount(code, minlength=81))
     else:
         assert got == records
 
 
 def reader_error(source, match=None):
-    """The ``ValueError`` message both readers give for the CSV text
-    ``source``, from a text and a binary stream; all four must agree."""
+    """The ``ValueError`` message both readers give for the CSV bytes
+    ``source``, from a binary stream; the two must agree."""
     messages = set()
-    for read, stream in itertools.product(READERS, (io.StringIO, io.BytesIO)):
+    for read in READERS:
         with pytest.raises(ValueError, match=match) as exc:
-            read(stream(source if stream is io.StringIO else source.encode()))
+            read(io.BytesIO(source))
         messages.add(str(exc.value))
     assert len(messages) == 1, messages
     return messages.pop()
@@ -518,16 +541,10 @@ def test_csv_round_trip_property(block_trials, records):
         mp.setattr(experiment, "BLOCK_TRIALS", block_trials)
         expected = csv_module_bytes(records)
         written = io.BytesIO()
-        write_dataset_csv(records, written)
+        write_dataset_csv(TrialDataset.from_records(records), written)
         assert written.getvalue() == expected
-        text = io.StringIO()
-        write_dataset_csv(TrialDataset.from_records(records), text)
-        assert text.getvalue().encode("ascii") == expected
         for data, read in itertools.product((expected, expected.replace(b"\r\n", b"\n")), READERS):
             assert_reads(read, io.BytesIO(data), records)
-            assert_reads(read, io.StringIO(data.decode("ascii")), records)
-            lines = data.decode("ascii").splitlines(keepends=True)
-            assert_reads(read, iter(lines), records)
 
 
 class TestSerialization:
@@ -537,10 +554,10 @@ class TestSerialization:
             TrialRecord(index=1, x1=2, x2=2, y1=None, y2=1, d1=0, d2=1),
             TrialRecord(index=2, x1=1, x2=0, y1=None, y2=None, d1=0, d2=0),
         ]
-        buf = io.StringIO()
-        write_dataset_csv(records, buf)
+        buf = io.BytesIO()
+        write_dataset_csv(TrialDataset.from_records(records), buf)
         for read in READERS:
-            assert_reads(read, io.StringIO(buf.getvalue()), records)
+            assert_reads(read, io.BytesIO(buf.getvalue()), records)
 
     def test_csv_file_round_trip(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -551,18 +568,18 @@ class TestSerialization:
             assert_reads(read, str(path), records)
 
     def test_reader_rejects_bad_header(self):
-        reader_error("a,b,c\n", match="unexpected dataset header")
-        reader_error("", match="unexpected dataset header")
+        reader_error(b"a,b,c\n", match="unexpected dataset header")
+        reader_error(b"", match="unexpected dataset header")
 
     def test_reader_rejects_lone_carriage_return_line_ends(self):
         text = "index,x1,x2,y1,y2,d1,d2\r" + "".join(f"{i},0,0,,,0,0\r" for i in range(500))
-        message = reader_error(text, match="unexpected dataset header")
+        message = reader_error(text.encode(), match="unexpected dataset header")
         assert len(message) < 120  # the one long "line" is cut in the message
 
     def test_reader_returns_empty_dataset_for_header_only(self):
-        data = read_dataset_csv(io.StringIO("index,x1,x2,y1,y2,d1,d2\r\n\r\n"))
+        data = read_dataset_csv(io.BytesIO(b"index,x1,x2,y1,y2,d1,d2\r\n\r\n"))
         assert len(data) == 0 and data == []
-        assert_reads(read_row_counts, io.StringIO("index,x1,x2,y1,y2,d1,d2\r\n\r\n"), [])
+        assert_reads(read_row_counts, io.BytesIO(b"index,x1,x2,y1,y2,d1,d2\r\n\r\n"), [])
 
     @pytest.mark.parametrize(
         "row",
@@ -596,7 +613,7 @@ class TestSerialization:
     )
     def test_reader_rejects_malformed_rows(self, row):
         text = f"index,x1,x2,y1,y2,d1,d2\r\n-5,1,2,1,-1,1,1\r\n{row}\r\n"
-        reader_error(text, match=r"^(line 3|trial -?\d+): ")
+        reader_error(text.encode(), match=r"^(line 3|trial -?\d+): ")
 
     def test_reader_accepts_lf_blank_lines_and_a_missing_last_line_end(self):
         text = "index,x1,x2,y1,y2,d1,d2\n\n-7,1,2,1,-1,1,1\r\n\r\n0,0,0,,,0,0\n12,2,1,,-1,0,1"
@@ -606,7 +623,6 @@ class TestSerialization:
             TrialRecord(index=12, x1=2, x2=1, y1=None, y2=-1, d1=0, d2=1),
         ]
         for read in READERS:
-            assert_reads(read, io.StringIO(text), expected)
             assert_reads(read, io.BytesIO(text.encode()), expected)
 
     def test_every_valid_row_round_trips(self, tmp_path):
@@ -618,42 +634,40 @@ class TestSerialization:
             for i, (x1, x2, y1, y2) in zip(indices, rows, strict=True)
         ]
         path = tmp_path / "all.csv"
-        write_dataset_csv(records, path)
+        write_dataset_csv(TrialDataset.from_records(records), path)
         assert path.read_bytes() == csv_module_bytes(records)
         for read in READERS:
             assert_reads(read, path, records)
 
     def test_reader_streams_in_blocks(self, monkeypatch):
         records = run_experiment(quantum_config(n=50, seed=4))
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_dataset_csv(records, buf)
         monkeypatch.setattr(experiment, "BLOCK_TRIALS", 7)
         for read in READERS:
-            assert_reads(read, io.StringIO(buf.getvalue()), records)
-        buf2 = io.StringIO()
+            assert_reads(read, io.BytesIO(buf.getvalue()), records)
+        buf2 = io.BytesIO()
         write_dataset_csv(records, buf2)
         assert buf2.getvalue() == buf.getvalue()
         lines = buf.getvalue().splitlines(keepends=True)
-        lines[8] = lines[8].replace("7,", "6,", 1)  # repeats index 6 (see also the next test)
-        for read in READERS:
-            with pytest.raises(ValueError, match="not strictly increasing at 6"):
-                read(iter(lines))
+        lines[8] = lines[8].replace(b"7,", b"6,", 1)  # repeats index 6 (see also the next test)
+        reader_error(b"".join(lines), match="not strictly increasing at 6")
 
     @pytest.mark.parametrize("repeat", (1, 2, 5))
     def test_reader_checks_order_across_every_block_boundary(self, repeat, monkeypatch):
-        # With one line per block (or 16 bytes per read) every pair of
+        # With one line per read (or 16 bytes per read) every pair of
         # consecutive rows straddles a block boundary.
         records = run_experiment(quantum_config(n=8, seed=4))
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_dataset_csv(records, buf)
         lines = buf.getvalue().splitlines(keepends=True)
-        lines[repeat + 1] = lines[repeat + 1].replace(f"{repeat},", f"{repeat - 1},", 1)
+        lines[repeat + 1] = lines[repeat + 1].replace(b"%d," % repeat, b"%d," % (repeat - 1), 1)
         monkeypatch.setattr(experiment, "BLOCK_TRIALS", 1)
         for read in READERS:
             with pytest.raises(ValueError, match=f"not strictly increasing at {repeat - 1}$"):
-                read(iter(lines))
+                read(LineReads(b"".join(lines)))
         message = f"trial indices not strictly increasing at {repeat - 1}"
-        assert reader_error("".join(lines)) == message
+        assert reader_error(b"".join(lines)) == message
 
     def test_counting_does_not_hold_the_rows(self, tmp_path):
         # read_row_counts keeps one block at a time, so ten times the rows
@@ -676,24 +690,48 @@ class TestSerialization:
             TrialRecord(index=9, x1=2, x2=1, y1=None, y2=-1, d1=0, d2=1),
             TrialRecord(index=3, x1=0, x2=0, y1=1, y2=None, d1=1, d2=0),
         ]
-        buf = io.StringIO()
-        write_dataset_csv(iter(records), buf)
+        buf = io.BytesIO()
+        write_dataset_csv(TrialDataset.from_records(records), buf)
         expected = io.StringIO()
         writer = csv.writer(expected)
         writer.writerow(("index", "x1", "x2", "y1", "y2", "d1", "d2"))
         writer.writerows([(9, 2, 1, "", -1, 0, 1), (3, 0, 0, 1, "", 1, 0)])
-        assert buf.getvalue() == expected.getvalue()
+        assert buf.getvalue() == expected.getvalue().encode("ascii")
 
     def test_reader_rejects_non_increasing_indices(self):
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_dataset_csv(
-            [
+            TrialDataset.from_records([
                 TrialRecord(index=5, x1=0, x2=0, y1=1, y2=1, d1=1, d2=1),
                 TrialRecord(index=5, x1=0, x2=0, y1=1, y2=1, d1=1, d2=1),
-            ],
+            ]),
             buf,
         )
         reader_error(buf.getvalue(), match="not strictly increasing at 5")
+
+    @pytest.mark.parametrize("read", READERS)
+    def test_readers_refuse_a_text_stream(self, read):
+        # A text stream's read returns "", never the b"" that ends a binary
+        # read loop: the readers must refuse it before their first block.
+        class Text(io.StringIO):
+            reads = 0
+
+            def read(self, size=-1):
+                self.reads += 1
+                assert self.reads == 1, "the reader reads a text stream again"
+                return super().read(size)
+
+        with pytest.raises(TypeError, match="path or a binary file, got Text"):
+            read(Text("index,x1,x2,y1,y2,d1,d2\r\n0,0,0,,,0,0\r\n"))
+
+    @pytest.mark.parametrize("read", READERS)
+    def test_readers_refuse_an_iterable_of_lines(self, read):
+        with pytest.raises(TypeError, match="path or a binary file, got list"):
+            read(["index,x1,x2,y1,y2,d1,d2\r\n", "0,0,0,,,0,0\r\n"])
+
+    def test_writer_refuses_a_text_stream(self):
+        with pytest.raises(TypeError):
+            write_dataset_csv(run_experiment(quantum_config(n=3)), io.StringIO())
 
     def test_config_metadata_round_trip(self):
         for cfg in (quantum_config(), single_table_config()):
