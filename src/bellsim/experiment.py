@@ -462,22 +462,19 @@ def decide(est: BellEstimate, alpha: float = 0.01) -> Decision:
 _HEADER = ",".join(CSV_HEADER).encode()
 
 #: The 81 valid row tails ``,x1,x2,y1,y2,d1,d2`` as ``csv.writer`` writes
-#: them, without the line end: a spin is empty exactly when its flag is 0.
-#: The writer and the reader both use this table, so it defines the format.
-_ROW_TAILS = tuple(
+#: them, without the line end, NUL-padded to 16 bytes: a spin is empty
+#: exactly when its flag is 0. No byte of a valid row is NUL. The writer and
+#: the reader both use this table, so it defines the format.
+_ROW_TAILS = np.array([
     f",{x1},{x2},{y1 or ''},{y2 or ''},{d1},{d2}".encode()
     for x1, x2, y1, y2, d1, d2 in _ROW_FIELDS.tolist()
-)
-_TAIL_BYTES = 16  # longest tail plus "\r\n"
-# Writer: each tail with its "\r\n", zero-padded, and which bytes it uses.
-_WRITE_TAILS = np.array([t + b"\r\n" for t in _ROW_TAILS], f"S{_TAIL_BYTES}").view(np.uint8)
-_WRITE_TAILS = _WRITE_TAILS.reshape(len(_ROW_TAILS), _TAIL_BYTES)
-_WRITE_USED = np.arange(_TAIL_BYTES) < np.array([[len(t) + 2] for t in _ROW_TAILS])
-# Reader: each tail as two little-endian words of its zero-padded bytes, its
-# length, and a table from a multiplicative hash of the words' XOR to the
-# row code: the 81 tails fill 81 distinct slots of 2048.
-_TAIL_W0, _TAIL_W1 = np.array(_ROW_TAILS, f"S{_TAIL_BYTES}").view("<u8").reshape(-1, 2).T
-_TAIL_LENGTHS = np.array([len(t) for t in _ROW_TAILS])
+], "S16")
+_TAIL_BYTES = _ROW_TAILS.itemsize
+# Reader: each tail as two little-endian words, its length, and a table
+# from a multiplicative hash of the words' XOR to the row code: the 81
+# tails fill 81 distinct slots of 2048.
+_TAIL_W0, _TAIL_W1 = _ROW_TAILS.view("<u8").reshape(-1, 2).T
+_TAIL_LENGTHS = np.char.str_len(_ROW_TAILS)
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 _HASH_SHIFT = np.uint64(64 - 11)
 _TAIL_CODES = np.zeros(1 << 11, dtype=np.uint8)
@@ -493,26 +490,24 @@ def _encode_rows(index: np.ndarray, codes: np.ndarray) -> bytes:
     """Rows as ``csv.writer`` writes them: each index in decimal, then the
     tail at its row code and ``\\r\\n``.
 
-    Row ``r`` is laid out in a byte grid with its index right-aligned in the
-    first ``width`` columns and its tail from column ``width``; the used
-    bytes of the grid, in row-major order, are the text.
+    Row ``r`` is laid out in a NUL-filled byte grid: its sign and its
+    digits, right-aligned in the first ``width`` columns, then its tail and
+    ``\\r\\n``. The non-NUL bytes of the grid, in row-major order, are the text.
     """
     negative = index < 0
     magnitude = np.where(negative, -index.view(np.uint64), index.view(np.uint64))
-    field = np.searchsorted(_POW10[1:], magnitude, side="right") + 1 + negative
-    width = int(field.max(initial=1))
-    grid = np.empty((len(index), width + _TAIL_BYTES), np.uint8)
+    digits = np.searchsorted(_POW10[1:], magnitude, side="right") + 1
+    width = int(digits.max(initial=1)) + 1  # a column for the sign
+    grid = np.zeros((len(index), width + _TAIL_BYTES + 2), np.uint8)
     rest = magnitude
-    for column in range(width - 1, -1, -1):  # beyond a row's digits this writes 0s
+    for place in range(width - 1):
         rest, digit = np.divmod(rest, 10)
-        grid[:, column] = digit + ord("0")
+        grid[:, width - 1 - place] = np.where(place < digits, digit + ord("0"), 0)
     rows = np.flatnonzero(negative)
-    grid[rows, width - field[rows]] = ord("-")
-    grid[:, width:] = _WRITE_TAILS[codes]
-    used = np.empty(grid.shape, dtype=bool)
-    used[:, :width] = (np.arange(width) >= width - np.arange(width + 1)[:, None])[field]
-    used[:, width:] = _WRITE_USED[codes]
-    return grid[used].tobytes()
+    grid[rows, width - 1 - digits[rows]] = ord("-")
+    grid[:, width:-2] = _ROW_TAILS.view(np.uint8).reshape(-1, _TAIL_BYTES)[codes]
+    grid[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+    return grid[grid != 0].tobytes()
 
 
 def write_dataset_csv(data: TrialDataset, target: str | Path | BinaryIO) -> None:
@@ -521,8 +516,11 @@ def write_dataset_csv(data: TrialDataset, target: str | Path | BinaryIO) -> None
     field for an undetected spin.
 
     ``target`` is a path or a binary file object; a text file object raises
-    ``TypeError`` at its first write.
+    ``TypeError`` at its first write. A ``data`` that is not a
+    :class:`TrialDataset` raises ``TypeError`` before a path is opened.
     """
+    if not isinstance(data, TrialDataset):
+        raise TypeError(f"write_dataset_csv writes a TrialDataset, got {type(data).__name__}")
     if isinstance(target, (str, Path)):
         with open(target, "wb") as fh:
             write_dataset_csv(data, fh)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import simplex
-from .counterfactuals import CounterfactualTable
+from .counterfactuals import BELL_PAIRS, CounterfactualTable, bell_statistic
 from .lhv import cumulative_weights
 from .quantum import MatchProbabilityTable
 
@@ -367,18 +367,22 @@ def _solve_on(lp: FakingLp, columns: np.ndarray, floor: float) -> simplex.Simple
     return replace(result, x=x)
 
 
-def _floor_one_solve(lp: FakingLp, z: float) -> simplex.SimplexResult | None:
-    """The optimum of ``lp``'s program at floor 1, when the floor-0 optimum
-    ``z`` lies within the phase-1 threshold below 1 and that program is
-    feasible; otherwise None.
+def _full_detection_solve(lp: FakingLp) -> simplex.SimplexResult | None:
+    """The optimum of ``lp``'s program at floor 1, whose rates are all 1,
+    when it has one; else None.
 
-    Such a ``z`` may be 1 but for rounding, and only the floor-1 program
-    tells. Its optimum meets every floor up to 1, so it answers each floor
-    above ``z``. A floor-1 program weights only strategies that detect in
-    all nine cells, so it is solved on those alone: the 32 distinct
-    strategies whose six detection bits are all set.
+    A floor-1 model weights only strategies that detect in all nine cells,
+    so the program is solved on the 32 distinct ones, each a table. It is
+    skipped when the targets' Bell statistic b exceeds the phase-1
+    threshold, for then its phase 1 ends infeasible. With s = sum w, row 0
+    keeps the artificial 1 - s and each match row (i, j) the artificial
+    t_ij s - sum w dm_ij. The signed sum of the four Bell-cell artificials
+    is s b less the tables' Bell statistic, which is at most 0 (Theorem 2),
+    so the (1, 2) artificial is at least s b and the artificial mass at
+    least (1 - s) + s b >= b.
     """
-    if not 1.0 - simplex.ARTIFICIAL_MASS_TOL < z < 1.0:
+    t = lp.targets
+    if bell_statistic(*(t[i, j] for i, j in BELL_PAIRS)) > simplex.ARTIFICIAL_MASS_TOL:
         return None
     keep = _distinct_strategies()
     result = _solve_on(lp, keep[(keep & 0x3F) == 0x3F], 1.0)
@@ -389,22 +393,21 @@ def solve_lp(lp: FakingLp) -> LpSolution:
     """Solve ``lp``'s program with the in-package simplex, on the distinct
     strategy columns.
 
-    Every floor is answered from the floor-0 solve. The floor-f program
-    maximizes the same minimum coincidence rate z and only adds the rows
-    "coincidence rate >= f", so it is feasible exactly when the floor-0
-    optimum z* is at least f, and that optimum, optimal at floor f too, is
-    what a feasible floor returns. A floor above z* is feasible only when
-    z* is within the phase-1 threshold below 1 and the floor-1 program has
-    an optimum, which is then returned. So floor f is feasible exactly when
-    f is at most :func:`max_faking_efficiency`. That comparison is with the
-    computed z*: a floor within rounding of the true optimum may be
-    misreported (at the canonical angles the optimum is 2/3, z* is one ulp
-    below the double nearest it, and that double reads infeasible).
+    Full detection is decided first: a floor-1 optimum meets every floor.
+    Otherwise every floor is answered from the floor-0 solve. The floor-f
+    program maximizes the same minimum coincidence rate z and only adds the
+    rows "coincidence rate >= f", so it is feasible exactly when the
+    floor-0 optimum z* is at least f, and that optimum, optimal at floor f
+    too, is what a feasible floor returns. So floor f is feasible exactly
+    when f is at most :func:`max_faking_efficiency`. That comparison is
+    with the computed z*: a floor within rounding of the true optimum may
+    be misreported (at the canonical angles the optimum is 2/3, z* is one
+    ulp below the double nearest it, and that double reads infeasible).
     """
-    result = _solve_on(lp, _distinct_strategies(), 0.0)
-    if result.status == "optimal" and lp.efficiency_floor > result.objective:
-        result = _floor_one_solve(lp, result.objective)
-        if result is None:
+    result = _full_detection_solve(lp)
+    if result is None:
+        result = _solve_on(lp, _distinct_strategies(), 0.0)
+        if result.status == "optimal" and lp.efficiency_floor > result.objective:
             return _no_solution("infeasible")
     return _package_solution(result)
 
@@ -421,24 +424,23 @@ def rescore_solution(solution: LpSolution) -> tuple[np.ndarray, np.ndarray, floa
 def max_faking_efficiency(targets: MatchProbabilityTable) -> float:
     """Largest efficiency floor at which faking stays feasible.
 
-    Floor f is feasible exactly when the largest achievable minimum
-    coincidence rate is at least f, so the answer is the epigraph optimum of
-    the floor-0 program, from one solve. An optimum of 1 or more is reported
-    as exactly 1.0, and so is one within the phase-1 threshold below 1 when
-    the floor-1 program has an optimum. :func:`solve_lp` decides every floor
-    by this same number. The test suite cross-checks the value against a
-    bisection on the feasibility of floor programs. A floor-0 solve that
-    ends other than optimal raises ``simplex.SimplexError``.
+    It is 1.0 when the floor-1 program has an optimum. Otherwise floor f is
+    feasible exactly when the largest achievable minimum coincidence rate
+    is at least f, so it is the epigraph optimum of the floor-0 program,
+    at most 1.0. :func:`solve_lp` decides every floor in this same order.
+    The test suite cross-checks the value against a bisection on the
+    feasibility of floor programs. A floor-0 solve that ends other than
+    optimal raises ``simplex.SimplexError``.
     """
     lp = FakingLp(targets.as_array(), 0.0)
+    if _full_detection_solve(lp) is not None:
+        return 1.0
     result = _solve_on(lp, _distinct_strategies(), 0.0)
     if result.status != "optimal":
         # The program is feasible (zero detection satisfies every target) and
         # bounded (z <= 1), so any other status is a numerical breakdown.
         raise simplex.SimplexError(f"floor-0 faking program reported {result.status}")
-    if result.objective >= 1.0 or _floor_one_solve(lp, result.objective) is not None:
-        return 1.0
-    return result.objective
+    return min(result.objective, 1.0)
 
 
 def demonstration_solution(targets: MatchProbabilityTable) -> LpSolution:

@@ -733,6 +733,13 @@ class TestSerialization:
         with pytest.raises(TypeError):
             write_dataset_csv(run_experiment(quantum_config(n=3)), io.StringIO())
 
+    def test_writer_refuses_a_record_list_before_opening_the_path(self, tmp_path):
+        path = tmp_path / "kept.csv"
+        path.write_bytes(b"precious")
+        with pytest.raises(TypeError, match="TrialDataset, got list"):
+            write_dataset_csv([TrialRecord(0, 0, 0, 1, 1, 1, 1)], path)
+        assert path.read_bytes() == b"precious"
+
     def test_config_metadata_round_trip(self):
         for cfg in (quantum_config(), single_table_config()):
             assert config_from_dict(config_to_dict(cfg)) == cfg
