@@ -253,6 +253,8 @@ def cmd_loophole(args) -> int:
     doc = solution.to_dict()
     if args.save and solution.status == "feasible":
         loophole_mod.save_solution(solution, args.save)
+    elif args.save:
+        print(f"note: status {solution.status}, nothing saved to {args.save}", file=sys.stderr)
     text = [f"status: {solution.status}"]
     if solution.status == "feasible":
         text.append(f"min coincidence rate: {solution.min_coincidence_rate:.6f}")

@@ -152,8 +152,9 @@ class FakingLp:
     variable z (the minimum pairwise coincidence rate, which the objective
     maximizes). Constraints: weights sum to 1; for each of the nine setting
     pairs, the conditional match equality written in linearized form
-    (match mass equals target times coincidence mass) and the floor and
-    epigraph inequalities on the coincidence rate. ``program`` assembles
+    (match mass equals target times coincidence mass), the floor
+    inequality on the coincidence rate, only for a positive floor, and the
+    epigraph inequality z <= coincidence rate. ``program`` assembles
     the full program on first read, for inspection;
     :func:`solve_lp` works from the defining data, on the distinct strategy
     columns.
@@ -179,6 +180,12 @@ def _assemble_lp(
     """Build the faking LP for arbitrary scenario size (tests use 2 settings).
 
     Setting pairs (i, j) take rows in row-major order; the last variable is z.
+    A positive floor puts each pair's row "coincidence rate >= floor" before
+    its epigraph row. At floor 0 those rows follow from w >= 0 and are left
+    out; the solve then reaches the same vertex in the same pivots as with
+    them, except where it breaks down numerically either way. The floor-1
+    program of :func:`_full_detection_solve` keeps them, for the reason
+    given there.
     """
     n_strat = detect.shape[0]
     z = n_strat  # the epigraph variable's column
@@ -192,6 +199,8 @@ def _assemble_lp(
     ub_matrix[1::2, :z] = -d
     ub_matrix[1::2, z] = 1.0  # z <= coincidence rate
     ub_rhs = np.tile([-floor, 0.0], cells)
+    if floor <= 0.0:  # w >= 0 already keeps every coincidence rate >= 0
+        ub_matrix, ub_rhs = ub_matrix[1::2], ub_rhs[1::2]
     if stealth_margin is not None:
         # Unconditional Bell statistic of the mixture stays below -margin.
         bell = (detect_match[:, 1, 2] - detect_match[:, 0, 2]
@@ -210,7 +219,11 @@ def _assemble_lp(
 
 
 def build_faking_lp(problem: FakingProblem) -> FakingLp:
-    """The 4097-variable faking LP of ``problem``, for the 3-setting scenario."""
+    """The 4097-variable faking LP of ``problem``, for the 3-setting scenario.
+
+    Its floor rows exist only for a positive floor: at floor 0 the program
+    is the 10 equality rows and the 9 epigraph rows.
+    """
     return FakingLp(problem.targets.as_array(), problem.efficiency_floor)
 
 
@@ -380,6 +393,10 @@ def _full_detection_solve(lp: FakingLp) -> simplex.SimplexResult | None:
     is s b less the tables' Bell statistic, which is at most 0 (Theorem 2),
     so the (1, 2) artificial is at least s b and the artificial mass at
     least (1 - s) + s b >= b.
+
+    The program keeps its nine floor rows, although its rates are all 1:
+    without them, tiny-weight census mixtures 32 and 132 hit the pivot
+    limit, 95's phase 1 breaks down and 86 reads 0.999999999999999.
     """
     t = lp.targets
     if bell_statistic(*(t[i, j] for i, j in BELL_PAIRS)) > simplex.ARTIFICIAL_MASS_TOL:

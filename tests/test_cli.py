@@ -460,6 +460,16 @@ class TestLoopholeCommand:
         assert code == 2 and out == "" and not solution_file.exists()
         assert err.startswith("error: --save")
 
+    @pytest.mark.parametrize("fmt", ("text", "json"))
+    def test_save_of_an_infeasible_result_says_nothing_was_saved(self, fmt, tmp_path, capsys):
+        solution_file = tmp_path / "solution.json"
+        argv = ("loophole", "--angles", "60,0,120", "--floor", "1.0", "--format", fmt)
+        plain = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv, "--save", str(solution_file))
+        assert (code, out) == plain[:2] and code == 0 and "infeasible" in out
+        assert not solution_file.exists()
+        assert err == plain[2] + f"note: status infeasible, nothing saved to {solution_file}\n"
+
 
 class TestSidecar:
     """A dataset's sidecar reproduces it through the library."""

@@ -19,6 +19,7 @@ from bellsim.loophole import (
     _assemble_lp,
     _distinct_strategies,
     _solve_on,
+    _strategy_matrices,
     build_faking_lp,
     demonstration_solution,
     enumerate_augmented_strategies,
@@ -110,11 +111,24 @@ class TestEnumeration:
 
 class TestBuildFakingLp:
     def test_program_dimensions(self):
+        # At floor 0 the program has only the nine epigraph rows; a positive
+        # floor puts each "coincidence rate >= floor" row before its
+        # epigraph row.
         built = build_faking_lp(FakingProblem(targets=CANONICAL_TARGETS))
         program = built.program
         assert program.n_vars == N_STRATEGIES + 1
         assert program.eq_matrix.shape == (1 + 9, program.n_vars)
-        assert program.ub_matrix.shape == (9 + 9, program.n_vars)
+        assert program.ub_matrix.shape == (9, program.n_vars)
+        assert np.array_equal(program.ub_rhs, np.zeros(9))
+        assert np.all(program.ub_matrix[:, -1] == 1.0)
+        floored = build_faking_lp(
+            FakingProblem(targets=CANONICAL_TARGETS, efficiency_floor=0.5)
+        ).program
+        assert floored.ub_matrix.shape == (9 + 9, program.n_vars)
+        assert np.array_equal(floored.ub_rhs, np.tile([-0.5, 0.0], 9))
+        assert np.all(floored.ub_matrix[0::2, -1] == 0.0)
+        assert np.array_equal(floored.ub_matrix[1::2], program.ub_matrix)
+        assert np.array_equal(floored.ub_matrix[0::2, :-1], program.ub_matrix[:, :-1])
 
     def test_floor_validation(self):
         with pytest.raises(ValueError):
@@ -496,6 +510,42 @@ class TestDistinctStrategies:
         for program in programs:
             columns = np.vstack([program.objective, program.eq_matrix, program.ub_matrix])
             assert len(np.unique(columns.T, axis=0)) == columns.shape[1]
+
+
+class TestFloorRows:
+    # At floor 0 the nine rows "coincidence rate >= 0" follow from w >= 0,
+    # and the program is assembled without them. The solve must reach the
+    # vertex of the program that keeps them, bit for bit, pivots included.
+    @staticmethod
+    def with_floor_rows(program):
+        """``program`` with each epigraph row's "-d w <= 0" row put back
+        before it, in the interleaved order of a positive floor."""
+        floor_rows = program.ub_matrix[:9].copy()
+        floor_rows[:, -1] = 0.0  # the row without z
+        return simplex.LinearProgram(
+            objective=program.objective,
+            eq_matrix=program.eq_matrix,
+            eq_rhs=program.eq_rhs,
+            ub_matrix=np.insert(program.ub_matrix, range(9), floor_rows, axis=0),
+            ub_rhs=np.insert(program.ub_rhs, range(9), 0.0),
+        )
+
+    def test_floor_zero_solve_is_the_solve_with_floor_rows(self):
+        keep = _distinct_strategies()
+        detect, detect_match = (m[keep] for m in _strategy_matrices())
+        for degrees in np.random.default_rng(1).integers(0, 360, (30, 3)):
+            targets = match_table(AngleTriple.from_degrees(*map(int, degrees))).as_array()
+            for margin in (None, DEMO_STEALTH_MARGIN):
+                solved = _solve_on(FakingLp(targets, 0.0, margin), keep, 0.0)
+                program = _assemble_lp(detect, detect_match, targets, 0.0, margin)
+                assert program.ub_matrix.shape[0] == 9 + (margin is not None)
+                reference = simplex.solve(self.with_floor_rows(program))
+                case = (tuple(degrees), margin)
+                assert solved.status == reference.status == "optimal", case
+                x = solved.x[np.append(keep, N_STRATEGIES)]
+                assert x.tobytes() == reference.x.tobytes(), case
+                assert repr(solved.objective) == repr(reference.objective), case
+                assert solved.pivots == reference.pivots, case
 
 
 class TestDemonstrationSolution:
