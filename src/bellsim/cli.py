@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (for ``test``: local hidden variables rejected),
 1 retained (``test`` only), 2 usage error or invalid input, 3 internal error
-(an unexpected exception; its traceback goes to stderr). A crash never exits
-0 or 1, so it cannot read as a verdict. With ``--format json`` each
+(a solver breakdown or another unexpected exception; its traceback goes to
+stderr). A crash never exits 0 or 1, so it cannot read as a verdict. With ``--format json`` each
 subcommand writes a single JSON document to stdout; all diagnostics,
 including the echoed resolved configuration, go to stderr.
 """

@@ -29,7 +29,9 @@ from .lhv import cumulative_weights
 from .quantum import MatchProbabilityTable
 
 N_STRATEGIES = 4096
-SOLUTION_STATUSES = ("feasible", "infeasible", "unbounded-error")
+SOLUTION_STATUSES = ("feasible", "infeasible")
+#: A feasible solution's weights sum to 1 within this, read or returned.
+_WEIGHT_SUM_TOL = 1e-9
 
 #: Margin by which the demonstration model keeps the unconditional
 #: Bell statistic that scores an undetected pair as a non-match below 0;
@@ -229,9 +231,10 @@ def build_faking_lp(problem: FakingProblem) -> FakingLp:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Solver outcome: status, strategy weights and achieved coincidence rates."""
+    """Solver outcome: status, strategy weights and achieved coincidence
+    rates. A solver breakdown is no outcome: it raises ``SimplexError``."""
 
-    status: str  # "feasible", "infeasible" or "unbounded-error"
+    status: str  # "feasible" or "infeasible"
     weights: dict[int, float]
     coincidence_rates: tuple[tuple[float, float, float], ...] | None
     min_coincidence_rate: float | None
@@ -267,9 +270,10 @@ class LpSolution:
         The status must be one of :data:`SOLUTION_STATUSES`. Strategy
         indices must be distinct integers in [0, 4096) and weights finite
         non-negative numbers; a feasible solution's weights sum to 1 within
-        1e-9, any other carries none. ``coincidence_rates`` is null or a
-        3x3 table of finite numbers, ``min_coincidence_rate`` null or a
-        finite number. Anything else raises ``ValueError``.
+        1e-9 (:func:`solve_lp` holds to this too), an infeasible one has
+        none. ``coincidence_rates`` is null or a 3x3 table of finite numbers,
+        ``min_coincidence_rate`` null or a finite number. Anything else
+        raises ``ValueError``.
         """
         if not isinstance(doc, dict):
             raise ValueError("a solution document must be a JSON object")
@@ -295,7 +299,7 @@ class LpSolution:
             weights[index] = weight
         if status == "feasible":
             total = math.fsum(weights.values())
-            if abs(total - 1.0) > 1e-9:
+            if abs(total - 1.0) > _WEIGHT_SUM_TOL:
                 raise ValueError(f"feasible solution weights sum to {total!r}, not 1")
         elif weights:
             raise ValueError(f"a {status} solution carries no weights")
@@ -345,15 +349,14 @@ def _scored(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("s,sij->ij", w, detect), np.einsum("s,sij->ij", w, detect_match)
 
 
-def _no_solution(status: str) -> LpSolution:
-    return LpSolution(status=status, weights={}, coincidence_rates=None, min_coincidence_rate=None)
-
-
 def _package_solution(result: simplex.SimplexResult) -> LpSolution:
-    if result.status != "optimal":
-        return _no_solution("infeasible" if result.status == "infeasible" else "unbounded-error")
+    """The feasible solution at the optimum ``result``; weights that
+    :meth:`LpSolution.from_dict` would refuse raise ``SimplexError``."""
     w = result.x[:N_STRATEGIES]
     weights = {int(i): float(w[i]) for i in np.flatnonzero(w > 0.0)}
+    total = math.fsum(weights.values())
+    if abs(total - 1.0) > _WEIGHT_SUM_TOL:
+        raise simplex.SimplexError(f"optimal faking weights sum to {total!r}, not 1")
     rates, _ = _scored(w)
     return LpSolution(
         status="feasible",
@@ -381,8 +384,8 @@ def _solve_on(lp: FakingLp, columns: np.ndarray, floor: float) -> simplex.Simple
 
 
 def _full_detection_solve(lp: FakingLp) -> simplex.SimplexResult | None:
-    """The optimum of ``lp``'s program at floor 1, whose rates are all 1,
-    when it has one; else None.
+    """The optimum of ``lp``'s program at floor 1, when it has one, with z
+    exactly 1: z is at most every rate, and every rate is the weight sum 1.
 
     A floor-1 model weights only strategies that detect in all nine cells,
     so the program is solved on the 32 distinct ones, each a table. It is
@@ -403,29 +406,43 @@ def _full_detection_solve(lp: FakingLp) -> simplex.SimplexResult | None:
         return None
     keep = _distinct_strategies()
     result = _solve_on(lp, keep[(keep & 0x3F) == 0x3F], 1.0)
-    return result if result.status == "optimal" else None
+    if result.status != "optimal":
+        return None
+    result.x[N_STRATEGIES] = 1.0
+    return replace(result, objective=1.0)
+
+
+def _optimum(lp: FakingLp) -> simplex.SimplexResult | None:
+    """The floor-0 optimum of ``lp``: the floor-1 optimum when there is one,
+    else the floor-0 solve; None when the stealth row makes it infeasible.
+    That program is bounded (z <= 1) and, without the stealth row, feasible
+    (zero detection meets every target): any other end is a breakdown, and
+    raises ``simplex.SimplexError``."""
+    result = _full_detection_solve(lp) or _solve_on(lp, _distinct_strategies(), 0.0)
+    if result.status == "optimal":
+        return result
+    if result.status == "infeasible" and lp.stealth_margin is not None:
+        return None
+    raise simplex.SimplexError(f"floor-0 faking program reported {result.status}")
 
 
 def solve_lp(lp: FakingLp) -> LpSolution:
     """Solve ``lp``'s program with the in-package simplex, on the distinct
     strategy columns.
 
-    Full detection is decided first: a floor-1 optimum meets every floor.
-    Otherwise every floor is answered from the floor-0 solve. The floor-f
-    program maximizes the same minimum coincidence rate z and only adds the
-    rows "coincidence rate >= f", so it is feasible exactly when the
-    floor-0 optimum z* is at least f, and that optimum, optimal at floor f
-    too, is what a feasible floor returns. So floor f is feasible exactly
-    when f is at most :func:`max_faking_efficiency`. That comparison is
-    with the computed z*: a floor within rounding of the true optimum may
-    be misreported (at the canonical angles the optimum is 2/3, z* is one
-    ulp below the double nearest it, and that double reads infeasible).
+    Every floor is answered from the optimum z* of :func:`_optimum`. The
+    floor-f program maximizes the same minimum coincidence rate z and only
+    adds the rows "coincidence rate >= f", so it is feasible exactly when z*
+    is at least f, and that optimum, optimal at floor f too, is what a
+    feasible floor returns: f is feasible exactly when it is at most
+    :func:`max_faking_efficiency`. A floor within rounding of the true
+    optimum may be misreported (at the canonical angles the optimum is 2/3,
+    z* is one ulp below the double nearest it, and that double reads
+    infeasible). A solver breakdown raises ``simplex.SimplexError``.
     """
-    result = _full_detection_solve(lp)
-    if result is None:
-        result = _solve_on(lp, _distinct_strategies(), 0.0)
-        if result.status == "optimal" and lp.efficiency_floor > result.objective:
-            return _no_solution("infeasible")
+    result = _optimum(lp)
+    if result is None or lp.efficiency_floor > result.objective:
+        return LpSolution("infeasible", {}, None, None)
     return _package_solution(result)
 
 
@@ -439,25 +456,14 @@ def rescore_solution(solution: LpSolution) -> tuple[np.ndarray, np.ndarray, floa
 
 
 def max_faking_efficiency(targets: MatchProbabilityTable) -> float:
-    """Largest efficiency floor at which faking stays feasible.
-
-    It is 1.0 when the floor-1 program has an optimum. Otherwise floor f is
-    feasible exactly when the largest achievable minimum coincidence rate
-    is at least f, so it is the epigraph optimum of the floor-0 program,
-    at most 1.0. :func:`solve_lp` decides every floor in this same order.
-    The test suite cross-checks the value against a bisection on the
-    feasibility of floor programs. A floor-0 solve that ends other than
-    optimal raises ``simplex.SimplexError``.
+    """Largest efficiency floor at which faking stays feasible: the optimum
+    z* of :func:`_optimum`, at most 1.0, with which :func:`solve_lp` compares
+    every floor. It reads z* alone, so it returns 1.0 where solve_lp raises
+    on weights it refuses. The test suite cross-checks it against a
+    bisection on the feasibility of floor programs. A solver breakdown
+    raises ``simplex.SimplexError``.
     """
-    lp = FakingLp(targets.as_array(), 0.0)
-    if _full_detection_solve(lp) is not None:
-        return 1.0
-    result = _solve_on(lp, _distinct_strategies(), 0.0)
-    if result.status != "optimal":
-        # The program is feasible (zero detection satisfies every target) and
-        # bounded (z <= 1), so any other status is a numerical breakdown.
-        raise simplex.SimplexError(f"floor-0 faking program reported {result.status}")
-    return min(result.objective, 1.0)
+    return min(_optimum(FakingLp(targets.as_array(), 0.0)).objective, 1.0)
 
 
 def demonstration_solution(targets: MatchProbabilityTable) -> LpSolution:

@@ -41,7 +41,7 @@ MAX_PIVOTS = 50_000
 
 
 class SimplexError(RuntimeError):
-    """Numerical breakdown inside the solver, with the offending pivot."""
+    """Numerical breakdown: the solver did not finish, or its result cannot hold."""
 
 
 @dataclass(frozen=True)
@@ -115,13 +115,7 @@ class _Tableau:
 
     def pivot(self, row: int, col: int) -> None:
         t = self.t
-        piv = t[row, col]
-        if abs(piv) <= PIVOT_TOL:
-            raise SimplexError(
-                f"degenerate pivot {piv!r} at row {row}, column {col} "
-                f"(basis {self.basis[row]})"
-            )
-        t[row] /= piv
+        t[row] /= t[row, col]
         factors = t[:, col].copy()
         factors[row] = 0.0
         t -= factors[:, None] * t[row]

@@ -408,6 +408,29 @@ class TestLoopholeCommand:
         code, out, _ = run_cli(capsys, "loophole", "--angles", "212,177,0", "--floor", "1")
         assert (code, out) == (0, "status: infeasible\n")
 
+    # The stealth program at these angles reports unbounded, although z <= 1
+    # bounds it: a solver breakdown, which is never printed as an answer.
+    @pytest.mark.parametrize("fmt", ("text", "json"))
+    def test_demo_breakdown_exits_3(self, fmt, capsys):
+        code, out, err = run_cli(
+            capsys, "loophole", "--angles", "181,7,6", "--demo", "--format", fmt
+        )
+        assert (code, out) == (3, "")
+        assert "SimplexError: floor-0 faking program reported unbounded" in err
+
+    def test_a_breakdown_is_no_solution_status(self, tmp_path, capsys):
+        from bellsim.loophole import SOLUTION_STATUSES
+
+        assert SOLUTION_STATUSES == ("feasible", "infeasible")
+        solution_file = tmp_path / "solution.json"
+        solution_file.write_text(json.dumps({"status": "unbounded-error", "weights": {}}))
+        code, out, err = run_cli(
+            capsys, "simulate", "--source", "loophole", "--solution", str(solution_file),
+            "--n", "10", "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+        assert "error: unknown solution status 'unbounded-error'" in err
+
     def test_demo_solution_feeds_simulate(self, tmp_path, capsys):
         solution_file = tmp_path / "solution.json"
         code, _, _ = run_cli(

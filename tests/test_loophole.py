@@ -346,20 +346,47 @@ TINY_WEIGHT_DEFECTS = {
         "and the floor-0 optimum is 0.9999999999999992",
     145: "the floor-0 solve does not finish",
 }
+#: Census mixtures whose full-detection vertex has weights that
+#: ``LpSolution.from_dict`` refuses, with their sum.
+TINY_WEIGHT_BAD_SUMS = {
+    2: 1.000000001479633, 36: 4167773.664846367, 40: 1.0000000021210207,
+    56: 1.000000264912335, 58: 1.0000000014787311, 73: 1.0000000014801296,
+    86: 1.000238957543133, 95: 1.000000050812605, 99: 1.0001151572392666,
+    119: 1.0000000012305037, 123: 1.0000000012924146, 132: 1.0000000027680438,
+}
+
+
+def census_cases(marks):
+    """The census indices as parameters, each one in ``marks`` with its mark."""
+    return [pytest.param(k, marks=marks[k]) if k in marks else k
+            for k in range(len(TINY_WEIGHT_CENSUS))]
 
 
 class TestTinyWeightCensus:
     # Every target is a local mixture with full detection, so its maximum
     # faking efficiency is 1. A budget of 5,000 pivots keeps each failure
     # under 0.2 s.
-    @pytest.mark.parametrize("k", [
-        pytest.param(k, marks=pytest.mark.xfail(reason=TINY_WEIGHT_DEFECTS[k]))
-        if k in TINY_WEIGHT_DEFECTS else k
-        for k in range(len(TINY_WEIGHT_CENSUS))
-    ])
+    @pytest.mark.parametrize("k", census_cases(
+        {k: pytest.mark.xfail(reason=reason) for k, reason in TINY_WEIGHT_DEFECTS.items()}
+    ))
     def test_local_mixture_reaches_full_efficiency(self, k, monkeypatch):
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 5_000)
         assert max_faking_efficiency(TINY_WEIGHT_CENSUS[k]) == 1.0
+
+    # solve_lp returns only weights that load_solution reads back; on a
+    # vertex whose weights it refuses, it raises instead.
+    @pytest.mark.parametrize("k", census_cases({
+        **{k: pytest.mark.xfail(raises=simplex.SimplexError, reason=f"weights sum to {total!r}")
+           for k, total in TINY_WEIGHT_BAD_SUMS.items()},
+        17: pytest.mark.xfail(raises=AssertionError, reason=TINY_WEIGHT_DEFECTS[17]),
+        145: pytest.mark.xfail(raises=simplex.SimplexError, reason=TINY_WEIGHT_DEFECTS[145]),
+    }))
+    def test_full_detection_solution_is_one_load_solution_reads(self, k, monkeypatch):
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 5_000)
+        targets = TINY_WEIGHT_CENSUS[k]
+        solution = solve_lp(build_faking_lp(FakingProblem(targets=targets, efficiency_floor=1.0)))
+        assert LpSolution.from_dict(solution.to_dict()) == solution
+        assert solution.min_coincidence_rate == 1.0 == max_faking_efficiency(targets)
 
 
 class TestFullDetectionFirst:
@@ -427,7 +454,12 @@ class TestFullDetectionFirst:
         assert max_faking_efficiency(targets) == 1.0
         for floor in (0.0, 1.0):
             built = build_faking_lp(FakingProblem(targets=targets, efficiency_floor=floor))
-            assert solve_lp(built).min_coincidence_rate == 1.0
+            if targets is TestMaxFakingEfficiency.BREAKDOWN:
+                # Its full-detection weights sum to 1.000000001569479.
+                with pytest.raises(simplex.SimplexError, match="weights sum to"):
+                    solve_lp(built)
+            else:
+                assert solve_lp(built).min_coincidence_rate == 1.0
         assert [lp.n_vars for lp in calls] == [33, 33, 33]
 
     # The Bell statistic of these targets is positive, so the floor-1
