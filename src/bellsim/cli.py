@@ -248,8 +248,7 @@ def cmd_loophole(args) -> int:
     if args.demo:
         solution = loophole_mod.demonstration_solution(targets)
     else:
-        problem = loophole_mod.FakingProblem(targets=targets, efficiency_floor=args.floor)
-        solution = loophole_mod.solve_lp(loophole_mod.build_faking_lp(problem))
+        solution = loophole_mod.solve_lp(loophole_mod.FakingProblem(targets, args.floor))
     doc = solution.to_dict()
     if args.save and solution.status == "feasible":
         loophole_mod.save_solution(solution, args.save)

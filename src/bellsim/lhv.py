@@ -226,14 +226,26 @@ def model_to_dict(model: LocalModel) -> dict:
     raise TypeError(f"not a local model: {model!r}")
 
 
+def finite_number(value, name: str) -> float:
+    """``value`` as a float when it is a finite JSON number, else ValueError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(number := float(value)):
+                return number
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ValueError(f"{name} {value!r} is not a finite number")
+
+
 def _numbers(value, name: str) -> tuple:
     """``value`` as a tuple when it is a JSON list of finite numbers, else
     ``ValueError`` naming the entry ``name``."""
     if isinstance(value, list):
         try:
-            if all(not isinstance(v, bool) and math.isfinite(v) for v in value):
-                return tuple(value)
-        except (TypeError, OverflowError):  # not a number, or an int beyond the float range
+            for v in value:
+                finite_number(v, name)
+            return tuple(value)
+        except ValueError:
             pass
     raise ValueError(f"{name} must be a list of finite numbers, got {value!r}")
 

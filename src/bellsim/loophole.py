@@ -25,7 +25,7 @@ import numpy as np
 
 from . import simplex
 from .counterfactuals import BELL_PAIRS, CounterfactualTable, bell_statistic
-from .lhv import cumulative_weights
+from .lhv import cumulative_weights, finite_number
 from .quantum import MatchProbabilityTable
 
 N_STRATEGIES = 4096
@@ -134,10 +134,23 @@ def _distinct_strategies() -> np.ndarray:
 @dataclass(frozen=True)
 class FakingProblem:
     """Can local strategies reproduce ``targets`` among coincidences, with
-    every setting pair's coincidence rate at least ``efficiency_floor``?"""
+    every setting pair's coincidence rate at least ``efficiency_floor``?
+
+    Its program's variables are the 4096 strategy weights followed by one
+    epigraph variable z (the minimum pairwise coincidence rate, which the
+    objective maximizes). Constraints: weights sum to 1; for each of the
+    nine setting pairs, the conditional match equality written in
+    linearized form (match mass equals target times coincidence mass), the
+    floor inequality on the coincidence rate, only for a positive floor,
+    and the epigraph inequality z <= coincidence rate; with ``stealth``,
+    the row of :func:`demonstration_solution`. ``program`` assembles the
+    full program on first read, for inspection; :func:`solve_lp` works
+    from the defining data, on the distinct strategy columns.
+    """
 
     targets: MatchProbabilityTable
     efficiency_floor: float = 0.0
+    stealth: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.efficiency_floor <= 1.0:
@@ -145,31 +158,10 @@ class FakingProblem:
                 f"efficiency_floor {self.efficiency_floor!r} outside [0, 1]"
             )
 
-
-@dataclass(frozen=True)
-class FakingLp:
-    """Assembled program plus the data that defines it.
-
-    Variables are the 4096 strategy weights followed by one epigraph
-    variable z (the minimum pairwise coincidence rate, which the objective
-    maximizes). Constraints: weights sum to 1; for each of the nine setting
-    pairs, the conditional match equality written in linearized form
-    (match mass equals target times coincidence mass), the floor
-    inequality on the coincidence rate, only for a positive floor, and the
-    epigraph inequality z <= coincidence rate. ``program`` assembles
-    the full program on first read, for inspection;
-    :func:`solve_lp` works from the defining data, on the distinct strategy
-    columns.
-    """
-
-    targets: np.ndarray
-    efficiency_floor: float
-    stealth_margin: float | None = None
-
     @cached_property
     def program(self) -> simplex.LinearProgram:
-        return _assemble_lp(*_strategy_matrices(), self.targets,
-                            self.efficiency_floor, self.stealth_margin)
+        return _assemble_lp(*_strategy_matrices(), self.targets.as_array(),
+                            self.efficiency_floor, self.stealth)
 
 
 def _assemble_lp(
@@ -177,7 +169,7 @@ def _assemble_lp(
     detect_match: np.ndarray,
     targets: np.ndarray,
     floor: float,
-    stealth_margin: float | None = None,
+    stealth: bool = False,
 ) -> simplex.LinearProgram:
     """Build the faking LP for arbitrary scenario size (tests use 2 settings).
 
@@ -203,12 +195,12 @@ def _assemble_lp(
     ub_rhs = np.tile([-floor, 0.0], cells)
     if floor <= 0.0:  # w >= 0 already keeps every coincidence rate >= 0
         ub_matrix, ub_rhs = ub_matrix[1::2], ub_rhs[1::2]
-    if stealth_margin is not None:
-        # Unconditional Bell statistic of the mixture stays below -margin.
+    if stealth:
+        # Unconditional Bell statistic of the mixture stays below -DEMO_STEALTH_MARGIN.
         bell = (detect_match[:, 1, 2] - detect_match[:, 0, 2]
                 - detect_match[:, 1, 0] - detect_match[:, 0, 0])
         ub_matrix = np.vstack([ub_matrix, np.append(bell, 0.0)])
-        ub_rhs = np.append(ub_rhs, -stealth_margin)
+        ub_rhs = np.append(ub_rhs, -DEMO_STEALTH_MARGIN)
     objective = np.zeros(n_strat + 1)
     objective[z] = 1.0
     return simplex.LinearProgram(
@@ -220,13 +212,10 @@ def _assemble_lp(
     )
 
 
-def build_faking_lp(problem: FakingProblem) -> FakingLp:
-    """The 4097-variable faking LP of ``problem``, for the 3-setting scenario.
-
-    Its floor rows exist only for a positive floor: at floor 0 the program
-    is the 10 equality rows and the 9 epigraph rows.
-    """
-    return FakingLp(problem.targets.as_array(), problem.efficiency_floor)
+def build_faking_lp(problem: FakingProblem) -> FakingProblem:
+    """``problem`` itself: a FakingProblem is its own program. Kept only
+    because the benchmark in ``perfbench/`` calls it."""
+    return problem
 
 
 @dataclass(frozen=True)
@@ -247,11 +236,6 @@ class LpSolution:
         indices = sorted(self.weights)
         y1, y2 = _strategy_spins()
         return cumulative_weights([self.weights[i] for i in indices]), y1[indices], y2[indices]
-
-    def coincidence_rate(self, i: int, j: int) -> float:
-        if self.coincidence_rates is None:
-            raise ValueError(f"no rates on a {self.status} solution")
-        return self.coincidence_rates[i][j]
 
     def to_dict(self) -> dict:
         return {
@@ -293,7 +277,7 @@ class LpSolution:
                 raise ValueError(
                     f"strategy index {key!r} outside [0, {N_STRATEGIES}) or repeated"
                 )
-            weight = _finite_number(value, f"weight of strategy {index}")
+            weight = finite_number(value, f"weight of strategy {index}")
             if weight < 0.0:
                 raise ValueError(f"weight {value!r} of strategy {index} is negative")
             weights[index] = weight
@@ -308,27 +292,16 @@ class LpSolution:
             if not (isinstance(rates, (list, tuple)) and len(rates) == 3
                     and all(isinstance(r, (list, tuple)) and len(r) == 3 for r in rates)):
                 raise ValueError(f"coincidence_rates {rates!r} is not a 3x3 table")
-            rates = tuple(tuple(_finite_number(v, "coincidence rate") for v in r) for r in rates)
+            rates = tuple(tuple(finite_number(v, "coincidence rate") for v in r) for r in rates)
         min_rate = doc.get("min_coincidence_rate")
         if min_rate is not None:
-            min_rate = _finite_number(min_rate, "min_coincidence_rate")
+            min_rate = finite_number(min_rate, "min_coincidence_rate")
         return cls(
             status=status,
             weights=weights,
             coincidence_rates=rates,
             min_coincidence_rate=min_rate,
         )
-
-
-def _finite_number(value, name: str) -> float:
-    """``value`` as a float when it is a finite JSON number, else ValueError."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(number := float(value)):
-                return number
-        except OverflowError:  # an int beyond the float range
-            pass
-    raise ValueError(f"{name} {value!r} is not a finite number")
 
 
 def load_solution(path: str | Path) -> LpSolution:
@@ -366,14 +339,14 @@ def _package_solution(result: simplex.SimplexResult) -> LpSolution:
     )
 
 
-def _solve_on(lp: FakingLp, columns: np.ndarray, floor: float) -> simplex.SimplexResult:
-    """``simplex.solve`` of ``lp``'s program at ``floor`` on the strategy
+def _solve_on(problem: FakingProblem, columns: np.ndarray, floor: float) -> simplex.SimplexResult:
+    """``simplex.solve`` of ``problem``'s program at ``floor`` on the strategy
     ``columns`` (ascending) and z, with x expanded back to all 4097 variables.
     """
     detect, detect_match = _strategy_matrices()
     result = simplex.solve(
-        _assemble_lp(detect[columns], detect_match[columns], lp.targets, floor,
-                     lp.stealth_margin)
+        _assemble_lp(detect[columns], detect_match[columns], problem.targets.as_array(),
+                     floor, problem.stealth)
     )
     if result.x is None:
         return result
@@ -383,8 +356,8 @@ def _solve_on(lp: FakingLp, columns: np.ndarray, floor: float) -> simplex.Simple
     return replace(result, x=x)
 
 
-def _full_detection_solve(lp: FakingLp) -> simplex.SimplexResult | None:
-    """The optimum of ``lp``'s program at floor 1, when it has one, with z
+def _full_detection_solve(problem: FakingProblem) -> simplex.SimplexResult | None:
+    """The optimum of ``problem``'s program at floor 1, when it has one, with z
     exactly 1: z is at most every rate, and every rate is the weight sum 1.
 
     A floor-1 model weights only strategies that detect in all nine cells,
@@ -401,33 +374,33 @@ def _full_detection_solve(lp: FakingLp) -> simplex.SimplexResult | None:
     without them, tiny-weight census mixtures 32 and 132 hit the pivot
     limit, 95's phase 1 breaks down and 86 reads 0.999999999999999.
     """
-    t = lp.targets
+    t = problem.targets
     if bell_statistic(*(t[i, j] for i, j in BELL_PAIRS)) > simplex.ARTIFICIAL_MASS_TOL:
         return None
     keep = _distinct_strategies()
-    result = _solve_on(lp, keep[(keep & 0x3F) == 0x3F], 1.0)
+    result = _solve_on(problem, keep[(keep & 0x3F) == 0x3F], 1.0)
     if result.status != "optimal":
         return None
     result.x[N_STRATEGIES] = 1.0
     return replace(result, objective=1.0)
 
 
-def _optimum(lp: FakingLp) -> simplex.SimplexResult | None:
-    """The floor-0 optimum of ``lp``: the floor-1 optimum when there is one,
+def _optimum(problem: FakingProblem) -> simplex.SimplexResult | None:
+    """The floor-0 optimum of ``problem``: the floor-1 optimum when there is one,
     else the floor-0 solve; None when the stealth row makes it infeasible.
     That program is bounded (z <= 1) and, without the stealth row, feasible
     (zero detection meets every target): any other end is a breakdown, and
     raises ``simplex.SimplexError``."""
-    result = _full_detection_solve(lp) or _solve_on(lp, _distinct_strategies(), 0.0)
+    result = _full_detection_solve(problem) or _solve_on(problem, _distinct_strategies(), 0.0)
     if result.status == "optimal":
         return result
-    if result.status == "infeasible" and lp.stealth_margin is not None:
+    if result.status == "infeasible" and problem.stealth:
         return None
     raise simplex.SimplexError(f"floor-0 faking program reported {result.status}")
 
 
-def solve_lp(lp: FakingLp) -> LpSolution:
-    """Solve ``lp``'s program with the in-package simplex, on the distinct
+def solve_lp(problem: FakingProblem) -> LpSolution:
+    """Solve ``problem``'s program with the in-package simplex, on the distinct
     strategy columns.
 
     Every floor is answered from the optimum z* of :func:`_optimum`. The
@@ -440,8 +413,8 @@ def solve_lp(lp: FakingLp) -> LpSolution:
     z* is one ulp below the double nearest it, and that double reads
     infeasible). A solver breakdown raises ``simplex.SimplexError``.
     """
-    result = _optimum(lp)
-    if result is None or lp.efficiency_floor > result.objective:
+    result = _optimum(problem)
+    if result is None or problem.efficiency_floor > result.objective:
         return LpSolution("infeasible", {}, None, None)
     return _package_solution(result)
 
@@ -463,7 +436,7 @@ def max_faking_efficiency(targets: MatchProbabilityTable) -> float:
     bisection on the feasibility of floor programs. A solver breakdown
     raises ``simplex.SimplexError``.
     """
-    return min(_optimum(FakingLp(targets.as_array(), 0.0)).objective, 1.0)
+    return min(_optimum(FakingProblem(targets)).objective, 1.0)
 
 
 def demonstration_solution(targets: MatchProbabilityTable) -> LpSolution:
@@ -478,7 +451,7 @@ def demonstration_solution(targets: MatchProbabilityTable) -> LpSolution:
     it only moves the model below the bound. The program has no efficiency
     floor; it maximizes the minimum coincidence rate under that inequality.
     """
-    return solve_lp(FakingLp(targets.as_array(), 0.0, DEMO_STEALTH_MARGIN))
+    return solve_lp(FakingProblem(targets, stealth=True))
 
 
 def sample_loophole_model(

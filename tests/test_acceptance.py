@@ -116,15 +116,11 @@ def test_criterion_6_loophole_demonstration():
                             "fools coincidence analysis, and the all-pairs test retains it"):
         targets = match_table(CANONICAL)
         full = loophole_mod.solve_lp(
-            loophole_mod.build_faking_lp(
-                loophole_mod.FakingProblem(targets=targets, efficiency_floor=1.0)
-            )
+            loophole_mod.FakingProblem(targets=targets, efficiency_floor=1.0)
         )
         assert full.status == "infeasible"
         free = loophole_mod.solve_lp(
-            loophole_mod.build_faking_lp(
-                loophole_mod.FakingProblem(targets=targets, efficiency_floor=0.0)
-            )
+            loophole_mod.FakingProblem(targets=targets, efficiency_floor=0.0)
         )
         assert free.status == "feasible"
 

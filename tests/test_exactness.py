@@ -54,7 +54,6 @@ from bellsim.lhv import DeterministicLhv, StochasticLocalModel, sample_from_lhv,
 from bellsim.loophole import (
     FakingProblem,
     LpSolution,
-    build_faking_lp,
     demonstration_solution,
     sample_loophole_model,
     solve_lp,
@@ -458,7 +457,7 @@ def test_faking_solution_matches_golden_digest(kind, angles):
         solution = demonstration_solution(targets)
     else:
         floor = 0.0 if kind == "floor0" else 1.0
-        solution = solve_lp(build_faking_lp(FakingProblem(targets=targets, efficiency_floor=floor)))
+        solution = solve_lp(FakingProblem(targets=targets, efficiency_floor=floor))
     digest = hashlib.sha256(json.dumps(solution.to_dict()).encode("utf-8")).hexdigest()
     assert digest == GOLDEN_SOLUTION_SHA256[(kind, angles)]
 

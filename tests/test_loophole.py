@@ -13,7 +13,6 @@ from bellsim.loophole import (
     DEMO_STEALTH_MARGIN,
     N_STRATEGIES,
     AugmentedStrategy,
-    FakingLp,
     FakingProblem,
     LpSolution,
     _assemble_lp,
@@ -50,8 +49,7 @@ def bisect_max_efficiency(targets):
     number :func:`max_faking_efficiency` reads off one epigraph solve."""
 
     def is_feasible(floor):
-        built = build_faking_lp(FakingProblem(targets=targets, efficiency_floor=floor))
-        return simplex.feasible(built.program)
+        return simplex.feasible(FakingProblem(targets=targets, efficiency_floor=floor).program)
 
     if is_feasible(1.0):
         return 1.0
@@ -68,7 +66,7 @@ def bisect_max_efficiency(targets):
 
 @pytest.fixture(scope="module")
 def floor0_solution():
-    return solve_lp(build_faking_lp(FakingProblem(targets=CANONICAL_TARGETS)))
+    return solve_lp(FakingProblem(targets=CANONICAL_TARGETS))
 
 
 @pytest.fixture(scope="module")
@@ -114,31 +112,37 @@ class TestBuildFakingLp:
         # At floor 0 the program has only the nine epigraph rows; a positive
         # floor puts each "coincidence rate >= floor" row before its
         # epigraph row.
-        built = build_faking_lp(FakingProblem(targets=CANONICAL_TARGETS))
-        program = built.program
+        program = FakingProblem(targets=CANONICAL_TARGETS).program
         assert program.n_vars == N_STRATEGIES + 1
         assert program.eq_matrix.shape == (1 + 9, program.n_vars)
         assert program.ub_matrix.shape == (9, program.n_vars)
         assert np.array_equal(program.ub_rhs, np.zeros(9))
         assert np.all(program.ub_matrix[:, -1] == 1.0)
-        floored = build_faking_lp(
-            FakingProblem(targets=CANONICAL_TARGETS, efficiency_floor=0.5)
-        ).program
+        floored = FakingProblem(targets=CANONICAL_TARGETS, efficiency_floor=0.5).program
         assert floored.ub_matrix.shape == (9 + 9, program.n_vars)
         assert np.array_equal(floored.ub_rhs, np.tile([-0.5, 0.0], 9))
         assert np.all(floored.ub_matrix[0::2, -1] == 0.0)
         assert np.array_equal(floored.ub_matrix[1::2], program.ub_matrix)
         assert np.array_equal(floored.ub_matrix[0::2, :-1], program.ub_matrix[:, :-1])
 
-    def test_floor_validation(self):
-        with pytest.raises(ValueError):
-            FakingProblem(targets=CANONICAL_TARGETS, efficiency_floor=1.5)
+    @pytest.mark.parametrize("floor", (1.5, math.nan, -2.0, math.inf))
+    def test_floor_validation(self, floor):
+        with pytest.raises(ValueError, match="outside"):
+            FakingProblem(targets=CANONICAL_TARGETS, efficiency_floor=floor)
+
+    def test_equal_problems_compare_equal_and_hash(self):
+        first = FakingProblem(CANONICAL_TARGETS, 0.5, stealth=True)
+        second = FakingProblem(match_table(AngleTriple.from_degrees(60, 0, 120)), 0.5, True)
+        first.program  # a cached program takes no part in equality
+        assert first == second and hash(first) == hash(second)
+        assert first != FakingProblem(CANONICAL_TARGETS, 0.5)
+
+    def test_build_faking_lp_returns_its_problem(self):
+        problem = FakingProblem(CANONICAL_TARGETS)
+        assert build_faking_lp(problem) is problem
 
     def test_full_detection_floor_forces_always_detect_support(self):
-        built = build_faking_lp(
-            FakingProblem(targets=ZERO_TARGETS, efficiency_floor=1.0)
-        )
-        solution = solve_lp(built)
+        solution = solve_lp(FakingProblem(targets=ZERO_TARGETS, efficiency_floor=1.0))
         assert solution.status == "feasible"
         strategies = enumerate_augmented_strategies()
         for idx in solution.weights:
@@ -148,15 +152,13 @@ class TestBuildFakingLp:
 
 class TestSolveLp:
     def test_zero_targets_have_a_perfect_witness(self):
-        solution = solve_lp(build_faking_lp(FakingProblem(targets=ZERO_TARGETS)))
+        solution = solve_lp(FakingProblem(targets=ZERO_TARGETS))
         assert solution.status == "feasible"
         assert solution.min_coincidence_rate == pytest.approx(1.0)
 
     def test_quantum_targets_infeasible_at_full_detection(self):
-        built = build_faking_lp(
-            FakingProblem(targets=CANONICAL_TARGETS, efficiency_floor=1.0)
-        )
-        assert solve_lp(built).status == "infeasible"
+        solution = solve_lp(FakingProblem(targets=CANONICAL_TARGETS, efficiency_floor=1.0))
+        assert solution.status == "infeasible"
 
     def test_quantum_targets_feasible_at_floor_zero(self, floor0_solution):
         assert floor0_solution.status == "feasible"
@@ -197,7 +199,7 @@ class TestMaxFakingEfficiency:
         rng = np.random.default_rng(2012)
         for degrees in rng.uniform(0.0, 360.0, size=(20, 3)):
             targets = match_table(AngleTriple.from_degrees(*degrees))
-            program = build_faking_lp(FakingProblem(targets=targets)).program
+            program = FakingProblem(targets=targets).program
             highs = optimize.linprog(
                 -program.objective,
                 A_ub=program.ub_matrix, b_ub=program.ub_rhs,
@@ -217,8 +219,8 @@ class TestMaxFakingEfficiency:
             targets = match_table(AngleTriple.from_degrees(*map(int, degrees)))
             eta = max_faking_efficiency(targets)
             for floor in (0.6, 1.0):
-                built = build_faking_lp(FakingProblem(targets=targets, efficiency_floor=floor))
-                program = built.program
+                problem = FakingProblem(targets=targets, efficiency_floor=floor)
+                program = problem.program
                 highs = optimize.linprog(
                     -program.objective,
                     A_ub=program.ub_matrix, b_ub=program.ub_rhs,
@@ -226,7 +228,7 @@ class TestMaxFakingEfficiency:
                     bounds=(0.0, None), method="highs",
                 )
                 assert highs.status in (0, 2), (degrees, floor, highs.message)
-                solution = solve_lp(built)
+                solution = solve_lp(problem)
                 expected = "feasible" if highs.status == 0 else "infeasible"
                 assert solution.status == expected, (degrees, floor)
                 if expected == "feasible":
@@ -253,10 +255,9 @@ class TestMaxFakingEfficiency:
 
     def test_feasibility_is_monotone_in_the_floor(self):
         def is_feasible(floor):
-            built = build_faking_lp(
-                FakingProblem(targets=CANONICAL_TARGETS, efficiency_floor=floor)
+            return simplex.feasible(
+                FakingProblem(targets=CANONICAL_TARGETS, efficiency_floor=floor).program
             )
-            return simplex.feasible(built.program)
 
         results = [is_feasible(f) for f in (0.0, 0.25, 0.5, 0.65, 0.68, 0.9)]
         assert results == [True, True, True, True, False, False]
@@ -277,7 +278,7 @@ class TestMaxFakingEfficiency:
         targets = match_table(AngleTriple.from_degrees(*angles))
         eta = max_faking_efficiency(targets)
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 5_000)
-        solution = solve_lp(build_faking_lp(FakingProblem(targets=targets, efficiency_floor=floor)))
+        solution = solve_lp(FakingProblem(targets=targets, efficiency_floor=floor))
         if eta < floor:
             assert solution.status == "infeasible"
         else:
@@ -384,7 +385,7 @@ class TestTinyWeightCensus:
     def test_full_detection_solution_is_one_load_solution_reads(self, k, monkeypatch):
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 5_000)
         targets = TINY_WEIGHT_CENSUS[k]
-        solution = solve_lp(build_faking_lp(FakingProblem(targets=targets, efficiency_floor=1.0)))
+        solution = solve_lp(FakingProblem(targets=targets, efficiency_floor=1.0))
         assert LpSolution.from_dict(solution.to_dict()) == solution
         assert solution.min_coincidence_rate == 1.0 == max_faking_efficiency(targets)
 
@@ -400,7 +401,7 @@ class TestFullDetectionFirst:
 
     @staticmethod
     def floor_zero_optimum(targets):
-        z = _solve_on(FakingLp(targets.as_array(), 0.0), _distinct_strategies(), 0.0).objective
+        z = _solve_on(FakingProblem(targets), _distinct_strategies(), 0.0).objective
         assert z < 1.0
         return z
 
@@ -424,8 +425,7 @@ class TestFullDetectionFirst:
         z = self.floor_zero_optimum(self.CONFIRMED)
         assert max_faking_efficiency(self.CONFIRMED) == 1.0
         for floor in (float(np.nextafter(z, 1.0)), 1.0):
-            built = build_faking_lp(FakingProblem(targets=self.CONFIRMED, efficiency_floor=floor))
-            solution = solve_lp(built)
+            solution = solve_lp(FakingProblem(targets=self.CONFIRMED, efficiency_floor=floor))
             assert solution.status == "feasible", floor
             assert min(map(min, solution.coincidence_rates)) >= floor
 
@@ -433,8 +433,7 @@ class TestFullDetectionFirst:
         z = self.floor_zero_optimum(self.DIVERGING)
         calls = self.count_solves(monkeypatch)
         for floor in (0.0, 0.5, z):
-            built = build_faking_lp(FakingProblem(targets=self.DIVERGING, efficiency_floor=floor))
-            solution = solve_lp(built)
+            solution = solve_lp(FakingProblem(targets=self.DIVERGING, efficiency_floor=floor))
             assert solution.status == "feasible", floor
             assert solution.min_coincidence_rate == 1.0
         demo = demonstration_solution(self.DIVERGING)
@@ -453,13 +452,13 @@ class TestFullDetectionFirst:
         calls = self.count_solves(monkeypatch)
         assert max_faking_efficiency(targets) == 1.0
         for floor in (0.0, 1.0):
-            built = build_faking_lp(FakingProblem(targets=targets, efficiency_floor=floor))
+            problem = FakingProblem(targets=targets, efficiency_floor=floor)
             if targets is TestMaxFakingEfficiency.BREAKDOWN:
                 # Its full-detection weights sum to 1.000000001569479.
                 with pytest.raises(simplex.SimplexError, match="weights sum to"):
-                    solve_lp(built)
+                    solve_lp(problem)
             else:
-                assert solve_lp(built).min_coincidence_rate == 1.0
+                assert solve_lp(problem).min_coincidence_rate == 1.0
         assert [lp.n_vars for lp in calls] == [33, 33, 33]
 
     # The Bell statistic of these targets is positive, so the floor-1
@@ -471,7 +470,7 @@ class TestFullDetectionFirst:
         max_faking_efficiency(targets)
         demonstration_solution(targets)
         for floor in (0.0, 1.0):
-            solve_lp(build_faking_lp(FakingProblem(targets=targets, efficiency_floor=floor)))
+            solve_lp(FakingProblem(targets=targets, efficiency_floor=floor))
         assert [lp.n_vars for lp in calls] == [340] * 4
 
     # Deciding floor 1 for these targets needs the floor-1 program, solved
@@ -496,8 +495,8 @@ class TestDistinctStrategies:
     def test_kept_columns_are_the_distinct_program_columns(self):
         assert len(_distinct_strategies()) == 339
         for targets in self.targets():
-            for margin in (None, DEMO_STEALTH_MARGIN):
-                program = FakingLp(targets.as_array(), 0.0, margin).program
+            for stealth in (False, True):
+                program = FakingProblem(targets, stealth=stealth).program
                 columns = np.vstack([program.objective, program.eq_matrix, program.ub_matrix])
                 kept = np.sort(np.unique(columns.T, axis=0, return_index=True)[1])
                 assert np.array_equal(kept[:-1], _distinct_strategies())
@@ -506,10 +505,10 @@ class TestDistinctStrategies:
     def test_reduced_solve_is_the_full_solve(self):
         statuses = set()
         for targets in self.targets():
-            for margin in (None, DEMO_STEALTH_MARGIN):
-                lp = FakingLp(targets.as_array(), 0.0, margin)
-                full = simplex.solve(lp.program)
-                reduced = _solve_on(lp, _distinct_strategies(), 0.0)
+            for stealth in (False, True):
+                problem = FakingProblem(targets, stealth=stealth)
+                full = simplex.solve(problem.program)
+                reduced = _solve_on(problem, _distinct_strategies(), 0.0)
                 statuses.add(full.status)
                 assert reduced.status == full.status
                 assert (reduced.x is None) == (full.x is None)
@@ -536,7 +535,7 @@ class TestDistinctStrategies:
             max_faking_efficiency(targets)
             demonstration_solution(targets)
             for floor in (0.0, 1.0):
-                solve_lp(build_faking_lp(FakingProblem(targets=targets, efficiency_floor=floor)))
+                solve_lp(FakingProblem(targets=targets, efficiency_floor=floor))
         floors = {float(-program.ub_rhs[0]) for program in programs}
         assert floors == {0.0, 1.0}  # the full-detection solve ran
         for program in programs:
@@ -566,13 +565,13 @@ class TestFloorRows:
         keep = _distinct_strategies()
         detect, detect_match = (m[keep] for m in _strategy_matrices())
         for degrees in np.random.default_rng(1).integers(0, 360, (30, 3)):
-            targets = match_table(AngleTriple.from_degrees(*map(int, degrees))).as_array()
-            for margin in (None, DEMO_STEALTH_MARGIN):
-                solved = _solve_on(FakingLp(targets, 0.0, margin), keep, 0.0)
-                program = _assemble_lp(detect, detect_match, targets, 0.0, margin)
-                assert program.ub_matrix.shape[0] == 9 + (margin is not None)
+            targets = match_table(AngleTriple.from_degrees(*map(int, degrees)))
+            for stealth in (False, True):
+                solved = _solve_on(FakingProblem(targets, stealth=stealth), keep, 0.0)
+                program = _assemble_lp(detect, detect_match, targets.as_array(), 0.0, stealth)
+                assert program.ub_matrix.shape[0] == 9 + stealth
                 reference = simplex.solve(self.with_floor_rows(program))
-                case = (tuple(degrees), margin)
+                case = (tuple(degrees), stealth)
                 assert solved.status == reference.status == "optimal", case
                 x = solved.x[np.append(keep, N_STRATEGIES)]
                 assert x.tobytes() == reference.x.tobytes(), case
@@ -741,7 +740,7 @@ class TestSampling:
             if d1 and d2:
                 coinc += 1
                 matches += y1 == y2
-        assert coinc / n == pytest.approx(demo_solution.coincidence_rate(1, 2), abs=0.01)
+        assert coinc / n == pytest.approx(demo_solution.coincidence_rates[1][2], abs=0.01)
         assert matches / coinc == pytest.approx(0.75, abs=0.01)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bellsim import simplex
-from bellsim.loophole import DEMO_STEALTH_MARGIN, FakingLp, FakingProblem, build_faking_lp
+from bellsim.loophole import FakingProblem
 from bellsim.quantum import AngleTriple, match_table
 from bellsim.simplex import LinearProgram, SimplexError, feasible, solve
 
@@ -238,11 +238,8 @@ class TestPivotCounts:
     ))
     def test_faking_programs(self, angles, kind, status, pivots):
         targets = match_table(AngleTriple.from_degrees(*angles))
-        if kind == "demo":
-            program = FakingLp(targets.as_array(), 0.0, DEMO_STEALTH_MARGIN).program
-        else:
-            floor = 1.0 if kind == "floor1" else 0.0
-            program = build_faking_lp(FakingProblem(targets, efficiency_floor=floor)).program
+        floor = 1.0 if kind == "floor1" else 0.0
+        program = FakingProblem(targets, floor, stealth=kind == "demo").program
         res = solve(program)
         assert (res.status, res.pivots) == (status, pivots)
 
