@@ -195,9 +195,9 @@ class TrialDataset:
     particle was not detected.
 
     Iterating yields one :class:`TrialRecord` per trial, and a dataset
-    compares equal to a list of equal records. The codes are trusted to be
-    valid: :func:`run_experiment`, :func:`read_dataset_csv` and
-    :meth:`from_records` only build valid ones.
+    compares equal to a list of equal records. ``index`` and ``code`` must
+    be one-dimensional integer arrays (or lists) of one length, and codes of
+    any dtype but uint8 must lie in 0 to 80; else ``ValueError``.
     """
 
     __slots__ = ("index", "code")
@@ -206,8 +206,18 @@ class TrialDataset:
     x1, x2, y1, y2, d1, d2 = (_row_field(k) for k in range(6))
 
     def __init__(self, index, code) -> None:
-        self.index = np.asarray(index, dtype=np.int64)
-        self.code = np.asarray(code, dtype=np.uint8)
+        index, code = np.asarray(index), np.asarray(code)
+        for name, array in (("index", index), ("code", code)):
+            if array.ndim != 1 or (array.dtype.kind not in "iu" and array.size):
+                raise ValueError(f"TrialDataset {name} must be a one-dimensional integer "
+                                 f"array, got {array.dtype} of shape {array.shape}")
+        if len(index) != len(code):
+            raise ValueError(f"TrialDataset has {len(index)} indices but {len(code)} codes")
+        if code.dtype != np.uint8 and code.size and not 0 <= code.min() <= code.max() <= 80:
+            raise ValueError(f"TrialDataset codes must lie in 0 to 80, got {code.min()} "
+                             f"to {code.max()}")
+        self.index = index.astype(np.int64, copy=False)
+        self.code = code.astype(np.uint8, copy=False)
 
     @classmethod
     def from_records(cls, records: Iterable[TrialRecord]) -> "TrialDataset":
@@ -288,7 +298,7 @@ def run_experiment(config: ExperimentConfig) -> TrialDataset:
     :data:`_SETTINGS` and :data:`_SOURCES` once per call.
     """
     n = config.n_trials
-    data = TrialDataset(np.arange(n), np.empty(n, dtype=np.uint8))
+    code = np.empty(n, dtype=np.uint8)
     settings = _SETTINGS[config.setting_distribution]
     source = _SOURCES[config.source]
     *_, sampled = source.uses
@@ -298,8 +308,8 @@ def run_experiment(config: ExperimentConfig) -> TrialDataset:
         words = lane_draws(config.seed, start, stop, settings.draws + source.draws)
         x1, x2 = settings.decode(words, config.seed, start)
         y1, y2 = source.sample_lanes(payload, x1, x2, uniform_lanes(words[settings.draws:]))
-        data.code[start:stop] = _row_code(x1, x2, y1, y2)
-    return data
+        code[start:stop] = _row_code(x1, x2, y1, y2)
+    return TrialDataset(np.arange(n), code)
 
 
 @dataclass(frozen=True)
@@ -322,10 +332,6 @@ class BellEstimate:
     ci_high: float
     confidence: float
     conditioning: str
-
-    def cell_match_rate(self, i: int, j: int) -> float:
-        denoms = self.coincidences if self.conditioning == CONDITION_COINCIDENCES else self.trials
-        return self.matches[i][j] / denoms[i][j] if denoms[i][j] else math.nan
 
     def to_dict(self) -> dict:
         grids = ("trials", "coincidences", "matches")

@@ -65,11 +65,6 @@ class StochasticLocalModel:
                 raise ValueError(f"{name} must be three probabilities in [0, 1]")
             object.__setattr__(self, name, probs)
 
-    @cached_property
-    def _sampling_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``p1`` and ``p2`` as arrays, for :func:`sample_stochastic_lanes`."""
-        return np.array(self.p1), np.array(self.p2)
-
 
 LocalModel = Union[DeterministicLhv, StochasticLocalModel]
 
@@ -206,9 +201,8 @@ def sample_stochastic_lanes(
     """:func:`sample_from_lhv` of a stochastic model for a block of trials,
     one trial a column: rows 0 and 1 of ``u`` hold the uniforms that draw
     particle 1's and particle 2's spin. Returns int8 spin arrays."""
-    p1, p2 = model._sampling_arrays
-    y1 = np.where(u[0] < p1[x1], np.int8(1), np.int8(-1))
-    y2 = np.where(u[1] < p2[x2], np.int8(1), np.int8(-1))
+    y1 = np.where(u[0] < np.array(model.p1)[x1], np.int8(1), np.int8(-1))
+    y2 = np.where(u[1] < np.array(model.p2)[x2], np.int8(1), np.int8(-1))
     return y1, y2
 
 

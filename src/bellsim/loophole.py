@@ -30,7 +30,7 @@ from .quantum import MatchProbabilityTable
 
 N_STRATEGIES = 4096
 SOLUTION_STATUSES = ("feasible", "infeasible")
-#: A feasible solution's weights sum to 1 within this, read or returned.
+#: A feasible :class:`LpSolution`'s weights sum to 1 within this.
 _WEIGHT_SUM_TOL = 1e-9
 
 #: Margin by which the demonstration model keeps the unconditional
@@ -221,12 +221,52 @@ def build_faking_lp(problem: FakingProblem) -> FakingProblem:
 @dataclass(frozen=True)
 class LpSolution:
     """Solver outcome: status, strategy weights and achieved coincidence
-    rates. A solver breakdown is no outcome: it raises ``SimplexError``."""
+    rates. Read, solved or built in code, it holds to one rule, else raises
+    ``ValueError``: a status in :data:`SOLUTION_STATUSES`; int indices in
+    [0, 4096) weighted by finite non-negative numbers, summing to 1 within
+    1e-9 when feasible, none otherwise; rates None or finite, 3x3 for
+    ``coincidence_rates``. Values are stored as floats and tuples.
+    """
 
     status: str  # "feasible" or "infeasible"
     weights: dict[int, float]
     coincidence_rates: tuple[tuple[float, float, float], ...] | None
     min_coincidence_rate: float | None
+
+    def __post_init__(self) -> None:
+        if self.status not in SOLUTION_STATUSES:
+            raise ValueError(f"unknown solution status {self.status!r}")
+        if not isinstance(self.weights, dict):
+            raise ValueError("solution weights must map strategy indices to weights")
+        weights: dict[int, float] = {}
+        for index, value in self.weights.items():
+            if not isinstance(index, int) or isinstance(index, bool):
+                raise ValueError(f"bad strategy index {index!r}")
+            if not 0 <= index < N_STRATEGIES:
+                raise ValueError(
+                    f"strategy index {index!r} outside [0, {N_STRATEGIES}) or repeated"
+                )
+            weights[index] = finite_number(value, f"weight of strategy {index}")
+            if weights[index] < 0.0:
+                raise ValueError(f"weight {value!r} of strategy {index} is negative")
+        if self.status == "feasible":
+            total = math.fsum(weights.values())
+            if abs(total - 1.0) > _WEIGHT_SUM_TOL:
+                raise ValueError(f"feasible solution weights sum to {total!r}, not 1")
+        elif weights:
+            raise ValueError(f"a {self.status} solution carries no weights")
+        rates = self.coincidence_rates
+        if rates is not None:
+            if not (isinstance(rates, (list, tuple)) and len(rates) == 3
+                    and all(isinstance(r, (list, tuple)) and len(r) == 3 for r in rates)):
+                raise ValueError(f"coincidence_rates {rates!r} is not a 3x3 table")
+            rates = tuple(tuple(finite_number(v, "coincidence rate") for v in r) for r in rates)
+        min_rate = self.min_coincidence_rate
+        if min_rate is not None:
+            min_rate = finite_number(min_rate, "min_coincidence_rate")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "coincidence_rates", rates)
+        object.__setattr__(self, "min_coincidence_rate", min_rate)
 
     @cached_property
     def _sampling_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -249,59 +289,28 @@ class LpSolution:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LpSolution":
-        """Parse a solution document, as :meth:`to_dict` writes it.
-
-        The status must be one of :data:`SOLUTION_STATUSES`. Strategy
-        indices must be distinct integers in [0, 4096) and weights finite
-        non-negative numbers; a feasible solution's weights sum to 1 within
-        1e-9 (:func:`solve_lp` holds to this too), an infeasible one has
-        none. ``coincidence_rates`` is null or a 3x3 table of finite numbers,
-        ``min_coincidence_rate`` null or a finite number. Anything else
-        raises ``ValueError``.
+        """Parse a solution document, as :meth:`to_dict` writes it: a JSON
+        object whose ``weights`` object is keyed by decimal strategy indices,
+        each given once. The solution itself checks every value; anything
+        it refuses raises ``ValueError`` too.
         """
         if not isinstance(doc, dict):
             raise ValueError("a solution document must be a JSON object")
-        status = doc.get("status")
-        if status not in SOLUTION_STATUSES:
-            raise ValueError(f"unknown solution status {status!r}")
-        raw = doc.get("weights")
-        if not isinstance(raw, dict):
-            raise ValueError("solution weights must map strategy indices to weights")
-        weights: dict[int, float] = {}
-        for key, value in raw.items():
-            try:
-                index = int(key)
-            except (TypeError, ValueError):
-                raise ValueError(f"bad strategy index {key!r}") from None
-            if not 0 <= index < N_STRATEGIES or index in weights:
-                raise ValueError(
-                    f"strategy index {key!r} outside [0, {N_STRATEGIES}) or repeated"
-                )
-            weight = finite_number(value, f"weight of strategy {index}")
-            if weight < 0.0:
-                raise ValueError(f"weight {value!r} of strategy {index} is negative")
-            weights[index] = weight
-        if status == "feasible":
-            total = math.fsum(weights.values())
-            if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-                raise ValueError(f"feasible solution weights sum to {total!r}, not 1")
-        elif weights:
-            raise ValueError(f"a {status} solution carries no weights")
-        rates = doc.get("coincidence_rates")
-        if rates is not None:
-            if not (isinstance(rates, (list, tuple)) and len(rates) == 3
-                    and all(isinstance(r, (list, tuple)) and len(r) == 3 for r in rates)):
-                raise ValueError(f"coincidence_rates {rates!r} is not a 3x3 table")
-            rates = tuple(tuple(finite_number(v, "coincidence rate") for v in r) for r in rates)
-        min_rate = doc.get("min_coincidence_rate")
-        if min_rate is not None:
-            min_rate = finite_number(min_rate, "min_coincidence_rate")
-        return cls(
-            status=status,
-            weights=weights,
-            coincidence_rates=rates,
-            min_coincidence_rate=min_rate,
-        )
+        weights = raw = doc.get("weights")
+        if isinstance(raw, dict):
+            weights = {}
+            for key, value in raw.items():
+                try:
+                    index = int(key)
+                except (TypeError, ValueError):
+                    raise ValueError(f"bad strategy index {key!r}") from None
+                if index in weights:
+                    raise ValueError(
+                        f"strategy index {key!r} outside [0, {N_STRATEGIES}) or repeated"
+                    )
+                weights[index] = value
+        return cls(doc.get("status"), weights, doc.get("coincidence_rates"),
+                   doc.get("min_coincidence_rate"))
 
 
 def load_solution(path: str | Path) -> LpSolution:
@@ -320,23 +329,6 @@ def _scored(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pair, of the strategy weights ``w``."""
     detect, detect_match = _strategy_matrices()
     return np.einsum("s,sij->ij", w, detect), np.einsum("s,sij->ij", w, detect_match)
-
-
-def _package_solution(result: simplex.SimplexResult) -> LpSolution:
-    """The feasible solution at the optimum ``result``; weights that
-    :meth:`LpSolution.from_dict` would refuse raise ``SimplexError``."""
-    w = result.x[:N_STRATEGIES]
-    weights = {int(i): float(w[i]) for i in np.flatnonzero(w > 0.0)}
-    total = math.fsum(weights.values())
-    if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-        raise simplex.SimplexError(f"optimal faking weights sum to {total!r}, not 1")
-    rates, _ = _scored(w)
-    return LpSolution(
-        status="feasible",
-        weights=weights,
-        coincidence_rates=tuple(tuple(float(v) for v in row) for row in rates),
-        min_coincidence_rate=float(result.x[N_STRATEGIES]),
-    )
 
 
 def _solve_on(problem: FakingProblem, columns: np.ndarray, floor: float) -> simplex.SimplexResult:
@@ -411,12 +403,18 @@ def solve_lp(problem: FakingProblem) -> LpSolution:
     :func:`max_faking_efficiency`. A floor within rounding of the true
     optimum may be misreported (at the canonical angles the optimum is 2/3,
     z* is one ulp below the double nearest it, and that double reads
-    infeasible). A solver breakdown raises ``simplex.SimplexError``.
+    infeasible). A solver breakdown, or optimal weights :class:`LpSolution`
+    refuses, raises ``simplex.SimplexError``.
     """
     result = _optimum(problem)
     if result is None or problem.efficiency_floor > result.objective:
         return LpSolution("infeasible", {}, None, None)
-    return _package_solution(result)
+    w = result.x[:N_STRATEGIES]
+    try:
+        return LpSolution("feasible", {int(i): w[i] for i in np.flatnonzero(w > 0.0)},
+                          _scored(w)[0].tolist(), result.x[N_STRATEGIES])
+    except ValueError as exc:
+        raise simplex.SimplexError(f"optimal faking solution refused: {exc}") from None
 
 
 def rescore_solution(solution: LpSolution) -> tuple[np.ndarray, np.ndarray, float]:

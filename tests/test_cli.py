@@ -41,6 +41,24 @@ class TestCorrelations:
         )
         assert json.loads(out)["violation_margin"] == 0.0
 
+    def test_csv_is_three_repr_rows_then_the_margin(self, capsys):
+        from bellsim.counterfactuals import violation_margin
+        from bellsim.quantum import AngleTriple, match_table
+
+        angles = AngleTriple.from_degrees(60, 0, 120)
+        code, out, _ = run_cli(
+            capsys, "correlations", "--angles", "60,0,120", "--format", "csv"
+        )
+        rows = [",".join(repr(v) for v in row) for row in match_table(angles).rows]
+        assert code == 0
+        assert out == "\n".join([*rows, f"violation_margin,{violation_margin(angles)!r}"]) + "\n"
+
+    def test_unparseable_angle_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["correlations", "--angles", "60,x,120"])
+        assert exc.value.code == 2
+        assert "argument --angles: unparseable angle in '60,x,120'" in capsys.readouterr().err
+
     def test_arity_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["correlations", "--angles", "60,0"])
@@ -192,6 +210,26 @@ class TestSimulateAndTest:
         )
         assert code == 2 and out == ""
         assert err.startswith(f"error: {source} source does not use ")
+
+    def test_loophole_without_solution_or_angles_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--source", "loophole", "--n", "10", "--seed", "1"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: loophole source needs --solution FILE or --angles\n"
+
+    def test_json_out_file_holds_the_stdout_document(self, tmp_path, capsys):
+        flags = ("simulate", "--source", "quantum", "--angles", "60,0,120",
+                 "--n", "40", "--seed", "5", "--format", "json")
+        code, printed, _ = run_cli(capsys, *flags)
+        assert code == 0
+        out_file = tmp_path / "d.json"
+        code, out, _ = run_cli(capsys, *flags, "--out", str(out_file))
+        assert code == 0 and out == ""
+        assert out_file.read_text() == printed
+        sidecar = json.loads((tmp_path / "d.json.meta.json").read_text())
+        assert sidecar == json.loads(printed)["config"]
+        assert sorted(os.listdir(tmp_path)) == ["d.json", "d.json.meta.json"]
 
     def test_missing_solution_file_is_invalid_input(self, tmp_path, capsys):
         code, out, err = run_cli(

@@ -118,6 +118,24 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"^{source} source does not use {payload}$"):
             ExperimentConfig(n_trials=10, seed=1, source=source, **valid, **{payload: extra})
 
+    @pytest.mark.parametrize("weights, match", (
+        ({63: -0.5, 4095: 1.5}, "weight -0.5 of strategy 63 is negative"),
+        ({63: 1.0, 4095: 2.0}, "weights sum to 3.0, not 1"),
+        ({63: math.nan}, "weight of strategy 63 nan is not a finite number"),
+        ({63: math.inf}, "weight of strategy 63 inf is not a finite number"),
+    ))
+    def test_loophole_weights_must_be_a_mixture(self, weights, match):
+        # Each of these once gave a dataset with Bell statistic -2.0.
+        from bellsim.loophole import LpSolution
+
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(n_trials=10, seed=1, source=SOURCE_LOOPHOLE,
+                             solution=LpSolution("feasible", weights, None, None))
+
+    def test_unknown_setting_distribution(self):
+        with pytest.raises(ConfigError, match="^unknown setting distribution 'uniform-3'$"):
+            quantum_config(setting_distribution="uniform-3")
+
     def test_unknown_source_and_bad_sizes(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(n_trials=10, seed=1, source="telepathy")
@@ -241,6 +259,48 @@ class TestRunExperiment:
         assert data != records[:-1] + [TrialRecord(29, 0, 0, None, None, 0, 0)]
 
 
+class TestTrialDatasetArrays:
+    def test_empty_lists_are_an_empty_dataset(self):
+        data = TrialDataset([], [])
+        assert len(data) == 0 and list(data.rows()) == []
+        assert data.index.dtype == np.int64 and data.code.dtype == np.uint8
+
+    def test_valid_codes_of_any_integer_dtype_are_kept(self):
+        data = TrialDataset([5, 2], np.array([0, 80], dtype=np.int64))
+        assert data.code.dtype == np.uint8 and data.code.tolist() == [0, 80]
+        assert data.index.tolist() == [5, 2]
+
+    def test_mismatched_lengths_are_refused(self):
+        # The writer spread the one code over three rows, and rows() yielded one.
+        with pytest.raises(ValueError, match="^TrialDataset has 3 indices but 1 codes$"):
+            TrialDataset([0, 1, 2], [40])
+
+    @pytest.mark.parametrize("code", ([300, 296], [40, -1], [81]))
+    def test_codes_outside_0_to_80_are_refused(self, code):
+        # 300 and 296 wrapped to codes 44 and 40, a valid-looking dataset.
+        with pytest.raises(ValueError, match="^TrialDataset codes must lie in 0 to 80"):
+            TrialDataset(np.arange(len(code)), np.array(code))
+
+    @pytest.mark.parametrize("field", ("index", "code"))
+    @pytest.mark.parametrize("values", (
+        np.array([40.6, 40.0]),  # truncated to 40 once
+        np.array([True, False]),
+        np.array(["40", "41"]),
+    ), ids=("float", "bool", "str"))
+    def test_non_integer_arrays_are_refused(self, field, values):
+        arrays = {"index": np.arange(2), "code": np.array([40, 41]), field: values}
+        with pytest.raises(ValueError, match=f"^TrialDataset {field} must be a one-dimensional "
+                                             "integer array"):
+            TrialDataset(**arrays)
+
+    @pytest.mark.parametrize("field", ("index", "code"))
+    @pytest.mark.parametrize("values", (np.zeros((2, 2), dtype=int), 40), ids=("2-D", "scalar"))
+    def test_arrays_must_be_one_dimensional(self, field, values):
+        arrays = {"index": np.arange(2), "code": np.array([40, 41]), field: values}
+        with pytest.raises(ValueError, match=f"^TrialDataset {field} must be a one-dimensional"):
+            TrialDataset(**arrays)
+
+
 def _hand_dataset():
     """Four trials per statistic cell with matches 3, 1, 1, 0."""
     records = []
@@ -299,7 +359,7 @@ class TestEstimate:
         assert cond.statistic == pytest.approx(-2.0)
         allp = estimate(data, conditioning=CONDITION_ALL_PAIRS)
         assert allp.statistic == pytest.approx(-1.0)
-        assert allp.cell_match_rate(1, 2) == pytest.approx(0.5)
+        assert allp.matches[1][2] / allp.trials[1][2] == pytest.approx(0.5)
 
     def test_estimator_consistency_with_growing_samples(self):
         truth = violation_margin(CANONICAL)

@@ -602,6 +602,38 @@ class TestDemonstrationSolution:
 
 
 class TestSolutionDocument:
+    INVALID_DOCUMENTS = (
+        ("optimal", {"7": 1.0}),  # unknown status
+        ("feasible", {"-1": 1.0}),  # index below range
+        ("feasible", {"4096": 1.0}),
+        ("feasible", {"5000": 1.0}),
+        ("feasible", {"1.5": 1.0}),  # non-integer index
+        ("feasible", {"7": 1.0, "07": 0.0}),  # repeated index
+        ("feasible", {"7": 1.5, "8": -0.5}),  # negative weight
+        ("feasible", {"7": float("nan")}),
+        ("feasible", {"7": float("inf")}),
+        ("feasible", {"7": 0.5, "8": 0.4}),  # sums to 0.9
+        ("feasible", {"7": "heavy"}),
+        ("feasible", []),
+        ("infeasible", {"7": 1.0}),
+        ("feasible", {"7": 10**400}),  # overflows a float
+        ("feasible", {"7": "1.0"}),  # a string, not a JSON number
+        ("feasible", {"7": True}),
+    )
+    INVALID_RATES = (
+        ("coincidence_rates", 5),
+        ("coincidence_rates", "abc"),
+        ("coincidence_rates", [[0.5] * 3] * 2),  # 2x3
+        ("coincidence_rates", [[0.5] * 3, [0.5] * 3, [0.5] * 2]),
+        ("coincidence_rates", [[0.5] * 3, [0.5] * 3, [0.5, 0.5, "x"]]),
+        ("coincidence_rates", [[0.5] * 3, [0.5] * 3, [0.5, 0.5, float("nan")]]),
+        ("coincidence_rates", [[0.5] * 3, [0.5] * 3, [0.5, 0.5, None]]),
+        ("min_coincidence_rate", "abc"),
+        ("min_coincidence_rate", float("inf")),
+        ("min_coincidence_rate", [0.5]),
+        ("min_coincidence_rate", 10**400),
+    )
+
     def test_demo_solution_round_trips(self, demo_solution):
         doc = json.loads(json.dumps(demo_solution.to_dict()))
         assert LpSolution.from_dict(doc) == demo_solution
@@ -612,51 +644,57 @@ class TestSolutionDocument:
         )
         assert LpSolution.from_dict(bad.to_dict()) == bad
 
-    @pytest.mark.parametrize(
-        "status, weights",
-        (
-            ("optimal", {"7": 1.0}),  # unknown status
-            ("feasible", {"-1": 1.0}),  # index below range
-            ("feasible", {"4096": 1.0}),
-            ("feasible", {"5000": 1.0}),
-            ("feasible", {"1.5": 1.0}),  # non-integer index
-            ("feasible", {"7": 1.0, "07": 0.0}),  # repeated index
-            ("feasible", {"7": 1.5, "8": -0.5}),  # negative weight
-            ("feasible", {"7": float("nan")}),
-            ("feasible", {"7": float("inf")}),
-            ("feasible", {"7": 0.5, "8": 0.4}),  # sums to 0.9
-            ("feasible", {"7": "heavy"}),
-            ("feasible", []),
-            ("infeasible", {"7": 1.0}),
-            ("feasible", {"7": 10**400}),  # overflows a float
-            ("feasible", {"7": "1.0"}),  # a string, not a JSON number
-            ("feasible", {"7": True}),
-        ),
-    )
+    @pytest.mark.parametrize("status, weights", INVALID_DOCUMENTS)
     def test_from_dict_rejects_invalid_documents(self, status, weights):
         with pytest.raises(ValueError):
             LpSolution.from_dict({"status": status, "weights": weights})
 
-    @pytest.mark.parametrize(
-        "field, value",
-        (
-            ("coincidence_rates", 5),
-            ("coincidence_rates", "abc"),
-            ("coincidence_rates", [[0.5] * 3] * 2),  # 2x3
-            ("coincidence_rates", [[0.5] * 3, [0.5] * 3, [0.5] * 2]),
-            ("coincidence_rates", [[0.5] * 3, [0.5] * 3, [0.5, 0.5, "x"]]),
-            ("coincidence_rates", [[0.5] * 3, [0.5] * 3, [0.5, 0.5, float("nan")]]),
-            ("coincidence_rates", [[0.5] * 3, [0.5] * 3, [0.5, 0.5, None]]),
-            ("min_coincidence_rate", "abc"),
-            ("min_coincidence_rate", float("inf")),
-            ("min_coincidence_rate", [0.5]),
-            ("min_coincidence_rate", 10**400),
-        ),
-    )
+    @pytest.mark.parametrize("field, value", INVALID_RATES)
     def test_from_dict_rejects_invalid_rates(self, field, value):
         doc = {"status": "feasible", "weights": {"7": 1.0}, field: value}
         with pytest.raises(ValueError):
             LpSolution.from_dict(doc)
+
+    @staticmethod
+    def python_weights(weights):
+        """A document's weights as Python values: decimal keys become ints,
+        others floats, so the repeated "7" and "07" become one key 7 of
+        weight 0, a sum the rule refuses too."""
+        if not isinstance(weights, dict):
+            return weights
+        numbers = {}
+        for key, value in weights.items():
+            try:
+                numbers[int(key)] = value
+            except ValueError:
+                numbers[float(key)] = value
+        return numbers
+
+    # The rule is the solution's own: built in code, as the solver builds
+    # it, a solution holds to what from_dict holds a document to.
+    @pytest.mark.parametrize("status, weights", INVALID_DOCUMENTS)
+    def test_constructor_rejects_invalid_values(self, status, weights):
+        with pytest.raises(ValueError):
+            LpSolution(status, self.python_weights(weights), None, None)
+
+    @pytest.mark.parametrize("field, value", INVALID_RATES)
+    def test_constructor_rejects_invalid_rates(self, field, value):
+        rates = {"coincidence_rates": None, "min_coincidence_rate": None, field: value}
+        with pytest.raises(ValueError):
+            LpSolution("feasible", {7: 1.0}, **rates)
+
+    @pytest.mark.parametrize("index", (True, np.int64(7), "7", 7.0))
+    def test_constructor_takes_only_int_indices(self, index):
+        with pytest.raises(ValueError, match="^bad strategy index"):
+            LpSolution("feasible", {index: 1.0}, None, None)
+
+    def test_constructor_stores_floats_and_tuples(self):
+        solution = LpSolution("feasible", {7: 1}, [[1, 0, 1]] * 3, 0)
+        assert solution.weights == {7: 1.0} and type(solution.weights[7]) is float
+        assert solution.coincidence_rates == ((1.0, 0.0, 1.0),) * 3
+        assert type(solution.coincidence_rates[0][0]) is float
+        assert type(solution.min_coincidence_rate) is float
+        assert LpSolution.from_dict(solution.to_dict()) == solution
 
     def test_from_dict_accepts_integer_rates(self):
         doc = {
