@@ -196,8 +196,9 @@ class TrialDataset:
 
     Iterating yields one :class:`TrialRecord` per trial, and a dataset
     compares equal to a list of equal records. ``index`` and ``code`` must
-    be one-dimensional integer arrays (or lists) of one length, and codes of
-    any dtype but uint8 must lie in 0 to 80; else ``ValueError``.
+    be one-dimensional integer arrays (or lists) of one length, unsigned
+    indices must fit in int64, and codes of any dtype but uint8 must lie in
+    0 to 80; else ``ValueError``.
     """
 
     __slots__ = ("index", "code")
@@ -213,6 +214,8 @@ class TrialDataset:
                                  f"array, got {array.dtype} of shape {array.shape}")
         if len(index) != len(code):
             raise ValueError(f"TrialDataset has {len(index)} indices but {len(code)} codes")
+        if index.dtype.kind == "u" and index.size and index.max() >= 2**63:
+            raise ValueError(f"TrialDataset indices must fit in int64, got {index.max()}")
         if code.dtype != np.uint8 and code.size and not 0 <= code.min() <= code.max() <= 80:
             raise ValueError(f"TrialDataset codes must lie in 0 to 80, got {code.min()} "
                              f"to {code.max()}")

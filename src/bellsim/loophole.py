@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import permutations, product
 from pathlib import Path
 
 import numpy as np
 
 from . import simplex
-from .counterfactuals import BELL_PAIRS, CounterfactualTable, bell_statistic
+from .counterfactuals import BELL_PAIRS, CounterfactualTable
 from .lhv import cumulative_weights, finite_number
 from .quantum import MatchProbabilityTable
 
@@ -32,6 +34,9 @@ N_STRATEGIES = 4096
 SOLUTION_STATUSES = ("feasible", "infeasible")
 #: A feasible :class:`LpSolution`'s weights sum to 1 within this.
 _WEIGHT_SUM_TOL = 1e-9
+#: A strategy index key in ASCII decimal, as :meth:`LpSolution.to_dict` writes
+#: it; a negative one is read, for the range check to refuse.
+_INDEX_KEY = re.compile(r"-?[1-9][0-9]*|0")
 
 #: Margin by which the demonstration model keeps the unconditional
 #: Bell statistic that scores an undetected pair as a non-match below 0;
@@ -290,9 +295,10 @@ class LpSolution:
     @classmethod
     def from_dict(cls, doc: dict) -> "LpSolution":
         """Parse a solution document, as :meth:`to_dict` writes it: a JSON
-        object whose ``weights`` object is keyed by decimal strategy indices,
-        each given once. The solution itself checks every value; anything
-        it refuses raises ``ValueError`` too.
+        object whose ``weights`` object is keyed by strategy indices in
+        ASCII decimal, with no plus sign, space, underscore or leading zero,
+        each given once. The solution itself checks every value; anything it
+        refuses raises ``ValueError`` too.
         """
         if not isinstance(doc, dict):
             raise ValueError("a solution document must be a JSON object")
@@ -300,10 +306,9 @@ class LpSolution:
         if isinstance(raw, dict):
             weights = {}
             for key, value in raw.items():
-                try:
-                    index = int(key)
-                except (TypeError, ValueError):
-                    raise ValueError(f"bad strategy index {key!r}") from None
+                if not (isinstance(key, str) and _INDEX_KEY.fullmatch(key)):
+                    raise ValueError(f"bad strategy index {key!r}")
+                index = int(key)
                 if index in weights:
                     raise ValueError(
                         f"strategy index {key!r} outside [0, {N_STRATEGIES}) or repeated"
@@ -348,26 +353,51 @@ def _solve_on(problem: FakingProblem, columns: np.ndarray, floor: float) -> simp
     return replace(result, x=x)
 
 
+@lru_cache(maxsize=1)
+def _relabeled_bell_coefficients() -> np.ndarray:
+    """One row per pair of permutations of particle 1's and particle 2's
+    settings, 36 in all: the coefficients, on the nine match probabilities
+    in row-major order, of the Bell statistic P12 - P02 - P10 - P00 with
+    the settings relabeled."""
+    rows = np.zeros((36, 3, 3))
+    for row, (p1, p2) in zip(rows, product(permutations(range(3)), repeat=2)):
+        for (i, j), sign in zip(BELL_PAIRS, (1.0, -1.0, -1.0, -1.0)):
+            row[p1[i], p2[j]] = sign
+    return rows.reshape(36, 9)
+
+
+def _largest_bell_sum(targets: MatchProbabilityTable) -> float:
+    """The largest of the 72 relabeled Bell sums of ``targets``: the 36
+    setting relabelings of :func:`_relabeled_bell_coefficients`, each also
+    with particle 2's spin flipped, P -> 1 - P, which turns a sum b into
+    -2 - b. Every table, hence every full-detection local model, has all 72
+    at most 0 (Theorem 2, relabeled), so a positive one proves the targets
+    cannot be faked with full detection."""
+    sums = _relabeled_bell_coefficients() @ targets.as_array().ravel()
+    return float(max(sums.max(), -2.0 - sums.min()))
+
+
 def _full_detection_solve(problem: FakingProblem) -> simplex.SimplexResult | None:
     """The optimum of ``problem``'s program at floor 1, when it has one, with z
     exactly 1: z is at most every rate, and every rate is the weight sum 1.
 
     A floor-1 model weights only strategies that detect in all nine cells,
     so the program is solved on the 32 distinct ones, each a table. It is
-    skipped when the targets' Bell statistic b exceeds the phase-1
-    threshold, for then its phase 1 ends infeasible. With s = sum w, row 0
-    keeps the artificial 1 - s and each match row (i, j) the artificial
-    t_ij s - sum w dm_ij. The signed sum of the four Bell-cell artificials
-    is s b less the tables' Bell statistic, which is at most 0 (Theorem 2),
-    so the (1, 2) artificial is at least s b and the artificial mass at
-    least (1 - s) + s b >= b.
+    skipped when the targets' largest relabeled Bell sum b
+    (:func:`_largest_bell_sum`) exceeds the phase-1 threshold, for then its
+    phase 1 ends infeasible. With s = sum w, row 0 keeps the artificial
+    1 - s and each match row (i, j) the artificial t_ij s - sum w dm_ij. A
+    relabeling permutes the four Bell-cell artificials and a spin flip
+    negates them, since at full detection (1 - t_ij) s - sum w (1 - dm_ij)
+    = -(t_ij s - sum w dm_ij). Their signed sum is s b less the tables' sum
+    of the same relabeling, which is at most 0, so the artificial mass is
+    at least (1 - s) + s b >= b.
 
     The program keeps its nine floor rows, although its rates are all 1:
     without them, tiny-weight census mixtures 32 and 132 hit the pivot
     limit, 95's phase 1 breaks down and 86 reads 0.999999999999999.
     """
-    t = problem.targets
-    if bell_statistic(*(t[i, j] for i, j in BELL_PAIRS)) > simplex.ARTIFICIAL_MASS_TOL:
+    if _largest_bell_sum(problem.targets) > simplex.ARTIFICIAL_MASS_TOL:
         return None
     keep = _distinct_strategies()
     result = _solve_on(problem, keep[(keep & 0x3F) == 0x3F], 1.0)
@@ -395,17 +425,23 @@ def solve_lp(problem: FakingProblem) -> LpSolution:
     """Solve ``problem``'s program with the in-package simplex, on the distinct
     strategy columns.
 
-    Every floor is answered from the optimum z* of :func:`_optimum`. The
-    floor-f program maximizes the same minimum coincidence rate z and only
-    adds the rows "coincidence rate >= f", so it is feasible exactly when z*
-    is at least f, and that optimum, optimal at floor f too, is what a
-    feasible floor returns: f is feasible exactly when it is at most
+    Floor 1 is infeasible, with no solve, when a relabeled Bell sum of the
+    targets exceeds the phase-1 threshold (:func:`_largest_bell_sum`):
+    no full-detection local model reaches them. Every other floor is
+    answered from the optimum z* of :func:`_optimum`. The floor-f program
+    maximizes the same minimum coincidence rate z and only adds the rows
+    "coincidence rate >= f", so it is feasible exactly when z* is at least
+    f, and that optimum, optimal at floor f too, is what a feasible floor
+    returns: f is feasible exactly when it is at most
     :func:`max_faking_efficiency`. A floor within rounding of the true
     optimum may be misreported (at the canonical angles the optimum is 2/3,
     z* is one ulp below the double nearest it, and that double reads
     infeasible). A solver breakdown, or optimal weights :class:`LpSolution`
     refuses, raises ``simplex.SimplexError``.
     """
+    if (problem.efficiency_floor == 1.0
+            and _largest_bell_sum(problem.targets) > simplex.ARTIFICIAL_MASS_TOL):
+        return LpSolution("infeasible", {}, None, None)
     result = _optimum(problem)
     if result is None or problem.efficiency_floor > result.objective:
         return LpSolution("infeasible", {}, None, None)
@@ -429,7 +465,10 @@ def rescore_solution(solution: LpSolution) -> tuple[np.ndarray, np.ndarray, floa
 def max_faking_efficiency(targets: MatchProbabilityTable) -> float:
     """Largest efficiency floor at which faking stays feasible: the optimum
     z* of :func:`_optimum`, at most 1.0, with which :func:`solve_lp` compares
-    every floor. It reads z* alone, so it returns 1.0 where solve_lp raises
+    every floor it does not answer by a relabeled Bell sum. Where such a sum
+    proves full detection out, it is the floor-0 solve's z*, below 1 but
+    computed, so it may break down where solve_lp at floor 1 does not. It
+    reads z* alone, so it returns 1.0 where solve_lp raises
     on weights it refuses. The test suite cross-checks it against a
     bisection on the feasibility of floor programs. A solver breakdown
     raises ``simplex.SimplexError``.

@@ -353,6 +353,17 @@ class TestExitCodes:
         assert err.startswith("error:")
 
 
+    @pytest.mark.parametrize("key", ("7_0", " 7 ", "+7", "\u0667"))
+    def test_non_decimal_strategy_key_is_invalid_input(self, key, tmp_path, capsys):
+        solution_file = tmp_path / "solution.json"
+        solution_file.write_text(json.dumps({"status": "feasible", "weights": {key: 1.0}}))
+        code, out, err = run_cli(
+            capsys, "simulate", "--source", "loophole", "--solution", str(solution_file),
+            "--n", "10", "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+        assert f"error: bad strategy index {key!r}" in err
+
     def test_malformed_rates_in_solution_file_is_invalid_input(self, tmp_path, capsys):
         solution_file = tmp_path / "solution.json"
         solution_file.write_text(
@@ -441,10 +452,23 @@ class TestLoopholeCommand:
                 assert doc["min_coincidence_rate"] == eta
 
     def test_floor_above_a_diverging_phase_one_is_infeasible(self, capsys):
-        # Phase 1 of this floor-1 program does not finish; the floor-0
-        # optimum, 0.985, decides it.
+        # Phase 1 of this floor-1 program does not finish; a relabeled Bell
+        # sum of 0.0138 decides it (the floor-0 optimum is 0.985).
         code, out, _ = run_cli(capsys, "loophole", "--angles", "212,177,0", "--floor", "1")
         assert (code, out) == (0, "status: infeasible\n")
+
+    # The floor-0 solve at these angles hits the pivot limit, but their Bell
+    # statistic, 0.00036, answers floor 1 with no solve.
+    @pytest.mark.parametrize("fmt", ("text", "json"))
+    def test_floor_one_beyond_a_floor_zero_breakdown_is_infeasible(self, fmt, capsys):
+        angles = "301.4804809673983,125.58231232781922,304.8986802749712"
+        code, out, _ = run_cli(capsys, "loophole", "--angles", angles, "--floor", "1",
+                               "--format", fmt)
+        assert code == 0
+        if fmt == "text":
+            assert out == "status: infeasible\n"
+        else:
+            assert json.loads(out)["status"] == "infeasible"
 
     # The stealth program at these angles reports unbounded, although z <= 1
     # bounds it: a solver breakdown, which is never printed as an answer.

@@ -293,6 +293,20 @@ class TestTrialDatasetArrays:
                                              "integer array"):
             TrialDataset(**arrays)
 
+    # 2**63 was cast to -2**63 and round-tripped through the CSV.
+    @pytest.mark.parametrize("index", (
+        np.array([2**63], dtype=np.uint64),
+        np.array([0, 2**64 - 1], dtype=np.uint64),
+        [2**63],
+    ), ids=("2**63", "2**64-1", "list"))
+    def test_unsigned_indices_beyond_int64_are_refused(self, index):
+        with pytest.raises(ValueError, match="^TrialDataset indices must fit in int64"):
+            TrialDataset(index, [40] * len(index))
+
+    def test_unsigned_indices_within_int64_are_kept(self):
+        data = TrialDataset(np.array([0, 2**63 - 1], dtype=np.uint64), [40, 41])
+        assert data.index.dtype == np.int64 and data.index.tolist() == [0, 2**63 - 1]
+
     @pytest.mark.parametrize("field", ("index", "code"))
     @pytest.mark.parametrize("values", (np.zeros((2, 2), dtype=int), 40), ids=("2-D", "scalar"))
     def test_arrays_must_be_one_dimensional(self, field, values):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bellsim import simplex
-from bellsim.counterfactuals import CounterfactualTable, Population, all_tables
+from bellsim.counterfactuals import CounterfactualTable, Population, all_tables, match_indicator
 from bellsim.lhv import DeterministicLhv, lhv_match_table
 from bellsim.loophole import (
     DEMO_STEALTH_MARGIN,
@@ -17,6 +17,8 @@ from bellsim.loophole import (
     LpSolution,
     _assemble_lp,
     _distinct_strategies,
+    _largest_bell_sum,
+    _relabeled_bell_coefficients,
     _solve_on,
     _strategy_matrices,
     build_faking_lp,
@@ -212,7 +214,8 @@ class TestMaxFakingEfficiency:
     def test_highs_agrees_on_floor_programs(self):
         # Independent solver on the full floor programs, whose phase 1 this
         # package's simplex does not always finish; solve_lp decides them
-        # from the floor-0 solve and must neither raise nor disagree.
+        # from the floor-0 solve, or floor 1 from a relabeled Bell sum, and
+        # must neither raise nor disagree.
         optimize = pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(1)
         for degrees in rng.integers(0, 360, size=(30, 3)):
@@ -264,11 +267,12 @@ class TestMaxFakingEfficiency:
 
     # Phase 1 of these floor programs takes pivots as small as 1e-9, its
     # right-hand side drifts to -1e12 or beyond, and it does not finish even
-    # within the default budget; the floor is decided from the floor-0 solve
-    # instead. At (207, 20, 200) that optimum is exactly 1, and a floor-1
-    # phase 1 to confirm it would not finish either. HiGHS agrees with the
-    # expected statuses. A budget of 5,000 pivots keeps each case under a
-    # second should the floor program be solved again.
+    # within the default budget; the floor is decided instead from a
+    # relabeled Bell sum at floor 1 and from the floor-0 solve at 0.6. At
+    # (207, 20, 200) the optimum is exactly 1, and a floor-1 phase 1 over
+    # all the distinct columns to confirm it would not finish either. HiGHS
+    # agrees with the expected statuses. A budget of 5,000 pivots keeps each
+    # case under a second should the floor program be solved again.
     @pytest.mark.parametrize(
         "angles, floor",
         (((212, 177, 0), 1.0), ((162, 15, 11), 1.0), ((8, 231, 7), 0.6),
@@ -462,7 +466,8 @@ class TestFullDetectionFirst:
         assert [lp.n_vars for lp in calls] == [33, 33, 33]
 
     # The Bell statistic of these targets is positive, so the floor-1
-    # program is skipped and each analysis is one floor-0 solve.
+    # program is skipped and each analysis is one floor-0 solve, but for
+    # floor 1 itself, which the statistic answers with no solve.
     @pytest.mark.parametrize("degrees", ((60, 0, 120), (45, 0, 90)))
     def test_non_local_targets_are_one_floor_zero_solve(self, degrees, monkeypatch):
         targets = match_table(AngleTriple.from_degrees(*degrees))
@@ -471,7 +476,7 @@ class TestFullDetectionFirst:
         demonstration_solution(targets)
         for floor in (0.0, 1.0):
             solve_lp(FakingProblem(targets=targets, efficiency_floor=floor))
-        assert [lp.n_vars for lp in calls] == [340] * 4
+        assert [lp.n_vars for lp in calls] == [340] * 3
 
     # Deciding floor 1 for these targets needs the floor-1 program, solved
     # on the always-detect strategies alone; HiGHS finds it feasible.
@@ -479,6 +484,99 @@ class TestFullDetectionFirst:
         self.floor_zero_optimum(self.DIVERGING)
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 5_000)
         assert max_faking_efficiency(self.DIVERGING) == 1.0
+
+
+def relabeled_sums(p):
+    """The 72 relabeled Bell sums of the 3x3 match probabilities ``p``, in
+    its own arithmetic: P12 - P02 - P10 - P00 after permuting each
+    particle's settings, and again with particle 2's spin flipped."""
+    sums = []
+    settings = list(itertools.permutations(range(3)))
+    for s1, s2, flip in itertools.product(settings, settings, (0, 1)):
+        q = [[flip + (1 - 2 * flip) * p[s1[i]][s2[j]] for j in range(3)] for i in range(3)]
+        sums.append(q[1][2] - q[0][2] - q[1][0] - q[0][0])
+    return sums
+
+
+def integer_triples():
+    """The 300 integer angle triples of ``default_rng(1)`` as match tables."""
+    triples = np.random.default_rng(1).integers(0, 360, (300, 3))
+    return [match_table(AngleTriple.from_degrees(*map(int, d))) for d in triples]
+
+
+def relabeled_only(targets):
+    """The targets whose fixed-orientation Bell statistic is within the
+    phase-1 threshold but whose largest relabeled sum is not."""
+    return [t for t in targets
+            if t[1, 2] - t[0, 2] - t[1, 0] - t[0, 0] <= simplex.ARTIFICIAL_MASS_TOL
+            < _largest_bell_sum(t)]
+
+
+class TestRelabeledBellSums:
+    def test_every_table_keeps_all_72_sums_at_most_zero(self):
+        # Theorem 2, relabeled, in exact arithmetic; the maximum 0 is met.
+        largest = []
+        for unit in all_tables():
+            m = [[Fraction(match_indicator(unit, i, j)) for j in range(3)] for i in range(3)]
+            sums = relabeled_sums(m)
+            assert len(sums) == 72 and max(sums) <= 0, unit
+            largest.append(max(sums))
+        assert max(largest) == 0
+
+    def test_coefficient_table_is_the_72_sums(self):
+        coefficients = _relabeled_bell_coefficients()
+        assert coefficients.shape == (36, 9)
+        assert len({tuple(row) for row in coefficients}) == 36
+        for unit in all_tables():
+            m = [Fraction(match_indicator(unit, i, j)) for i in range(3) for j in range(3)]
+            table_sums = [sum(Fraction(int(c)) * v for c, v in zip(row, m))
+                          for row in coefficients]
+            rows = [m[0:3], m[3:6], m[6:9]]
+            assert sorted(table_sums + [-2 - b for b in table_sums]) == sorted(
+                relabeled_sums(rows)), unit
+            targets = MatchProbabilityTable(tuple(tuple(map(float, r)) for r in rows))
+            assert _largest_bell_sum(targets) == max(relabeled_sums(rows))
+
+    def test_largest_sum_agrees_with_the_enumeration(self):
+        rng = np.random.default_rng(21)
+        for rows in rng.uniform(0.0, 1.0, (50, 3, 3)):
+            targets = MatchProbabilityTable(rows)
+            assert _largest_bell_sum(targets) == pytest.approx(
+                max(relabeled_sums(targets.rows)), abs=1e-15)
+
+    def test_local_mixtures_prove_nothing(self):
+        assert max(map(_largest_bell_sum, TINY_WEIGHT_CENSUS)) <= 1e-15
+
+    # These targets keep the fixed-orientation statistic within the phase-1
+    # threshold, so only a relabeling skips their full-detection program:
+    # its phase 1 ends infeasible, as the artificial-mass bound says.
+    def test_a_relabeled_violation_leaves_full_detection_infeasible(self):
+        targets = relabeled_only(integer_triples())
+        assert len(targets) == 212
+        keep = _distinct_strategies()
+        always_detect = keep[(keep & 0x3F) == 0x3F]
+        for t in targets[:10]:
+            assert _largest_bell_sum(t) > simplex.ARTIFICIAL_MASS_TOL
+            assert _solve_on(FakingProblem(t), always_detect, 1.0).status == "infeasible"
+
+    # Floor 1 of a target a relabeled sum proves non-local is infeasible
+    # with no simplex call, even where the floor-0 solve does not finish,
+    # as at the non-local triple of TestMaxFakingEfficiency.
+    @pytest.mark.parametrize("targets", (
+        CANONICAL_TARGETS,
+        match_table(AngleTriple.from_degrees(45, 0, 90)),
+        match_table(AngleTriple.from_degrees(*TestMaxFakingEfficiency.NON_LOCAL)),
+        *relabeled_only(integer_triples())[:3],
+    ), ids=("60,0,120", "45,0,90", "NON_LOCAL", "relabeled-0", "relabeled-1", "relabeled-2"))
+    def test_floor_one_of_a_proven_violation_makes_no_solve(self, targets, monkeypatch):
+        def refuse(lp):
+            raise AssertionError("a simplex solve was run")
+
+        monkeypatch.setattr(simplex, "solve", refuse)
+        monkeypatch.setattr(simplex, "feasible", refuse)
+        for stealth in (False, True):
+            solution = solve_lp(FakingProblem(targets, 1.0, stealth))
+            assert solution == LpSolution("infeasible", {}, None, None)
 
 
 class TestDistinctStrategies:
@@ -695,6 +793,17 @@ class TestSolutionDocument:
         assert type(solution.coincidence_rates[0][0]) is float
         assert type(solution.min_coincidence_rate) is float
         assert LpSolution.from_dict(solution.to_dict()) == solution
+
+    # Keys that int() reads as an index, but to_dict never writes.
+    @pytest.mark.parametrize("key", ("7_0", " 7 ", "+7", "\u0667", "07", "7\n"))
+    def test_from_dict_takes_only_ascii_decimal_keys(self, key):
+        with pytest.raises(ValueError, match="^bad strategy index"):
+            LpSolution.from_dict({"status": "feasible", "weights": {key: 1.0}})
+
+    @pytest.mark.parametrize("key", ("0", "7", "4095"))
+    def test_from_dict_reads_decimal_keys(self, key):
+        doc = {"status": "feasible", "weights": {key: 1.0}}
+        assert LpSolution.from_dict(doc).weights == {int(key): 1.0}
 
     def test_from_dict_accepts_integer_rates(self):
         doc = {
