@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import secrets
 import sys
 import traceback
@@ -46,17 +47,38 @@ from .lhv import MAX_GRID_STEPS, load_model, stochastic_bell_search
 from .quantum import AngleTriple, match_table
 
 
+#: A command-line integer: ASCII digits with an optional sign.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+#: A command-line real: an ASCII decimal with an optional sign and exponent,
+#: or nan, inf or infinity in any case, which the checks downstream refuse
+#: with their own messages. No underscore, other digit or surrounding space.
+_REAL = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|nan|inf|infinity)",
+    re.IGNORECASE,
+)
+
+
+def _integer(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+def _real(text: str) -> float:
+    if not _REAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    return float(text)
+
+
 def _parse_angles(text: str) -> AngleTriple:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
             f"expected three comma-separated angles in degrees, got {text!r}"
         )
-    try:
-        degs = [float(p) for p in parts]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"unparseable angle in {text!r}") from exc
-    return AngleTriple.from_degrees(*degs)
+    if not all(_REAL.fullmatch(p) for p in parts):
+        raise argparse.ArgumentTypeError(f"unparseable angle in {text!r}")
+    return AngleTriple.from_degrees(*map(float, parts))
 
 
 def _echo_config(doc: dict) -> None:
@@ -288,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lhv_max)
 
     p = sub.add_parser("stochastic-sup", help="grid supremum over stochastic local models")
-    p.add_argument("--grid-steps", type=int, default=11,
+    p.add_argument("--grid-steps", type=_integer, default=11,
                    help=f"grid points per probability, 2 to {MAX_GRID_STEPS} (default 11)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_stochastic_sup)
@@ -298,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angles", type=_parse_angles)
     p.add_argument("--model", help="JSON model file for the lhv sources")
     p.add_argument("--solution", help="JSON faking-model file for the loophole source")
-    p.add_argument("--n", type=int, required=True, help="number of trials")
-    p.add_argument("--seed", type=int, help="64-bit seed; generated and echoed if omitted")
+    p.add_argument("--n", type=_integer, required=True, help="number of trials")
+    p.add_argument("--seed", type=_integer, help="64-bit seed; generated and echoed if omitted")
     p.add_argument("--setting-distribution", choices=(UNIFORM_9, UNIFORM_4), default=UNIFORM_9)
     p.add_argument("--out", help="dataset file (default stdout)")
     p.add_argument("--meta", help="metadata sidecar file (default <out>.meta.json)")
@@ -308,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="estimate the Bell statistic and decide; exit 0=reject 1=retain")
     p.add_argument("--in", dest="infile", help="dataset CSV (default stdin)")
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--confidence", type=float, default=0.99)
+    p.add_argument("--alpha", type=_real, default=0.01)
+    p.add_argument("--confidence", type=_real, default=0.99)
     p.add_argument(
         "--conditioning",
         choices=(CONDITION_COINCIDENCES, CONDITION_ALL_PAIRS),
@@ -321,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("loophole", help="faking LP at an efficiency floor, or the max efficiency")
     p.add_argument("--angles", type=_parse_angles, required=True)
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--floor", type=float, default=0.0)
+    mode.add_argument("--floor", type=_real, default=0.0)
     mode.add_argument("--max-efficiency", action="store_true")
     mode.add_argument("--demo", action="store_true",
                       help="solve the stealth demonstration variant instead")

@@ -278,9 +278,23 @@ def model_from_dict(doc: dict) -> LocalModel:
     raise ValueError("model document needs either 'tables' or 'p1'/'p2' entries")
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, for ``json.load``'s ``object_pairs_hook``:
+    ``ValueError`` when a key is given twice, where ``json`` keeps the last."""
+    doc: dict = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} given twice in a JSON object")
+        doc[key] = value
+    return doc
+
+
 def load_model(path: str | Path) -> LocalModel:
+    """The model in the JSON file ``path``; ``ValueError`` on a key given
+    twice in any of its objects, or on a document :func:`model_from_dict`
+    refuses."""
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        return model_from_dict(json.load(fh, object_pairs_hook=unique_keys))
 
 
 def save_model(model: LocalModel, path: str | Path) -> None:

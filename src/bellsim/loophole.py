@@ -27,7 +27,7 @@ import numpy as np
 
 from . import simplex
 from .counterfactuals import BELL_PAIRS, CounterfactualTable
-from .lhv import cumulative_weights, finite_number
+from .lhv import cumulative_weights, finite_number, unique_keys
 from .quantum import MatchProbabilityTable
 
 N_STRATEGIES = 4096
@@ -248,9 +248,7 @@ class LpSolution:
             if not isinstance(index, int) or isinstance(index, bool):
                 raise ValueError(f"bad strategy index {index!r}")
             if not 0 <= index < N_STRATEGIES:
-                raise ValueError(
-                    f"strategy index {index!r} outside [0, {N_STRATEGIES}) or repeated"
-                )
+                raise ValueError(f"strategy index {index!r} outside [0, {N_STRATEGIES})")
             weights[index] = finite_number(value, f"weight of strategy {index}")
             if weights[index] < 0.0:
                 raise ValueError(f"weight {value!r} of strategy {index} is negative")
@@ -297,8 +295,9 @@ class LpSolution:
         """Parse a solution document, as :meth:`to_dict` writes it: a JSON
         object whose ``weights`` object is keyed by strategy indices in
         ASCII decimal, with no plus sign, space, underscore or leading zero,
-        each given once. The solution itself checks every value; anything it
-        refuses raises ``ValueError`` too.
+        so that no two keys name one index (:func:`load_solution` refuses a
+        key given twice). The solution itself checks every value; anything
+        it refuses raises ``ValueError`` too.
         """
         if not isinstance(doc, dict):
             raise ValueError("a solution document must be a JSON object")
@@ -308,19 +307,17 @@ class LpSolution:
             for key, value in raw.items():
                 if not (isinstance(key, str) and _INDEX_KEY.fullmatch(key)):
                     raise ValueError(f"bad strategy index {key!r}")
-                index = int(key)
-                if index in weights:
-                    raise ValueError(
-                        f"strategy index {key!r} outside [0, {N_STRATEGIES}) or repeated"
-                    )
-                weights[index] = value
+                weights[int(key)] = value
         return cls(doc.get("status"), weights, doc.get("coincidence_rates"),
                    doc.get("min_coincidence_rate"))
 
 
 def load_solution(path: str | Path) -> LpSolution:
+    """The solution in the JSON file ``path``; ``ValueError`` on a key given
+    twice in any of its objects, or on a document :meth:`LpSolution.from_dict`
+    refuses."""
     with open(path, "r", encoding="utf-8") as fh:
-        return LpSolution.from_dict(json.load(fh))
+        return LpSolution.from_dict(json.load(fh, object_pairs_hook=unique_keys))
 
 
 def save_solution(solution: LpSolution, path: str | Path) -> None:

@@ -18,10 +18,17 @@ for bit.
 
 The tableau is one array: the constraint rows, then the cost row of reduced
 costs, with the right-hand side as the last column. That column holds the
-basic values, then minus the cost of the basic solution, so one row division
-and one broadcast update per pivot move constraints, costs and right-hand
-side alike. ``SimplexResult.pivots`` counts the pivots of each phase. Three
-constants tune the solver: ``PIVOT_TOL``, below which an entry counts as 0;
+basic values, then minus the cost of the basic solution, so a pivot moves
+constraints, costs and right-hand side alike: one row division, then one
+rank-1 product, formed in a buffer the tableau allocates once and
+subtracted from every row, the pivot row (factor 0) and the cost row
+included. Each entry goes through the same two roundings in the same order
+on every pivot, so pivot counts and vertices are fixed bit for bit. A fused
+update (BLAS ``dger`` or ``matmul``) may round once instead of twice, and
+skipping zero factors or zero pivot-row entries keeps a -0.0 that the
+subtraction would turn into +0.0: either moves the pivot path.
+``SimplexResult.pivots`` counts the pivots of each phase. Three constants
+tune the solver: ``PIVOT_TOL``, below which an entry counts as 0;
 ``ARTIFICIAL_MASS_TOL``, above which phase 1 calls a program infeasible; and
 ``MAX_PIVOTS``, the pivot budget of each phase.
 """
@@ -101,45 +108,57 @@ class _Tableau:
     maximization program. The cost row holds reduced costs and, in its last
     column, minus the cost of the basic solution; entering columns are those
     with reduced cost below -PIVOT_TOL. ``pivots`` counts the pivots ``run``
-    takes.
+    takes. ``pivot`` and ``run`` reuse buffers allocated here, so a pivot
+    allocates no array: it does ``t[row] /= t[row, col]``, then
+    ``t[r] -= t[row] * f_r`` for every row r, f_r being r's entry in the
+    pivot column (0 at ``row``). The product copies the pivot row into
+    every buffer row and scales each by its factor, which numpy runs faster
+    than one multiply with both operands broadcast; a product is the same
+    double in either operand order.
     """
 
     def __init__(self, body: np.ndarray, basis: list[int], cost: np.ndarray):
         self.t = np.vstack([body, np.append(cost, 0.0)])
         self.basis = basis
         self.pivots = 0
+        self._factors = np.empty(self.t.shape[0])
+        self._update = np.empty_like(self.t)
+        self._entering = np.empty(self.t.shape[1] - 1, dtype=bool)
         for r, b in enumerate(basis):
             coef = self.t[-1, b]
             if coef != 0.0:
                 self.t[-1] -= coef * self.t[r]
 
     def pivot(self, row: int, col: int) -> None:
-        t = self.t
-        t[row] /= t[row, col]
-        factors = t[:, col].copy()
+        t, factors, update = self.t, self._factors, self._update
+        factors[:] = t[:, col]
         factors[row] = 0.0
-        t -= factors[:, None] * t[row]
+        t[row] /= t[row, col]
+        update[:] = t[row]
+        update *= factors[:, None]
+        t -= update
         self.basis[row] = col
 
     def run(self) -> str:
-        """Iterate to optimality. Returns "optimal" or "unbounded"."""
-        t, basis = self.t, self.basis
+        """Iterate to optimality. Returns "optimal" or "unbounded". The ratio
+        test runs on Python floats, which divide and compare as numpy does."""
+        t, basis, entering = self.t, self.basis, self._entering
         cost, rhs = t[-1, :-1], t[:-1, -1]
         if cost.size == 0:  # no column can enter
             return "optimal"
         for _ in range(MAX_PIVOTS):
-            col = int((cost < -PIVOT_TOL).argmax())  # Bland: lowest index enters
-            if not cost[col] < -PIVOT_TOL:
+            # Bland: the lowest eligible index enters.
+            col = int(np.less(cost, -PIVOT_TOL, out=entering).argmax())
+            if not entering[col]:
                 return "optimal"
-            column = t[:-1, col]
-            positive = (column > PIVOT_TOL).nonzero()[0]
-            if positive.size == 0:
+            ratios = {r: b / a for r, (a, b) in enumerate(zip(t[:-1, col].tolist(), rhs.tolist()))
+                      if a > PIVOT_TOL}
+            if not ratios:
                 return "unbounded"
-            ratios = rhs[positive] / column[positive]
-            best = float(ratios.min())
+            best = min(ratios.values())
             # Bland tie-break: among minimum ratios, lowest basic-variable index.
-            tied = positive[ratios <= best + PIVOT_TOL * max(1.0, abs(best))]
-            row = int(tied[0]) if tied.size == 1 else int(min(tied, key=basis.__getitem__))
+            bound = best + PIVOT_TOL * max(1.0, abs(best))
+            row = min((r for r, q in ratios.items() if q <= bound), key=basis.__getitem__)
             self.pivot(row, col)
             self.pivots += 1
         raise SimplexError(

@@ -401,6 +401,51 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:") and "model" in err and out == ""
 
+    @pytest.mark.parametrize("source, flag, text", (
+        ("loophole", "--solution", '{"status": "feasible", "weights": {"4095": 0.5, "4095": 1.0}}'),
+        ("stochastic-lhv", "--model",
+         '{"p1": [0.1, 0.5, 0.9], "p2": [0.2, 0.4, 0.6], "p1": [1, 1, 1]}'),
+    ), ids=("solution", "model"))
+    def test_key_given_twice_in_an_input_file_is_invalid_input(self, source, flag, text,
+                                                               tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "simulate", "--source", source, flag, str(path),
+                                 "--n", "10", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert "given twice" in err
+
+    # Each of these read as a number and ran to an answer: 600 degrees,
+    # 60 degrees, a floor of 1.0, 10 trials and seed 1.
+    @pytest.mark.parametrize("argv, message", (
+        (("loophole", "--angles", "60_0,0,120", "--max-efficiency"),
+         "argument --angles: unparseable angle in '60_0,0,120'"),
+        (("correlations", "--angles", "\u0666\u0660,0,120"),
+         "argument --angles: unparseable angle in '\u0666\u0660,0,120'"),
+        (("loophole", "--angles", "60,0,120", "--floor", "0_1"),
+         "argument --floor: invalid float value: '0_1'"),
+        (("simulate", "--source", "quantum", "--angles", "60,0,120", "--n", "\u0661\u0660",
+          "--seed", "1"),
+         "argument --n: invalid int value: '\u0661\u0660'"),
+        (("simulate", "--source", "quantum", "--angles", "60,0,120", "--n", "10",
+          "--seed", " 1"),
+         "argument --seed: invalid int value: ' 1'"),
+    ), ids=("underscored angle", "arabic-indic angle", "underscored floor", "arabic-indic n",
+            "spaced seed"))
+    def test_number_not_in_ascii_decimal_is_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("floor, status", (
+        ("1e0", "infeasible"), ("1.", "infeasible"), (".5", "feasible"), ("+0.5E0", "feasible"),
+    ))
+    def test_ascii_decimal_spellings_are_read(self, floor, status, capsys):
+        code, out, _ = run_cli(capsys, "loophole", "--angles", "60,0,120", "--floor", floor)
+        assert code == 0 and out.startswith(f"status: {status}\n")
+
 
 class TestLoopholeCommand:
     def test_max_efficiency_frozen_value(self, capsys):

@@ -1,7 +1,7 @@
 """Exactness of generated datasets and faking-LP solutions: the bytes and
 records a seed or a program produces are fixed.
 
-Seven independent checks:
+Eight independent checks:
 
 * golden SHA-256 digests of ``bellsim simulate`` stdout for every source and
   setting distribution, recorded from the original per-trial generator;
@@ -21,7 +21,9 @@ Seven independent checks:
 * golden SHA-256 digests of the solution documents of four faking LPs,
   recorded from the solver that ran on all 4096 strategy columns;
 * a golden SHA-256 digest of the simplex's status, vertex bytes, objective
-  and feasibility verdict on 1,000 seeded random small programs.
+  and feasibility verdict on 1,000 seeded random small programs;
+* a golden SHA-256 digest of the status, pivots per phase, objective and
+  vertex bytes of 80 faking programs on the 340 distinct columns.
 """
 
 import hashlib
@@ -54,6 +56,8 @@ from bellsim.lhv import DeterministicLhv, StochasticLocalModel, sample_from_lhv,
 from bellsim.loophole import (
     FakingProblem,
     LpSolution,
+    _distinct_strategies,
+    _solve_on,
     demonstration_solution,
     sample_loophole_model,
     solve_lp,
@@ -517,3 +521,25 @@ def test_random_programs_match_golden_digest():
         digest.update(x + b"\n")
     assert statuses == {"optimal", "infeasible", "unbounded"}
     assert digest.hexdigest() == GOLDEN_RANDOM_PROGRAMS_SHA256
+
+
+# SHA-256 over the floor-0 and stealth programs of the first 40 triples of
+# ``default_rng(1).integers(0, 360, (300, 3))``, solved on the distinct
+# strategy columns: status, pivots per phase, ``repr`` of the objective and
+# ``x`` bytes, recorded from the solver that built a new rank-1 product
+# array on every pivot.
+GOLDEN_FAKING_PROGRAMS_SHA256 = (
+    "2c0a935b01f5e272d5fdc8c078f1a8f00e6281065ed56af8d3c1260b28a1d2a4"
+)
+
+
+def test_faking_programs_match_golden_digest():
+    digest = hashlib.sha256()
+    for degrees in np.random.default_rng(1).integers(0, 360, (300, 3))[:40].tolist():
+        targets = match_table(AngleTriple.from_degrees(*degrees))
+        for stealth in (False, True):
+            result = _solve_on(FakingProblem(targets, stealth=stealth), _distinct_strategies(), 0.0)
+            x = b"" if result.x is None else result.x.tobytes()
+            digest.update(f"{result.status}|{result.pivots}|{result.objective!r}|".encode())
+            digest.update(x + b"\n")
+    assert digest.hexdigest() == GOLDEN_FAKING_PROGRAMS_SHA256

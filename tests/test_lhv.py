@@ -244,6 +244,18 @@ class TestModelSerialization:
         save_model(model, path)
         assert load_model(path) == model
 
+    @pytest.mark.parametrize("text", (
+        '{"p1": [0.1, 0.5, 0.9], "p2": [0.2, 0.4, 0.6], "p1": [1, 1, 1]}',
+        '{"tables": [{"y1": [1, 1, 1], "y2": [1, 1, 1], "y1": [-1, 1, 1]}]}',
+    ), ids=("p1", "y1 of a table"))
+    def test_file_with_a_key_given_twice_rejected(self, text, tmp_path):
+        from bellsim.lhv import load_model
+
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="given twice"):
+            load_model(path)
+
     def test_unrecognized_document_rejected(self):
         with pytest.raises(ValueError):
             model_from_dict({"spins": []})

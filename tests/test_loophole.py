@@ -900,6 +900,18 @@ class TestSerialization:
         doc = json.loads(path.read_text())
         assert doc["status"] == "feasible"
 
+    # json keeps the last of two equal keys, so this file would read as
+    # {4095: 1.0}, a feasible model.
+    @pytest.mark.parametrize("text", (
+        '{"status": "feasible", "weights": {"4095": 0.5, "4095": 1.0}}',
+        '{"status": "infeasible", "status": "feasible", "weights": {"7": 1.0}}',
+    ), ids=("weight key", "status key"))
+    def test_load_refuses_a_key_given_twice(self, text, tmp_path):
+        path = tmp_path / "solution.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="given twice"):
+            load_solution(path)
+
 
 # --- miniature-instance cross-validation -----------------------------------
 #

@@ -1,13 +1,18 @@
-"""Census of the faking analyses over 300 integer angle triples.
+"""Census of the faking analyses over two sets of angle triples.
 
-Runs every triple of ``numpy.random.default_rng(1).integers(0, 360, (300, 3))``
-through ``max_faking_efficiency``, ``solve_lp`` at floors 0 and 1 and
-``demonstration_solution``, and prints, per analysis, how many triples took
-each route (the column counts of the simplex solves it made, "none" for no
-solve) and each outcome, with the median and total seconds; then one SHA-256
-over every document the analyses returned, in order, and the wall time.
+Runs every triple of two target sets through ``max_faking_efficiency``,
+``solve_lp`` at floors 0 and 1 and ``demonstration_solution``: the 300
+integer triples ``numpy.random.default_rng(1).integers(0, 360, (300, 3))``,
+then the 240 real triples ``numpy.random.default_rng(2).uniform(0, 360,
+(240, 3))``, whose triple 91 makes the floor-0 solve hit the pivot limit.
+For each set it prints, per analysis, how many triples took each route (the
+column counts of the simplex solves it made, "none" for no solve), each
+outcome, the total phase-1 and phase-2 pivots of the solves that returned,
+and the median and total seconds; then one SHA-256 over every document the
+set's analyses returned, in order. Last comes the wall time.
 
-Two checkouts agree on every answer when their digests agree. Run from the
+Two checkouts agree on every answer when their digests agree, and a change
+to the simplex's pivot path shows in the pivot totals. Run from the
 repository root:
 
     PYTHONPATH=src python tools/census.py
@@ -41,44 +46,64 @@ def document(answer) -> str:
     return json.dumps(answer.to_dict(), sort_keys=True)
 
 
+TARGET_SETS = {
+    "300 integer triples": np.random.default_rng(1).integers(0, 360, (300, 3)),
+    "240 real triples": np.random.default_rng(2).uniform(0, 360, (240, 3)),
+}
+
+
+def census(targets: list, columns: list[int], pivots: list[int]) -> str:
+    """Run every analysis over ``targets``, printing one line per analysis,
+    and return the SHA-256 over every document. ``columns`` and ``pivots``
+    are filled by the counting ``simplex.solve`` that ``main`` installs."""
+    digest = hashlib.sha256()
+    for name, analysis in ANALYSES.items():
+        routes, outcomes, seconds = Counter(), Counter(), []
+        pivots[:] = [0, 0]
+        for t in targets:
+            columns.clear()
+            t0 = time.perf_counter()
+            try:
+                answer = analysis(t)
+            except simplex.SimplexError as exc:
+                seconds.append(time.perf_counter() - t0)
+                outcome, doc = "SimplexError", f"SimplexError: {exc}"
+            else:
+                seconds.append(time.perf_counter() - t0)
+                outcome = "value" if isinstance(answer, float) else answer.status
+                doc = document(answer)
+            digest.update(doc.encode() + b"\n")
+            routes["+".join(map(str, columns)) or "none"] += 1
+            outcomes[outcome] += 1
+        print(f"{name}: routes {dict(sorted(routes.items()))}, "
+              f"outcomes {dict(sorted(outcomes.items()))}, "
+              f"pivots {pivots[0]} + {pivots[1]}, "
+              f"median {1e3 * statistics.median(seconds):.2f} ms, "
+              f"total {sum(seconds):.2f} s")
+    return digest.hexdigest()
+
+
 def main() -> None:
-    triples = np.random.default_rng(1).integers(0, 360, (300, 3))
-    targets = [match_table(AngleTriple.from_degrees(*map(int, d))) for d in triples]
     solve = simplex.solve
     columns: list[int] = []
+    pivots = [0, 0]
 
     def counted(lp):
         columns.append(lp.n_vars)
-        return solve(lp)
+        result = solve(lp)
+        pivots[0] += result.pivots[0]
+        pivots[1] += result.pivots[1]
+        return result
 
-    digest = hashlib.sha256()
     start = time.perf_counter()
     simplex.solve = counted
     try:
-        for name, analysis in ANALYSES.items():
-            routes, outcomes, seconds = Counter(), Counter(), []
-            for t in targets:
-                columns.clear()
-                t0 = time.perf_counter()
-                try:
-                    answer = analysis(t)
-                except simplex.SimplexError as exc:
-                    seconds.append(time.perf_counter() - t0)
-                    outcome, doc = "SimplexError", f"SimplexError: {exc}"
-                else:
-                    seconds.append(time.perf_counter() - t0)
-                    outcome = "value" if isinstance(answer, float) else answer.status
-                    doc = document(answer)
-                digest.update(doc.encode() + b"\n")
-                routes["+".join(map(str, columns)) or "none"] += 1
-                outcomes[outcome] += 1
-            print(f"{name}: routes {dict(sorted(routes.items()))}, "
-                  f"outcomes {dict(sorted(outcomes.items()))}, "
-                  f"median {1e3 * statistics.median(seconds):.2f} ms, "
-                  f"total {sum(seconds):.2f} s")
+        for set_name, triples in TARGET_SETS.items():
+            print(f"{set_name}:")
+            targets = [match_table(AngleTriple.from_degrees(*d)) for d in triples.tolist()]
+            print(f"sha256 {census(targets, columns, pivots)}")
     finally:
         simplex.solve = solve
-    print(f"sha256 {digest.hexdigest()}")
     print(f"wall {time.perf_counter() - start:.1f} s")
 
 
