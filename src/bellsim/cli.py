@@ -56,6 +56,9 @@ _REAL = re.compile(
     r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|nan|inf|infinity)",
     re.IGNORECASE,
 )
+#: ``--angles`` help; argparse reads ``--angles -30,0,30`` as a missing value.
+_ANGLES_HELP = ("three axis angles in degrees, e.g. 60,0,120; give a negative first "
+                "angle as --angles=-30,0,30 (or as 330,0,30)")
 
 
 def _integer(text: str) -> int:
@@ -295,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("correlations", help="quantum match probabilities and violation margin")
-    p.add_argument("--angles", type=_parse_angles, required=True,
-                   help="three axis angles in degrees, e.g. 60,0,120")
+    p.add_argument("--angles", type=_parse_angles, required=True, help=_ANGLES_HELP)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=cmd_correlations)
 
@@ -317,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a trial dataset (CSV on stdout by default)")
     p.add_argument("--source", choices=SOURCES, required=True)
-    p.add_argument("--angles", type=_parse_angles)
+    p.add_argument("--angles", type=_parse_angles, help=_ANGLES_HELP)
     p.add_argument("--model", help="JSON model file for the lhv sources")
     p.add_argument("--solution", help="JSON faking-model file for the loophole source")
     p.add_argument("--n", type=_integer, required=True, help="number of trials")
@@ -341,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("loophole", help="faking LP at an efficiency floor, or the max efficiency")
-    p.add_argument("--angles", type=_parse_angles, required=True)
+    p.add_argument("--angles", type=_parse_angles, required=True, help=_ANGLES_HELP)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--floor", type=_real, default=0.0)
     mode.add_argument("--max-efficiency", action="store_true")

@@ -21,7 +21,6 @@ import itertools
 import json
 import math
 import operator
-import re
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,9 +34,11 @@ from . import loophole as loophole_mod
 from .counterfactuals import BELL_PAIRS
 # Unused here; perfbench/tracing.py patches SplitMix64, derive_seed and the scalar samplers.
 from .lhv import (
+    CANONICAL_INT,
     DeterministicLhv,
     LocalModel,
     StochasticLocalModel,
+    _numbers,
     model_from_dict,
     model_to_dict,
     sample_from_lhv,
@@ -117,9 +118,10 @@ class ExperimentConfig:
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n_trials < 1:
             raise ConfigError(f"n_trials must be at least 1, got {self.n_trials!r}")
-        if self.setting_distribution not in _SETTINGS:
+        if not (isinstance(self.setting_distribution, str)
+                and self.setting_distribution in _SETTINGS):
             raise ConfigError(f"unknown setting distribution {self.setting_distribution!r}")
-        source = _SOURCES.get(self.source)
+        source = _SOURCES.get(self.source) if isinstance(self.source, str) else None
         if source is None:
             raise ConfigError(f"unknown source {self.source!r}")
         for name in ("angles", "model", "solution"):
@@ -492,7 +494,6 @@ _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 _POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
 _MAX_DIGITS = 19  # of an int64
-_CANONICAL_INT = re.compile(rb"-?[1-9][0-9]*|0")
 
 
 def _encode_rows(index: np.ndarray, codes: np.ndarray) -> bytes:
@@ -570,7 +571,8 @@ def _row_error(line: bytes, number: int) -> ValueError:
             f"line {number}: dataset rows need {len(CSV_HEADER)} fields, got {len(fields)}"
         )
     for name, field in zip(CSV_HEADER, fields):
-        if not (_CANONICAL_INT.fullmatch(field) or (field == b"" and name in ("y1", "y2"))):
+        if not (CANONICAL_INT.fullmatch(field.decode("latin-1"))  # one character a byte
+                or (field == b"" and name in ("y1", "y2"))):
             return ValueError(
                 f"line {number}: {name} {_shown(field)!r} is not a canonical integer"
             )
@@ -708,15 +710,22 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def _parsed(doc: dict, key: str, parse):
-    """``parse`` of the sidecar's ``key`` entry, or None where it is absent
-    or empty; an entry that does not parse raises :class:`ConfigError`."""
+    """``parse`` of the sidecar's ``key`` entry, or None where it is missing
+    or null; an entry that does not parse raises :class:`ConfigError`."""
     value = doc.get(key)
-    if not value:
+    if value is None:
         return None
     try:
         return parse(value)
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"sidecar {key} does not parse: {exc!r}") from exc
+
+
+def _angles(degrees) -> AngleTriple:
+    """The sidecar's ``angles_degrees``: a JSON list of three finite numbers."""
+    if len(degrees := _numbers(degrees, "angles_degrees")) != 3:
+        raise ValueError(f"angles_degrees must hold three angles, got {len(degrees)}")
+    return AngleTriple.from_degrees(*degrees)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -731,7 +740,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         n_trials=doc["n_trials"],
         seed=doc["seed"],
         source=doc["source"],
-        angles=_parsed(doc, "angles_degrees", lambda degrees: AngleTriple.from_degrees(*degrees)),
+        angles=_parsed(doc, "angles_degrees", _angles),
         model=_parsed(doc, "model", model_from_dict),
         solution=_parsed(doc, "solution", loophole_mod.LpSolution.from_dict),
         setting_distribution=doc.get("setting_distribution", UNIFORM_9),

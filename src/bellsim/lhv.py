@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -218,6 +219,11 @@ def model_to_dict(model: LocalModel) -> dict:
     if isinstance(model, StochasticLocalModel):
         return {"p1": list(model.p1), "p2": list(model.p2)}
     raise TypeError(f"not a local model: {model!r}")
+
+
+#: An integer in canonical ASCII decimal: no sign but a leading ``-``, no leading
+#: zero, no ``-0``; ``int`` reads ``+7``, ``7_0``, `` 7 `` and other digits too.
+CANONICAL_INT = re.compile(r"-?[1-9][0-9]*|0")
 
 
 def finite_number(value, name: str) -> float:

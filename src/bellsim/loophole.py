@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -27,16 +26,13 @@ import numpy as np
 
 from . import simplex
 from .counterfactuals import BELL_PAIRS, CounterfactualTable
-from .lhv import cumulative_weights, finite_number, unique_keys
+from .lhv import CANONICAL_INT, cumulative_weights, finite_number, unique_keys
 from .quantum import MatchProbabilityTable
 
 N_STRATEGIES = 4096
 SOLUTION_STATUSES = ("feasible", "infeasible")
 #: A feasible :class:`LpSolution`'s weights sum to 1 within this.
 _WEIGHT_SUM_TOL = 1e-9
-#: A strategy index key in ASCII decimal, as :meth:`LpSolution.to_dict` writes
-#: it; a negative one is read, for the range check to refuse.
-_INDEX_KEY = re.compile(r"-?[1-9][0-9]*|0")
 
 #: Margin by which the demonstration model keeps the unconditional
 #: Bell statistic that scores an undetected pair as a non-match below 0;
@@ -149,8 +145,8 @@ class FakingProblem:
     floor inequality on the coincidence rate, only for a positive floor,
     and the epigraph inequality z <= coincidence rate; with ``stealth``,
     the row of :func:`demonstration_solution`. ``program`` assembles the
-    full program on first read, for inspection; :func:`solve_lp` works
-    from the defining data, on the distinct strategy columns.
+    full program on first read, for inspection; the analyses solve it by
+    the route of :func:`_optimum`.
     """
 
     targets: MatchProbabilityTable
@@ -183,8 +179,7 @@ def _assemble_lp(
     its epigraph row. At floor 0 those rows follow from w >= 0 and are left
     out; the solve then reaches the same vertex in the same pivots as with
     them, except where it breaks down numerically either way. The floor-1
-    program of :func:`_full_detection_solve` keeps them, for the reason
-    given there.
+    program of :func:`_optimum` keeps them, for the reason given there.
     """
     n_strat = detect.shape[0]
     z = n_strat  # the epigraph variable's column
@@ -201,9 +196,9 @@ def _assemble_lp(
     if floor <= 0.0:  # w >= 0 already keeps every coincidence rate >= 0
         ub_matrix, ub_rhs = ub_matrix[1::2], ub_rhs[1::2]
     if stealth:
-        # Unconditional Bell statistic of the mixture stays below -DEMO_STEALTH_MARGIN.
-        bell = (detect_match[:, 1, 2] - detect_match[:, 0, 2]
-                - detect_match[:, 1, 0] - detect_match[:, 0, 0])
+        # Unconditional Bell statistic (relabeling 0, the identity) stays below
+        # -DEMO_STEALTH_MARGIN; each entry is a sum of four 0/±1 terms, exact.
+        bell = detect_match.reshape(n_strat, -1) @ _relabeled_bell_coefficients()[0]
         ub_matrix = np.vstack([ub_matrix, np.append(bell, 0.0)])
         ub_rhs = np.append(ub_rhs, -DEMO_STEALTH_MARGIN)
     objective = np.zeros(n_strat + 1)
@@ -296,8 +291,9 @@ class LpSolution:
         object whose ``weights`` object is keyed by strategy indices in
         ASCII decimal, with no plus sign, space, underscore or leading zero,
         so that no two keys name one index (:func:`load_solution` refuses a
-        key given twice). The solution itself checks every value; anything
-        it refuses raises ``ValueError`` too.
+        key given twice); a negative one is read, for the range check to
+        refuse. The solution itself checks every value; anything it refuses
+        raises ``ValueError`` too.
         """
         if not isinstance(doc, dict):
             raise ValueError("a solution document must be a JSON object")
@@ -305,7 +301,7 @@ class LpSolution:
         if isinstance(raw, dict):
             weights = {}
             for key, value in raw.items():
-                if not (isinstance(key, str) and _INDEX_KEY.fullmatch(key)):
+                if not (isinstance(key, str) and CANONICAL_INT.fullmatch(key)):
                     raise ValueError(f"bad strategy index {key!r}")
                 weights[int(key)] = value
         return cls(doc.get("status"), weights, doc.get("coincidence_rates"),
@@ -374,43 +370,41 @@ def _largest_bell_sum(targets: MatchProbabilityTable) -> float:
     return float(max(sums.max(), -2.0 - sums.min()))
 
 
-def _full_detection_solve(problem: FakingProblem) -> simplex.SimplexResult | None:
-    """The optimum of ``problem``'s program at floor 1, when it has one, with z
-    exactly 1: z is at most every rate, and every rate is the weight sum 1.
-
-    A floor-1 model weights only strategies that detect in all nine cells,
-    so the program is solved on the 32 distinct ones, each a table. It is
-    skipped when the targets' largest relabeled Bell sum b
-    (:func:`_largest_bell_sum`) exceeds the phase-1 threshold, for then its
-    phase 1 ends infeasible. With s = sum w, row 0 keeps the artificial
-    1 - s and each match row (i, j) the artificial t_ij s - sum w dm_ij. A
-    relabeling permutes the four Bell-cell artificials and a spin flip
-    negates them, since at full detection (1 - t_ij) s - sum w (1 - dm_ij)
-    = -(t_ij s - sum w dm_ij). Their signed sum is s b less the tables' sum
-    of the same relabeling, which is at most 0, so the artificial mass is
-    at least (1 - s) + s b >= b.
-
-    The program keeps its nine floor rows, although its rates are all 1:
-    without them, tiny-weight census mixtures 32 and 132 hit the pivot
-    limit, 95's phase 1 breaks down and 86 reads 0.999999999999999.
-    """
-    if _largest_bell_sum(problem.targets) > simplex.ARTIFICIAL_MASS_TOL:
-        return None
-    keep = _distinct_strategies()
-    result = _solve_on(problem, keep[(keep & 0x3F) == 0x3F], 1.0)
-    if result.status != "optimal":
-        return None
-    result.x[N_STRATEGIES] = 1.0
-    return replace(result, objective=1.0)
-
-
 def _optimum(problem: FakingProblem) -> simplex.SimplexResult | None:
-    """The floor-0 optimum of ``problem``: the floor-1 optimum when there is one,
-    else the floor-0 solve; None when the stealth row makes it infeasible.
-    That program is bounded (z <= 1) and, without the stealth row, feasible
-    (zero detection meets every target): any other end is a breakdown, and
-    raises ``simplex.SimplexError``."""
-    result = _full_detection_solve(problem) or _solve_on(problem, _distinct_strategies(), 0.0)
+    """The optimum z* of ``problem``'s program at floor 0, with its vertex,
+    from which every analysis is answered; None where the stealth row
+    leaves no model, or a Bell sum proves floor 1 out. The route, in order:
+
+    1. If the targets' largest relabeled Bell sum b (:func:`_largest_bell_sum`)
+       is at most the phase-1 threshold, the floor-1 program on the 32
+       distinct strategies that detect in all nine cells, each a table; an
+       optimum there has z exactly 1, for z is at most every rate and every
+       rate is the weight sum 1. It keeps its nine floor rows: without them,
+       tiny-weight census mixtures 32 and 132 hit the pivot limit, 95's
+       phase 1 breaks down and 86 reads 0.999999999999999. Any other end
+       proves nothing, and the route goes on to 3.
+    2. Else, at floor 1, None with no solve, for the floor-1 phase 1 could
+       only end infeasible. With s = sum w, row 0 keeps the artificial 1 - s
+       and each match row (i, j) the artificial t_ij s - sum w dm_ij. A
+       relabeling permutes the four Bell-cell artificials and a spin flip
+       negates them, since at full detection (1 - t_ij) s - sum w (1 - dm_ij)
+       = -(t_ij s - sum w dm_ij). Their signed sum is s b less the tables'
+       sum of the same relabeling, at most 0, so the artificial mass is at
+       least (1 - s) + s b >= b.
+    3. Else the floor-0 program on the 339 distinct columns. It is bounded
+       (z <= 1) and, without the stealth row, feasible (zero detection meets
+       every target): infeasible with the stealth row gives None, and any
+       other end is a breakdown, which raises ``simplex.SimplexError``.
+    """
+    if _largest_bell_sum(problem.targets) <= simplex.ARTIFICIAL_MASS_TOL:
+        keep = _distinct_strategies()
+        result = _solve_on(problem, keep[(keep & 0x3F) == 0x3F], 1.0)
+        if result.status == "optimal":
+            result.x[N_STRATEGIES] = 1.0
+            return replace(result, objective=1.0)
+    elif problem.efficiency_floor == 1.0:
+        return None
+    result = _solve_on(problem, _distinct_strategies(), 0.0)
     if result.status == "optimal":
         return result
     if result.status == "infeasible" and problem.stealth:
@@ -419,26 +413,17 @@ def _optimum(problem: FakingProblem) -> simplex.SimplexResult | None:
 
 
 def solve_lp(problem: FakingProblem) -> LpSolution:
-    """Solve ``problem``'s program with the in-package simplex, on the distinct
-    strategy columns.
-
-    Floor 1 is infeasible, with no solve, when a relabeled Bell sum of the
-    targets exceeds the phase-1 threshold (:func:`_largest_bell_sum`):
-    no full-detection local model reaches them. Every other floor is
-    answered from the optimum z* of :func:`_optimum`. The floor-f program
+    """Solve ``problem``'s program with the in-package simplex, by
+    :func:`_optimum`: infeasible where it gives None or where the floor f
+    exceeds its z*, else feasible at that optimum. The floor-f program
     maximizes the same minimum coincidence rate z and only adds the rows
     "coincidence rate >= f", so it is feasible exactly when z* is at least
-    f, and that optimum, optimal at floor f too, is what a feasible floor
-    returns: f is feasible exactly when it is at most
-    :func:`max_faking_efficiency`. A floor within rounding of the true
-    optimum may be misreported (at the canonical angles the optimum is 2/3,
-    z* is one ulp below the double nearest it, and that double reads
-    infeasible). A solver breakdown, or optimal weights :class:`LpSolution`
-    refuses, raises ``simplex.SimplexError``.
+    f, and that optimum is optimal at floor f too. A floor within rounding
+    of the true optimum may be misreported (at the canonical angles the
+    optimum is 2/3, z* is one ulp below the double nearest it, and that
+    double reads infeasible). A solver breakdown, or optimal weights
+    :class:`LpSolution` refuses, raises ``simplex.SimplexError``.
     """
-    if (problem.efficiency_floor == 1.0
-            and _largest_bell_sum(problem.targets) > simplex.ARTIFICIAL_MASS_TOL):
-        return LpSolution("infeasible", {}, None, None)
     result = _optimum(problem)
     if result is None or problem.efficiency_floor > result.objective:
         return LpSolution("infeasible", {}, None, None)
@@ -461,14 +446,11 @@ def rescore_solution(solution: LpSolution) -> tuple[np.ndarray, np.ndarray, floa
 
 def max_faking_efficiency(targets: MatchProbabilityTable) -> float:
     """Largest efficiency floor at which faking stays feasible: the optimum
-    z* of :func:`_optimum`, at most 1.0, with which :func:`solve_lp` compares
-    every floor it does not answer by a relabeled Bell sum. Where such a sum
-    proves full detection out, it is the floor-0 solve's z*, below 1 but
-    computed, so it may break down where solve_lp at floor 1 does not. It
-    reads z* alone, so it returns 1.0 where solve_lp raises
-    on weights it refuses. The test suite cross-checks it against a
-    bisection on the feasibility of floor programs. A solver breakdown
-    raises ``simplex.SimplexError``.
+    z* of :func:`_optimum` at floor 0, at most 1.0. It reads z* alone, so it
+    returns 1.0 where :func:`solve_lp` raises on weights it refuses, and it
+    may break down where solve_lp at floor 1 makes no solve. The test suite
+    cross-checks it against a bisection on the feasibility of floor
+    programs. A solver breakdown raises ``simplex.SimplexError``.
     """
     return min(_optimum(FakingProblem(targets)).objective, 1.0)
 

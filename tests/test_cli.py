@@ -53,6 +53,14 @@ class TestCorrelations:
         assert code == 0
         assert out == "\n".join([*rows, f"violation_margin,{violation_margin(angles)!r}"]) + "\n"
 
+    def test_negative_first_angle_joined_by_equals(self, capsys):
+        # argparse reads "--angles -30,0,30" as a missing value; joined by
+        # "=" it is the same triple as 330,0,30, printed the same.
+        negative = run_cli(capsys, "correlations", "--angles=-30,0,30", "--format", "json")
+        assert negative[0] == 0
+        assert negative == run_cli(capsys, "correlations", "--angles", "330,0,30",
+                                   "--format", "json")
+
     def test_unparseable_angle_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["correlations", "--angles", "60,x,120"])

@@ -166,7 +166,8 @@ class TestConfigValidation:
             config_from_dict(doc)
 
     @pytest.mark.parametrize(
-        "case", ("no seed", "two angles", "angles as text", "table without y2", "a list")
+        "case", ("no seed", "two angles", "four angles", "angles as text", "a bool angle",
+                 "table without y2", "model 0", "empty solution", "a list")
     )
     def test_malformed_sidecar_raises_config_error(self, case):
         doc = json.loads(json.dumps(config_to_dict(quantum_config())))
@@ -176,10 +177,22 @@ class TestConfigValidation:
             "no seed": ({key: value for key, value in doc.items() if key != "seed"},
                         "lacks 'seed'"),
             "two angles": ({**doc, "angles_degrees": [1, 2]},
-                           "angles_degrees does not parse: TypeError"),
+                           "angles_degrees does not parse: ValueError.*three angles, got 2"),
+            "four angles": ({**doc, "angles_degrees": [0, 60, 120, 180]},
+                            "angles_degrees does not parse: ValueError.*three angles, got 4"),
             "angles as text": ({**doc, "angles_degrees": "abc"},
-                               "angles_degrees does not parse: TypeError"),
+                               "angles_degrees does not parse: ValueError.*finite numbers, "
+                               "got 'abc'"),
+            # JSON true is no number, not 1 degree.
+            "a bool angle": ({**doc, "angles_degrees": [True, 0, 120]},
+                             "angles_degrees does not parse: ValueError.*finite numbers, "
+                             "got \\[True, 0, 120\\]"),
             "table without y2": (lhv, "model does not parse: ValueError.*tables\\[0\\].*'y2'"),
+            # A falsy entry is present: only a missing or null one is absent.
+            "model 0": ({**doc, "model": 0},
+                        "model does not parse: ValueError.*JSON object, got int"),
+            "empty solution": ({**doc, "solution": []},
+                               "solution does not parse: ValueError.*must be a JSON object"),
             "a list": ([doc], "must be a JSON object"),
         }[case]
         with pytest.raises(ConfigError, match=match):

@@ -1,11 +1,16 @@
-"""Census of the faking analyses over two sets of angle triples.
+"""Census of the faking analyses over three sets of targets.
 
-Runs every triple of two target sets through ``max_faking_efficiency``,
-``solve_lp`` at floors 0 and 1 and ``demonstration_solution``: the 300
-integer triples ``numpy.random.default_rng(1).integers(0, 360, (300, 3))``,
-then the 240 real triples ``numpy.random.default_rng(2).uniform(0, 360,
-(240, 3))``, whose triple 91 makes the floor-0 solve hit the pivot limit.
-For each set it prints, per analysis, how many triples took each route (the
+Runs every target of three sets through ``max_faking_efficiency``,
+``solve_lp`` at floors 0 and 1 and ``demonstration_solution``: the match
+tables of the 300 integer triples ``numpy.random.default_rng(1).integers(0,
+360, (300, 3))``, then of the 240 real triples
+``numpy.random.default_rng(2).uniform(0, 360, (240, 3))``, whose triple 91
+makes the floor-0 solve hit the pivot limit, then the 150 local mixtures of
+the tiny-weight census in ``tests/test_loophole.py``, on which the
+full-detection solve runs and sometimes breaks down. Most of that set's
+time goes to nine solves that hit the 50,000-pivot limit: mixture 145 in
+every analysis, and mixtures 18, 29, 78, 102 and 135 in the demonstration.
+For each set it prints, per analysis, how many targets took each route (the
 column counts of the simplex solves it made, "none" for no solve), each
 outcome, the total phase-1 and phase-2 pivots of the solves that returned,
 and the median and total seconds; then one SHA-256 over every document the
@@ -29,6 +34,8 @@ from collections import Counter
 import numpy as np
 
 from bellsim import loophole, simplex
+from bellsim.counterfactuals import Population, all_tables
+from bellsim.lhv import DeterministicLhv, lhv_match_table
 from bellsim.quantum import AngleTriple, match_table
 
 ANALYSES = {
@@ -46,9 +53,30 @@ def document(answer) -> str:
     return json.dumps(answer.to_dict(), sort_keys=True)
 
 
+def angle_targets(triples: np.ndarray) -> list:
+    """The quantum match tables of the angle triples ``triples``, in degrees."""
+    return [match_table(AngleTriple.from_degrees(*d)) for d in triples.tolist()]
+
+
+def tiny_weight_mixtures() -> list:
+    """150 local mixtures of 2 to 4 tables, one of weight in [1e-12, 1e-9],
+    as their match tables, from ``default_rng(5)``."""
+    rng = np.random.default_rng(5)
+    targets = []
+    for _ in range(150):
+        m = rng.integers(2, 5)
+        idx = rng.choice(64, m, replace=False)
+        tiny = 10 ** rng.uniform(-12, -9)
+        weights = (tiny, *rng.dirichlet(np.ones(m - 1)) * (1 - tiny))
+        units = tuple(all_tables()[i] for i in idx)
+        targets.append(lhv_match_table(DeterministicLhv(Population(units=units, weights=weights))))
+    return targets
+
+
 TARGET_SETS = {
-    "300 integer triples": np.random.default_rng(1).integers(0, 360, (300, 3)),
-    "240 real triples": np.random.default_rng(2).uniform(0, 360, (240, 3)),
+    "300 integer triples": angle_targets(np.random.default_rng(1).integers(0, 360, (300, 3))),
+    "240 real triples": angle_targets(np.random.default_rng(2).uniform(0, 360, (240, 3))),
+    "150 tiny-weight mixtures": tiny_weight_mixtures(),
 }
 
 
@@ -98,9 +126,8 @@ def main() -> None:
     start = time.perf_counter()
     simplex.solve = counted
     try:
-        for set_name, triples in TARGET_SETS.items():
+        for set_name, targets in TARGET_SETS.items():
             print(f"{set_name}:")
-            targets = [match_table(AngleTriple.from_degrees(*d)) for d in triples.tolist()]
             print(f"sha256 {census(targets, columns, pivots)}")
     finally:
         simplex.solve = solve
