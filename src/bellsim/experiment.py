@@ -480,44 +480,49 @@ _ROW_TAILS = np.array([
     f",{x1},{x2},{y1 or ''},{y2 or ''},{d1},{d2}".encode()
     for x1, x2, y1, y2, d1, d2 in _ROW_FIELDS.tolist()
 ], "S16")
-_TAIL_BYTES = _ROW_TAILS.itemsize
-# Reader: each tail as two little-endian words, its length, and a table
-# from a multiplicative hash of the words' XOR to the row code: the 81
-# tails fill 81 distinct slots of 2048.
-_TAIL_W0, _TAIL_W1 = _ROW_TAILS.view("<u8").reshape(-1, 2).T
+# Text moves as little-endian words, the first byte lowest: a row ends in
+# its code's two words of _ROW_LINES, tail and "\r\n"; a line's last two are
+# hashed (81 of 2048 slots) and compared with the tails right-aligned.
+_ROW_LINES = np.char.add(_ROW_TAILS, b"\r\n").astype("S16").view("<u8").reshape(-1, 2).T.copy()
+_TAIL_W0, _TAIL_W1 = np.array([t.rjust(16, b"\0") for t in _ROW_TAILS.tolist()],
+                              "S16").view("<u8").reshape(-1, 2).T.copy()
 _TAIL_LENGTHS = np.char.str_len(_ROW_TAILS)
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 _HASH_SHIFT = np.uint64(64 - 11)
 _TAIL_CODES = np.zeros(1 << 11, dtype=np.uint8)
 _TAIL_CODES[((_TAIL_W0 ^ _TAIL_W1) * _HASH_MULTIPLIER) >> _HASH_SHIFT] = np.arange(len(_ROW_TAILS))
-_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
-
+_KEEP = np.array([2**64 - 2**(64 - 8 * k) for k in range(9)], "u8")  # a word's last k bytes
+_COMMAS, _ZEROS, _LOW7, _SIXES, _HIGH_NIBBLES = (
+    np.uint64(0x0101010101010101 * b) for b in (ord(","), ord("0"), 0x7F, 0x06, 0xF0))
 _POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
 _MAX_DIGITS = 19  # of an int64
+# The decimal places 0000 to 9999 as ASCII, the first byte lowest.
+_DIGITS = np.char.zfill(np.arange(10**4).astype("S4"), 4).view("<u4")
 
 
 def _encode_rows(index: np.ndarray, codes: np.ndarray) -> bytes:
     """Rows as ``csv.writer`` writes them: each index in decimal, then the
     tail at its row code and ``\\r\\n``.
 
-    Row ``r`` is laid out in a NUL-filled byte grid: its sign and its
-    digits, right-aligned in the first ``width`` columns, then its tail and
-    ``\\r\\n``. The non-NUL bytes of the grid, in row-major order, are the text.
+    A row is ``words + 2`` words: sign and digits right-aligned in the first
+    ``words``, eight places a word after NULs, then :data:`_ROW_LINES` at its
+    code. The non-NUL bytes of the rows, in order, are the text.
     """
     negative = index < 0
     magnitude = np.where(negative, -index.view(np.uint64), index.view(np.uint64))
     digits = np.searchsorted(_POW10[1:], magnitude, side="right") + 1
-    width = int(digits.max(initial=1)) + 1  # a column for the sign
-    grid = np.zeros((len(index), width + _TAIL_BYTES + 2), np.uint8)
-    rest = magnitude
-    for place in range(width - 1):
-        rest, digit = np.divmod(rest, 10)
-        grid[:, width - 1 - place] = np.where(place < digits, digit + ord("0"), 0)
-    rows = np.flatnonzero(negative)
-    grid[rows, width - 1 - digits[rows]] = ord("-")
-    grid[:, width:-2] = _ROW_TAILS.view(np.uint8).reshape(-1, _TAIL_BYTES)[codes]
-    grid[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
-    return grid[grid != 0].tobytes()
+    words = -(-int((digits + negative).max(initial=1)) // 8)
+    grid = np.empty((len(index), words + 2), "<u8")
+    for k in range(words):  # the word of places 8k to 8k + 7
+        magnitude, word = np.divmod(magnitude, _POW10[8]) if k < words - 1 else (0, magnitude)
+        high = word // _POW10[4]
+        low = _DIGITS.take(word - high * _POW10[4]).astype(np.uint64)
+        word = _DIGITS.take(high) | low << np.uint64(32)
+        grid[:, words - 1 - k] = word & _KEEP.take(np.clip(digits - 8 * k, 0, 8))
+    grid[:, words], grid[:, words + 1] = _ROW_LINES.take(codes, axis=1)
+    text = grid.view(np.uint8)
+    text[negative, 8 * words - 1 - digits[negative]] = ord("-")
+    return text[text != 0].tobytes()
 
 
 def write_dataset_csv(data: TrialDataset, target: str | Path | BinaryIO) -> None:
@@ -592,48 +597,46 @@ def _decode_rows(block: bytes, first_line: int) -> tuple[np.ndarray, np.ndarray,
 
     Blank lines are skipped; any other line that is not an int64 index in
     canonical decimal followed by a tail of :data:`_ROW_TAILS` raises
-    ``ValueError``.
+    ``ValueError``. A line is read in words: the last two hold the tail,
+    and those that end at its comma the index, eight decimal places each.
     """
-    buf = block + bytes(_TAIL_BYTES)  # room for the two words read after a comma
+    buf = bytes(40) + block  # room for the words read before a line
     a = np.frombuffer(buf, np.uint8)
-    ends = np.flatnonzero(a == ord("\n"))
-    starts = np.concatenate(([0], ends + 1))[:-1]
-    stops = ends - (a[ends - 1] == ord("\r"))  # a[-1] is padding
-    lines = np.flatnonzero(stops > starts)
-    starts, stops = starts[lines], stops[lines]
-    # A tail is 10 to 14 bytes long, so the first comma of a valid row is
-    # the leftmost comma of the line among the 10th to 14th bytes from its
-    # end; any other line fails a check below whichever comma is found.
-    comma = stops.copy()  # no comma: a tail of length 0
-    for length in range(_TAIL_LENGTHS.min(), _TAIL_LENGTHS.max() + 1):
-        at = stops - length
-        comma = np.where((at >= starts) & (a.take(at, mode="clip") == ord(",")), at, comma)
-
-    # The tail: two unaligned words from the first comma, the second cut to
-    # the line, looked up by hash and compared in full.
     words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
-    length = stops - comma
-    w0 = words[comma]
-    w1 = words[comma + 8] & _LOW_BYTES[np.clip(length - 8, 0, 8)]
-    codes = _TAIL_CODES[((w0 ^ w1) * _HASH_MULTIPLIER) >> _HASH_SHIFT]
-    valid = (_TAIL_W0[codes] == w0) & (_TAIL_W1[codes] == w1) & (_TAIL_LENGTHS[codes] == length)
+    ends = np.flatnonzero(a == ord("\n"))
+    starts = np.concatenate(([40], ends + 1))[:-1]
+    stops = ends - (a.take(ends - 1) == ord("\r"))
+    lines = np.flatnonzero(stops > starts)
+    starts, stops = starts.take(lines), stops.take(lines)
 
-    # The index, one decimal place at a time from the right.
-    negative = a[starts] == ord("-")
+    # The tail, 10 to 14 bytes, starts at the first comma among the line's
+    # bytes in w0, which x marks exactly (its zero bytes): an index has none.
+    w0, w1 = words[stops - 16], words[stops - 8]
+    x = w0 ^ _COMMAS
+    x = ~(((x & _LOW7) + _LOW7) | x | _LOW7) & _KEEP.take(np.clip(stops - starts - 8, 0, 8))
+    w0 &= -((x & -x) >> np.uint64(7))  # the bytes from the lowest mark on
+    codes = _TAIL_CODES.take((((w0 ^ w1) * _HASH_MULTIPLIER) >> _HASH_SHIFT).astype(np.intp))
+    valid = (_TAIL_W0.take(codes) == w0) & (_TAIL_W1.take(codes) == w1)
+    comma = stops - _TAIL_LENGTHS.take(codes)
+
+    # The index, eight places a word from the comma leftward (Langdale and Lemire, 2019).
+    negative = a.take(starts) == ord("-")
     digits = comma - starts - negative
-    leading = a[starts + negative]
+    leading = a.take(starts + negative)
     valid &= (digits >= 1) & (digits <= _MAX_DIGITS)
     valid &= (leading != ord("0")) | (digits == 1) & ~negative
     magnitude = np.zeros(len(starts), np.uint64)
-    for place in range(min(int(digits.max(initial=1)), _MAX_DIGITS)):
-        digit = a.take(comma - 1 - place, mode="clip") - np.uint8(ord("0"))
-        inside = place < digits
-        valid &= (digit <= 9) | ~inside
-        magnitude += np.where(inside, digit, np.uint8(0)) * _POW10[place]
+    for place in range(0, min(int(digits.max(initial=1)), _MAX_DIGITS), 8):
+        word = (words[comma - place - 8] ^ _ZEROS) & _KEEP.take(np.clip(digits - place, 0, 8))
+        valid &= ((word | word + _SIXES) & _HIGH_NIBBLES) == 0  # every byte 0 to 9
+        for lane in (8, 16, 32):  # each pair of lanes joins: 10**(lane / 8) * first + second
+            word = word * np.uint64(10 ** (lane // 8) << lane | 1) >> np.uint64(lane)
+            word &= np.uint64((2**64 - 1) // (2**lane + 1))  # keep the even lanes
+        magnitude += word * _POW10[place]
     valid &= magnitude <= np.uint64(2**63 - 1) + negative
     if not valid.all():
         bad = int(np.flatnonzero(~valid)[0])
-        raise _row_error(block[starts[bad]:stops[bad]], first_line + int(lines[bad]))
+        raise _row_error(buf[starts[bad]:stops[bad]], first_line + int(lines[bad]))
     return np.where(negative, -magnitude, magnitude).view(np.int64), codes, len(ends)
 
 
@@ -679,8 +682,10 @@ def read_dataset_csv(source: str | Path | BinaryIO) -> TrialDataset:
     Indices must be strictly increasing, as generation produces them.
     Anything else raises ``ValueError``.
 
-    Lines are decoded a block at a time with numpy, each row's tail to its row
-    code, and the blocks are joined; :func:`read_row_counts` needs no join.
+    Lines are decoded a block at a time with numpy, eight bytes to a word:
+    each line's last 16 bytes from its first comma to its row code, and the
+    words that end at that comma to its index. The blocks are joined;
+    :func:`read_row_counts` needs no join.
     """
     index, code = [np.empty(0, np.int64)], [np.empty(0, np.uint8)]
     for block_index, block_code in _dataset_blocks(source):
@@ -721,16 +726,33 @@ def _parsed(doc: dict, key: str, parse):
         raise ConfigError(f"sidecar {key} does not parse: {exc!r}") from exc
 
 
-def _angles(degrees) -> AngleTriple:
-    """The sidecar's ``angles_degrees``: a JSON list of three finite numbers."""
-    if len(degrees := _numbers(degrees, "angles_degrees")) != 3:
-        raise ValueError(f"angles_degrees must hold three angles, got {len(degrees)}")
-    return AngleTriple.from_degrees(*degrees)
+def _angle_triple(values, key: str, make) -> AngleTriple:
+    """The sidecar's ``key`` entry, a JSON list of three finite numbers, as
+    the angles ``make`` (:meth:`AngleTriple.from_radians` or
+    :meth:`AngleTriple.from_degrees`) gives."""
+    if len(values := _numbers(values, key)) != 3:
+        raise ValueError(f"{key} must hold three angles, got {len(values)}")
+    return make(*values)
+
+
+def _angles(doc: dict) -> AngleTriple | None:
+    """The sidecar's angles: ``angles_radians``, the run's own bit for bit,
+    else ``angles_degrees``, all that older sidecars hold, whose conversion
+    can move an angle by an ulp. Where both are present they must agree."""
+    radians = _parsed(doc, "angles_radians", lambda values: _angle_triple(
+        values, "angles_radians", AngleTriple.from_radians))
+    degrees = _parsed(doc, "angles_degrees", lambda values: _angle_triple(
+        values, "angles_degrees", AngleTriple.from_degrees))
+    if radians is not None and degrees is not None and radians != degrees:
+        raise ConfigError(f"sidecar angles_radians and angles_degrees disagree: "
+                          f"{list(radians.degrees())} against {list(degrees.degrees())} degrees")
+    return degrees if radians is None else radians
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """The configuration a sidecar written by :func:`config_to_dict`
-    describes; a malformed sidecar raises :class:`ConfigError`."""
+    """The configuration a sidecar written by :func:`write_metadata`, or a
+    document of :func:`config_to_dict`, describes; a malformed sidecar
+    raises :class:`ConfigError`."""
     if not isinstance(doc, dict):
         raise ConfigError(f"a sidecar must be a JSON object, got {type(doc).__name__}")
     missing = [key for key in ("n_trials", "seed", "source") if key not in doc]
@@ -740,7 +762,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         n_trials=doc["n_trials"],
         seed=doc["seed"],
         source=doc["source"],
-        angles=_parsed(doc, "angles_degrees", _angles),
+        angles=_angles(doc),
         model=_parsed(doc, "model", model_from_dict),
         solution=_parsed(doc, "solution", loophole_mod.LpSolution.from_dict),
         setting_distribution=doc.get("setting_distribution", UNIFORM_9),
@@ -748,6 +770,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def write_metadata(config: ExperimentConfig, path: str | Path) -> None:
+    """Write the sidecar of a run: :func:`config_to_dict`, and for a run
+    with angles ``angles_radians``, which give them back bit for bit."""
+    doc = config_to_dict(config)
+    if config.angles:
+        doc["angles_radians"] = [a.radians for a in config.angles.theta]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")

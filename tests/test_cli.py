@@ -236,7 +236,9 @@ class TestSimulateAndTest:
         assert code == 0 and out == ""
         assert out_file.read_text() == printed
         sidecar = json.loads((tmp_path / "d.json.meta.json").read_text())
+        radians = sidecar.pop("angles_radians")  # the sidecar's alone: the angles bit for bit
         assert sidecar == json.loads(printed)["config"]
+        assert radians == [math.radians(d) for d in (60, 0, 120)]
         assert sorted(os.listdir(tmp_path)) == ["d.json", "d.json.meta.json"]
 
     def test_missing_solution_file_is_invalid_input(self, tmp_path, capsys):

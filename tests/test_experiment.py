@@ -34,6 +34,7 @@ from bellsim.experiment import (
     read_row_counts,
     run_experiment,
     write_dataset_csv,
+    write_metadata,
 )
 from bellsim.counterfactuals import violation_margin
 from bellsim.lhv import DeterministicLhv, StochasticLocalModel
@@ -45,6 +46,12 @@ CANONICAL = AngleTriple.from_degrees(60, 0, 120)
 
 def quantum_config(n=1000, seed=7, **kw):
     return ExperimentConfig(n_trials=n, seed=seed, source=SOURCE_QUANTUM, angles=CANONICAL, **kw)
+
+
+def sidecar(config, tmp_path) -> dict:
+    """The sidecar :func:`write_metadata` writes for ``config``, read back."""
+    write_metadata(config, tmp_path / "side.json")
+    return json.loads((tmp_path / "side.json").read_text())
 
 
 def single_table_config(n=1000, seed=3):
@@ -197,6 +204,41 @@ class TestConfigValidation:
         }[case]
         with pytest.raises(ConfigError, match=match):
             config_from_dict(doc)
+
+    def test_sidecar_gives_back_the_angles_bit_for_bit(self, tmp_path):
+        # Through degrees, 14 of the triples (d, 0, 120) came back an ulp off.
+        random = np.random.default_rng(11).uniform(0, 360, (200, 3)).tolist()
+        for degrees in [(d, 0, 120) for d in range(360)] + random:
+            angles = AngleTriple.from_degrees(*degrees)
+            doc = sidecar(ExperimentConfig(n_trials=1, seed=1, source=SOURCE_QUANTUM,
+                                           angles=angles), tmp_path)
+            restored = config_from_dict(doc).angles
+            assert [a.radians for a in restored.theta] == [a.radians for a in angles.theta]
+
+    def test_sidecar_regenerates_the_dataset(self, tmp_path):
+        config = ExperimentConfig(n_trials=20_000, seed=5, source=SOURCE_QUANTUM,
+                                  angles=AngleTriple.from_degrees(228, 0, 120))
+        restored = config_from_dict(sidecar(config, tmp_path))
+        written = []
+        for cfg in (config, restored):
+            buf = io.BytesIO()
+            write_dataset_csv(run_experiment(cfg), buf)
+            written.append(buf.getvalue())
+        assert written[0] == written[1]
+
+    def test_degrees_only_sidecar_still_reads(self, tmp_path):
+        doc = sidecar(quantum_config(), tmp_path)
+        del doc["angles_radians"]
+        assert config_from_dict(doc) == quantum_config()
+        assert config_from_dict({**doc, "angles_radians": None}) == quantum_config()
+        assert sidecar(single_table_config(), tmp_path) == config_to_dict(single_table_config())
+
+    def test_sidecar_angles_must_agree(self, tmp_path):
+        doc = sidecar(quantum_config(), tmp_path)
+        with pytest.raises(ConfigError, match="angles_radians and angles_degrees disagree"):
+            config_from_dict({**doc, "angles_degrees": [60, 0, 121]})
+        with pytest.raises(ConfigError, match="angles_radians does not parse: .*got 2"):
+            config_from_dict({**doc, "angles_radians": [1.0, 0.0]})
 
 
 class TestTrialRecord:
@@ -632,6 +674,29 @@ def test_csv_round_trip_property(block_trials, records):
         assert written.getvalue() == expected
         for data, read in itertools.product((expected, expected.replace(b"\r\n", b"\n")), READERS):
             assert_reads(read, io.BytesIO(data), records)
+
+
+#: Indices at the codec's eight-digit word boundaries: 10**k - 1 and 10**k,
+#: runs across 10**8 and 10**16, and the signs and extremes of int64.
+WORD_BOUNDARY_INDICES = sorted(
+    {10**k + d for k in range(1, 19) for d in (-1, 0)}
+    | set(range(10**8 - 20, 10**8 + 20)) | set(range(10**16 - 20, 10**16 + 20))
+    | {-1, -(10**8), -(2**63), 2**63 - 1}
+)
+
+
+@pytest.mark.parametrize("block_trials", (experiment.BLOCK_TRIALS, 3))
+@pytest.mark.parametrize("sign", (1, -1))
+def test_writer_matches_csv_module_at_word_boundaries(block_trials, sign, monkeypatch):
+    monkeypatch.setattr(experiment, "BLOCK_TRIALS", block_trials)
+    indices = sorted({sign * i for i in WORD_BOUNDARY_INDICES if -(2**63) <= sign * i < 2**63})
+    data = TrialDataset(indices, np.arange(len(indices)) * 7 % 81)
+    records = list(data)
+    written = io.BytesIO()
+    write_dataset_csv(data, written)
+    assert written.getvalue() == csv_module_bytes(records)
+    for read in READERS:
+        assert_reads(read, io.BytesIO(written.getvalue()), records)
 
 
 class TestSerialization:
