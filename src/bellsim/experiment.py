@@ -45,7 +45,13 @@ from .lhv import (
     sample_mixture_lanes,
     sample_stochastic_lanes,
 )
-from .quantum import AngleTriple, _check_setting, sample_outcome_pair, sample_outcome_pair_lanes
+from .quantum import (
+    AngleTriple,
+    _check_setting,
+    _row_code,
+    sample_outcome_pair,
+    sample_outcome_pair_lanes,
+)
 from .rng import SplitMix64, derive_seed, lane_draws, uniform_lanes
 
 SOURCE_QUANTUM = "quantum"
@@ -55,8 +61,9 @@ SOURCE_LOOPHOLE = "loophole"
 #: Every source, in the order of the ``--source`` choices: the payloads of
 #: :class:`ExperimentConfig` it uses, each mapped to its type, the last
 #: required and read by its sampler; the uniforms its sampler draws per
-#: trial; and the sampler, which maps ``(payload, x1, x2, u)`` to the spins
-#: (y1, y2), 0 where undetected. A loophole run keeps the angles its
+#: trial; and the sampler, which maps ``(payload, pair, u)``, the block's
+#: setting pairs ``3 * x1 + x2`` and its ``(draws, trials)`` uniforms, to
+#: the block's uint8 row codes. A loophole run keeps the angles its
 #: demonstration solution was built for.
 _Source = namedtuple("_Source", "uses draws sample_lanes")
 _SOURCES = {
@@ -163,11 +170,6 @@ class TrialRecord:
                 raise ValueError(f"y{name} must be -1 or +1, got {outcome!r}")
 
 
-def _row_code(x1, x2, y1, y2):
-    """A trial's row code, 0 to 80, from its settings and spins (0 undetected)."""
-    return ((x1 * 3 + x2) * 3 + y1 + 1) * 3 + y2 + 1
-
-
 #: The fields ``x1, x2, y1, y2, d1, d2`` of every valid row at its code;
 #: spin 0 means undetected.
 _ROW_FIELDS = np.array(
@@ -258,34 +260,41 @@ class TrialDataset:
 
 _THREE = np.uint64(3)
 _REJECTED = np.uint64(2**64 - 1)  # the one draw randbelow(3) rejects
-_BELL_PAIR_SETTINGS = np.array(BELL_PAIRS).T  # column k holds BELL_PAIRS[k]
+_BELL_PAIR_INDEX = np.array([3 * x1 + x2 for x1, x2 in BELL_PAIRS])  # BELL_PAIRS[k] as a pair
 
 
 def _uniform_9(words: np.ndarray, seed: int, start: int) -> np.ndarray:
-    """x1 and x2 as ``randbelow(3)`` of rows 0 and 1 of ``words``, after
-    giving, in place, every lane whose setting draw is the word it rejects
-    the draws its trial makes one at a time. ``mix64`` is a bijection and a
-    stream's counters are distinct, so the word occurs at most once in a
-    trial's stream: the trial's draws are the first ``len(words) + 1`` of its
-    stream with that word deleted."""
+    """Each trial's setting pair ``3 * x1 + x2``, x1 and x2 being
+    ``randbelow(3)`` of rows 0 and 1 of ``words``, after giving, in place,
+    every lane whose setting draw is the word it rejects the draws its
+    trial makes one at a time.
+    ``mix64`` is a bijection and a stream's counters are distinct, so the
+    word occurs at most once in a trial's stream: the trial's draws are the
+    first ``len(words) + 1`` of its stream with that word deleted."""
     settings = words[:2]
-    for hit in np.flatnonzero(settings == _REJECTED).tolist():
-        row, lane = divmod(hit, words.shape[1])
-        i = start + lane
-        stream = lane_draws(seed, i, i + 1, len(words) + 1)[:, 0]
-        words[:, lane] = np.delete(stream, row)
-    return (settings % _THREE).astype(np.intp)
+    if settings.max() == _REJECTED:
+        for hit in np.flatnonzero(settings == _REJECTED).tolist():
+            row, lane = divmod(hit, words.shape[1])
+            i = start + lane
+            stream = lane_draws(seed, i, i + 1, len(words) + 1)[:, 0]
+            words[:, lane] = np.delete(stream, row)
+    x = settings % _THREE
+    pair = x[0] * _THREE
+    pair += x[1]
+    return pair.view(np.intp)  # below 9, so the same value as intp
 
 
 def _uniform_4(words: np.ndarray, seed: int, start: int) -> np.ndarray:
-    """x1 and x2 as the statistic pair ``randbelow(4)`` of row 0 of ``words``
-    picks; ``randbelow(4)`` never rejects, since 4 divides 2**64."""
-    return _BELL_PAIR_SETTINGS[:, words[0] & _THREE]
+    """Each trial's setting pair ``3 * x1 + x2``, the statistic pair that
+    ``randbelow(4)`` of row 0 of ``words`` picks; ``randbelow(4)`` never
+    rejects, since 4 divides 2**64."""
+    return _BELL_PAIR_INDEX.take((words[0] & _THREE).view(np.intp))
 
 
 #: Each setting distribution: its draws per trial, and ``decode(words, seed,
-#: start)``, the ``(2, trials)`` array of x1 and x2 of the block of trials
-#: from ``start`` whose draws, the setting rows first, are ``words``.
+#: start)``, the setting pairs ``3 * x1 + x2`` (intp, 0 to 8) of the block
+#: of trials from ``start`` whose draws, the setting rows first, are
+#: ``words``.
 _Settings = namedtuple("_Settings", "draws decode")
 _SETTINGS = {UNIFORM_9: _Settings(2, _uniform_9), UNIFORM_4: _Settings(1, _uniform_4)}
 
@@ -296,11 +305,12 @@ def run_experiment(config: ExperimentConfig) -> TrialDataset:
 
     Trials are generated in blocks of :data:`BLOCK_TRIALS`. A block takes
     every draw its trials make as one ``(draws, trials)`` matrix from
-    :func:`~bellsim.rng.lane_draws`: the settings' rows first, then the
-    source's, which its sampler receives as uniforms. Trial randomness is
-    keyed by (seed, trial index), so the block size cannot change what any
-    trial draws. The distribution and the source are looked up in
-    :data:`_SETTINGS` and :data:`_SOURCES` once per call.
+    :func:`~bellsim.rng.lane_draws`: the settings' rows first, which decode
+    to each trial's setting pair, then the source's, which its sampler
+    receives as uniforms and turns, with the pairs, into the row codes.
+    Trial randomness is keyed by (seed, trial index), so the block size
+    cannot change what any trial draws. The distribution and the source are
+    looked up in :data:`_SETTINGS` and :data:`_SOURCES` once per call.
     """
     n = config.n_trials
     code = np.empty(n, dtype=np.uint8)
@@ -311,9 +321,8 @@ def run_experiment(config: ExperimentConfig) -> TrialDataset:
     for start in range(0, n, BLOCK_TRIALS):
         stop = min(start + BLOCK_TRIALS, n)
         words = lane_draws(config.seed, start, stop, settings.draws + source.draws)
-        x1, x2 = settings.decode(words, config.seed, start)
-        y1, y2 = source.sample_lanes(payload, x1, x2, uniform_lanes(words[settings.draws:]))
-        code[start:stop] = _row_code(x1, x2, y1, y2)
+        pair = settings.decode(words, config.seed, start)
+        code[start:stop] = source.sample_lanes(payload, pair, uniform_lanes(words[settings.draws:]))
     return TrialDataset(np.arange(n), code)
 
 
@@ -360,13 +369,14 @@ _FILL = (1, -1)
 
 
 def _cell_folds() -> dict:
-    """Per conditioning, the ``(3, 3, 3, 81)`` 0/1 matrix that sends the
-    count of each row code to the trials, the coincidences and the matches
-    the conditioning counts, of its setting pair."""
-    fold = np.zeros((4, 3, 3, len(_ROW_FIELDS)), dtype=np.int64)
-    for code, (x1, x2, y1, y2, d1, d2) in enumerate(_ROW_FIELDS.tolist()):
+    """Per conditioning, the ``(3, 9)`` 0/1 matrix that sends the counts of
+    a setting pair's nine row codes, ``9 * pair`` to ``9 * pair + 8``, to
+    the pair's trials, coincidences and the matches the conditioning
+    counts."""
+    fold = np.zeros((4, 9), dtype=np.int64)
+    for k, (_, _, y1, y2, d1, d2) in enumerate(_ROW_FIELDS[:9].tolist()):
         filled = (y1 or _FILL[0]) * (y2 or _FILL[1]) == 1
-        fold[:, x1, x2, code] = 1, d1 & d2, y1 * y2 == 1, filled
+        fold[:, k] = 1, d1 & d2, y1 * y2 == 1, filled
     return {CONDITION_COINCIDENCES: fold[[0, 1, 2]], CONDITION_ALL_PAIRS: fold[[0, 1, 3]]}
 
 
@@ -430,7 +440,7 @@ def estimate(
         raise ValueError(f"confidence {confidence!r} outside (0, 1)")
 
     counts = _row_counts(dataset)
-    grids = (_CELL_FOLDS[conditioning] @ counts).tolist()
+    grids = (_CELL_FOLDS[conditioning] @ counts.reshape(9, 9).T).reshape(3, 3, 3).tolist()
     trials, coinc, matches = (tuple(map(tuple, grid)) for grid in grids)
     denoms = coinc if conditioning == CONDITION_COINCIDENCES else trials
 

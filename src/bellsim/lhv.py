@@ -23,7 +23,7 @@ from typing import Union
 import numpy as np
 
 from .counterfactuals import CounterfactualTable, Population
-from .quantum import SETTINGS, MatchProbabilityTable
+from .quantum import SETTINGS, MatchProbabilityTable, _row_code, two_draw_codes
 
 
 @dataclass(frozen=True)
@@ -41,15 +41,12 @@ class DeterministicLhv:
         return cls(Population(units=(table,)))
 
     @cached_property
-    def _sampling_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cumulative weights and every unit's ``y1`` and ``y2`` spins, for
+    def _sampling_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cumulative weights and every unit's :func:`pair_codes`, for
         :func:`sample_from_lhv` and :func:`sample_mixture_lanes`."""
         units = self.mixture.units
-        return (
-            cumulative_weights(self.mixture.weights),
-            np.array([u.y1 for u in units], dtype=np.int8),
-            np.array([u.y2 for u in units], dtype=np.int8),
-        )
+        return (cumulative_weights(self.mixture.weights),
+                pair_codes([u.y1 for u in units], [u.y2 for u in units]))
 
 
 @dataclass(frozen=True)
@@ -181,30 +178,43 @@ def sample_from_lhv(model: LocalModel, pair: tuple[int, int], rng) -> tuple[int,
     raise TypeError(f"not a local model: {model!r}")
 
 
-def sample_mixture_lanes(
-    mixture, x1: np.ndarray, x2: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def pair_codes(y1, y2) -> np.ndarray:
+    """The units x 9 uint8 table of each unit's row code at each setting
+    pair ``3 * x1 + x2``, from its spins ``y1[k, x1]`` and ``y2[k, x2]``, 0
+    where unit ``k`` does not detect at that setting."""
+    x1, x2 = np.divmod(np.arange(9), 3)
+    return _row_code(x1, x2, np.asarray(y1)[:, x1], np.asarray(y2)[:, x2]).astype(np.uint8)
+
+
+def sample_mixture_lanes(mixture, pair: np.ndarray, u: np.ndarray) -> np.ndarray:
     """A block of trials, one a column, from a :class:`DeterministicLhv` or
     a feasible :class:`~bellsim.loophole.LpSolution`, whose ``_sampling_arrays``
-    are its units' cumulative weights and spins ``y1[k, x]`` and ``y2[k, x]``,
-    0 where unit ``k`` does not detect at setting ``x``. Row 0 of ``u`` picks
-    each trial's unit by cumulative-weight inversion, as the scalar samplers
-    do. Returns the int8 spins (y1, y2) at settings ``x1``/``x2``.
+    are its units' cumulative weights and :func:`pair_codes`. Row 0 of ``u``
+    picks each trial's unit by cumulative-weight inversion, as the scalar
+    samplers do. Returns the uint8 row codes of those units at each trial's
+    setting pair ``pair``.
     """
-    cumulative, y1, y2 = mixture._sampling_arrays
-    k = np.searchsorted(cumulative, u[0], side="right")
-    return y1[k, x1], y2[k, x2]
+    cumulative, codes = mixture._sampling_arrays
+    k = np.searchsorted(cumulative, u[0], side="right") * 9
+    k += pair
+    return codes.take(k)  # codes[unit, pair], flat; faster than a 2-D index
 
 
-def sample_stochastic_lanes(
-    model: StochasticLocalModel, x1: np.ndarray, x2: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+# k = 2 * (y1 is +1) + (y2 is +1).
+_SPIN_CODES = two_draw_codes(((-1, -1), (-1, 1), (1, -1), (1, 1)))
+
+
+def sample_stochastic_lanes(model: StochasticLocalModel, pair: np.ndarray,
+                            u: np.ndarray) -> np.ndarray:
     """:func:`sample_from_lhv` of a stochastic model for a block of trials,
     one trial a column: rows 0 and 1 of ``u`` hold the uniforms that draw
-    particle 1's and particle 2's spin. Returns int8 spin arrays."""
-    y1 = np.where(u[0] < np.array(model.p1)[x1], np.int8(1), np.int8(-1))
-    y2 = np.where(u[1] < np.array(model.p2)[x2], np.int8(1), np.int8(-1))
-    return y1, y2
+    particle 1's and particle 2's spin, +1 where the uniform is below the
+    spin-up probability at its setting of the pair ``3 * x1 + x2``. Returns
+    the uint8 row codes."""
+    k = pair * 4
+    k += 2 * (u[0] < np.repeat(model.p1, 3).take(pair))  # p1[x1] at pair 3 * x1 + x2
+    k += u[1] < np.tile(model.p2, 3).take(pair)
+    return _SPIN_CODES.take(k)
 
 
 def model_to_dict(model: LocalModel) -> dict:

@@ -242,19 +242,40 @@ def sample_outcome_pair(
     return y1, y2
 
 
-def sample_outcome_pair_lanes(
-    angles: AngleTriple, x1: np.ndarray, x2: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _row_code(x1, x2, y1, y2):
+    """A trial's row code, 0 to 80, from its settings and spins (0
+    undetected): ``9 * pair + 3 * (y1 + 1) + y2 + 1``, where the setting
+    pair is ``pair = 3 * x1 + x2``."""
+    return ((x1 * 3 + x2) * 3 + y1 + 1) * 3 + y2 + 1
+
+
+def two_draw_codes(outcomes) -> np.ndarray:
+    """The row code of every setting pair with each of the four spin pairs
+    ``outcomes``, as a flat uint8 table: entry ``4 * pair + k`` is the code
+    of ``pair`` with ``outcomes[k]``. A sampler that picks ``k`` from two
+    comparisons, ``2 * first + second``, reads its codes off it."""
+    return np.array([_row_code(*divmod(pair, 3), y1, y2)
+                     for pair in range(9) for y1, y2 in outcomes], dtype=np.uint8)
+
+
+# k = 2 * (y1 is +1) + (y2 matches y1).
+_OUTCOME_CODES = two_draw_codes(((-1, 1), (-1, -1), (1, -1), (1, 1)))
+
+
+def sample_outcome_pair_lanes(angles: AngleTriple, pair: np.ndarray, u: np.ndarray) -> np.ndarray:
     """:func:`sample_outcome_pair` at ``match_table(angles)`` for a block of
     trials at once.
 
-    ``x1``/``x2`` hold each trial's settings and ``u`` is a ``(2, trials)``
-    matrix whose column holds the trial's two uniforms in [0, 1), in the
-    order ``random()`` would return them. The arguments are those of every
-    source's sampler, the source's payload first. Returns int8 spin arrays
-    equal, trial by trial, to the scalar draws.
+    ``pair`` holds each trial's setting pair ``3 * x1 + x2`` and ``u`` is a
+    ``(2, trials)`` matrix whose column holds the trial's two uniforms in
+    [0, 1), in the order ``random()`` would return them. The arguments are
+    those of every source's sampler, the source's payload first. Returns
+    each trial's uint8 row code, ``9 * pair`` plus the code of its spins:
+    y1 is +1 where ``u[0] < 1/2``, and y2 equals y1 where ``u[1]`` is below
+    the pair's match probability, as in the scalar draws.
     """
-    p_match = match_table(angles).as_array()[x1, x2]
-    y1 = np.where(u[0] < 0.5, np.int8(1), np.int8(-1))
-    y2 = np.where(u[1] < p_match, y1, -y1)
-    return y1, y2
+    p_match = match_table(angles).as_array().ravel()
+    k = pair * 4
+    k += 2 * (u[0] < 0.5)
+    k += u[1] < p_match.take(pair)
+    return _OUTCOME_CODES.take(k)

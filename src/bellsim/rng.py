@@ -125,13 +125,20 @@ def lane_keys(start: int, stop: int) -> np.ndarray:
     return keys
 
 
+#: ``(r + 1) * GOLDEN`` for draws ``r = 0..7`` of a stream, as a column that
+#: :func:`lane_draws` slices: more than any block draws (the largest
+#: settings and source counts, plus the one word a rejection splices out).
+_COUNTERS = np.arange(1, 9, dtype=np.uint64)[:, None] * _GOLDEN_LANE
+
+
 def lane_draws(seed: int, start: int, stop: int, k: int) -> np.ndarray:
     """The first ``k`` draws of the trial streams ``derive_seed(seed, i)`` for
     ``start <= i < stop``, as a ``(k, stop - start)`` matrix: entry ``(r, j)``
     is draw ``r`` of trial ``start + j``, that is
     ``mix64(derive_seed(seed, start + j) + (r + 1) * GOLDEN)``. One
-    splitmix64 pass computes the whole matrix."""
+    splitmix64 pass computes the whole matrix. A ``k`` below 0 or beyond
+    the :data:`_COUNTERS` table raises ``ValueError``."""
+    if not 0 <= k <= len(_COUNTERS):
+        raise ValueError(f"lane_draws makes 0 to {len(_COUNTERS)} draws a trial, got {k}")
     state = _mix64_in_place(lane_keys(start, stop) ^ np.uint64(seed & _MASK64))
-    counters = np.arange(1, k + 1, dtype=np.uint64)
-    counters *= _GOLDEN_LANE
-    return _mix64_in_place(state + counters[:, None])
+    return _mix64_in_place(_COUNTERS[:k] + state)  # faster than state + _COUNTERS[:k]

@@ -111,17 +111,18 @@ class _Tableau:
     takes. ``pivot`` and ``run`` reuse buffers allocated here, so a pivot
     allocates no array: it does ``t[row] /= t[row, col]``, then
     ``t[r] -= t[row] * f_r`` for every row r, f_r being r's entry in the
-    pivot column (0 at ``row``). The product copies the pivot row into
-    every buffer row and scales each by its factor, which numpy runs faster
-    than one multiply with both operands broadcast; a product is the same
-    double in either operand order.
+    pivot column (0 at ``row``). For the product, one buffer holds each
+    row's factor across the row and another the pivot row in every row,
+    and one contiguous multiply joins them: numpy runs the two broadcast
+    copies and that multiply faster than a multiply with an operand
+    broadcast. A product is the same double in either operand order.
     """
 
     def __init__(self, body: np.ndarray, basis: list[int], cost: np.ndarray):
         self.t = np.vstack([body, np.append(cost, 0.0)])
         self.basis = basis
         self.pivots = 0
-        self._factors = np.empty(self.t.shape[0])
+        self._scale = np.empty_like(self.t)
         self._update = np.empty_like(self.t)
         self._entering = np.empty(self.t.shape[1] - 1, dtype=bool)
         for r, b in enumerate(basis):
@@ -130,12 +131,12 @@ class _Tableau:
                 self.t[-1] -= coef * self.t[r]
 
     def pivot(self, row: int, col: int) -> None:
-        t, factors, update = self.t, self._factors, self._update
-        factors[:] = t[:, col]
-        factors[row] = 0.0
+        t, scale, update = self.t, self._scale, self._update
+        scale[:] = t[:, col, None]
+        scale[row] = 0.0
         t[row] /= t[row, col]
         update[:] = t[row]
-        update *= factors[:, None]
+        update *= scale
         t -= update
         self.basis[row] = col
 

@@ -1,7 +1,7 @@
 """Exactness of generated datasets and faking-LP solutions: the bytes and
 records a seed or a program produces are fixed.
 
-Eight independent checks:
+Nine independent checks:
 
 * golden SHA-256 digests of ``bellsim simulate`` stdout for every source and
   setting distribution, recorded from the original per-trial generator;
@@ -14,6 +14,9 @@ Eight independent checks:
 * the draws per trial that ``experiment`` declares for each source and
   setting distribution, against the calls the scalar samplers and the
   scalar setting recipe make;
+* each source's lane sampler, at every setting pair, against its scalar
+  sampler on uniforms at the edges: 0, 1/2, 1 - 2**-53 and each threshold
+  a uniform is compared with;
 * seeds built by inverting ``mix64`` so that one trial's ``randbelow(3)``
   draws the single rejected value ``2**64 - 1``, at either end of a block,
   or so that a draw that may take that value (``randbelow(4)``, a
@@ -274,6 +277,70 @@ def test_settings_table_declares_what_the_scalar_recipe_draws(distribution):
         rng = CountingRng(derive_seed(6, i))
         reference_settings(distribution, rng)
         assert rng.calls == {"randbelow": experiment._SETTINGS[distribution].draws}
+
+
+def test_counter_table_holds_every_block_and_its_splice():
+    # A block draws the settings' rows and the source's, and a rejected
+    # uniform-9 lane redraws one word more.
+    most = (max(s.draws for s in experiment._SETTINGS.values())
+            + max(s.draws for s in experiment._SOURCES.values()) + 1)
+    assert most <= len(rng._COUNTERS)
+    assert experiment.lane_draws(3, 0, 2, most).shape == (most, 2)
+
+
+class FixedUniforms:
+    """A generator whose ``random()`` returns the given uniforms in turn."""
+
+    def __init__(self, uniforms):
+        self._uniforms = iter(uniforms)
+
+    def random(self):
+        return next(self._uniforms)
+
+
+# Besides the reference payloads, thresholds of exactly 0 and 1: axes 180
+# degrees apart always match, and spin-up probabilities of 0 and 1.
+EDGE_PAYLOADS = {
+    SOURCE_QUANTUM: (CANONICAL, AngleTriple.from_degrees(0, 180, 90)),
+    SOURCE_DETERMINISTIC_LHV: (MIXTURE,),
+    SOURCE_STOCHASTIC_LHV: (STOCHASTIC, StochasticLocalModel((0.0, 0.5, 1.0), (1.0, 0.25, 0.0))),
+    SOURCE_LOOPHOLE: (LpSolution.from_dict(FAKING),),
+}
+
+
+def edge_uniforms(payload):
+    """0, 1/2, 1 - 2**-53, and every threshold below 1 that the payload's
+    samplers compare a uniform with: match probabilities, spin-up
+    probabilities or cumulative weights. A uniform is never 1."""
+    if isinstance(payload, AngleTriple):
+        thresholds = match_table(payload).as_array().ravel().tolist()
+    elif isinstance(payload, StochasticLocalModel):
+        thresholds = [*payload.p1, *payload.p2]
+    else:
+        thresholds = payload._sampling_arrays[0].tolist()
+    return sorted({0.0, 0.5, 1.0 - 2.0**-53, *(t for t in thresholds if t < 1.0)})
+
+
+@pytest.mark.parametrize("source", ALL_SOURCES)
+def test_lane_samplers_match_the_scalar_samplers_at_edge_uniforms(source):
+    # Every setting pair with every combination of edge uniforms: a lane's
+    # code is the code of the scalar sampler's draw, spin 0 where undetected.
+    entry = experiment._SOURCES[source]
+    *_, sampled = entry.uses
+    for payload in EDGE_PAYLOADS[source]:
+        config = ExperimentConfig(1, 0, source, **{sampled: payload})
+        lanes = list(itertools.product(range(9),
+                                       itertools.product(edge_uniforms(payload), repeat=entry.draws)))
+        pair = np.array([p for p, _ in lanes], dtype=np.intp)
+        u = np.array([us for _, us in lanes]).T
+        codes = entry.sample_lanes(payload, pair, u)
+        assert codes.dtype == np.uint8
+        expected = []
+        for p, us in lanes:
+            x1, x2 = divmod(p, 3)
+            y1, y2, _, _ = reference_outcomes(config, (x1, x2), FixedUniforms(us))
+            expected.append(experiment._row_code(x1, x2, y1 or 0, y2 or 0))
+        assert codes.tolist() == expected
 
 
 def test_lane_key_cache_hits_misses_and_evicts(monkeypatch):

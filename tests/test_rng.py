@@ -107,3 +107,12 @@ def test_mixing_in_chunks_matches_scalar_mix(monkeypatch):
     for j in range(7):
         stream = SplitMix64(derive_seed(3, 10 + j))
         assert words[:, j].tolist() == [stream.next_uint64() for _ in range(3)]
+
+
+def test_lane_draws_refuses_draws_beyond_its_counter_table():
+    size = len(rng._COUNTERS)
+    assert lane_draws(1, 0, 3, size).shape == (size, 3)
+    assert lane_draws(1, 0, 3, 0).shape == (0, 3)
+    for k in (size + 1, -1):
+        with pytest.raises(ValueError, match="draws a trial"):
+            lane_draws(1, 0, 3, k)
