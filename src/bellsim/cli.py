@@ -43,12 +43,10 @@ from .experiment import (
     write_dataset_csv,
     write_metadata,
 )
-from .lhv import MAX_GRID_STEPS, load_model, stochastic_bell_search
+from .lhv import CANONICAL_INT, MAX_GRID_STEPS, load_model, stochastic_bell_search
 from .quantum import AngleTriple, match_table
 
 
-#: A command-line integer: ASCII digits with an optional sign.
-_INTEGER = re.compile(r"[+-]?[0-9]+")
 #: A command-line real: an ASCII decimal with an optional sign and exponent,
 #: or nan, inf or infinity in any case, which the checks downstream refuse
 #: with their own messages. No underscore, other digit or surrounding space.
@@ -62,7 +60,9 @@ _ANGLES_HELP = ("three axis angles in degrees, e.g. 60,0,120; give a negative fi
 
 
 def _integer(text: str) -> int:
-    if not _INTEGER.fullmatch(text):
+    """A command-line integer, in the one canonical form of
+    :data:`~bellsim.lhv.CANONICAL_INT`: no plus sign, leading zero or -0."""
+    if not CANONICAL_INT.fullmatch(text):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return int(text)
 

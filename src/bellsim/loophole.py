@@ -18,6 +18,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations, product
 from pathlib import Path
@@ -178,8 +179,7 @@ def _assemble_lp(
     A positive floor puts each pair's row "coincidence rate >= floor" before
     its epigraph row. At floor 0 those rows follow from w >= 0 and are left
     out; the solve then reaches the same vertex in the same pivots as with
-    them, except where it breaks down numerically either way. The floor-1
-    program of :func:`_optimum` keeps them, for the reason given there.
+    them, except where it breaks down numerically either way.
     """
     n_strat = detect.shape[0]
     z = n_strat  # the epigraph variable's column
@@ -330,14 +330,14 @@ def _scored(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("s,sij->ij", w, detect), np.einsum("s,sij->ij", w, detect_match)
 
 
-def _solve_on(problem: FakingProblem, columns: np.ndarray, floor: float) -> simplex.SimplexResult:
-    """``simplex.solve`` of ``problem``'s program at ``floor`` on the strategy
-    ``columns`` (ascending) and z, with x expanded back to all 4097 variables.
-    """
+def _solve_on(problem: FakingProblem) -> simplex.SimplexResult:
+    """``simplex.solve`` of ``problem``'s program at floor 0 on the distinct
+    strategy columns and z, with x expanded back to all 4097 variables."""
+    columns = _distinct_strategies()
     detect, detect_match = _strategy_matrices()
     result = simplex.solve(
         _assemble_lp(detect[columns], detect_match[columns], problem.targets.as_array(),
-                     floor, problem.stealth)
+                     0.0, problem.stealth)
     )
     if result.x is None:
         return result
@@ -364,11 +364,49 @@ def _largest_bell_sum(targets: MatchProbabilityTable) -> float:
     """The largest of the 72 relabeled Bell sums of ``targets``: the 36
     setting relabelings of :func:`_relabeled_bell_coefficients`, each also
     with particle 2's spin flipped, P -> 1 - P, which turns a sum b into
-    -2 - b. Every table, hence every full-detection local model, has all 72
-    at most 0 (Theorem 2, relabeled), so a positive one proves the targets
-    cannot be faked with full detection."""
+    -2 - b. Theorem 2, relabeled, keeps all 72 at most 0 on every table."""
     sums = _relabeled_bell_coefficients() @ targets.as_array().ravel()
     return float(max(sums.max(), -2.0 - sums.min()))
+
+
+@lru_cache(maxsize=1)
+def _local_polytope() -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The full-detection local polytope, the hull of the always-detect
+    tables: those 32 distinct strategies; its 90 facets F p <= c, the 72
+    relabeled Bell sums and 0 <= P_ij <= 1 (Fine, PRL 48, 291 (1982)); the tables' gaps c - F p."""
+    keep = _distinct_strategies()
+    tables = keep[(keep & 0x3F) == 0x3F]
+    bell, eye = _relabeled_bell_coefficients().astype(int), np.eye(9, dtype=int)
+    facets = np.vstack([bell, -bell, eye, -eye])
+    bound = np.repeat([0, 2, 1, 0], [36, 36, 9, 9])
+    gaps = bound[:, None] - facets @ _strategy_matrices()[1][tables].reshape(-1, 9).T.astype(int)
+    return tables, (facets, bound), gaps
+
+
+def _full_detection_weights(targets: MatchProbabilityTable) -> dict[int, Fraction]:
+    """Exact weights, summing to 1, on at most 10 always-detect strategies,
+    whose tables mix to ``targets`` within b/2 (b their largest relabeled
+    sum): a Caratheodory peel of :func:`_local_polytope` on the gaps
+    g = c - F x = n / d. If b > 0, x first moves to the centre 1/2 (every sum
+    -1) by b / (1 + b). Then the lowest table k on every facet tight at x
+    takes 1 - 1/t of the rest, and x moves on to k + t (x - k), on one more facet."""
+    tables, (facets, bound), gaps = _local_polytope()
+    exact, c = gaps.astype(object), bound.astype(object)  # Python ints: d outgrows int64
+    x = [Fraction(p) for p in targets.as_array().ravel()]
+    d = max(v.denominator for v in x)  # a power of 2, so a multiple of every other
+    n = c * d - facets @ np.array([int(v * d) for v in x], dtype=object)
+    if (b := -n[:72].min()) > 0:  # this b is d b; g -> (g + b g(1/2)) / (1 + b)
+        n, d = 2 * n + b * (2 * c - facets.sum(axis=1)), 2 * (d + b)
+    weights, rest = {}, Fraction(1)
+    while True:
+        k = np.flatnonzero(~gaps[n == 0].any(axis=0))[0]
+        rise = exact[:, k] * d - n  # d (G_k - g), G_k the gaps of table k
+        if not rise.any():
+            return weights | {int(tables[k]): rest}
+        r = min(np.flatnonzero(rise > 0), key=lambda r: Fraction(exact[r, k], rise[r]))
+        t = Fraction(exact[r, k] * d, rise[r])
+        weights[int(tables[k])], rest = rest * (1 - 1 / t), rest / t
+        n, d = exact[:, k] * rise[r] - exact[r, k] * rise, rise[r]
 
 
 def _optimum(problem: FakingProblem) -> simplex.SimplexResult | None:
@@ -377,35 +415,29 @@ def _optimum(problem: FakingProblem) -> simplex.SimplexResult | None:
     leaves no model, or a Bell sum proves floor 1 out. The route, in order:
 
     1. If the targets' largest relabeled Bell sum b (:func:`_largest_bell_sum`)
-       is at most the phase-1 threshold, the floor-1 program on the 32
-       distinct strategies that detect in all nine cells, each a table; an
-       optimum there has z exactly 1, for z is at most every rate and every
-       rate is the weight sum 1. It keeps its nine floor rows: without them,
-       tiny-weight census mixtures 32 and 132 hit the pivot limit, 95's
-       phase 1 breaks down and 86 reads 0.999999999999999. Any other end
-       proves nothing, and the route goes on to 3.
-    2. Else, at floor 1, None with no solve, for the floor-1 phase 1 could
-       only end infeasible. With s = sum w, row 0 keeps the artificial 1 - s
-       and each match row (i, j) the artificial t_ij s - sum w dm_ij. A
-       relabeling permutes the four Bell-cell artificials and a spin flip
-       negates them, since at full detection (1 - t_ij) s - sum w (1 - dm_ij)
-       = -(t_ij s - sum w dm_ij). Their signed sum is s b less the tables'
-       sum of the same relabeling, at most 0, so the artificial mass is at
-       least (1 - s) + s b >= b.
+       is at most ``simplex.ARTIFICIAL_MASS_TOL`` (1e-7), they count as local
+       at full detection (exactly so for b <= 0, by the facets of
+       :func:`_local_polytope`): z* = 1, with no solve, on the weights of
+       :func:`_full_detection_weights`. They reproduce the targets within b/2,
+       their rates are within 2 ulps of 1, and z is exactly 1. Only a stealth
+       problem whose weights' identity sum exceeds -:data:`DEMO_STEALTH_MARGIN`
+       goes on to 3, for at full detection that is the targets' own sum.
+    2. Else, at floor 1, None with no solve: no table has a positive sum.
     3. Else the floor-0 program on the 339 distinct columns. It is bounded
        (z <= 1) and, without the stealth row, feasible (zero detection meets
        every target): infeasible with the stealth row gives None, and any
        other end is a breakdown, which raises ``simplex.SimplexError``.
     """
     if _largest_bell_sum(problem.targets) <= simplex.ARTIFICIAL_MASS_TOL:
-        keep = _distinct_strategies()
-        result = _solve_on(problem, keep[(keep & 0x3F) == 0x3F], 1.0)
-        if result.status == "optimal":
-            result.x[N_STRATEGIES] = 1.0
-            return replace(result, objective=1.0)
+        weights = _full_detection_weights(problem.targets)
+        x = np.zeros(N_STRATEGIES + 1)
+        x[[*weights, N_STRATEGIES]] = [*map(float, weights.values()), 1.0]
+        identity = _relabeled_bell_coefficients()[0] @ _scored(x[:N_STRATEGIES])[1].ravel()
+        if not problem.stealth or identity <= -DEMO_STEALTH_MARGIN:
+            return simplex.SimplexResult("optimal", x, 1.0, (0, 0))
     elif problem.efficiency_floor == 1.0:
         return None
-    result = _solve_on(problem, _distinct_strategies(), 0.0)
+    result = _solve_on(problem)
     if result.status == "optimal":
         return result
     if result.status == "infeasible" and problem.stealth:
@@ -414,16 +446,15 @@ def _optimum(problem: FakingProblem) -> simplex.SimplexResult | None:
 
 
 def solve_lp(problem: FakingProblem) -> LpSolution:
-    """Solve ``problem``'s program with the in-package simplex, by
-    :func:`_optimum`: infeasible where it gives None or where the floor f
-    exceeds its z*, else feasible at that optimum. The floor-f program
-    maximizes the same minimum coincidence rate z and only adds the rows
-    "coincidence rate >= f", so it is feasible exactly when z* is at least
-    f, and that optimum is optimal at floor f too. A floor within rounding
-    of the true optimum may be misreported (at the canonical angles the
-    optimum is 2/3, z* is one ulp below the double nearest it, and that
-    double reads infeasible). A solver breakdown, or optimal weights
-    :class:`LpSolution` refuses, raises ``simplex.SimplexError``.
+    """Answer ``problem`` by :func:`_optimum`: infeasible where it gives
+    None or where the floor f exceeds its z*, else feasible at that optimum.
+    The floor-f program maximizes the same minimum coincidence rate z and
+    only adds the rows "coincidence rate >= f", so it is feasible exactly
+    when z* is at least f, and that optimum is optimal at floor f too. A
+    floor within rounding of the true optimum may be misreported (at the
+    canonical angles the optimum is 2/3, z* is one ulp below the double
+    nearest it, and that double reads infeasible). A solver breakdown, or
+    optimal weights :class:`LpSolution` refuses, raises ``simplex.SimplexError``.
     """
     result = _optimum(problem)
     if result is None or problem.efficiency_floor > result.objective:
@@ -447,9 +478,8 @@ def rescore_solution(solution: LpSolution) -> tuple[np.ndarray, np.ndarray, floa
 
 def max_faking_efficiency(targets: MatchProbabilityTable) -> float:
     """Largest efficiency floor at which faking stays feasible: the optimum
-    z* of :func:`_optimum` at floor 0, at most 1.0. It reads z* alone, so it
-    returns 1.0 where :func:`solve_lp` raises on weights it refuses, and it
-    may break down where solve_lp at floor 1 makes no solve. The test suite
+    z* of :func:`_optimum` at floor 0, at most 1.0. It may break down where
+    :func:`solve_lp` at floor 1 makes no solve. The test suite
     cross-checks it against a bisection on the feasibility of floor
     programs. A solver breakdown raises ``simplex.SimplexError``.
     """

@@ -440,8 +440,14 @@ class TestExitCodes:
         (("simulate", "--source", "quantum", "--angles", "60,0,120", "--n", "10",
           "--seed", " 1"),
          "argument --seed: invalid int value: ' 1'"),
+        (("simulate", "--source", "quantum", "--angles", "60,0,120", "--n", "010",
+          "--seed", "1"),
+         "argument --n: invalid int value: '010'"),
+        (("simulate", "--source", "quantum", "--angles", "60,0,120", "--n", "10",
+          "--seed", "+7"),
+         "argument --seed: invalid int value: '+7'"),
     ), ids=("underscored angle", "arabic-indic angle", "underscored floor", "arabic-indic n",
-            "spaced seed"))
+            "spaced seed", "zero-led n", "plus-signed seed"))
     def test_number_not_in_ascii_decimal_is_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
@@ -455,6 +461,14 @@ class TestExitCodes:
     def test_ascii_decimal_spellings_are_read(self, floor, status, capsys):
         code, out, _ = run_cli(capsys, "loophole", "--angles", "60,0,120", "--floor", floor)
         assert code == 0 and out.startswith(f"status: {status}\n")
+
+    # An integer reads in one spelling, as lhv.CANONICAL_INT: a minus sign,
+    # but no plus sign or leading zero.
+    def test_negative_seed_is_read(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--source", "quantum",
+                                 "--angles", "60,0,120", "--n", "3", "--seed", "-7")
+        assert code == 0 and '"seed": -7' in err
+        assert len(out.splitlines()) == 4
 
 
 class TestLoopholeCommand:

@@ -59,7 +59,6 @@ from bellsim.lhv import DeterministicLhv, StochasticLocalModel, sample_from_lhv,
 from bellsim.loophole import (
     FakingProblem,
     LpSolution,
-    _distinct_strategies,
     _solve_on,
     demonstration_solution,
     sample_loophole_model,
@@ -605,7 +604,7 @@ def test_faking_programs_match_golden_digest():
     for degrees in np.random.default_rng(1).integers(0, 360, (300, 3))[:40].tolist():
         targets = match_table(AngleTriple.from_degrees(*degrees))
         for stealth in (False, True):
-            result = _solve_on(FakingProblem(targets, stealth=stealth), _distinct_strategies(), 0.0)
+            result = _solve_on(FakingProblem(targets, stealth=stealth))
             x = b"" if result.x is None else result.x.tobytes()
             digest.update(f"{result.status}|{result.pivots}|{result.objective!r}|".encode())
             digest.update(x + b"\n")

@@ -17,8 +17,11 @@ from bellsim.loophole import (
     LpSolution,
     _assemble_lp,
     _distinct_strategies,
+    _full_detection_weights,
     _largest_bell_sum,
+    _local_polytope,
     _relabeled_bell_coefficients,
+    _scored,
     _solve_on,
     _strategy_matrices,
     build_faking_lp,
@@ -291,8 +294,8 @@ class TestMaxFakingEfficiency:
 
     # A mixture of tables 13, 24 and 53 with weights 0.685, 0.315 and
     # 6.3e-10. Its floor-0 phase 2 reports unbounded after 3,775 pivots,
-    # although z <= 1 bounds the program; the floor-1 program, decided
-    # first, finds the optimum 1, as HiGHS does.
+    # although z <= 1 bounds the program; the local polytope's facets,
+    # asked first, give the optimum 1, as HiGHS does.
     BREAKDOWN = MatchProbabilityTable((
         (0.31478760013516033, 0.9999999993735484, 0.31478760013516033),
         (6.264515891236387e-10, 0.6852123998648397, 6.264515891236387e-10),
@@ -304,8 +307,8 @@ class TestMaxFakingEfficiency:
 
     # A mixture of tables 4 and 54 with weights 3.5e-10 and 1 - 3.5e-10.
     # Its floor-0 solve stops as optimal after (5, 3233) pivots at
-    # 0.5587432611454236, silently; the floor-1 program, decided first,
-    # finds the optimum 1, as HiGHS does.
+    # 0.5587432611454236, silently; the local polytope's facets, asked
+    # first, give the optimum 1, as HiGHS does.
     WRONG_OPTIMUM = MatchProbabilityTable((
         (0.9999999996517236, 1.0, 3.482764527360542e-10),
         (0.9999999996517236, 1.0, 3.482764527360542e-10),
@@ -345,49 +348,30 @@ def tiny_weight_census():
 
 
 TINY_WEIGHT_CENSUS = tiny_weight_census()
-#: Census mixtures on which the solver falls short of 1, and why.
-TINY_WEIGHT_DEFECTS = {
-    17: "the 33-column phase 1 reads infeasible for a weight of 6.9e-12, "
-        "and the floor-0 optimum is 0.9999999999999992",
-    145: "the floor-0 solve does not finish",
-}
-#: Census mixtures whose full-detection vertex has weights that
-#: ``LpSolution.from_dict`` refuses, with their sum.
-TINY_WEIGHT_BAD_SUMS = {
-    2: 1.000000001479633, 36: 4167773.664846367, 40: 1.0000000021210207,
-    56: 1.000000264912335, 58: 1.0000000014787311, 73: 1.0000000014801296,
-    86: 1.000238957543133, 95: 1.000000050812605, 99: 1.0001151572392666,
-    119: 1.0000000012305037, 123: 1.0000000012924146, 132: 1.0000000027680438,
-}
 
 
-def census_cases(marks):
-    """The census indices as parameters, each one in ``marks`` with its mark."""
-    return [pytest.param(k, marks=marks[k]) if k in marks else k
-            for k in range(len(TINY_WEIGHT_CENSUS))]
+def refuse_solves(monkeypatch):
+    """Make every simplex solve or phase 1 raise ``AssertionError``."""
+    def refuse(lp):
+        raise AssertionError("a simplex solve was run")
+
+    monkeypatch.setattr(simplex, "solve", refuse)
+    monkeypatch.setattr(simplex, "feasible", refuse)
 
 
 class TestTinyWeightCensus:
     # Every target is a local mixture with full detection, so its maximum
-    # faking efficiency is 1. A budget of 5,000 pivots keeps each failure
-    # under 0.2 s.
-    @pytest.mark.parametrize("k", census_cases(
-        {k: pytest.mark.xfail(reason=reason) for k, reason in TINY_WEIGHT_DEFECTS.items()}
-    ))
+    # faking efficiency is 1, which the local polytope's facets give with no
+    # solve.
+    @pytest.mark.parametrize("k", range(len(TINY_WEIGHT_CENSUS)))
     def test_local_mixture_reaches_full_efficiency(self, k, monkeypatch):
-        monkeypatch.setattr(simplex, "MAX_PIVOTS", 5_000)
+        refuse_solves(monkeypatch)
         assert max_faking_efficiency(TINY_WEIGHT_CENSUS[k]) == 1.0
 
-    # solve_lp returns only weights that load_solution reads back; on a
-    # vertex whose weights it refuses, it raises instead.
-    @pytest.mark.parametrize("k", census_cases({
-        **{k: pytest.mark.xfail(raises=simplex.SimplexError, reason=f"weights sum to {total!r}")
-           for k, total in TINY_WEIGHT_BAD_SUMS.items()},
-        17: pytest.mark.xfail(raises=AssertionError, reason=TINY_WEIGHT_DEFECTS[17]),
-        145: pytest.mark.xfail(raises=simplex.SimplexError, reason=TINY_WEIGHT_DEFECTS[145]),
-    }))
+    # solve_lp returns only weights that load_solution reads back.
+    @pytest.mark.parametrize("k", range(len(TINY_WEIGHT_CENSUS)))
     def test_full_detection_solution_is_one_load_solution_reads(self, k, monkeypatch):
-        monkeypatch.setattr(simplex, "MAX_PIVOTS", 5_000)
+        refuse_solves(monkeypatch)
         targets = TINY_WEIGHT_CENSUS[k]
         solution = solve_lp(FakingProblem(targets=targets, efficiency_floor=1.0))
         assert LpSolution.from_dict(solution.to_dict()) == solution
@@ -396,8 +380,8 @@ class TestTinyWeightCensus:
 
 class TestFullDetectionFirst:
     # Local targets reached with full detection have an optimum of 1, which
-    # the floor-1 program, decided first on the 32 always-detect strategies,
-    # returns; the floor-0 solve reads a few ulps below 1 for these two.
+    # the local polytope's facets, asked first, give with no solve; the
+    # floor-0 solve reads a few ulps below 1 for these two.
     CONFIRMED = MatchProbabilityTable(((0.0, 1.0, 1.0),) * 3)
     # A 1:99 mixture of two full-detection tables, whose floor-1 phase 1
     # on all the distinct strategies does not finish.
@@ -405,7 +389,7 @@ class TestFullDetectionFirst:
 
     @staticmethod
     def floor_zero_optimum(targets):
-        z = _solve_on(FakingProblem(targets), _distinct_strategies(), 0.0).objective
+        z = _solve_on(FakingProblem(targets)).objective
         assert z < 1.0
         return z
 
@@ -433,7 +417,7 @@ class TestFullDetectionFirst:
             assert solution.status == "feasible", floor
             assert min(map(min, solution.coincidence_rates)) >= floor
 
-    def test_every_floor_and_the_demo_is_one_full_detection_solve(self, monkeypatch):
+    def test_every_floor_and_the_demo_makes_no_solve(self, monkeypatch):
         z = self.floor_zero_optimum(self.DIVERGING)
         calls = self.count_solves(monkeypatch)
         for floor in (0.0, 0.5, z):
@@ -443,8 +427,7 @@ class TestFullDetectionFirst:
         demo = demonstration_solution(self.DIVERGING)
         assert demo.status == "feasible"
         assert demo.min_coincidence_rate == 1.0
-        assert len(calls) == 4
-        assert all(lp.n_vars == 33 for lp in calls)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "targets",
@@ -452,22 +435,19 @@ class TestFullDetectionFirst:
          CONFIRMED, DIVERGING),
         ids=("BREAKDOWN", "WRONG_OPTIMUM", "CONFIRMED", "DIVERGING"),
     )
-    def test_local_targets_are_one_full_detection_solve(self, targets, monkeypatch):
+    def test_local_targets_make_no_solve(self, targets, monkeypatch):
         calls = self.count_solves(monkeypatch)
         assert max_faking_efficiency(targets) == 1.0
         for floor in (0.0, 1.0):
-            problem = FakingProblem(targets=targets, efficiency_floor=floor)
-            if targets is TestMaxFakingEfficiency.BREAKDOWN:
-                # Its full-detection weights sum to 1.000000001569479.
-                with pytest.raises(simplex.SimplexError, match="weights sum to"):
-                    solve_lp(problem)
-            else:
-                assert solve_lp(problem).min_coincidence_rate == 1.0
-        assert [lp.n_vars for lp in calls] == [33, 33, 33]
+            solution = solve_lp(FakingProblem(targets=targets, efficiency_floor=floor))
+            assert solution.status == "feasible"
+            assert LpSolution.from_dict(solution.to_dict()) == solution
+            assert solution.min_coincidence_rate == 1.0
+        assert calls == []
 
-    # The Bell statistic of these targets is positive, so the floor-1
-    # program is skipped and each analysis is one floor-0 solve, but for
-    # floor 1 itself, which the statistic answers with no solve.
+    # The Bell statistic of these targets is positive, so each analysis is
+    # one floor-0 solve, but for floor 1 itself, which the statistic answers
+    # with no solve.
     @pytest.mark.parametrize("degrees", ((60, 0, 120), (45, 0, 90)))
     def test_non_local_targets_are_one_floor_zero_solve(self, degrees, monkeypatch):
         targets = match_table(AngleTriple.from_degrees(*degrees))
@@ -478,8 +458,7 @@ class TestFullDetectionFirst:
             solve_lp(FakingProblem(targets=targets, efficiency_floor=floor))
         assert [lp.n_vars for lp in calls] == [340] * 3
 
-    # Deciding floor 1 for these targets needs the floor-1 program, solved
-    # on the always-detect strategies alone; HiGHS finds it feasible.
+    # The facets decide floor 1 for these targets, feasible, as HiGHS finds.
     def test_diverging_floor_one_reaches_full_efficiency(self, monkeypatch):
         self.floor_zero_optimum(self.DIVERGING)
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 5_000)
@@ -548,16 +527,18 @@ class TestRelabeledBellSums:
         assert max(map(_largest_bell_sum, TINY_WEIGHT_CENSUS)) <= 1e-15
 
     # These targets keep the fixed-orientation statistic within the phase-1
-    # threshold, so only a relabeling skips their full-detection program:
-    # its phase 1 ends infeasible, as the artificial-mass bound says.
+    # threshold, so only a relabeling proves them non-local: the floor-1
+    # program on the always-detect strategies ends infeasible too.
     def test_a_relabeled_violation_leaves_full_detection_infeasible(self):
         targets = relabeled_only(integer_triples())
         assert len(targets) == 212
         keep = _distinct_strategies()
         always_detect = keep[(keep & 0x3F) == 0x3F]
+        detect, detect_match = (m[always_detect] for m in _strategy_matrices())
         for t in targets[:10]:
             assert _largest_bell_sum(t) > simplex.ARTIFICIAL_MASS_TOL
-            assert _solve_on(FakingProblem(t), always_detect, 1.0).status == "infeasible"
+            program = _assemble_lp(detect, detect_match, t.as_array(), 1.0)
+            assert simplex.solve(program).status == "infeasible"
 
     # Floor 1 of a target a relabeled sum proves non-local is infeasible
     # with no simplex call, even where the floor-0 solve does not finish,
@@ -569,14 +550,125 @@ class TestRelabeledBellSums:
         *relabeled_only(integer_triples())[:3],
     ), ids=("60,0,120", "45,0,90", "NON_LOCAL", "relabeled-0", "relabeled-1", "relabeled-2"))
     def test_floor_one_of_a_proven_violation_makes_no_solve(self, targets, monkeypatch):
-        def refuse(lp):
-            raise AssertionError("a simplex solve was run")
-
-        monkeypatch.setattr(simplex, "solve", refuse)
-        monkeypatch.setattr(simplex, "feasible", refuse)
+        refuse_solves(monkeypatch)
         for stealth in (False, True):
             solution = solve_lp(FakingProblem(targets, 1.0, stealth))
             assert solution == LpSolution("infeasible", {}, None, None)
+
+
+def exact_rank(rows):
+    """The rank of the integer matrix ``rows``, by Gaussian elimination in
+    Fraction."""
+    m = [[Fraction(int(v)) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col] / m[rank][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def always_detect_tables():
+    """The 32 always-detect strategies and their 0/1 match tables, one row
+    of nine each."""
+    tables, _, _ = _local_polytope()
+    return tables, _strategy_matrices()[1][tables].reshape(-1, 9).astype(np.int64)
+
+
+class TestLocalPolytope:
+    def test_facets_are_the_relabeled_sums_and_the_bounds(self):
+        _, (facets, bound), gaps = _local_polytope()
+        bell = _relabeled_bell_coefficients().astype(np.int64)
+        eye = np.eye(9, dtype=np.int64)
+        assert np.array_equal(facets, np.vstack([bell, -bell, eye, -eye]))
+        assert bound.tolist() == [0] * 36 + [2] * 36 + [1] * 9 + [0] * 9
+        assert len({(*f, c) for f, c in zip(facets.tolist(), bound.tolist())}) == 90
+        assert gaps.dtype == np.int64 and gaps.shape == (90, 32)
+
+    # Exact, in integers: every table meets all 90 facets, and each facet is
+    # tight on tables of affine rank 9, so it is a facet of the 9-dimensional
+    # hull of the 32 tables.
+    def test_every_facet_is_met_by_all_tables_and_tight_on_a_facet(self):
+        tables, (facets, bound), gaps = _local_polytope()
+        _, points = always_detect_tables()
+        assert len(tables) == 32 and len({tuple(p) for p in points.tolist()}) == 32
+        assert np.array_equal(gaps, bound[:, None] - facets @ points.T)
+        assert gaps.min() == 0
+        lifted = np.hstack([points, np.ones((32, 1), dtype=np.int64)])
+        assert exact_rank(lifted) == 10
+        for f in range(90):
+            assert exact_rank(lifted[gaps[f] == 0]) == 9, f
+
+    def test_qhull_finds_exactly_these_facets(self):
+        spatial = pytest.importorskip("scipy.spatial")
+        _, (facets, bound), _ = _local_polytope()
+        _, points = always_detect_tables()
+        hull = spatial.ConvexHull(points.astype(float))
+        # qhull writes n.p + offset <= 0 with |n| = 1, once per simplex of a facet.
+        found = {tuple(np.round(eq, 9)) for eq in hull.equations}
+        norms = np.linalg.norm(facets, axis=1)[:, None]
+        ours = {tuple(np.round(eq, 9)) for eq in np.hstack([facets, -bound[:, None]]) / norms}
+        assert found == ours
+
+    # Just outside the identity facet of the zero table, by 5e-8: the
+    # shrink toward the centre runs. With a subnormal entry as well, the
+    # common denominator is 2**1074.
+    SHRUNK = MatchProbabilityTable(((0.0, 0.0, 0.0), (0.0, 0.0, 5e-8), (0.0, 0.0, 0.0)))
+    SUBNORMAL = MatchProbabilityTable(((5e-324, 0.0, 0.0), (0.0, 0.0, 5e-8), (0.0, 0.0, 0.0)))
+    NAMED = {
+        "BREAKDOWN": TestMaxFakingEfficiency.BREAKDOWN,
+        "WRONG_OPTIMUM": TestMaxFakingEfficiency.WRONG_OPTIMUM,
+        "CONFIRMED": TestFullDetectionFirst.CONFIRMED,
+        "DIVERGING": TestFullDetectionFirst.DIVERGING,
+        "SHRUNK": SHRUNK,
+        "SUBNORMAL": SUBNORMAL,
+    }
+
+    @pytest.mark.parametrize("targets", (*NAMED.values(), *TINY_WEIGHT_CENSUS),
+                             ids=(*NAMED, *(f"census-{k}" for k in range(150))))
+    def test_weights_reproduce_the_targets(self, targets, monkeypatch):
+        weights = _full_detection_weights(targets)
+        tables, _, _ = _local_polytope()
+        assert 1 <= len(weights) <= 10 and set(weights) <= set(tables.tolist())
+        assert sum(weights.values()) == 1 and min(weights.values()) > 0
+        b = max(_largest_bell_sum(targets), 0.0)
+        assert b <= simplex.ARTIFICIAL_MASS_TOL
+        w = np.zeros(N_STRATEGIES)
+        for s, v in weights.items():
+            w[s] = v
+        # Each weight is rounded once, so their exact sum is within 2**-53
+        # of 1, and so is its correct rounding.
+        assert abs(math.fsum(w) - 1.0) <= 2.0**-53
+        rates, matches = _scored(w)
+        assert np.abs(matches - targets.as_array()).max() <= b / 2 + np.spacing(1.0)
+        assert np.all(np.abs(rates - 1.0) <= 2 * np.spacing(1.0))
+        refuse_solves(monkeypatch)
+        assert solve_lp(FakingProblem(targets, 1.0)).min_coincidence_rate == 1.0
+
+    def test_the_shrink_runs_and_a_table_is_its_own_decomposition(self):
+        for targets in (self.SHRUNK, self.SUBNORMAL):
+            assert 0.0 < _largest_bell_sum(targets) < 1e-7
+        assert _full_detection_weights(TestFullDetectionFirst.CONFIRMED) == {319: 1}
+
+    # Both meet the stealth row at full detection, so the demonstration is
+    # the full-detection model; the floor-0 stealth solve of each does not
+    # finish.
+    @pytest.mark.parametrize("targets", (TestMaxFakingEfficiency.BREAKDOWN,
+                                         TINY_WEIGHT_CENSUS[18]),
+                             ids=("BREAKDOWN", "census-18"))
+    def test_demo_of_a_local_target_detects_everything(self, targets, monkeypatch):
+        refuse_solves(monkeypatch)
+        demo = demonstration_solution(targets)
+        assert demo.status == "feasible" and demo.min_coincidence_rate == 1.0
+        assert LpSolution.from_dict(demo.to_dict()) == demo
+        _, match_rates, _ = rescore_solution(demo)
+        assert _relabeled_bell_coefficients()[0] @ match_rates.ravel() <= -DEMO_STEALTH_MARGIN
 
 
 class TestDistinctStrategies:
@@ -606,7 +698,7 @@ class TestDistinctStrategies:
             for stealth in (False, True):
                 problem = FakingProblem(targets, stealth=stealth)
                 full = simplex.solve(problem.program)
-                reduced = _solve_on(problem, _distinct_strategies(), 0.0)
+                reduced = _solve_on(problem)
                 statuses.add(full.status)
                 assert reduced.status == full.status
                 assert (reduced.x is None) == (full.x is None)
@@ -635,7 +727,7 @@ class TestDistinctStrategies:
             for floor in (0.0, 1.0):
                 solve_lp(FakingProblem(targets=targets, efficiency_floor=floor))
         floors = {float(-program.ub_rhs[0]) for program in programs}
-        assert floors == {0.0, 1.0}  # the full-detection solve ran
+        assert floors == {0.0}  # no floor-1 program was solved
         for program in programs:
             columns = np.vstack([program.objective, program.eq_matrix, program.ub_matrix])
             assert len(np.unique(columns.T, axis=0)) == columns.shape[1]
@@ -665,7 +757,7 @@ class TestFloorRows:
         for degrees in np.random.default_rng(1).integers(0, 360, (30, 3)):
             targets = match_table(AngleTriple.from_degrees(*map(int, degrees)))
             for stealth in (False, True):
-                solved = _solve_on(FakingProblem(targets, stealth=stealth), keep, 0.0)
+                solved = _solve_on(FakingProblem(targets, stealth=stealth))
                 program = _assemble_lp(detect, detect_match, targets.as_array(), 0.0, stealth)
                 assert program.ub_matrix.shape[0] == 9 + stealth
                 reference = simplex.solve(self.with_floor_rows(program))

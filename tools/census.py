@@ -6,10 +6,11 @@ tables of the 300 integer triples ``numpy.random.default_rng(1).integers(0,
 360, (300, 3))``, then of the 240 real triples
 ``numpy.random.default_rng(2).uniform(0, 360, (240, 3))``, whose triple 91
 makes the floor-0 solve hit the pivot limit, then the 150 local mixtures of
-the tiny-weight census in ``tests/test_loophole.py``, on which the
-full-detection solve runs and sometimes breaks down. Most of that set's
-time goes to nine solves that hit the 50,000-pivot limit: mixture 145 in
-every analysis, and mixtures 18, 29, 78, 102 and 135 in the demonstration.
+the tiny-weight census in ``tests/test_loophole.py``. A local target makes
+no solve: the facets of the local polytope answer it. Only a demonstration
+whose full-detection model misses the stealth row goes on to the floor-0
+stealth solve, and most of that set's time goes to the five of those that
+hit the 50,000-pivot limit: mixtures 78, 94, 102, 132 and 135.
 For each set it prints, per analysis, how many targets took each route (the
 column counts of the simplex solves it made, "none" for no solve), each
 outcome, the total phase-1 and phase-2 pivots of the solves that returned,
