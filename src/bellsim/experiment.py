@@ -32,7 +32,7 @@ import numpy as np
 
 from . import loophole as loophole_mod
 from .counterfactuals import BELL_PAIRS
-# Unused here; perfbench/tracing.py patches SplitMix64, derive_seed and the scalar samplers.
+# sample_from_lhv and sample_outcome_pair are unused here; perfbench/tracing.py patches them.
 from .lhv import (
     CANONICAL_INT,
     DeterministicLhv,
@@ -52,7 +52,7 @@ from .quantum import (
     sample_outcome_pair,
     sample_outcome_pair_lanes,
 )
-from .rng import SplitMix64, derive_seed, lane_draws, uniform_lanes
+from .rng import SplitMix64, _draw_lanes, derive_seed, scratch, uniform_lanes
 
 SOURCE_QUANTUM = "quantum"
 SOURCE_DETERMINISTIC_LHV = "deterministic-lhv"
@@ -63,8 +63,8 @@ SOURCE_LOOPHOLE = "loophole"
 #: required and read by its sampler; the uniforms its sampler draws per
 #: trial; and the sampler, which maps ``(payload, pair, u)``, the block's
 #: setting pairs ``3 * x1 + x2`` and its ``(draws, trials)`` uniforms, to
-#: the block's uint8 row codes. A loophole run keeps the angles its
-#: demonstration solution was built for.
+#: the block's uint8 row codes, free to write over ``pair`` and ``u``. A
+#: loophole run keeps the angles its demonstration solution was built for.
 _Source = namedtuple("_Source", "uses draws sample_lanes")
 _SOURCES = {
     SOURCE_QUANTUM: _Source({"angles": AngleTriple}, 2, sample_outcome_pair_lanes),
@@ -275,12 +275,13 @@ def _uniform_9(words: np.ndarray, seed: int, start: int) -> np.ndarray:
     if settings.max() == _REJECTED:
         for hit in np.flatnonzero(settings == _REJECTED).tolist():
             row, lane = divmod(hit, words.shape[1])
-            i = start + lane
-            stream = lane_draws(seed, i, i + 1, len(words) + 1)[:, 0]
-            words[:, lane] = np.delete(stream, row)
-    x = settings % _THREE
-    pair = x[0] * _THREE
-    pair += x[1]
+            stream = SplitMix64(derive_seed(seed, start + lane))
+            draws = [stream.next_uint64() for _ in range(len(words) + 1)]
+            words[:, lane] = draws[:row] + draws[row + 1:]
+    settings %= _THREE
+    pair = settings[0]
+    pair *= _THREE
+    pair += settings[1]
     return pair.view(np.intp)  # below 9, so the same value as intp
 
 
@@ -288,13 +289,14 @@ def _uniform_4(words: np.ndarray, seed: int, start: int) -> np.ndarray:
     """Each trial's setting pair ``3 * x1 + x2``, the statistic pair that
     ``randbelow(4)`` of row 0 of ``words`` picks; ``randbelow(4)`` never
     rejects, since 4 divides 2**64."""
-    return _BELL_PAIR_INDEX.take((words[0] & _THREE).view(np.intp))
+    draw = np.bitwise_and(words[0], _THREE, words[0]).view(np.intp)
+    return _BELL_PAIR_INDEX.take(draw, None, draw, "clip")  # reads each index before its slot
 
 
 #: Each setting distribution: its draws per trial, and ``decode(words, seed,
 #: start)``, the setting pairs ``3 * x1 + x2`` (intp, 0 to 8) of the block
 #: of trials from ``start`` whose draws, the setting rows first, are
-#: ``words``.
+#: ``words``, written over the setting rows.
 _Settings = namedtuple("_Settings", "draws decode")
 _SETTINGS = {UNIFORM_9: _Settings(2, _uniform_9), UNIFORM_4: _Settings(1, _uniform_4)}
 
@@ -311,6 +313,8 @@ def run_experiment(config: ExperimentConfig) -> TrialDataset:
     Trial randomness is keyed by (seed, trial index), so the block size
     cannot change what any trial draws. The distribution and the source are
     looked up in :data:`_SETTINGS` and :data:`_SOURCES` once per call.
+    The matrix lives in this thread's :func:`~bellsim.rng.scratch` arena,
+    overwritten by the pairs, uniforms and sampler; only the result is fresh.
     """
     n = config.n_trials
     code = np.empty(n, dtype=np.uint8)
@@ -320,7 +324,7 @@ def run_experiment(config: ExperimentConfig) -> TrialDataset:
     payload = getattr(config, sampled)
     for start in range(0, n, BLOCK_TRIALS):
         stop = min(start + BLOCK_TRIALS, n)
-        words = lane_draws(config.seed, start, stop, settings.draws + source.draws)
+        words = _draw_lanes(config.seed, start, stop, settings.draws + source.draws)
         pair = settings.decode(words, config.seed, start)
         code[start:stop] = source.sample_lanes(payload, pair, uniform_lanes(words[settings.draws:]))
     return TrialDataset(np.arange(n), code)
@@ -510,29 +514,35 @@ _MAX_DIGITS = 19  # of an int64
 _DIGITS = np.char.zfill(np.arange(10**4).astype("S4"), 4).view("<u4")
 
 
-def _encode_rows(index: np.ndarray, codes: np.ndarray) -> bytes:
-    """Rows as ``csv.writer`` writes them: each index in decimal, then the
-    tail at its row code and ``\\r\\n``.
+def _encode_rows(index: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Rows as ``csv.writer`` writes them, as fresh uint8 text: each index
+    in decimal, then the tail at its row code and ``\\r\\n``.
 
     A row is ``words + 2`` words: sign and digits right-aligned in the first
     ``words``, eight places a word after NULs, then :data:`_ROW_LINES` at its
-    code. The non-NUL bytes of the rows, in order, are the text.
+    code. The non-NUL bytes of the rows, in order, are the text. Rows,
+    temporaries and the NUL mask are scratch.
     """
-    negative = index < 0
-    magnitude = np.where(negative, -index.view(np.uint64), index.view(np.uint64))
-    digits = np.searchsorted(_POW10[1:], magnitude, side="right") + 1
-    words = -(-int((digits + negative).max(initial=1)) // 8)
-    grid = np.empty((len(index), words + 2), "<u8")
+    n = len(index)
+    words = -(-max(len(str(int(index.max(initial=0)))), len(str(int(index.min(initial=0))))) // 8)
+    arena = scratch((words + 2 + max(4, words + 2)) * n)
+    grid, rest = arena[:(words + 2) * n].reshape(n, words + 2), arena[(words + 2) * n:]
+    magnitude, part, high, low = rest[:4 * n].reshape(4, n)
+    digits = _POW10[1:].searchsorted(np.abs(index, magnitude.view("i8")).view("u8"), "right")
+    digits += 1  # np.abs leaves -2**63 as it is: 2**63 as uint64
+    negative, keep = index < 0, part.view(np.intp)
     for k in range(words):  # the word of places 8k to 8k + 7
-        magnitude, word = np.divmod(magnitude, _POW10[8]) if k < words - 1 else (0, magnitude)
-        high = word // _POW10[4]
-        low = _DIGITS.take(word - high * _POW10[4]).astype(np.uint64)
-        word = _DIGITS.take(high) | low << np.uint64(32)
-        grid[:, words - 1 - k] = word & _KEEP.take(np.clip(digits - 8 * k, 0, 8))
-    grid[:, words], grid[:, words + 1] = _ROW_LINES.take(codes, axis=1)
+        word = np.divmod(magnitude, _POW10[8], magnitude, part)[1] if k < words - 1 else magnitude
+        np.subtract(word, np.multiply(np.floor_divide(word, _POW10[4], high), _POW10[4], low), low)
+        four = np.take(_DIGITS, rest[2 * n:4 * n].view(np.intp), None, part.view(np.uint32), "clip")
+        np.bitwise_or(np.left_shift(four[n:], np.uint64(32), low), four[:n], low)  # high's first
+        np.clip(np.subtract(digits, 8 * k, keep), 0, 8, keep)
+        np.bitwise_and(low, _KEEP.take(keep, None, high, "clip"), grid[:, words - 1 - k])
+    np.copyto(keep, codes)
+    grid[:, words:] = _ROW_LINES.take(keep, 1, rest[2 * n:4 * n].reshape(2, n), "clip").T
     text = grid.view(np.uint8)
     text[negative, 8 * words - 1 - digits[negative]] = ord("-")
-    return text[text != 0].tobytes()
+    return text[np.not_equal(text, 0, rest.view(np.bool_)[:text.size].reshape(text.shape))]
 
 
 def write_dataset_csv(data: TrialDataset, target: str | Path | BinaryIO) -> None:
@@ -554,22 +564,6 @@ def write_dataset_csv(data: TrialDataset, target: str | Path | BinaryIO) -> None
     for start in range(0, len(data), BLOCK_TRIALS):
         part = slice(start, start + BLOCK_TRIALS)
         target.write(_encode_rows(data.index[part], data.code[part]))
-
-
-def _line_blocks(source: BinaryIO) -> Iterator[bytes]:
-    """The bytes of the binary file ``source``, read a mebibyte at a time,
-    in blocks of whole lines, each ending in ``\\n`` (supplied if the last
-    line lacks it)."""
-    pending = []  # the chunks of a line not yet ended
-    for chunk in iter(lambda: source.read(BLOCK_TRIALS * 16), b""):
-        cut = chunk.rfind(b"\n") + 1
-        if cut:
-            yield b"".join([*pending, chunk[:cut]])
-            pending = [chunk[cut:]]
-        else:
-            pending.append(chunk)
-    if any(pending):
-        yield b"".join([*pending, b"\n"])
 
 
 def _shown(text: bytes) -> str:
@@ -601,75 +595,93 @@ def _row_error(line: bytes, number: int) -> ValueError:
     return ValueError(f"line {number}: malformed row {_shown(line)!r}")
 
 
-def _decode_rows(block: bytes, first_line: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The index and row code of every row in ``block``, and its number
-    of lines, which are whole and numbered from ``first_line``.
+def _decode_rows(a: np.ndarray, first_line: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The index and row code of every row in the uint8 text ``a`` (40 bytes
+    of room for the words read before a line, then lines up to the last
+    ``\\n``, from line ``first_line``), their number, and where the rest starts.
 
     Blank lines are skipped; any other line that is not an int64 index in
     canonical decimal followed by a tail of :data:`_ROW_TAILS` raises
     ``ValueError``. A line is read in words: the last two hold the tail,
     and those that end at its comma the index, eight decimal places each.
     """
-    buf = bytes(40) + block  # room for the words read before a line
-    a = np.frombuffer(buf, np.uint8)
-    words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
-    ends = np.flatnonzero(a == ord("\n"))
-    starts = np.concatenate(([40], ends + 1))[:-1]
-    stops = ends - (a.take(ends - 1) == ord("\r"))
-    lines = np.flatnonzero(stops > starts)
-    starts, stops = starts.take(lines), stops.take(lines)
+    words = np.ndarray((len(a) - 7,), "<u8", a, strides=(1,))
+    room = len(a) // 8 + 1
+    ends = np.flatnonzero(np.equal(a, ord("\n"), scratch(2 * room)[room:].view(np.bool_)[:len(a)]))
+    rows = scratch(room + 7 * len(ends))[room:room + 7 * len(ends)].reshape(7, len(ends))
+    (starts, stops, t, u, comma), (x, y) = rows[:5].view(np.intp), rows[5:]
+    starts[:1] = 40
+    np.add(ends[:-1], 1, starts[1:])
+    blank = np.subtract(ends, a.take(np.subtract(ends, 1, t)) == ord("\r"), stops) == starts
 
     # The tail, 10 to 14 bytes, starts at the first comma among the line's
     # bytes in w0, which x marks exactly (its zero bytes): an index has none.
-    w0, w1 = words[stops - 16], words[stops - 8]
-    x = w0 ^ _COMMAS
-    x = ~(((x & _LOW7) + _LOW7) | x | _LOW7) & _KEEP.take(np.clip(stops - starts - 8, 0, 8))
-    w0 &= -((x & -x) >> np.uint64(7))  # the bytes from the lowest mark on
-    codes = _TAIL_CODES.take((((w0 ^ w1) * _HASH_MULTIPLIER) >> _HASH_SHIFT).astype(np.intp))
-    valid = (_TAIL_W0.take(codes) == w0) & (_TAIL_W1.take(codes) == w1)
-    comma = stops - _TAIL_LENGTHS.take(codes)
+    w0, w1 = words[np.subtract(stops, 16, t)], words[np.subtract(stops, 8, t)]
+    np.bitwise_or(np.add(np.bitwise_and(np.bitwise_xor(w0, _COMMAS, x), _LOW7, y), _LOW7, y), x, y)
+    np.clip(np.subtract(np.subtract(stops, starts, t), 8, t), 0, 8, t)
+    np.bitwise_and(np.invert(np.bitwise_or(y, _LOW7, y), y), _KEEP.take(t, None, x, "clip"), x)
+    np.right_shift(np.bitwise_and(x, np.negative(x, y), y), np.uint64(7), y)
+    w0 &= np.negative(y, y)  # the bytes from the lowest mark on
+    np.right_shift(np.multiply(np.bitwise_xor(w0, w1, x), _HASH_MULTIPLIER, x), _HASH_SHIFT, x)
+    np.copyto(t, codes := _TAIL_CODES.take(x.view(np.intp)))  # the codes, as intp in t
+    valid = (_TAIL_W0.take(t, None, x, "clip") == w0) & (_TAIL_W1.take(t, None, y, "clip") == w1)
+    np.subtract(stops, _TAIL_LENGTHS.take(t, None, comma, "clip"), comma)
 
     # The index, eight places a word from the comma leftward (Langdale and Lemire, 2019).
     negative = a.take(starts) == ord("-")
-    digits = comma - starts - negative
-    leading = a.take(starts + negative)
+    digits = np.subtract(np.subtract(comma, starts, t), negative, t)
+    leading = a.take(np.add(starts, negative, u))
     valid &= (digits >= 1) & (digits <= _MAX_DIGITS)
     valid &= (leading != ord("0")) | (digits == 1) & ~negative
-    magnitude = np.zeros(len(starts), np.uint64)
+    magnitude = np.multiply(y, 0, y)
     for place in range(0, min(int(digits.max(initial=1)), _MAX_DIGITS), 8):
-        word = (words[comma - place - 8] ^ _ZEROS) & _KEEP.take(np.clip(digits - place, 0, 8))
-        valid &= ((word | word + _SIXES) & _HIGH_NIBBLES) == 0  # every byte 0 to 9
+        word = words[np.subtract(comma, place + 8, u)]
+        word ^= _ZEROS
+        word &= _KEEP.take(np.clip(np.subtract(digits, place, u), 0, 8, u), None, x, "clip")
+        valid &= np.bitwise_or(np.add(word, _SIXES, x), word, x) & _HIGH_NIBBLES == 0  # 0 to 9
         for lane in (8, 16, 32):  # each pair of lanes joins: 10**(lane / 8) * first + second
-            word = word * np.uint64(10 ** (lane // 8) << lane | 1) >> np.uint64(lane)
+            word *= np.uint64(10 ** (lane // 8) << lane | 1)
+            word >>= np.uint64(lane)
             word &= np.uint64((2**64 - 1) // (2**lane + 1))  # keep the even lanes
-        magnitude += word * _POW10[place]
-    valid &= magnitude <= np.uint64(2**63 - 1) + negative
-    if not valid.all():
-        bad = int(np.flatnonzero(~valid)[0])
-        raise _row_error(buf[starts[bad]:stops[bad]], first_line + int(lines[bad]))
-    return np.where(negative, -magnitude, magnitude).view(np.int64), codes, len(ends)
+        magnitude += np.multiply(word, _POW10[place], word)
+    valid &= magnitude <= np.add(negative, np.uint64(2**63 - 1), x)
+    if not (valid | blank).all():
+        bad = int(np.flatnonzero(~(valid | blank))[0])
+        raise _row_error(a[starts[bad]:stops[bad]].tobytes(), first_line + bad)
+    index = np.negative(magnitude, magnitude, where=negative).view(np.int64)
+    return index[~blank], codes[~blank], len(ends), int(ends[-1]) + 1 if len(ends) else 40
 
 
 def _dataset_blocks(source: str | Path | BinaryIO) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The index and row code of each row of the dataset CSV ``source``, a block at
-    a time; only the last index read is kept across blocks, to check the order."""
+    a time; only the last index read is kept across blocks, to check the order.
+
+    After the header, each block is the whole lines of a mebibyte read by
+    ``readinto`` into this thread's :func:`~bellsim.rng.scratch` arena, after
+    40 bytes of room and the unended line before, copied out before a yield.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             yield from _dataset_blocks(fh)
         return
-    if not hasattr(source, "read") or not isinstance(source.read(0), bytes):
+    if not hasattr(source, "readinto") or not isinstance(source.read(0), bytes):
         raise TypeError(f"a dataset CSV is read from a path or a binary file, "
                         f"got {type(source).__name__}")
-    blocks = _line_blocks(source)
-    header, _, first = next(blocks, b"").partition(b"\n")
-    header = header.removesuffix(b"\r")
+    header = source.readline().removesuffix(b"\n").removesuffix(b"\r")
     if header != _HEADER:
         raise ValueError(f"unexpected dataset header {_shown(header)!r}")
     last = np.empty(0, np.int64)
-    line = 2
-    for block in itertools.chain([first], blocks):
-        index, codes, lines = _decode_rows(block, line)
-        line += lines
+    line, chunk, kept = 2, BLOCK_TRIALS * 16, bytes(40)
+    while kept:
+        text = scratch((len(kept) + chunk) // 8 + 1).view(np.uint8)
+        text[:len(kept) + 1] = np.frombuffer(kept + b"\n", np.uint8)  # ends an unended last line
+        got = source.readinto(text[len(kept):len(kept) + chunk])
+        end = len(kept) + (got or len(kept) > 40)
+        if end == 40:  # the file ends after a whole line
+            return
+        index, codes, lines, cut = _decode_rows(text[:end], line)
+        kept = bytes(40) + text[cut:end].tobytes() if got else b""
+        line, chunk = line + lines, chunk if lines else 2 * chunk  # a longer line: read more
         ordered = np.concatenate((last, index))
         backward = np.flatnonzero(ordered[1:] <= ordered[:-1])
         if len(backward):

@@ -195,7 +195,8 @@ def sample_mixture_lanes(mixture, pair: np.ndarray, u: np.ndarray) -> np.ndarray
     setting pair ``pair``.
     """
     cumulative, codes = mixture._sampling_arrays
-    k = np.searchsorted(cumulative, u[0], side="right") * 9
+    k = cumulative.searchsorted(u[0], "right")  # the method skips np.searchsorted's dispatch
+    k *= 9
     k += pair
     return codes.take(k)  # codes[unit, pair], flat; faster than a 2-D index
 
@@ -210,11 +211,11 @@ def sample_stochastic_lanes(model: StochasticLocalModel, pair: np.ndarray,
     one trial a column: rows 0 and 1 of ``u`` hold the uniforms that draw
     particle 1's and particle 2's spin, +1 where the uniform is below the
     spin-up probability at its setting of the pair ``3 * x1 + x2``. Returns
-    the uint8 row codes."""
-    k = pair * 4
-    k += 2 * (u[0] < np.repeat(model.p1, 3).take(pair))  # p1[x1] at pair 3 * x1 + x2
-    k += u[1] < np.tile(model.p2, 3).take(pair)
-    return _SPIN_CODES.take(k)
+    the uint8 row codes, written over ``pair`` and ``u``."""
+    up1 = u[0] < np.repeat(model.p1, 3).take(pair)  # p1[x1] at pair 3 * x1 + x2
+    up2 = u[1] < np.tile(model.p2, 3).take(pair, None, u[0], "clip")
+    k = np.add(np.multiply(pair, 4, pair), up2, pair)
+    return _SPIN_CODES.take(np.add(k, 2, k, where=up1))
 
 
 def model_to_dict(model: LocalModel) -> dict:

@@ -272,10 +272,10 @@ def sample_outcome_pair_lanes(angles: AngleTriple, pair: np.ndarray, u: np.ndarr
     those of every source's sampler, the source's payload first. Returns
     each trial's uint8 row code, ``9 * pair`` plus the code of its spins:
     y1 is +1 where ``u[0] < 1/2``, and y2 equals y1 where ``u[1]`` is below
-    the pair's match probability, as in the scalar draws.
+    the pair's match probability, as in the scalar draws. ``pair`` and
+    ``u`` are written over.
     """
-    p_match = match_table(angles).as_array().ravel()
-    k = pair * 4
-    k += 2 * (u[0] < 0.5)
-    k += u[1] < p_match.take(pair)
-    return _OUTCOME_CODES.take(k)
+    up = u[0] < 0.5
+    match = u[1] < match_table(angles).as_array().ravel().take(pair, None, u[0], "clip")
+    k = np.add(np.multiply(pair, 4, pair), match, pair)
+    return _OUTCOME_CODES.take(np.add(k, 2, k, where=up))

@@ -18,6 +18,7 @@ splitmix64 pass.
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -87,27 +88,42 @@ _SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31 = (np.uint64(k) for k in (11, 27, 30, 31)
 _MIX_CHUNK = 1 << 14
 
 
-def _mix64_in_place(z: np.ndarray) -> np.ndarray:
+_ARENA = threading.local()
+
+
+def scratch(words: int) -> np.ndarray:
+    """This thread's scratch arena: a flat ``uint64`` array of at least ``words``
+    words, grown only when asked for more (see "Scratch arena" in the README)."""
+    arena = getattr(_ARENA, "words", None)
+    if arena is None or len(arena) < words:
+        arena = _ARENA.words = np.empty(words, np.uint64)
+    return arena
+
+
+def _mix64_in_place(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """:func:`mix64` of every element of a C-contiguous ``uint64`` array,
-    written over it."""
+    written over it, shifting into ``tmp``: ``min(z.size, _MIX_CHUNK)`` words."""
     flat = z.reshape(-1)
     for start in range(0, flat.size, _MIX_CHUNK):
         part = flat[start:start + _MIX_CHUNK]
-        tmp = part >> _SHIFT30
-        part ^= tmp
+        shifted = np.right_shift(part, _SHIFT30, tmp[:len(part)])
+        part ^= shifted
         part *= _MIX1
-        np.right_shift(part, _SHIFT27, out=tmp)
-        part ^= tmp
+        np.right_shift(part, _SHIFT27, shifted)
+        part ^= shifted
         part *= _MIX2
-        np.right_shift(part, _SHIFT31, out=tmp)
-        part ^= tmp
+        np.right_shift(part, _SHIFT31, shifted)
+        part ^= shifted
     return z
 
 
 def uniform_lanes(words: np.ndarray) -> np.ndarray:
     """Uniform floats in [0, 1) from ``uint64`` draws, as :meth:`SplitMix64.random`
-    builds one from each draw."""
-    return (words >> _SHIFT11) * 2.0**-53
+    builds one from each draw, written over a C-contiguous or 1-D ``words``."""
+    words >>= _SHIFT11
+    floats = words.view(np.float64)
+    floats.reshape(-1)[...] = words.reshape(-1)  # cast in place: a ufunc would copy its input
+    return np.multiply(floats, 2.0**-53, floats)
 
 
 @lru_cache(maxsize=8)
@@ -116,18 +132,19 @@ def lane_keys(start: int, stop: int) -> np.ndarray:
     ``derive_seed(seed, i)`` that does not depend on the seed.
 
     Cached for the last few ranges and returned read-only, since every run
-    over the same trials shares them.
+    over the same trials shares them. Mixed through the head of the
+    :func:`scratch` arena, which :func:`_draw_lanes` has not yet written.
     """
     index = np.arange(start + 1, stop + 1, dtype=np.uint64)
     index *= _GOLDEN_LANE
-    keys = _mix64_in_place(index)
+    keys = _mix64_in_place(index, scratch(min(len(index), _MIX_CHUNK)))
     keys.setflags(write=False)
     return keys
 
 
 #: ``(r + 1) * GOLDEN`` for draws ``r = 0..7`` of a stream, as a column that
 #: :func:`lane_draws` slices: more than any block draws (the largest
-#: settings and source counts, plus the one word a rejection splices out).
+#: settings and source counts).
 _COUNTERS = np.arange(1, 9, dtype=np.uint64)[:, None] * _GOLDEN_LANE
 
 
@@ -140,5 +157,15 @@ def lane_draws(seed: int, start: int, stop: int, k: int) -> np.ndarray:
     the :data:`_COUNTERS` table raises ``ValueError``."""
     if not 0 <= k <= len(_COUNTERS):
         raise ValueError(f"lane_draws makes 0 to {len(_COUNTERS)} draws a trial, got {k}")
-    state = _mix64_in_place(lane_keys(start, stop) ^ np.uint64(seed & _MASK64))
-    return _mix64_in_place(_COUNTERS[:k] + state)  # faster than state + _COUNTERS[:k]
+    return _draw_lanes(seed, start, stop, max(k, 1))[:k].copy()
+
+
+def _draw_lanes(seed: int, start: int, stop: int, k: int) -> np.ndarray:
+    """:func:`lane_draws` for ``k >= 1`` in this thread's :func:`scratch`
+    arena: the matrix, then each trial's state, then the mixing scratch."""
+    n = stop - start
+    words = scratch(k * n + max(n, min(k * n, _MIX_CHUNK)))
+    draws, state = words[:k * n].reshape(k, n), words[k * n:(k + 1) * n]
+    np.bitwise_xor(lane_keys(start, stop), seed & _MASK64, state)
+    np.add(_COUNTERS[:k], _mix64_in_place(state, words), draws)  # mixing in the unwritten matrix
+    return _mix64_in_place(draws, words[k * n:])

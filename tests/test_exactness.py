@@ -284,7 +284,7 @@ def test_counter_table_holds_every_block_and_its_splice():
     most = (max(s.draws for s in experiment._SETTINGS.values())
             + max(s.draws for s in experiment._SOURCES.values()) + 1)
     assert most <= len(rng._COUNTERS)
-    assert experiment.lane_draws(3, 0, 2, most).shape == (most, 2)
+    assert rng.lane_draws(3, 0, 2, most).shape == (most, 2)
 
 
 class FixedUniforms:

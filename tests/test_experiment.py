@@ -3,6 +3,8 @@ import io
 import itertools
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -616,10 +618,16 @@ READERS = (read_dataset_csv, read_row_counts)
 
 
 class LineReads(io.BytesIO):
-    """A binary stream whose every read returns one line."""
+    """A binary stream whose every read returns one line, or as much of it
+    as ``readinto``'s buffer holds."""
 
     def read(self, size=-1):
         return self.readline() if size else b""
+
+    def readinto(self, buffer):
+        line = self.readline(len(buffer))
+        buffer[:len(line)] = np.frombuffer(line, np.uint8)
+        return len(line)
 
 
 def assert_reads(read, source, records):
@@ -907,3 +915,63 @@ class TestSerialization:
         restored = config_from_dict(config_to_dict(cfg))
         assert restored.solution.weights == solution.weights
         assert restored == cfg
+
+
+def csv_bytes(data) -> bytes:
+    out = io.BytesIO()
+    write_dataset_csv(data, out)
+    return out.getvalue()
+
+
+class TestScratchArena:
+    """Generation and the CSV codec reuse one scratch arena per thread; no
+    result may share it."""
+
+    def test_a_later_run_leaves_an_earlier_result_alone(self, monkeypatch):
+        first = quantum_config(n=300, seed=5)
+        d1 = run_experiment(first)
+        kept = d1.index.copy(), d1.code.copy()
+        d2 = run_experiment(ExperimentConfig(n_trials=211, seed=6, source=SOURCE_STOCHASTIC_LHV,
+                                             model=StochasticLocalModel((0.2, 0.5, 0.9),
+                                                                        (0.7, 0.1, 0.4)),
+                                             setting_distribution=UNIFORM_4))
+        assert np.array_equal(d1.index, kept[0]) and np.array_equal(d1.code, kept[1])
+        assert d1 == run_experiment(first)
+
+        monkeypatch.setattr(experiment, "BLOCK_TRIALS", 7)
+        r1 = read_dataset_csv(io.BytesIO(csv_bytes(d1)))
+        kept = r1.index.copy(), r1.code.copy()
+        assert read_dataset_csv(io.BytesIO(csv_bytes(d2))) == d2
+        assert np.array_equal(r1.index, kept[0]) and np.array_equal(r1.code, kept[1])
+        assert r1 == d1
+
+    def test_threads_give_the_serial_bytes_and_counts(self):
+        sizes = (90, 1_000, 20_000, 70_000)  # the last takes two blocks
+
+        def loop(n):
+            passes = []
+            for seed in range(3):
+                text = csv_bytes(run_experiment(quantum_config(n=n, seed=seed)))
+                passes.append((text, read_row_counts(io.BytesIO(text)).tolist()))
+            return passes
+
+        serial = [loop(n) for n in sizes]
+        start = threading.Barrier(len(sizes))
+        results = [None] * len(sizes)
+
+        def worker(k):
+            start.wait()
+            results[k] = loop(sizes[k])
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(sizes))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside every block
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == serial

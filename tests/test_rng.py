@@ -102,7 +102,8 @@ def test_mixing_in_chunks_matches_scalar_mix(monkeypatch):
     monkeypatch.setattr(rng, "_MIX_CHUNK", 5)
     rng.lane_keys.cache_clear()
     z = np.arange(23, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    assert rng._mix64_in_place(z.copy()).tolist() == [mix64(v) for v in z.tolist()]
+    tmp = np.empty(5, np.uint64)
+    assert rng._mix64_in_place(z.copy(), tmp).tolist() == [mix64(v) for v in z.tolist()]
     words = lane_draws(3, 10, 17, 3)
     for j in range(7):
         stream = SplitMix64(derive_seed(3, 10 + j))
