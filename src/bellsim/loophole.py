@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations, product
@@ -330,21 +330,50 @@ def _scored(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("s,sij->ij", w, detect), np.einsum("s,sij->ij", w, detect_match)
 
 
-def _solve_on(problem: FakingProblem) -> simplex.SimplexResult:
-    """``simplex.solve`` of ``problem``'s program at floor 0 on the distinct
-    strategy columns and z, with x expanded back to all 4097 variables."""
-    columns = _distinct_strategies()
+@dataclass(frozen=True)
+class _Answer:
+    """How :func:`_optimum` answered ``problem``: the route it took, how the
+    floor-0 program ended, z* and x at its vertex, else None, and the pivots
+    of each phase of its solve, (0, 0) where none ran."""
+
+    problem: FakingProblem
+    route: str  # "facets", "bell sum" or "floor 0"
+    status: str | None  # "optimal", "infeasible" or "unbounded"; None for a Bell sum
+    objective: float | None = None
+    x: np.ndarray | None = None
+    pivots: tuple[int, int] = (0, 0)
+
+    def efficiency(self) -> float | None:
+        """z*, at most 1.0, or None with no vertex: :func:`max_faking_efficiency`'s
+        reading. A floor-0 solve that breaks down raises ``simplex.SimplexError``:
+        the program is bounded (z <= 1) and, without the stealth row, feasible."""
+        if self.status == "unbounded" or self.status == "infeasible" and not self.problem.stealth:
+            raise simplex.SimplexError(f"floor-0 faking program reported {self.status}")
+        return None if self.objective is None else min(self.objective, 1.0)
+
+    def solution(self) -> LpSolution:
+        """:func:`solve_lp`'s reading: infeasible without z* or below the floor."""
+        if (z := self.efficiency()) is None or self.problem.efficiency_floor > z:
+            return LpSolution("infeasible", {}, None, None)
+        w = self.x[:N_STRATEGIES]
+        try:
+            return LpSolution("feasible", {int(i): w[i] for i in np.flatnonzero(w > 0.0)},
+                              _scored(w)[0].tolist(), self.x[N_STRATEGIES])
+        except ValueError as exc:
+            raise simplex.SimplexError(f"optimal faking solution refused: {exc}") from None
+
+
+def _solve_on(problem: FakingProblem) -> _Answer:
+    """The "floor 0" answer: ``simplex.solve`` of ``problem``'s program at floor 0
+    on the distinct strategy columns and z, x expanded back to all 4097 variables."""
+    keep = _distinct_strategies()
     detect, detect_match = _strategy_matrices()
-    result = simplex.solve(
-        _assemble_lp(detect[columns], detect_match[columns], problem.targets.as_array(),
-                     0.0, problem.stealth)
-    )
-    if result.x is None:
-        return result
-    x = np.zeros(N_STRATEGIES + 1)
-    x[columns] = result.x[:-1]
-    x[N_STRATEGIES] = result.x[-1]
-    return replace(result, x=x)
+    result = simplex.solve(_assemble_lp(detect[keep], detect_match[keep],
+                                        problem.targets.as_array(), 0.0, problem.stealth))
+    x = None if result.x is None else np.zeros(N_STRATEGIES + 1)
+    if x is not None:
+        x[np.append(keep, N_STRATEGIES)] = result.x
+    return _Answer(problem, "floor 0", result.status, result.objective, x, result.pivots)
 
 
 @lru_cache(maxsize=1)
@@ -409,24 +438,19 @@ def _full_detection_weights(targets: MatchProbabilityTable) -> dict[int, Fractio
         n, d = exact[:, k] * rise[r] - exact[r, k] * rise, rise[r]
 
 
-def _optimum(problem: FakingProblem) -> simplex.SimplexResult | None:
+def _optimum(problem: FakingProblem) -> _Answer:
     """The optimum z* of ``problem``'s program at floor 0, with its vertex,
-    from which every analysis is answered; None where the stealth row
-    leaves no model, or a Bell sum proves floor 1 out. The route, in order:
+    from which every analysis is answered, by the first of three routes:
 
-    1. If the targets' largest relabeled Bell sum b (:func:`_largest_bell_sum`)
-       is at most ``simplex.ARTIFICIAL_MASS_TOL`` (1e-7), they count as local
-       at full detection (exactly so for b <= 0, by the facets of
+    1. "facets": the targets' largest relabeled Bell sum b
+       (:func:`_largest_bell_sum`) is at most ``simplex.ARTIFICIAL_MASS_TOL``,
+       so they count as local at full detection (exactly so for b <= 0, by
        :func:`_local_polytope`): z* = 1, with no solve, on the weights of
-       :func:`_full_detection_weights`. They reproduce the targets within b/2,
-       their rates are within 2 ulps of 1, and z is exactly 1. Only a stealth
-       problem whose weights' identity sum exceeds -:data:`DEMO_STEALTH_MARGIN`
-       goes on to 3, for at full detection that is the targets' own sum.
-    2. Else, at floor 1, None with no solve: no table has a positive sum.
-    3. Else the floor-0 program on the 339 distinct columns. It is bounded
-       (z <= 1) and, without the stealth row, feasible (zero detection meets
-       every target): infeasible with the stealth row gives None, and any
-       other end is a breakdown, which raises ``simplex.SimplexError``.
+       :func:`_full_detection_weights`. A stealth problem whose identity sum,
+       the targets' own, exceeds -:data:`DEMO_STEALTH_MARGIN` goes on to 3.
+    2. "bell sum": else floor 1 is infeasible, as no table has a positive sum.
+    3. "floor 0": else the floor-0 program on the 339 distinct columns, as
+       the simplex ends it; :meth:`_Answer.efficiency` tells a breakdown.
     """
     if _largest_bell_sum(problem.targets) <= simplex.ARTIFICIAL_MASS_TOL:
         weights = _full_detection_weights(problem.targets)
@@ -434,20 +458,15 @@ def _optimum(problem: FakingProblem) -> simplex.SimplexResult | None:
         x[[*weights, N_STRATEGIES]] = [*map(float, weights.values()), 1.0]
         identity = _relabeled_bell_coefficients()[0] @ _scored(x[:N_STRATEGIES])[1].ravel()
         if not problem.stealth or identity <= -DEMO_STEALTH_MARGIN:
-            return simplex.SimplexResult("optimal", x, 1.0, (0, 0))
+            return _Answer(problem, "facets", "optimal", 1.0, x)
     elif problem.efficiency_floor == 1.0:
-        return None
-    result = _solve_on(problem)
-    if result.status == "optimal":
-        return result
-    if result.status == "infeasible" and problem.stealth:
-        return None
-    raise simplex.SimplexError(f"floor-0 faking program reported {result.status}")
+        return _Answer(problem, "bell sum", None)
+    return _solve_on(problem)
 
 
 def solve_lp(problem: FakingProblem) -> LpSolution:
-    """Answer ``problem`` by :func:`_optimum`: infeasible where it gives
-    None or where the floor f exceeds its z*, else feasible at that optimum.
+    """Answer ``problem`` by :func:`_optimum`: infeasible where it holds no
+    z* or where the floor f exceeds its z*, else feasible at that optimum.
     The floor-f program maximizes the same minimum coincidence rate z and
     only adds the rows "coincidence rate >= f", so it is feasible exactly
     when z* is at least f, and that optimum is optimal at floor f too. A
@@ -456,15 +475,7 @@ def solve_lp(problem: FakingProblem) -> LpSolution:
     nearest it, and that double reads infeasible). A solver breakdown, or
     optimal weights :class:`LpSolution` refuses, raises ``simplex.SimplexError``.
     """
-    result = _optimum(problem)
-    if result is None or problem.efficiency_floor > result.objective:
-        return LpSolution("infeasible", {}, None, None)
-    w = result.x[:N_STRATEGIES]
-    try:
-        return LpSolution("feasible", {int(i): w[i] for i in np.flatnonzero(w > 0.0)},
-                          _scored(w)[0].tolist(), result.x[N_STRATEGIES])
-    except ValueError as exc:
-        raise simplex.SimplexError(f"optimal faking solution refused: {exc}") from None
+    return _optimum(problem).solution()
 
 
 def rescore_solution(solution: LpSolution) -> tuple[np.ndarray, np.ndarray, float]:
@@ -479,11 +490,10 @@ def rescore_solution(solution: LpSolution) -> tuple[np.ndarray, np.ndarray, floa
 def max_faking_efficiency(targets: MatchProbabilityTable) -> float:
     """Largest efficiency floor at which faking stays feasible: the optimum
     z* of :func:`_optimum` at floor 0, at most 1.0. It may break down where
-    :func:`solve_lp` at floor 1 makes no solve. The test suite
-    cross-checks it against a bisection on the feasibility of floor
-    programs. A solver breakdown raises ``simplex.SimplexError``.
+    :func:`solve_lp` at floor 1 makes no solve. A solver breakdown raises
+    ``simplex.SimplexError``.
     """
-    return min(_optimum(FakingProblem(targets)).objective, 1.0)
+    return _optimum(FakingProblem(targets)).efficiency()
 
 
 def demonstration_solution(targets: MatchProbabilityTable) -> LpSolution:

@@ -55,7 +55,9 @@ class Angle:
 
     @property
     def degrees(self) -> float:
-        return math.degrees(self.radians)
+        """In degrees, rounded to 15 significant digits for display, but below 360."""
+        degrees = math.degrees(self.radians)
+        return rounded if (rounded := float(f"{degrees:.15g}")) < 360.0 else degrees
 
     def separation(self, other: "Angle") -> float:
         """Undirected angle between the two axes, wrapped to [0, pi]."""

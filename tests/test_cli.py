@@ -26,12 +26,14 @@ class TestCorrelations:
         assert "0.250000" in out and "0.750000" in out
         assert "violation margin: 0.250000" in out
         assert err.startswith("config:")
+        assert '"angles_degrees": [60.0, 0.0, 120.0]' in err  # not 59.99999999999999
 
     def test_json_is_a_single_document(self, capsys):
         code, out, _ = run_cli(
             capsys, "correlations", "--angles", "60,0,120", "--format", "json"
         )
         doc = json.loads(out)
+        assert doc["angles_degrees"] == [60.0, 0.0, 120.0]  # not 59.99999999999999
         assert doc["violation_margin"] == pytest.approx(0.25)
         assert doc["match_probabilities"][1][2] == pytest.approx(0.75)
 
@@ -232,12 +234,14 @@ class TestSimulateAndTest:
         code, printed, _ = run_cli(capsys, *flags)
         assert code == 0
         out_file = tmp_path / "d.json"
-        code, out, _ = run_cli(capsys, *flags, "--out", str(out_file))
+        code, out, err = run_cli(capsys, *flags, "--out", str(out_file))
         assert code == 0 and out == ""
         assert out_file.read_text() == printed
         sidecar = json.loads((tmp_path / "d.json.meta.json").read_text())
         radians = sidecar.pop("angles_radians")  # the sidecar's alone: the angles bit for bit
         assert sidecar == json.loads(printed)["config"]
+        assert sidecar["angles_degrees"] == [60.0, 0.0, 120.0]
+        assert '"angles_degrees": [60.0, 0.0, 120.0]' in err
         assert radians == [math.radians(d) for d in (60, 0, 120)]
         assert sorted(os.listdir(tmp_path)) == ["d.json", "d.json.meta.json"]
 
@@ -481,9 +485,10 @@ class TestLoopholeCommand:
         assert json.loads(out)["max_faking_efficiency"] == pytest.approx(2 / 3, abs=1e-9)
 
     def test_max_efficiency_text_prints_exact_two_thirds(self, capsys):
-        code, out, _ = run_cli(capsys, "loophole", "--angles", "60,0,120", "--max-efficiency")
+        code, out, err = run_cli(capsys, "loophole", "--angles", "60,0,120", "--max-efficiency")
         assert code == 0
         assert out == "maximum faking efficiency: 0.6667\n"
+        assert '"angles_degrees": [60.0, 0.0, 120.0]' in err
 
     def test_floor_solve_reports_rates(self, capsys):
         code, out, _ = run_cli(

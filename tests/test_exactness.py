@@ -116,8 +116,9 @@ GOLDEN_SHA256 = {
         "d9eae3316d36aa2f95f3f2833a97626d3164230d0fb10f68619be0264674d47f",
     (SOURCE_LOOPHOLE, UNIFORM_4, "csv"):
         "68726f98c7027642d13a4e11b6578e5c5c99caa7bca4c520eecf71b01457a4c1",
+    # Its config echoes the angles as ``Angle.degrees`` gives them, [60.0, 0.0, 120.0].
     (SOURCE_QUANTUM, UNIFORM_9, "json"):
-        "44abfd85a1a6b33dabf2d1a2f606311ccefe36cfc20fea68df81192d53bda900",
+        "d0fb83d039bc9f0b921d374713958adb9768e330f5d8916e4c43dd08add79d00",
 }
 
 # SHA-256 of ``json.dumps(solution.to_dict())``, recorded from the simplex

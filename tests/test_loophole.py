@@ -1,7 +1,9 @@
+import importlib.util
 import itertools
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from bellsim.loophole import (
     _full_detection_weights,
     _largest_bell_sum,
     _local_polytope,
+    _optimum,
     _relabeled_bell_coefficients,
     _scored,
     _solve_on,
@@ -156,15 +159,6 @@ class TestBuildFakingLp:
 
 
 class TestSolveLp:
-    def test_zero_targets_have_a_perfect_witness(self):
-        solution = solve_lp(FakingProblem(targets=ZERO_TARGETS))
-        assert solution.status == "feasible"
-        assert solution.min_coincidence_rate == pytest.approx(1.0)
-
-    def test_quantum_targets_infeasible_at_full_detection(self):
-        solution = solve_lp(FakingProblem(targets=CANONICAL_TARGETS, efficiency_floor=1.0))
-        assert solution.status == "infeasible"
-
     def test_quantum_targets_feasible_at_floor_zero(self, floor0_solution):
         assert floor0_solution.status == "feasible"
         assert floor0_solution.min_coincidence_rate == pytest.approx(
@@ -220,9 +214,7 @@ class TestMaxFakingEfficiency:
         # from the floor-0 solve, or floor 1 from a relabeled Bell sum, and
         # must neither raise nor disagree.
         optimize = pytest.importorskip("scipy.optimize")
-        rng = np.random.default_rng(1)
-        for degrees in rng.integers(0, 360, size=(30, 3)):
-            targets = match_table(AngleTriple.from_degrees(*map(int, degrees)))
+        for k, targets in enumerate(INTEGER_TRIPLES[:30]):
             eta = max_faking_efficiency(targets)
             for floor in (0.6, 1.0):
                 problem = FakingProblem(targets=targets, efficiency_floor=floor)
@@ -233,18 +225,15 @@ class TestMaxFakingEfficiency:
                     A_eq=program.eq_matrix, b_eq=program.eq_rhs,
                     bounds=(0.0, None), method="highs",
                 )
-                assert highs.status in (0, 2), (degrees, floor, highs.message)
+                assert highs.status in (0, 2), (k, floor, highs.message)
                 solution = solve_lp(problem)
                 expected = "feasible" if highs.status == 0 else "infeasible"
-                assert solution.status == expected, (degrees, floor)
+                assert solution.status == expected, (k, floor)
                 if expected == "feasible":
                     assert solution.min_coincidence_rate == pytest.approx(eta, abs=1e-9)
 
     def test_one_solve_matches_floor0_optimum(self, floor0_solution):
         assert max_faking_efficiency(CANONICAL_TARGETS) == floor0_solution.min_coincidence_rate
-
-    def test_zero_targets_reach_full_efficiency(self):
-        assert max_faking_efficiency(ZERO_TARGETS) == 1.0
 
     def test_lhv_reachable_targets_reach_full_efficiency(self):
         mixture = DeterministicLhv(
@@ -332,22 +321,19 @@ class TestMaxFakingEfficiency:
         assert max_faking_efficiency(targets) == pytest.approx(0.9996440399774037, abs=1e-9)
 
 
-def tiny_weight_census():
-    """150 local mixtures of 2 to 4 tables, one of weight in [1e-12, 1e-9],
-    as their match tables, from ``default_rng(5)``."""
-    rng = np.random.default_rng(5)
-    census = []
-    for _ in range(150):
-        m = rng.integers(2, 5)
-        idx = rng.choice(64, m, replace=False)
-        tiny = 10 ** rng.uniform(-12, -9)
-        weights = (tiny, *rng.dirichlet(np.ones(m - 1)) * (1 - tiny))
-        units = tuple(all_tables()[i] for i in idx)
-        census.append(lhv_match_table(DeterministicLhv(Population(units=units, weights=weights))))
-    return census
+def load_census():
+    """``tools/census.py``, loaded by path: its target sets are the test sets here."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "census.py"
+    spec = importlib.util.spec_from_file_location("census", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-TINY_WEIGHT_CENSUS = tiny_weight_census()
+CENSUS = load_census()
+INTEGER_TRIPLES = CENSUS.TARGET_SETS["300 integer triples"]
+#: 150 local mixtures of 2 to 4 tables, one of weight in [1e-12, 1e-9].
+TINY_WEIGHT_CENSUS = CENSUS.TARGET_SETS["150 tiny-weight mixtures"]
 
 
 def refuse_solves(monkeypatch):
@@ -393,76 +379,81 @@ class TestFullDetectionFirst:
         assert z < 1.0
         return z
 
-    @staticmethod
-    def count_solves(monkeypatch):
-        calls = []
-        solve = simplex.solve
-
-        def counted(lp):
-            calls.append(lp)
-            return solve(lp)
-
-        def refuse(lp):
-            raise AssertionError("a phase 1 at floor 1 was run")
-
-        monkeypatch.setattr(simplex, "solve", counted)
-        monkeypatch.setattr(simplex, "feasible", refuse)
-        return calls
-
-    def test_floor_one_optimum_answers_the_floors_above(self):
-        z = self.floor_zero_optimum(self.CONFIRMED)
-        assert max_faking_efficiency(self.CONFIRMED) == 1.0
+    # The facets decide the floors above the floor-0 solve's optimum,
+    # feasible, as HiGHS finds.
+    @pytest.mark.parametrize("targets", (CONFIRMED, DIVERGING), ids=("CONFIRMED", "DIVERGING"))
+    def test_floor_one_optimum_answers_the_floors_above(self, targets, monkeypatch):
+        z = self.floor_zero_optimum(targets)
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 5_000)
+        assert max_faking_efficiency(targets) == 1.0
         for floor in (float(np.nextafter(z, 1.0)), 1.0):
-            solution = solve_lp(FakingProblem(targets=self.CONFIRMED, efficiency_floor=floor))
+            solution = solve_lp(FakingProblem(targets=targets, efficiency_floor=floor))
             assert solution.status == "feasible", floor
             assert min(map(min, solution.coincidence_rates)) >= floor
 
-    def test_every_floor_and_the_demo_makes_no_solve(self, monkeypatch):
-        z = self.floor_zero_optimum(self.DIVERGING)
-        calls = self.count_solves(monkeypatch)
-        for floor in (0.0, 0.5, z):
-            solution = solve_lp(FakingProblem(targets=self.DIVERGING, efficiency_floor=floor))
-            assert solution.status == "feasible", floor
-            assert solution.min_coincidence_rate == 1.0
-        demo = demonstration_solution(self.DIVERGING)
-        assert demo.status == "feasible"
-        assert demo.min_coincidence_rate == 1.0
-        assert calls == []
-
+    # The facets answer every floor of these local targets with no solve.
     @pytest.mark.parametrize(
         "targets",
         (TestMaxFakingEfficiency.BREAKDOWN, TestMaxFakingEfficiency.WRONG_OPTIMUM,
-         CONFIRMED, DIVERGING),
-        ids=("BREAKDOWN", "WRONG_OPTIMUM", "CONFIRMED", "DIVERGING"),
+         CONFIRMED, DIVERGING, ZERO_TARGETS),
+        ids=("BREAKDOWN", "WRONG_OPTIMUM", "CONFIRMED", "DIVERGING", "ZERO"),
     )
-    def test_local_targets_make_no_solve(self, targets, monkeypatch):
-        calls = self.count_solves(monkeypatch)
+    def test_local_targets_are_facet_answers(self, targets):
         assert max_faking_efficiency(targets) == 1.0
-        for floor in (0.0, 1.0):
-            solution = solve_lp(FakingProblem(targets=targets, efficiency_floor=floor))
+        for floor in (0.0, 0.5, 1.0):
+            answer = _optimum(FakingProblem(targets, floor))
+            assert (answer.route, answer.pivots) == ("facets", (0, 0))
+            solution = solve_lp(FakingProblem(targets, floor))
             assert solution.status == "feasible"
             assert LpSolution.from_dict(solution.to_dict()) == solution
             assert solution.min_coincidence_rate == 1.0
-        assert calls == []
 
-    # The Bell statistic of these targets is positive, so each analysis is
-    # one floor-0 solve, but for floor 1 itself, which the statistic answers
-    # with no solve.
-    @pytest.mark.parametrize("degrees", ((60, 0, 120), (45, 0, 90)))
-    def test_non_local_targets_are_one_floor_zero_solve(self, degrees, monkeypatch):
-        targets = match_table(AngleTriple.from_degrees(*degrees))
-        calls = self.count_solves(monkeypatch)
-        max_faking_efficiency(targets)
-        demonstration_solution(targets)
-        for floor in (0.0, 1.0):
-            solve_lp(FakingProblem(targets=targets, efficiency_floor=floor))
-        assert [lp.n_vars for lp in calls] == [340] * 3
 
-    # The facets decide floor 1 for these targets, feasible, as HiGHS finds.
-    def test_diverging_floor_one_reaches_full_efficiency(self, monkeypatch):
-        self.floor_zero_optimum(self.DIVERGING)
-        monkeypatch.setattr(simplex, "MAX_PIVOTS", 5_000)
-        assert max_faking_efficiency(self.DIVERGING) == 1.0
+UNBOUNDED_DEMO = match_table(AngleTriple.from_degrees(181, 7, 6))
+FORTY_FIVE = match_table(AngleTriple.from_degrees(45, 0, 90))
+
+
+class TestAnswer:
+    # _optimum's answer to fixed problems: its route, how the program ended,
+    # z* and the pivots of each phase, (0, 0) where no solve ran. A Bell sum
+    # answers floor 1 of non-local targets. The facets' model of the zero
+    # targets fails the stealth row, and that solve ends in phase 1.
+    # UNBOUNDED_DEMO is triple 117 of the census's integer triples.
+    @pytest.mark.parametrize("targets, floor, stealth, end", (
+        (CANONICAL_TARGETS, 0.0, False, ["floor 0", "optimal", 0.6666666666666665, (10, 319)]),
+        (CANONICAL_TARGETS, 1.0, False, ["bell sum", None, None, (0, 0)]),
+        (CANONICAL_TARGETS, 0.0, True, ["floor 0", "optimal", 0.40000000000000013, (11, 252)]),
+        (FORTY_FIVE, 0.0, False, ["floor 0", "optimal", 0.7071067811865479, (10, 184)]),
+        (FORTY_FIVE, 1.0, False, ["bell sum", None, None, (0, 0)]),
+        (FORTY_FIVE, 0.0, True, ["floor 0", "optimal", 0.27279220613578603, (11, 216)]),
+        (TestFullDetectionFirst.CONFIRMED, 0.0, False, ["facets", "optimal", 1.0, (0, 0)]),
+        (ZERO_TARGETS, 0.0, True, ["floor 0", "infeasible", None, (9, 0)]),
+        (UNBOUNDED_DEMO, 0.0, True, ["floor 0", "unbounded", None, (11, 3084)]),
+    ), ids=("60,0,120", "60,0,120 floor 1", "60,0,120 demo", "45,0,90", "45,0,90 floor 1",
+            "45,0,90 demo", "CONFIRMED", "zero demo", "181,7,6 demo"))
+    def test_route_and_end(self, targets, floor, stealth, end):
+        answer = _optimum(FakingProblem(targets, floor, stealth))
+        assert [answer.route, answer.status, answer.objective, answer.pivots] == end
+        assert (answer.x is None) == (answer.objective is None)
+
+    # The census on five targets: integer triples 0 and 117, real triple 0
+    # and tiny-weight mixtures 6 and 18, whose demonstrations end infeasible
+    # in phase 1 and at the facets. Triple 117's demonstration raises.
+    def test_census_runs(self, capsys):
+        real = CENSUS.TARGET_SETS["240 real triples"]
+        CENSUS.census([INTEGER_TRIPLES[0], INTEGER_TRIPLES[117], real[0],
+                       TINY_WEIGHT_CENSUS[6], TINY_WEIGHT_CENSUS[18]])
+        lines = [line.split(", median")[0] for line in capsys.readouterr().out.splitlines()]
+        assert lines == [
+            "max_faking_efficiency: routes {'facets': 2, 'floor 0': 3}, "
+            "outcomes {'value': 5}, pivots 30 + 897",
+            "solve_lp floor 0: routes {'facets': 2, 'floor 0': 3}, "
+            "outcomes {'feasible': 5}, pivots 30 + 897",
+            "solve_lp floor 1: routes {'bell sum': 3, 'facets': 2}, "
+            "outcomes {'feasible': 2, 'infeasible': 3}, pivots 0 + 0",
+            "demonstration_solution: routes {'facets': 1, 'floor 0': 4}, "
+            "outcomes {'SimplexError': 1, 'feasible': 3, 'infeasible': 1}, pivots 38 + 3708",
+        ]
 
 
 def relabeled_sums(p):
@@ -475,12 +466,6 @@ def relabeled_sums(p):
         q = [[flip + (1 - 2 * flip) * p[s1[i]][s2[j]] for j in range(3)] for i in range(3)]
         sums.append(q[1][2] - q[0][2] - q[1][0] - q[0][0])
     return sums
-
-
-def integer_triples():
-    """The 300 integer angle triples of ``default_rng(1)`` as match tables."""
-    triples = np.random.default_rng(1).integers(0, 360, (300, 3))
-    return [match_table(AngleTriple.from_degrees(*map(int, d))) for d in triples]
 
 
 def relabeled_only(targets):
@@ -530,7 +515,7 @@ class TestRelabeledBellSums:
     # threshold, so only a relabeling proves them non-local: the floor-1
     # program on the always-detect strategies ends infeasible too.
     def test_a_relabeled_violation_leaves_full_detection_infeasible(self):
-        targets = relabeled_only(integer_triples())
+        targets = relabeled_only(INTEGER_TRIPLES)
         assert len(targets) == 212
         keep = _distinct_strategies()
         always_detect = keep[(keep & 0x3F) == 0x3F]
@@ -545,9 +530,9 @@ class TestRelabeledBellSums:
     # as at the non-local triple of TestMaxFakingEfficiency.
     @pytest.mark.parametrize("targets", (
         CANONICAL_TARGETS,
-        match_table(AngleTriple.from_degrees(45, 0, 90)),
+        FORTY_FIVE,
         match_table(AngleTriple.from_degrees(*TestMaxFakingEfficiency.NON_LOCAL)),
-        *relabeled_only(integer_triples())[:3],
+        *relabeled_only(INTEGER_TRIPLES)[:3],
     ), ids=("60,0,120", "45,0,90", "NON_LOCAL", "relabeled-0", "relabeled-1", "relabeled-2"))
     def test_floor_one_of_a_proven_violation_makes_no_solve(self, targets, monkeypatch):
         refuse_solves(monkeypatch)
@@ -656,12 +641,13 @@ class TestLocalPolytope:
             assert 0.0 < _largest_bell_sum(targets) < 1e-7
         assert _full_detection_weights(TestFullDetectionFirst.CONFIRMED) == {319: 1}
 
-    # Both meet the stealth row at full detection, so the demonstration is
-    # the full-detection model; the floor-0 stealth solve of each does not
-    # finish.
+    # These meet the stealth row at full detection, so the demonstration is
+    # the full-detection model; the floor-0 stealth solves of BREAKDOWN and
+    # census-18 do not finish.
     @pytest.mark.parametrize("targets", (TestMaxFakingEfficiency.BREAKDOWN,
+                                         TestFullDetectionFirst.DIVERGING,
                                          TINY_WEIGHT_CENSUS[18]),
-                             ids=("BREAKDOWN", "census-18"))
+                             ids=("BREAKDOWN", "DIVERGING", "census-18"))
     def test_demo_of_a_local_target_detects_everything(self, targets, monkeypatch):
         refuse_solves(monkeypatch)
         demo = demonstration_solution(targets)
@@ -754,14 +740,13 @@ class TestFloorRows:
     def test_floor_zero_solve_is_the_solve_with_floor_rows(self):
         keep = _distinct_strategies()
         detect, detect_match = (m[keep] for m in _strategy_matrices())
-        for degrees in np.random.default_rng(1).integers(0, 360, (30, 3)):
-            targets = match_table(AngleTriple.from_degrees(*map(int, degrees)))
+        for k, targets in enumerate(INTEGER_TRIPLES[:30]):
             for stealth in (False, True):
                 solved = _solve_on(FakingProblem(targets, stealth=stealth))
                 program = _assemble_lp(detect, detect_match, targets.as_array(), 0.0, stealth)
                 assert program.ub_matrix.shape[0] == 9 + stealth
                 reference = simplex.solve(self.with_floor_rows(program))
-                case = (tuple(degrees), stealth)
+                case = (k, stealth)
                 assert solved.status == reference.status == "optimal", case
                 x = solved.x[np.append(keep, N_STRATEGIES)]
                 assert x.tobytes() == reference.x.tobytes(), case

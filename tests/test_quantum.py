@@ -44,8 +44,9 @@ class TestAngle:
         assert Angle(1e-14) == Angle(TAU - 1e-14)
         assert Angle(0.1) != Angle(0.2)
 
-    def test_degrees_round_trip(self):
-        assert Angle.from_degrees(60.0).degrees == pytest.approx(60.0)
+    def test_degrees_are_rounded_for_display_below_360(self):
+        assert Angle.from_degrees(60.0).degrees == 60.0  # not 59.99999999999999
+        assert Angle.from_degrees(-1e-13).degrees == 359.9999999999999  # not 360.0
 
     @given(angles_radians, angles_radians)
     def test_separation_symmetric_and_bounded(self, a, b):

@@ -5,17 +5,18 @@ Runs every target of three sets through ``max_faking_efficiency``,
 tables of the 300 integer triples ``numpy.random.default_rng(1).integers(0,
 360, (300, 3))``, then of the 240 real triples
 ``numpy.random.default_rng(2).uniform(0, 360, (240, 3))``, whose triple 91
-makes the floor-0 solve hit the pivot limit, then the 150 local mixtures of
-the tiny-weight census in ``tests/test_loophole.py``. A local target makes
-no solve: the facets of the local polytope answer it. Only a demonstration
-whose full-detection model misses the stealth row goes on to the floor-0
-stealth solve, and most of that set's time goes to the five of those that
-hit the 50,000-pivot limit: mixtures 78, 94, 102, 132 and 135.
-For each set it prints, per analysis, how many targets took each route (the
-column counts of the simplex solves it made, "none" for no solve), each
-outcome, the total phase-1 and phase-2 pivots of the solves that returned,
-and the median and total seconds; then one SHA-256 over every document the
-set's analyses returned, in order. Last comes the wall time.
+makes the floor-0 solve hit the pivot limit, then 150 local mixtures with
+one tiny weight, which ``tests/test_loophole.py`` tests too. Only a
+demonstration whose full-detection model misses the stealth row goes on to
+the floor-0 stealth solve, and most of that set's time goes to the five of
+those that hit the 50,000-pivot limit: mixtures 78, 94, 102, 132 and 135.
+Each analysis runs once per target: ``loophole._optimum``, then the
+analysis's reading of that answer. For each set it prints, per analysis,
+how many targets took each route of the answer ("facets", "bell sum" or
+"floor 0"; "raised" where the floor-0 solve raised and left no answer),
+each outcome, the total phase-1 and phase-2 pivots of the answers, and the
+median and total seconds; then one SHA-256 over every document the set's
+analyses returned, in order. Last comes the wall time.
 
 Two checkouts agree on every answer when their digests agree, and a change
 to the simplex's pivot path shows in the pivot totals. Run from the
@@ -39,11 +40,12 @@ from bellsim.counterfactuals import Population, all_tables
 from bellsim.lhv import DeterministicLhv, lhv_match_table
 from bellsim.quantum import AngleTriple, match_table
 
+#: Each analysis as its problem's floor and stealth, and its reading of the answer.
 ANALYSES = {
-    "max_faking_efficiency": loophole.max_faking_efficiency,
-    "solve_lp floor 0": lambda t: loophole.solve_lp(loophole.FakingProblem(t, 0.0)),
-    "solve_lp floor 1": lambda t: loophole.solve_lp(loophole.FakingProblem(t, 1.0)),
-    "demonstration_solution": loophole.demonstration_solution,
+    "max_faking_efficiency": (0.0, False, loophole._Answer.efficiency),
+    "solve_lp floor 0": (0.0, False, loophole._Answer.solution),
+    "solve_lp floor 1": (1.0, False, loophole._Answer.solution),
+    "demonstration_solution": (0.0, True, loophole._Answer.solution),
 }
 
 
@@ -81,28 +83,28 @@ TARGET_SETS = {
 }
 
 
-def census(targets: list, columns: list[int], pivots: list[int]) -> str:
+def census(targets: list) -> str:
     """Run every analysis over ``targets``, printing one line per analysis,
-    and return the SHA-256 over every document. ``columns`` and ``pivots``
-    are filled by the counting ``simplex.solve`` that ``main`` installs."""
+    and return the SHA-256 over every document."""
     digest = hashlib.sha256()
-    for name, analysis in ANALYSES.items():
-        routes, outcomes, seconds = Counter(), Counter(), []
-        pivots[:] = [0, 0]
+    for name, (floor, stealth, read) in ANALYSES.items():
+        routes, outcomes, seconds, pivots = Counter(), Counter(), [], np.zeros(2, int)
         for t in targets:
-            columns.clear()
+            route = "raised"
             t0 = time.perf_counter()
             try:
-                answer = analysis(t)
+                answer = loophole._optimum(loophole.FakingProblem(t, floor, stealth))
+                route, pivots = answer.route, pivots + answer.pivots
+                result = read(answer)
             except simplex.SimplexError as exc:
                 seconds.append(time.perf_counter() - t0)
                 outcome, doc = "SimplexError", f"SimplexError: {exc}"
             else:
                 seconds.append(time.perf_counter() - t0)
-                outcome = "value" if isinstance(answer, float) else answer.status
-                doc = document(answer)
+                outcome = "value" if isinstance(result, float) else result.status
+                doc = document(result)
             digest.update(doc.encode() + b"\n")
-            routes["+".join(map(str, columns)) or "none"] += 1
+            routes[route] += 1
             outcomes[outcome] += 1
         print(f"{name}: routes {dict(sorted(routes.items()))}, "
               f"outcomes {dict(sorted(outcomes.items()))}, "
@@ -113,25 +115,10 @@ def census(targets: list, columns: list[int], pivots: list[int]) -> str:
 
 
 def main() -> None:
-    solve = simplex.solve
-    columns: list[int] = []
-    pivots = [0, 0]
-
-    def counted(lp):
-        columns.append(lp.n_vars)
-        result = solve(lp)
-        pivots[0] += result.pivots[0]
-        pivots[1] += result.pivots[1]
-        return result
-
     start = time.perf_counter()
-    simplex.solve = counted
-    try:
-        for set_name, targets in TARGET_SETS.items():
-            print(f"{set_name}:")
-            print(f"sha256 {census(targets, columns, pivots)}")
-    finally:
-        simplex.solve = solve
+    for set_name, targets in TARGET_SETS.items():
+        print(f"{set_name}:")
+        print(f"sha256 {census(targets)}")
     print(f"wall {time.perf_counter() - start:.1f} s")
 
 
