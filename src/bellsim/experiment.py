@@ -43,16 +43,10 @@ from .lhv import (
     model_to_dict,
     sample_from_lhv,
     sample_mixture_lanes,
-    sample_stochastic_lanes,
+    sample_two_draw_lanes,
 )
-from .quantum import (
-    AngleTriple,
-    _check_setting,
-    _row_code,
-    sample_outcome_pair,
-    sample_outcome_pair_lanes,
-)
-from .rng import SplitMix64, _draw_lanes, derive_seed, scratch, uniform_lanes
+from .quantum import AngleTriple, _check_setting, _row_code, sample_outcome_pair
+from .rng import _SHIFT11, SplitMix64, _draw_lanes, derive_seed, scratch
 
 SOURCE_QUANTUM = "quantum"
 SOURCE_DETERMINISTIC_LHV = "deterministic-lhv"
@@ -60,16 +54,17 @@ SOURCE_STOCHASTIC_LHV = "stochastic-lhv"
 SOURCE_LOOPHOLE = "loophole"
 #: Every source, in the order of the ``--source`` choices: the payloads of
 #: :class:`ExperimentConfig` it uses, each mapped to its type, the last
-#: required and read by its sampler; the uniforms its sampler draws per
-#: trial; and the sampler, which maps ``(payload, pair, u)``, the block's
-#: setting pairs ``3 * x1 + x2`` and its ``(draws, trials)`` uniforms, to
-#: the block's uint8 row codes, free to write over ``pair`` and ``u``. A
-#: loophole run keeps the angles its demonstration solution was built for.
+#: required and read by its sampler; the draws its sampler makes per
+#: trial; and the sampler, which maps ``(payload, pair, m)``, the block's
+#: setting pairs ``3 * x1 + x2`` and the top 53 bits of its
+#: ``(draws, trials)`` draws, to the block's uint8 row codes, free to write
+#: over ``pair`` and ``m``. A loophole run keeps the angles its
+#: demonstration solution was built for.
 _Source = namedtuple("_Source", "uses draws sample_lanes")
 _SOURCES = {
-    SOURCE_QUANTUM: _Source({"angles": AngleTriple}, 2, sample_outcome_pair_lanes),
+    SOURCE_QUANTUM: _Source({"angles": AngleTriple}, 2, sample_two_draw_lanes),
     SOURCE_DETERMINISTIC_LHV: _Source({"model": DeterministicLhv}, 1, sample_mixture_lanes),
-    SOURCE_STOCHASTIC_LHV: _Source({"model": StochasticLocalModel}, 2, sample_stochastic_lanes),
+    SOURCE_STOCHASTIC_LHV: _Source({"model": StochasticLocalModel}, 2, sample_two_draw_lanes),
     SOURCE_LOOPHOLE: _Source({"angles": AngleTriple, "solution": loophole_mod.LpSolution}, 1,
                              sample_mixture_lanes),
 }
@@ -308,13 +303,15 @@ def run_experiment(config: ExperimentConfig) -> TrialDataset:
     Trials are generated in blocks of :data:`BLOCK_TRIALS`. A block takes
     every draw its trials make as one ``(draws, trials)`` matrix from
     :func:`~bellsim.rng.lane_draws`: the settings' rows first, which decode
-    to each trial's setting pair, then the source's, which its sampler
-    receives as uniforms and turns, with the pairs, into the row codes.
+    to each trial's setting pair, then the source's, whose top 53 bits its
+    sampler compares with its thresholds to turn them, with the pairs, into
+    the row codes.
     Trial randomness is keyed by (seed, trial index), so the block size
     cannot change what any trial draws. The distribution and the source are
     looked up in :data:`_SETTINGS` and :data:`_SOURCES` once per call.
     The matrix lives in this thread's :func:`~bellsim.rng.scratch` arena,
-    overwritten by the pairs, uniforms and sampler; only the result is fresh.
+    overwritten by the pairs, the shifted draws and the sampler; only the
+    result is fresh.
     """
     n = config.n_trials
     code = np.empty(n, dtype=np.uint8)
@@ -326,7 +323,9 @@ def run_experiment(config: ExperimentConfig) -> TrialDataset:
         stop = min(start + BLOCK_TRIALS, n)
         words = _draw_lanes(config.seed, start, stop, settings.draws + source.draws)
         pair = settings.decode(words, config.seed, start)
-        code[start:stop] = source.sample_lanes(payload, pair, uniform_lanes(words[settings.draws:]))
+        top = words[settings.draws:]
+        top >>= _SHIFT11
+        code[start:stop] = source.sample_lanes(payload, pair, top)
     return TrialDataset(np.arange(n), code)
 
 

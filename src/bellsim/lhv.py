@@ -24,6 +24,7 @@ import numpy as np
 
 from .counterfactuals import CounterfactualTable, Population
 from .quantum import SETTINGS, MatchProbabilityTable, _row_code, two_draw_codes
+from .rng import thresholds
 
 
 @dataclass(frozen=True)
@@ -41,12 +42,10 @@ class DeterministicLhv:
         return cls(Population(units=(table,)))
 
     @cached_property
-    def _sampling_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cumulative weights and every unit's :func:`pair_codes`, for
-        :func:`sample_from_lhv` and :func:`sample_mixture_lanes`."""
+    def _sampling_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The :func:`mixture_arrays` of the tables."""
         units = self.mixture.units
-        return (cumulative_weights(self.mixture.weights),
-                pair_codes([u.y1 for u in units], [u.y2 for u in units]))
+        return mixture_arrays(self.mixture.weights, [u.y1 for u in units], [u.y2 for u in units])
 
 
 @dataclass(frozen=True)
@@ -62,6 +61,12 @@ class StochasticLocalModel:
             if len(probs) != 3 or any(not 0.0 <= v <= 1.0 for v in probs):
                 raise ValueError(f"{name} must be three probabilities in [0, 1]")
             object.__setattr__(self, name, probs)
+
+    @cached_property
+    def _sampling_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For :func:`sample_two_draw_lanes`: the thresholds of ``p1[x1]``
+        and ``p2[x2]`` at each pair ``3 * x1 + x2``, and the codes."""
+        return np.repeat(thresholds(self.p1), 3), np.tile(thresholds(self.p2), 3), _SPIN_CODES
 
 
 LocalModel = Union[DeterministicLhv, StochasticLocalModel]
@@ -150,15 +155,6 @@ def stochastic_bell_supremum(grid_steps: int) -> float:
     return stochastic_bell_search(grid_steps).value
 
 
-def cumulative_weights(weights: tuple[float, ...]) -> np.ndarray:
-    """Running sums of ``weights``, added left to right, that a mixture's
-    samplers invert: the component drawn by uniform ``u`` is the number of
-    sums at most ``u``."""
-    out = np.cumsum(weights, dtype=float)
-    out[-1] = max(out[-1], 1.0)  # guard the inversion against rounding shortfall
-    return out
-
-
 def sample_from_lhv(model: LocalModel, pair: tuple[int, int], rng) -> tuple[int, int]:
     """Draw one outcome pair (y1, y2) from a local model at the given settings.
 
@@ -178,24 +174,31 @@ def sample_from_lhv(model: LocalModel, pair: tuple[int, int], rng) -> tuple[int,
     raise TypeError(f"not a local model: {model!r}")
 
 
-def pair_codes(y1, y2) -> np.ndarray:
-    """The units x 9 uint8 table of each unit's row code at each setting
-    pair ``3 * x1 + x2``, from its spins ``y1[k, x1]`` and ``y2[k, x2]``, 0
-    where unit ``k`` does not detect at that setting."""
+def mixture_arrays(weights, y1, y2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A mixture's ``_sampling_arrays``, from its units' weights and spins
+    ``y1[k, x1]`` and ``y2[k, x2]`` (0 where unit ``k`` does not detect):
+    the running sums of the weights, added left to right, that the scalar
+    samplers invert (the unit a uniform draws is the number of sums at most
+    it); their :func:`~bellsim.rng.thresholds`, which
+    :func:`sample_mixture_lanes` inverts alike; and the units x 9 uint8
+    table of each unit's row code at each setting pair ``3 * x1 + x2``."""
+    cumulative = np.cumsum(weights, dtype=float)
+    cumulative[-1] = max(cumulative[-1], 1.0)  # guard the inversion against rounding shortfall
     x1, x2 = np.divmod(np.arange(9), 3)
-    return _row_code(x1, x2, np.asarray(y1)[:, x1], np.asarray(y2)[:, x2]).astype(np.uint8)
+    codes = _row_code(x1, x2, np.asarray(y1)[:, x1], np.asarray(y2)[:, x2]).astype(np.uint8)
+    return cumulative, thresholds(cumulative), codes
 
 
-def sample_mixture_lanes(mixture, pair: np.ndarray, u: np.ndarray) -> np.ndarray:
+def sample_mixture_lanes(mixture, pair: np.ndarray, m: np.ndarray) -> np.ndarray:
     """A block of trials, one a column, from a :class:`DeterministicLhv` or
-    a feasible :class:`~bellsim.loophole.LpSolution`, whose ``_sampling_arrays``
-    are its units' cumulative weights and :func:`pair_codes`. Row 0 of ``u``
-    picks each trial's unit by cumulative-weight inversion, as the scalar
-    samplers do. Returns the uint8 row codes of those units at each trial's
-    setting pair ``pair``.
+    a feasible :class:`~bellsim.loophole.LpSolution` (its ``_sampling_arrays``
+    are its :func:`mixture_arrays`). Row 0 of ``m``, the top 53 bits of each
+    trial's draw, picks its unit as the number of thresholds at most it, as
+    the scalar samplers invert the cumulative weights. Returns the uint8 row
+    codes of those units at each trial's setting pair ``pair``.
     """
-    cumulative, codes = mixture._sampling_arrays
-    k = cumulative.searchsorted(u[0], "right")  # the method skips np.searchsorted's dispatch
+    _, limits, codes = mixture._sampling_arrays
+    k = limits.searchsorted(m[0], "right")  # the method skips np.searchsorted's dispatch
     k *= 9
     k += pair
     return codes.take(k)  # codes[unit, pair], flat; faster than a 2-D index
@@ -205,17 +208,23 @@ def sample_mixture_lanes(mixture, pair: np.ndarray, u: np.ndarray) -> np.ndarray
 _SPIN_CODES = two_draw_codes(((-1, -1), (-1, 1), (1, -1), (1, 1)))
 
 
-def sample_stochastic_lanes(model: StochasticLocalModel, pair: np.ndarray,
-                            u: np.ndarray) -> np.ndarray:
-    """:func:`sample_from_lhv` of a stochastic model for a block of trials,
-    one trial a column: rows 0 and 1 of ``u`` hold the uniforms that draw
-    particle 1's and particle 2's spin, +1 where the uniform is below the
-    spin-up probability at its setting of the pair ``3 * x1 + x2``. Returns
-    the uint8 row codes, written over ``pair`` and ``u``."""
-    up1 = u[0] < np.repeat(model.p1, 3).take(pair)  # p1[x1] at pair 3 * x1 + x2
-    up2 = u[1] < np.tile(model.p2, 3).take(pair, None, u[0], "clip")
-    k = np.add(np.multiply(pair, 4, pair), up2, pair)
-    return _SPIN_CODES.take(np.add(k, 2, k, where=up1))
+def sample_two_draw_lanes(payload, pair: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """A block of trials, one a column, from an
+    :class:`~bellsim.quantum.AngleTriple` or a :class:`StochasticLocalModel`,
+    whose ``_sampling_arrays`` are the :func:`~bellsim.rng.thresholds` of
+    its two comparisons at each setting pair, ``first`` and ``second``, and
+    a :func:`~bellsim.quantum.two_draw_codes` table. Rows 0 and 1 of ``m``
+    are the top 53 bits of each trial's two draws, and its code at ``pair``
+    is ``codes[4 * pair + 2 * (m[0] < first[pair]) + (m[1] < second[pair])]``,
+    the scalar sampler's comparisons. Writes over ``pair`` and ``m``.
+    """
+    first, second, codes = payload._sampling_arrays
+    bits = np.less(m[0], first.take(pair)).view(np.uint8)
+    bits <<= 1
+    bits |= m[1] < second.take(pair, None, m[0], "clip")
+    k = np.multiply(pair, 4, pair)
+    k += bits
+    return codes.take(k)
 
 
 def model_to_dict(model: LocalModel) -> dict:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import simplex
 from .counterfactuals import BELL_PAIRS, CounterfactualTable
-from .lhv import CANONICAL_INT, cumulative_weights, finite_number, pair_codes, unique_keys
+from .lhv import CANONICAL_INT, finite_number, mixture_arrays, unique_keys
 from .quantum import MatchProbabilityTable
 
 N_STRATEGIES = 4096
@@ -267,14 +267,12 @@ class LpSolution:
         object.__setattr__(self, "min_coincidence_rate", min_rate)
 
     @cached_property
-    def _sampling_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The cumulative weights of the strategies in increasing index order,
-        and their :func:`~bellsim.lhv.pair_codes` from :func:`_strategy_spins`,
-        for :func:`sample_loophole_model` and :func:`~bellsim.lhv.sample_mixture_lanes`."""
+    def _sampling_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The :func:`~bellsim.lhv.mixture_arrays` of the strategies in
+        increasing index order, with their :func:`_strategy_spins`."""
         indices = sorted(self.weights)
         y1, y2 = _strategy_spins()
-        return (cumulative_weights([self.weights[i] for i in indices]),
-                pair_codes(y1[indices], y2[indices]))
+        return mixture_arrays([self.weights[i] for i in indices], y1[indices], y2[indices])
 
     def to_dict(self) -> dict:
         return {

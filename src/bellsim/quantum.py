@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
+
+from .rng import thresholds
 
 TAU = 2.0 * math.pi
 
@@ -102,6 +105,13 @@ class AngleTriple:
 
     def degrees(self) -> tuple[float, float, float]:
         return tuple(a.degrees for a in self.theta)
+
+    @cached_property
+    def _sampling_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For :func:`~bellsim.lhv.sample_two_draw_lanes`: the thresholds of ½
+        and of the match probability at each pair ``3 * x1 + x2``, and the codes."""
+        match = thresholds(match_table(self).rows).ravel()
+        return thresholds(np.full(9, 0.5)), match, _OUTCOME_CODES
 
 
 @dataclass(frozen=True)
@@ -263,21 +273,3 @@ def two_draw_codes(outcomes) -> np.ndarray:
 # k = 2 * (y1 is +1) + (y2 matches y1).
 _OUTCOME_CODES = two_draw_codes(((-1, 1), (-1, -1), (1, -1), (1, 1)))
 
-
-def sample_outcome_pair_lanes(angles: AngleTriple, pair: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """:func:`sample_outcome_pair` at ``match_table(angles)`` for a block of
-    trials at once.
-
-    ``pair`` holds each trial's setting pair ``3 * x1 + x2`` and ``u`` is a
-    ``(2, trials)`` matrix whose column holds the trial's two uniforms in
-    [0, 1), in the order ``random()`` would return them. The arguments are
-    those of every source's sampler, the source's payload first. Returns
-    each trial's uint8 row code, ``9 * pair`` plus the code of its spins:
-    y1 is +1 where ``u[0] < 1/2``, and y2 equals y1 where ``u[1]`` is below
-    the pair's match probability, as in the scalar draws. ``pair`` and
-    ``u`` are written over.
-    """
-    up = u[0] < 0.5
-    match = u[1] < match_table(angles).as_array().ravel().take(pair, None, u[0], "clip")
-    k = np.add(np.multiply(pair, 4, pair), match, pair)
-    return _OUTCOME_CODES.take(np.add(k, 2, k, where=up))

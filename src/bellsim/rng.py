@@ -13,7 +13,8 @@ side by side as ``uint64`` arrays (numpy arithmetic wraps modulo 2**64 like
 the masked integer arithmetic here), so lane ``j`` draws exactly what
 ``SplitMix64(derive_seed(seed, start + j))`` draws. It returns every word a
 block needs as one ``(draws, trials)`` matrix computed in a single
-splitmix64 pass.
+splitmix64 pass. The samplers compare a draw's top 53 bits with the
+integer :func:`thresholds` of their probabilities, so no float is formed.
 """
 
 from __future__ import annotations
@@ -117,13 +118,12 @@ def _mix64_in_place(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return z
 
 
-def uniform_lanes(words: np.ndarray) -> np.ndarray:
-    """Uniform floats in [0, 1) from ``uint64`` draws, as :meth:`SplitMix64.random`
-    builds one from each draw, written over a C-contiguous or 1-D ``words``."""
-    words >>= _SHIFT11
-    floats = words.view(np.float64)
-    floats.reshape(-1)[...] = words.reshape(-1)  # cast in place: a ufunc would copy its input
-    return np.multiply(floats, 2.0**-53, floats)
+def thresholds(p) -> np.ndarray:
+    """``ceil(p * 2**53)`` as ``uint64``: a draw's top 53 bits ``m = w >> 11``
+    are below it exactly when :meth:`SplitMix64.random` of the draw,
+    ``m * 2**-53``, is below ``p``, since scaling a double by 2**53 is exact
+    and an integer is below a real exactly when it is below its ceiling."""
+    return np.ceil(np.multiply(p, 2.0**53)).astype(np.uint64)
 
 
 @lru_cache(maxsize=8)

@@ -15,8 +15,9 @@ Nine independent checks:
   setting distribution, against the calls the scalar samplers and the
   scalar setting recipe make;
 * each source's lane sampler, at every setting pair, against its scalar
-  sampler on uniforms at the edges: 0, 1/2, 1 - 2**-53 and each threshold
-  a uniform is compared with;
+  sampler on draws whose top 53 bits lie at the edges: 0, 2**52 - 1,
+  2**52, 2**53 - 1 and the integers next to each threshold a uniform is
+  compared with, scaled by 2**53;
 * seeds built by inverting ``mix64`` so that one trial's ``randbelow(3)``
   draws the single rejected value ``2**64 - 1``, at either end of a block,
   or so that a draw that may take that value (``randbelow(4)``, a
@@ -308,37 +309,46 @@ EDGE_PAYLOADS = {
 }
 
 
-def edge_uniforms(payload):
-    """0, 1/2, 1 - 2**-53, and every threshold below 1 that the payload's
-    samplers compare a uniform with: match probabilities, spin-up
-    probabilities or cumulative weights. A uniform is never 1."""
+def edge_words(payload):
+    """Edge values of a draw's top 53 bits ``m``, whose uniform is
+    ``m * 2**-53``: 0, 2**52 - 1, 2**52, 2**53 - 1, and for every threshold
+    ``t`` that the payload's samplers compare a uniform with (match
+    probabilities, spin-up probabilities or cumulative weights), the
+    floor and ceil of ``t * 2**53`` and the ceil less 1, as far as they lie
+    below 2**53."""
     if isinstance(payload, AngleTriple):
         thresholds = match_table(payload).as_array().ravel().tolist()
     elif isinstance(payload, StochasticLocalModel):
         thresholds = [*payload.p1, *payload.p2]
     else:
         thresholds = payload._sampling_arrays[0].tolist()
-    return sorted({0.0, 0.5, 1.0 - 2.0**-53, *(t for t in thresholds if t < 1.0)})
+    edges = {0, 2**52 - 1, 2**52, 2**53 - 1}
+    for t in thresholds:
+        x = t * 2.0**53
+        edges |= {math.floor(x), math.ceil(x), math.ceil(x) - 1}
+    return sorted(m for m in edges if 0 <= m < 2**53)
 
 
 @pytest.mark.parametrize("source", ALL_SOURCES)
 def test_lane_samplers_match_the_scalar_samplers_at_edge_uniforms(source):
-    # Every setting pair with every combination of edge uniforms: a lane's
-    # code is the code of the scalar sampler's draw, spin 0 where undetected.
+    # Every setting pair with every combination of edge words: a lane's
+    # code is the code of the scalar sampler's draw on the words' uniforms,
+    # spin 0 where undetected.
     entry = experiment._SOURCES[source]
     *_, sampled = entry.uses
     for payload in EDGE_PAYLOADS[source]:
         config = ExperimentConfig(1, 0, source, **{sampled: payload})
         lanes = list(itertools.product(range(9),
-                                       itertools.product(edge_uniforms(payload), repeat=entry.draws)))
+                                       itertools.product(edge_words(payload), repeat=entry.draws)))
         pair = np.array([p for p, _ in lanes], dtype=np.intp)
-        u = np.array([us for _, us in lanes]).T
-        codes = entry.sample_lanes(payload, pair, u)
+        m = np.array([ms for _, ms in lanes], dtype=np.uint64).T.copy()
+        codes = entry.sample_lanes(payload, pair, m)
         assert codes.dtype == np.uint8
         expected = []
-        for p, us in lanes:
+        for p, ms in lanes:
             x1, x2 = divmod(p, 3)
-            y1, y2, _, _ = reference_outcomes(config, (x1, x2), FixedUniforms(us))
+            uniforms = [w * 2.0**-53 for w in ms]
+            y1, y2, _, _ = reference_outcomes(config, (x1, x2), FixedUniforms(uniforms))
             expected.append(experiment._row_code(x1, x2, y1 or 0, y2 or 0))
         assert codes.tolist() == expected
 

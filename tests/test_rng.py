@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from bellsim import rng
+from bellsim.quantum import AngleTriple, match_table
 from bellsim.rng import (
     SplitMix64,
     derive_seed,
     lane_draws,
     mix64,
-    uniform_lanes,
+    thresholds,
 )
 
 
@@ -74,11 +75,10 @@ def test_derived_streams_decorrelate_adjacent_indices():
 def test_lanes_draw_what_each_trial_stream_draws():
     for seed in (0, 42, -7, 2**64 - 1, 2**70 + 3):
         words = lane_draws(seed, 1000, 1010, 4)
-        uniforms = uniform_lanes(words[3])
         for j in range(10):
             rng = SplitMix64(derive_seed(seed, 1000 + j))
             assert words[:3, j].tolist() == [rng.next_uint64() for _ in range(3)]
-            assert uniforms[j] == rng.random()
+            assert (int(words[3, j]) >> 11) * 2.0**-53 == rng.random()
 
 
 def test_draw_matrix_rows_are_successive_draws():
@@ -91,11 +91,19 @@ def test_draw_matrix_rows_are_successive_draws():
                 assert words[:, j].tolist() == [stream.next_uint64() for _ in range(k)]
 
 
-def test_uniform_lanes_match_scalar_random():
-    words = lane_draws(12, 0, 50, 2)
-    for j in range(50):
-        stream = SplitMix64(derive_seed(12, j))
-        assert uniform_lanes(words[:, j]).tolist() == [stream.random(), stream.random()]
+def test_thresholds_compare_top_bits_as_random_compares_uniforms():
+    # m < thresholds(p) exactly when the uniform m * 2**-53 that random()
+    # makes of a draw with top bits m is below p, at and next to each edge.
+    canonical = match_table(AngleTriple.from_degrees(60, 0, 120)).as_array().ravel().tolist()
+    seeded = np.random.default_rng(53).random(200).tolist()
+    probabilities = [0.0, 5e-324, 2.0**-53, 0.25, 0.5, 1 - 2.0**-53, 1.0, *canonical, *seeded]
+    limits = thresholds(probabilities)
+    assert limits.dtype == np.uint64
+    for p, limit in zip(probabilities, limits.tolist()):
+        assert thresholds(p) == limit
+        for m in (limit - 1, limit, limit + 1, 0, 2**53 - 1):
+            if 0 <= m < 2**53:
+                assert (m < limit) == (m * 2.0**-53 < p), (p, m)
 
 
 def test_mixing_in_chunks_matches_scalar_mix(monkeypatch):
