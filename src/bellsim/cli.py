@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import re
-import secrets
 import sys
 import traceback
 from functools import lru_cache
@@ -98,7 +98,7 @@ def _emit(doc: dict, fmt: str, text_lines: list[str]) -> None:
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
-    generated = secrets.randbits(63)
+    generated = random.SystemRandom().getrandbits(63)
     print(f"seed: {generated} (generated; pass --seed to reproduce)", file=sys.stderr)
     return generated
 

@@ -53,20 +53,22 @@ SOURCE_DETERMINISTIC_LHV = "deterministic-lhv"
 SOURCE_STOCHASTIC_LHV = "stochastic-lhv"
 SOURCE_LOOPHOLE = "loophole"
 #: Every source, in the order of the ``--source`` choices: the payloads of
-#: :class:`ExperimentConfig` it uses, each mapped to its type, the last
-#: required and read by its sampler; the draws its sampler makes per
-#: trial; and the sampler, which maps ``(payload, pair, m)``, the block's
-#: setting pairs ``3 * x1 + x2`` and the top 53 bits of its
+#: :class:`ExperimentConfig` it uses, each mapped to its type; the one of
+#: them its sampler reads, which is required; the draws its sampler makes
+#: per trial; and the sampler, which maps ``(payload, pair, m)``, the
+#: block's setting pairs ``3 * x1 + x2`` and the top 53 bits of its
 #: ``(draws, trials)`` draws, to the block's uint8 row codes, free to write
 #: over ``pair`` and ``m``. A loophole run keeps the angles its
 #: demonstration solution was built for.
-_Source = namedtuple("_Source", "uses draws sample_lanes")
+_Source = namedtuple("_Source", "uses sampled draws sample_lanes")
 _SOURCES = {
-    SOURCE_QUANTUM: _Source({"angles": AngleTriple}, 2, sample_two_draw_lanes),
-    SOURCE_DETERMINISTIC_LHV: _Source({"model": DeterministicLhv}, 1, sample_mixture_lanes),
-    SOURCE_STOCHASTIC_LHV: _Source({"model": StochasticLocalModel}, 2, sample_two_draw_lanes),
-    SOURCE_LOOPHOLE: _Source({"angles": AngleTriple, "solution": loophole_mod.LpSolution}, 1,
-                             sample_mixture_lanes),
+    SOURCE_QUANTUM: _Source({"angles": AngleTriple}, "angles", 2, sample_two_draw_lanes),
+    SOURCE_DETERMINISTIC_LHV: _Source({"model": DeterministicLhv}, "model", 1,
+                                      sample_mixture_lanes),
+    SOURCE_STOCHASTIC_LHV: _Source({"model": StochasticLocalModel}, "model", 2,
+                                   sample_two_draw_lanes),
+    SOURCE_LOOPHOLE: _Source({"angles": AngleTriple, "solution": loophole_mod.LpSolution},
+                             "solution", 1, sample_mixture_lanes),
 }
 SOURCES = tuple(_SOURCES)
 
@@ -117,7 +119,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_trials", "seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+            if type(value := getattr(self, name)) is not int:  # an int is its own index
+                object.__setattr__(self, name, _integer(value, name))
         if self.n_trials < 1:
             raise ConfigError(f"n_trials must be at least 1, got {self.n_trials!r}")
         if not (isinstance(self.setting_distribution, str)
@@ -126,16 +129,16 @@ class ExperimentConfig:
         source = _SOURCES.get(self.source) if isinstance(self.source, str) else None
         if source is None:
             raise ConfigError(f"unknown source {self.source!r}")
-        for name in ("angles", "model", "solution"):
-            if getattr(self, name) is not None and name not in source.uses:
+        payloads = {"angles": self.angles, "model": self.model, "solution": self.solution}
+        for name, payload in payloads.items():
+            if payload is not None and name not in source.uses:
                 raise ConfigError(f"{self.source} source does not use {name}")
-        *_, sampled = source.uses
         for name, kind in source.uses.items():
-            payload = getattr(self, name)
-            if (payload is not None or name == sampled) and not isinstance(payload, kind):
+            payload = payloads[name]
+            if (payload is not None or name == source.sampled) and not isinstance(payload, kind):
                 raise ConfigError(f"{self.source} source needs {name} of type "
                                   f"{kind.__name__}, got {type(payload).__name__}")
-        if self.source == SOURCE_LOOPHOLE and self.solution.status != "feasible":
+        if self.source == SOURCE_LOOPHOLE and payloads["solution"].status != "feasible":
             raise ConfigError("loophole source needs a feasible LpSolution")
 
 
@@ -317,8 +320,7 @@ def run_experiment(config: ExperimentConfig) -> TrialDataset:
     code = np.empty(n, dtype=np.uint8)
     settings = _SETTINGS[config.setting_distribution]
     source = _SOURCES[config.source]
-    *_, sampled = source.uses
-    payload = getattr(config, sampled)
+    payload = getattr(config, source.sampled)
     for start in range(0, n, BLOCK_TRIALS):
         stop = min(start + BLOCK_TRIALS, n)
         words = _draw_lanes(config.seed, start, stop, settings.draws + source.draws)
@@ -384,6 +386,7 @@ def _cell_folds() -> dict:
 
 
 _CELL_FOLDS = _cell_folds()
+_BELL_CELLS = _BELL_PAIR_INDEX.tolist()
 
 
 @lru_cache(maxsize=64)
@@ -391,9 +394,9 @@ def _normal_quantile(p: float) -> float:
     return NormalDist().inv_cdf(p)
 
 
-def _counted(code_blocks: Iterable[np.ndarray]) -> np.ndarray:
+def _counted(code_blocks: Iterator[np.ndarray]) -> np.ndarray:
     """How often each of the 81 row codes occurs in ``code_blocks``, as int64."""
-    counts = np.zeros(len(_ROW_FIELDS), dtype=np.int64)
+    counts = np.bincount(next(code_blocks, ()), minlength=len(_ROW_FIELDS))
     for codes in code_blocks:
         counts += np.bincount(codes, minlength=len(_ROW_FIELDS))
     return counts
@@ -435,35 +438,32 @@ def estimate(
     one coincident trial. ``dataset`` is a :class:`TrialDataset` or a numpy
     array of its 81 row-code counts, non-negative integers, as
     :func:`read_row_counts` returns; anything else raises ``TypeError``. The
-    counts fold into the cell counts.
+    counts fold into the 27 cell counts in one integer product with
+    :data:`_CELL_FOLDS`: each setting pair's trials, coincidences and matches.
     """
     if conditioning not in (CONDITION_COINCIDENCES, CONDITION_ALL_PAIRS):
         raise ValueError(f"unknown conditioning {conditioning!r}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence {confidence!r} outside (0, 1)")
 
-    counts = _row_counts(dataset)
-    grids = (_CELL_FOLDS[conditioning] @ counts.reshape(9, 9).T).reshape(3, 3, 3).tolist()
-    trials, coinc, matches = (tuple(map(tuple, grid)) for grid in grids)
-    denoms = coinc if conditioning == CONDITION_COINCIDENCES else trials
+    cells = _CELL_FOLDS[conditioning].dot(_row_counts(dataset).reshape(9, 9).T).ravel().tolist()
+    rows = tuple(zip(*[iter(cells)] * 3))  # the three grids, three cells a row
+    denominators = 9 if conditioning == CONDITION_COINCIDENCES else 0  # coincidences or trials
 
-    rates = []
-    variance = 0.0
-    for i, j in BELL_PAIRS:
-        if coinc[i][j] == 0:
-            raise EstimationError(f"no coincident trials in cell ({i},{j})")
-        denom = denoms[i][j]
-        rate = matches[i][j] / denom
-        rates.append(rate)
+    statistic = variance = 0.0
+    for cell, sign in zip(_BELL_CELLS, (1.0, -1.0, -1.0, -1.0)):  # the terms of BELL_PAIRS
+        if cells[9 + cell] == 0:
+            raise EstimationError(f"no coincident trials in cell ({cell // 3},{cell % 3})")
+        denom = cells[denominators + cell]
+        rate = cells[18 + cell] / denom
+        statistic += sign * rate
         variance += rate * (1.0 - rate) / denom
-
-    statistic = rates[0] - rates[1] - rates[2] - rates[3]
     std_error = math.sqrt(variance)
     z = _normal_quantile((1.0 + confidence) / 2.0)
     return BellEstimate(
-        trials=trials,
-        coincidences=coinc,
-        matches=matches,
+        trials=rows[:3],
+        coincidences=rows[3:6],
+        matches=rows[6:],
         statistic=statistic,
         std_error=std_error,
         ci_low=statistic - z * std_error,

@@ -296,6 +296,18 @@ class TestSimulateAndTest:
         )
         assert code == 0
         assert "seed:" in err
+        seed = int(err.split("seed: ", 1)[1].split(" ", 1)[0])
+        assert 0 <= seed < 2**63
+
+    def test_import_loads_no_hash_modules(self):
+        # The generated seed comes from random.SystemRandom, not secrets,
+        # whose hmac import loads OpenSSL's _hashlib in every process.
+        probe = ("import sys, bellsim.cli; "
+                 "print(sorted({'secrets', 'hmac', 'hashlib', '_hashlib'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
     def test_same_seed_reproduces_stdout(self, capsys):
         args = (

@@ -1,16 +1,20 @@
 """Exactness of generated datasets and faking-LP solutions: the bytes and
 records a seed or a program produces are fixed.
 
-Nine independent checks:
+Ten independent checks:
 
 * golden SHA-256 digests of ``bellsim simulate`` stdout for every source and
   setting distribution, recorded from the original per-trial generator;
+* a golden SHA-256 digest of what ``bellsim test`` prints and returns on
+  those datasets, under both conditionings and in both formats;
 * ``run_experiment`` against a per-trial reference assembled here from the
   public scalar functions (``SplitMix64``, ``derive_seed`` and the three
   samplers), on several seeds, sizes and block sizes, in an order that
   hits, misses and evicts the cache of lane keys;
 * ``estimate`` against a reference that counts record by record and does
-  the same float arithmetic, field for field;
+  the same float arithmetic, field for field, on datasets and on the
+  counts read back from their CSV, counted in blocks of 7 trials, and the
+  refusal of a Bell cell without coincidences from either;
 * the draws per trial that ``experiment`` declares for each source and
   setting distribution, against the calls the scalar samplers and the
   scalar setting recipe make;
@@ -31,6 +35,7 @@ Nine independent checks:
 """
 
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -51,10 +56,14 @@ from bellsim.experiment import (
     UNIFORM_4,
     UNIFORM_9,
     BellEstimate,
+    EstimationError,
     ExperimentConfig,
+    TrialDataset,
     TrialRecord,
     estimate,
+    read_row_counts,
     run_experiment,
+    write_dataset_csv,
 )
 from bellsim.lhv import DeterministicLhv, StochasticLocalModel, sample_from_lhv, save_model
 from bellsim.loophole import (
@@ -177,6 +186,31 @@ def test_out_file_holds_the_stdout_bytes(input_files, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path / "d.csv")]) == 0
     assert (tmp_path / "d.csv").read_bytes() == out.encode("utf-8")
     assert out.startswith("index,x1,x2,y1,y2,d1,d2\r\n")
+
+
+# SHA-256 over the exit code, stdout and stderr of ``bellsim test --in`` on
+# each csv dataset of GOLDEN_SHA256, under both conditionings, in text and
+# json, recorded before ``estimate`` folded its counts in one product.
+GOLDEN_TEST_SHA256 = "f0cd02e7a634c00b1c0220c9ba1e624aa584db3df0df7b1e3f288dba6bc93e2c"
+
+
+def test_test_output_matches_golden_digest(input_files, tmp_path, capsys):
+    digest = hashlib.sha256()
+    for source, distribution, fmt in sorted(GOLDEN_SHA256):
+        if fmt != "csv":
+            continue
+        data = tmp_path / f"{source}-{distribution}.csv"
+        assert main(["simulate", "--source", source, *source_args(source, input_files),
+                     "--n", "2000", "--seed", "2024", "--setting-distribution", distribution,
+                     "--out", str(data)]) == 0
+        capsys.readouterr()
+        for conditioning in ("coincidences-only", "all-pairs"):
+            for out_fmt in ("text", "json"):
+                code = main(["test", "--in", str(data), "--conditioning", conditioning,
+                             "--format", out_fmt])
+                out, err = capsys.readouterr()
+                digest.update(json.dumps([code, out, err]).encode("utf-8"))
+    assert digest.hexdigest() == GOLDEN_TEST_SHA256
 
 
 def reference_settings(distribution, rng):
@@ -335,9 +369,8 @@ def test_lane_samplers_match_the_scalar_samplers_at_edge_uniforms(source):
     # code is the code of the scalar sampler's draw on the words' uniforms,
     # spin 0 where undetected.
     entry = experiment._SOURCES[source]
-    *_, sampled = entry.uses
     for payload in EDGE_PAYLOADS[source]:
-        config = ExperimentConfig(1, 0, source, **{sampled: payload})
+        config = ExperimentConfig(1, 0, source, **{entry.sampled: payload})
         lanes = list(itertools.product(range(9),
                                        itertools.product(edge_words(payload), repeat=entry.draws)))
         pair = np.array([p for p, _ in lanes], dtype=np.intp)
@@ -448,6 +481,36 @@ def test_estimate_matches_record_by_record_reference(source):
             for confidence in (0.99, 0.9):
                 expected = reference_estimate(records, conditioning, confidence)
                 assert estimate(data, conditioning, confidence) == expected
+
+
+def csv_counts(data):
+    out = io.BytesIO()
+    write_dataset_csv(data, out)
+    return read_row_counts(io.BytesIO(out.getvalue()))
+
+
+@pytest.mark.parametrize("source", ALL_SOURCES)
+def test_estimate_across_block_edges_and_refusals(source, monkeypatch):
+    # A dataset and the counts read back from its CSV, both counted in
+    # blocks of 7, give the reference estimate; with one Bell cell's
+    # coincidences removed, both refuse with the same message.
+    monkeypatch.setattr(experiment, "BLOCK_TRIALS", 7)
+    for n, seed in ((90, 8), (3000, 9)):
+        data = run_experiment(make_config(source, n, seed))
+        records = list(data)
+        counts = csv_counts(data)
+        for conditioning in ("coincidences-only", "all-pairs"):
+            expected = reference_estimate(records, conditioning, 0.99)
+            assert estimate(data, conditioning) == expected
+            assert estimate(counts, conditioning) == expected
+        for i, j in BELL_PAIRS:
+            keep = (data.x1 != i) | (data.x2 != j) | (data.d1 == 0) | (data.d2 == 0)
+            without = TrialDataset(data.index[keep], data.code[keep])
+            for given in (without, csv_counts(without)):
+                for conditioning in ("coincidences-only", "all-pairs"):
+                    with pytest.raises(EstimationError,
+                                       match=rf"^no coincident trials in cell \({i},{j}\)$"):
+                        estimate(given, conditioning)
 
 
 def unmix64(z):

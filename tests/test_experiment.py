@@ -126,6 +126,9 @@ class TestConfigValidation:
         extra = {"angles": CANONICAL, "model": stochastic, "solution": solution}[payload]
         with pytest.raises(ConfigError, match=f"^{source} source does not use {payload}$"):
             ExperimentConfig(n_trials=10, seed=1, source=source, **valid, **{payload: extra})
+        wrong = dict.fromkeys(valid, "of no payload type")  # judged after the unused payload
+        with pytest.raises(ConfigError, match=f"^{source} source does not use {payload}$"):
+            ExperimentConfig(n_trials=10, seed=1, source=source, **wrong, **{payload: extra})
 
     @pytest.mark.parametrize("weights, match", (
         ({63: -0.5, 4095: 1.5}, "weight -0.5 of strategy 63 is negative"),

@@ -4,7 +4,11 @@ First the path a type-I study repeats, at n = 90 on criterion 7's boundary
 mixture (tables (1,1,1)/(-1,1,1), (-1,1,1)/(1,1,1) and (1,1,1)/(-1,-1,-1)
 weighted 1/4, 1/4, 1/2, Bell statistic exactly 0): ``ExperimentConfig``,
 ``run_experiment``, ``estimate`` and ``decide``, each timed alone, then the
-four in a row, as ``perfbench``'s ``montecarlo`` workload runs them. Then
+four in a row, as ``perfbench``'s ``montecarlo`` workload runs them, and
+one SHA-256 over the verdicts of seeds ``VERDICT_SEEDS`` at n = 90 (the JSON
+of ``estimate`` and ``decide``'s ``to_dict()``, or the ``EstimationError``
+message of a refused run, under both conditionings): two checkouts that
+decide alike print the same digest. Then
 ``run_experiment`` at ``SIZES`` trials for every source and setting
 distribution: quantum and loophole at the angles (60, 0, 120), the loophole
 model being ``demonstration_solution`` of those angles' match table, the
@@ -23,10 +27,17 @@ digests. Run from the repository root:
 from __future__ import annotations
 
 import hashlib
+import json
 import time
 
 from bellsim.counterfactuals import CounterfactualTable, Population
-from bellsim.experiment import ExperimentConfig, decide, estimate, run_experiment
+from bellsim.experiment import (
+    EstimationError,
+    ExperimentConfig,
+    decide,
+    estimate,
+    run_experiment,
+)
 from bellsim.lhv import DeterministicLhv, StochasticLocalModel
 from bellsim.loophole import demonstration_solution
 from bellsim.quantum import AngleTriple, match_table
@@ -35,6 +46,7 @@ SMALL_N = 90  # the montecarlo workload's n
 SIZES = (2 * 10**4, 10**6)
 REPEAT = 15
 SMALL_CALLS = 500  # calls per timing of an n = 90 step
+VERDICT_SEEDS = range(300)  # the montecarlo workload's batch at seed 0
 
 ANGLES = AngleTriple.from_degrees(60, 0, 120)
 BOUNDARY = DeterministicLhv(Population(
@@ -73,6 +85,22 @@ def one_run(seed: int):
     return decide(estimate(run_experiment(cfg)), alpha=0.01)
 
 
+def verdict_digest() -> str:
+    """One SHA-256 over every verdict of the type-I study at ``VERDICT_SEEDS``."""
+    digest = hashlib.sha256()
+    for seed in VERDICT_SEEDS:
+        data = run_experiment(ExperimentConfig(SMALL_N, seed, "deterministic-lhv",
+                                               model=BOUNDARY))
+        for conditioning in ("coincidences-only", "all-pairs"):
+            try:
+                est = estimate(data, conditioning)
+                doc = [est.to_dict(), decide(est, alpha=0.01).to_dict()]
+            except EstimationError as exc:
+                doc = str(exc)
+            digest.update(json.dumps(doc).encode("utf-8"))
+    return digest.hexdigest()
+
+
 def main() -> None:
     digest = hashlib.sha256()
     cfg = config(SMALL_N)
@@ -90,6 +118,8 @@ def main() -> None:
     for name, call in small:
         seconds, _ = best(call, SMALL_CALLS)
         print(f"  {name:18} {seconds * 1e6:8.1f} us")
+    print(f"sha256 of every verdict of seeds {VERDICT_SEEDS.start} to "
+          f"{VERDICT_SEEDS.stop - 1}: {verdict_digest()}")
     print("run_experiment, seed 1:")
     for n in SIZES:
         for source in PAYLOADS:
