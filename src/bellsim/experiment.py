@@ -46,7 +46,7 @@ from .lhv import (
     sample_two_draw_lanes,
 )
 from .quantum import AngleTriple, _check_setting, _row_code, sample_outcome_pair
-from .rng import _SHIFT11, SplitMix64, _draw_lanes, derive_seed, scratch
+from .rng import _SHIFT11, SplitMix64, _draw_lanes, constant, derive_seed, scratch
 
 SOURCE_QUANTUM = "quantum"
 SOURCE_DETERMINISTIC_LHV = "deterministic-lhv"
@@ -94,7 +94,9 @@ class EstimationError(ValueError):
 
 def _integer(value, name: str) -> int:
     """``value`` as a Python int; it must be an int or a numpy integer, and
-    not a bool."""
+    not a bool. This is the API's rule, not :data:`~bellsim.lhv.CANONICAL_INT`'s:
+    code hands over integers, which have no spelling to check, and
+    ``CANONICAL_INT`` is the rule for integers read as text."""
     if not isinstance(value, bool):
         try:
             return operator.index(value)
@@ -197,10 +199,12 @@ class TrialDataset:
     particle was not detected.
 
     Iterating yields one :class:`TrialRecord` per trial, and a dataset
-    compares equal to a list of equal records. ``index`` and ``code`` must
-    be one-dimensional integer arrays (or lists) of one length, unsigned
-    indices must fit in int64, and codes of any dtype but uint8 must lie in
-    0 to 80; else ``ValueError``.
+    compares equal to a list of equal records. The constructor checks its
+    input: ``index`` and ``code`` must be one-dimensional integer arrays (or
+    lists) of one length, unsigned indices must fit in int64, and codes of
+    any dtype but uint8 must lie in 0 to 80; else ``ValueError``.
+    :meth:`_trusted` checks nothing: it takes int64 and uint8 arrays that
+    bellsim has just built itself, as :func:`run_experiment` does.
     """
 
     __slots__ = ("index", "code")
@@ -223,6 +227,12 @@ class TrialDataset:
                              f"to {code.max()}")
         self.index = index.astype(np.int64, copy=False)
         self.code = code.astype(np.uint8, copy=False)
+
+    @classmethod
+    def _trusted(cls, index: np.ndarray, code: np.ndarray) -> "TrialDataset":
+        data = cls.__new__(cls)
+        data.index, data.code = index, code
+        return data
 
     @classmethod
     def from_records(cls, records: Iterable[TrialRecord]) -> "TrialDataset":
@@ -256,8 +266,8 @@ class TrialDataset:
         return f"TrialDataset(<{len(self)} trials>)"
 
 
-_THREE = np.uint64(3)
-_REJECTED = np.uint64(2**64 - 1)  # the one draw randbelow(3) rejects
+_THREE = constant(3)
+_REJECTED = constant(2**64 - 1)  # the one draw randbelow(3) rejects
 _BELL_PAIR_INDEX = np.array([3 * x1 + x2 for x1, x2 in BELL_PAIRS])  # BELL_PAIRS[k] as a pair
 
 
@@ -328,7 +338,7 @@ def run_experiment(config: ExperimentConfig) -> TrialDataset:
         top = words[settings.draws:]
         top >>= _SHIFT11
         code[start:stop] = source.sample_lanes(payload, pair, top)
-    return TrialDataset(np.arange(n), code)
+    return TrialDataset._trusted(np.arange(n, dtype=np.int64), code)
 
 
 @dataclass(frozen=True)
@@ -406,6 +416,8 @@ def _row_counts(dataset: TrialDataset | np.ndarray) -> np.ndarray:
     """The 81 row-code counts of ``dataset``; an array of them is checked and cast to int64."""
     if isinstance(dataset, TrialDataset):
         code = dataset.code
+        if len(code) <= BLOCK_TRIALS:
+            return np.bincount(code, minlength=len(_ROW_FIELDS))
         return _counted(code[i:i + BLOCK_TRIALS] for i in range(0, len(code), BLOCK_TRIALS))
     if not isinstance(dataset, np.ndarray):
         raise TypeError(f"estimate takes a TrialDataset or its row counts, "
@@ -460,7 +472,8 @@ def estimate(
         variance += rate * (1.0 - rate) / denom
     std_error = math.sqrt(variance)
     z = _normal_quantile((1.0 + confidence) / 2.0)
-    return BellEstimate(
+    est = BellEstimate.__new__(BellEstimate)  # the generated __init__ sets each field slower
+    vars(est).update(
         trials=rows[:3],
         coincidences=rows[3:6],
         matches=rows[6:],
@@ -471,6 +484,7 @@ def estimate(
         confidence=confidence,
         conditioning=conditioning,
     )
+    return est
 
 
 def decide(est: BellEstimate, alpha: float = 0.01) -> Decision:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .counterfactuals import CounterfactualTable, Population
 from .quantum import SETTINGS, MatchProbabilityTable, _row_code, two_draw_codes
-from .rng import thresholds
+from .rng import constant, thresholds
 
 
 @dataclass(frozen=True)
@@ -199,13 +199,14 @@ def sample_mixture_lanes(mixture, pair: np.ndarray, m: np.ndarray) -> np.ndarray
     """
     _, limits, codes = mixture._sampling_arrays
     k = limits.searchsorted(m[0], "right")  # the method skips np.searchsorted's dispatch
-    k *= 9
+    k *= _NINE
     k += pair
     return codes.take(k)  # codes[unit, pair], flat; faster than a 2-D index
 
 
 # k = 2 * (y1 is +1) + (y2 is +1).
 _SPIN_CODES = two_draw_codes(((-1, -1), (-1, 1), (1, -1), (1, 1)))
+_ONE, _FOUR, _NINE = constant(1, np.uint8), constant(4, np.intp), constant(9, np.intp)
 
 
 def sample_two_draw_lanes(payload, pair: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -220,9 +221,9 @@ def sample_two_draw_lanes(payload, pair: np.ndarray, m: np.ndarray) -> np.ndarra
     """
     first, second, codes = payload._sampling_arrays
     bits = np.less(m[0], first.take(pair)).view(np.uint8)
-    bits <<= 1
+    bits <<= _ONE
     bits |= m[1] < second.take(pair, None, m[0], "clip")
-    k = np.multiply(pair, 4, pair)
+    k = np.multiply(pair, _FOUR, pair)
     k += bits
     return codes.take(k)
 

@@ -75,12 +75,16 @@ class SplitMix64:
                 return u % n
 
 
-# The same constants as numpy scalars, so that array arithmetic does not
-# convert a Python int on every call.
-_GOLDEN_LANE = np.uint64(_GOLDEN)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31 = (np.uint64(k) for k in (11, 27, 30, 31))
+def constant(value: int, dtype=np.uint64) -> np.ndarray:
+    """``value`` as a read-only 0-d array of ``dtype``: the operand numpy's
+    ufuncs take fastest (see "Constant operands" in the README)."""
+    operand = np.array(value, dtype)
+    operand.setflags(write=False)
+    return operand
+
+
+_GOLDEN_LANE, _MIX1, _MIX2 = map(constant, (_GOLDEN, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+_SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31 = map(constant, (11, 27, 30, 31))
 
 
 #: Words mixed per pass of :func:`_mix64_in_place`: 128 KiB, so that a chunk
@@ -166,6 +170,6 @@ def _draw_lanes(seed: int, start: int, stop: int, k: int) -> np.ndarray:
     n = stop - start
     words = scratch(k * n + max(n, min(k * n, _MIX_CHUNK)))
     draws, state = words[:k * n].reshape(k, n), words[k * n:(k + 1) * n]
-    np.bitwise_xor(lane_keys(start, stop), seed & _MASK64, state)
+    np.bitwise_xor(lane_keys(start, stop), np.asarray(seed & _MASK64, np.uint64), state)
     np.add(_COUNTERS[:k], _mix64_in_place(state, words), draws)  # mixing in the unwritten matrix
     return _mix64_in_place(draws, words[k * n:])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim import experiment
+from bellsim import experiment, rng
 from bellsim.counterfactuals import CounterfactualTable, Population
 from bellsim.experiment import (
     CONDITION_ALL_PAIRS,
@@ -155,17 +155,24 @@ class TestConfigValidation:
             quantum_config(n=0)
 
     @pytest.mark.parametrize("field", ("n", "seed"))
-    @pytest.mark.parametrize("value", (2.5, 3.0, True, False, "7", None, np.float64(4.0)))
+    @pytest.mark.parametrize("value", (2.5, 3.0, 90.0, True, False, np.bool_(True), "7", "90",
+                                       None, np.float64(4.0)))
     def test_sizes_and_seeds_must_be_integers(self, field, value):
         with pytest.raises(ConfigError, match="must be an integer"):
             quantum_config(**{field: value})
 
-    def test_numpy_integers_become_python_ints(self):
-        cfg = quantum_config(n=np.int64(12), seed=np.uint64(2**64 - 1))
-        assert (cfg.n_trials, cfg.seed) == (12, 2**64 - 1)
+    @pytest.mark.parametrize("n, seed", (
+        (np.int64(12), np.uint64(2**64 - 1)), (np.int64(90), np.uint64(2**64 - 1)),
+        (np.uint64(90), np.int64(2**63 - 1)), (np.int32(90), np.uint8(7)),
+    ))
+    def test_numpy_integers_become_python_ints(self, n, seed):
+        cfg = quantum_config(n=n, seed=seed)
+        assert (cfg.n_trials, cfg.seed) == (int(n), int(seed))
         assert type(cfg.n_trials) is int and type(cfg.seed) is int
-        assert run_experiment(cfg) == run_experiment(quantum_config(n=12, seed=2**64 - 1))
-        assert json.loads(json.dumps(config_to_dict(cfg)))["seed"] == 2**64 - 1
+        data, same = run_experiment(cfg), run_experiment(quantum_config(n=int(n), seed=int(seed)))
+        assert data.index.tobytes() == same.index.tobytes()
+        assert data.code.tobytes() == same.code.tobytes()
+        assert json.loads(json.dumps(config_to_dict(cfg)))["seed"] == int(seed)
 
     @pytest.mark.parametrize("field, value", (
         ("n_trials", 2.5), ("n_trials", True), ("n_trials", "90"),
@@ -978,3 +985,67 @@ class TestScratchArena:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == serial
+
+
+def _every_source_config(source, distribution):
+    from bellsim.loophole import demonstration_solution
+    from bellsim.quantum import match_table
+
+    payload = {
+        SOURCE_QUANTUM: {"angles": CANONICAL},
+        SOURCE_DETERMINISTIC_LHV: {"model": single_table_config().model},
+        SOURCE_STOCHASTIC_LHV: {"model": StochasticLocalModel((0.2, 0.5, 0.9), (0.7, 0.1, 0.4))},
+        SOURCE_LOOPHOLE: {"solution": demonstration_solution(match_table(CANONICAL))},
+    }[source]
+    return ExperimentConfig(n_trials=90, seed=11, source=source, setting_distribution=distribution,
+                            **payload)
+
+
+class TestTrustedRecords:
+    """``run_experiment`` and ``estimate`` build their records from their own
+    arrays and values without re-validating them; the records must be what
+    the validating constructors build."""
+
+    @pytest.mark.parametrize("block", (None, 7))
+    @pytest.mark.parametrize("distribution", ("uniform-9", UNIFORM_4))
+    @pytest.mark.parametrize("source", (SOURCE_QUANTUM, SOURCE_DETERMINISTIC_LHV,
+                                        SOURCE_STOCHASTIC_LHV, SOURCE_LOOPHOLE))
+    def test_generated_dataset_is_what_the_checking_constructor_keeps(
+            self, monkeypatch, source, distribution, block):
+        if block is not None:
+            monkeypatch.setattr(experiment, "BLOCK_TRIALS", block)
+        data = run_experiment(_every_source_config(source, distribution))
+        arena = rng.scratch(0)
+        for array, dtype in ((data.index, np.int64), (data.code, np.uint8)):
+            assert array.dtype == dtype and array.shape == (90,) and array.flags.c_contiguous
+            assert array.flags.writeable and not np.shares_memory(array, arena)
+        assert not np.shares_memory(data.index, data.code)
+        checked = TrialDataset(data.index.tolist(), data.code.tolist())
+        assert checked == data and data.index.tolist() == list(range(90))
+        assert (checked.index.dtype, checked.code.dtype) == (data.index.dtype, data.code.dtype)
+        assert np.array_equal(experiment._row_counts(data), np.bincount(data.code, minlength=81))
+
+    @pytest.mark.parametrize("n", (0, 6, 7, 8, 15))
+    def test_row_counts_are_one_count_across_block_edges(self, monkeypatch, n):
+        monkeypatch.setattr(experiment, "BLOCK_TRIALS", 7)
+        code = np.arange(n, dtype=np.uint8) * 5 % 81
+        counts = experiment._row_counts(TrialDataset(np.arange(n), code))
+        assert counts.dtype == np.int64 and counts.shape == (81,)
+        assert counts.tolist() == [code.tolist().count(k) for k in range(81)]
+
+    @pytest.mark.parametrize("conditioning", (CONDITION_COINCIDENCES, CONDITION_ALL_PAIRS))
+    def test_estimate_is_what_the_generated_init_builds(self, conditioning):
+        from dataclasses import FrozenInstanceError, fields, replace
+
+        est = estimate(run_experiment(quantum_config(n=500)), conditioning)
+        built = BellEstimate(**vars(est))
+        assert list(vars(est)) == [f.name for f in fields(BellEstimate)]
+        assert est == built and built == est and replace(est) == est
+        assert hash(est) == hash(built) and repr(est) == repr(built)
+        assert est.to_dict() == built.to_dict()
+        with pytest.raises(FrozenInstanceError):
+            est.statistic = 0.0
+        with pytest.raises(FrozenInstanceError):
+            del est.trials
+        assert est == built
+

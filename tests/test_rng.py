@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bellsim import rng
+from bellsim import experiment, lhv, rng
 from bellsim.quantum import AngleTriple, match_table
 from bellsim.rng import (
     SplitMix64,
@@ -125,3 +125,45 @@ def test_lane_draws_refuses_draws_beyond_its_counter_table():
     for k in (size + 1, -1):
         with pytest.raises(ValueError, match="draws a trial"):
             lane_draws(1, 0, 3, k)
+
+
+# Every constant operand of the generation path: (module, name, value, dtype).
+CONSTANTS = [
+    *((rng, name, value, np.uint64) for name, value in (
+        ("_GOLDEN_LANE", 0x9E3779B97F4A7C15), ("_MIX1", 0xBF58476D1CE4E5B9),
+        ("_MIX2", 0x94D049BB133111EB), ("_SHIFT11", 11), ("_SHIFT27", 27),
+        ("_SHIFT30", 30), ("_SHIFT31", 31))),
+    (experiment, "_THREE", 3, np.uint64),
+    (experiment, "_REJECTED", 2**64 - 1, np.uint64),
+    (lhv, "_ONE", 1, np.uint8),
+    (lhv, "_FOUR", 4, np.intp),
+    (lhv, "_NINE", 9, np.intp),
+]
+
+
+@pytest.mark.parametrize("module, name, value, dtype", CONSTANTS,
+                         ids=[f"{m.__name__}.{name}" for m, name, _, _ in CONSTANTS])
+def test_constant_operands_are_read_only_0d_arrays_of_their_operands_dtype(
+        module, name, value, dtype):
+    operand = getattr(module, name)
+    assert type(operand) is np.ndarray and operand.shape == () and operand.dtype == dtype
+    assert int(operand) == value and not operand.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        operand[...] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        operand += operand
+    assert int(getattr(module, name)) == value
+
+
+def test_in_place_operations_keep_their_operands_dtype():
+    bits = np.array([0, 1, 127], np.uint8)
+    bits <<= lhv._ONE
+    assert bits.dtype == np.uint8 and bits.tolist() == [0, 2, 254]
+    pair = np.arange(9, dtype=np.intp)
+    k = np.multiply(pair, lhv._FOUR, pair)
+    k *= lhv._NINE
+    assert k is pair and k.dtype == np.intp and k.tolist() == [36 * p for p in range(9)]
+    words = np.array([2**64 - 1, 2**63, 5], np.uint64)
+    assert (words % experiment._THREE).tolist() == [0, 2, 2]
+    words >>= rng._SHIFT11
+    assert words.dtype == np.uint64 and words.tolist() == [2**53 - 1, 2**52, 0]

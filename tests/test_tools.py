@@ -3,6 +3,8 @@ at shrunken sizes, and must print its digest lines."""
 
 import importlib.util
 import re
+import shutil
+import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -36,3 +38,33 @@ def test_codec_timing_prints_its_digest(capsys):
     out = capsys.readouterr().out
     assert "(write + read_row_counts) / run_experiment = " in out
     assert re.search(r"\nrows 1000, bytes \d+, sha256 [0-9a-f]{64}\n$", out)
+
+
+def test_pair_timing_checks_verdicts_then_times_both_trees(capsys):
+    tool = load("pair_timing")
+    tool.BLOCKS, tool.RUNS = 2, 3
+    src = TOOLS.parent / "src"
+    assert tool.main([str(src), str(src / "bellsim")]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"parent verdict sha256: {VERDICT_SHA256}\n"
+                          f"change verdict sha256: {VERDICT_SHA256}\n")
+    assert len(re.findall(r"^(parent|change) median \d+\.\d\d us per run over 2 blocks of 3$",
+                          out, re.M)) == 2
+    assert re.search(r"\npaired median ratio change/parent: \d\.\d{4}\n$", out)
+    assert not any(name.startswith(("bellsim_parent", "bellsim_change")) for name in sys.modules)
+
+
+def test_pair_timing_refuses_trees_that_decide_differently(capsys, tmp_path):
+    changed = tmp_path / "bellsim"
+    shutil.copytree(TOOLS.parent / "src" / "bellsim", changed,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = changed / "experiment.py"
+    text = source.read_text().replace("margin = est.statistic - z * est.std_error",
+                                      "margin = est.statistic - 2 * z * est.std_error")
+    assert "2 * z" in text
+    source.write_text(text)
+    tool = load("pair_timing")
+    assert tool.main([str(TOOLS.parent / "src"), str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith("the trees decide differently; no timing\n")
+    assert "median" not in out

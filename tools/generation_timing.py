@@ -22,6 +22,10 @@ n = 90 codes: two checkouts that generate the same datasets print the same
 digests. Run from the repository root:
 
     PYTHONPATH=src python tools/generation_timing.py
+
+Best-of figures from separate processes cannot resolve a change of a few
+µs a run on a shared machine; ``tools/pair_timing.py`` times two checkouts
+against each other, interleaved in one process.
 """
 
 from __future__ import annotations
