@@ -75,7 +75,7 @@ class SplitMix64:
                 return u % n
 
 
-def constant(value: int, dtype=np.uint64) -> np.ndarray:
+def constant(value: float, dtype=np.uint64) -> np.ndarray:
     """``value`` as a read-only 0-d array of ``dtype``: the operand numpy's
     ufuncs take fastest (see "Constant operands" in the README)."""
     operand = np.array(value, dtype)

@@ -7,7 +7,7 @@ where a dense tableau with vectorized row operations is simple, debuggable
 and fast enough. Bland's rule (always pick the lowest-index eligible
 entering column; break ratio-test ties by lowest basic-variable index)
 guarantees termination on the degenerate programs the loophole analysis
-produces.
+produces. Its ratio test makes two plain passes over Python floats.
 
 Programs are solved as given, with no presolve. Under Bland's rule a column
 identical to a lower-index one never enters: twins have equal reduced costs,
@@ -35,9 +35,12 @@ tune the solver: ``PIVOT_TOL``, below which an entry counts as 0;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .rng import constant
 
 #: Phase 1 calls a program infeasible when its artificial mass exceeds this.
 ARTIFICIAL_MASS_TOL = 1e-7
@@ -45,6 +48,7 @@ ARTIFICIAL_MASS_TOL = 1e-7
 PIVOT_TOL = 1e-9
 #: Each phase raises ``SimplexError`` after this many pivots.
 MAX_PIVOTS = 50_000
+_ENTERS_BELOW = constant(-PIVOT_TOL, np.float64)  # see "Constant operands" in the README
 
 
 class SimplexError(RuntimeError):
@@ -107,15 +111,16 @@ class _Tableau:
     Internally minimizes; the public entry points negate the objective of a
     maximization program. The cost row holds reduced costs and, in its last
     column, minus the cost of the basic solution; entering columns are those
-    with reduced cost below -PIVOT_TOL. ``pivots`` counts the pivots ``run``
-    takes. ``pivot`` and ``run`` reuse buffers allocated here, so a pivot
-    allocates no array: it does ``t[row] /= t[row, col]``, then
-    ``t[r] -= t[row] * f_r`` for every row r, f_r being r's entry in the
-    pivot column (0 at ``row``). For the product, one buffer holds each
-    row's factor across the row and another the pivot row in every row,
-    and one contiguous multiply joins them: numpy runs the two broadcast
-    copies and that multiply faster than a multiply with an operand
-    broadcast. A product is the same double in either operand order.
+    with reduced cost below -PIVOT_TOL, pricing's read-only 0-d operand.
+    ``pivots`` counts the pivots ``run`` takes. ``pivot`` and ``run`` reuse
+    buffers allocated here, so a pivot allocates no array: it does
+    ``t[row] /= t[row, col]``, then ``t[r] -= t[row] * f_r`` for every row
+    r, f_r being r's entry in the pivot column (0 at ``row``). For the
+    product, one buffer holds each row's factor across the row and another
+    the pivot row in every row, and one contiguous multiply joins them:
+    numpy runs the two broadcast copies and that multiply faster than a
+    multiply with an operand broadcast. A product is the same double in
+    either operand order.
     """
 
     def __init__(self, body: np.ndarray, basis: list[int], cost: np.ndarray):
@@ -142,24 +147,33 @@ class _Tableau:
 
     def run(self) -> str:
         """Iterate to optimality. Returns "optimal" or "unbounded". The ratio
-        test runs on Python floats, which divide and compare as numpy does."""
+        test is two plain passes over Python floats, which divide and compare
+        as numpy does, and a step allocates no array, only short lists."""
         t, basis, entering = self.t, self.basis, self._entering
         cost, rhs = t[-1, :-1], t[:-1, -1]
         if cost.size == 0:  # no column can enter
             return "optimal"
         for _ in range(MAX_PIVOTS):
             # Bland: the lowest eligible index enters.
-            col = int(np.less(cost, -PIVOT_TOL, out=entering).argmax())
+            col = int(np.less(cost, _ENTERS_BELOW, out=entering).argmax())
             if not entering[col]:
                 return "optimal"
-            ratios = {r: b / a for r, (a, b) in enumerate(zip(t[:-1, col].tolist(), rhs.tolist()))
-                      if a > PIVOT_TOL}
+            ratios, best = [], math.inf
+            for r, (a, b) in enumerate(zip(t[:-1, col].tolist(), rhs.tolist())):
+                if a > PIVOT_TOL:
+                    ratios.append((q := b / a, r))
+                    if q < best:
+                        best = q
             if not ratios:
                 return "unbounded"
-            best = min(ratios.values())
             # Bland tie-break: among minimum ratios, lowest basic-variable index.
             bound = best + PIVOT_TOL * max(1.0, abs(best))
-            row = min((r for r, q in ratios.items() if q <= bound), key=basis.__getitem__)
+            row, low = -1, len(entering)
+            for q, r in ratios:
+                if q <= bound and basis[r] < low:
+                    row, low = r, basis[r]
+            if row < 0:
+                raise SimplexError("ratio test found no row: its ratios are not finite")
             self.pivot(row, col)
             self.pivots += 1
         raise SimplexError(

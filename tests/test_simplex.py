@@ -226,6 +226,75 @@ class TestDuplicateColumns:
         assert feasible(lp([1.0], a_ub=[[2.0]], b_ub=[1.0]))
 
 
+class DictRatioTableau(simplex._Tableau):
+    """The reference ``run``: pricing against a Python float, and a ratio test
+    that keeps a dict of the eligible rows' ratios, takes ``min`` over its
+    values, then a keyed ``min`` over the rows within the bound."""
+
+    def run(self):
+        t, basis = self.t, self.basis
+        cost, rhs = t[-1, :-1], t[:-1, -1]
+        if cost.size == 0:
+            return "optimal"
+        for _ in range(simplex.MAX_PIVOTS):
+            entering = np.less(cost, -simplex.PIVOT_TOL)
+            col = int(entering.argmax())
+            if not entering[col]:
+                return "optimal"
+            ratios = {r: b / a for r, (a, b) in enumerate(zip(t[:-1, col].tolist(), rhs.tolist()))
+                      if a > simplex.PIVOT_TOL}
+            if not ratios:
+                return "unbounded"
+            best = min(ratios.values())
+            bound = best + simplex.PIVOT_TOL * max(1.0, abs(best))
+            row = min((r for r, q in ratios.items() if q <= bound), key=basis.__getitem__)
+            self.pivot(row, col)
+            self.pivots += 1
+        raise SimplexError("no convergence")
+
+
+def degenerate_program(rng):
+    """A small program whose ratio tests tie: right-hand sides mostly 0 or
+    PIVOT_TOL, entries of a few values with -0.0 and PIVOT_TOL among them,
+    and, now and then, a column with no entry above PIVOT_TOL and a
+    positive cost, so that a feasible program is unbounded."""
+    n, m_eq, m_ub = (int(k) for k in rng.integers((1, 0, 0), (8, 4, 6)))
+    entries = np.array([-2.0, -1.0, -0.0, 0.0, simplex.PIVOT_TOL, 1.0, 1.0, 2.0])
+    rhs = np.array([0.0, 0.0, 0.0, simplex.PIVOT_TOL, 1.0, 2.0])
+    a_eq, a_ub = rng.choice(entries, (m_eq, n)), rng.choice(entries, (m_ub, n))
+    c = rng.choice([-1.0, 0.0, 1.0, 2.0], n)
+    if rng.random() < 0.3:
+        j = int(rng.integers(n))
+        a_eq[:, j] = 0.0
+        a_ub[:, j] = rng.choice([-1.0, -0.0, 0.0], m_ub)
+        c[j] = 1.0
+    return lp(c, a_eq=a_eq, b_eq=rng.choice(rhs, m_eq), a_ub=a_ub, b_ub=rng.choice(rhs, m_ub))
+
+
+def outcome(program):
+    """Status, pivots per phase, objective and vertex bytes of ``solve``, or
+    its error: phase 1 of a program with PIVOT_TOL entries can break down."""
+    try:
+        res = solve(program)
+    except SimplexError as exc:
+        return str(exc)
+    return res.status, res.pivots, res.objective, None if res.x is None else res.x.tobytes()
+
+
+class TestRatioTestOracle:
+    # The two-pass ratio test picks the reference's pivot at every step, so
+    # every status, pivot count, objective and vertex byte is the same.
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pivots_as_the_dict_rule_does(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        programs = [degenerate_program(rng) for _ in range(150)]
+        shipped = [outcome(program) for program in programs]
+        monkeypatch.setattr(simplex, "_Tableau", DictRatioTableau)
+        assert shipped == [outcome(program) for program in programs]
+        statuses = {res[0] for res in shipped if isinstance(res, tuple)}
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
 class TestPivotCounts:
     # Pivots inside each phase's run, counted on the faking LPs before the
     # right-hand side moved into the tableau: the same pivot path gives the

@@ -12,6 +12,9 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 # The verdicts of seeds 0 to 299 at n = 90, recorded before ``estimate``
 # folded its counts in one product.
 VERDICT_SHA256 = "cf41e1bdfae9adb251d7aa653e0ac632baae151d4f4fd4b005118228198df519"
+# What ``loophole._optimum`` answers to perfbench's five faking analyses,
+# recorded before the ratio test became two plain passes.
+SOLVER_SHA256 = "61c91d56891c066feb71661695512ce50f20e341fa045c7a60a82410153b948a"
 
 
 def load(name):
@@ -67,4 +70,34 @@ def test_pair_timing_refuses_trees_that_decide_differently(capsys, tmp_path):
     assert tool.main([str(TOOLS.parent / "src"), str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert out.endswith("the trees decide differently; no timing\n")
+    assert "median" not in out
+
+
+def test_pair_timing_checks_solves_then_times_loophole_passes(capsys):
+    tool = load("pair_timing")
+    tool.BLOCKS, tool.PASSES = 2, 1
+    src = TOOLS.parent / "src"
+    assert tool.main([str(src), str(src / "bellsim"), "--workload", "loophole"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"parent solver sha256: {SOLVER_SHA256}\n"
+                          f"change solver sha256: {SOLVER_SHA256}\n")
+    assert len(re.findall(r"^(parent|change) median \d+\.\d\d us per pass over 2 blocks of 1$",
+                          out, re.M)) == 2
+    assert re.search(r"\npaired median ratio change/parent: \d\.\d{4}\n$", out)
+    assert not any(name.startswith(("bellsim_parent", "bellsim_change")) for name in sys.modules)
+
+
+def test_pair_timing_refuses_trees_that_solve_differently(capsys, tmp_path):
+    changed = tmp_path / "bellsim"
+    shutil.copytree(TOOLS.parent / "src" / "bellsim", changed,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = changed / "simplex.py"
+    text = source.read_text().replace("self.pivots += 1", "self.pivots += 2")
+    assert "+= 2" in text
+    source.write_text(text)
+    tool = load("pair_timing")
+    assert tool.main([str(TOOLS.parent / "src"), str(tmp_path), "--workload", "loophole"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"parent solver sha256: {SOLVER_SHA256}\n")
+    assert out.endswith("the trees solve differently; no timing\n")
     assert "median" not in out
