@@ -348,7 +348,13 @@ def refuse_solves(monkeypatch):
 class TestTinyWeightCensus:
     # Every target is a local mixture with full detection, so its maximum
     # faking efficiency is 1, which the local polytope's facets give with no
-    # solve; solve_lp returns only weights that load_solution reads back.
+    # solve.
+    @pytest.mark.parametrize("k", range(len(TINY_WEIGHT_CENSUS)))
+    def test_local_mixture_reaches_full_efficiency(self, k, monkeypatch):
+        refuse_solves(monkeypatch)
+        assert max_faking_efficiency(TINY_WEIGHT_CENSUS[k]) == 1.0
+
+    # solve_lp returns only weights that load_solution reads back.
     @pytest.mark.parametrize("k", range(len(TINY_WEIGHT_CENSUS)))
     def test_full_detection_solution_is_one_load_solution_reads(self, k, monkeypatch):
         refuse_solves(monkeypatch)
