@@ -123,9 +123,9 @@ def _distinct_strategies() -> np.ndarray:
     any targets. Strategies in different groups differ in a ``-detect`` row,
     or, where detect is equal, in a ``detect_match - target * detect`` entry
     for every target in [0, 1]. So these columns hold each distinct column
-    of the full program once, and under Bland's rule the program on them
-    reaches the full program's vertex bit for bit: the higher-index twin of
-    a column never enters.
+    of the full program once, and under either of the simplex's pricing
+    rules the program on them reaches the full program's vertex bit for
+    bit: the higher-index twin of a column never enters.
     """
     cells = np.hstack([m.reshape(N_STRATEGIES, -1) for m in _strategy_matrices()])
     keep = np.sort(np.unique(cells, axis=0, return_index=True)[1])
@@ -331,8 +331,9 @@ def _scored(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class _Answer:
     """How :func:`_optimum` answered ``problem``: the route it took, how the
-    floor-0 program ended, z* and x at its vertex, else None, and the pivots
-    of each phase of its solve, (0, 0) where none ran."""
+    floor-0 program ended, z* and x at its vertex, else None, the pivots of
+    each phase of its solve, (0, 0) where none ran, and the certificate of a
+    floor-0 optimum."""
 
     problem: FakingProblem
     route: str  # "facets", "bell sum" or "floor 0"
@@ -340,6 +341,7 @@ class _Answer:
     objective: float | None = None
     x: np.ndarray | None = None
     pivots: tuple[int, int] = (0, 0)
+    certificate: tuple[float, float] | None = None  # simplex.certify's (gap, residual)
 
     def efficiency(self) -> float | None:
         """z*, at most 1.0, or None with no vertex: :func:`max_faking_efficiency`'s
@@ -363,15 +365,22 @@ class _Answer:
 
 def _solve_on(problem: FakingProblem) -> _Answer:
     """The "floor 0" answer: ``simplex.solve`` of ``problem``'s program at floor 0
-    on the distinct strategy columns and z, x expanded back to all 4097 variables."""
+    on the distinct strategy columns and z, x expanded back to all 4097
+    variables; Dantzig-priced, Bland's with the stealth row. An optimum is
+    certified, or raises: weights, z and epigraph slacks are at most 1, the
+    stealth slack (-0.05 minus sums of four terms in {-1, 0, 1}) at most 4."""
     keep = _distinct_strategies()
-    detect, detect_match = _strategy_matrices()
-    result = simplex.solve(_assemble_lp(detect[keep], detect_match[keep],
-                                        problem.targets.as_array(), 0.0, problem.stealth))
-    x = None if result.x is None else np.zeros(N_STRATEGIES + 1)
-    if x is not None:
-        x[np.append(keep, N_STRATEGIES)] = result.x
-    return _Answer(problem, "floor 0", result.status, result.objective, x, result.pivots)
+    lp = _assemble_lp(*(m[keep] for m in _strategy_matrices()), problem.targets.as_array(),
+                      0.0, problem.stealth)
+    result = simplex.solve(lp, dantzig=not problem.stealth)
+    if result.x is None:
+        return _Answer(problem, "floor 0", result.status, pivots=result.pivots)
+    upper = np.append(np.ones(lp.n_vars + lp.ub_rhs.shape[0] - 1), 4.0 if problem.stealth else 1.0)
+    certificate = simplex.certify(lp, result, upper)
+    x = np.zeros(N_STRATEGIES + 1)
+    x[np.append(keep, N_STRATEGIES)] = result.x
+    return _Answer(problem, "floor 0", result.status, result.objective, x, result.pivots,
+                   certificate)
 
 
 @lru_cache(maxsize=1)
@@ -468,9 +477,9 @@ def solve_lp(problem: FakingProblem) -> LpSolution:
     The floor-f program maximizes the same minimum coincidence rate z and
     only adds the rows "coincidence rate >= f", so it is feasible exactly
     when z* is at least f, and that optimum is optimal at floor f too. A
-    floor within rounding of the true optimum may be misreported (at the
-    canonical angles the optimum is 2/3, z* is one ulp below the double
-    nearest it, and that double reads infeasible). A solver breakdown, or
+    floor within a few ulps of z* may be misreported either way (at the
+    canonical angles z* is 3e-16 above the optimum, 2/3 + 2.47e-17, and
+    0.6666666666666667 reads feasible); z* + gap bounds it. A breakdown, or
     optimal weights :class:`LpSolution` refuses, raises ``simplex.SimplexError``.
     """
     return _optimum(problem).solution()

@@ -1,20 +1,22 @@
-"""Dense two-phase simplex solver with Bland's anti-cycling rule.
+"""Dense two-phase simplex solver, priced by Bland's rule or Dantzig's.
 
 Solves   maximize c . x   subject to   A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0.
 
 Sized for this package's problems: tens of rows by a few thousand columns,
 where a dense tableau with vectorized row operations is simple, debuggable
-and fast enough. Bland's rule (always pick the lowest-index eligible
-entering column; break ratio-test ties by lowest basic-variable index)
-guarantees termination on the degenerate programs the loophole analysis
-produces. Its ratio test makes two plain passes over Python floats.
+and fast enough. Bland's rule (Bland, Math. Oper. Res. 2, 103 (1977): the
+lowest-index eligible column enters, ratio-test ties go to the lowest
+basic-variable index), the default, cannot cycle. ``dantzig=True`` enters
+the most negative reduced cost, but Bland's column after each degenerate
+pivot, so a cycle would run under Bland's rule alone. :func:`certify`
+checks an optimum against a rigorous dual bound.
 
-Programs are solved as given, with no presolve. Under Bland's rule a column
-identical to a lower-index one never enters: twins have equal reduced costs,
-and the elementwise row operations keep them equal, so the lower-index twin
-is always picked first and the higher one stays at 0. A program with
-repeated columns thus reaches the vertex of the program without them, bit
-for bit.
+Programs are solved as given, with no presolve. A column identical to a
+lower-index one never enters under either rule: twins have equal reduced
+costs, and the elementwise row operations keep them equal, so the
+lower-index twin is always picked first and the higher one stays at 0. A
+program with repeated columns thus reaches the vertex of the program
+without them, bit for bit.
 
 The tableau is one array: the constraint rows, then the cost row of reduced
 costs, with the right-hand side as the last column. That column holds the
@@ -29,8 +31,9 @@ skipping zero factors or zero pivot-row entries keeps a -0.0 that the
 subtraction would turn into +0.0: either moves the pivot path.
 ``SimplexResult.pivots`` counts the pivots of each phase. Three constants
 tune the solver: ``PIVOT_TOL``, below which an entry counts as 0;
-``ARTIFICIAL_MASS_TOL``, above which phase 1 calls a program infeasible; and
-``MAX_PIVOTS``, the pivot budget of each phase.
+``ARTIFICIAL_MASS_TOL``, above which phase 1 calls a program infeasible and
+:func:`certify` refuses a gap or residual; and ``MAX_PIVOTS``, the pivot
+budget of each phase.
 """
 
 from __future__ import annotations
@@ -102,6 +105,7 @@ class SimplexResult:
     x: np.ndarray | None
     objective: float | None
     pivots: tuple[int, int]  # inside phase 1 and phase 2; phase 2 is 0 when infeasible
+    basis: list[int] | None = None  # an optimum's basic columns, slacks after the program's
 
 
 class _Tableau:
@@ -145,25 +149,29 @@ class _Tableau:
         t -= update
         self.basis[row] = col
 
-    def run(self) -> str:
-        """Iterate to optimality. Returns "optimal" or "unbounded". The ratio
-        test is two plain passes over Python floats, which divide and compare
-        as numpy does, and a step allocates no array, only short lists."""
+    def run(self, dantzig: bool = False, bounded: bool = False) -> str:
+        """Iterate to optimality. Returns "optimal" or "unbounded". With
+        ``dantzig`` the most negative reduced cost enters (the lowest index
+        among equals), but after a degenerate pivot, one whose least ratio is
+        at most PIVOT_TOL, Bland's rule prices. With ``bounded`` (phase 1) a
+        column that no row limits is passed over for the next eligible one.
+        A step allocates no array, only short lists."""
         t, basis, entering = self.t, self.basis, self._entering
-        cost, rhs = t[-1, :-1], t[:-1, -1]
+        cost = t[-1, :-1]
         if cost.size == 0:  # no column can enter
             return "optimal"
+        bland = not dantzig
         for _ in range(MAX_PIVOTS):
-            # Bland: the lowest eligible index enters.
-            col = int(np.less(cost, _ENTERS_BELOW, out=entering).argmax())
+            np.less(cost, _ENTERS_BELOW, out=entering)
+            col = int(entering.argmax() if bland else cost.argmin())
             if not entering[col]:
                 return "optimal"
-            ratios, best = [], math.inf
-            for r, (a, b) in enumerate(zip(t[:-1, col].tolist(), rhs.tolist())):
-                if a > PIVOT_TOL:
-                    ratios.append((q := b / a, r))
-                    if q < best:
-                        best = q
+            while not (test := self._ratios(col))[0] and bounded:
+                entering[col] = False
+                if not entering.any():
+                    return "optimal"
+                col = int(entering.argmax() if bland else np.where(entering, cost, 0.0).argmin())
+            ratios, best = test
             if not ratios:
                 return "unbounded"
             # Bland tie-break: among minimum ratios, lowest basic-variable index.
@@ -176,13 +184,26 @@ class _Tableau:
                 raise SimplexError("ratio test found no row: its ratios are not finite")
             self.pivot(row, col)
             self.pivots += 1
+            bland = not dantzig or best <= PIVOT_TOL
         raise SimplexError(
             f"no convergence within {MAX_PIVOTS} pivots "
             f"(last basis size {len(basis)})"
         )
 
+    def _ratios(self, col: int) -> tuple[list[tuple[float, int]], float]:
+        """(ratio, row) for each row whose entry in ``col`` exceeds PIVOT_TOL,
+        and the least ratio: one pass over Python floats, which act as numpy's."""
+        ratios, best = [], math.inf
+        for r, (a, b) in enumerate(zip(self.t[:-1, col].tolist(), self.t[:-1, -1].tolist())):
+            if a > PIVOT_TOL:
+                ratios.append((q := b / a, r))
+                if q < best:
+                    best = q
+        return ratios, best
 
-def _phase_one(lp: LinearProgram) -> tuple[np.ndarray | None, list[int] | None, int]:
+
+def _phase_one(lp: LinearProgram, dantzig: bool = False
+               ) -> tuple[np.ndarray | None, list[int] | None, int]:
     """A feasible tableau body over the program and slack columns, with the
     right-hand side as its last column, its basis, and the pivots phase 1
     took; body and basis are None when the program is infeasible.
@@ -220,8 +241,7 @@ def _phase_one(lp: LinearProgram) -> tuple[np.ndarray | None, list[int] | None, 
     cost[n_real:] = 1.0
 
     tab = _Tableau(body, basis, cost)
-    if tab.run() != "optimal":  # phase-1 objective is bounded below by 0
-        raise SimplexError("phase 1 reported unbounded; artificial costs are nonnegative")
+    tab.run(dantzig, bounded=True)  # artificial costs are nonnegative
     if -tab.t[-1, -1] > ARTIFICIAL_MASS_TOL:  # the artificial mass
         return None, None, tab.pivots
 
@@ -237,9 +257,10 @@ def _phase_one(lp: LinearProgram) -> tuple[np.ndarray | None, list[int] | None, 
     return body, [tab.basis[r] for r in keep], tab.pivots
 
 
-def solve(lp: LinearProgram) -> SimplexResult:
-    """Two-phase simplex for ``lp``. Statuses: optimal, infeasible, unbounded."""
-    body, basis, phase1_pivots = _phase_one(lp)
+def solve(lp: LinearProgram, *, dantzig: bool = False) -> SimplexResult:
+    """Two-phase simplex for ``lp``, by Bland's rule or with ``dantzig`` by
+    Dantzig's (:meth:`_Tableau.run`). Statuses: optimal, infeasible, unbounded."""
+    body, basis, phase1_pivots = _phase_one(lp, dantzig)
     if body is None:
         return SimplexResult(status="infeasible", x=None, objective=None,
                              pivots=(phase1_pivots, 0))
@@ -248,7 +269,7 @@ def solve(lp: LinearProgram) -> SimplexResult:
     cost = np.zeros(n_real)
     cost[: lp.n_vars] = -lp.objective  # maximize via minimizing the negation
     tab = _Tableau(body, basis, cost)
-    status = tab.run()
+    status = tab.run(dantzig)
     pivots = (phase1_pivots, tab.pivots)
     if status == "unbounded":
         return SimplexResult(status="unbounded", x=None, objective=None, pivots=pivots)
@@ -257,7 +278,37 @@ def solve(lp: LinearProgram) -> SimplexResult:
     basic[np.asarray(tab.basis, dtype=int)] = tab.t[:-1, -1]
     np.clip(basic, 0.0, None, out=basic)  # snap -1e-15 round-off on basic zeros
     x = basic[: lp.n_vars]
-    return SimplexResult(status="optimal", x=x, objective=float(lp.objective @ x), pivots=pivots)
+    return SimplexResult(status="optimal", x=x, objective=float(lp.objective @ x), pivots=pivots,
+                         basis=tab.basis)
+
+
+def certify(lp: LinearProgram, result: SimplexResult, upper: np.ndarray,
+            y: np.ndarray | None = None) -> tuple[float, float]:
+    """(gap, residual) of ``result``, an optimum of ``lp`` whose variables,
+    then slacks, lie in [0, upper] at every feasible point. For any y, over
+    the standard form A v = b, the optimum is at most hi = b^T y + sum_j
+    max(0, (c - A^T y)_j) upper_j (Neumaier and Shcherbina, Math. Program.
+    99, 283 (2004)); y defaults to B^T y = c_B on the final basis (least
+    squares: phase 1 may drop a row). In floats each reduced cost is raised
+    by 2 gamma_(m+2), and the sum by 2 gamma_(n+m+2), times the absolute
+    values they add, which bounds every rounding (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., 3.1). The gap is hi - z*,
+    the residual x's largest row violation; either above
+    ARTIFICIAL_MASS_TOL, or a negative gap, raises ``SimplexError``."""
+    rows = np.vstack([lp.eq_matrix, lp.ub_matrix])
+    m, m_eq = rows.shape[0], lp.eq_rhs.shape[0]
+    a = np.hstack([rows, np.eye(m)[:, m_eq:]])
+    b, c = np.append(lp.eq_rhs, lp.ub_rhs), np.append(lp.objective, np.zeros(m - m_eq))
+    if y is None:
+        y = np.linalg.lstsq(a[:, result.basis].T, c[result.basis], rcond=None)[0]
+    gamma = [2 * k * 2**-53 / (1 - k * 2**-53) for k in (m + 2, a.shape[1] + m + 2)]
+    bound = np.maximum(c - y @ a + gamma[0] * (abs(c) + abs(y) @ abs(a)), 0.0) @ upper
+    gap = float(b @ y + bound + gamma[1] * (bound + abs(b) @ abs(y)) - result.objective)
+    excess = rows @ result.x - b
+    residual = float(np.append(abs(excess[:m_eq]), excess[m_eq:]).max(initial=0.0))
+    if not 0.0 <= gap <= ARTIFICIAL_MASS_TOL or residual > ARTIFICIAL_MASS_TOL:
+        raise SimplexError(f"optimum not certified: gap {gap:.3g}, residual {residual:.3g}")
+    return gap, residual
 
 
 def feasible(lp: LinearProgram) -> bool:

@@ -543,18 +543,27 @@ class TestLoopholeCommand:
         code, out, _ = run_cli(capsys, "loophole", "--angles", "212,177,0", "--floor", "1")
         assert (code, out) == (0, "status: infeasible\n")
 
-    # The floor-0 solve at these angles hits the pivot limit, but their Bell
-    # statistic, 0.00036, answers floor 1 with no solve.
+    # Real census triple 91, whose Bell statistic, 0.00036, answers floor 1
+    # with no solve. Its floor-0 solve, which did not finish under Bland's
+    # rule, finishes certified under Dantzig's; HiGHS finds 0.9996440399774037.
+    NON_LOCAL = "301.4804809673983,125.58231232781922,304.8986802749712"
+
     @pytest.mark.parametrize("fmt", ("text", "json"))
-    def test_floor_one_beyond_a_floor_zero_breakdown_is_infeasible(self, fmt, capsys):
-        angles = "301.4804809673983,125.58231232781922,304.8986802749712"
-        code, out, _ = run_cli(capsys, "loophole", "--angles", angles, "--floor", "1",
+    def test_floor_one_of_a_barely_non_local_target_is_infeasible(self, fmt, capsys):
+        code, out, _ = run_cli(capsys, "loophole", "--angles", self.NON_LOCAL, "--floor", "1",
                                "--format", fmt)
         assert code == 0
         if fmt == "text":
             assert out == "status: infeasible\n"
         else:
             assert json.loads(out)["status"] == "infeasible"
+
+    def test_max_efficiency_of_a_barely_non_local_target(self, capsys):
+        code, out, _ = run_cli(capsys, "loophole", "--angles", self.NON_LOCAL,
+                               "--max-efficiency", "--format", "json")
+        assert code == 0
+        value = json.loads(out)["max_faking_efficiency"]
+        assert value == pytest.approx(0.9996440399774037, abs=1e-9)
 
     # The stealth program at these angles reports unbounded, although z <= 1
     # bounds it: a solver breakdown, which is never printed as an answer.

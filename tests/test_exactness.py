@@ -132,16 +132,17 @@ GOLDEN_SHA256 = {
 }
 
 # SHA-256 of ``json.dumps(solution.to_dict())``, recorded from the simplex
-# run on the full 4097-variable program (no column presolve).
+# run on the full 4097-variable program (no column presolve); floor0 from
+# the Dantzig-priced solve on the distinct columns.
 GOLDEN_SOLUTION_SHA256 = {
     ("floor0", "60,0,120"):
-        "abd993cd5957efc73d5d832e54c4c1109f08b7ccc733e82007632d96156c45d8",
+        "a9f8fe58bb4a2a9368b06eb679ac0ef9098322b16a904a6a611087e9c678acf4",
     ("floor1", "60,0,120"):
         "0a2c82a4f716955892557acd7c2f5b00d2278a9f5f6d3ff0a22793f4c3761076",
     ("demo", "60,0,120"):
         "3082206230de84092aa5797825f1a547f9cb903998c7f93ac97a7a044beb2cf5",
     ("floor0", "45,0,90"):
-        "3c3802799dc22a9caa7388cb9ff5d1e9d8c08684f71b4c2257699a74aa61f9bf",
+        "e1e139b3c2f1847dafca49b779c543b8f9af09344f51c7a008255c74c079d788",
 }
 
 
@@ -666,10 +667,10 @@ def test_random_programs_match_golden_digest():
 # SHA-256 over the floor-0 and stealth programs of the first 40 triples of
 # ``default_rng(1).integers(0, 360, (300, 3))``, solved on the distinct
 # strategy columns: status, pivots per phase, ``repr`` of the objective and
-# ``x`` bytes, recorded from the solver that built a new rank-1 product
-# array on every pivot.
+# ``x`` bytes, recorded when the floor-0 programs became Dantzig-priced (the
+# stealth programs, on Bland's rule, are solved as before).
 GOLDEN_FAKING_PROGRAMS_SHA256 = (
-    "2c0a935b01f5e272d5fdc8c078f1a8f00e6281065ed56af8d3c1260b28a1d2a4"
+    "2be751b74441e2f887f064f5ef37af85989ff5aae8a0b8618c49e6dbcc3b7dad"
 )
 
 

@@ -1,7 +1,9 @@
+import dataclasses
 import importlib.util
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -282,9 +284,10 @@ class TestMaxFakingEfficiency:
             assert solution.min_coincidence_rate == pytest.approx(eta, abs=1e-9)
 
     # A mixture of tables 13, 24 and 53 with weights 0.685, 0.315 and
-    # 6.3e-10. Its floor-0 phase 2 reports unbounded after 3,775 pivots,
-    # although z <= 1 bounds the program; the local polytope's facets,
-    # asked first, give the optimum 1, as HiGHS does.
+    # 6.3e-10. Its floor-0 solve hits the pivot limit (under Bland's rule
+    # phase 2 reports unbounded after (9, 1458) pivots, although z <= 1
+    # bounds the program); the local polytope's facets, asked first, give
+    # the optimum 1, as HiGHS does.
     BREAKDOWN = MatchProbabilityTable((
         (0.31478760013516033, 0.9999999993735484, 0.31478760013516033),
         (6.264515891236387e-10, 0.6852123998648397, 6.264515891236387e-10),
@@ -295,9 +298,8 @@ class TestMaxFakingEfficiency:
         assert max_faking_efficiency(self.BREAKDOWN) == 1.0
 
     # A mixture of tables 4 and 54 with weights 3.5e-10 and 1 - 3.5e-10.
-    # Its floor-0 solve stops as optimal after (5, 3233) pivots at
-    # 0.5587432611454236, silently; the local polytope's facets, asked
-    # first, give the optimum 1, as HiGHS does.
+    # Its floor-0 solve hits the pivot limit under either rule; the local
+    # polytope's facets, asked first, give the optimum 1, as HiGHS does.
     WRONG_OPTIMUM = MatchProbabilityTable((
         (0.9999999996517236, 1.0, 3.482764527360542e-10),
         (0.9999999996517236, 1.0, 3.482764527360542e-10),
@@ -307,18 +309,19 @@ class TestMaxFakingEfficiency:
     def test_floor_zero_wrong_optimum_reaches_full_efficiency(self):
         assert max_faking_efficiency(self.WRONG_OPTIMUM) == 1.0
 
-    # Known defect: triple 91 of default_rng(2).uniform(0, 360, (240, 3)).
-    # Its Bell statistic is 0.00036, so the floor-0 program decides it, and
-    # that solve does not finish; HiGHS finds 0.9996440399774037. A budget
-    # of 5,000 pivots keeps the failure at about 0.2 s.
+    # Triple 91 of default_rng(2).uniform(0, 360, (240, 3)). Its Bell
+    # statistic is 0.00036, so the floor-0 program decides it. Under Bland's
+    # rule that solve does not finish; under Dantzig's it finishes, certified,
+    # in (10, 108) pivots. HiGHS finds 0.9996440399774037. A budget of 5,000
+    # pivots keeps a failure at about 0.2 s.
     NON_LOCAL = (301.4804809673983, 125.58231232781922, 304.8986802749712)
 
-    @pytest.mark.xfail(raises=simplex.SimplexError,
-                       reason="floor-0 solve does not finish on this non-local target")
     def test_non_local_breakdown_reaches_its_optimum(self, monkeypatch):
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 5_000)
         targets = match_table(AngleTriple.from_degrees(*self.NON_LOCAL))
         assert max_faking_efficiency(targets) == pytest.approx(0.9996440399774037, abs=1e-9)
+        answer = _optimum(FakingProblem(targets))
+        assert answer.route == "floor 0" and answer.certificate is not None
 
 
 def load_census():
@@ -338,7 +341,7 @@ TINY_WEIGHT_CENSUS = CENSUS.TARGET_SETS["150 tiny-weight mixtures"]
 
 def refuse_solves(monkeypatch):
     """Make every simplex solve or phase 1 raise ``AssertionError``."""
-    def refuse(lp):
+    def refuse(lp, **pricing):
         raise AssertionError("a simplex solve was run")
 
     monkeypatch.setattr(simplex, "solve", refuse)
@@ -367,7 +370,8 @@ class TestTinyWeightCensus:
 class TestFullDetectionFirst:
     # Local targets reached with full detection have an optimum of 1, which
     # the local polytope's facets, asked first, give with no solve; the
-    # floor-0 solve reads a few ulps below 1 for these two.
+    # floor-0 solve under Bland's rule reads a few ulps below 1 for these two
+    # (under Dantzig's, 1.0 and 1.000000000000085).
     CONFIRMED = MatchProbabilityTable(((0.0, 1.0, 1.0),) * 3)
     # A 1:99 mixture of two full-detection tables, whose floor-1 phase 1
     # on all the distinct strategies does not finish.
@@ -375,11 +379,11 @@ class TestFullDetectionFirst:
 
     @staticmethod
     def floor_zero_optimum(targets):
-        z = _solve_on(FakingProblem(targets)).objective
+        z = simplex.solve(FakingProblem(targets).program, dantzig=False).objective
         assert z < 1.0
         return z
 
-    # The facets decide the floors above the floor-0 solve's optimum,
+    # The facets decide the floors above that floor-0 solve's optimum,
     # feasible, as HiGHS finds.
     @pytest.mark.parametrize("targets", (CONFIRMED, DIVERGING), ids=("CONFIRMED", "DIVERGING"))
     def test_floor_one_optimum_answers_the_floors_above(self, targets, monkeypatch):
@@ -420,10 +424,10 @@ class TestAnswer:
     # targets fails the stealth row, and that solve ends in phase 1.
     # UNBOUNDED_DEMO is triple 117 of the census's integer triples.
     @pytest.mark.parametrize("targets, floor, stealth, end", (
-        (CANONICAL_TARGETS, 0.0, False, ["floor 0", "optimal", 0.6666666666666665, (10, 319)]),
+        (CANONICAL_TARGETS, 0.0, False, ["floor 0", "optimal", 0.666666666666667, (10, 86)]),
         (CANONICAL_TARGETS, 1.0, False, ["bell sum", None, None, (0, 0)]),
         (CANONICAL_TARGETS, 0.0, True, ["floor 0", "optimal", 0.40000000000000013, (11, 252)]),
-        (FORTY_FIVE, 0.0, False, ["floor 0", "optimal", 0.7071067811865479, (10, 184)]),
+        (FORTY_FIVE, 0.0, False, ["floor 0", "optimal", 0.707106781186547, (10, 90)]),
         (FORTY_FIVE, 1.0, False, ["bell sum", None, None, (0, 0)]),
         (FORTY_FIVE, 0.0, True, ["floor 0", "optimal", 0.27279220613578603, (11, 216)]),
         (TestFullDetectionFirst.CONFIRMED, 0.0, False, ["facets", "optimal", 1.0, (0, 0)]),
@@ -435,25 +439,118 @@ class TestAnswer:
         answer = _optimum(FakingProblem(targets, floor, stealth))
         assert [answer.route, answer.status, answer.objective, answer.pivots] == end
         assert (answer.x is None) == (answer.objective is None)
+        # Every floor-0 optimum carries its certificate; the facets need none.
+        assert (answer.certificate is not None) == (end[:2] == ["floor 0", "optimal"])
 
     # The census on five targets: integer triples 0 and 117, real triple 0
     # and tiny-weight mixtures 6 and 18, whose demonstrations end infeasible
-    # in phase 1 and at the facets. Triple 117's demonstration raises.
+    # in phase 1 and at the facets. Triple 117's demonstration raises. The
+    # eight floor-0 optima each carry a certificate.
     def test_census_runs(self, capsys):
         real = CENSUS.TARGET_SETS["240 real triples"]
         CENSUS.census([INTEGER_TRIPLES[0], INTEGER_TRIPLES[117], real[0],
                        TINY_WEIGHT_CENSUS[6], TINY_WEIGHT_CENSUS[18]])
         lines = [line.split(", median")[0] for line in capsys.readouterr().out.splitlines()]
-        assert lines == [
+        assert lines[:4] == [
             "max_faking_efficiency: routes {'facets': 2, 'floor 0': 3}, "
-            "outcomes {'value': 5}, pivots 30 + 897",
+            "outcomes {'value': 5}, pivots 30 + 425",
             "solve_lp floor 0: routes {'facets': 2, 'floor 0': 3}, "
-            "outcomes {'feasible': 5}, pivots 30 + 897",
+            "outcomes {'feasible': 5}, pivots 30 + 425",
             "solve_lp floor 1: routes {'bell sum': 3, 'facets': 2}, "
             "outcomes {'feasible': 2, 'infeasible': 3}, pivots 0 + 0",
             "demonstration_solution: routes {'facets': 1, 'floor 0': 4}, "
             "outcomes {'SimplexError': 1, 'feasible': 3, 'infeasible': 1}, pivots 38 + 3708",
         ]
+        found = re.fullmatch(r"certified 8, largest gap (\S+), largest residual (\S+)", lines[4])
+        assert found and len(lines) == 5
+        assert all(0.0 <= float(v) <= simplex.ARTIFICIAL_MASS_TOL for v in found.groups())
+
+
+class TestCertificate:
+    # Every optimal floor-0 answer carries (gap, residual): hi - z*, hi a
+    # rigorous dual bound on the optimum, and the largest violation of a
+    # program row by x. Each is at most simplex.ARTIFICIAL_MASS_TOL.
+    PROBLEMS = (FakingProblem(CANONICAL_TARGETS), FakingProblem(CANONICAL_TARGETS, stealth=True),
+                FakingProblem(FORTY_FIVE), FakingProblem(FORTY_FIVE, stealth=True))
+
+    @pytest.mark.parametrize("problem", PROBLEMS, ids=("60,0,120", "60,0,120 demo",
+                                                       "45,0,90", "45,0,90 demo"))
+    def test_a_perturbed_dual_or_weight_breaks_it(self, problem, monkeypatch):
+        calls, certify = [], simplex.certify
+        monkeypatch.setattr(simplex, "certify", lambda *args: calls.append(args) or certify(*args))
+        gap, residual = _solve_on(problem).certificate
+        assert 0.0 <= gap <= 1e-10 and residual <= 1e-13
+        lp, result, upper = calls[0]
+        assert certify(lp, result, upper) == (gap, residual)
+        # The duals, solved here on the basis columns of the standard form.
+        a = np.hstack([np.vstack([lp.eq_matrix, lp.ub_matrix]),
+                       np.eye(19 + problem.stealth)[:, 10:]])
+        c = np.append(lp.objective, np.zeros(9 + problem.stealth))
+        y = np.linalg.solve(a[:, result.basis].T, c[result.basis])
+        assert certify(lp, result, upper, y)[0] <= 1e-10
+        # Rows 1, 5 and 9 match equal settings, whose targets are 0: their
+        # entries are all at least 0, so raising y there only lowers reduced
+        # costs, and the bound holds. Every other shift breaks it.
+        for k, by in itertools.product(range(len(y)), (-1e-3, 1e-3)):
+            shifted = y.copy()
+            shifted[k] += by
+            if by > 0.0 and k in (1, 5, 9):
+                assert certify(lp, result, upper, shifted)[0] <= 1e-10
+                continue
+            with pytest.raises(simplex.SimplexError, match="not certified: gap"):
+                certify(lp, result, upper, shifted)
+        for k in (0, 100, 338):
+            x = result.x.copy()
+            x[k] += 1e-6
+            with pytest.raises(simplex.SimplexError, match="not certified: .* residual 1e-06"):
+                certify(lp, dataclasses.replace(result, x=x), upper)
+
+    # HiGHS's optimum of the full program lies within 1e-9 of [z*, z* + gap]
+    # for the benchmark's targets and the first 40 integer triples, with and
+    # without the stealth row; where no floor-0 optimum is certified, the
+    # facets answer 1 or both find the stealth program infeasible.
+    def test_highs_lies_in_the_interval(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        certified = 0
+        for k, targets in enumerate([CANONICAL_TARGETS, FORTY_FIVE, *INTEGER_TRIPLES[:40]]):
+            for stealth in (False, True):
+                problem = FakingProblem(targets, stealth=stealth)
+                program = problem.program
+                highs = optimize.linprog(
+                    -program.objective,
+                    A_ub=program.ub_matrix, b_ub=program.ub_rhs,
+                    A_eq=program.eq_matrix, b_eq=program.eq_rhs,
+                    bounds=(0.0, None), method="highs",
+                )
+                answer = _optimum(problem)
+                case = (k, stealth, answer.route, answer.status)
+                if answer.status == "infeasible":
+                    assert highs.status == 2, case
+                    continue
+                assert highs.status == 0, case
+                gap = 0.0 if answer.route == "facets" else answer.certificate[0]
+                certified += answer.route == "floor 0"
+                assert answer.objective - 1e-9 <= -highs.fun <= answer.objective + gap + 1e-9, case
+        assert certified >= 80
+
+    # The threshold is ARTIFICIAL_MASS_TOL. At 1e-7 it certifies the
+    # demonstrations of tiny-weight mixtures 72, 98, 100 and 108, whose gaps
+    # lie between 1.1e-9 and 6.9e-9; at 1e-9 it refuses them. Mixture 123's
+    # weights sum to 1.26, and its gap of 17 is refused at either.
+    def test_the_threshold_is_the_artificial_mass_tolerance(self, monkeypatch):
+        assert simplex.ARTIFICIAL_MASS_TOL == 1e-7
+        near = [FakingProblem(TINY_WEIGHT_CENSUS[k], stealth=True) for k in (72, 98, 100, 108)]
+        for problem in near:
+            gap, residual = _optimum(problem).certificate
+            assert 1e-9 < gap < 1e-8 and residual < 1e-9
+            assert solve_lp(problem).status == "feasible"
+        wrong = FakingProblem(TINY_WEIGHT_CENSUS[123], stealth=True)
+        with pytest.raises(simplex.SimplexError, match="not certified: gap 17, residual 0.263"):
+            _optimum(wrong)
+        monkeypatch.setattr(simplex, "ARTIFICIAL_MASS_TOL", 1e-9)
+        for problem in near + [wrong]:
+            with pytest.raises(simplex.SimplexError, match="not certified: gap"):
+                _optimum(problem)
 
 
 def relabeled_sums(p):
@@ -683,7 +780,7 @@ class TestDistinctStrategies:
         for targets in self.targets():
             for stealth in (False, True):
                 problem = FakingProblem(targets, stealth=stealth)
-                full = simplex.solve(problem.program)
+                full = simplex.solve(problem.program, dantzig=not stealth)  # _solve_on's rule
                 reduced = _solve_on(problem)
                 statuses.add(full.status)
                 assert reduced.status == full.status
@@ -700,9 +797,9 @@ class TestDistinctStrategies:
         programs = []
         solve = simplex.solve
 
-        def recorded(lp):
+        def recorded(lp, **pricing):
             programs.append(lp)
-            return solve(lp)
+            return solve(lp, **pricing)
 
         monkeypatch.setattr(simplex, "solve", recorded)
         for targets in (CANONICAL_TARGETS, match_table(AngleTriple.from_degrees(45, 0, 90)),
@@ -745,7 +842,7 @@ class TestFloorRows:
                 solved = _solve_on(FakingProblem(targets, stealth=stealth))
                 program = _assemble_lp(detect, detect_match, targets.as_array(), 0.0, stealth)
                 assert program.ub_matrix.shape[0] == 9 + stealth
-                reference = simplex.solve(self.with_floor_rows(program))
+                reference = simplex.solve(self.with_floor_rows(program), dantzig=not stealth)
                 case = (k, stealth)
                 assert solved.status == reference.status == "optimal", case
                 x = solved.x[np.append(keep, N_STRATEGIES)]

@@ -227,29 +227,39 @@ class TestDuplicateColumns:
 
 
 class DictRatioTableau(simplex._Tableau):
-    """The reference ``run``: pricing against a Python float, and a ratio test
-    that keeps a dict of the eligible rows' ratios, takes ``min`` over its
-    values, then a keyed ``min`` over the rows within the bound."""
+    """The reference ``run``: pricing over a Python list of the eligible
+    columns, sorted by reduced cost for Dantzig's rule (a stable sort keeps
+    the lowest index among equals), and a ratio test that keeps a dict of
+    the eligible rows' ratios, takes ``min`` over its values, then a keyed
+    ``min`` over the rows within the bound. In phase 1 a column with no row
+    is passed over for the next in pricing order."""
 
-    def run(self):
+    def run(self, dantzig=False, bounded=False):
         t, basis = self.t, self.basis
         cost, rhs = t[-1, :-1], t[:-1, -1]
         if cost.size == 0:
             return "optimal"
+        bland = not dantzig
         for _ in range(simplex.MAX_PIVOTS):
-            entering = np.less(cost, -simplex.PIVOT_TOL)
-            col = int(entering.argmax())
-            if not entering[col]:
+            eligible = [j for j, r in enumerate(cost.tolist()) if r < -simplex.PIVOT_TOL]
+            if not bland:
+                eligible.sort(key=lambda j: cost[j])
+            if not eligible:
                 return "optimal"
-            ratios = {r: b / a for r, (a, b) in enumerate(zip(t[:-1, col].tolist(), rhs.tolist()))
-                      if a > simplex.PIVOT_TOL}
+            for col in eligible:
+                ratios = {r: b / a for r, (a, b) in enumerate(zip(t[:-1, col].tolist(),
+                                                                  rhs.tolist()))
+                          if a > simplex.PIVOT_TOL}
+                if ratios or not bounded:
+                    break
             if not ratios:
-                return "unbounded"
+                return "optimal" if bounded else "unbounded"
             best = min(ratios.values())
             bound = best + simplex.PIVOT_TOL * max(1.0, abs(best))
             row = min((r for r, q in ratios.items() if q <= bound), key=basis.__getitem__)
             self.pivot(row, col)
             self.pivots += 1
+            bland = not dantzig or best <= simplex.PIVOT_TOL
         raise SimplexError("no convergence")
 
 
@@ -271,28 +281,56 @@ def degenerate_program(rng):
     return lp(c, a_eq=a_eq, b_eq=rng.choice(rhs, m_eq), a_ub=a_ub, b_ub=rng.choice(rhs, m_ub))
 
 
-def outcome(program):
-    """Status, pivots per phase, objective and vertex bytes of ``solve``, or
-    its error: phase 1 of a program with PIVOT_TOL entries can break down."""
-    try:
-        res = solve(program)
-    except SimplexError as exc:
-        return str(exc)
-    return res.status, res.pivots, res.objective, None if res.x is None else res.x.tobytes()
+def outcome(program, dantzig):
+    """Status, pivots per phase, objective, vertex bytes and basis of
+    ``solve`` under either pricing rule."""
+    res = solve(program, dantzig=dantzig)
+    x = None if res.x is None else res.x.tobytes()
+    return res.status, res.pivots, res.objective, x, res.basis
 
 
 class TestRatioTestOracle:
-    # The two-pass ratio test picks the reference's pivot at every step, so
-    # every status, pivot count, objective and vertex byte is the same.
+    # The shipped pricing and two-pass ratio test pick the reference's pivot
+    # at every step, under both rules, so every status, pivot count,
+    # objective, vertex byte and basis is the same; no program raises.
+    @pytest.mark.parametrize("dantzig", (False, True), ids=("bland", "dantzig"))
     @pytest.mark.parametrize("seed", range(4))
-    def test_pivots_as_the_dict_rule_does(self, seed, monkeypatch):
+    def test_pivots_as_the_dict_rule_does(self, seed, dantzig, monkeypatch):
         rng = np.random.default_rng(seed)
         programs = [degenerate_program(rng) for _ in range(150)]
-        shipped = [outcome(program) for program in programs]
+        shipped = [outcome(program, dantzig) for program in programs]
         monkeypatch.setattr(simplex, "_Tableau", DictRatioTableau)
-        assert shipped == [outcome(program) for program in programs]
-        statuses = {res[0] for res in shipped if isinstance(res, tuple)}
-        assert statuses == {"optimal", "infeasible", "unbounded"}
+        assert shipped == [outcome(program, dantzig) for program in programs]
+        assert {res[0] for res in shipped} == {"optimal", "infeasible", "unbounded"}
+
+    # max +-x subject to 1e-9 x = 0 twice. Phase 1 prices x at -2e-9, below
+    # -PIVOT_TOL, but no entry exceeds PIVOT_TOL, so no row limits x: phase 1,
+    # bounded below, passes x over and finds the program feasible. Phase 2
+    # reads the entries as 0, so +x is unbounded and -x optimal at 0.
+    @pytest.mark.parametrize("dantzig", (False, True), ids=("bland", "dantzig"))
+    def test_phase_one_passes_over_a_column_no_row_limits(self, dantzig):
+        tiny = [[simplex.PIVOT_TOL], [simplex.PIVOT_TOL]]
+        assert feasible(lp([1.0], a_eq=tiny, b_eq=[0.0, 0.0]))
+        assert solve(lp([1.0], a_eq=tiny, b_eq=[0.0, 0.0]), dantzig=dantzig).status == "unbounded"
+        res = solve(lp([-1.0], a_eq=tiny, b_eq=[0.0, 0.0]), dantzig=dantzig)
+        assert (res.status, res.x.tolist(), res.pivots) == ("optimal", [0.0], (0, 0))
+        # With a second column that a row limits, phase 1 takes it instead.
+        two = lp([-1.0, -1.0], a_eq=[[1e-9, 1.0], [1e-9, 0.0]], b_eq=[1.0, 0.0])
+        res = solve(two, dantzig=dantzig)
+        assert (res.status, res.x.tolist(), res.pivots) == ("optimal", [0.0, 1.0], (1, 0))
+
+
+    # Column 2 prices cheapest, and no row limits it. Phase 1 passes it over
+    # for the next column in pricing order: 1 under Dantzig's rule, one
+    # pivot; 0 under Bland's, then 1. Phase 2 stops there, unbounded.
+    @pytest.mark.parametrize("tableau", (simplex._Tableau, DictRatioTableau))
+    def test_phase_one_passes_over_in_pricing_order(self, tableau):
+        for dantzig, pivots in ((False, 2), (True, 1)):
+            tab = tableau(np.array([[1.0, 1.0, -1.0, 1.0, 1.0]]), [3],
+                          np.array([-1.0, -2.0, -3.0, 0.0]))
+            assert (tab.run(dantzig, bounded=True), tab.basis, tab.pivots) == (
+                "optimal", [1], pivots)
+            assert tab.run(dantzig) == "unbounded"
 
 
 class TestPivotCounts:

@@ -13,8 +13,9 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 # folded its counts in one product.
 VERDICT_SHA256 = "cf41e1bdfae9adb251d7aa653e0ac632baae151d4f4fd4b005118228198df519"
 # What ``loophole._optimum`` answers to perfbench's five faking analyses,
-# recorded before the ratio test became two plain passes.
-SOLVER_SHA256 = "61c91d56891c066feb71661695512ce50f20e341fa045c7a60a82410153b948a"
+# recorded when the floor-0 programs without the stealth row became
+# Dantzig-priced.
+SOLVER_SHA256 = "d3aba44531db7eca2ee3311415a9f00c6381f99ada580c8127d814605fb82ca7"
 
 
 def load(name):

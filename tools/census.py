@@ -5,8 +5,9 @@ Runs every target of three sets through ``max_faking_efficiency``,
 tables of the 300 integer triples ``numpy.random.default_rng(1).integers(0,
 360, (300, 3))``, then of the 240 real triples
 ``numpy.random.default_rng(2).uniform(0, 360, (240, 3))``, whose triple 91
-makes the floor-0 solve hit the pivot limit, then 150 local mixtures with
-one tiny weight, which ``tests/test_loophole.py`` tests too. Only a
+made the floor-0 solve hit the pivot limit under Bland's rule, then 150
+local mixtures with one tiny weight, which ``tests/test_loophole.py`` tests
+too. Only a
 demonstration whose full-detection model misses the stealth row goes on to
 the floor-0 stealth solve, and most of that set's time goes to the five of
 those that hit the 50,000-pivot limit: mixtures 78, 94, 102, 132 and 135.
@@ -15,8 +16,10 @@ analysis's reading of that answer. For each set it prints, per analysis,
 how many targets took each route of the answer ("facets", "bell sum" or
 "floor 0"; "raised" where the floor-0 solve raised and left no answer),
 each outcome, the total phase-1 and phase-2 pivots of the answers, and the
-median and total seconds; then one SHA-256 over every document the set's
-analyses returned, in order. Last comes the wall time.
+median and total seconds; then how many answers carry a certificate of
+their floor-0 optimum, with the largest gap and residual among them; then
+one SHA-256 over every document the set's analyses returned, in order.
+Last comes the wall time.
 
 Two checkouts agree on every answer when their digests agree, and a change
 to the simplex's pivot path shows in the pivot totals. Run from the
@@ -86,7 +89,7 @@ TARGET_SETS = {
 def census(targets: list) -> str:
     """Run every analysis over ``targets``, printing one line per analysis,
     and return the SHA-256 over every document."""
-    digest = hashlib.sha256()
+    digest, certificates = hashlib.sha256(), []
     for name, (floor, stealth, read) in ANALYSES.items():
         routes, outcomes, seconds, pivots = Counter(), Counter(), [], np.zeros(2, int)
         for t in targets:
@@ -95,6 +98,8 @@ def census(targets: list) -> str:
             try:
                 answer = loophole._optimum(loophole.FakingProblem(t, floor, stealth))
                 route, pivots = answer.route, pivots + answer.pivots
+                if answer.certificate is not None:
+                    certificates.append(answer.certificate)
                 result = read(answer)
             except simplex.SimplexError as exc:
                 seconds.append(time.perf_counter() - t0)
@@ -111,6 +116,9 @@ def census(targets: list) -> str:
               f"pivots {pivots[0]} + {pivots[1]}, "
               f"median {1e3 * statistics.median(seconds):.2f} ms, "
               f"total {sum(seconds):.2f} s")
+    gaps, residuals = zip(*certificates) if certificates else ((0.0,), (0.0,))
+    print(f"certified {len(certificates)}, largest gap {max(gaps):.2g}, "
+          f"largest residual {max(residuals):.2g}")
     return digest.hexdigest()
 
 
