@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations, product
@@ -331,9 +331,8 @@ def _scored(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class _Answer:
     """How :func:`_optimum` answered ``problem``: the route it took, how the
-    floor-0 program ended, z* and x at its vertex, else None, the pivots of
-    each phase of its solve, (0, 0) where none ran, and the certificate of a
-    floor-0 optimum."""
+    floor-0 program ended, z* and x at its vertex, else None, and the pivots
+    of each phase of its solve, (0, 0) where none ran."""
 
     problem: FakingProblem
     route: str  # "facets", "bell sum" or "floor 0"
@@ -341,7 +340,7 @@ class _Answer:
     objective: float | None = None
     x: np.ndarray | None = None
     pivots: tuple[int, int] = (0, 0)
-    certificate: tuple[float, float] | None = None  # simplex.certify's (gap, residual)
+    certificate: tuple[float, float] | None = None  # a floor-0 optimum's simplex.certify
 
     def efficiency(self) -> float | None:
         """z*, at most 1.0, or None with no vertex: :func:`max_faking_efficiency`'s
@@ -365,10 +364,10 @@ class _Answer:
 
 def _solve_on(problem: FakingProblem) -> _Answer:
     """The "floor 0" answer: ``simplex.solve`` of ``problem``'s program at floor 0
-    on the distinct strategy columns and z, x expanded back to all 4097
-    variables; Dantzig-priced, Bland's with the stealth row. An optimum is
-    certified, or raises: weights, z and epigraph slacks are at most 1, the
-    stealth slack (-0.05 minus sums of four terms in {-1, 0, 1}) at most 4."""
+    on the distinct strategy columns, Dantzig-priced (Bland's with the stealth
+    row), and z, x expanded back to all 4097 variables. An optimum is
+    certified (weights, z and epigraph slacks are at most 1, the stealth
+    slack at most 4) or raises, :class:`LpSolution`'s refusal of it first."""
     keep = _distinct_strategies()
     lp = _assemble_lp(*(m[keep] for m in _strategy_matrices()), problem.targets.as_array(),
                       0.0, problem.stealth)
@@ -376,11 +375,14 @@ def _solve_on(problem: FakingProblem) -> _Answer:
     if result.x is None:
         return _Answer(problem, "floor 0", result.status, pivots=result.pivots)
     upper = np.append(np.ones(lp.n_vars + lp.ub_rhs.shape[0] - 1), 4.0 if problem.stealth else 1.0)
-    certificate = simplex.certify(lp, result, upper)
     x = np.zeros(N_STRATEGIES + 1)
     x[np.append(keep, N_STRATEGIES)] = result.x
-    return _Answer(problem, "floor 0", result.status, result.objective, x, result.pivots,
-                   certificate)
+    answer = _Answer(problem, "floor 0", result.status, result.objective, x, result.pivots)
+    try:
+        return replace(answer, certificate=simplex.certify(lp, result, upper))
+    except simplex.SimplexError:
+        answer.solution()  # weights LpSolution refuses keep that refusal
+        raise
 
 
 @lru_cache(maxsize=1)

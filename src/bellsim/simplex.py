@@ -105,7 +105,7 @@ class SimplexResult:
     x: np.ndarray | None
     objective: float | None
     pivots: tuple[int, int]  # inside phase 1 and phase 2; phase 2 is 0 when infeasible
-    basis: list[int] | None = None  # an optimum's basic columns, slacks after the program's
+    duals: np.ndarray | None = None  # an optimum's row prices y, equality rows first
 
 
 class _Tableau:
@@ -115,7 +115,8 @@ class _Tableau:
     Internally minimizes; the public entry points negate the objective of a
     maximization program. The cost row holds reduced costs and, in its last
     column, minus the cost of the basic solution; entering columns are those
-    with reduced cost below -PIVOT_TOL, pricing's read-only 0-d operand.
+    of the first ``cost.size`` with reduced cost below -PIVOT_TOL, pricing's
+    read-only 0-d operand; later columns are carried, never priced.
     ``pivots`` counts the pivots ``run`` takes. ``pivot`` and ``run`` reuse
     buffers allocated here, so a pivot allocates no array: it does
     ``t[row] /= t[row, col]``, then ``t[r] -= t[row] * f_r`` for every row
@@ -128,12 +129,12 @@ class _Tableau:
     """
 
     def __init__(self, body: np.ndarray, basis: list[int], cost: np.ndarray):
-        self.t = np.vstack([body, np.append(cost, 0.0)])
+        self.t = np.vstack([body, np.pad(cost, (0, body.shape[1] - cost.size))])
         self.basis = basis
         self.pivots = 0
         self._scale = np.empty_like(self.t)
         self._update = np.empty_like(self.t)
-        self._entering = np.empty(self.t.shape[1] - 1, dtype=bool)
+        self._entering = np.empty(cost.size, dtype=bool)
         for r, b in enumerate(basis):
             coef = self.t[-1, b]
             if coef != 0.0:
@@ -150,14 +151,13 @@ class _Tableau:
         self.basis[row] = col
 
     def run(self, dantzig: bool = False, bounded: bool = False) -> str:
-        """Iterate to optimality. Returns "optimal" or "unbounded". With
-        ``dantzig`` the most negative reduced cost enters (the lowest index
-        among equals), but after a degenerate pivot, one whose least ratio is
-        at most PIVOT_TOL, Bland's rule prices. With ``bounded`` (phase 1) a
-        column that no row limits is passed over for the next eligible one.
-        A step allocates no array, only short lists."""
+        """Iterate to optimality: "optimal" or "unbounded". With ``dantzig``
+        the most negative reduced cost enters (the lowest index among equals),
+        but after a degenerate pivot, one whose least ratio is at most
+        PIVOT_TOL, Bland's rule prices. With ``bounded`` (phase 1) a column no
+        row limits is passed over for the next, "stalled" if none is left."""
         t, basis, entering = self.t, self.basis, self._entering
-        cost = t[-1, :-1]
+        cost = t[-1, :entering.size]
         if cost.size == 0:  # no column can enter
             return "optimal"
         bland = not dantzig
@@ -169,7 +169,7 @@ class _Tableau:
             while not (test := self._ratios(col))[0] and bounded:
                 entering[col] = False
                 if not entering.any():
-                    return "optimal"
+                    return "stalled"
                 col = int(entering.argmax() if bland else np.where(entering, cost, 0.0).argmin())
             ratios, best = test
             if not ratios:
@@ -204,13 +204,14 @@ class _Tableau:
 
 def _phase_one(lp: LinearProgram, dantzig: bool = False
                ) -> tuple[np.ndarray | None, list[int] | None, int]:
-    """A feasible tableau body over the program and slack columns, with the
-    right-hand side as its last column, its basis, and the pivots phase 1
-    took; body and basis are None when the program is infeasible.
+    """A feasible tableau body over the program, slack and equality rows'
+    artificial columns, with the right-hand side last, its basis, and the
+    pivots phase 1 took; body and basis are None when it is infeasible.
 
     Adds one slack per inequality and one artificial per row whose slack
     cannot start basic, then minimizes the artificial mass. Redundant rows
-    are dropped.
+    are dropped. The artificial columns kept are signed as their rows were
+    given, so, like a slack's, each one's reduced cost is its row's dual.
     """
     n = lp.n_vars
     m_eq = lp.eq_rhs.shape[0]
@@ -241,8 +242,10 @@ def _phase_one(lp: LinearProgram, dantzig: bool = False
     cost[n_real:] = 1.0
 
     tab = _Tableau(body, basis, cost)
-    tab.run(dantzig, bounded=True)  # artificial costs are nonnegative
+    stalled = tab.run(dantzig, bounded=True) == "stalled"  # artificial costs are nonnegative
     if -tab.t[-1, -1] > ARTIFICIAL_MASS_TOL:  # the artificial mass
+        if stalled:  # no proof of infeasibility
+            raise SimplexError(f"phase 1 stalled at artificial mass {-tab.t[-1, -1]:.3g}")
         return None, None, tab.pivots
 
     # Drive any artificial still basic out of the basis; a row with no real
@@ -253,7 +256,8 @@ def _phase_one(lp: LinearProgram, dantzig: bool = False
             if candidates.size:
                 tab.pivot(r, int(candidates[0]))
     keep = [r for r in range(m) if tab.basis[r] < n_real]
-    body = np.delete(tab.t[keep], np.s_[n_real:-1], axis=1)  # drop the artificial columns
+    body = np.delete(tab.t[keep], np.s_[n_real + m_eq:-1], axis=1)
+    body[:, n_real + np.flatnonzero(negative[:m_eq])] *= -1.0
     return body, [tab.basis[r] for r in keep], tab.pivots
 
 
@@ -264,7 +268,7 @@ def solve(lp: LinearProgram, *, dantzig: bool = False) -> SimplexResult:
     if body is None:
         return SimplexResult(status="infeasible", x=None, objective=None,
                              pivots=(phase1_pivots, 0))
-    n_real = body.shape[1] - 1
+    n_real = lp.n_vars + lp.ub_rhs.shape[0]
 
     cost = np.zeros(n_real)
     cost[: lp.n_vars] = -lp.objective  # maximize via minimizing the negation
@@ -278,31 +282,25 @@ def solve(lp: LinearProgram, *, dantzig: bool = False) -> SimplexResult:
     basic[np.asarray(tab.basis, dtype=int)] = tab.t[:-1, -1]
     np.clip(basic, 0.0, None, out=basic)  # snap -1e-15 round-off on basic zeros
     x = basic[: lp.n_vars]
-    return SimplexResult(status="optimal", x=x, objective=float(lp.objective @ x), pivots=pivots,
-                         basis=tab.basis)
+    duals = np.append(tab.t[-1, n_real:-1], tab.t[-1, lp.n_vars:n_real])  # artificials', slacks'
+    return SimplexResult("optimal", x, float(lp.objective @ x), pivots, duals)
 
 
-def certify(lp: LinearProgram, result: SimplexResult, upper: np.ndarray,
-            y: np.ndarray | None = None) -> tuple[float, float]:
+def certify(lp: LinearProgram, result: SimplexResult, upper: np.ndarray) -> tuple[float, float]:
     """(gap, residual) of ``result``, an optimum of ``lp`` whose variables,
-    then slacks, lie in [0, upper] at every feasible point. For any y, over
-    the standard form A v = b, the optimum is at most hi = b^T y + sum_j
-    max(0, (c - A^T y)_j) upper_j (Neumaier and Shcherbina, Math. Program.
-    99, 283 (2004)); y defaults to B^T y = c_B on the final basis (least
-    squares: phase 1 may drop a row). In floats each reduced cost is raised
-    by 2 gamma_(m+2), and the sum by 2 gamma_(n+m+2), times the absolute
-    values they add, which bounds every rounding (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., 3.1). The gap is hi - z*,
-    the residual x's largest row violation; either above
-    ARTIFICIAL_MASS_TOL, or a negative gap, raises ``SimplexError``."""
-    rows = np.vstack([lp.eq_matrix, lp.ub_matrix])
-    m, m_eq = rows.shape[0], lp.eq_rhs.shape[0]
-    a = np.hstack([rows, np.eye(m)[:, m_eq:]])
-    b, c = np.append(lp.eq_rhs, lp.ub_rhs), np.append(lp.objective, np.zeros(m - m_eq))
-    if y is None:
-        y = np.linalg.lstsq(a[:, result.basis].T, c[result.basis], rcond=None)[0]
-    gamma = [2 * k * 2**-53 / (1 - k * 2**-53) for k in (m + 2, a.shape[1] + m + 2)]
-    bound = np.maximum(c - y @ a + gamma[0] * (abs(c) + abs(y) @ abs(a)), 0.0) @ upper
+    then slacks, lie in [0, upper] wherever feasible. For any y, such as the
+    result's duals, the optimum is at most hi = b^T y + sum_j max(0, (c -
+    A^T y)_j) upper_j over all columns (Neumaier and Shcherbina, Math.
+    Program. 99, 283 (2004)); adding 2 gamma_(m+2) and 2 gamma_(n+m+2) times
+    the absolute values summed bounds its rounding (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., 3.1). Gap hi - z* or x's
+    largest row violation above ARTIFICIAL_MASS_TOL, or a negative gap,
+    raises ``SimplexError``."""
+    rows, b = np.vstack([lp.eq_matrix, lp.ub_matrix]), np.append(lp.eq_rhs, lp.ub_rhs)
+    m, m_eq, y, c = rows.shape[0], lp.eq_rhs.shape[0], result.duals, lp.objective
+    gamma = [2 * k * 2**-53 / (1 - k * 2**-53) for k in (m + 2, upper.size + m + 2)]
+    reduced = c - y @ rows + gamma[0] * (abs(c) + abs(y) @ abs(rows))
+    bound = np.maximum(np.append(reduced, -y[m_eq:]), 0.0) @ upper  # a slack's is -y, exact
     gap = float(b @ y + bound + gamma[1] * (bound + abs(b) @ abs(y)) - result.objective)
     excess = rows @ result.x - b
     residual = float(np.append(abs(excess[:m_eq]), excess[m_eq:]).max(initial=0.0))

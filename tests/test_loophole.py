@@ -482,23 +482,19 @@ class TestCertificate:
         assert 0.0 <= gap <= 1e-10 and residual <= 1e-13
         lp, result, upper = calls[0]
         assert certify(lp, result, upper) == (gap, residual)
-        # The duals, solved here on the basis columns of the standard form.
-        a = np.hstack([np.vstack([lp.eq_matrix, lp.ub_matrix]),
-                       np.eye(19 + problem.stealth)[:, 10:]])
-        c = np.append(lp.objective, np.zeros(9 + problem.stealth))
-        y = np.linalg.solve(a[:, result.basis].T, c[result.basis])
-        assert certify(lp, result, upper, y)[0] <= 1e-10
+        y = result.duals
+        assert y.shape == (19 + problem.stealth,)
         # Rows 1, 5 and 9 match equal settings, whose targets are 0: their
         # entries are all at least 0, so raising y there only lowers reduced
         # costs, and the bound holds. Every other shift breaks it.
         for k, by in itertools.product(range(len(y)), (-1e-3, 1e-3)):
-            shifted = y.copy()
-            shifted[k] += by
+            shifted = dataclasses.replace(result, duals=y.copy())
+            shifted.duals[k] += by
             if by > 0.0 and k in (1, 5, 9):
-                assert certify(lp, result, upper, shifted)[0] <= 1e-10
+                assert certify(lp, shifted, upper)[0] <= 1e-10
                 continue
             with pytest.raises(simplex.SimplexError, match="not certified: gap"):
-                certify(lp, result, upper, shifted)
+                certify(lp, shifted, upper)
         for k in (0, 100, 338):
             x = result.x.copy()
             x[k] += 1e-6
@@ -536,7 +532,8 @@ class TestCertificate:
     # The threshold is ARTIFICIAL_MASS_TOL. At 1e-7 it certifies the
     # demonstrations of tiny-weight mixtures 72, 98, 100 and 108, whose gaps
     # lie between 1.1e-9 and 6.9e-9; at 1e-9 it refuses them. Mixture 123's
-    # weights sum to 1.26, and its gap of 17 is refused at either.
+    # weights sum to 1.26, which LpSolution refuses, as the parent did,
+    # before the certificate's refusal (its gap is 1.46) is raised.
     def test_the_threshold_is_the_artificial_mass_tolerance(self, monkeypatch):
         assert simplex.ARTIFICIAL_MASS_TOL == 1e-7
         near = [FakingProblem(TINY_WEIGHT_CENSUS[k], stealth=True) for k in (72, 98, 100, 108)]
@@ -545,10 +542,16 @@ class TestCertificate:
             assert 1e-9 < gap < 1e-8 and residual < 1e-9
             assert solve_lp(problem).status == "feasible"
         wrong = FakingProblem(TINY_WEIGHT_CENSUS[123], stealth=True)
-        with pytest.raises(simplex.SimplexError, match="not certified: gap 17, residual 0.263"):
+        with pytest.raises(simplex.SimplexError, match="weights sum to 1.2631980086905983"):
             _optimum(wrong)
+        calls, certify = [], simplex.certify
+        monkeypatch.setattr(simplex, "certify", lambda *args: calls.append(args) or certify(*args))
+        with pytest.raises(simplex.SimplexError):
+            _optimum(wrong)
+        with pytest.raises(simplex.SimplexError, match="not certified: gap 1.46, residual 0.263"):
+            certify(*calls[0])
         monkeypatch.setattr(simplex, "ARTIFICIAL_MASS_TOL", 1e-9)
-        for problem in near + [wrong]:
+        for problem in near:
             with pytest.raises(simplex.SimplexError, match="not certified: gap"):
                 _optimum(problem)
 

@@ -236,7 +236,7 @@ class DictRatioTableau(simplex._Tableau):
 
     def run(self, dantzig=False, bounded=False):
         t, basis = self.t, self.basis
-        cost, rhs = t[-1, :-1], t[:-1, -1]
+        cost, rhs = t[-1, :self._entering.size], t[:-1, -1]
         if cost.size == 0:
             return "optimal"
         bland = not dantzig
@@ -253,7 +253,7 @@ class DictRatioTableau(simplex._Tableau):
                 if ratios or not bounded:
                     break
             if not ratios:
-                return "optimal" if bounded else "unbounded"
+                return "stalled" if bounded else "unbounded"
             best = min(ratios.values())
             bound = best + simplex.PIVOT_TOL * max(1.0, abs(best))
             row = min((r for r, q in ratios.items() if q <= bound), key=basis.__getitem__)
@@ -282,17 +282,22 @@ def degenerate_program(rng):
 
 
 def outcome(program, dantzig):
-    """Status, pivots per phase, objective, vertex bytes and basis of
-    ``solve`` under either pricing rule."""
-    res = solve(program, dantzig=dantzig)
+    """Status, pivots per phase, objective, vertex bytes and dual bytes of
+    ``solve`` under either pricing rule, or the error it raised."""
+    try:
+        res = solve(program, dantzig=dantzig)
+    except SimplexError as exc:
+        return str(exc)
     x = None if res.x is None else res.x.tobytes()
-    return res.status, res.pivots, res.objective, x, res.basis
+    return res.status, res.pivots, res.objective, x, getattr(res.duals, "tobytes", lambda: None)()
 
 
 class TestRatioTestOracle:
     # The shipped pricing and two-pass ratio test pick the reference's pivot
     # at every step, under both rules, so every status, pivot count,
-    # objective, vertex byte and basis is the same; no program raises.
+    # objective, vertex byte and dual byte is the same. One program raises
+    # under Bland's rule: phase 1 stalls at artificial mass 2 on a column
+    # that only 1e-9 entries limit (HiGHS: infeasible).
     @pytest.mark.parametrize("dantzig", (False, True), ids=("bland", "dantzig"))
     @pytest.mark.parametrize("seed", range(4))
     def test_pivots_as_the_dict_rule_does(self, seed, dantzig, monkeypatch):
@@ -301,7 +306,11 @@ class TestRatioTestOracle:
         shipped = [outcome(program, dantzig) for program in programs]
         monkeypatch.setattr(simplex, "_Tableau", DictRatioTableau)
         assert shipped == [outcome(program, dantzig) for program in programs]
-        assert {res[0] for res in shipped} == {"optimal", "infeasible", "unbounded"}
+        errors = [res for res in shipped if isinstance(res, str)]
+        assert [e.split(" at ")[0] for e in errors] == ["phase 1 stalled"] * (
+            (seed, dantzig) == (1, False))
+        assert {res[0] for res in shipped if res not in errors} == {
+            "optimal", "infeasible", "unbounded"}
 
     # max +-x subject to 1e-9 x = 0 twice. Phase 1 prices x at -2e-9, below
     # -PIVOT_TOL, but no entry exceeds PIVOT_TOL, so no row limits x: phase 1,
@@ -319,17 +328,29 @@ class TestRatioTestOracle:
         res = solve(two, dantzig=dantzig)
         assert (res.status, res.x.tolist(), res.pivots) == ("optimal", [0.0, 1.0], (1, 0))
 
+    # 1e-9 x = 1e-6 twice is feasible at x = 1000, but phase 1 passes x over
+    # as above and stops with 2e-6 of artificial mass: that is no proof of
+    # infeasibility, so solve and feasible raise.
+    @pytest.mark.parametrize("dantzig", (False, True), ids=("bland", "dantzig"))
+    def test_phase_one_that_stalls_above_the_mass_tolerance_raises(self, dantzig):
+        tiny = lp([1.0], a_eq=[[simplex.PIVOT_TOL]] * 2, b_eq=[1e-6, 1e-6])
+        with pytest.raises(SimplexError, match="phase 1 stalled at artificial mass 2e-06"):
+            solve(tiny, dantzig=dantzig)
+        with pytest.raises(SimplexError, match="phase 1 stalled"):
+            feasible(tiny)
+
 
     # Column 2 prices cheapest, and no row limits it. Phase 1 passes it over
     # for the next column in pricing order: 1 under Dantzig's rule, one
-    # pivot; 0 under Bland's, then 1. Phase 2 stops there, unbounded.
+    # pivot; 0 under Bland's, then 1. Then only column 2 prices in, and the
+    # run reports that it stalled; phase 2 stops there, unbounded.
     @pytest.mark.parametrize("tableau", (simplex._Tableau, DictRatioTableau))
     def test_phase_one_passes_over_in_pricing_order(self, tableau):
         for dantzig, pivots in ((False, 2), (True, 1)):
             tab = tableau(np.array([[1.0, 1.0, -1.0, 1.0, 1.0]]), [3],
                           np.array([-1.0, -2.0, -3.0, 0.0]))
             assert (tab.run(dantzig, bounded=True), tab.basis, tab.pivots) == (
-                "optimal", [1], pivots)
+                "stalled", [1], pivots)
             assert tab.run(dantzig) == "unbounded"
 
 
