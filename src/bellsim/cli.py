@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -203,6 +204,12 @@ def _build_config(args) -> ExperimentConfig:
 
 
 def cmd_simulate(args) -> int:
+    meta = args.meta or (f"{args.out}.meta.json" if args.out else None)
+    seen = {}  # the flag that first names each real path
+    for flag, path in (("--out", args.out), ("--meta" if args.meta else "the sidecar", meta),
+                       ("--model", args.model), ("--solution", args.solution)):
+        if path and (first := seen.setdefault(os.path.realpath(path), flag)) != flag:
+            raise ValueError(f"{first} and {flag} name one file: {path}")
     config = _build_config(args)
     _echo_config({"subcommand": "simulate", **config_to_dict(config)})
     records = run_experiment(config)
@@ -220,10 +227,8 @@ def cmd_simulate(args) -> int:
     else:
         sys.stdout.flush()  # the CSV goes below the text layer, after what it holds
         write_dataset_csv(records, args.out or sys.stdout.buffer)
-    if args.meta:
-        write_metadata(config, args.meta)
-    elif args.out:
-        write_metadata(config, f"{args.out}.meta.json")
+    if meta:
+        write_metadata(config, meta)
     return 0
 
 

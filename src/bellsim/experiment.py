@@ -38,8 +38,6 @@ from .lhv import (
     DeterministicLhv,
     LocalModel,
     StochasticLocalModel,
-    _numbers,
-    model_from_dict,
     model_to_dict,
     sample_from_lhv,
     sample_mixture_lanes,
@@ -523,6 +521,7 @@ _COMMAS, _ZEROS, _LOW7, _SIXES, _HIGH_NIBBLES = (
     np.uint64(0x0101010101010101 * b) for b in (ord(","), ord("0"), 0x7F, 0x06, 0xF0))
 _POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
 _MAX_DIGITS = 19  # of an int64
+_LONG_LINE = 4096  # bytes; no row is over 36, and int() takes at most 4300 digits
 # The decimal places 0000 to 9999 as ASCII, the first byte lowest.
 _DIGITS = np.char.zfill(np.arange(10**4).astype("S4"), 4).view("<u4")
 
@@ -587,6 +586,8 @@ def _shown(text: bytes) -> str:
 def _row_error(line: bytes, number: int) -> ValueError:
     """Why line ``number``, which is not in the row table, is not a valid
     row; settings, spins and flags are judged by :class:`TrialRecord`."""
+    if len(line) >= _LONG_LINE:
+        return ValueError(f"line {number}: a line of {_LONG_LINE} bytes or more is no dataset row")
     fields = line.split(b",")
     if len(fields) != len(CSV_HEADER):
         return ValueError(
@@ -672,6 +673,7 @@ def _dataset_blocks(source: str | Path | BinaryIO) -> Iterator[tuple[np.ndarray,
     After the header, each block is the whole lines of a mebibyte read by
     ``readinto`` into this thread's :func:`~bellsim.rng.scratch` arena, after
     40 bytes of room and the unended line before, copied out before a yield.
+    A header is read to 64 bytes, a line refused past ``_LONG_LINE`` bytes.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
@@ -680,12 +682,14 @@ def _dataset_blocks(source: str | Path | BinaryIO) -> Iterator[tuple[np.ndarray,
     if not hasattr(source, "readinto") or not isinstance(source.read(0), bytes):
         raise TypeError(f"a dataset CSV is read from a path or a binary file, "
                         f"got {type(source).__name__}")
-    header = source.readline().removesuffix(b"\n").removesuffix(b"\r")
+    header = source.readline(64).removesuffix(b"\n").removesuffix(b"\r")
     if header != _HEADER:
         raise ValueError(f"unexpected dataset header {_shown(header)!r}")
     last = np.empty(0, np.int64)
     line, chunk, kept = 2, BLOCK_TRIALS * 16, bytes(40)
     while kept:
+        if len(kept) > 40 + _LONG_LINE:
+            raise _row_error(kept[40:], line)
         text = scratch((len(kept) + chunk) // 8 + 1).view(np.uint8)
         text[:len(kept) + 1] = np.frombuffer(kept + b"\n", np.uint8)  # ends an unended last line
         got = source.readinto(text[len(kept):len(kept) + chunk])
@@ -694,7 +698,7 @@ def _dataset_blocks(source: str | Path | BinaryIO) -> Iterator[tuple[np.ndarray,
             return
         index, codes, lines, cut = _decode_rows(text[:end], line)
         kept = bytes(40) + text[cut:end].tobytes() if got else b""
-        line, chunk = line + lines, chunk if lines else 2 * chunk  # a longer line: read more
+        line += lines
         ordered = np.concatenate((last, index))
         backward = np.flatnonzero(ordered[1:] <= ordered[:-1])
         if len(backward):
@@ -747,61 +751,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "model": model_to_dict(config.model) if config.model else None,
         "solution": config.solution.to_dict() if config.solution else None,
     }
-
-
-def _parsed(doc: dict, key: str, parse):
-    """``parse`` of the sidecar's ``key`` entry, or None where it is missing
-    or null; an entry that does not parse raises :class:`ConfigError`."""
-    value = doc.get(key)
-    if value is None:
-        return None
-    try:
-        return parse(value)
-    except ValueError as exc:
-        raise ConfigError(f"sidecar {key} does not parse: {exc!r}") from exc
-
-
-def _angle_triple(values, key: str, make) -> AngleTriple:
-    """The sidecar's ``key`` entry, a JSON list of three finite numbers, as
-    the angles ``make`` (:meth:`AngleTriple.from_radians` or
-    :meth:`AngleTriple.from_degrees`) gives."""
-    if len(values := _numbers(values, key)) != 3:
-        raise ValueError(f"{key} must hold three angles, got {len(values)}")
-    return make(*values)
-
-
-def _angles(doc: dict) -> AngleTriple | None:
-    """The sidecar's angles: ``angles_radians``, the run's own bit for bit,
-    else ``angles_degrees``, all that older sidecars hold, whose conversion
-    can move an angle by an ulp. Where both are present they must agree."""
-    radians = _parsed(doc, "angles_radians", lambda values: _angle_triple(
-        values, "angles_radians", AngleTriple.from_radians))
-    degrees = _parsed(doc, "angles_degrees", lambda values: _angle_triple(
-        values, "angles_degrees", AngleTriple.from_degrees))
-    if radians is not None and degrees is not None and radians != degrees:
-        raise ConfigError(f"sidecar angles_radians and angles_degrees disagree: "
-                          f"{list(radians.degrees())} against {list(degrees.degrees())} degrees")
-    return degrees if radians is None else radians
-
-
-def config_from_dict(doc: dict) -> ExperimentConfig:
-    """The configuration a sidecar written by :func:`write_metadata`, or a
-    document of :func:`config_to_dict`, describes; a malformed sidecar
-    raises :class:`ConfigError`."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"a sidecar must be a JSON object, got {type(doc).__name__}")
-    missing = [key for key in ("n_trials", "seed", "source") if key not in doc]
-    if missing:
-        raise ConfigError(f"sidecar lacks {', '.join(map(repr, missing))}")
-    return ExperimentConfig(
-        n_trials=doc["n_trials"],
-        seed=doc["seed"],
-        source=doc["source"],
-        angles=_angles(doc),
-        model=_parsed(doc, "model", model_from_dict),
-        solution=_parsed(doc, "solution", loophole_mod.LpSolution.from_dict),
-        setting_distribution=doc.get("setting_distribution", UNIFORM_9),
-    )
 
 
 def write_metadata(config: ExperimentConfig, path: str | Path) -> None:

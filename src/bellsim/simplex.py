@@ -295,7 +295,8 @@ def certify(lp: LinearProgram, result: SimplexResult, upper: np.ndarray) -> tupl
     the absolute values summed bounds its rounding (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2nd ed., 3.1). Gap hi - z* or x's
     largest row violation above ARTIFICIAL_MASS_TOL, or a negative gap,
-    raises ``SimplexError``."""
+    raises ``SimplexError``. ``loophole`` also holds x to ``LpSolution``'s
+    1e-9 on the weight sum, which a certified optimum can fail."""
     rows, b = np.vstack([lp.eq_matrix, lp.ub_matrix]), np.append(lp.eq_rhs, lp.ub_rhs)
     m, m_eq, y, c = rows.shape[0], lp.eq_rhs.shape[0], result.duals, lp.objective
     gamma = [2 * k * 2**-53 / (1 - k * 2**-53) for k in (m + 2, upper.size + m + 2)]

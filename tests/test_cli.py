@@ -347,6 +347,16 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: line 22: ") and "decision" not in out
 
+    @pytest.mark.parametrize("at", ("header", "row"))
+    def test_overlong_line_is_invalid_input(self, at, tmp_path, capsys):
+        data_file = tmp_path / "long.csv"
+        head = b"" if at == "header" else b"index,x1,x2,y1,y2,d1,d2\n0,0,0,,,0,0\n"
+        data_file.write_bytes(head + b"7" * (4 << 20) + b"\n")
+        code, out, err = run_cli(capsys, "test", "--in", str(data_file))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unexpected dataset header '777" if at == "header"
+                              else "error: line 3: a line of 4096 bytes or more is no dataset")
+
     def test_unexpected_exception_exits_3(self, tmp_path, capsys, monkeypatch):
         import bellsim.cli
 
@@ -651,15 +661,36 @@ class TestLoopholeCommand:
         assert err == plain[2] + f"note: status infeasible, nothing saved to {solution_file}\n"
 
 
+def sidecar_config(doc: dict):
+    """The ``ExperimentConfig`` the sidecar ``doc`` records, rebuilt from its
+    fields: the angles bit for bit from ``angles_radians``."""
+    from bellsim.experiment import ExperimentConfig
+    from bellsim.lhv import model_from_dict
+    from bellsim.loophole import LpSolution
+    from bellsim.quantum import AngleTriple
+
+    radians, model, solution = doc.get("angles_radians"), doc["model"], doc["solution"]
+    return ExperimentConfig(
+        n_trials=doc["n_trials"],
+        seed=doc["seed"],
+        source=doc["source"],
+        angles=AngleTriple.from_radians(*radians) if radians else None,
+        model=model_from_dict(model) if model else None,
+        solution=LpSolution.from_dict(solution) if solution else None,
+        setting_distribution=doc["setting_distribution"],
+    )
+
+
 class TestSidecar:
-    """A dataset's sidecar reproduces it through the library."""
+    """A dataset's sidecar records the configuration that reproduces it
+    through the library."""
 
     @pytest.mark.parametrize("case", (
         "quantum", "deterministic-lhv", "stochastic-lhv", "loophole --solution",
         "loophole --angles", "--meta",
     ))
     def test_sidecar_reproduces_the_dataset(self, case, tmp_path, capsys):
-        from bellsim.experiment import config_from_dict, run_experiment, write_dataset_csv
+        from bellsim.experiment import run_experiment, write_dataset_csv
 
         (tmp_path / "model.json").write_text(
             json.dumps({"tables": [{"y1": [1, -1, 1], "y2": [-1, 1, 1]}] * 2,
@@ -691,10 +722,42 @@ class TestSidecar:
         default = tmp_path / "d.csv.meta.json"
         meta = tmp_path / "side.json" if case == "--meta" else default
         assert default.exists() == (case != "--meta")  # --meta replaces the default sidecar
-        config = config_from_dict(json.loads(meta.read_text()))
+        config = sidecar_config(json.loads(meta.read_text()))
         again = tmp_path / "again.csv"
         write_dataset_csv(run_experiment(config), again)
         assert again.read_bytes() == data.read_bytes()
+
+    # Two of the paths simulate writes or reads name one file: it is refused
+    # before any file is opened, and the file keeps its bytes. The sidecar's
+    # default name, <out>.meta.json, counts as a path too.
+    @pytest.mark.parametrize("case, message", (
+        ("--out F --meta F", "--out and --meta"),
+        ("--out F --meta d/../F", "--out and --meta"),
+        ("--out F --meta L", "--out and --meta"),
+        ("--out F --model F", "--out and --model"),
+        ("--meta F --model ./F", "--meta and --model"),
+        ("--out G --model G.meta.json", "the sidecar and --model"),
+        ("--out F --solution F", "--out and --solution"),
+        ("--meta d/../F --solution F", "--meta and --solution"),
+    ))
+    def test_paths_naming_one_file_are_refused(self, case, message, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        kept = b'{"p1": [0.1, 0.5, 0.9], "p2": [0.3, 0.6, 1.0]}'
+        for name in ("F", "G.meta.json"):
+            (tmp_path / name).write_bytes(kept)
+        (tmp_path / "L").symlink_to("F")
+        source = (("--source", "loophole") if "--solution" in case
+                  else ("--source", "stochastic-lhv") if "--model" in case
+                  else ("--source", "quantum", "--angles", "60,0,120"))
+        code, out, err = run_cli(capsys, "simulate", *source, *case.split(),
+                                 "--n", "10", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message} name one file: ")
+        assert "config:" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "G.meta.json", "L", "d"]
+        assert (tmp_path / "F").read_bytes() == (tmp_path / "G.meta.json").read_bytes() == kept
 
 
 class TestPipe:

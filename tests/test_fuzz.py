@@ -1,10 +1,10 @@
 """Fuzzed inputs never read as a verdict.
 
-* ``LpSolution.from_dict``, ``model_from_dict`` and ``config_from_dict`` on
-  arbitrary JSON-shaped values, and on near-valid documents, either return
-  a value whose document, through JSON text, reads back equal, or refuse
-  with ``ValueError`` (``ConfigError`` for a sidecar): never another
-  exception, which the CLI would report as an internal error, exit 3.
+* ``LpSolution.from_dict`` and ``model_from_dict`` on arbitrary JSON-shaped
+  values, and on near-valid documents, either return a value whose
+  document, through JSON text, reads back equal, or refuse with
+  ``ValueError``: never another exception, which the CLI would report as
+  an internal error, exit 3.
 * ``bellsim test --in`` on byte-mutated copies of a small valid CSV exits 0
   or 1 only when ``read_dataset_csv`` accepts the file, 2 otherwise, and
   never 3 (an unexpected exception).
@@ -24,29 +24,17 @@ from hypothesis import strategies as st
 
 from bellsim import experiment
 from bellsim.cli import main
-from bellsim.counterfactuals import CounterfactualTable, Population
 from bellsim.experiment import (
     CSV_HEADER,
-    SOURCES,
-    UNIFORM_4,
-    ConfigError,
     ExperimentConfig,
     TrialDataset,
     TrialRecord,
-    config_from_dict,
-    config_to_dict,
     read_dataset_csv,
     read_row_counts,
     run_experiment,
     write_dataset_csv,
 )
-from bellsim.lhv import (
-    CANONICAL_INT,
-    DeterministicLhv,
-    StochasticLocalModel,
-    model_from_dict,
-    model_to_dict,
-)
+from bellsim.lhv import CANONICAL_INT, model_from_dict, model_to_dict
 from bellsim.loophole import SOLUTION_STATUSES, LpSolution
 from bellsim.quantum import AngleTriple
 
@@ -91,40 +79,12 @@ model_like = st.fixed_dictionaries(
               | st.lists(numbers, max_size=3) | json_values},
 ) | st.fixed_dictionaries({"p1": probabilities, "p2": probabilities})
 
-#: A valid sidecar of every source.
-SIDECARS = [json.loads(json.dumps(config_to_dict(config))) for config in (
-    ExperimentConfig(10, 7, "quantum", angles=AngleTriple.from_degrees(60, 0, 120)),
-    ExperimentConfig(10, 3, "deterministic-lhv", model=DeterministicLhv(Population(
-        units=(CounterfactualTable((1, -1, 1), (-1, 1, -1)), CounterfactualTable.from_index(9)),
-        weights=(0.25, 0.75)))),
-    ExperimentConfig(10, 2**64 - 1, "stochastic-lhv", setting_distribution=UNIFORM_4,
-                     model=StochasticLocalModel((0.5, 0.0, 1.0), (0.25, 0.5, 0.75))),
-    ExperimentConfig(10, 5, "loophole", angles=AngleTriple.from_degrees(30, 0, 90),
-                     solution=LpSolution("feasible", {4095: 0.5, 63: 0.5}, None, 1.0)),
-)]
-SIDECAR_KEYS = sorted(SIDECARS[0])
-# A sidecar entry: another sidecar's, a plausible value, or any JSON value.
-sidecar_values = (
-    st.sampled_from([value for doc in SIDECARS for value in doc.values()])
-    | st.sampled_from(SOURCES) | st.integers(-2, 2**65)
-    | st.lists(numbers | json_values, max_size=4)
-    | model_like | solution_like | feasible_like | json_values
-)
-sidecar_like = st.builds(
-    lambda doc, changed, dropped: {key: value for key, value in {**doc, **changed}.items()
-                                   if key not in dropped},
-    st.sampled_from(SIDECARS),
-    st.dictionaries(st.sampled_from(SIDECAR_KEYS), sidecar_values, max_size=2),
-    st.sets(st.sampled_from(SIDECAR_KEYS), max_size=1),
-)
-
-
-def reads_back(read, write, doc, refusal=ValueError) -> None:
-    """``read(doc)`` refuses with ``refusal``, or returns a value whose
+def reads_back(read, write, doc) -> None:
+    """``read(doc)`` refuses with ``ValueError``, or returns a value whose
     document, written as JSON text and read again, reads back equal."""
     try:
         value = read(doc)
-    except refusal:
+    except ValueError:
         return
     assert read(json.loads(json.dumps(write(value)))) == value
 
@@ -139,12 +99,6 @@ def test_solution_documents_parse_or_raise_value_error(doc):
 @given(json_values | model_like)
 def test_model_documents_read_back_or_raise_value_error(doc):
     reads_back(model_from_dict, model_to_dict, doc)
-
-
-@settings(max_examples=150, deadline=None)
-@given(json_values | sidecar_like)
-def test_sidecars_read_back_or_raise_config_error(doc):
-    reads_back(config_from_dict, config_to_dict, doc, ConfigError)
 
 
 @pytest.fixture(scope="module")

@@ -259,3 +259,13 @@ class TestModelSerialization:
     def test_unrecognized_document_rejected(self):
         with pytest.raises(ValueError):
             model_from_dict({"spins": []})
+
+    # A falsy document is still a document: 0 is refused as no JSON object.
+    @pytest.mark.parametrize("doc, match", (
+        ({"tables": [{"y1": [1, -1, 1]}]},
+         "^model tables\\[0\\] must be an object with 'y1' and 'y2' entries$"),
+        (0, "^a model document must be a JSON object, got int$"),
+    ), ids=("table without y2", "model 0"))
+    def test_malformed_document_refusal_names_the_entry(self, doc, match):
+        with pytest.raises(ValueError, match=match):
+            model_from_dict(doc)

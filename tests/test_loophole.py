@@ -555,6 +555,25 @@ class TestCertificate:
             with pytest.raises(simplex.SimplexError, match="not certified: gap"):
                 _optimum(problem)
 
+    # An answer must pass two checks: the certificate, whose gap and
+    # residual may reach ARTIFICIAL_MASS_TOL (1e-7), and the 1e-9 on the
+    # weight sum that LpSolution holds a document to. The demonstrations of
+    # tiny-weight mixtures 48, 125 and 126 pass the first, with residuals of
+    # 1.1e-9 to 1.8e-9, and fail the second.
+    @pytest.mark.parametrize("k, residual", ((48, 1.07e-9), (125, 1.77e-9), (126, 1.24e-9)))
+    def test_a_certified_answer_can_fail_the_weight_sum(self, k, residual):
+        problem = FakingProblem(TINY_WEIGHT_CENSUS[k], stealth=True)
+        answer = _optimum(problem)
+        assert (answer.route, answer.status) == ("floor 0", "optimal")
+        gap, got = answer.certificate
+        assert 0.0 <= gap < 1e-9 and got == pytest.approx(residual, abs=0.01e-9)
+        total = float(answer.x[:N_STRATEGIES].sum())
+        assert 1e-9 < total - 1.0 < 2e-9
+        for refused in (answer.solution, lambda: solve_lp(problem)):
+            with pytest.raises(simplex.SimplexError, match="^optimal faking solution refused: "
+                               f".*weights sum to {re.escape(repr(total))}, not 1$"):
+                refused()
+
 
 def relabeled_sums(p):
     """The 72 relabeled Bell sums of the 3x3 match probabilities ``p``, in
@@ -923,6 +942,11 @@ class TestSolutionDocument:
     def test_from_dict_rejects_invalid_documents(self, status, weights):
         with pytest.raises(ValueError):
             LpSolution.from_dict({"status": status, "weights": weights})
+
+    @pytest.mark.parametrize("doc", ([], 0, None, "feasible"))
+    def test_from_dict_rejects_a_document_that_is_no_object(self, doc):
+        with pytest.raises(ValueError, match="^a solution document must be a JSON object$"):
+            LpSolution.from_dict(doc)
 
     @pytest.mark.parametrize("field, value", INVALID_RATES)
     def test_from_dict_rejects_invalid_rates(self, field, value):

@@ -31,34 +31,30 @@ against each other, interleaved in one process.
 from __future__ import annotations
 
 import hashlib
-import json
+import importlib.util
 import time
+from pathlib import Path
 
-from bellsim.counterfactuals import CounterfactualTable, Population
-from bellsim.experiment import (
-    EstimationError,
-    ExperimentConfig,
-    decide,
-    estimate,
-    run_experiment,
-)
-from bellsim.lhv import DeterministicLhv, StochasticLocalModel
+import bellsim
+from bellsim.experiment import ExperimentConfig, decide, estimate, run_experiment
+from bellsim.lhv import StochasticLocalModel
 from bellsim.loophole import demonstration_solution
 from bellsim.quantum import AngleTriple, match_table
 
-SMALL_N = 90  # the montecarlo workload's n
+# tools/pair_timing.py, loaded by path: its study, boundary mixture and
+# verdict digest are this script's.
+_spec = importlib.util.spec_from_file_location(
+    "pair_timing", Path(__file__).with_name("pair_timing.py"))
+pair_timing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pair_timing)
+
+SMALL_N, VERDICT_SEEDS = pair_timing.SMALL_N, pair_timing.VERDICT_SEEDS
 SIZES = (2 * 10**4, 10**6)
 REPEAT = 15
 SMALL_CALLS = 500  # calls per timing of an n = 90 step
-VERDICT_SEEDS = range(300)  # the montecarlo workload's batch at seed 0
 
 ANGLES = AngleTriple.from_degrees(60, 0, 120)
-BOUNDARY = DeterministicLhv(Population(
-    units=(CounterfactualTable((1, 1, 1), (-1, 1, 1)),
-           CounterfactualTable((-1, 1, 1), (1, 1, 1)),
-           CounterfactualTable((1, 1, 1), (-1, -1, -1))),
-    weights=(0.25, 0.25, 0.5),
-))
+BOUNDARY = pair_timing.boundary_model(bellsim)
 PAYLOADS = {
     "quantum": {"angles": ANGLES},
     "deterministic-lhv": {"model": BOUNDARY},
@@ -83,34 +79,13 @@ def config(n: int, source: str = "deterministic-lhv", distribution: str = "unifo
     return ExperimentConfig(n, 1, source, setting_distribution=distribution, **PAYLOADS[source])
 
 
-def one_run(seed: int):
-    """One run of the type-I study, as the montecarlo workload makes it."""
-    cfg = ExperimentConfig(SMALL_N, seed, "deterministic-lhv", model=BOUNDARY)
-    return decide(estimate(run_experiment(cfg)), alpha=0.01)
-
-
-def verdict_digest() -> str:
-    """One SHA-256 over every verdict of the type-I study at ``VERDICT_SEEDS``."""
-    digest = hashlib.sha256()
-    for seed in VERDICT_SEEDS:
-        data = run_experiment(ExperimentConfig(SMALL_N, seed, "deterministic-lhv",
-                                               model=BOUNDARY))
-        for conditioning in ("coincidences-only", "all-pairs"):
-            try:
-                est = estimate(data, conditioning)
-                doc = [est.to_dict(), decide(est, alpha=0.01).to_dict()]
-            except EstimationError as exc:
-                doc = str(exc)
-            digest.update(json.dumps(doc).encode("utf-8"))
-    return digest.hexdigest()
-
-
 def main() -> None:
     digest = hashlib.sha256()
     cfg = config(SMALL_N)
     data = run_experiment(cfg)
     est = estimate(data)
     digest.update(data.code.tobytes())
+    one_run = pair_timing.study(bellsim)
     small = (
         ("ExperimentConfig", lambda: config(SMALL_N)),
         ("run_experiment", lambda: run_experiment(cfg)),
@@ -123,7 +98,7 @@ def main() -> None:
         seconds, _ = best(call, SMALL_CALLS)
         print(f"  {name:18} {seconds * 1e6:8.1f} us")
     print(f"sha256 of every verdict of seeds {VERDICT_SEEDS.start} to "
-          f"{VERDICT_SEEDS.stop - 1}: {verdict_digest()}")
+          f"{VERDICT_SEEDS.stop - 1}: {pair_timing.verdict_digest(bellsim)}")
     print("run_experiment, seed 1:")
     for n in SIZES:
         for source in PAYLOADS:
