@@ -205,11 +205,14 @@ def _build_config(args) -> ExperimentConfig:
 
 def cmd_simulate(args) -> int:
     meta = args.meta or (f"{args.out}.meta.json" if args.out else None)
-    seen = {}  # the flag that first names each real path
+    seen = {}  # the flag that first names each file, by (device, inode), else real path
     for flag, path in (("--out", args.out), ("--meta" if args.meta else "the sidecar", meta),
                        ("--model", args.model), ("--solution", args.solution)):
-        if path and (first := seen.setdefault(os.path.realpath(path), flag)) != flag:
-            raise ValueError(f"{first} and {flag} name one file: {path}")
+        if path:
+            stat = os.stat(path) if os.path.exists(path) else None  # a hard link is one file
+            key = (stat.st_dev, stat.st_ino) if stat else os.path.realpath(path)
+            if (first := seen.setdefault(key, flag)) != flag:
+                raise ValueError(f"{first} and {flag} name one file: {path}")
     config = _build_config(args)
     _echo_config({"subcommand": "simulate", **config_to_dict(config)})
     records = run_experiment(config)

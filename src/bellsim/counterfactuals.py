@@ -272,8 +272,6 @@ def theorem1_contradiction_trace(branch: str) -> DerivationTrace:
         first, second = (1, x1), (2, x2)
         if first in known and second in known:
             implied = -known[second]
-            if known[first] == implied:
-                continue
             record(
                 "contradiction",
                 (Assignment(1, x1, known[first]), Assignment(1, x1, implied)),

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations, product
@@ -345,9 +345,13 @@ class _Answer:
     def efficiency(self) -> float | None:
         """z*, at most 1.0, or None with no vertex: :func:`max_faking_efficiency`'s
         reading. A floor-0 solve that breaks down raises ``simplex.SimplexError``:
-        the program is bounded (z <= 1) and, without the stealth row, feasible."""
+        the program is bounded (z <= 1) and, without the stealth row, feasible.
+        So does a certificate's gap outside [0, ARTIFICIAL_MASS_TOL] or residual above it."""
         if self.status == "unbounded" or self.status == "infeasible" and not self.problem.stealth:
             raise simplex.SimplexError(f"floor-0 faking program reported {self.status}")
+        gap, residual = self.certificate or (0.0, 0.0)
+        if not 0.0 <= gap <= simplex.ARTIFICIAL_MASS_TOL or residual > simplex.ARTIFICIAL_MASS_TOL:
+            raise simplex.SimplexError(f"optimum not certified: gap {gap:.3g}, residual {residual:.3g}")
         return None if self.objective is None else min(self.objective, 1.0)
 
     def solution(self) -> LpSolution:
@@ -365,9 +369,9 @@ class _Answer:
 def _solve_on(problem: FakingProblem) -> _Answer:
     """The "floor 0" answer: ``simplex.solve`` of ``problem``'s program at floor 0
     on the distinct strategy columns, Dantzig-priced (Bland's with the stealth
-    row), and z, x expanded back to all 4097 variables. An optimum is
-    certified (weights, z and epigraph slacks are at most 1, the stealth
-    slack at most 4) or raises, :class:`LpSolution`'s refusal of it first."""
+    row), and z, x expanded back to all 4097 variables. An optimum carries
+    its ``simplex.certify`` (weights, z and epigraph slacks are at most 1,
+    the stealth slack at most 4), which :meth:`_Answer.efficiency` judges."""
     keep = _distinct_strategies()
     lp = _assemble_lp(*(m[keep] for m in _strategy_matrices()), problem.targets.as_array(),
                       0.0, problem.stealth)
@@ -377,12 +381,8 @@ def _solve_on(problem: FakingProblem) -> _Answer:
     upper = np.append(np.ones(lp.n_vars + lp.ub_rhs.shape[0] - 1), 4.0 if problem.stealth else 1.0)
     x = np.zeros(N_STRATEGIES + 1)
     x[np.append(keep, N_STRATEGIES)] = result.x
-    answer = _Answer(problem, "floor 0", result.status, result.objective, x, result.pivots)
-    try:
-        return replace(answer, certificate=simplex.certify(lp, result, upper))
-    except simplex.SimplexError:
-        answer.solution()  # weights LpSolution refuses keep that refusal
-        raise
+    return _Answer(problem, "floor 0", result.status, result.objective, x, result.pivots,
+                   simplex.certify(lp, result, upper))
 
 
 @lru_cache(maxsize=1)
@@ -481,8 +481,8 @@ def solve_lp(problem: FakingProblem) -> LpSolution:
     when z* is at least f, and that optimum is optimal at floor f too. A
     floor within a few ulps of z* may be misreported either way (at the
     canonical angles z* is 3e-16 above the optimum, 2/3 + 2.47e-17, and
-    0.6666666666666667 reads feasible); z* + gap bounds it. A breakdown, or
-    optimal weights :class:`LpSolution` refuses, raises ``simplex.SimplexError``.
+    0.6666666666666667 reads feasible); z* + gap bounds it. A breakdown, or an
+    optimum its certificate or :class:`LpSolution` refuses, raises ``simplex.SimplexError``.
     """
     return _optimum(problem).solution()
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -96,6 +97,17 @@ class TestTraceProof:
     def test_single_branch_filter(self, capsys):
         code, out, _ = run_cli(capsys, "trace-proof", "--branch", "a", "--format", "json")
         assert [t["branch"] for t in json.loads(out)["traces"]] == ["a"]
+
+    # SHA-256 of stdout for both branches, recorded before an unreachable
+    # branch of the derivation's code was deleted.
+    @pytest.mark.parametrize("fmt, digest", (
+        ("text", "85cfe2c9066093c61b98298ef58234bd15655c1b688512d0699359eee07b12cc"),
+        ("json", "5fc60669c38f5d73960da06c4601025242ee2bf186664120190bb1a657d43e9e"),
+    ))
+    def test_stdout_is_pinned(self, fmt, digest, capsys):
+        code, out, _ = run_cli(capsys, "trace-proof", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestSmallAnalyses:
@@ -729,11 +741,13 @@ class TestSidecar:
 
     # Two of the paths simulate writes or reads name one file: it is refused
     # before any file is opened, and the file keeps its bytes. The sidecar's
-    # default name, <out>.meta.json, counts as a path too.
+    # default name, <out>.meta.json, counts as a path too. L is a symbolic
+    # link to F, and H a hard link.
     @pytest.mark.parametrize("case, message", (
         ("--out F --meta F", "--out and --meta"),
         ("--out F --meta d/../F", "--out and --meta"),
         ("--out F --meta L", "--out and --meta"),
+        ("--out F --meta H", "--out and --meta"),
         ("--out F --model F", "--out and --model"),
         ("--meta F --model ./F", "--meta and --model"),
         ("--out G --model G.meta.json", "the sidecar and --model"),
@@ -748,6 +762,7 @@ class TestSidecar:
         for name in ("F", "G.meta.json"):
             (tmp_path / name).write_bytes(kept)
         (tmp_path / "L").symlink_to("F")
+        os.link(tmp_path / "F", tmp_path / "H")
         source = (("--source", "loophole") if "--solution" in case
                   else ("--source", "stochastic-lhv") if "--model" in case
                   else ("--source", "quantum", "--angles", "60,0,120"))
@@ -756,7 +771,7 @@ class TestSidecar:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message} name one file: ")
         assert "config:" not in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "G.meta.json", "L", "d"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "G.meta.json", "H", "L", "d"]
         assert (tmp_path / "F").read_bytes() == (tmp_path / "G.meta.json").read_bytes() == kept
 
 

@@ -461,15 +461,29 @@ class TestAnswer:
             "demonstration_solution: routes {'facets': 1, 'floor 0': 4}, "
             "outcomes {'SimplexError': 1, 'feasible': 3, 'infeasible': 1}, pivots 38 + 3708",
         ]
-        found = re.fullmatch(r"certified 8, largest gap (\S+), largest residual (\S+)", lines[4])
+        found = re.fullmatch(r"certified 8, refused 0, largest gap (\S+), largest residual (\S+)",
+                             lines[4])
         assert found and len(lines) == 5
         assert all(0.0 <= float(v) <= simplex.ARTIFICIAL_MASS_TOL for v in found.groups())
+
+
+def refuses(answer, certificate, message="gap"):
+    """``answer`` carrying ``certificate`` instead: its reading raises the
+    refusal, and the gap lies outside [0, ARTIFICIAL_MASS_TOL] or the
+    residual above it."""
+    gap, residual = certificate
+    tol = simplex.ARTIFICIAL_MASS_TOL
+    assert not 0.0 <= gap <= tol or residual > tol, certificate
+    with pytest.raises(simplex.SimplexError, match=f"^optimum not certified: .*{message}"):
+        dataclasses.replace(answer, certificate=certificate).efficiency()
 
 
 class TestCertificate:
     # Every optimal floor-0 answer carries (gap, residual): hi - z*, hi a
     # rigorous dual bound on the optimum, and the largest violation of a
-    # program row by x. Each is at most simplex.ARTIFICIAL_MASS_TOL.
+    # program row by x. simplex.certify only measures them; the answer's
+    # reading refuses either above simplex.ARTIFICIAL_MASS_TOL, or a
+    # negative gap.
     PROBLEMS = (FakingProblem(CANONICAL_TARGETS), FakingProblem(CANONICAL_TARGETS, stealth=True),
                 FakingProblem(FORTY_FIVE), FakingProblem(FORTY_FIVE, stealth=True))
 
@@ -478,7 +492,8 @@ class TestCertificate:
     def test_a_perturbed_dual_or_weight_breaks_it(self, problem, monkeypatch):
         calls, certify = [], simplex.certify
         monkeypatch.setattr(simplex, "certify", lambda *args: calls.append(args) or certify(*args))
-        gap, residual = _solve_on(problem).certificate
+        answer = _solve_on(problem)
+        gap, residual = answer.certificate
         assert 0.0 <= gap <= 1e-10 and residual <= 1e-13
         lp, result, upper = calls[0]
         assert certify(lp, result, upper) == (gap, residual)
@@ -493,13 +508,12 @@ class TestCertificate:
             if by > 0.0 and k in (1, 5, 9):
                 assert certify(lp, shifted, upper)[0] <= 1e-10
                 continue
-            with pytest.raises(simplex.SimplexError, match="not certified: gap"):
-                certify(lp, shifted, upper)
+            refuses(answer, certify(lp, shifted, upper))
         for k in (0, 100, 338):
             x = result.x.copy()
             x[k] += 1e-6
-            with pytest.raises(simplex.SimplexError, match="not certified: .* residual 1e-06"):
-                certify(lp, dataclasses.replace(result, x=x), upper)
+            refuses(answer, certify(lp, dataclasses.replace(result, x=x), upper),
+                    "residual 1e-06$")
 
     # HiGHS's optimum of the full program lies within 1e-9 of [z*, z* + gap]
     # for the benchmark's targets and the first 40 integer triples, with and
@@ -531,29 +545,52 @@ class TestCertificate:
 
     # The threshold is ARTIFICIAL_MASS_TOL. At 1e-7 it certifies the
     # demonstrations of tiny-weight mixtures 72, 98, 100 and 108, whose gaps
-    # lie between 1.1e-9 and 6.9e-9; at 1e-9 it refuses them. Mixture 123's
-    # weights sum to 1.26, which LpSolution refuses, as the parent did,
-    # before the certificate's refusal (its gap is 1.46) is raised.
+    # lie between 1.1e-9 and 6.9e-9; at 1e-9 their readings refuse them.
+    # Mixture 123's demonstration ends optimal at a vertex whose certificate
+    # (gap 1.46) is refused first; its weights, summing to 1.26, would fail
+    # LpSolution too. The record keeps the certificate.
     def test_the_threshold_is_the_artificial_mass_tolerance(self, monkeypatch):
         assert simplex.ARTIFICIAL_MASS_TOL == 1e-7
         near = [FakingProblem(TINY_WEIGHT_CENSUS[k], stealth=True) for k in (72, 98, 100, 108)]
+        certificates = []
         for problem in near:
             gap, residual = _optimum(problem).certificate
             assert 1e-9 < gap < 1e-8 and residual < 1e-9
             assert solve_lp(problem).status == "feasible"
+            certificates.append((gap, residual))
         wrong = FakingProblem(TINY_WEIGHT_CENSUS[123], stealth=True)
-        with pytest.raises(simplex.SimplexError, match="weights sum to 1.2631980086905983"):
-            _optimum(wrong)
-        calls, certify = [], simplex.certify
-        monkeypatch.setattr(simplex, "certify", lambda *args: calls.append(args) or certify(*args))
-        with pytest.raises(simplex.SimplexError):
-            _optimum(wrong)
-        with pytest.raises(simplex.SimplexError, match="not certified: gap 1.46, residual 0.263"):
-            certify(*calls[0])
+        answer = _optimum(wrong)
+        assert (answer.route, answer.status) == ("floor 0", "optimal")
+        gap, residual = answer.certificate
+        assert (f"{gap:.3g}", f"{residual:.3g}") == ("1.46", "0.263")
+        assert float(answer.x[:N_STRATEGIES].sum()) == pytest.approx(1.2631980086905983)
+        for refused in (answer.efficiency, lambda: solve_lp(wrong),
+                        lambda: demonstration_solution(TINY_WEIGHT_CENSUS[123])):
+            with pytest.raises(simplex.SimplexError,
+                               match="^optimum not certified: gap 1.46, residual 0.263$"):
+                refused()
         monkeypatch.setattr(simplex, "ARTIFICIAL_MASS_TOL", 1e-9)
-        for problem in near:
-            with pytest.raises(simplex.SimplexError, match="not certified: gap"):
-                _optimum(problem)
+        for problem, certificate in zip(near, certificates):
+            answer = _optimum(problem)
+            assert answer.certificate == certificate
+            for refused in (answer.efficiency, lambda: solve_lp(problem)):
+                with pytest.raises(simplex.SimplexError, match="^optimum not certified: gap"):
+                    refused()
+
+    # The census counts the certificates an answer record certifies and
+    # those it refuses apart, and takes its largest gap and residual from
+    # the certified ones. Integer triple 0 has three certified optima, the
+    # demonstration of tiny-weight mixture 6 ends infeasible in phase 1, and
+    # that of mixture 123 is refused, on the floor-0 route.
+    def test_census_counts_a_refused_certificate(self, capsys):
+        CENSUS.census([INTEGER_TRIPLES[0], TINY_WEIGHT_CENSUS[6], TINY_WEIGHT_CENSUS[123]])
+        lines = [line.split(", median")[0] for line in capsys.readouterr().out.splitlines()]
+        assert lines[3] == ("demonstration_solution: routes {'floor 0': 3}, outcomes "
+                            "{'SimplexError': 1, 'feasible': 1, 'infeasible': 1}, pivots 26 + 10668")
+        found = re.fullmatch(r"certified 3, refused 1, largest gap (\S+), largest residual (\S+)",
+                             lines[4])
+        assert found and all(0.0 <= float(v) <= 1e-9 for v in found.groups())
+        assert lines[5:] == ["refused: demonstration_solution target 2, gap 1.46, residual 0.263"]
 
     # An answer must pass two checks: the certificate, whose gap and
     # residual may reach ARTIFICIAL_MASS_TOL (1e-7), and the 1e-9 on the

@@ -16,10 +16,12 @@ analysis's reading of that answer. For each set it prints, per analysis,
 how many targets took each route of the answer ("facets", "bell sum" or
 "floor 0"; "raised" where the floor-0 solve raised and left no answer),
 each outcome, the total phase-1 and phase-2 pivots of the answers, and the
-median and total seconds; then how many answers carry a certificate of
-their floor-0 optimum, with the largest gap and residual among them; then
-one SHA-256 over every document the set's analyses returned, in order.
-Last comes the wall time.
+median and total seconds. Then come the certificates of the set's floor-0
+optima: how many the answer record certifies and how many it refuses, the
+largest gap and residual among the certified ones, and one line per
+refused certificate, naming its analysis and target. Last come one SHA-256
+over every document the set's analyses returned, in order, and, after
+every set, the wall time.
 
 Two checkouts agree on every answer when their digests agree, and a change
 to the simplex's pivot path shows in the pivot totals. Run from the
@@ -86,20 +88,33 @@ TARGET_SETS = {
 }
 
 
+def refused(answer) -> bool:
+    """Whether the record refuses ``answer``'s certificate: an optimum's
+    ``efficiency()`` raises for nothing else."""
+    try:
+        answer.efficiency()
+    except simplex.SimplexError:
+        return True
+    return False
+
+
 def census(targets: list) -> str:
     """Run every analysis over ``targets``, printing one line per analysis,
-    and return the SHA-256 over every document."""
-    digest, certificates = hashlib.sha256(), []
+    then the certificates, and return the SHA-256 over every document."""
+    digest, certified, refusals = hashlib.sha256(), [], []
     for name, (floor, stealth, read) in ANALYSES.items():
         routes, outcomes, seconds, pivots = Counter(), Counter(), [], np.zeros(2, int)
-        for t in targets:
+        for k, t in enumerate(targets):
             route = "raised"
             t0 = time.perf_counter()
             try:
                 answer = loophole._optimum(loophole.FakingProblem(t, floor, stealth))
                 route, pivots = answer.route, pivots + answer.pivots
                 if answer.certificate is not None:
-                    certificates.append(answer.certificate)
+                    if refused(answer):
+                        refusals.append((name, k, *answer.certificate))
+                    else:
+                        certified.append(answer.certificate)
                 result = read(answer)
             except simplex.SimplexError as exc:
                 seconds.append(time.perf_counter() - t0)
@@ -116,9 +131,11 @@ def census(targets: list) -> str:
               f"pivots {pivots[0]} + {pivots[1]}, "
               f"median {1e3 * statistics.median(seconds):.2f} ms, "
               f"total {sum(seconds):.2f} s")
-    gaps, residuals = zip(*certificates) if certificates else ((0.0,), (0.0,))
-    print(f"certified {len(certificates)}, largest gap {max(gaps):.2g}, "
-          f"largest residual {max(residuals):.2g}")
+    gaps, residuals = zip(*certified) if certified else ((0.0,), (0.0,))
+    print(f"certified {len(certified)}, refused {len(refusals)}, "
+          f"largest gap {max(gaps):.2g}, largest residual {max(residuals):.2g}")
+    for name, k, gap, residual in refusals:
+        print(f"refused: {name} target {k}, gap {gap:.3g}, residual {residual:.3g}")
     return digest.hexdigest()
 
 
