@@ -10,9 +10,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
-import bellsim
 from bellsim import loophole as loophole_mod
 from bellsim.counterfactuals import (
     WITNESS_PATTERN,
@@ -29,6 +27,7 @@ from bellsim.experiment import (
     SOURCE_DETERMINISTIC_LHV,
     SOURCE_LOOPHOLE,
     SOURCE_QUANTUM,
+    EstimationError,
     ExperimentConfig,
     decide,
     estimate,
@@ -175,3 +174,36 @@ def test_criterion_7_type_one_error_control():
             if decide(est, alpha=0.01).reject_lhv:
                 rejections += 1
         assert rejections <= 6, f"{rejections} rejections out of 200"
+
+
+def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
+    """The 95% Wilson score interval of a binomial proportion."""
+    p = successes / trials
+    centre = (p + z * z / (2 * trials)) / (1 + z * z / trials)
+    half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials**2)) / (1 + z * z / trials)
+    return centre - half, centre + half
+
+
+def test_small_n_type_one_table_in_the_readme():
+    """The README's small-n table: below criterion 7's n the delta-method
+    rule rejects the boundary mixture more often than alpha."""
+    model = boundary_lhv_model()
+    table = []
+    for n in (45, 90, 360):
+        rejections = refused = 0
+        for seed in range(10_000):
+            config = ExperimentConfig(n, seed, SOURCE_DETERMINISTIC_LHV, model=model)
+            try:
+                est = estimate(run_experiment(config))
+            except EstimationError:
+                refused += 1
+                continue
+            rejections += decide(est, alpha=0.01).reject_lhv
+        low, high = wilson_interval(rejections, 10_000 - refused)
+        table.append((n, rejections, 10_000 - refused, refused,
+                      f"[{low:.1%}, {high:.1%}]"))
+    assert table == [
+        (45, 800, 9_822, 178, "[7.6%, 8.7%]"),
+        (90, 379, 9_996, 4, "[3.4%, 4.2%]"),
+        (360, 169, 10_000, 0, "[1.5%, 2.0%]"),
+    ]

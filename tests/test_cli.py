@@ -110,6 +110,44 @@ class TestTraceProof:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# SHA-256 of stdout of every other analysis subcommand. The ``--demo
+# --format json`` digest is the ``solution_sha256`` that perfbench checks.
+@pytest.mark.parametrize("argv, digest", (
+    ("correlations --angles 60,0,120 --format text",
+     "3035f349f6165aa794ad2502873c4107b330963337cdee5a8314fb2cf3d60dc7"),
+    ("correlations --angles 60,0,120 --format json",
+     "375d9cacdefbe5f730c1d97e0e9e4f9c9444b30e98830220fced99ade43a03f1"),
+    ("correlations --angles 60,0,120 --format csv",
+     "cef8a92260fe1040231d5b74f5e1e7ae183a77ad58b5b718dd59b2ccd0ab0d5f"),
+    ("lhv-max --format text", "e77153e0c6fd01b31cdb73004b48a0d5b6c7e72cbab1b0a1c7c83acb0501fca7"),
+    ("lhv-max --format json", "42698d656b06d71ce5bde51d7ee9a978c424d7f26bc0df1d187ee1b09f14f130"),
+    ("stochastic-sup --format text",
+     "2cdbe0d8063cb6f89c9e4e20f0bc54a5f56c436ba9849eda74972dfc331df77c"),
+    ("stochastic-sup --format json",
+     "872e89b59c890341b1c85fa893c0a3e2bd996ef2e8378ba057f2f217f64215f8"),
+    ("loophole --angles 60,0,120 --max-efficiency --format text",
+     "f9caffa0d76ccf229cc67abfe2dc5c692e63a874a7ad6ee9120820161d3c15ce"),
+    ("loophole --angles 60,0,120 --max-efficiency --format json",
+     "11743fe503de5ee0fa8c01b896b79e041847cab985b590af6fe0cfb626465ff9"),
+    ("loophole --angles 60,0,120 --floor 0.5 --format text",
+     "f42a1e603ddfd921be65ef8313710391694cea698f4c2793a2a8d6270f8fb87b"),
+    ("loophole --angles 60,0,120 --floor 0.5 --format json",
+     "2b1d61a0a92b25766b06cb76df188bfd27b7f0b4745d06b8df502cffe1f6334d"),
+    ("loophole --angles 60,0,120 --floor 1 --format text",
+     "b43e896af105daa9b36d402e5d72d01e2ee470122109af5d4c5cab9399fdb549"),
+    ("loophole --angles 60,0,120 --floor 1 --format json",
+     "4e9489b1c9e57db71f57f631670fb6ee2daa83b8724e35e40e9c598f8e9c9818"),
+    ("loophole --angles 60,0,120 --demo --format text",
+     "34edc25e07d4e2448307d1e2af1d90e15c8a1f33b7e7f3254be3655f2a39ebc9"),
+    ("loophole --angles 60,0,120 --demo --format json",
+     "8dc0e031beaa8b69feced30252b8cb11038a6275c98ad3d50c557faf076afd80"),
+))
+def test_analysis_stdout_is_pinned(argv, digest, capsys):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 class TestSmallAnalyses:
     def test_lhv_max_prints_zero(self, capsys):
         code, out, _ = run_cli(capsys, "lhv-max", "--format", "json")

@@ -52,6 +52,10 @@ class TestCounterfactualTable:
         for i in range(64):
             assert CounterfactualTable.from_index(i).index == i
 
+    def test_from_index_refuses_an_index_outside_the_enumeration(self):
+        with pytest.raises(ValueError, match=r"table index 64 outside \[0, 64\)"):
+            CounterfactualTable.from_index(64)
+
     def test_documented_enumeration_order_endpoints(self):
         assert all_tables()[0] == CounterfactualTable((-1, -1, -1), (-1, -1, -1))
         assert all_tables()[63] == CounterfactualTable((1, 1, 1), (1, 1, 1))
@@ -93,6 +97,10 @@ class TestWitnessCheck:
 
     def test_m00_must_be_zero(self):
         assert not theorem1_witness_check(MPattern(m00=1, m12=1, m02=0, m10=0))
+
+    def test_pattern_refuses_a_value_other_than_0_or_1(self):
+        with pytest.raises(ValueError, match="m02 must be 0 or 1, got 2"):
+            MPattern(m00=0, m12=1, m02=2, m10=0)
 
 
 class TestContradictionTrace:

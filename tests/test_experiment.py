@@ -329,6 +329,13 @@ class TestTrialDatasetArrays:
         with pytest.raises(ValueError, match=f"^TrialDataset {field} must be a one-dimensional"):
             TrialDataset(**arrays)
 
+    def test_equality_with_other_objects_and_repr(self):
+        record = TrialRecord(index=0, x1=0, x2=0, y1=1, y2=1, d1=1, d2=1)
+        data = TrialDataset.from_records([record])
+        assert data == [record] and data != [record, "x"]
+        assert data.__eq__(5) is NotImplemented
+        assert repr(data) == "TrialDataset(<1 trials>)"
+
 
 def _hand_dataset():
     """Four trials per statistic cell with matches 3, 1, 1, 0."""

@@ -260,6 +260,10 @@ class TestModelSerialization:
         with pytest.raises(ValueError):
             model_from_dict({"spins": []})
 
+    def test_to_dict_refuses_a_non_model(self):
+        with pytest.raises(TypeError, match="^not a local model: <object object at "):
+            model_to_dict(object())
+
     # A falsy document is still a document: 0 is refused as no JSON object.
     @pytest.mark.parametrize("doc, match", (
         ({"tables": [{"y1": [1, -1, 1]}]},

@@ -64,6 +64,14 @@ class TestAngle:
         with pytest.raises(ValueError):
             Angle(math.inf)
 
+    def test_equality_with_a_non_angle_and_repr(self):
+        assert Angle(0.0).__eq__(0.0) is NotImplemented
+        assert repr(Angle(1.0)) == "Angle(1.0)"
+
+    def test_triple_needs_three_angles(self):
+        with pytest.raises(ValueError, match="exactly three Angle entries"):
+            AngleTriple((Angle(0.0), Angle(1.0)))
+
 
 class TestMatchProbability:
     def test_zero_separation_is_perfect_anticorrelation(self):
@@ -120,6 +128,10 @@ class TestMatchTable:
         with pytest.raises(ValueError):
             MatchProbabilityTable(((0.0, 0.5, 1.2), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
 
+    def test_rejects_a_grid_that_is_not_3x3(self):
+        with pytest.raises(ValueError, match="needs a 3x3 grid"):
+            MatchProbabilityTable(((0.0, 0.5, 0.5), (0.5, 0.0, 0.5)))
+
 
 class TestTwoQubitState:
     def test_maximally_entangled_is_normalized(self):
@@ -129,6 +141,10 @@ class TestTwoQubitState:
     def test_rejects_unnormalized_amplitudes(self):
         with pytest.raises(ValueError):
             TwoQubitState((1.0, 1.0, 0.0, 0.0))
+
+    def test_rejects_three_amplitudes(self):
+        with pytest.raises(ValueError, match="needs four amplitudes"):
+            TwoQubitState((1.0, 0.0, 0.0))
 
 
 class TestStatevectorOracle:

@@ -57,6 +57,13 @@ class TestKnownSolutions:
         assert res.status == "optimal"
         assert res.objective == pytest.approx(1.5)
 
+    def test_empty_program(self):
+        # No variable and no row: the only point is the empty x, worth 0.
+        res = solve(lp([]))
+        assert res.status == "optimal"
+        assert res.x.shape == (0,)
+        assert res.objective == 0.0
+
 
 class TestStatuses:
     def test_infeasible_inequalities(self):

@@ -48,12 +48,14 @@ def test_tracer_installs_and_undoes():
 
 
 def test_no_module_imports_a_name_it_does_not_use():
-    # No linter runs in the suite, so this is its unused-import check.
+    # No linter runs in the suite, so this is its unused-import check: on the
+    # package (its __init__ re-exports), the tools and these tests.
     package = Path(bellsim.__file__).parent
+    root = TRACING.parents[1]
+    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    paths += [*(root / "tools").glob("*.py"), *(root / "tests").glob("*.py")]
     unused = {}
-    for path in sorted(package.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in sorted(paths):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
         imported = {
@@ -62,9 +64,10 @@ def test_no_module_imports_a_name_it_does_not_use():
             for alias in node.names
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        names = imported - used - TRACER_ONLY_IMPORTS.get(path.stem, set())
-        if names:
-            unused[path.stem] = sorted(names)
+        if path.parent == package:
+            used |= TRACER_ONLY_IMPORTS.get(path.stem, set())
+        if imported - used:
+            unused[str(path.relative_to(root))] = sorted(imported - used)
     assert unused == {}
 
 

@@ -14,8 +14,7 @@ and times nothing:
 * ``montecarlo`` (the default): one SHA-256 over the JSON of ``estimate``
   and ``decide``'s ``to_dict()`` (or the ``EstimationError`` message of a
   refused run) of seeds ``VERDICT_SEEDS`` at n = 90 under both
-  conditionings, on criterion 7's boundary mixture, as
-  ``tools/generation_timing.py`` prints it.
+  conditionings, on criterion 7's boundary mixture.
 * ``loophole``: one SHA-256 over what ``loophole._optimum`` answers to
   ``perfbench``'s five faking analyses (``ANALYSES``): the route, the
   status, the pivots of each phase, z* and the bytes of x.
