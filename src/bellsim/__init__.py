@@ -7,6 +7,8 @@ reject/retain decision rule, and a linear-programming treatment of the
 detection loophole.
 """
 
+from types import ModuleType as _ModuleType
+
 from .counterfactuals import (
     BELL_PAIRS,
     WITNESS_PATTERN,
@@ -79,67 +81,5 @@ from .simplex import LinearProgram, SimplexError, SimplexResult
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Angle",
-    "AngleTriple",
-    "Assignment",
-    "AugmentedStrategy",
-    "BELL_PAIRS",
-    "BellEstimate",
-    "ConfigError",
-    "CounterfactualTable",
-    "Decision",
-    "DerivationTrace",
-    "DeterministicLhv",
-    "EstimationError",
-    "ExperimentConfig",
-    "FakingProblem",
-    "GridSearchResult",
-    "LinearProgram",
-    "LpSolution",
-    "MPattern",
-    "MatchProbabilityTable",
-    "Population",
-    "SimplexError",
-    "SimplexResult",
-    "SplitMix64",
-    "StochasticLocalModel",
-    "TraceStep",
-    "TrialDataset",
-    "TrialRecord",
-    "TwoQubitState",
-    "WITNESS_PATTERN",
-    "all_tables",
-    "bell_statistic",
-    "decide",
-    "demonstration_solution",
-    "derive_seed",
-    "enumerate_augmented_strategies",
-    "estimate",
-    "exists_local_table_with_pattern",
-    "find_interaction_unit",
-    "lhv_match_table",
-    "lhv_max_bell_statistic",
-    "load_model",
-    "match_indicator",
-    "match_probability",
-    "match_table",
-    "max_faking_efficiency",
-    "read_dataset_csv",
-    "read_row_counts",
-    "run_experiment",
-    "sample_from_lhv",
-    "sample_loophole_model",
-    "sample_outcome_pair",
-    "save_model",
-    "singlet_match_probabilities",
-    "singlet_match_probability_oracle",
-    "solve_lp",
-    "stochastic_bell_search",
-    "stochastic_bell_supremum",
-    "stochastic_expected_match",
-    "theorem1_contradiction_trace",
-    "theorem1_witness_check",
-    "violation_margin",
-    "write_dataset_csv",
-]
+__all__ = sorted(name for name, value in globals().items()  # the public names imported above
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -26,6 +26,7 @@ from .quantum import AngleTriple, _check_setting, match_table
 #: Setting pairs entering the Bell statistic, in the order its terms appear:
 #: + (1,2), - (0,2), - (1,0), - (0,0).
 BELL_PAIRS = ((1, 2), (0, 2), (1, 0), (0, 0))
+BELL_SIGNS = (1.0, -1.0, -1.0, -1.0)  #: The sign of each term, in :data:`BELL_PAIRS` order.
 
 
 def _check_spins(values: Sequence[int], name: str) -> tuple[int, int, int]:

@@ -31,7 +31,7 @@ from typing import BinaryIO, Iterable, Iterator
 import numpy as np
 
 from . import loophole as loophole_mod
-from .counterfactuals import BELL_PAIRS
+from .counterfactuals import BELL_PAIRS, BELL_SIGNS
 # sample_from_lhv and sample_outcome_pair are unused here; perfbench/tracing.py patches them.
 from .lhv import (
     CANONICAL_INT,
@@ -461,7 +461,7 @@ def estimate(
     denominators = 9 if conditioning == CONDITION_COINCIDENCES else 0  # coincidences or trials
 
     statistic = variance = 0.0
-    for cell, sign in zip(_BELL_CELLS, (1.0, -1.0, -1.0, -1.0)):  # the terms of BELL_PAIRS
+    for cell, sign in zip(_BELL_CELLS, BELL_SIGNS):  # the terms of BELL_PAIRS
         if cells[9 + cell] == 0:
             raise EstimationError(f"no coincident trials in cell ({cell // 3},{cell % 3})")
         denom = cells[denominators + cell]

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import simplex
-from .counterfactuals import BELL_PAIRS, CounterfactualTable
+from .counterfactuals import BELL_PAIRS, BELL_SIGNS, CounterfactualTable
 from .lhv import CANONICAL_INT, finite_number, mixture_arrays, unique_keys
 from .quantum import MatchProbabilityTable
 
@@ -393,7 +393,7 @@ def _relabeled_bell_coefficients() -> np.ndarray:
     the settings relabeled."""
     rows = np.zeros((36, 3, 3))
     for row, (p1, p2) in zip(rows, product(permutations(range(3)), repeat=2)):
-        for (i, j), sign in zip(BELL_PAIRS, (1.0, -1.0, -1.0, -1.0)):
+        for (i, j), sign in zip(BELL_PAIRS, BELL_SIGNS):
             row[p1[i], p2[j]] = sign
     return rows.reshape(36, 9)
 

@@ -263,7 +263,9 @@ def _phase_one(lp: LinearProgram, dantzig: bool = False
 
 def solve(lp: LinearProgram, *, dantzig: bool = False) -> SimplexResult:
     """Two-phase simplex for ``lp``, by Bland's rule or with ``dantzig`` by
-    Dantzig's (:meth:`_Tableau.run`). Statuses: optimal, infeasible, unbounded."""
+    Dantzig's (:meth:`_Tableau.run`). Statuses: optimal, infeasible, unbounded. With
+    ``dantzig``, the floor-0 faking programs of two local mixtures with a weight near
+    1e-9 run to :data:`MAX_PIVOTS` and raise ``SimplexError`` (about 1 s each)."""
     body, basis, phase1_pivots = _phase_one(lp, dantzig)
     if body is None:
         return SimplexResult(status="infeasible", x=None, objective=None,

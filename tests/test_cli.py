@@ -20,6 +20,29 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+#: SHA-256 of the stderr ``config:`` echo of each pinned analysis, which
+#: does not name the output format.
+CONFIG_ECHO_DIGESTS = {
+    "trace-proof": "226c679722e1ac71c278e2a2fe1a8166131c2a11e5db6dc376d166064f69e379",
+    "correlations --angles 60,0,120":
+        "56c0c1f88dc17fca1852966e193ab32d2d1c6ca4dd94599f3db016aa881424e9",
+    "lhv-max": "899c0ef89ae5cf3c36383da2f8014daadaa05d0d064fc79449aeb6097c552268",
+    "stochastic-sup": "cb52af94e2159757015660641e61c45a6cd7eaebfbcc178305adec54a2df42d3",
+    "loophole --angles 60,0,120 --max-efficiency":
+        "b8daa9d9ddcf9784d0f006375d3635e42b001d821d37caa54b2151511fb6a79f",
+    "loophole --angles 60,0,120 --floor 0.5":
+        "348d200f28452c71e9b810c80cdd6be98474bae0d49626718055d8f4b79c8a9f",
+    "loophole --angles 60,0,120 --floor 1":
+        "044004f88b30bb41044cd55836c957d6f4d74f2b4513b9e0ec55dcd3f1286086",
+    "loophole --angles 60,0,120 --demo":
+        "fa2853c77df0b7d087b20badc3cb09fb3fc1fde21caa81b4c7ccac01942a3ab3",
+}
+
+
 class TestCorrelations:
     def test_canonical_angles_text(self, capsys):
         code, out, err = run_cli(capsys, "correlations", "--angles", "60,0,120")
@@ -99,19 +122,21 @@ class TestTraceProof:
         assert [t["branch"] for t in json.loads(out)["traces"]] == ["a"]
 
     # SHA-256 of stdout for both branches, recorded before an unreachable
-    # branch of the derivation's code was deleted.
+    # branch of the derivation's code was deleted, and of stderr.
     @pytest.mark.parametrize("fmt, digest", (
         ("text", "85cfe2c9066093c61b98298ef58234bd15655c1b688512d0699359eee07b12cc"),
         ("json", "5fc60669c38f5d73960da06c4601025242ee2bf186664120190bb1a657d43e9e"),
     ))
     def test_stdout_is_pinned(self, fmt, digest, capsys):
-        code, out, _ = run_cli(capsys, "trace-proof", "--format", fmt)
+        code, out, err = run_cli(capsys, "trace-proof", "--format", fmt)
         assert code == 0
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+        assert sha256(out) == digest
+        assert sha256(err) == CONFIG_ECHO_DIGESTS["trace-proof"]
 
 
-# SHA-256 of stdout of every other analysis subcommand. The ``--demo
-# --format json`` digest is the ``solution_sha256`` that perfbench checks.
+# SHA-256 of stdout of every other analysis subcommand, and of its stderr.
+# The ``--demo --format json`` digest is the ``solution_sha256`` that
+# perfbench checks.
 @pytest.mark.parametrize("argv, digest", (
     ("correlations --angles 60,0,120 --format text",
      "3035f349f6165aa794ad2502873c4107b330963337cdee5a8314fb2cf3d60dc7"),
@@ -143,9 +168,40 @@ class TestTraceProof:
      "8dc0e031beaa8b69feced30252b8cb11038a6275c98ad3d50c557faf076afd80"),
 ))
 def test_analysis_stdout_is_pinned(argv, digest, capsys):
-    code, out, _ = run_cli(capsys, *argv.split())
+    code, out, err = run_cli(capsys, *argv.split())
     assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert sha256(out) == digest
+    assert sha256(err) == CONFIG_ECHO_DIGESTS[argv.rsplit(" --format", 1)[0]]
+
+
+# Pinned runs that end in exit codes 1 to 3. Dataset B of perfbench's
+# ``pipeline`` at seed 3 (its SHA-256 is the one perfbench/reference.json
+# holds) is retained under all-pairs accounting. Exit 3's traceback holds
+# paths, so only its last stderr line is pinned.
+class TestPinnedExitCodes:
+    def test_retain_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "B.csv"
+        code, _, err = run_cli(capsys, "simulate", "--source", "loophole", "--angles", "60,0,120",
+                               "--setting-distribution", "uniform-4", "--n", "20000", "--seed",
+                               "3", "--out", str(data))
+        assert code == 0
+        assert sha256(err) == "a48e56781ff78c24f1f4f740b7a22786345108d416ea1225d4809b4fc732832b"
+        assert hashlib.sha256(data.read_bytes()).hexdigest() == (
+            "ee9c83911d343e4258cea79d800071ab68b8b4a33fa74cd99c0dd3abc1910909")
+        code, out, err = run_cli(capsys, "test", "--in", str(data), "--conditioning", "all-pairs")
+        assert code == 1
+        assert sha256(out) == "085cc2b2ac79dfa71d233515171be5ce1405ce23e6b904a079a5365a6419d53e"
+        assert sha256(err) == "0b8c3c1fe0db1c697ea1d288cf436d6a01a95e371cd9a805baa1c7828b09043f"
+
+    def test_invalid_floor_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "loophole", "--angles", "60,0,120", "--floor", "2")
+        assert (code, out) == (2, "")
+        assert sha256(err) == "770f2d33202cb662d11ac9c2f84edf45356992e01793730429d73198f2b72cd2"
+
+    def test_stealth_breakdown_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "loophole", "--angles", "181,7,6", "--demo")
+        assert (code, out) == (3, "")
+        assert err.splitlines()[-1] == "internal error: exit 3"
 
 
 class TestSmallAnalyses:

@@ -46,32 +46,9 @@ CANONICAL_TARGETS = match_table(AngleTriple.from_degrees(60, 0, 120))
 ZERO_TARGETS = MatchProbabilityTable(((0.0,) * 3,) * 3)
 
 #: Regression values produced by this package's own solver and cross-checked
-#: against the bisection route; see the loophole tests below.
+#: against phase 1 alone on the floor programs; see the loophole tests below.
 FROZEN_MAX_EFFICIENCY = 2.0 / 3.0
 FROZEN_DEMO_MIN_RATE = 0.4
-
-BISECTION_TOLERANCE = 1e-4
-
-
-def bisect_max_efficiency(targets):
-    """The maximum faking efficiency by bisection on the floor, each probe
-    decided by the solver's phase 1 alone: an independent route to the
-    number :func:`max_faking_efficiency` reads off one epigraph solve."""
-
-    def is_feasible(floor):
-        return simplex.feasible(FakingProblem(targets=targets, efficiency_floor=floor).program)
-
-    if is_feasible(1.0):
-        return 1.0
-    assert is_feasible(0.0)  # zero detection satisfies every target
-    lo, hi = 0.0, 1.0
-    while hi - lo > BISECTION_TOLERANCE:
-        mid = (lo + hi) / 2.0
-        if is_feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 @pytest.fixture(scope="module")
@@ -185,13 +162,16 @@ class TestMaxFakingEfficiency:
         assert abs(eta - FROZEN_MAX_EFFICIENCY) <= 1e-9
         assert 0.0 < eta < 1.0
 
-    def test_bisection_agrees_with_direct_objective(self):
-        # Dual route: bisection on phase-1 feasibility approximates the same
-        # quantity the floor-0 epigraph optimum returns exactly.
+    def test_phase_one_brackets_the_direct_objective(self):
+        # Dual route: phase 1 alone reads the floor program at z* - 1e-6
+        # feasible and at z* + 1e-6 infeasible, z* the floor-0 epigraph
+        # optimum. At 1e-8 both read feasible, within the artificial-mass
+        # tolerance of 1e-7.
         for degrees in ((60, 0, 120), (45, 0, 90)):
             targets = match_table(AngleTriple.from_degrees(*degrees))
             eta = max_faking_efficiency(targets)
-            assert abs(bisect_max_efficiency(targets) - eta) <= BISECTION_TOLERANCE
+            assert simplex.feasible(FakingProblem(targets, eta - 1e-6).program)
+            assert not simplex.feasible(FakingProblem(targets, eta + 1e-6).program)
 
     def test_highs_agrees_on_random_angles(self):
         # Independent solver: scipy's HiGHS (installed, not a declared
@@ -349,13 +329,21 @@ def refuse_solves(monkeypatch):
 
 
 class TestTinyWeightCensus:
-    # Every target is a local mixture with full detection, so its maximum
-    # faking efficiency is 1, which the local polytope's facets give with no
-    # solve.
+    # Every target is a local mixture with full detection, so the local
+    # polytope's facets answer floor 1 with no solve. The demonstration is
+    # that same solution exactly when its unconditional Bell statistic
+    # b = m12 - m02 - m10 - m00 meets the stealth row; else it solves.
     @pytest.mark.parametrize("k", range(len(TINY_WEIGHT_CENSUS)))
-    def test_local_mixture_reaches_full_efficiency(self, k, monkeypatch):
+    def test_demo_is_the_facets_solution_when_it_meets_the_stealth_row(self, k, monkeypatch):
         refuse_solves(monkeypatch)
-        assert max_faking_efficiency(TINY_WEIGHT_CENSUS[k]) == 1.0
+        targets = TINY_WEIGHT_CENSUS[k]
+        facets = solve_lp(FakingProblem(targets, 1.0))
+        _, m, _ = rescore_solution(facets)
+        if m[1, 2] - m[0, 2] - m[1, 0] - m[0, 0] <= -DEMO_STEALTH_MARGIN:
+            assert demonstration_solution(targets) == facets
+        else:
+            with pytest.raises(AssertionError, match="a simplex solve was run"):
+                demonstration_solution(targets)
 
     # solve_lp returns only weights that load_solution reads back.
     @pytest.mark.parametrize("k", range(len(TINY_WEIGHT_CENSUS)))

@@ -34,7 +34,7 @@ def test_generation_timing_prints_its_digests(capsys):
     assert re.search(r"\nsha256 of every code generated: [0-9a-f]{64}\n$", out)
 
 
-def test_codec_timing_prints_its_digest(capsys):
+def test_generation_timing_prints_its_codec_digest(capsys):
     """The codec lines of ``generation_timing``: write and read back the
     largest quantum ``uniform-9`` dataset its table made."""
     tool = load("generation_timing")

@@ -6,6 +6,7 @@ import ast
 import importlib.util
 import re
 from pathlib import Path
+from types import ModuleType
 
 import bellsim
 import bellsim.cli
@@ -69,6 +70,31 @@ def test_no_module_imports_a_name_it_does_not_use():
         if imported - used:
             unused[str(path.relative_to(root))] = sorted(imported - used)
     assert unused == {}
+
+
+def test_all_exports_only_what_bellsim_modules_define():
+    # bellsim.__all__ is every public name that __init__ binds, so a stray
+    # import there (``from math import pi``) would join it. Each name must be
+    # the very object that one of bellsim's modules defines under that name.
+    package = Path(bellsim.__file__).parent
+    defined = {}  # name: the objects bellsim's modules define under it
+    for path in package.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"bellsim.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                names = [node.name]
+            else:
+                names = [t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)]
+            for name in names:
+                defined.setdefault(name, []).append(vars(module)[name])
+    exported = bellsim.__all__
+    assert exported == sorted(set(exported))
+    assert [name for name in exported if isinstance(getattr(bellsim, name), ModuleType)] == []
+    strays = [name for name in exported
+              if not any(obj is getattr(bellsim, name) for obj in defined.get(name, ()))]
+    assert strays == []
 
 
 def test_tracer_and_benchmark_only_names_are_still_used_by_the_benchmark():
