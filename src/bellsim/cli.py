@@ -331,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="JSON model file for the lhv sources")
     p.add_argument("--solution", help="JSON faking-model file for the loophole source")
     p.add_argument("--n", type=_integer, required=True, help="number of trials")
-    p.add_argument("--seed", type=_integer, help="64-bit seed; generated and echoed if omitted")
+    p.add_argument("--seed", type=_integer,
+                   help="any integer, taken modulo 2**64 (-1 and 2**64 - 1 give one dataset); "
+                   "generated and echoed if omitted")
     p.add_argument("--setting-distribution", choices=(UNIFORM_9, UNIFORM_4), default=UNIFORM_9)
     p.add_argument("--out", help="dataset file (default stdout)")
     p.add_argument("--meta", help="metadata sidecar file (default <out>.meta.json)")

@@ -455,6 +455,9 @@ def estimate(
         raise ValueError(f"unknown conditioning {conditioning!r}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence {confidence!r} outside (0, 1)")
+    upper = (1.0 + confidence) / 2.0  # the interval's upper quantile level
+    if upper == 1.0:
+        raise ValueError(f"confidence {confidence!r}: (1 + confidence) / 2 rounds to 1")
 
     cells = _CELL_FOLDS[conditioning].dot(_row_counts(dataset).reshape(9, 9).T).ravel().tolist()
     rows = tuple(zip(*[iter(cells)] * 3))  # the three grids, three cells a row
@@ -469,7 +472,7 @@ def estimate(
         statistic += sign * rate
         variance += rate * (1.0 - rate) / denom
     std_error = math.sqrt(variance)
-    z = _normal_quantile((1.0 + confidence) / 2.0)
+    z = _normal_quantile(upper)
     est = BellEstimate.__new__(BellEstimate)  # the generated __init__ sets each field slower
     vars(est).update(
         trials=rows[:3],
@@ -490,7 +493,10 @@ def decide(est: BellEstimate, alpha: float = 0.01) -> Decision:
     on the Bell statistic at level ``alpha`` exceeds 0."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha {alpha!r} outside (0, 1)")
-    z = _normal_quantile(1.0 - alpha)
+    upper = 1.0 - alpha
+    if upper == 1.0:
+        raise ValueError(f"alpha {alpha!r}: 1 - alpha rounds to 1")
+    z = _normal_quantile(upper)
     margin = est.statistic - z * est.std_error
     return Decision(reject_lhv=margin > 0.0, margin=margin, alpha=alpha)
 

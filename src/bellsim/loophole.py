@@ -42,10 +42,10 @@ DEMO_STEALTH_MARGIN = 0.05
 
 
 def _check_bits(values, name: str) -> tuple[int, ...]:
-    vals = tuple(int(v) for v in values)
+    vals = tuple(values)
     if len(vals) != 3 or any(v not in (0, 1) for v in vals):
         raise ValueError(f"{name} must be three flags in {{0, 1}}, got {values!r}")
-    return vals
+    return tuple(int(v) for v in vals)
 
 
 @dataclass(frozen=True)
@@ -479,10 +479,12 @@ def solve_lp(problem: FakingProblem) -> LpSolution:
     The floor-f program maximizes the same minimum coincidence rate z and
     only adds the rows "coincidence rate >= f", so it is feasible exactly
     when z* is at least f, and that optimum is optimal at floor f too. A
-    floor within a few ulps of z* may be misreported either way (at the
-    canonical angles z* is 3e-16 above the optimum, 2/3 + 2.47e-17, and
-    0.6666666666666667 reads feasible); z* + gap bounds it. A breakdown, or an
-    optimum its certificate or :class:`LpSolution` refuses, raises ``simplex.SimplexError``.
+    floor near z* may be misreported either way (at the canonical angles z*
+    is 3e-16 above the optimum, 2/3 + 2.47e-17, and 0.6666666666666667 reads
+    feasible). z* + gap bounds the optimum from above only: z* may exceed it
+    by about the residual's effect (2.75e-9, at residual 3.7e-10, on one
+    tiny-weight stealth program). A breakdown, or an optimum its certificate
+    or :class:`LpSolution` refuses, raises ``simplex.SimplexError``.
     """
     return _optimum(problem).solution()
 

@@ -1,7 +1,8 @@
-import hashlib
+import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,29 +19,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def sha256(text):
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-#: SHA-256 of the stderr ``config:`` echo of each pinned analysis, which
-#: does not name the output format.
-CONFIG_ECHO_DIGESTS = {
-    "trace-proof": "226c679722e1ac71c278e2a2fe1a8166131c2a11e5db6dc376d166064f69e379",
-    "correlations --angles 60,0,120":
-        "56c0c1f88dc17fca1852966e193ab32d2d1c6ca4dd94599f3db016aa881424e9",
-    "lhv-max": "899c0ef89ae5cf3c36383da2f8014daadaa05d0d064fc79449aeb6097c552268",
-    "stochastic-sup": "cb52af94e2159757015660641e61c45a6cd7eaebfbcc178305adec54a2df42d3",
-    "loophole --angles 60,0,120 --max-efficiency":
-        "b8daa9d9ddcf9784d0f006375d3635e42b001d821d37caa54b2151511fb6a79f",
-    "loophole --angles 60,0,120 --floor 0.5":
-        "348d200f28452c71e9b810c80cdd6be98474bae0d49626718055d8f4b79c8a9f",
-    "loophole --angles 60,0,120 --floor 1":
-        "044004f88b30bb41044cd55836c957d6f4d74f2b4513b9e0ec55dcd3f1286086",
-    "loophole --angles 60,0,120 --demo":
-        "fa2853c77df0b7d087b20badc3cb09fb3fc1fde21caa81b4c7ccac01942a3ab3",
-}
 
 
 class TestCorrelations:
@@ -121,87 +99,21 @@ class TestTraceProof:
         code, out, _ = run_cli(capsys, "trace-proof", "--branch", "a", "--format", "json")
         assert [t["branch"] for t in json.loads(out)["traces"]] == ["a"]
 
-    # SHA-256 of stdout for both branches, recorded before an unreachable
-    # branch of the derivation's code was deleted, and of stderr.
-    @pytest.mark.parametrize("fmt, digest", (
-        ("text", "85cfe2c9066093c61b98298ef58234bd15655c1b688512d0699359eee07b12cc"),
-        ("json", "5fc60669c38f5d73960da06c4601025242ee2bf186664120190bb1a657d43e9e"),
-    ))
-    def test_stdout_is_pinned(self, fmt, digest, capsys):
-        code, out, err = run_cli(capsys, "trace-proof", "--format", fmt)
-        assert code == 0
-        assert sha256(out) == digest
-        assert sha256(err) == CONFIG_ECHO_DIGESTS["trace-proof"]
+
+_SPEC = importlib.util.spec_from_file_location("transcript",
+                                               SRC.parent / "tools" / "transcript.py")
+transcript = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(transcript)
 
 
-# SHA-256 of stdout of every other analysis subcommand, and of its stderr.
-# The ``--demo --format json`` digest is the ``solution_sha256`` that
-# perfbench checks.
-@pytest.mark.parametrize("argv, digest", (
-    ("correlations --angles 60,0,120 --format text",
-     "3035f349f6165aa794ad2502873c4107b330963337cdee5a8314fb2cf3d60dc7"),
-    ("correlations --angles 60,0,120 --format json",
-     "375d9cacdefbe5f730c1d97e0e9e4f9c9444b30e98830220fced99ade43a03f1"),
-    ("correlations --angles 60,0,120 --format csv",
-     "cef8a92260fe1040231d5b74f5e1e7ae183a77ad58b5b718dd59b2ccd0ab0d5f"),
-    ("lhv-max --format text", "e77153e0c6fd01b31cdb73004b48a0d5b6c7e72cbab1b0a1c7c83acb0501fca7"),
-    ("lhv-max --format json", "42698d656b06d71ce5bde51d7ee9a978c424d7f26bc0df1d187ee1b09f14f130"),
-    ("stochastic-sup --format text",
-     "2cdbe0d8063cb6f89c9e4e20f0bc54a5f56c436ba9849eda74972dfc331df77c"),
-    ("stochastic-sup --format json",
-     "872e89b59c890341b1c85fa893c0a3e2bd996ef2e8378ba057f2f217f64215f8"),
-    ("loophole --angles 60,0,120 --max-efficiency --format text",
-     "f9caffa0d76ccf229cc67abfe2dc5c692e63a874a7ad6ee9120820161d3c15ce"),
-    ("loophole --angles 60,0,120 --max-efficiency --format json",
-     "11743fe503de5ee0fa8c01b896b79e041847cab985b590af6fe0cfb626465ff9"),
-    ("loophole --angles 60,0,120 --floor 0.5 --format text",
-     "f42a1e603ddfd921be65ef8313710391694cea698f4c2793a2a8d6270f8fb87b"),
-    ("loophole --angles 60,0,120 --floor 0.5 --format json",
-     "2b1d61a0a92b25766b06cb76df188bfd27b7f0b4745d06b8df502cffe1f6334d"),
-    ("loophole --angles 60,0,120 --floor 1 --format text",
-     "b43e896af105daa9b36d402e5d72d01e2ee470122109af5d4c5cab9399fdb549"),
-    ("loophole --angles 60,0,120 --floor 1 --format json",
-     "4e9489b1c9e57db71f57f631670fb6ee2daa83b8724e35e40e9c598f8e9c9818"),
-    ("loophole --angles 60,0,120 --demo --format text",
-     "34edc25e07d4e2448307d1e2af1d90e15c8a1f33b7e7f3254be3655f2a39ebc9"),
-    ("loophole --angles 60,0,120 --demo --format json",
-     "8dc0e031beaa8b69feced30252b8cb11038a6275c98ad3d50c557faf076afd80"),
-))
-def test_analysis_stdout_is_pinned(argv, digest, capsys):
-    code, out, err = run_cli(capsys, *argv.split())
-    assert code == 0
-    assert sha256(out) == digest
-    assert sha256(err) == CONFIG_ECHO_DIGESTS[argv.rsplit(" --format", 1)[0]]
-
-
-# Pinned runs that end in exit codes 1 to 3. Dataset B of perfbench's
-# ``pipeline`` at seed 3 (its SHA-256 is the one perfbench/reference.json
-# holds) is retained under all-pairs accounting. Exit 3's traceback holds
-# paths, so only its last stderr line is pinned.
-class TestPinnedExitCodes:
-    def test_retain_exits_1(self, tmp_path, capsys):
-        data = tmp_path / "B.csv"
-        code, _, err = run_cli(capsys, "simulate", "--source", "loophole", "--angles", "60,0,120",
-                               "--setting-distribution", "uniform-4", "--n", "20000", "--seed",
-                               "3", "--out", str(data))
-        assert code == 0
-        assert sha256(err) == "a48e56781ff78c24f1f4f740b7a22786345108d416ea1225d4809b4fc732832b"
-        assert hashlib.sha256(data.read_bytes()).hexdigest() == (
-            "ee9c83911d343e4258cea79d800071ab68b8b4a33fa74cd99c0dd3abc1910909")
-        code, out, err = run_cli(capsys, "test", "--in", str(data), "--conditioning", "all-pairs")
-        assert code == 1
-        assert sha256(out) == "085cc2b2ac79dfa71d233515171be5ce1405ce23e6b904a079a5365a6419d53e"
-        assert sha256(err) == "0b8c3c1fe0db1c697ea1d288cf436d6a01a95e371cd9a805baa1c7828b09043f"
-
-    def test_invalid_floor_exits_2(self, capsys):
-        code, out, err = run_cli(capsys, "loophole", "--angles", "60,0,120", "--floor", "2")
-        assert (code, out) == (2, "")
-        assert sha256(err) == "770f2d33202cb662d11ac9c2f84edf45356992e01793730429d73198f2b72cd2"
-
-    def test_stealth_breakdown_exits_3(self, capsys):
-        code, out, err = run_cli(capsys, "loophole", "--angles", "181,7,6", "--demo")
-        assert (code, out) == (3, "")
-        assert err.splitlines()[-1] == "internal error: exit 3"
+# What the CLI prints for each command of the committed transcript, byte for
+# byte; ``PYTHONPATH=src python tools/transcript.py`` rewrites it.
+@pytest.mark.parametrize("command", transcript.COMMANDS)
+def test_transcript_entry_is_unchanged(command):
+    text = transcript.TRANSCRIPT.read_bytes().decode()  # the CSV lines end in CRLF
+    committed = re.split(r"(?m)^(?=\$ bellsim )", text)[1:]
+    assert len(committed) == len(transcript.COMMANDS)
+    assert transcript.block(command) == committed[transcript.COMMANDS.index(command)]
 
 
 class TestSmallAnalyses:

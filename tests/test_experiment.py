@@ -410,6 +410,8 @@ class TestEstimate:
     def test_rejects_bad_confidence_and_conditioning(self):
         with pytest.raises(ValueError):
             estimate(_hand_dataset(), confidence=1.0)
+        with pytest.raises(ValueError, match=r"confidence 0\.9999999999999999: .* rounds to 1"):
+            estimate(_hand_dataset(), confidence=0.9999999999999999)
         with pytest.raises(ValueError):
             estimate(_hand_dataset(), conditioning="sometimes")
 
@@ -521,6 +523,8 @@ class TestDecide:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             decide(estimate(_hand_dataset()), alpha=0.0)
+        with pytest.raises(ValueError, match=r"alpha 1e-20: 1 - alpha rounds to 1"):
+            decide(estimate(_hand_dataset()), alpha=1e-20)
 
 
 @pytest.fixture(scope="module")

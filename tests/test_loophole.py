@@ -90,6 +90,10 @@ class TestEnumeration:
     def test_rejects_bad_flags_and_indices(self):
         with pytest.raises(ValueError):
             AugmentedStrategy(all_tables()[0], (1, 1), (1, 1, 1))
+        with pytest.raises(ValueError, match="d1 must be three flags"):
+            AugmentedStrategy(all_tables()[0], (0.7, 1, 1), (1, 1, 1))  # not truncated to 0
+        with pytest.raises(ValueError, match="d2 must be three flags"):
+            AugmentedStrategy(all_tables()[0], (1, 1, 1), ("1", "0", "1"))
         with pytest.raises(ValueError):
             AugmentedStrategy.from_index(4096)
 
