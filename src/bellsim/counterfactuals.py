@@ -91,10 +91,10 @@ class MPattern:
 
     def __post_init__(self) -> None:
         for name in ("m00", "m12", "m02", "m10"):
-            v = int(getattr(self, name))
+            v = getattr(self, name)
             if v not in (0, 1):
-                raise ValueError(f"{name} must be 0 or 1, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, v)
+                raise ValueError(f"{name} must be 0 or 1, got {v!r}")
+            object.__setattr__(self, name, int(v))
 
     @classmethod
     def from_table(cls, table: CounterfactualTable) -> "MPattern":

@@ -563,6 +563,13 @@ def _encode_rows(index: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return text[np.not_equal(text, 0, rest.view(np.bool_)[:text.size].reshape(text.shape))]
 
 
+def _check_increasing(index: np.ndarray) -> None:
+    """Raise ``ValueError`` at the first index of ``index`` not above the one before."""
+    backward = np.flatnonzero(index[1:] <= index[:-1])
+    if len(backward):
+        raise ValueError(f"trial indices not strictly increasing at {index[backward[0] + 1]}")
+
+
 def write_dataset_csv(data: TrialDataset, target: str | Path | BinaryIO) -> None:
     """Write ``data`` as CSV, byte for byte what ``csv.writer`` writes: the
     header, then one row per trial, each ending in ``\\r\\n``, with an empty
@@ -570,10 +577,13 @@ def write_dataset_csv(data: TrialDataset, target: str | Path | BinaryIO) -> None
 
     ``target`` is a path or a binary file object; a text file object raises
     ``TypeError`` at its first write. A ``data`` that is not a
-    :class:`TrialDataset` raises ``TypeError`` before a path is opened.
+    :class:`TrialDataset` raises ``TypeError``, and one whose indices are not
+    strictly increasing, which the readers refuse, ``ValueError``, both
+    before a path is opened.
     """
     if not isinstance(data, TrialDataset):
         raise TypeError(f"write_dataset_csv writes a TrialDataset, got {type(data).__name__}")
+    _check_increasing(data.index)
     if isinstance(target, (str, Path)):
         with open(target, "wb") as fh:
             write_dataset_csv(data, fh)
@@ -706,9 +716,7 @@ def _dataset_blocks(source: str | Path | BinaryIO) -> Iterator[tuple[np.ndarray,
         kept = bytes(40) + text[cut:end].tobytes() if got else b""
         line += lines
         ordered = np.concatenate((last, index))
-        backward = np.flatnonzero(ordered[1:] <= ordered[:-1])
-        if len(backward):
-            raise ValueError(f"trial indices not strictly increasing at {ordered[backward[0] + 1]}")
+        _check_increasing(ordered)
         last = ordered[-1:]
         yield index, codes
 

@@ -101,6 +101,11 @@ class TestWitnessCheck:
     def test_pattern_refuses_a_value_other_than_0_or_1(self):
         with pytest.raises(ValueError, match="m02 must be 0 or 1, got 2"):
             MPattern(m00=0, m12=1, m02=2, m10=0)
+        # Checked before any int(): 0.7 must not truncate to the witness's 0.
+        with pytest.raises(ValueError, match="m00 must be 0 or 1, got 0.7"):
+            MPattern(0.7, 1, 0, 0)
+        with pytest.raises(ValueError, match="m12 must be 0 or 1, got '1'"):
+            MPattern(0, "1", 0, 0)
 
 
 class TestContradictionTrace:

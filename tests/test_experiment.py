@@ -845,29 +845,22 @@ class TestSerialization:
             assert counts.sum() == n
         assert peaks[1] - peaks[0] <= 2 * 2**20, peaks
 
-    def test_writer_accepts_any_order_and_matches_csv_module(self):
+    def test_writer_matches_csv_module(self):
         records = [
-            TrialRecord(index=9, x1=2, x2=1, y1=None, y2=-1, d1=0, d2=1),
             TrialRecord(index=3, x1=0, x2=0, y1=1, y2=None, d1=1, d2=0),
+            TrialRecord(index=9, x1=2, x2=1, y1=None, y2=-1, d1=0, d2=1),
         ]
         buf = io.BytesIO()
         write_dataset_csv(TrialDataset.from_records(records), buf)
         expected = io.StringIO()
         writer = csv.writer(expected)
         writer.writerow(("index", "x1", "x2", "y1", "y2", "d1", "d2"))
-        writer.writerows([(9, 2, 1, "", -1, 0, 1), (3, 0, 0, 1, "", 1, 0)])
+        writer.writerows([(3, 0, 0, 1, "", 1, 0), (9, 2, 1, "", -1, 0, 1)])
         assert buf.getvalue() == expected.getvalue().encode("ascii")
 
     def test_reader_rejects_non_increasing_indices(self):
-        buf = io.BytesIO()
-        write_dataset_csv(
-            TrialDataset.from_records([
-                TrialRecord(index=5, x1=0, x2=0, y1=1, y2=1, d1=1, d2=1),
-                TrialRecord(index=5, x1=0, x2=0, y1=1, y2=1, d1=1, d2=1),
-            ]),
-            buf,
-        )
-        reader_error(buf.getvalue(), match="not strictly increasing at 5")
+        header = b"index,x1,x2,y1,y2,d1,d2\r\n"
+        reader_error(header + b"5,0,0,1,1,1,1\r\n" * 2, match="not strictly increasing at 5")
 
     @pytest.mark.parametrize("read", READERS)
     def test_readers_refuse_a_text_stream(self, read):
@@ -898,6 +891,13 @@ class TestSerialization:
         path.write_bytes(b"precious")
         with pytest.raises(TypeError, match="TrialDataset, got list"):
             write_dataset_csv([TrialRecord(0, 0, 0, 1, 1, 1, 1)], path)
+        assert path.read_bytes() == b"precious"
+
+    def test_writer_refuses_indices_the_reader_refuses_before_opening_the_path(self, tmp_path):
+        path = tmp_path / "kept.csv"
+        path.write_bytes(b"precious")
+        with pytest.raises(ValueError, match="trial indices not strictly increasing at 5"):
+            write_dataset_csv(TrialDataset([5, 5, 3], [0, 40, 80]), path)
         assert path.read_bytes() == b"precious"
 
 

@@ -1,13 +1,17 @@
-"""The timing tools under ``tools/`` still run: each is loaded by path, run
-at shrunken sizes, and must print its digest lines."""
+"""The timing tool under ``tools/`` still runs: it is loaded by path, run
+at shrunken sizes, and must print its digest lines and its JSON entry."""
 
 import importlib.util
+import json
 import re
 import shutil
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+SRC = TOOLS.parent / "src"
 
 # The verdicts of seeds 0 to 299 at n = 90, recorded before ``estimate``
 # folded its counts in one product.
@@ -16,6 +20,26 @@ VERDICT_SHA256 = "cf41e1bdfae9adb251d7aa653e0ac632baae151d4f4fd4b005118228198df5
 # recorded when the floor-0 programs without the stealth row became
 # Dantzig-priced.
 SOLVER_SHA256 = "d3aba44531db7eca2ee3311415a9f00c6381f99ada580c8127d814605fb82ca7"
+ENTRY_KEYS = ["workload", "digest", "pairs", "count", "parent_median_s", "change_median_s",
+              "ratio", "change_wins", "parent_iqr_s"]
+# Per workload: what its SHA-256 holds, what trees that print two do
+# differently, ops a block, the sizes it runs at here and its pinned SHA-256.
+WORKLOADS = {
+    "montecarlo": ("verdict", "decide", 3, {}, VERDICT_SHA256),
+    "loophole": ("solver", "solve", 1, {}, SOLVER_SHA256),
+    "pipeline": ("pipeline", "write or estimate", 1, {"PIPELINE_N": 200}, ""),
+    "end-to-end": ("pipe", "simulate or test", 1, {"PIPE_N": 1000}, ""),
+}
+# Per workload, a change to what it answers: (module, old, new). The
+# header line may end in "\n", which the readers take, as well as "\r\n".
+HEADER_LF = ("experiment.py", 'target.write(_HEADER + b"\\r\\n")',
+             'target.write(_HEADER + b"\\n")')
+MUTATIONS = {
+    "montecarlo": ("experiment.py", "margin = est.statistic - z * est.std_error",
+                   "margin = est.statistic - 2 * z * est.std_error"),
+    "loophole": ("simplex.py", "self.pivots += 1", "self.pivots += 2"),
+    "pipeline": HEADER_LF, "end-to-end": HEADER_LF,
+}
 
 
 def load(name):
@@ -25,81 +49,52 @@ def load(name):
     return module
 
 
-def test_generation_timing_prints_its_digests(capsys):
-    tool = load("generation_timing")
-    tool.SIZES, tool.REPEAT, tool.LOOP_N, tool.PASSES = (100,), 1, 100, 1
-    tool.main()
-    out = capsys.readouterr().out
-    assert len(re.findall(r"^ +100 .* ns/trial  [0-9a-f]{16}$", out, re.M)) == 8
-    assert re.search(r"\nsha256 of every code generated: [0-9a-f]{64}\n$", out)
-
-
-def test_generation_timing_prints_its_codec_digest(capsys):
-    """The codec lines of ``generation_timing``: write and read back the
-    largest quantum ``uniform-9`` dataset its table made."""
-    tool = load("generation_timing")
-    tool.SIZES, tool.REPEAT, tool.LOOP_N, tool.PASSES = (100, 1000), 1, 100, 2
-    tool.main()
-    out = capsys.readouterr().out
-    assert "(write + read_row_counts) / run_experiment = " in out
-    assert re.search(r"\nrows 1000, bytes \d+, sha256 [0-9a-f]{64}\n", out)
-
-
-def test_pair_timing_checks_verdicts_then_times_both_trees(capsys):
+def shrunken(sizes):
+    """``pair_timing`` at 2 blocks and ``sizes``."""
     tool = load("pair_timing")
-    tool.BLOCKS, tool.RUNS = 2, 3
-    src = TOOLS.parent / "src"
-    assert tool.main([str(src), str(src / "bellsim")]) == 0
+    tool.BLOCKS = 2
+    for name, value in sizes.items():
+        setattr(tool, name, value)
+    return tool
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_pair_timing_checks_answers_then_times_both_trees(capsys, workload):
+    kind, _, count, sizes, pinned = WORKLOADS[workload]
+    tool = shrunken(sizes)
+    tool.WORKLOADS[workload] = tool.WORKLOADS[workload]._replace(count=count)
+    assert tool.main([str(SRC), str(SRC / "bellsim"), "--workload", workload]) == 0
     out = capsys.readouterr().out
-    assert out.startswith(f"parent verdict sha256: {VERDICT_SHA256}\n"
-                          f"change verdict sha256: {VERDICT_SHA256}\n")
-    assert len(re.findall(r"^(parent|change) median \d+\.\d\d us per run over 2 blocks of 3$",
-                          out, re.M)) == 2
-    assert re.search(r"\npaired median ratio change/parent: \d\.\d{4}\n$", out)
+    lines = out.splitlines()
+    entry = json.loads(lines[-1])
+    assert list(entry) == ENTRY_KEYS
+    assert re.fullmatch(pinned or "[0-9a-f]{64}", entry["digest"])
+    assert lines[:2] == [f"{label} {kind} sha256: {entry['digest']}"
+                         for label in ("parent", "change")]
+    unit = tool.WORKLOADS[workload].unit
+    assert len(re.findall(rf"^(parent|change) median \d+\.\d\d us per {unit} over 2 blocks of "
+                          rf"{count}, \d+\.\d minor faults per {unit}$", out, re.M)) == 2
+    stages = (r"^(parent|change) median generate \d+\.\d\d ms, write \d+\.\d\d ms, "
+              r"read \d+\.\d\d ms per op; \(write \+ read\) / generate = \d+\.\d\d$")
+    assert len(re.findall(stages, out, re.M)) == (2 if workload == "pipeline" else 0)
+    assert re.fullmatch(r"paired median ratio change/parent: \d\.\d{4}", lines[-2])
+    assert (entry["workload"], entry["pairs"], entry["count"]) == (workload, 2, count)
+    assert entry["parent_median_s"] > 0 and entry["change_median_s"] > 0
     assert not any(name.startswith(("bellsim_parent", "bellsim_change")) for name in sys.modules)
 
 
-def test_pair_timing_refuses_trees_that_decide_differently(capsys, tmp_path):
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_pair_timing_refuses_trees_that_answer_differently(capsys, tmp_path, workload):
+    kind, verb, _, sizes, pinned = WORKLOADS[workload]
+    module, old, new = MUTATIONS[workload]
     changed = tmp_path / "bellsim"
-    shutil.copytree(TOOLS.parent / "src" / "bellsim", changed,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    source = changed / "experiment.py"
-    text = source.read_text().replace("margin = est.statistic - z * est.std_error",
-                                      "margin = est.statistic - 2 * z * est.std_error")
-    assert "2 * z" in text
-    source.write_text(text)
-    tool = load("pair_timing")
-    assert tool.main([str(TOOLS.parent / "src"), str(tmp_path)]) == 1
-    out = capsys.readouterr().out
-    assert out.endswith("the trees decide differently; no timing\n")
-    assert "median" not in out
-
-
-def test_pair_timing_checks_solves_then_times_loophole_passes(capsys):
-    tool = load("pair_timing")
-    tool.BLOCKS, tool.PASSES = 2, 1
-    src = TOOLS.parent / "src"
-    assert tool.main([str(src), str(src / "bellsim"), "--workload", "loophole"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith(f"parent solver sha256: {SOLVER_SHA256}\n"
-                          f"change solver sha256: {SOLVER_SHA256}\n")
-    assert len(re.findall(r"^(parent|change) median \d+\.\d\d us per pass over 2 blocks of 1$",
-                          out, re.M)) == 2
-    assert re.search(r"\npaired median ratio change/parent: \d\.\d{4}\n$", out)
-    assert not any(name.startswith(("bellsim_parent", "bellsim_change")) for name in sys.modules)
-
-
-def test_pair_timing_refuses_trees_that_solve_differently(capsys, tmp_path):
-    changed = tmp_path / "bellsim"
-    shutil.copytree(TOOLS.parent / "src" / "bellsim", changed,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    source = changed / "simplex.py"
-    text = source.read_text().replace("self.pivots += 1", "self.pivots += 2")
-    assert "+= 2" in text
-    source.write_text(text)
-    tool = load("pair_timing")
-    assert tool.main([str(TOOLS.parent / "src"), str(tmp_path), "--workload", "loophole"]) == 1
-    out = capsys.readouterr().out
-    assert out.startswith(f"parent solver sha256: {SOLVER_SHA256}\n")
-    assert out.endswith("the trees solve differently; no timing\n")
-    assert "median" not in out
+    shutil.copytree(SRC / "bellsim", changed, ignore=shutil.ignore_patterns("__pycache__"))
+    text = (changed / module).read_text()
+    assert old in text
+    (changed / module).write_text(text.replace(old, new))
+    assert shrunken(sizes).main([str(SRC), str(tmp_path), "--workload", workload]) == 1
+    parent, change, last = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(f"parent {kind} sha256: {pinned or '[0-9a-f]{64}'}", parent)
+    assert re.fullmatch(f"change {kind} sha256: [0-9a-f]{{64}}", change)
+    assert parent[-64:] != change[-64:]
+    assert last == f"the trees {verb} differently; no timing"

@@ -1,34 +1,43 @@
 """Compare two checkouts' run time on one workload, paired, in one process.
 
-    python tools/pair_timing.py PARENT_SRC CHANGE_SRC [--workload montecarlo|loophole]
+    python tools/pair_timing.py PARENT_SRC CHANGE_SRC [--workload WORKLOAD]
 
 Each source argument is a checkout's ``src`` directory (or its
-``src/bellsim`` package). Each tree is copied into a temporary directory
-under its own package name, ``bellsim_parent`` or ``bellsim_change``
-(bellsim imports itself only relatively), and both are imported into this
-one process.
+``src/bellsim`` package). Each tree is copied into a temporary directory as
+``bellsim_parent`` or ``bellsim_change`` (bellsim imports itself only
+relatively), and both are imported into this one process.
 
-First both trees must give the same answers, or it exits with status 1
-and times nothing:
+Each of ``WORKLOADS`` names a SHA-256, the op it times and the ops in a
+block. First both trees must print the same SHA-256, or it exits with
+status 1 and times nothing. The workloads, and what their SHA-256 is over:
 
-* ``montecarlo`` (the default): one SHA-256 over the JSON of ``estimate``
-  and ``decide``'s ``to_dict()`` (or the ``EstimationError`` message of a
-  refused run) of seeds ``VERDICT_SEEDS`` at n = 90 under both
-  conditionings, on criterion 7's boundary mixture.
-* ``loophole``: one SHA-256 over what ``loophole._optimum`` answers to
-  ``perfbench``'s five faking analyses (``ANALYSES``): the route, the
-  status, the pivots of each phase, z* and the bytes of x.
+* ``montecarlo`` (the default): the JSON of ``estimate`` and ``decide``'s
+  ``to_dict()`` (or the ``EstimationError`` message) of seeds
+  ``VERDICT_SEEDS`` at n = 90 under both conditionings, on criterion 7's
+  boundary mixture. An op is one such run, as ``perfbench``'s
+  ``montecarlo`` workload makes it.
+* ``loophole``: what ``loophole._optimum`` answers to ``perfbench``'s five
+  faking analyses (``ANALYSES``): route, status, pivots of each phase, z*
+  and the bytes of x. An op is one pass through ``perfbench``'s calls.
+* ``pipeline``: the CSV bytes of every source and setting distribution of
+  ``payloads`` at ``PIPELINE_N`` trials, seed 1, and the verdicts, as
+  above, of their ``read_row_counts``. An op is ``perfbench``'s
+  ``pipeline`` op in memory: its two datasets generated, written, read
+  and tested.
+* ``end-to-end``: ``simulate``'s stdout at ``PIPE_N`` trials, then
+  ``test``'s exit code and stdout, each tree's CLI run as ``python -m
+  bellsim_<label>.cli``. An op is ``simulate | test``, by wall clock.
 
-Then it times ``BLOCKS`` pairs of blocks. A ``montecarlo`` block is
-``RUNS`` runs, each ``ExperimentConfig -> run_experiment -> estimate ->
-decide`` at n = 90 as ``perfbench``'s ``montecarlo`` workload makes it,
-seeds counting up. A ``loophole`` block is ``PASSES`` passes over the five
-analyses through the public calls ``perfbench``'s ``loophole`` workload
-makes. The two trees alternate, the one that goes first alternating too, so
-drift in the machine's speed falls on both alike. It prints each tree's
-median µs per run (or pass) over its blocks and the median over the pairs
-of the change's block time over the parent's: below 1 when the change is
-faster.
+Then it times ``BLOCKS`` pairs of blocks, seeds counting up, the two trees
+alternating and the first of a pair alternating too, so drift in the
+machine's speed falls on both alike. It prints each tree's median µs per
+op and this process's minor page faults (``ru_minflt``) per op, for
+``pipeline`` also an op's median generate, write and read times, then the
+median over the pairs of the change's block time over the parent's: below
+1 when the change is faster. The last line is the JSON entry that a
+``BENCH_<workload>.json`` file records: the SHA-256, the pairs and ops a
+block, each tree's median seconds per op, the paired median ratio, the
+pairs the change won and the interquartile range of the parent's blocks.
 """
 
 from __future__ import annotations
@@ -36,19 +45,24 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
+import io
 import json
+import os
+import resource
 import shutil
 import statistics
 import sys
 import tempfile
 import time
+from collections import namedtuple
 from pathlib import Path
+from subprocess import DEVNULL, PIPE, Popen
 
 SMALL_N = 90  # the montecarlo workload's n
 VERDICT_SEEDS = range(300)  # the montecarlo workload's batch at seed 0
+PIPELINE_N = 2 * 10**4  # the size of perfbench's pipeline datasets
+PIPE_N = 10**6
 BLOCKS = 41
-RUNS = 300
-PASSES = 8
 # perfbench's loophole analyses: (angles, efficiency floor, stealth). Max
 # efficiency and floor 0 at (60,0,120) are one problem, answered twice.
 ANALYSES = (((60, 0, 120), 0.0, False), ((45, 0, 90), 0.0, False),
@@ -82,6 +96,18 @@ def boundary_model(bs):
     ))
 
 
+def verdicts(bs, data):
+    """The JSON bytes of ``estimate`` and ``decide``'s ``to_dict()`` of
+    ``data`` (or the ``EstimationError`` message) under each conditioning."""
+    for conditioning in ("coincidences-only", "all-pairs"):
+        try:
+            est = bs.estimate(data, conditioning)
+            doc = [est.to_dict(), bs.decide(est, alpha=0.01).to_dict()]
+        except bs.EstimationError as exc:
+            doc = str(exc)
+        yield json.dumps(doc).encode("utf-8")
+
+
 def study(bs):
     """A function making one run of the study, seeded, with ``bs``."""
     model = boundary_model(bs)
@@ -103,13 +129,8 @@ def verdict_digest(bs) -> str:
     for seed in VERDICT_SEEDS:
         data = bs.run_experiment(bs.ExperimentConfig(SMALL_N, seed, "deterministic-lhv",
                                                      model=model))
-        for conditioning in ("coincidences-only", "all-pairs"):
-            try:
-                est = bs.estimate(data, conditioning)
-                doc = [est.to_dict(), bs.decide(est, alpha=0.01).to_dict()]
-            except bs.EstimationError as exc:
-                doc = str(exc)
-            digest.update(json.dumps(doc).encode("utf-8"))
+        for doc in verdicts(bs, data):
+            digest.update(doc)
     return digest.hexdigest()
 
 
@@ -144,6 +165,116 @@ def one_pass(bs):
     return run
 
 
+def payloads(bs) -> dict:
+    """Each source's payload: (60, 0, 120) and its ``demonstration_solution``,
+    criterion 7's boundary mixture and a stochastic model."""
+    angles = bs.AngleTriple.from_degrees(60, 0, 120)
+    return {
+        "quantum": {"angles": angles},
+        "deterministic-lhv": {"model": boundary_model(bs)},
+        "stochastic-lhv": {"model": bs.StochasticLocalModel((0.2, 0.5, 0.9), (0.7, 0.1, 0.4))},
+        "loophole": {"angles": angles,
+                     "solution": bs.demonstration_solution(bs.match_table(angles))},
+    }
+
+
+def written(bs, data) -> bytes:
+    out = io.BytesIO()
+    bs.write_dataset_csv(data, out)
+    return out.getvalue()
+
+
+def pipeline_digest(bs) -> str:
+    """One SHA-256 over the CSV bytes of every source and distribution at
+    ``PIPELINE_N`` trials, seed 1, and the verdicts of their row counts."""
+    digest = hashlib.sha256()
+    for source, payload in payloads(bs).items():
+        for distribution in ("uniform-9", "uniform-4"):
+            text = written(bs, bs.run_experiment(bs.ExperimentConfig(
+                PIPELINE_N, 1, source, setting_distribution=distribution, **payload)))
+            digest.update(text)
+            for doc in verdicts(bs, bs.read_row_counts(io.BytesIO(text))):
+                digest.update(doc)
+    return digest.hexdigest()
+
+
+def pipeline(bs):
+    """A function making perfbench's pipeline op in memory with ``bs``; its
+    ``stages`` list gets each op's generate, write and read seconds."""
+    sources = payloads(bs)
+    stages = []
+
+    def run(seed: int):
+        counts, spent = [], []
+        for source, distribution in (("quantum", "uniform-9"), ("loophole", "uniform-4")):
+            config = bs.ExperimentConfig(PIPELINE_N, seed, source,
+                                         setting_distribution=distribution, **sources[source])
+            start = time.perf_counter()
+            data = bs.run_experiment(config)
+            generated = time.perf_counter()
+            text = written(bs, data)
+            wrote = time.perf_counter()
+            counts.append(bs.read_row_counts(io.BytesIO(text)))
+            spent.append((generated - start, wrote - generated, time.perf_counter() - wrote))
+        stages.append([a + b for a, b in zip(*spent)])
+        quantum, faked = counts
+        return [bs.decide(bs.estimate(quantum)), bs.decide(bs.estimate(faked)),
+                bs.decide(bs.estimate(faked, "all-pairs"))]
+
+    run.stages = stages
+    return run
+
+
+def pipe_commands(bs) -> tuple[dict, list[str], list[str]]:
+    """The environment, ``simulate`` and ``test`` that run ``bs``'s CLI."""
+    path = [str(Path(bs.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)  # a copy keeps its bytecode, as an install does
+    cli = [sys.executable, "-m", f"{bs.__name__}.cli"]
+    simulate = f"simulate --source quantum --angles 60,0,120 --n {PIPE_N} --seed 7".split()
+    return env, [*cli, *simulate], [*cli, "test"]
+
+
+def pipe_digest(bs) -> str:
+    """One SHA-256 over ``simulate``'s stdout, then ``test``'s exit code and stdout."""
+    env, simulate, test = pipe_commands(bs)
+    digest = hashlib.sha256()
+    with Popen(simulate, env=env, stdout=PIPE, stderr=DEVNULL) as first, \
+            Popen(test, env=env, stdin=PIPE, stdout=PIPE, stderr=DEVNULL, bufsize=0) as second:
+        for chunk in iter(lambda: first.stdout.read(1 << 16), b""):  # test prints at its end
+            digest.update(chunk)
+            try:
+                second.stdin.write(chunk)
+            except BrokenPipeError:  # test has stopped reading; its exit code says why
+                pass
+        second.stdin.close()
+        tested = second.stdout.read()
+    digest.update(f"exit {second.returncode}\n".encode("utf-8") + tested)
+    return digest.hexdigest()
+
+
+def pipe(bs):
+    """A function running ``simulate | test`` with ``bs``'s CLI."""
+    env, simulate, test = pipe_commands(bs)
+
+    def run(_seed: int):
+        with Popen(simulate, env=env, stdout=PIPE, stderr=DEVNULL) as first:
+            Popen(test, env=env, stdin=first.stdout, stdout=DEVNULL, stderr=DEVNULL).wait()
+
+    return run
+
+
+# What a workload's SHA-256 holds, what trees that print two do differently,
+# the SHA-256 and op functions of a tree, ops a block and the op's name.
+Workload = namedtuple("Workload", "kind verb digest op count unit")
+WORKLOADS = {
+    "montecarlo": Workload("verdict", "decide", verdict_digest, study, 300, "run"),
+    "loophole": Workload("solver", "solve", solver_digest, one_pass, 8, "pass"),
+    "pipeline": Workload("pipeline", "write or estimate", pipeline_digest, pipeline, 5, "op"),
+    "end-to-end": Workload("pipe", "simulate or test", pipe_digest, pipe, 1, "pipe"),
+}
+
+
 def block_time(one_run, first_seed: int, runs: int) -> float:
     """Seconds per run over ``runs`` runs from ``first_seed``."""
     start = time.perf_counter()
@@ -152,30 +283,28 @@ def block_time(one_run, first_seed: int, runs: int) -> float:
     return (time.perf_counter() - start) / runs
 
 
-def paired_times(runs: list, count: int) -> list[list[float]]:
+def paired_times(runs: list, count: int) -> tuple[list[list[float]], list[int]]:
     """Each tree's seconds per run in each of ``BLOCKS`` blocks of ``count``
-    runs, the trees alternating and the first of a pair alternating too."""
-    for one_run in runs:  # warm both before the first timed block
-        block_time(one_run, 0, count)
+    runs, the trees alternating and the first of a pair alternating too, and
+    the minor faults of each tree's blocks. The digests have run the code
+    that the runs time, so the first block finds it warm."""
     times: list[list[float]] = [[], []]
+    faults = [0, 0]
     for block in range(BLOCKS):
         for tree in ((0, 1) if block % 2 == 0 else (1, 0)):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             times[tree].append(block_time(runs[tree], block * count, count))
-    return times
+            faults[tree] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return times, faults
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
-    parser.add_argument("--workload", choices=("montecarlo", "loophole"), default="montecarlo")
+    parser.add_argument("--workload", choices=WORKLOADS, default="montecarlo")
     args = parser.parse_args(argv)
-    if args.workload == "montecarlo":
-        kind, verb, digest_of, timed_call = "verdict", "decide", verdict_digest, study
-        count, unit = RUNS, "run"
-    else:
-        kind, verb, digest_of, timed_call = "solver", "solve", solver_digest, one_pass
-        count, unit = PASSES, "pass"
+    work = WORKLOADS[args.workload]
     sources = package_dir(args.parent_src), package_dir(args.change_src)
     labels = ("parent", "change")
     with tempfile.TemporaryDirectory() as tmp:  # kept until the end, for lazy imports
@@ -183,23 +312,36 @@ def main(argv: list[str] | None = None) -> int:
         try:
             trees = [import_copy(src, f"bellsim_{label}", Path(tmp))
                      for src, label in zip(sources, labels)]
-            digests = [digest_of(bs) for bs in trees]
+            digests = [work.digest(bs) for bs in trees]
             for label, digest in zip(labels, digests):
-                print(f"{label} {kind} sha256: {digest}")
+                print(f"{label} {work.kind} sha256: {digest}")
             if digests[0] != digests[1]:
-                print(f"the trees {verb} differently; no timing")
+                print(f"the trees {work.verb} differently; no timing")
                 return 1
-            times = paired_times([timed_call(bs) for bs in trees], count)
+            ops = [work.op(bs) for bs in trees]
+            times, faults = paired_times(ops, work.count)
         finally:
             sys.path.remove(tmp)
             packages = {f"bellsim_{label}" for label in labels}
             for name in [m for m in sys.modules if m.split(".")[0] in packages]:
                 del sys.modules[name]
-    for label, seconds in zip(labels, times):
-        print(f"{label} median {statistics.median(seconds) * 1e6:.2f} us per {unit} "
-              f"over {BLOCKS} blocks of {count}")
-    ratios = [c / p for p, c in zip(*times)]
-    print(f"paired median ratio change/parent: {statistics.median(ratios):.4f}")
+    medians = [statistics.median(seconds) for seconds in times]
+    for label, median, fault, op in zip(labels, medians, faults, ops):
+        print(f"{label} median {median * 1e6:.2f} us per {work.unit} over {BLOCKS} blocks of "
+              f"{work.count}, {fault / (BLOCKS * work.count):.1f} minor faults per {work.unit}")
+        if hasattr(op, "stages"):
+            generate, write, read = (statistics.median(stage) for stage in zip(*op.stages))
+            print(f"{label} median generate {generate * 1e3:.2f} ms, write {write * 1e3:.2f} ms, "
+                  f"read {read * 1e3:.2f} ms per op; (write + read) / generate = "
+                  f"{(write + read) / generate:.2f}")
+    ratio = statistics.median(c / p for p, c in zip(*times))
+    print(f"paired median ratio change/parent: {ratio:.4f}")
+    low, _, high = statistics.quantiles(times[0], n=4)
+    print(json.dumps({
+        "workload": args.workload, "digest": digests[0], "pairs": BLOCKS, "count": work.count,
+        "parent_median_s": medians[0], "change_median_s": medians[1], "ratio": ratio,
+        "change_wins": sum(c < p for p, c in zip(*times)), "parent_iqr_s": high - low,
+    }))
     return 0
 
 
