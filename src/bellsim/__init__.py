@@ -56,11 +56,9 @@ from .lhv import (
     stochastic_expected_match,
 )
 from .loophole import (
-    AugmentedStrategy,
     FakingProblem,
     LpSolution,
     demonstration_solution,
-    enumerate_augmented_strategies,
     max_faking_efficiency,
     sample_loophole_model,
     solve_lp,

@@ -200,7 +200,7 @@ class TrialDataset:
     compares equal to a list of equal records. The constructor checks its
     input: ``index`` and ``code`` must be one-dimensional integer arrays (or
     lists) of one length, unsigned indices must fit in int64, and codes of
-    any dtype but uint8 must lie in 0 to 80; else ``ValueError``.
+    any dtype must lie in 0 to 80; else ``ValueError``.
     :meth:`_trusted` checks nothing: it takes int64 and uint8 arrays that
     bellsim has just built itself, as :func:`run_experiment` does.
     """
@@ -220,7 +220,7 @@ class TrialDataset:
             raise ValueError(f"TrialDataset has {len(index)} indices but {len(code)} codes")
         if index.dtype.kind == "u" and index.size and index.max() >= 2**63:
             raise ValueError(f"TrialDataset indices must fit in int64, got {index.max()}")
-        if code.dtype != np.uint8 and code.size and not 0 <= code.min() <= code.max() <= 80:
+        if code.size and not 0 <= code.min() <= code.max() <= 80:
             raise ValueError(f"TrialDataset codes must lie in 0 to 80, got {code.min()} "
                              f"to {code.max()}")
         self.index = index.astype(np.int64, copy=False)

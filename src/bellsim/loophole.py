@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import simplex
-from .counterfactuals import BELL_PAIRS, BELL_SIGNS, CounterfactualTable
+from .counterfactuals import BELL_PAIRS, BELL_SIGNS
 from .lhv import CANONICAL_INT, finite_number, mixture_arrays, unique_keys
 from .quantum import MatchProbabilityTable
 
@@ -39,54 +39,6 @@ _WEIGHT_SUM_TOL = 1e-9
 #: Bell statistic that scores an undetected pair as a non-match below 0;
 #: see :func:`demonstration_solution`.
 DEMO_STEALTH_MARGIN = 0.05
-
-
-def _check_bits(values, name: str) -> tuple[int, ...]:
-    vals = tuple(values)
-    if len(vals) != 3 or any(v not in (0, 1) for v in vals):
-        raise ValueError(f"{name} must be three flags in {{0, 1}}, got {values!r}")
-    return tuple(int(v) for v in vals)
-
-
-@dataclass(frozen=True)
-class AugmentedStrategy:
-    """A counterfactual table extended with per-setting detection flags."""
-
-    table: CounterfactualTable
-    d1: tuple[int, int, int]
-    d2: tuple[int, int, int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "d1", _check_bits(self.d1, "d1"))
-        object.__setattr__(self, "d2", _check_bits(self.d2, "d2"))
-
-    @classmethod
-    def from_index(cls, index: int) -> "AugmentedStrategy":
-        """Decode strategy ``index`` in the documented enumeration order.
-
-        Twelve bits: the six spin bits are most significant (same order as
-        CounterfactualTable indices), then d1[0..2], then d2[0..2] least
-        significant.
-        """
-        if not 0 <= index < N_STRATEGIES:
-            raise ValueError(f"strategy index {index!r} outside [0, {N_STRATEGIES})")
-        table = CounterfactualTable.from_index(index >> 6)
-        det = index & 0x3F
-        bits = [(det >> (5 - k)) & 1 for k in range(6)]
-        return cls(table=table, d1=tuple(bits[:3]), d2=tuple(bits[3:]))
-
-    @property
-    def index(self) -> int:
-        code = self.table.index
-        for b in (*self.d1, *self.d2):
-            code = (code << 1) | b
-        return code
-
-
-@lru_cache(maxsize=1)
-def enumerate_augmented_strategies() -> tuple[AugmentedStrategy, ...]:
-    """All 4096 augmented strategies, in documented index order."""
-    return tuple(AugmentedStrategy.from_index(i) for i in range(N_STRATEGIES))
 
 
 @lru_cache(maxsize=1)
@@ -529,8 +481,8 @@ def sample_loophole_model(
 
     A strategy is drawn by cumulative-weight inversion; each particle's spin
     is reported only when its detection flag for the requested setting is up.
-    Spins and flags are read off the 12-bit strategy index in its documented
-    bit order, as :meth:`AugmentedStrategy.from_index` decodes it.
+    Spins and flags are read off the 12-bit strategy index in the bit order
+    of the README's "Enumeration orders", as :func:`_strategy_spins` reads them.
     """
     if solution.status != "feasible":
         raise ValueError(f"cannot sample from a {solution.status} solution")

@@ -65,9 +65,12 @@ class SplitMix64:
         return (self.next_uint64() >> 11) * 2.0**-53
 
     def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n), unbiased via rejection sampling."""
+        """Uniform integer in [0, n), unbiased via rejection sampling; n is 1
+        to 2**64, else ``ValueError``."""
         if n <= 0:
             raise ValueError(f"randbelow needs a positive bound, got {n}")
+        if n > _MASK64 + 1:
+            raise ValueError(f"randbelow needs a bound of at most 2**64, got {n}")
         limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
         while True:
             u = self.next_uint64()

@@ -290,9 +290,10 @@ class TestTrialDatasetArrays:
         with pytest.raises(ValueError, match="^TrialDataset has 3 indices but 1 codes$"):
             TrialDataset([0, 1, 2], [40])
 
-    @pytest.mark.parametrize("code", ([300, 296], [40, -1], [81]))
+    @pytest.mark.parametrize("code", ([300, 296], [40, -1], [81], np.array([200, 5], np.uint8)))
     def test_codes_outside_0_to_80_are_refused(self, code):
-        # 300 and 296 wrapped to codes 44 and 40, a valid-looking dataset.
+        # 300 and 296 wrapped to codes 44 and 40, a valid-looking dataset;
+        # uint8 200 was kept, and the writer clipped it to code 80.
         with pytest.raises(ValueError, match="^TrialDataset codes must lie in 0 to 80"):
             TrialDataset(np.arange(len(code)), np.array(code))
 

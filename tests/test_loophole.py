@@ -16,7 +16,6 @@ from bellsim.lhv import DeterministicLhv, lhv_match_table
 from bellsim.loophole import (
     DEMO_STEALTH_MARGIN,
     N_STRATEGIES,
-    AugmentedStrategy,
     FakingProblem,
     LpSolution,
     _assemble_lp,
@@ -29,9 +28,9 @@ from bellsim.loophole import (
     _scored,
     _solve_on,
     _strategy_matrices,
+    _strategy_spins,
     build_faking_lp,
     demonstration_solution,
-    enumerate_augmented_strategies,
     load_solution,
     max_faking_efficiency,
     rescore_solution,
@@ -62,40 +61,27 @@ def demo_solution():
 
 
 class TestEnumeration:
-    def test_exactly_4096_distinct_strategies(self):
-        strategies = enumerate_augmented_strategies()
-        assert len(strategies) == N_STRATEGIES
-        assert len(set(strategies)) == N_STRATEGIES
+    def test_index_zero_never_detects(self):
+        y1, y2 = _strategy_spins()
+        assert y1[0].tolist() == y2[0].tolist() == [0, 0, 0]
 
-    def test_index_zero_is_all_down_never_detect(self):
-        first = enumerate_augmented_strategies()[0]
-        assert first.table.y1 == (-1, -1, -1) and first.table.y2 == (-1, -1, -1)
-        assert first.d1 == (0, 0, 0) and first.d2 == (0, 0, 0)
+    def test_always_detect_strategies_reproduce_table_enumeration(self):
+        # Strategy 64 t + 63 is table t with every flag up.
+        y1, y2 = _strategy_spins()
+        always = np.flatnonzero((y1 != 0).all(axis=1) & (y2 != 0).all(axis=1))
+        assert always.tolist() == [(t.index << 6) | 0x3F for t in all_tables()]
+        assert y1[always].tolist() == [list(t.y1) for t in all_tables()]
+        assert y2[always].tolist() == [list(t.y2) for t in all_tables()]
 
-    def test_index_round_trip(self):
-        strategies = enumerate_augmented_strategies()
-        for idx in (0, 1, 63, 64, 1000, 4095):
-            assert strategies[idx].index == idx
-            assert AugmentedStrategy.from_index(idx) == strategies[idx]
-
-    def test_always_detect_slice_reproduces_table_enumeration(self):
-        always = [
-            s
-            for s in enumerate_augmented_strategies()
-            if s.d1 == (1, 1, 1) and s.d2 == (1, 1, 1)
-        ]
-        assert len(always) == 64
-        assert [s.table for s in always] == list(all_tables())
-
-    def test_rejects_bad_flags_and_indices(self):
-        with pytest.raises(ValueError):
-            AugmentedStrategy(all_tables()[0], (1, 1), (1, 1, 1))
-        with pytest.raises(ValueError, match="d1 must be three flags"):
-            AugmentedStrategy(all_tables()[0], (0.7, 1, 1), (1, 1, 1))  # not truncated to 0
-        with pytest.raises(ValueError, match="d2 must be three flags"):
-            AugmentedStrategy(all_tables()[0], (1, 1, 1), ("1", "0", "1"))
-        with pytest.raises(ValueError):
-            AugmentedStrategy.from_index(4096)
+    def test_spins_are_the_tables_and_flags_are_the_low_bits(self):
+        # Strategy s shows table s >> 6's spin at setting x where its flag
+        # d1[x] (bit 5 - x) or d2[x] (bit 2 - x) is up, and 0 elsewhere.
+        tables = all_tables()
+        y1, y2 = _strategy_spins()
+        for s in range(N_STRATEGIES):
+            table = tables[s >> 6]
+            assert y1[s].tolist() == [table.y1[x] * (s >> (5 - x) & 1) for x in range(3)]
+            assert y2[s].tolist() == [table.y2[x] * (s >> (2 - x) & 1) for x in range(3)]
 
 
 class TestBuildFakingLp:
@@ -135,10 +121,7 @@ class TestBuildFakingLp:
     def test_full_detection_floor_forces_always_detect_support(self):
         solution = solve_lp(FakingProblem(targets=ZERO_TARGETS, efficiency_floor=1.0))
         assert solution.status == "feasible"
-        strategies = enumerate_augmented_strategies()
-        for idx in solution.weights:
-            assert strategies[idx].d1 == (1, 1, 1)
-            assert strategies[idx].d2 == (1, 1, 1)
+        assert all(idx & 0x3F == 0x3F for idx in solution.weights)
 
 
 class TestSolveLp:
@@ -1062,7 +1045,7 @@ class TestSampling:
     def test_always_detect_solution_always_detects(self):
         # Point mass on the never-matching full-detection strategy.
         table = CounterfactualTable((1, 1, 1), (-1, -1, -1))
-        idx = AugmentedStrategy(table, (1, 1, 1), (1, 1, 1)).index
+        idx = (table.index << 6) | 0x3F
         solution = LpSolution(
             status="feasible",
             weights={idx: 1.0},
@@ -1077,22 +1060,19 @@ class TestSampling:
 
     def test_every_strategy_samples_its_own_flags_and_spins(self):
         # A point mass on each strategy makes the draw deterministic, so the
-        # bit arithmetic must reproduce the dataclass enumeration exactly.
+        # scalar bit arithmetic must reproduce the vectorised decoding exactly.
+        y1, y2 = (spins.tolist() for spins in _strategy_spins())
         rng = SplitMix64(0)
-        for strategy in enumerate_augmented_strategies():
+        for s in range(N_STRATEGIES):
             solution = LpSolution(
                 status="feasible",
-                weights={strategy.index: 1.0},
+                weights={s: 1.0},
                 coincidence_rates=None,
                 min_coincidence_rate=None,
             )
             for x1, x2 in itertools.product(range(3), repeat=2):
-                expected = (
-                    strategy.table.y1[x1] if strategy.d1[x1] else None,
-                    strategy.table.y2[x2] if strategy.d2[x2] else None,
-                    strategy.d1[x1],
-                    strategy.d2[x2],
-                )
+                one, two = y1[s][x1], y2[s][x2]
+                expected = (one or None, two or None, int(one != 0), int(two != 0))
                 assert sample_loophole_model(solution, (x1, x2), rng) == expected
 
     def test_detection_flags_gate_outcomes(self, demo_solution):

@@ -53,6 +53,13 @@ def test_randbelow_rejects_nonpositive_bound():
         SplitMix64(1).randbelow(0)
 
 
+def test_randbelow_takes_bounds_up_to_2_to_the_64():
+    # Above 2**64 the rejection limit was 0, and no draw was ever accepted.
+    assert SplitMix64(0).randbelow(2**64) == SplitMix64(0).next_uint64()
+    with pytest.raises(ValueError, match="at most 2\\*\\*64, got 18446744073709551617$"):
+        SplitMix64(0).randbelow(2**64 + 1)
+
+
 def test_derive_seed_depends_on_path_and_order():
     s = 2**63 + 17
     assert derive_seed(s, 0) != derive_seed(s, 1)

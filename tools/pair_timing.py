@@ -31,13 +31,21 @@ status 1 and times nothing. The workloads, and what their SHA-256 is over:
 Then it times ``BLOCKS`` pairs of blocks, seeds counting up, the two trees
 alternating and the first of a pair alternating too, so drift in the
 machine's speed falls on both alike. It prints each tree's median µs per
-op and this process's minor page faults (``ru_minflt``) per op, for
-``pipeline`` also an op's median generate, write and read times, then the
-median over the pairs of the change's block time over the parent's: below
-1 when the change is faster. The last line is the JSON entry that a
-``BENCH_<workload>.json`` file records: the SHA-256, the pairs and ops a
-block, each tree's median seconds per op, the paired median ratio, the
-pairs the change won and the interquartile range of the parent's blocks.
+op and minor page faults (``ru_minflt``) per op: this process's, or for
+``end-to-end`` its reaped children's, the ``simulate`` and ``test``
+processes. For ``pipeline`` it also prints an op's median generate, write
+and read times. Then it prints the median over the pairs of the change's
+block time over the parent's: below 1 when the change is faster. The last
+line is the JSON entry that a ``BENCH_<workload>.json`` file records: the
+SHA-256, the pairs and ops a block, each tree's median seconds per op, the
+paired median ratio, the pairs the change won and the interquartile range
+of the parent's blocks.
+
+Alternation cancels drift, not position: two copies of one tree in one
+process need not run at one speed. On ``pipeline``, ``src src`` has read
+ratios from 0.977 (the change winning 32 or 33 of 41 pairs) to 1.020 (11
+of 41), and 1.0072 (18 of 41) and 1.0120 (10 of 41) in two later runs, so
+one run of the tool does not resolve a claim of a few percent there.
 """
 
 from __future__ import annotations
@@ -265,13 +273,16 @@ def pipe(bs):
 
 
 # What a workload's SHA-256 holds, what trees that print two do differently,
-# the SHA-256 and op functions of a tree, ops a block and the op's name.
-Workload = namedtuple("Workload", "kind verb digest op count unit")
+# the SHA-256 and op functions of a tree, ops a block, the op's name and
+# whose minor faults it counts.
+Workload = namedtuple("Workload", "kind verb digest op count unit faults")
+SELF, CHILDREN = resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN
 WORKLOADS = {
-    "montecarlo": Workload("verdict", "decide", verdict_digest, study, 300, "run"),
-    "loophole": Workload("solver", "solve", solver_digest, one_pass, 8, "pass"),
-    "pipeline": Workload("pipeline", "write or estimate", pipeline_digest, pipeline, 5, "op"),
-    "end-to-end": Workload("pipe", "simulate or test", pipe_digest, pipe, 1, "pipe"),
+    "montecarlo": Workload("verdict", "decide", verdict_digest, study, 300, "run", SELF),
+    "loophole": Workload("solver", "solve", solver_digest, one_pass, 8, "pass", SELF),
+    "pipeline": Workload("pipeline", "write or estimate", pipeline_digest, pipeline, 5, "op",
+                         SELF),
+    "end-to-end": Workload("pipe", "simulate or test", pipe_digest, pipe, 1, "pipe", CHILDREN),
 }
 
 
@@ -283,18 +294,19 @@ def block_time(one_run, first_seed: int, runs: int) -> float:
     return (time.perf_counter() - start) / runs
 
 
-def paired_times(runs: list, count: int) -> tuple[list[list[float]], list[int]]:
-    """Each tree's seconds per run in each of ``BLOCKS`` blocks of ``count``
-    runs, the trees alternating and the first of a pair alternating too, and
-    the minor faults of each tree's blocks. The digests have run the code
-    that the runs time, so the first block finds it warm."""
+def paired_times(runs: list, work: Workload) -> tuple[list[list[float]], list[int]]:
+    """Each tree's seconds per run in each of ``BLOCKS`` blocks of
+    ``work.count`` runs, the trees alternating and the first of a pair
+    alternating too, and the minor faults that ``getrusage(work.faults)``
+    counts in each tree's blocks. The digests have run the code that the
+    runs time, so the first block finds it warm."""
     times: list[list[float]] = [[], []]
     faults = [0, 0]
     for block in range(BLOCKS):
         for tree in ((0, 1) if block % 2 == 0 else (1, 0)):
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            times[tree].append(block_time(runs[tree], block * count, count))
-            faults[tree] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            before = resource.getrusage(work.faults).ru_minflt
+            times[tree].append(block_time(runs[tree], block * work.count, work.count))
+            faults[tree] += resource.getrusage(work.faults).ru_minflt - before
     return times, faults
 
 
@@ -319,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"the trees {work.verb} differently; no timing")
                 return 1
             ops = [work.op(bs) for bs in trees]
-            times, faults = paired_times(ops, work.count)
+            times, faults = paired_times(ops, work)
         finally:
             sys.path.remove(tmp)
             packages = {f"bellsim_{label}" for label in labels}
