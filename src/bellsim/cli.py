@@ -219,7 +219,7 @@ def cmd_simulate(args) -> int:
     if args.format == "json":
         doc = {
             "config": config_to_dict(config),
-            "records": [list(row) for row in records.rows()],
+            "records": [list(row) for row in records],
         }
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -23,10 +23,10 @@ import math
 import operator
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from statistics import NormalDist
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .lhv import (
     sample_mixture_lanes,
     sample_two_draw_lanes,
 )
-from .quantum import AngleTriple, _check_setting, _row_code, sample_outcome_pair
+from .quantum import AngleTriple, _check_setting, sample_outcome_pair
 from .rng import _SHIFT11, SplitMix64, _draw_lanes, constant, derive_seed, scratch
 
 SOURCE_QUANTUM = "quantum"
@@ -142,30 +142,9 @@ class ExperimentConfig:
             raise ConfigError("loophole source needs a feasible LpSolution")
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One measurement event: settings, outcomes where detected, detection flags."""
-
-    index: int
-    x1: int
-    x2: int
-    y1: int | None
-    y2: int | None
-    d1: int
-    d2: int
-
-    def __post_init__(self) -> None:
-        _check_setting(self.x1, "x1")
-        _check_setting(self.x2, "x2")
-        for flag, outcome, name in ((self.d1, self.y1, "1"), (self.d2, self.y2, "2")):
-            if flag not in (0, 1):
-                raise ValueError(f"d{name} must be 0 or 1, got {flag!r}")
-            if (outcome is None) == bool(flag):
-                raise ValueError(
-                    f"y{name}={outcome!r} inconsistent with d{name}={flag!r}"
-                )
-            if outcome is not None and outcome not in (-1, 1):
-                raise ValueError(f"y{name} must be -1 or +1, got {outcome!r}")
+#: One trial as the fields of its CSV row, with None for a spin not
+#: detected: the unchecked view that iterating a :class:`TrialDataset` yields.
+TrialRecord = namedtuple("TrialRecord", CSV_HEADER)
 
 
 #: The fields ``x1, x2, y1, y2, d1, d2`` of every valid row at its code;
@@ -196,8 +175,9 @@ class TrialDataset:
     read off the codes through :data:`_ROW_FIELDS`, with spin 0 where a
     particle was not detected.
 
-    Iterating yields one :class:`TrialRecord` per trial, and a dataset
-    compares equal to a list of equal records. The constructor checks its
+    Iterating yields one unchecked :class:`TrialRecord` row per trial, and
+    a dataset compares equal only to a dataset of equal arrays. A dataset is
+    built only from ``(index, code)``; the constructor checks its
     input: ``index`` and ``code`` must be one-dimensional integer arrays (or
     lists) of one length, unsigned indices must fit in int64, and codes of
     any dtype must lie in 0 to 80; else ``ValueError``.
@@ -232,30 +212,19 @@ class TrialDataset:
         data.index, data.code = index, code
         return data
 
-    @classmethod
-    def from_records(cls, records: Iterable[TrialRecord]) -> "TrialDataset":
-        rows = [(r.index, _row_code(r.x1, r.x2, r.y1 or 0, r.y2 or 0)) for r in records]
-        return cls(*np.array(rows, dtype=np.int64).reshape(-1, 2).T)
-
     def columns(self) -> tuple[np.ndarray, ...]:
         return self.index, self.x1, self.x2, self.y1, self.y2, self.d1, self.d2
 
     def __len__(self) -> int:
         return len(self.index)
 
-    def rows(self):
-        """Each trial as a tuple of the CSV fields, with None for a spin not detected."""
-        for i, x1, x2, y1, y2, d1, d2 in zip(*(c.tolist() for c in self.columns())):
-            yield i, x1, x2, y1 or None, y2 or None, d1, d2
-
     def __iter__(self):
-        return (TrialRecord(*row) for row in self.rows())
+        index, x1, x2, y1, y2, d1, d2 = (c.tolist() for c in self.columns())
+        y1, y2 = ([y or None for y in spins] for spins in (y1, y2))
+        # tuple.__new__ builds each row in C, without the namedtuple's Python __new__.
+        return map(partial(tuple.__new__, TrialRecord), zip(index, x1, x2, y1, y2, d1, d2))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (list, tuple)):
-            if not all(isinstance(r, TrialRecord) for r in other):
-                return False
-            other = TrialDataset.from_records(other)
         if not isinstance(other, TrialDataset):
             return NotImplemented
         return np.array_equal(self.index, other.index) and np.array_equal(self.code, other.code)
@@ -601,7 +570,8 @@ def _shown(text: bytes) -> str:
 
 def _row_error(line: bytes, number: int) -> ValueError:
     """Why line ``number``, which is not in the row table, is not a valid
-    row; settings, spins and flags are judged by :class:`TrialRecord`."""
+    row: its length, its fields' count and spelling, the index's range, the
+    settings, the flags, and the spins against their flags."""
     if len(line) >= _LONG_LINE:
         return ValueError(f"line {number}: a line of {_LONG_LINE} bytes or more is no dataset row")
     fields = line.split(b",")
@@ -615,13 +585,21 @@ def _row_error(line: bytes, number: int) -> ValueError:
             return ValueError(
                 f"line {number}: {name} {_shown(field)!r} is not a canonical integer"
             )
-    index, *values = (int(field) if field else None for field in fields)
+    index, x1, x2, y1, y2, d1, d2 = (int(field) if field else None for field in fields)
     if not -(2**63) <= index < 2**63:
         return ValueError(f"line {number}: index {index} outside the int64 range")
     try:
-        TrialRecord(index, *values)
+        _check_setting(x1, "x1")
+        _check_setting(x2, "x2")
     except ValueError as exc:
         return ValueError(f"trial {index}: {exc}")
+    for flag, spin, k in ((d1, y1, 1), (d2, y2, 2)):
+        if flag not in (0, 1):
+            return ValueError(f"trial {index}: d{k} must be 0 or 1, got {flag!r}")
+        if (spin is None) == bool(flag):
+            return ValueError(f"trial {index}: y{k}={spin!r} inconsistent with d{k}={flag!r}")
+        if spin not in (None, -1, 1):
+            return ValueError(f"trial {index}: y{k} must be -1 or +1, got {spin!r}")
     return ValueError(f"line {number}: malformed row {_shown(line)!r}")
 
 
@@ -729,10 +707,11 @@ def read_dataset_csv(source: str | Path | BinaryIO) -> TrialDataset:
     ``index,x1,x2,y1,y2,d1,d2``. Every other line is blank, and skipped, or
     a row in exactly the form the writer writes: seven comma-separated
     fields with no whitespace, integers in canonical decimal (no sign but a
-    leading ``-``, no leading zero, no ``-0``), the index within int64, and
-    the fields of a valid :class:`TrialRecord`, whose undetected spins are
-    empty. Lines end in ``\\r\\n`` or ``\\n``; the last may lack its end.
-    Indices must be strictly increasing, as generation produces them.
+    leading ``-``, no leading zero, no ``-0``), the index within int64,
+    settings 0 to 2, flags 0 or 1, and a spin of -1 or 1 exactly where its
+    flag is 1, empty where it is 0. Lines end in ``\\r\\n`` or ``\\n``; the
+    last may lack its end. Indices must be strictly increasing, as
+    generation produces them.
     Anything else raises ``ValueError``.
 
     Lines are decoded a block at a time with numpy, eight bytes to a word:

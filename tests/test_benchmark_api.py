@@ -31,3 +31,14 @@ def test_workload_runs_one_checked_op(name, workloads, tmp_path):
     workload.op()
     assert workload.reference_note.startswith("reference"), workload.reference_note
     assert workload.attempted >= 1 and workload.failed == 0, workload.failures
+
+
+def test_montecarlo_checks_a_refused_run(workloads, tmp_path):
+    # Seed 0's batch refuses no run, so the test above never reaches the
+    # check of a refusal, which iterates the dataset's rows. Run 191 of
+    # seed 20's batch is refused, and its check must pass.
+    reference = json.loads((PERFBENCH / "reference.json").read_text())["montecarlo"]
+    workload = workloads.WORKLOADS["montecarlo"](workloads.import_bellsim(), tmp_path, 20, reference)
+    workload.k = reference["seeds"]["20"]["refused"][0]
+    workload.op()
+    assert workload.attempted == 1 and workload.failed == 0, workload.failures

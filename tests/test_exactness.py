@@ -59,7 +59,6 @@ from bellsim.experiment import (
     EstimationError,
     ExperimentConfig,
     TrialDataset,
-    TrialRecord,
     estimate,
     read_row_counts,
     run_experiment,
@@ -74,7 +73,7 @@ from bellsim.loophole import (
     sample_loophole_model,
     solve_lp,
 )
-from bellsim.quantum import AngleTriple, match_table, sample_outcome_pair
+from bellsim.quantum import AngleTriple, _row_code, match_table, sample_outcome_pair
 from bellsim.rng import SplitMix64, derive_seed, mix64
 from bellsim.simplex import LinearProgram
 
@@ -232,13 +231,14 @@ def reference_outcomes(config, pair, rng):
 
 def reference_dataset(config):
     """The per-trial generator, written out from the public scalar functions."""
-    records = []
+    codes = []
     for i in range(config.n_trials):
         rng = SplitMix64(derive_seed(config.seed, i))
         x1, x2 = reference_settings(config.setting_distribution, rng)
         y1, y2, d1, d2 = reference_outcomes(config, (x1, x2), rng)
-        records.append(TrialRecord(index=i, x1=x1, x2=x2, y1=y1, y2=y2, d1=d1, d2=d2))
-    return records
+        assert (d1, d2) == (int(y1 is not None), int(y2 is not None)), (i, y1, y2, d1, d2)
+        codes.append(_row_code(x1, x2, y1 or 0, y2 or 0))
+    return TrialDataset(np.arange(config.n_trials), codes)
 
 
 def make_config(source, n, seed, distribution=UNIFORM_9):
@@ -383,7 +383,7 @@ def test_lane_samplers_match_the_scalar_samplers_at_edge_uniforms(source):
             x1, x2 = divmod(p, 3)
             uniforms = [w * 2.0**-53 for w in ms]
             y1, y2, _, _ = reference_outcomes(config, (x1, x2), FixedUniforms(uniforms))
-            expected.append(experiment._row_code(x1, x2, y1 or 0, y2 or 0))
+            expected.append(_row_code(x1, x2, y1 or 0, y2 or 0))
         assert codes.tolist() == expected
 
 
@@ -591,7 +591,7 @@ def test_sampler_word_is_kept_where_its_splice_would_show():
     config = ExperimentConfig(n_trials=40, seed=rejecting_seed(17, 3), source=SOURCE_QUANTUM,
                               angles=AngleTriple.from_degrees(0, 124, 0))
     reference = reference_dataset(config)
-    assert (reference[17].x1, reference[17].x2, reference[17].y2) == (0, 1, -1)
+    assert (reference.x1[17], reference.x2[17], reference.y2[17]) == (0, 1, -1)
     assert run_experiment(config) == reference
 
 

@@ -17,6 +17,7 @@ from bellsim.counterfactuals import CounterfactualTable, Population
 from bellsim.experiment import (
     CONDITION_ALL_PAIRS,
     CONDITION_COINCIDENCES,
+    CSV_HEADER,
     SOURCE_DETERMINISTIC_LHV,
     SOURCE_LOOPHOLE,
     SOURCE_QUANTUM,
@@ -40,7 +41,7 @@ from bellsim.experiment import (
 from bellsim.counterfactuals import violation_margin
 from bellsim.lhv import DeterministicLhv, StochasticLocalModel
 from bellsim.loophole import N_STRATEGIES
-from bellsim.quantum import AngleTriple
+from bellsim.quantum import AngleTriple, _row_code
 
 CANONICAL = AngleTriple.from_degrees(60, 0, 120)
 
@@ -201,23 +202,6 @@ class TestConfigValidation:
         assert sidecar(single_table_config(), tmp_path) == config_to_dict(single_table_config())
 
 
-class TestTrialRecord:
-    def test_outcome_presence_must_match_detection(self):
-        with pytest.raises(ValueError):
-            TrialRecord(index=0, x1=0, x2=0, y1=None, y2=1, d1=1, d2=1)
-        with pytest.raises(ValueError):
-            TrialRecord(index=0, x1=0, x2=0, y1=1, y2=1, d1=1, d2=0)
-
-    def test_spins_validated(self):
-        with pytest.raises(ValueError):
-            TrialRecord(index=0, x1=0, x2=0, y1=2, y2=1, d1=1, d2=1)
-
-    @pytest.mark.parametrize("x1, x2", ((-1, 0), (7, 0), (0, 3)))
-    def test_settings_validated(self, x1, x2):
-        with pytest.raises(ValueError, match="must be 0, 1 or 2"):
-            TrialRecord(index=0, x1=x1, x2=x2, y1=1, y2=1, d1=1, d2=1)
-
-
 class TestRunExperiment:
     def test_same_config_and_seed_reproduces_records(self):
         cfg = quantum_config()
@@ -262,22 +246,22 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "BLOCK_TRIALS", 7)
         assert run_experiment(cfg) == whole
 
-    def test_dataset_is_columnar_and_iterates_as_records(self):
+    def test_dataset_is_columnar_and_iterates_as_named_rows(self):
         data = run_experiment(quantum_config(n=30))
         assert len(data) == 30
         assert data.index.dtype == np.int64 and data.x1.dtype == np.int8
         records = list(data)
-        assert all(isinstance(r, TrialRecord) for r in records)
-        assert data == records and records == data
-        assert TrialDataset.from_records(records) == data
-        assert data != records[:-1]
-        assert data != records[:-1] + [TrialRecord(29, 0, 0, None, None, 0, 0)]
+        assert all(type(r) is TrialRecord and r._fields == CSV_HEADER for r in records)
+        assert from_rows(records) == data
+        assert data != records and records != data  # only arrays compare
+        assert data != TrialDataset(data.index[:-1], data.code[:-1])
+        assert data != TrialDataset(data.index, np.append(data.code[:-1], 40))
 
 
 class TestTrialDatasetArrays:
     def test_empty_lists_are_an_empty_dataset(self):
         data = TrialDataset([], [])
-        assert len(data) == 0 and list(data.rows()) == []
+        assert len(data) == 0 and list(data) == []
         assert data.index.dtype == np.int64 and data.code.dtype == np.uint8
 
     def test_valid_codes_of_any_integer_dtype_are_kept(self):
@@ -331,29 +315,27 @@ class TestTrialDatasetArrays:
             TrialDataset(**arrays)
 
     def test_equality_with_other_objects_and_repr(self):
-        record = TrialRecord(index=0, x1=0, x2=0, y1=1, y2=1, d1=1, d2=1)
-        data = TrialDataset.from_records([record])
-        assert data == [record] and data != [record, "x"]
-        assert data.__eq__(5) is NotImplemented
+        data = TrialDataset([0], [_row_code(0, 0, 1, 1)])
+        assert data == TrialDataset(np.zeros(1, np.uint64), np.full(1, 8))
+        for other in (5, list(data), [(0, 0, 0, 1, 1, 1, 1)]):
+            assert data.__eq__(other) is NotImplemented and data != other
         assert repr(data) == "TrialDataset(<1 trials>)"
+
+
+def from_rows(rows) -> TrialDataset:
+    """The dataset of ``rows``, each ``(index, x1, x2, y1, y2, ...)`` with a
+    spin None or 0 where undetected, built from its codes."""
+    rows = list(rows)
+    return TrialDataset([r[0] for r in rows],
+                        [_row_code(r[1], r[2], r[3] or 0, r[4] or 0) for r in rows])
 
 
 def _hand_dataset():
     """Four trials per statistic cell with matches 3, 1, 1, 0."""
-    records = []
-    idx = 0
     plan = {(1, 2): 3, (0, 2): 1, (1, 0): 1, (0, 0): 0}
-    for (x1, x2), n_match in plan.items():
-        for k in range(4):
-            match = k < n_match
-            y1 = 1
-            records.append(
-                TrialRecord(
-                    index=idx, x1=x1, x2=x2, y1=y1, y2=y1 if match else -y1, d1=1, d2=1
-                )
-            )
-            idx += 1
-    return TrialDataset.from_records(records)
+    codes = [_row_code(x1, x2, 1, 1 if k < n_match else -1)
+             for (x1, x2), n_match in plan.items() for k in range(4)]
+    return TrialDataset(np.arange(len(codes)), codes)
 
 
 class TestEstimate:
@@ -371,27 +353,20 @@ class TestEstimate:
         assert est.statistic == pytest.approx(rates[0] - rates[1] - rates[2] - rates[3], abs=1e-12)
 
     def test_all_match_dataset_scores_minus_two(self):
-        records = [
-            TrialRecord(index=i, x1=x1, x2=x2, y1=1, y2=1, d1=1, d2=1)
-            for i, (x1, x2) in enumerate(((1, 2), (0, 2), (1, 0), (0, 0)))
-        ]
-        assert estimate(TrialDataset.from_records(records)).statistic == -2.0
+        codes = [_row_code(x1, x2, 1, 1) for x1, x2 in ((1, 2), (0, 2), (1, 0), (0, 0))]
+        assert estimate(TrialDataset(range(4), codes)).statistic == -2.0
 
     def test_empty_cell_raises_naming_the_cell(self):
-        records = [r for r in _hand_dataset() if (r.x1, r.x2) != (0, 2)]
+        data = _hand_dataset()
+        kept = (data.x1 != 0) | (data.x2 != 2)
         with pytest.raises(EstimationError, match=r"\(0,2\)"):
-            estimate(TrialDataset.from_records(records))
+            estimate(TrialDataset(data.index[kept], data.code[kept]))
 
     def test_conditioning_changes_denominator(self):
         # One coincident match plus one undetected trial per statistic cell.
-        records = []
-        idx = 0
-        for x1, x2 in ((1, 2), (0, 2), (1, 0), (0, 0)):
-            records.append(TrialRecord(index=idx, x1=x1, x2=x2, y1=1, y2=1, d1=1, d2=1))
-            idx += 1
-            records.append(TrialRecord(index=idx, x1=x1, x2=x2, y1=1, y2=None, d1=1, d2=0))
-            idx += 1
-        data = TrialDataset.from_records(records)
+        codes = [_row_code(x1, x2, 1, y2)
+                 for x1, x2 in ((1, 2), (0, 2), (1, 0), (0, 0)) for y2 in (1, 0)]
+        data = TrialDataset(range(8), codes)
         cond = estimate(data, conditioning=CONDITION_COINCIDENCES)
         assert cond.statistic == pytest.approx(-2.0)
         allp = estimate(data, conditioning=CONDITION_ALL_PAIRS)
@@ -480,7 +455,7 @@ class TestAllPairsFill:
             for t in (s, always):
                 y1, y2 = strategy_spins(t, (0, 0))
                 for x1, x2 in itertools.product(range(3), repeat=2):
-                    counts[experiment._row_code(x1, x2, y1[x1], y2[x2])] += 1
+                    counts[_row_code(x1, x2, y1[x1], y2[x2])] += 1
             est = estimate(counts, CONDITION_ALL_PAIRS)
             expected = [[m + 1 for m in row] for row in filled_matches(s, (1, -1))]
             assert est.matches == tuple(map(tuple, expected))
@@ -494,11 +469,8 @@ class TestDecide:
         assert decision.reject_lhv and decision.margin > 0
 
     def test_zero_statistic_retains(self):
-        records = [
-            TrialRecord(index=i, x1=x1, x2=x2, y1=1, y2=-1, d1=1, d2=1)
-            for i, (x1, x2) in enumerate(((1, 2), (0, 2), (1, 0), (0, 0)))
-        ]
-        est = estimate(TrialDataset.from_records(records))
+        codes = [_row_code(x1, x2, 1, -1) for x1, x2 in ((1, 2), (0, 2), (1, 0), (0, 0))]
+        est = estimate(TrialDataset(range(4), codes))
         assert est.statistic == 0.0 and not decide(est).reject_lhv
 
     def test_lhv_run_retains(self):
@@ -556,7 +528,7 @@ class TestLoopholeSourceDecisions:
 def test_one_row_table_defines_codes_tails_and_columns(demo_dataset):
     fields = experiment._ROW_FIELDS.tolist()
     for code, (x1, x2, y1, y2, d1, d2) in enumerate(fields):
-        assert experiment._row_code(x1, x2, y1, y2) == code
+        assert _row_code(x1, x2, y1, y2) == code
         assert (d1, d2) == (int(y1 != 0), int(y2 != 0))
         tail = experiment._ROW_TAILS[code].split(b",")
         assert tail[0] == b"" and [int(f or 0) for f in tail[1:]] == fields[code]
@@ -566,7 +538,7 @@ def test_one_row_table_defines_codes_tails_and_columns(demo_dataset):
     for data in (demo_dataset, read_dataset_csv(buf)):
         assert data.code.dtype == np.uint8 and data.x1.dtype == np.int8
         assert not data.x1.flags.writeable
-        expected = TrialDataset.from_records(list(data)).columns()
+        expected = from_rows(data).columns()
         assert all(np.array_equal(a, b) for a, b in zip(data.columns(), expected, strict=True))
 
 
@@ -600,15 +572,15 @@ class LineReads(io.BytesIO):
         return len(line)
 
 
-def assert_reads(read, source, records):
-    """``read`` of ``source`` gives ``records``, or their 81 row-code counts
-    for :func:`read_row_counts`."""
+def assert_reads(read, source, expected):
+    """``read`` of ``source`` gives the dataset ``expected``, or its 81
+    row-code counts for :func:`read_row_counts`."""
     got = read(source)
     if read is read_row_counts:
-        code = TrialDataset.from_records(records).code
-        assert got.dtype == np.int64 and np.array_equal(got, np.bincount(code, minlength=81))
+        counts = np.bincount(expected.code, minlength=81)
+        assert got.dtype == np.int64 and np.array_equal(got, counts)
     else:
-        assert got == records
+        assert got == expected
 
 
 def reader_error(source, match=None):
@@ -646,12 +618,12 @@ def valid_records(draw):
 def test_csv_round_trip_property(block_trials, records):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiment, "BLOCK_TRIALS", block_trials)
-        expected = csv_module_bytes(records)
+        expected, dataset = csv_module_bytes(records), from_rows(records)
         written = io.BytesIO()
-        write_dataset_csv(TrialDataset.from_records(records), written)
+        write_dataset_csv(dataset, written)
         assert written.getvalue() == expected
         for data, read in itertools.product((expected, expected.replace(b"\r\n", b"\n")), READERS):
-            assert_reads(read, io.BytesIO(data), records)
+            assert_reads(read, io.BytesIO(data), dataset)
 
 
 #: Indices at the codec's eight-digit word boundaries: 10**k - 1 and 10**k,
@@ -669,12 +641,11 @@ def test_writer_matches_csv_module_at_word_boundaries(block_trials, sign, monkey
     monkeypatch.setattr(experiment, "BLOCK_TRIALS", block_trials)
     indices = sorted({sign * i for i in WORD_BOUNDARY_INDICES if -(2**63) <= sign * i < 2**63})
     data = TrialDataset(indices, np.arange(len(indices)) * 7 % 81)
-    records = list(data)
     written = io.BytesIO()
     write_dataset_csv(data, written)
-    assert written.getvalue() == csv_module_bytes(records)
+    assert written.getvalue() == csv_module_bytes(data)
     for read in READERS:
-        assert_reads(read, io.BytesIO(written.getvalue()), records)
+        assert_reads(read, io.BytesIO(written.getvalue()), data)
 
 
 class TestSerialization:
@@ -685,9 +656,9 @@ class TestSerialization:
             TrialRecord(index=2, x1=1, x2=0, y1=None, y2=None, d1=0, d2=0),
         ]
         buf = io.BytesIO()
-        write_dataset_csv(TrialDataset.from_records(records), buf)
+        write_dataset_csv(data := from_rows(records), buf)
         for read in READERS:
-            assert_reads(read, io.BytesIO(buf.getvalue()), records)
+            assert_reads(read, io.BytesIO(buf.getvalue()), data)
 
     def test_csv_file_round_trip(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -732,8 +703,8 @@ class TestSerialization:
 
     def test_reader_returns_empty_dataset_for_header_only(self):
         data = read_dataset_csv(io.BytesIO(b"index,x1,x2,y1,y2,d1,d2\r\n\r\n"))
-        assert len(data) == 0 and data == []
-        assert_reads(read_row_counts, io.BytesIO(b"index,x1,x2,y1,y2,d1,d2\r\n\r\n"), [])
+        assert len(data) == 0 and data == TrialDataset([], [])
+        assert_reads(read_row_counts, io.BytesIO(b"index,x1,x2,y1,y2,d1,d2\r\n\r\n"), data)
 
     @pytest.mark.parametrize(
         "row",
@@ -769,6 +740,20 @@ class TestSerialization:
         text = f"index,x1,x2,y1,y2,d1,d2\r\n-5,1,2,1,-1,1,1\r\n{row}\r\n"
         reader_error(text.encode(), match=r"^(line 3|trial -?\d+): ")
 
+    # Each check on a row's values names the trial and the field it breaks.
+    @pytest.mark.parametrize("row, message", (
+        ("9,-1,0,1,1,1,1", "x1 must be 0, 1 or 2, got -1"),
+        ("9,7,0,1,1,1,1", "x1 must be 0, 1 or 2, got 7"),
+        ("9,0,3,1,1,1,1", "x2 must be 0, 1 or 2, got 3"),
+        ("9,0,0,1,1,2,1", "d1 must be 0 or 1, got 2"),
+        ("9,0,0,,1,1,1", "y1=None inconsistent with d1=1"),
+        ("9,0,0,1,1,1,0", "y2=1 inconsistent with d2=0"),
+        ("9,0,0,2,1,1,1", "y1 must be -1 or +1, got 2"),
+    ))
+    def test_reader_names_the_field_a_row_breaks(self, row, message):
+        text = f"index,x1,x2,y1,y2,d1,d2\r\n-5,1,2,1,-1,1,1\r\n{row}\r\n"
+        assert reader_error(text.encode()) == f"trial 9: {message}"
+
     # More digits than int() takes (4300): the line is judged by its length.
     @pytest.mark.parametrize("row", ("9" * 5000 + ",0,0,1,1,1,1", "0," + "1" * 5000 + ",0,1,1,1,1"),
                              ids=("index", "x1"))
@@ -784,7 +769,7 @@ class TestSerialization:
             TrialRecord(index=12, x1=2, x2=1, y1=None, y2=-1, d1=0, d2=1),
         ]
         for read in READERS:
-            assert_reads(read, io.BytesIO(text.encode()), expected)
+            assert_reads(read, io.BytesIO(text.encode()), from_rows(expected))
 
     def test_every_valid_row_round_trips(self, tmp_path):
         rows = list(itertools.product(range(3), range(3), (-1, 0, 1), (-1, 0, 1)))
@@ -795,10 +780,10 @@ class TestSerialization:
             for i, (x1, x2, y1, y2) in zip(indices, rows, strict=True)
         ]
         path = tmp_path / "all.csv"
-        write_dataset_csv(TrialDataset.from_records(records), path)
+        write_dataset_csv(data := from_rows(records), path)
         assert path.read_bytes() == csv_module_bytes(records)
         for read in READERS:
-            assert_reads(read, path, records)
+            assert_reads(read, path, data)
 
     def test_reader_streams_in_blocks(self, monkeypatch):
         records = run_experiment(quantum_config(n=50, seed=4))
@@ -852,7 +837,7 @@ class TestSerialization:
             TrialRecord(index=9, x1=2, x2=1, y1=None, y2=-1, d1=0, d2=1),
         ]
         buf = io.BytesIO()
-        write_dataset_csv(TrialDataset.from_records(records), buf)
+        write_dataset_csv(from_rows(records), buf)
         expected = io.StringIO()
         writer = csv.writer(expected)
         writer.writerow(("index", "x1", "x2", "y1", "y2", "d1", "d2"))

@@ -60,6 +60,23 @@ def demo_solution():
     return demonstration_solution(CANONICAL_TARGETS)
 
 
+def distinct_program(targets, floor=0.0, stealth=False):
+    """The faking program on the 339 distinct strategies, which hold every
+    column of the full program once (TestDistinctStrategies): its optimum
+    and feasibility are the full program's."""
+    detect, detect_match = (m[_distinct_strategies()] for m in _strategy_matrices())
+    return _assemble_lp(detect, detect_match, targets.as_array(), floor, stealth)
+
+
+def highs(program):
+    """scipy's HiGHS (installed, not a declared dependency) on ``program``,
+    every variable at least 0: an independent solver."""
+    optimize = pytest.importorskip("scipy.optimize")
+    return optimize.linprog(-program.objective, A_ub=program.ub_matrix, b_ub=program.ub_rhs,
+                            A_eq=program.eq_matrix, b_eq=program.eq_rhs,
+                            bounds=(0.0, None), method="highs")
+
+
 class TestEnumeration:
     def test_index_zero_never_detects(self):
         y1, y2 = _strategy_spins()
@@ -161,42 +178,28 @@ class TestMaxFakingEfficiency:
             assert not simplex.feasible(FakingProblem(targets, eta + 1e-6).program)
 
     def test_highs_agrees_on_random_angles(self):
-        # Independent solver: scipy's HiGHS (installed, not a declared
-        # dependency) on the same floor-0 program, over all 4097 columns.
-        optimize = pytest.importorskip("scipy.optimize")
+        # HiGHS on the same floor-0 program: over all 4097 columns for the
+        # first triple, on the distinct columns for the other 19.
         rng = np.random.default_rng(2012)
-        for degrees in rng.uniform(0.0, 360.0, size=(20, 3)):
+        for k, degrees in enumerate(rng.uniform(0.0, 360.0, size=(20, 3))):
             targets = match_table(AngleTriple.from_degrees(*degrees))
-            program = FakingProblem(targets=targets).program
-            highs = optimize.linprog(
-                -program.objective,
-                A_ub=program.ub_matrix, b_ub=program.ub_rhs,
-                A_eq=program.eq_matrix, b_eq=program.eq_rhs,
-                bounds=(0.0, None), method="highs",
-            )
-            assert highs.status == 0, (degrees, highs.message)
-            assert max_faking_efficiency(targets) == pytest.approx(-highs.fun, abs=1e-9), degrees
+            result = highs(FakingProblem(targets=targets).program if k == 0
+                           else distinct_program(targets))
+            assert result.status == 0, (degrees, result.message)
+            assert max_faking_efficiency(targets) == pytest.approx(-result.fun, abs=1e-9), degrees
 
     def test_highs_agrees_on_floor_programs(self):
-        # Independent solver on the full floor programs, whose phase 1 this
+        # HiGHS on the floor programs, with their floor rows, whose phase 1 this
         # package's simplex does not always finish; solve_lp decides them
         # from the floor-0 solve, or floor 1 from a relabeled Bell sum, and
         # must neither raise nor disagree.
-        optimize = pytest.importorskip("scipy.optimize")
         for k, targets in enumerate(INTEGER_TRIPLES[:30]):
             eta = max_faking_efficiency(targets)
             for floor in (0.6, 1.0):
-                problem = FakingProblem(targets=targets, efficiency_floor=floor)
-                program = problem.program
-                highs = optimize.linprog(
-                    -program.objective,
-                    A_ub=program.ub_matrix, b_ub=program.ub_rhs,
-                    A_eq=program.eq_matrix, b_eq=program.eq_rhs,
-                    bounds=(0.0, None), method="highs",
-                )
-                assert highs.status in (0, 2), (k, floor, highs.message)
-                solution = solve_lp(problem)
-                expected = "feasible" if highs.status == 0 else "infeasible"
+                result = highs(distinct_program(targets, floor))
+                assert result.status in (0, 2), (k, floor, result.message)
+                solution = solve_lp(FakingProblem(targets=targets, efficiency_floor=floor))
+                expected = "feasible" if result.status == 0 else "infeasible"
                 assert solution.status == expected, (k, floor)
                 if expected == "feasible":
                     assert solution.min_coincidence_rate == pytest.approx(eta, abs=1e-9)
@@ -490,32 +493,24 @@ class TestCertificate:
             refuses(answer, certify(lp, dataclasses.replace(result, x=x), upper),
                     "residual 1e-06$")
 
-    # HiGHS's optimum of the full program lies within 1e-9 of [z*, z* + gap]
+    # HiGHS's optimum of the program lies within 1e-9 of [z*, z* + gap]
     # for the benchmark's targets and the first 40 integer triples, with and
     # without the stealth row; where no floor-0 optimum is certified, the
     # facets answer 1 or both find the stealth program infeasible.
     def test_highs_lies_in_the_interval(self):
-        optimize = pytest.importorskip("scipy.optimize")
         certified = 0
         for k, targets in enumerate([CANONICAL_TARGETS, FORTY_FIVE, *INTEGER_TRIPLES[:40]]):
             for stealth in (False, True):
-                problem = FakingProblem(targets, stealth=stealth)
-                program = problem.program
-                highs = optimize.linprog(
-                    -program.objective,
-                    A_ub=program.ub_matrix, b_ub=program.ub_rhs,
-                    A_eq=program.eq_matrix, b_eq=program.eq_rhs,
-                    bounds=(0.0, None), method="highs",
-                )
-                answer = _optimum(problem)
+                result = highs(distinct_program(targets, stealth=stealth))
+                answer = _optimum(FakingProblem(targets, stealth=stealth))
                 case = (k, stealth, answer.route, answer.status)
                 if answer.status == "infeasible":
-                    assert highs.status == 2, case
+                    assert result.status == 2, case
                     continue
-                assert highs.status == 0, case
+                assert result.status == 0, case
                 gap = 0.0 if answer.route == "facets" else answer.certificate[0]
                 certified += answer.route == "floor 0"
-                assert answer.objective - 1e-9 <= -highs.fun <= answer.objective + gap + 1e-9, case
+                assert answer.objective - 1e-9 <= -result.fun <= answer.objective + gap + 1e-9, case
         assert certified >= 80
 
     # The threshold is ARTIFICIAL_MASS_TOL. At 1e-7 it certifies the
