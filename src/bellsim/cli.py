@@ -215,11 +215,13 @@ def cmd_simulate(args) -> int:
                 raise ValueError(f"{first} and {flag} name one file: {path}")
     config = _build_config(args)
     _echo_config({"subcommand": "simulate", **config_to_dict(config)})
-    records = run_experiment(config)
+    data = run_experiment(config)
     if args.format == "json":
+        index, x1, x2, y1, y2, d1, d2 = (column.tolist() for column in data.columns())
+        y1, y2 = ([y or None for y in spins] for spins in (y1, y2))  # spin 0: not detected
         doc = {
             "config": config_to_dict(config),
-            "records": [list(row) for row in records],
+            "records": list(zip(index, x1, x2, y1, y2, d1, d2)),  # a tuple dumps as a list
         }
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -229,7 +231,7 @@ def cmd_simulate(args) -> int:
             print(json.dumps(doc))
     else:
         sys.stdout.flush()  # the CSV goes below the text layer, after what it holds
-        write_dataset_csv(records, args.out or sys.stdout.buffer)
+        write_dataset_csv(data, args.out or sys.stdout.buffer)
     if meta:
         write_metadata(config, meta)
     return 0

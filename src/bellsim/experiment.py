@@ -55,8 +55,8 @@ SOURCE_LOOPHOLE = "loophole"
 #: them its sampler reads, which is required; the draws its sampler makes
 #: per trial; and the sampler, which maps ``(payload, pair, m)``, the
 #: block's setting pairs ``3 * x1 + x2`` and the top 53 bits of its
-#: ``(draws, trials)`` draws, to the block's uint8 row codes, free to write
-#: over ``pair`` and ``m``. A loophole run keeps the angles its
+#: ``(draws, trials)`` draws, to the block's fresh uint8 row codes, free to
+#: write over ``pair`` and ``m``. A loophole run keeps the angles its
 #: demonstration solution was built for.
 _Source = namedtuple("_Source", "uses sampled draws sample_lanes")
 _SOURCES = {
@@ -103,7 +103,7 @@ def _integer(value, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExperimentConfig:
     """Everything needed to reproduce one simulated experiment; a payload
     its source (:data:`_SOURCES`) does not use, or of another type than it
@@ -116,6 +116,15 @@ class ExperimentConfig:
     model: LocalModel | None = None
     solution: loophole_mod.LpSolution | None = None
     setting_distribution: str = UNIFORM_9
+
+    def __init__(self, n_trials: int, seed: int, source: str,
+                 angles: AngleTriple | None = None, model: LocalModel | None = None,
+                 solution: loophole_mod.LpSolution | None = None,
+                 setting_distribution: str = UNIFORM_9) -> None:
+        # The generated signature; one vars() update, not an object.__setattr__ a field.
+        vars(self).update(n_trials=n_trials, seed=seed, source=source, angles=angles, model=model,
+                          solution=solution, setting_distribution=setting_distribution)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for name in ("n_trials", "seed"):
@@ -247,7 +256,8 @@ def _uniform_9(words: np.ndarray, seed: int, start: int) -> np.ndarray:
     word occurs at most once in a trial's stream: the trial's draws are the
     first ``len(words) + 1`` of its stream with that word deleted."""
     settings = words[:2]
-    if settings.max() == _REJECTED:
+    # No max() wrapper, and scalar to scalar: a 0-d operand would cost a ufunc call.
+    if np.maximum.reduce(settings, None) == _REJECTED[()]:
         for hit in np.flatnonzero(settings == _REJECTED).tolist():
             row, lane = divmod(hit, words.shape[1])
             stream = SplitMix64(derive_seed(seed, start + lane))
@@ -290,21 +300,22 @@ def run_experiment(config: ExperimentConfig) -> TrialDataset:
     cannot change what any trial draws. The distribution and the source are
     looked up in :data:`_SETTINGS` and :data:`_SOURCES` once per call.
     The matrix lives in this thread's :func:`~bellsim.rng.scratch` arena,
-    overwritten by the pairs, the shifted draws and the sampler; only the
-    result is fresh.
+    overwritten by the pairs, the shifted draws and the sampler, whose fresh
+    codes are the dataset's: as they are for one block, concatenated for more.
     """
-    n = config.n_trials
-    code = np.empty(n, dtype=np.uint8)
+    n, seed = config.n_trials, config.seed
     settings = _SETTINGS[config.setting_distribution]
     source = _SOURCES[config.source]
     payload = getattr(config, source.sampled)
+    draws = settings.draws + source.draws
+    blocks = []
     for start in range(0, n, BLOCK_TRIALS):
-        stop = min(start + BLOCK_TRIALS, n)
-        words = _draw_lanes(config.seed, start, stop, settings.draws + source.draws)
-        pair = settings.decode(words, config.seed, start)
+        words = _draw_lanes(seed, start, min(start + BLOCK_TRIALS, n), draws)
+        pair = settings.decode(words, seed, start)
         top = words[settings.draws:]
         top >>= _SHIFT11
-        code[start:stop] = source.sample_lanes(payload, pair, top)
+        blocks.append(source.sample_lanes(payload, pair, top))
+    code = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     return TrialDataset._trusted(np.arange(n, dtype=np.int64), code)
 
 
@@ -467,7 +478,9 @@ def decide(est: BellEstimate, alpha: float = 0.01) -> Decision:
         raise ValueError(f"alpha {alpha!r}: 1 - alpha rounds to 1")
     z = _normal_quantile(upper)
     margin = est.statistic - z * est.std_error
-    return Decision(reject_lhv=margin > 0.0, margin=margin, alpha=alpha)
+    decision = Decision.__new__(Decision)  # as estimate fills its BellEstimate
+    vars(decision).update(reject_lhv=margin > 0.0, margin=margin, alpha=alpha)
+    return decision
 
 
 _HEADER = ",".join(CSV_HEADER).encode()

@@ -194,8 +194,8 @@ def sample_mixture_lanes(mixture, pair: np.ndarray, m: np.ndarray) -> np.ndarray
     a feasible :class:`~bellsim.loophole.LpSolution` (its ``_sampling_arrays``
     are its :func:`mixture_arrays`). Row 0 of ``m``, the top 53 bits of each
     trial's draw, picks its unit as the number of thresholds at most it, as
-    the scalar samplers invert the cumulative weights. Returns the uint8 row
-    codes of those units at each trial's setting pair ``pair``.
+    the scalar samplers invert the cumulative weights. Returns the fresh uint8
+    row codes of those units at each trial's setting pair ``pair``.
     """
     _, limits, codes = mixture._sampling_arrays
     k = limits.searchsorted(m[0], "right")  # the method skips np.searchsorted's dispatch

@@ -109,19 +109,22 @@ def scratch(words: int) -> np.ndarray:
 
 
 def _mix64_in_place(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """:func:`mix64` of every element of a C-contiguous ``uint64`` array,
-    written over it, shifting into ``tmp``: ``min(z.size, _MIX_CHUNK)`` words."""
-    flat = z.reshape(-1)
-    for start in range(0, flat.size, _MIX_CHUNK):
-        part = flat[start:start + _MIX_CHUNK]
-        shifted = np.right_shift(part, _SHIFT30, tmp[:len(part)])
-        part ^= shifted
-        part *= _MIX1
-        np.right_shift(part, _SHIFT27, shifted)
-        part ^= shifted
-        part *= _MIX2
-        np.right_shift(part, _SHIFT31, shifted)
-        part ^= shifted
+    """:func:`mix64` of every element of a one-dimensional ``uint64`` array,
+    written over it, shifting into ``tmp``: ``min(len(z), _MIX_CHUNK)`` words.
+    An array that fits in one chunk, as a small run's block does, takes one
+    pass with no chunk loop and no slice of it; a longer one, chunk by chunk."""
+    if len(z) > _MIX_CHUNK:
+        for start in range(0, len(z), _MIX_CHUNK):
+            _mix64_in_place(z[start:start + _MIX_CHUNK], tmp)
+        return z
+    shifted = np.right_shift(z, _SHIFT30, tmp[:len(z)])
+    z ^= shifted
+    z *= _MIX1
+    np.right_shift(z, _SHIFT27, shifted)
+    z ^= shifted
+    z *= _MIX2
+    np.right_shift(z, _SHIFT31, shifted)
+    z ^= shifted
     return z
 
 
@@ -153,6 +156,7 @@ def lane_keys(start: int, stop: int) -> np.ndarray:
 #: :func:`lane_draws` slices: more than any block draws (the largest
 #: settings and source counts).
 _COUNTERS = np.arange(1, 9, dtype=np.uint64)[:, None] * _GOLDEN_LANE
+_COUNTER_ROWS = [_COUNTERS[:k] for k in range(len(_COUNTERS) + 1)]  # sliced once, not per block
 
 
 def lane_draws(seed: int, start: int, stop: int, k: int) -> np.ndarray:
@@ -169,10 +173,11 @@ def lane_draws(seed: int, start: int, stop: int, k: int) -> np.ndarray:
 
 def _draw_lanes(seed: int, start: int, stop: int, k: int) -> np.ndarray:
     """:func:`lane_draws` for ``k >= 1`` in this thread's :func:`scratch`
-    arena: the matrix, then each trial's state, then the mixing scratch."""
+    arena: the matrix (the states' mixing scratch), the states, the matrix's."""
     n = stop - start
     words = scratch(k * n + max(n, min(k * n, _MIX_CHUNK)))
-    draws, state = words[:k * n].reshape(k, n), words[k * n:(k + 1) * n]
+    flat, state = words[:k * n], words[k * n:(k + 1) * n]
     np.bitwise_xor(lane_keys(start, stop), np.asarray(seed & _MASK64, np.uint64), state)
-    np.add(_COUNTERS[:k], _mix64_in_place(state, words), draws)  # mixing in the unwritten matrix
-    return _mix64_in_place(draws, words[k * n:])
+    draws = np.add(_COUNTER_ROWS[k], _mix64_in_place(state, flat), flat.reshape(k, n))
+    _mix64_in_place(flat, words[k * n:])
+    return draws

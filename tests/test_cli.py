@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 from bellsim.cli import main
+from bellsim.experiment import ExperimentConfig, config_to_dict, run_experiment
 from bellsim.lhv import MAX_GRID_STEPS
+from bellsim.loophole import demonstration_solution
+from bellsim.quantum import AngleTriple, match_table
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -337,6 +340,19 @@ class TestSimulateAndTest:
         assert out1 == out2
         doc = json.loads(out1)
         assert len(doc["records"]) == 200
+
+    def test_json_records_are_the_iterated_rows_byte_for_byte(self, capsys):
+        # The demonstration solution leaves spins undetected, which print as null.
+        code, out, _ = run_cli(capsys, "simulate", "--source", "loophole", "--angles",
+                               "60,0,120", "--n", "300", "--seed", "3", "--format", "json")
+        assert code == 0
+        angles = AngleTriple.from_degrees(60, 0, 120)
+        config = ExperimentConfig(300, 3, "loophole", angles=angles,
+                                  solution=demonstration_solution(match_table(angles)))
+        data = run_experiment(config)
+        assert not (data.d1.all() or data.d2.all())
+        rows = [list(row) for row in data]
+        assert out == json.dumps({"config": config_to_dict(config), "records": rows}) + "\n"
 
     def test_workers_flag_is_unknown(self, capsys):
         with pytest.raises(SystemExit) as exc:

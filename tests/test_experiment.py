@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import itertools
 import json
@@ -6,6 +7,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -23,8 +25,10 @@ from bellsim.experiment import (
     SOURCE_QUANTUM,
     SOURCE_STOCHASTIC_LHV,
     UNIFORM_4,
+    UNIFORM_9,
     BellEstimate,
     ConfigError,
+    Decision,
     EstimationError,
     ExperimentConfig,
     TrialDataset,
@@ -200,6 +204,45 @@ class TestConfigValidation:
             written.append(buf.getvalue())
         assert written[0] == written[1]
         assert sidecar(single_table_config(), tmp_path) == config_to_dict(single_table_config())
+
+
+class TestConfigRecord:
+    """``ExperimentConfig``'s written ``__init__`` keeps the contract of the
+    ``__init__`` that ``dataclass`` would generate."""
+
+    def test_signature_is_the_fields_in_order_with_their_defaults(self):
+        parameters = list(inspect.signature(ExperimentConfig).parameters.values())
+        assert [(p.name, p.default) for p in parameters] == [
+            (f.name, inspect.Parameter.empty if f.default is MISSING else f.default)
+            for f in fields(ExperimentConfig)
+        ]
+        assert {p.kind for p in parameters} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+    @pytest.mark.parametrize("args", (  # a config with angles does not hash: Angle does not
+        (90, 5, SOURCE_STOCHASTIC_LHV, None, StochasticLocalModel((0.2, 0.5, 0.9), (0.7, 0.1, 0.4))),
+        (90, 5, SOURCE_DETERMINISTIC_LHV, None, DeterministicLhv.single(
+            CounterfactualTable((1, -1, 1), (-1, 1, -1))), None, UNIFORM_4),
+    ))
+    def test_positional_and_keyword_configs_are_one_config(self, args):
+        positional = ExperimentConfig(*args)
+        keyword = ExperimentConfig(**{f.name: a for f, a in zip(fields(ExperimentConfig), args)})
+        assert positional == keyword and hash(positional) == hash(keyword)
+        assert repr(positional) == repr(keyword)
+        assert list(vars(positional)) == [f.name for f in fields(ExperimentConfig)]
+        assert positional.setting_distribution == (args[6] if len(args) > 6 else UNIFORM_9)
+
+    def test_fields_are_frozen(self):
+        config = quantum_config()
+        with pytest.raises(FrozenInstanceError):
+            config.n_trials = 5
+        with pytest.raises(FrozenInstanceError):
+            del config.seed
+        assert config == quantum_config()
+
+    def test_replace_checks_the_new_config(self):
+        with pytest.raises(ConfigError, match=r"^n_trials must be at least 1, got 0$"):
+            replace(quantum_config(), n_trials=0)
+        assert replace(quantum_config(), seed=8) == quantum_config(seed=8)
 
 
 class TestRunExperiment:
@@ -995,8 +1038,6 @@ class TestTrustedRecords:
 
     @pytest.mark.parametrize("conditioning", (CONDITION_COINCIDENCES, CONDITION_ALL_PAIRS))
     def test_estimate_is_what_the_generated_init_builds(self, conditioning):
-        from dataclasses import FrozenInstanceError, fields, replace
-
         est = estimate(run_experiment(quantum_config(n=500)), conditioning)
         built = BellEstimate(**vars(est))
         assert list(vars(est)) == [f.name for f in fields(BellEstimate)]
@@ -1009,3 +1050,16 @@ class TestTrustedRecords:
             del est.trials
         assert est == built
 
+    @pytest.mark.parametrize("config, rejects", ((quantum_config(n=5000), True),
+                                                 (single_table_config(n=500), False)))
+    def test_decision_is_what_the_generated_init_builds(self, config, rejects):
+        decision = decide(estimate(run_experiment(config)))
+        built = Decision(**vars(decision))
+        assert list(vars(decision)) == [f.name for f in fields(Decision)]
+        assert decision == built and hash(decision) == hash(built)
+        assert repr(decision) == repr(built) and decision.reject_lhv is rejects
+        with pytest.raises(FrozenInstanceError):
+            decision.reject_lhv = not rejects
+        with pytest.raises(FrozenInstanceError):
+            del decision.margin
+        assert decision == built

@@ -30,6 +30,13 @@ WORKLOADS = {
     "pipeline": ("pipeline", "write or estimate", 1, {"PIPELINE_N": 200}, ""),
     "end-to-end": ("pipe", "simulate or test", 1, {"PIPE_N": 1000}, ""),
 }
+# The line of stage medians that a workload's op prints, per tree.
+STAGES = {
+    "pipeline": (r"^(parent|change) median generate \d+\.\d\d ms, write \d+\.\d\d ms, "
+                 r"read \d+\.\d\d ms per op; \(write \+ read\) / generate = \d+\.\d\d$"),
+    "montecarlo": (r"^(parent|change) median config \d+\.\d\d us, run_experiment "
+                   r"\d+\.\d\d us, estimate \d+\.\d\d us, decide \d+\.\d\d us per run$"),
+}
 # Per workload, a change to what it answers: (module, old, new). The
 # header line may end in "\n", which the readers take, as well as "\r\n".
 HEADER_LF = ("experiment.py", 'target.write(_HEADER + b"\\r\\n")',
@@ -77,9 +84,8 @@ def test_pair_timing_checks_answers_then_times_both_trees(capsys, workload):
     assert len(faults) == 2
     if workload == "end-to-end":  # the two CLI processes', thousands; this process's are ~0
         assert all(float(f) > 1000 for f in faults)
-    stages = (r"^(parent|change) median generate \d+\.\d\d ms, write \d+\.\d\d ms, "
-              r"read \d+\.\d\d ms per op; \(write \+ read\) / generate = \d+\.\d\d$")
-    assert len(re.findall(stages, out, re.M)) == (2 if workload == "pipeline" else 0)
+    for name, stages in STAGES.items():
+        assert len(re.findall(stages, out, re.M)) == (2 if workload == name else 0)
     assert re.fullmatch(r"paired median ratio change/parent: \d\.\d{4}", lines[-2])
     assert (entry["workload"], entry["pairs"], entry["count"]) == (workload, 2, count)
     assert entry["parent_median_s"] > 0 and entry["change_median_s"] > 0

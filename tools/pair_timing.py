@@ -34,12 +34,14 @@ machine's speed falls on both alike. It prints each tree's median µs per
 op and minor page faults (``ru_minflt``) per op: this process's, or for
 ``end-to-end`` its reaped children's, the ``simulate`` and ``test``
 processes. For ``pipeline`` it also prints an op's median generate, write
-and read times. Then it prints the median over the pairs of the change's
-block time over the parent's: below 1 when the change is faster. The last
-line is the JSON entry that a ``BENCH_<workload>.json`` file records: the
-SHA-256, the pairs and ops a block, each tree's median seconds per op, the
-paired median ratio, the pairs the change won and the interquartile range
-of the parent's blocks.
+and read times, and for ``montecarlo`` a run's median config,
+``run_experiment``, ``estimate`` and ``decide`` times, each timed around
+its public call, so any two trees compare. Then it prints the median over
+the pairs of the change's block time over the parent's: below 1 when the
+change is faster. The last line is the JSON entry that a
+``BENCH_<workload>.json`` file records: the SHA-256, the pairs and ops a
+block, each tree's median seconds per op, the paired median ratio, the
+pairs the change won and the interquartile range of the parent's blocks.
 
 Alternation cancels drift, not position: two copies of one tree in one
 process need not run at one speed. On ``pipeline``, ``src src`` has read
@@ -117,16 +119,34 @@ def verdicts(bs, data):
 
 
 def study(bs):
-    """A function making one run of the study, seeded, with ``bs``."""
+    """A function making one run of the study, seeded, with ``bs``; its
+    ``stages`` list gets each run's config, run_experiment, estimate and
+    decide seconds, timed around the public calls, unless ``estimate``
+    refuses the run."""
     model = boundary_model(bs)
+    stages = []
 
     def one_run(seed: int):
+        start = time.perf_counter()
         try:
             config = bs.ExperimentConfig(SMALL_N, seed, "deterministic-lhv", model=model)
-            return bs.decide(bs.estimate(bs.run_experiment(config)), alpha=0.01)
+            built = time.perf_counter()
+            data = bs.run_experiment(config)
+            generated = time.perf_counter()
+            est = bs.estimate(data)
+            estimated = time.perf_counter()
+            decision = bs.decide(est, alpha=0.01)
         except bs.EstimationError:
             return None
+        stages.append((built - start, generated - built, estimated - generated,
+                       time.perf_counter() - estimated))
+        return decision
 
+    def line(config, generate, estimate, decide) -> str:
+        return (f"config {config * 1e6:.2f} us, run_experiment {generate * 1e6:.2f} us, "
+                f"estimate {estimate * 1e6:.2f} us, decide {decide * 1e6:.2f} us per run")
+
+    one_run.stages, one_run.line = stages, line
     return one_run
 
 
@@ -229,7 +249,12 @@ def pipeline(bs):
         return [bs.decide(bs.estimate(quantum)), bs.decide(bs.estimate(faked)),
                 bs.decide(bs.estimate(faked, "all-pairs"))]
 
-    run.stages = stages
+    def line(generate, write, read) -> str:
+        return (f"generate {generate * 1e3:.2f} ms, write {write * 1e3:.2f} ms, "
+                f"read {read * 1e3:.2f} ms per op; (write + read) / generate = "
+                f"{(write + read) / generate:.2f}")
+
+    run.stages, run.line = stages, line
     return run
 
 
@@ -342,10 +367,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{label} median {median * 1e6:.2f} us per {work.unit} over {BLOCKS} blocks of "
               f"{work.count}, {fault / (BLOCKS * work.count):.1f} minor faults per {work.unit}")
         if hasattr(op, "stages"):
-            generate, write, read = (statistics.median(stage) for stage in zip(*op.stages))
-            print(f"{label} median generate {generate * 1e3:.2f} ms, write {write * 1e3:.2f} ms, "
-                  f"read {read * 1e3:.2f} ms per op; (write + read) / generate = "
-                  f"{(write + read) / generate:.2f}")
+            print(f"{label} median {op.line(*map(statistics.median, zip(*op.stages)))}")
     ratio = statistics.median(c / p for p, c in zip(*times))
     print(f"paired median ratio change/parent: {ratio:.4f}")
     low, _, high = statistics.quantiles(times[0], n=4)
